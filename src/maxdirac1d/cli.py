@@ -47,6 +47,7 @@ from .estimates import (
     run_wave_suite,
 )
 from .experiments import (
+    CLAIMS,
     SweepPlan,
     check_claim1,
     check_claim2,
@@ -142,7 +143,7 @@ SWEEP_SCHEMA = {
             "type": "array",
             "minItems": 1,
             "uniqueItems": True,
-            "items": {"enum": ["claim1", "claim2", "claim3", "gauss"]},
+            "items": {"enum": list(CLAIMS)},
         },
         "jobs": {"type": "integer", "minimum": 1},
         "out": {"type": "string"},
@@ -211,7 +212,6 @@ _SCHEMAS = {
     "norms": NORMS_SCHEMA,
 }
 
-_ALL_CLAIMS = ("claim1", "claim2", "claim3", "gauss")
 _RANDOM_SUITES = ("energy", "wave", "nullform")
 
 
@@ -273,7 +273,7 @@ def load_config(path: str, command: str) -> dict:
             )
             claims = raw.get("claims")
             if claims is None:
-                claims = list(_ALL_CLAIMS) if mode is PotentialMode.ZERO else ["claim1", "claim2"]
+                claims = list(CLAIMS) if mode is PotentialMode.ZERO else ["claim1", "claim2"]
             if "claim2" in claims and 6.0 * (raw["M"] + 1.0) * raw["T"] >= 1.0:
                 raise ValueError(
                     f"claim2 regime requires 6(M+1)T < 1, got 6*{raw['M'] + 1}*{raw['T']} = "
@@ -281,6 +281,8 @@ def load_config(path: str, command: str) -> dict:
                 )
             if "claim3" in claims and mode is not PotentialMode.ZERO:
                 raise ValueError("claim3 needs potential_mode 'zero' (vanishing A_0 data)")
+            if "claim3" in claims and len(raw["eps_list"]) < 2:
+                raise ValueError("claim3 needs at least 2 epsilons for the log-slope fit")
             if "gauss" in claims and len(raw["eps_list"]) < 3:
                 raise ValueError("gauss verdict needs at least 3 epsilons for slope and diffs")
             ctx["plan"], ctx["mode"], ctx["claims"] = plan, mode, sorted(claims)
@@ -461,7 +463,7 @@ def cmd_sweep(ctx: dict, args) -> int:
     raw, plan, mode, claims = ctx["raw"], ctx["plan"], ctx["mode"], ctx["claims"]
     jobs = args.jobs or raw.get("jobs", 1)
     out = _out_dir(raw, args, "sweep")
-    results = run_sweep(plan, mode=mode, jobs=jobs)
+    results = run_sweep(plan, mode=mode, jobs=jobs, claims=claims)
     summary = write_sweep(results, plan, mode, out)
     verdicts = _compute_verdicts(results, plan, claims)
     ok = all(_verdict_passed(name, v) for name, v in verdicts.items())

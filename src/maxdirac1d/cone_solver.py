@@ -18,10 +18,22 @@ diamonds.  One time step, from level m to m+1:
      a small constant.
 
 Time derivatives of the potentials are reconstructed by centered differences
-(one extra wave step is taken past t_max so the final level gets a centered
-value; level 0 uses the b datum, which is exact).  Fields are held at exactly
-zero in a two-node band at the boundary; the grid contract guarantees supports
-never reach it, and a guard aborts the run if they ever do.
+(one extra wave step is taken past the last level so it gets a centered
+value; level 0 uses the b datum, which is exact).
+
+Every stencil reaches one node to each side per step, so the value at node j
+of level m depends only on the data at nodes j - m .. j + m.  A full-grid run
+holds the fields at exactly zero in a two-node band at the boundary; the grid
+contract (`GridSpec.ensure_support`) proves that supports never reach it, and
+a guard aborts the run if they ever do.  When every observer declares the
+backward cones it reads (`reads`) and nothing else asks for whole-line output,
+`evolve` instead marches a static window of nodes: the hull of those cones at
+t = 0, widened by a stencil margin, up to the last level any observer reads.
+The window edges are zero-filled like the boundary band, so values there go
+wrong, but the error travels inward one node per step, exactly like the cone
+shrinks: every node inside a declared cone is bitwise equal to the full-grid
+run.  A windowed run keeps the non-finite check and drops the band test and
+the whole-line series, which have no meaning on a window.
 """
 
 from __future__ import annotations
@@ -157,7 +169,8 @@ class Snapshot:
 
 @dataclass
 class LevelState:
-    """What observers see at each accepted time level."""
+    """What observers see at each accepted time level.  The arrays cover the
+    marched nodes, which start at full-grid node `first`."""
 
     m: int
     t: float
@@ -169,6 +182,7 @@ class LevelState:
     S: np.ndarray
     h: float
     dim: int
+    first: int = 0
 
 
 @dataclass
@@ -329,13 +343,54 @@ def _wave_diamond(A_curr, A_prev, S, h):
 # ---------------------------------------------------------------------------
 
 
+STENCIL_MARGIN = 1  # nodes added to each side of a window, for round-off in the cone bases
+
+
+def _read_window(grid: GridSpec, opts: EvolveOptions) -> tuple[int, int, int] | None:
+    """(first node, end node, last level) the observers read, or None.
+
+    Each observer may declare `reads(grid)`: the backward cones it reads, as
+    (ConeRegion, last level) pairs.  The window is the hull of their bases,
+    widened by STENCIL_MARGIN nodes per side.  Snapshots, history, the gauge
+    monitor, an external source, or an observer that declares nothing keep
+    the run on the full grid (None).
+    """
+    if (
+        not opts.observers
+        or opts.snapshot_times
+        or opts.record_history
+        or opts.gauge_base is not None
+        or opts.external_wave_source is not None
+    ):
+        return None
+    first, end, last = grid.n + 1, 0, 0
+    for obs in opts.observers:
+        reads = getattr(obs, "reads", None)
+        if reads is None:
+            return None
+        for region, level in reads(grid):
+            first = min(first, math.floor((region.base_lo + grid.L) / grid.h) - STENCIL_MARGIN)
+            end = max(end, math.ceil((region.base_hi + grid.L) / grid.h) + STENCIL_MARGIN + 1)
+            last = max(last, level)
+    if first >= end:
+        return None
+    return max(0, first), min(grid.n + 1, end), min(last, grid.steps)
+
+
 def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -> Trajectory:
-    """Run the coupled system from the family datum up to grid.t_max."""
+    """Run the coupled system from the family datum up to grid.t_max, or only
+    over the window its observers read (see the module docstring).
+
+    `meta` records the marched `window` (first node, end node, last level)
+    and the `node_steps` computed.
+    """
     opts = opts or EvolveOptions()
     grid.ensure_support(fam.cutoff.outer)
     dim, M, h = fam.dim, fam.M, grid.h
+    window = _read_window(grid, opts)
+    full = window is None
+    first, end, steps = (0, grid.n + 1, grid.steps) if full else window
     x = grid.nodes()
-    steps = grid.steps
 
     if opts.datum_override is not None:
         u = np.array(opts.datum_override[0], dtype=complex, copy=True)
@@ -354,6 +409,9 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     if opts.spinor_off:
         u[:] = 0.0
         v[:] = 0.0
+    if not full:
+        # slices of the full-grid samples, so every value is the same float
+        x, u, v, a, b = (w[..., first:end].copy() for w in (x, u, v, a, b))
 
     ext = opts.external_wave_source
     guard_support = ext is None
@@ -367,17 +425,16 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
 
     nlev = steps + 1
     times = h * np.arange(nlev)
-    series: dict[str, list[float]] = {
-        "charge": [],
-        "l1_u": [],
-        "l1_v": [],
-    }
-    for mu in range(dim + 1):
-        series[f"sup_A{mu}"] = []
+    series: dict[str, list[float]] = {}
+    if full:
+        series.update(charge=[], l1_u=[], l1_v=[])
+        for mu in range(dim + 1):
+            series[f"sup_A{mu}"] = []
     gauge_mon = GaugeMonitor(opts.gauge_base) if opts.gauge_base is not None else None
     hist_u, hist_v, hist_A, hist_At = [], [], [], []
     snapshots: list[Snapshot] = []
-    traj = Trajectory(fam=fam, grid=grid, times=times, series={}, snapshots=snapshots)
+    meta = {"window": (first, end, steps), "node_steps": (end - first) * steps}
+    traj = Trajectory(fam=fam, grid=grid, times=times, series={}, snapshots=snapshots, meta=meta)
 
     def _sources(t, uu, vv):
         # dims 1 and 2 carry a singleton component axis internally; the
@@ -390,32 +447,35 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         return S
 
     def _emit(m, t, uu, vv, A, At, S):
-        dens = modulus_sq(dim, uu, vv)
-        if dens.ndim > 1:
-            dens = dens[0]
-        q = float(trapezoid(dens, h))
-        if not np.isfinite(q) or not np.isfinite(A).all():
+        if full:
+            dens = modulus_sq(dim, uu, vv)
+            if dens.ndim > 1:
+                dens = dens[0]
+            q = float(trapezoid(dens, h))
+            if not np.isfinite(q) or not np.isfinite(A).all():
+                raise SolverAbort(f"non-finite field values at t = {t:.6g}")
+            if guard_support:
+                band = np.r_[0:2, A.shape[-1] - 2 : A.shape[-1]]
+                if (
+                    np.any(A[:, band] != 0.0)
+                    or np.any(uu[:, band] != 0.0)
+                    or np.any(vv[:, band] != 0.0)
+                ):
+                    raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
+            series["charge"].append(q)
+            au = np.sqrt((np.abs(uu) ** 2).sum(axis=0))
+            av = np.sqrt((np.abs(vv) ** 2).sum(axis=0))
+            series["l1_u"].append(float(trapezoid(au, h)))
+            series["l1_v"].append(float(trapezoid(av, h)))
+            for mu in range(dim + 1):
+                series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
+        elif not (np.isfinite(uu).all() and np.isfinite(vv).all() and np.isfinite(A).all()):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
-        if guard_support:
-            band = np.r_[0:2, A.shape[-1] - 2 : A.shape[-1]]
-            if (
-                np.any(A[:, band] != 0.0)
-                or np.any(uu[:, band] != 0.0)
-                or np.any(vv[:, band] != 0.0)
-            ):
-                raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
-        series["charge"].append(q)
-        au = np.sqrt((np.abs(uu) ** 2).sum(axis=0))
-        av = np.sqrt((np.abs(vv) ** 2).sum(axis=0))
-        series["l1_u"].append(float(trapezoid(au, h)))
-        series["l1_v"].append(float(trapezoid(av, h)))
-        for mu in range(dim + 1):
-            series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
         if gauge_mon is not None:
             lev = LevelState(m, t, x, uu, vv, A, At, S, h, dim)
             gauge_mon.on_level(lev, grid)
         if opts.observers or m in snap_levels:
-            lev = LevelState(m, t, x, uu, vv, A, At, S, h, dim)
+            lev = LevelState(m, t, x, uu, vv, A, At, S, h, dim, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
             if m in snap_levels:
@@ -588,6 +648,8 @@ def characteristic_integrals(G: np.ndarray, h: float, direction: int) -> np.ndar
 
 def charge(traj: Trajectory, t: float) -> float:
     """Total charge (squared L^2 norm of the spinor) at a recorded level."""
+    if "charge" not in traj.series:
+        raise ValueError("the charge series is recorded only by full-grid runs")
     return float(traj.series["charge"][traj.level_of(t)])
 
 

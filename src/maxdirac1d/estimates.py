@@ -561,6 +561,8 @@ def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
     fam = traj.fam
     if fam.dim < 2:
         raise ValueError("gronwall check needs dim 2 or 3 (transverse potentials)")
+    if "l1_u" not in traj.series:
+        raise ValueError("gronwall check needs the whole-line series of a full-grid run")
     grid = traj.grid
     l1u = np.asarray(traj.series["l1_u"], dtype=float)
     l1v = np.asarray(traj.series["l1_v"], dtype=float)

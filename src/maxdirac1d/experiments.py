@@ -1,8 +1,8 @@
 """Epsilon-sweep campaigns over the mollified data family.
 
-A sweep runs the full evolution once per epsilon at a resolution tied to
-epsilon (h <= eps/16 by default), recording three cheap observers instead
-of field history:
+A sweep runs the evolution once per epsilon at a resolution tied to
+epsilon (h <= eps/16 by default), recording cheap observers instead of field
+history, only those the selected claims read:
 
 * the sup of the transverse potentials over the shrinking slab
   K_T = {|x| <= 1 - t}, which stays below 1 (their sources are null forms);
@@ -12,6 +12,9 @@ of field history:
 * A_0 at interior probe points of {|x| < t}, which grows like
   ((x + t)/8) log(1/eps) as eps -> 0 (charge concentration feeds the
   Coulomb-type potential logarithmically).
+
+Each observer declares the backward cones it reads, so a run marches only
+their hull (see `cone_solver`); the whole-line series stay empty.
 
 The checkers turn those series into per-epsilon verdicts, a least-squares
 blow-up fit, and the distributional divergence of the Gauss-law pairing.
@@ -31,7 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import EvolveOptions, LevelState, SolverAbort, evolve, trapezoid
+from .cone_solver import (
+    BALL_BASE,
+    ConeRegion,
+    EvolveOptions,
+    LevelState,
+    SolverAbort,
+    evolve,
+    trapezoid,
+)
 from .gamma_algebra import modulus_sq
 from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps
 
@@ -42,6 +53,7 @@ __all__ = [
     "default_plan",
     "default_probes",
     "grid_for_eps",
+    "pool_size",
     "run_sweep",
     "check_claim1",
     "check_claim2",
@@ -52,6 +64,9 @@ __all__ = [
     "write_sweep",
     "load_sweep",
 ]
+
+
+CLAIMS = ("claim1", "claim2", "claim3", "gauss")
 
 
 def default_probes(T: float) -> tuple[tuple[float, float], ...]:
@@ -137,8 +152,15 @@ def grid_for_eps(plan: SweepPlan, eps: float) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
+def _reads_kt(self, grid: GridSpec):
+    """The cone K_T over [-1, 1], read up to T."""
+    return [(ConeRegion(*BALL_BASE), grid.steps)]
+
+
 class TransverseMonitor:
     """Per-level sup of sum_j |A_j| (j >= 2) over the slab |x| <= 1 - t."""
+
+    reads = _reads_kt
 
     def __init__(self):
         self.values: list[float] = []
@@ -168,6 +190,8 @@ class FloorMonitor:
     quantified over 0 < t only).
     """
 
+    reads = _reads_kt
+
     def __init__(self, eps: float):
         self.eps = eps
         self.values: list[float] = []
@@ -196,6 +220,7 @@ class ProbeMonitor:
         h = grid.h
         self._acc = np.zeros(len(probes))
         self._needed: dict[int, list[tuple[int, float, int, float]]] = {}
+        self._cells: list[tuple[int, int]] = []  # (m0, j0) per probe
         for k, (t, x) in enumerate(probes):
             m0 = min(int(t / h), grid.steps - 1)
             wt = t / h - m0
@@ -203,11 +228,24 @@ class ProbeMonitor:
             wx = (x + grid.L) / h - j0
             self._needed.setdefault(m0, []).append((k, 1.0 - wt, j0, wx))
             self._needed.setdefault(m0 + 1, []).append((k, wt, j0, wx))
+            self._cells.append((m0, j0))
+
+    def reads(self, grid: GridSpec):
+        """Per probe, the cone over nodes j0, j0 + 1 up to level m0 + 1."""
+        h = grid.h
+        out = []
+        for m0, j0 in self._cells:
+            top = m0 + 1
+            lo = -grid.L + (j0 - top) * h
+            hi = -grid.L + (j0 + 1 + top) * h
+            out.append((ConeRegion(lo, hi), top))
+        return out
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
         for k, w, j0, wx in self._needed.get(lev.m, ()):
             a0 = lev.A[0]
-            self._acc[k] += w * ((1.0 - wx) * a0[j0] + wx * a0[j0 + 1])
+            j = j0 - lev.first
+            self._acc[k] += w * ((1.0 - wx) * a0[j] + wx * a0[j + 1])
 
     def result(self) -> np.ndarray:
         return self._acc.copy()
@@ -236,19 +274,23 @@ class SweepRecord:
     probe_A0: np.ndarray
 
 
-def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float) -> SweepRecord:
+def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float, claims) -> SweepRecord:
     grid = grid_for_eps(plan, eps)
     fam = DataFamily(dim=plan.dim, eps=eps, M=plan.M, potential_mode=mode, cutoff=plan.cutoff)
-    tmon = TransverseMonitor()
-    fmon = FloorMonitor(eps)
+    # the probe monitor always runs: the summary carries probe_A0
     pmon = ProbeMonitor(plan.probes, grid)
+    monitors = {}
+    if "claim1" in claims:
+        monitors["sup_KT_transverse"] = TransverseMonitor()
+    if "claim2" in claims:
+        monitors["claim2_min_ratio"] = FloorMonitor(eps)
     try:
-        traj = evolve(fam, grid, EvolveOptions(observers=(tmon, fmon, pmon)))
+        traj = evolve(fam, grid, EvolveOptions(observers=(*monitors.values(), pmon)))
     except SolverAbort as exc:
         raise SolverAbort(f"sweep run aborted at eps = {eps:g}: {exc}") from exc
     series = dict(traj.series)
-    series["sup_KT_transverse"] = tmon.series()
-    series["claim2_min_ratio"] = fmon.series()
+    for name, mon in monitors.items():
+        series[name] = mon.series()
     return SweepRecord(
         eps=eps,
         dim=plan.dim,
@@ -265,18 +307,33 @@ def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float) -> SweepRecord:
     )
 
 
-def run_sweep(plan: SweepPlan, mode=PotentialMode.ZERO, jobs: int = 1) -> list[SweepRecord]:
+def pool_size(jobs: int, runs: int, cpus: int | None = None) -> int:
+    """Worker processes for `runs` independent runs: no more than asked for,
+    than there are runs, or than there are CPUs (os.cpu_count() by default)."""
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, runs, cpus))
+
+
+def run_sweep(
+    plan: SweepPlan, mode=PotentialMode.ZERO, jobs: int = 1, claims=CLAIMS
+) -> list[SweepRecord]:
     """One evolve run per epsilon, merged in eps_list order.
 
-    jobs > 1 runs the (independent) epsilon runs in separate processes; the
-    merge order and hence the result is identical either way.  A solver
-    abort in any run fails the whole sweep, naming the offending epsilon.
+    Only the observers the selected claims read are attached: the record
+    series hold sup_KT_transverse with claim1 and claim2_min_ratio with
+    claim2.  jobs > 1 runs the (independent) epsilon runs in separate
+    processes, at most pool_size of them; the merge order and hence the
+    result is identical either way.  A solver abort in any run fails the
+    whole sweep, naming the offending epsilon.
     """
     mode = PotentialMode(mode)
-    if jobs <= 1 or len(plan.eps_list) == 1:
-        return [_run_one(plan, mode, e) for e in plan.eps_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [pool.submit(_run_one, plan, mode, e) for e in plan.eps_list]
+    claims = tuple(claims)
+    workers = pool_size(jobs, len(plan.eps_list))
+    if workers == 1:
+        return [_run_one(plan, mode, e, claims) for e in plan.eps_list]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futs = [pool.submit(_run_one, plan, mode, e, claims) for e in plan.eps_list]
         return [f.result() for f in futs]
 
 
@@ -423,6 +480,8 @@ def check_claim3(results: list[SweepRecord], probes=None, fit_tol: float = 0.0) 
     probes = tuple(results[0].probes if probes is None else probes)
     if any(tuple(rec.probes) != probes for rec in results):
         raise ValueError("records disagree on the probe set")
+    if len(results) < 2:
+        raise ValueError("the blow-up fit needs at least 2 epsilons")
     eps = np.array([rec.eps for rec in results])
     a0 = np.stack([rec.probe_A0 for rec in results], axis=1)  # (probes, eps)
     logs = np.log(1.0 / eps)

@@ -97,6 +97,7 @@ def test_simulate_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
         ("verify", {"seed": 1, "suites": ["energy"]}),
         ("verify", {"seed": 1, "suites": ["recompute"]}),
         ("norms", {"eps_list": [1e-3, 1e-2]}),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[0.03], claims=["claim3"])),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -104,6 +105,14 @@ def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_claim3_needs_two_eps_at_load(tmp_path):
+    one = write_config(tmp_path, dict(SWEEP_CONFIG, eps_list=[0.03], claims=["claim3"]))
+    with pytest.raises(cli.ConfigError, match="at least 2 epsilons"):
+        cli.load_config(one, "sweep")
+    two = write_config(tmp_path, dict(SWEEP_CONFIG, eps_list=[0.03, 0.02], claims=["claim3"]))
+    assert cli.load_config(two, "sweep")["claims"] == ["claim3"]
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -131,6 +140,39 @@ def test_sweep_passes_and_is_reproducible(tmp_path, capsys):
 
     assert cli.main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "verdicts.json").read_bytes() == (out2 / "verdicts.json").read_bytes()
+
+
+def test_sweep_claim3_only_matches_all_claims(tmp_path, capsys):
+    base = dict(SWEEP_CONFIG, eps_list=[0.1, 0.07, 0.05])
+    del base["claims"]
+    outs = {}
+    for tag, claims in (("only3", ["claim3"]), ("all", ["claim1", "claim2", "claim3", "gauss"])):
+        cfg = write_config(tmp_path, dict(base, claims=claims), name=f"{tag}.json")
+        outs[tag] = tmp_path / tag
+        assert cli.main(["sweep", "--config", cfg, "--out", str(outs[tag])]) in (0, 4)
+
+    def load(tag, name):
+        return json.loads((outs[tag] / name).read_text())
+
+    runs = {tag: load(tag, "summary.json")["runs"] for tag in outs}
+    keys = ("probe_A0", "n", "h", "t_max")
+    assert [[r[k] for k in keys] for r in runs["only3"]] == [[r[k] for k in keys] for r in runs["all"]]
+    v3 = load("only3", "verdicts.json")["verdicts"]
+    assert list(v3) == ["claim3"]
+    assert v3["claim3"] == load("all", "verdicts.json")["verdicts"]["claim3"]
+    for r in runs["only3"]:
+        lines = (outs["only3"] / r["diagnostics"]).read_text().splitlines()
+        assert lines[2] == "t"
+
+    verify_cfg = write_config(
+        tmp_path,
+        {"seed": 0, "suites": ["recompute"], "recompute_dir": str(outs["only3"])},
+        name="verify.json",
+    )
+    assert cli.main(["verify", "--config", verify_cfg, "--out", str(tmp_path / "v")]) == 0
+    rep = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert rep["reports"][0]["identical"] is True
+    capsys.readouterr()
 
 
 def test_sweep_verdict_failure_exit_4(tmp_path, capsys):

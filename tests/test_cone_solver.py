@@ -302,3 +302,103 @@ def test_trapezoid_matches_numpy():
     h = 0.125
     want = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
     assert trapezoid(vals, h) == pytest.approx(want, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Light-cone windows.
+# ---------------------------------------------------------------------------
+
+
+class _ConeRecorder:
+    """Keeps every level it sees and declares the cones it was given."""
+
+    def __init__(self, cones):
+        self.cones = cones
+        self.levels = []
+
+    def reads(self, grid):
+        return self.cones
+
+    def on_level(self, lev, grid):
+        self.levels.append((lev.m, lev.first, lev.u.copy(), lev.v.copy(), lev.A.copy()))
+
+
+def _cone_sets(grid):
+    h = grid.h
+    return [
+        [(ConeRegion(-1.0, 1.0), grid.steps)],  # K_T up to T, as claims 1 and 2 read
+        [(ConeRegion(0.013 - 9 * h, 0.021 + 9 * h), 9)],  # off-lattice, probe-sized
+        [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)],
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", list(PotentialMode))
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
+    grid = GridSpec(L=2.56, n=512, t_max=0.3)
+    fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
+    hist = evolve(fam, grid, EvolveOptions(record_history=True)).history
+    x = grid.nodes()
+    for cones in _cone_sets(grid):
+        rec = _ConeRecorder(cones)
+        traj = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        first, end, last = traj.meta["window"]
+        assert end - first < grid.n + 1
+        assert last == max(level for _, level in cones)
+        assert [m for m, *_ in rec.levels] == list(range(last + 1))
+        compared = 0
+        for m, lev_first, u, v, A in rec.levels:
+            assert lev_first == first
+            for region, top in cones:
+                if m > top:
+                    continue
+                lo, hi = region.cross_section(m * grid.h)
+                nodes = np.nonzero((x >= lo - 1e-9) & (x <= hi + 1e-9))[0]
+                local = nodes - first
+                assert np.array_equal(u[:, local], hist.u[m][:, nodes])
+                assert np.array_equal(v[:, local], hist.v[m][:, nodes])
+                assert np.array_equal(A[:, local], hist.A[m][:, nodes])
+                compared += nodes.size
+        assert compared > 0
+
+
+def test_meta_records_window_and_node_steps():
+    grid = GridSpec(L=2.56, n=256, t_max=0.2)
+    fam = DataFamily(dim=2, eps=0.1)
+    full = evolve(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
+    assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps}
+    assert "charge" in full.series
+
+    # base [-0.205, 0.205] spans nodes 117.75..138.25: nodes 117..139 plus
+    # one margin node per side
+    rec = _ConeRecorder([(ConeRegion(-0.205, 0.205), 6)])
+    win = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6}
+    assert win.series == {}
+    assert win.times.size == 7
+    with pytest.raises(ValueError, match="full-grid"):
+        charge(win, 0.0)
+
+
+def test_window_falls_back_to_full_grid():
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+    fam = DataFamily(dim=1, eps=0.1)
+    cone = [(ConeRegion(-0.2, 0.2), 3)]
+    for opts in (
+        EvolveOptions(observers=(_ConeRecorder(cone),), record_history=True),
+        EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
+        EvolveOptions(observers=(_ConeRecorder(cone),), gauge_base=(-1.0, 1.0)),
+        EvolveOptions(observers=(_ConeRecorder(cone), _LevelCounter())),
+    ):
+        assert evolve(fam, grid, opts).meta["window"] == (0, 129, grid.steps)
+
+
+def test_abort_on_nonfinite_inside_window():
+    grid = GridSpec(L=2.56, n=64, t_max=0.16)
+    fam = DataFamily(dim=1, eps=0.1)
+    u0 = np.zeros((1, 65), dtype=complex)
+    u0[0, 30] = np.nan
+    rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 2)])
+    with pytest.raises(SolverAbort, match="non-finite"):
+        evolve(fam, grid, EvolveOptions(datum_override=(u0, np.zeros_like(u0)), observers=(rec,)))

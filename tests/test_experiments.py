@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from maxdirac1d.cone_solver import EvolveOptions, evolve
 from maxdirac1d.experiments import (
+    ProbeMonitor,
     SweepPlan,
     SweepRecord,
     a0_lower_bound,
@@ -21,10 +23,11 @@ from maxdirac1d.experiments import (
     gauss_divergence,
     grid_for_eps,
     load_sweep,
+    pool_size,
     run_sweep,
     write_sweep,
 )
-from maxdirac1d.initial_data import PotentialMode
+from maxdirac1d.initial_data import DataFamily, PotentialMode
 
 COARSE = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07), T=0.05, h_over_eps=4.0)
 
@@ -225,9 +228,51 @@ def test_claim3_input_guards():
         check_claim3(recs)
 
 
+def test_claim3_needs_two_eps():
+    recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e))
+    with pytest.raises(ValueError, match="at least 2 epsilons"):
+        check_claim3(recs[:1])
+    assert check_claim3(recs[:2]).slopes[0] == pytest.approx(0.01, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # A real coarse sweep: determinism, verdicts, persistence.
 # ---------------------------------------------------------------------------
+
+
+def test_pool_size_clamps_jobs():
+    assert pool_size(1, 3, cpus=8) == 1
+    assert pool_size(3, 3, cpus=8) == 3
+    assert pool_size(5, 3, cpus=8) == 3  # never more workers than runs
+    assert pool_size(64, 16, cpus=2) == 2  # nor than CPUs
+    assert 1 <= pool_size(10**6, 10**6) <= (os.cpu_count() or 1)
+
+
+def test_probe_monitor_window_matches_full_grid():
+    plan = SweepPlan(
+        dim=2, M=0.0, eps_list=(0.02,), T=0.05, h_over_eps=8.0,
+        probes=((0.03, 0.01), (0.04, -0.02)),
+    )
+    grid = grid_for_eps(plan, 0.02)
+    fam = DataFamily(dim=2, eps=0.02)
+    windowed = ProbeMonitor(plan.probes, grid)
+    full = ProbeMonitor(plan.probes, grid)
+    traj = evolve(fam, grid, EvolveOptions(observers=(windowed,)))
+    evolve(fam, grid, EvolveOptions(observers=(full,), record_history=True))
+    first, end, last = traj.meta["window"]
+    assert end - first < (grid.n + 1) // 10
+    assert last < grid.steps
+    assert np.array_equal(windowed.result(), full.result())
+
+
+def test_sweep_claims_select_monitors(coarse_sweep):
+    only3 = run_sweep(COARSE, claims=("claim3",))
+    for a, b in zip(coarse_sweep, only3):
+        assert np.array_equal(a.probe_A0, b.probe_A0)
+        assert b.series == {}
+        assert set(a.series) == {"sup_KT_transverse", "claim2_min_ratio"}
+        assert np.array_equal(b.times, a.times[: b.times.size])
+    assert set(run_sweep(COARSE, claims=("claim1",))[0].series) == {"sup_KT_transverse"}
 
 
 def test_sweep_is_deterministic(coarse_sweep):
