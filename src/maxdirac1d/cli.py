@@ -29,6 +29,7 @@ solver.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -59,7 +60,7 @@ from .experiments import (
     write_sweep,
 )
 from .gamma_algebra import modulus_sq
-from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints
+from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,6 +223,16 @@ def _cutoff_from(raw: dict) -> CutoffSpec:
     return CutoffSpec(inner=c["inner"], outer=c["outer"])
 
 
+@functools.cache
+def _validator(command: str):
+    """The command's schema validator, checked against its meta-schema and
+    built once per process (the schemas are constants)."""
+    schema = _SCHEMAS[command]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_config(path: str, command: str) -> dict:
     """Read, schema-validate, and cross-check a config file.
 
@@ -235,11 +246,10 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, _SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {loc}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(raw))
+    if error is not None:
+        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: {loc}: {error.message}") from error
 
     ctx: dict = {"raw": raw}
     try:
@@ -357,10 +367,7 @@ def _a0_oracle(traj) -> float:
     error; the deviation is O(h^2)."""
     hist = traj.history
     grid = traj.grid
-    dens = []
-    for m in range(len(hist.times)):
-        row = modulus_sq(traj.fam.dim, hist.u[m], hist.v[m])
-        dens.append(row[0] if row.ndim == 2 else row)
+    dens = [modulus_sq(traj.fam.dim, hist.u[m], hist.v[m]) for m in range(len(hist.times))]
     center = grid.n // 2
     worst = 0.0
     for m in sorted({max(1, grid.steps // 2), grid.steps}):
@@ -513,16 +520,7 @@ def _recompute_entry(directory: str) -> dict:
     records, summary = load_sweep(directory)
     with open(os.path.join(directory, "verdicts.json")) as fh:
         stored = json.load(fh)
-    p = summary["config"]["plan"]
-    plan = SweepPlan(
-        dim=p["dim"],
-        M=p["M"],
-        eps_list=tuple(p["eps_list"]),
-        T=p["T"],
-        probes=tuple(tuple(q) for q in p["probes"]),
-        h_over_eps=p["h_over_eps"],
-        cutoff=CutoffSpec(*p["cutoff"]),
-    )
+    plan = SweepPlan.from_dict(summary["config"]["plan"])
     fresh = _compute_verdicts(records, plan, stored["claims"])
     identical = json.loads(json.dumps(_jsonable(fresh))) == stored["verdicts"]
     return {
@@ -652,22 +650,13 @@ def cmd_norms(ctx: dict, args) -> int:
             drow[col] = hs_norm(d, s, grid, staggered=True)
         diffs.append(drow)
 
-    import csv as _csv
-
+    comments = (f"config_hash={chash}",)
     npath = os.path.join(out, "norms.csv")
-    with open(npath, "w", newline="") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        w = _csv.writer(fh)
-        w.writerow(["eps", "L1", "L2", *s_cols])
-        for row in rows:
-            w.writerow([repr(float(row[k])) for k in ("eps", "L1", "L2", *s_cols)])
+    header = ["eps", "L1", "L2", *s_cols]
+    write_csv(npath, header, ([row[k] for k in header] for row in rows), comments)
     dpath = os.path.join(out, "norm_diffs.csv")
-    with open(dpath, "w", newline="") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        w = _csv.writer(fh)
-        w.writerow(["eps_hi", "eps_lo", "L2", *s_cols])
-        for drow in diffs:
-            w.writerow([repr(float(drow[k])) for k in ("eps_hi", "eps_lo", "L2", *s_cols)])
+    header = ["eps_hi", "eps_lo", "L2", *s_cols]
+    write_csv(dpath, header, ([drow[k] for k in header] for drow in diffs), comments)
     _write_json(
         os.path.join(out, "norms.json"),
         {"config_hash": chash, "config": raw, "norms": rows, "differences": diffs},

@@ -39,18 +39,17 @@ the whole-line series, which have no meaning on a window.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gamma_algebra import modulus_sq, spinor_components, spinor_rhs, wave_sources
-from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum
+from .gamma_algebra import modulus_sq, spinor_rhs, wave_sources
+from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
     "SolverAbort",
     "ConeRegion",
-    "SpinorField",
-    "PotentialState",
     "Snapshot",
     "History",
     "Trajectory",
@@ -64,7 +63,9 @@ __all__ = [
     "cone_integral",
     "cone_quadrature",
     "characteristic_integrals",
+    "shift",
     "trapezoid",
+    "cumulative_trapezoid",
 ]
 
 BALL_BASE = (-1.0, 1.0)
@@ -79,6 +80,15 @@ def trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     """Composite trapezoid along the last axis with uniform spacing h."""
     values = np.asarray(values)
     return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+
+
+def cumulative_trapezoid(values, h: float) -> np.ndarray:
+    """Running trapezoid along the last axis: out[..., k] integrates samples
+    0..k with uniform spacing h, and out[..., 0] = 0."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros_like(values)
+    out[..., 1:] = np.cumsum(0.5 * h * (values[..., :-1] + values[..., 1:]), axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,34 +147,12 @@ class ConeRegion:
 
 
 @dataclass
-class SpinorField:
+class Snapshot:
     t: float
     u: np.ndarray  # (ncomp, n+1) complex
     v: np.ndarray
-
-
-@dataclass
-class PotentialState:
-    t: float
     A: np.ndarray  # (dim+1, n+1) real
     At: np.ndarray
-
-
-@dataclass
-class Snapshot:
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-    A: np.ndarray
-    At: np.ndarray
-
-    @property
-    def spinor(self) -> SpinorField:
-        return SpinorField(self.t, self.u, self.v)
-
-    @property
-    def potential(self) -> PotentialState:
-        return PotentialState(self.t, self.A, self.At)
 
 
 @dataclass
@@ -213,44 +201,50 @@ class Trajectory:
 
 @dataclass
 class EvolveOptions:
+    """What `evolve` records besides the per-level series.
+
+    snapshot_times: times at which to keep full (u, v, A, At) snapshots.
+    record_history: keep every level (memory grows with steps x nodes).
+    observers: objects with `on_level(lev, grid)` and optionally
+        `finalize(traj)` and `reads(grid)` (see `_read_window`).
+    datum_override: (u, v) of shape (ncomp, n+1) instead of the family datum.
+    """
+
     snapshot_times: tuple[float, ...] = ()
     record_history: bool = False
     observers: tuple = ()
     datum_override: tuple[np.ndarray, np.ndarray] | None = None
-    potential_override: tuple[np.ndarray, np.ndarray] | None = None
-    spinor_off: bool = False
-    # callable (t, x_nodes) -> (dim+1, n+1) array, for manufactured runs
-    external_wave_source: object = None
-    gauge_base: tuple[float, float] | None = None
+
+
+def _gauge_sup(A1, At0, region: ConeRegion, t: float, grid: GridSpec) -> float:
+    """sup of |dt A_0 - dx A_1| (centered dx, interior nodes only) over the
+    region's cross-section at t; 0 where the cross-section holds no node."""
+    sl = region.node_slice(t, grid)
+    if sl is None:
+        return 0.0
+    lo, hi = max(sl.start, 1), min(sl.stop, grid.n)
+    if lo >= hi:
+        return 0.0
+    res = At0[lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
+    return float(np.abs(res).max())
 
 
 class GaugeMonitor:
-    """Records sup |dt A_0 - dx A_1| over a dependence-cone cross-section."""
+    """Records sup |dt A_0 - dx A_1| over a dependence-cone cross-section.
+
+    Pass it in `EvolveOptions.observers` and read `series()` after the run.
+    It declares no `reads`, so the run stays on the full grid.
+    """
 
     def __init__(self, base: tuple[float, float] = BALL_BASE):
         self.region = ConeRegion(*base)
         self.values: list[float] = []
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
-        res = _gauge_residual_row(lev.A[1], lev.At[0], lev.h)
-        sl = self.region.node_slice(lev.t, grid)
-        if sl is None:
-            self.values.append(0.0)
-            return
-        inner = slice(max(sl.start, 1), min(sl.stop, res.size + 1))
-        if inner.start >= inner.stop:
-            self.values.append(0.0)
-            return
-        self.values.append(float(np.abs(res[inner.start - 1 : inner.stop - 1]).max()))
+        self.values.append(_gauge_sup(lev.A[1], lev.At[0], self.region, lev.t, grid))
 
     def series(self) -> np.ndarray:
         return np.asarray(self.values)
-
-
-def _gauge_residual_row(A1: np.ndarray, At0: np.ndarray, h: float) -> np.ndarray:
-    """dt A_0 - dx A_1 on interior nodes 1..n-1 (centered differences)."""
-    dxA1 = (A1[2:] - A1[:-2]) / (2.0 * h)
-    return At0[1:-1] - dxA1
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +252,16 @@ def _gauge_residual_row(A1: np.ndarray, At0: np.ndarray, h: float) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _shift_from_left(w: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(w)
-    out[..., 1:] = w[..., :-1]
-    return out
-
-
-def _shift_from_right(w: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(w)
-    out[..., :-1] = w[..., 1:]
+def shift(rows: np.ndarray, k: int) -> np.ndarray:
+    """Translate nodal rows by k nodes along the last axis (positive: to the
+    right), filling the vacated nodes with zeros."""
+    out = np.zeros_like(rows)
+    if k == 0:
+        out[...] = rows
+    elif k > 0:
+        out[..., k:] = rows[..., :-k]
+    else:
+        out[..., :k] = rows[..., -k:]
     return out
 
 
@@ -282,8 +277,8 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None):
     if ext_old is not None:
         du = du + ext_old[0]
         dv = dv + ext_old[1]
-    P = _shift_from_left(u + 0.5 * h * du)
-    Q = _shift_from_right(v + 0.5 * h * dv)
+    P = shift(u + 0.5 * h * du, 1)
+    Q = shift(v + 0.5 * h * dv, -1)
     if ext_new is not None:
         P = P + 0.5 * h * ext_new[0]
         Q = Q + 0.5 * h * ext_new[1]
@@ -338,6 +333,28 @@ def _wave_diamond(A_curr, A_prev, S, h):
     return out
 
 
+def _leapfrog(a, b, sources, h, steps):
+    """March potentials with data (a, b) through levels 0..steps.
+
+    `sources(m, A_old, A_new)` returns the level-m source S^m; for m >= 1 it
+    is called once A^{m-1} (A_old) and A^m (A_new) are known, which is what a
+    spinor transport step to level m reads.  Yields (m, A^m, At^m, S^m).
+    Level 1 comes from the d'Alembert first step and later levels from the
+    diamond.  At is the centered difference, so every level, the last one
+    included, takes the diamond step past it; level 0 yields the b datum.
+    """
+    S = sources(0, None, a)
+    yield 0, a, b, S
+    if steps == 0:
+        return
+    A_prev, A_curr = a, _wave_first_step(a, b, S, h)
+    for m in range(1, steps + 1):
+        S = sources(m, A_prev, A_curr)
+        A_next = _wave_diamond(A_curr, A_prev, S, h)
+        yield m, A_curr, (A_next - A_prev) / (2.0 * h), S
+        A_prev, A_curr = A_curr, A_next
+
+
 # ---------------------------------------------------------------------------
 # Main evolution.
 # ---------------------------------------------------------------------------
@@ -351,17 +368,11 @@ def _read_window(grid: GridSpec, opts: EvolveOptions) -> tuple[int, int, int] | 
 
     Each observer may declare `reads(grid)`: the backward cones it reads, as
     (ConeRegion, last level) pairs.  The window is the hull of their bases,
-    widened by STENCIL_MARGIN nodes per side.  Snapshots, history, the gauge
-    monitor, an external source, or an observer that declares nothing keep
-    the run on the full grid (None).
+    widened by STENCIL_MARGIN nodes per side.  Snapshots, history, or an
+    observer that declares nothing (such as GaugeMonitor) keep the run on the
+    full grid (None).
     """
-    if (
-        not opts.observers
-        or opts.snapshot_times
-        or opts.record_history
-        or opts.gauge_base is not None
-        or opts.external_wave_source is not None
-    ):
+    if not opts.observers or opts.snapshot_times or opts.record_history:
         return None
     first, end, last = grid.n + 1, 0, 0
     for obs in opts.observers:
@@ -378,11 +389,14 @@ def _read_window(grid: GridSpec, opts: EvolveOptions) -> tuple[int, int, int] | 
 
 
 def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -> Trajectory:
-    """Run the coupled system from the family datum up to grid.t_max, or only
-    over the window its observers read (see the module docstring).
+    """Run the coupled system from the family datum (or `datum_override`) up
+    to grid.t_max, or only over the window its observers read (see the module
+    docstring).
 
-    `meta` records the marched `window` (first node, end node, last level)
-    and the `node_steps` computed.
+    Full-grid runs record the series `charge`, `l1_u`, `l1_v` and `sup_A0` ..
+    `sup_A{dim}` per level; windowed runs record none.  `meta` records the
+    marched `window` (first node, end node, last level) and the `node_steps`
+    computed.
     """
     opts = opts or EvolveOptions()
     grid.ensure_support(fam.cutoff.outer)
@@ -395,26 +409,12 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     if opts.datum_override is not None:
         u = np.array(opts.datum_override[0], dtype=complex, copy=True)
         v = np.array(opts.datum_override[1], dtype=complex, copy=True)
-        if u.ndim == 1:
-            u = u[None, :]
-        if v.ndim == 1:
-            v = v[None, :]
     else:
         u, v = spinor_datum(fam, grid)
-    if opts.potential_override is not None:
-        a = np.array(opts.potential_override[0], dtype=float, copy=True)
-        b = np.array(opts.potential_override[1], dtype=float, copy=True)
-    else:
-        a, b = potential_data(fam, grid)
-    if opts.spinor_off:
-        u[:] = 0.0
-        v[:] = 0.0
+    a, b = potential_data(fam, grid)
     if not full:
         # slices of the full-grid samples, so every value is the same float
         x, u, v, a, b = (w[..., first:end].copy() for w in (x, u, v, a, b))
-
-    ext = opts.external_wave_source
-    guard_support = ext is None
 
     snap_levels: dict[int, float] = {}
     for ts in opts.snapshot_times:
@@ -423,101 +423,62 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             raise ValueError(f"snapshot time {ts} outside the computed slab")
         snap_levels[m] = ts
 
-    nlev = steps + 1
-    times = h * np.arange(nlev)
+    times = h * np.arange(steps + 1)
     series: dict[str, list[float]] = {}
     if full:
         series.update(charge=[], l1_u=[], l1_v=[])
         for mu in range(dim + 1):
             series[f"sup_A{mu}"] = []
-    gauge_mon = GaugeMonitor(opts.gauge_base) if opts.gauge_base is not None else None
-    hist_u, hist_v, hist_A, hist_At = [], [], [], []
+    band = np.r_[0:2, grid.n - 1 : grid.n + 1]
+    history: list[tuple[np.ndarray, ...]] = []
     snapshots: list[Snapshot] = []
-    meta = {"window": (first, end, steps), "node_steps": (end - first) * steps}
-    traj = Trajectory(fam=fam, grid=grid, times=times, series={}, snapshots=snapshots, meta=meta)
 
-    def _sources(t, uu, vv):
-        # dims 1 and 2 carry a singleton component axis internally; the
-        # bilinear helpers want the bare field there.
-        if dim < 3:
-            uu, vv = uu[0], vv[0]
-        S = np.stack(wave_sources(dim, uu, vv))
-        if ext is not None:
-            S = S + np.asarray(ext(t, x))
-        return S
+    def sources(m, A_old, A_new):  # leaves u, v at level m for the loop body
+        nonlocal u, v
+        if m > 0:
+            u, v = _transport_step(dim, M, h, u, v, A_old, A_new)
+        return np.stack(wave_sources(dim, u, v))
 
-    def _emit(m, t, uu, vv, A, At, S):
+    for m, A, At, S in _leapfrog(a, b, sources, h, steps):
+        t = m * h
         if full:
-            dens = modulus_sq(dim, uu, vv)
-            if dens.ndim > 1:
-                dens = dens[0]
-            q = float(trapezoid(dens, h))
+            q = float(trapezoid(modulus_sq(dim, u, v), h))
             if not np.isfinite(q) or not np.isfinite(A).all():
                 raise SolverAbort(f"non-finite field values at t = {t:.6g}")
-            if guard_support:
-                band = np.r_[0:2, A.shape[-1] - 2 : A.shape[-1]]
-                if (
-                    np.any(A[:, band] != 0.0)
-                    or np.any(uu[:, band] != 0.0)
-                    or np.any(vv[:, band] != 0.0)
-                ):
-                    raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
+            if np.any(A[:, band] != 0.0) or np.any(u[:, band] != 0.0) or np.any(v[:, band] != 0.0):
+                raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
             series["charge"].append(q)
-            au = np.sqrt((np.abs(uu) ** 2).sum(axis=0))
-            av = np.sqrt((np.abs(vv) ** 2).sum(axis=0))
+            au = np.sqrt((np.abs(u) ** 2).sum(axis=0))
+            av = np.sqrt((np.abs(v) ** 2).sum(axis=0))
             series["l1_u"].append(float(trapezoid(au, h)))
             series["l1_v"].append(float(trapezoid(av, h)))
             for mu in range(dim + 1):
                 series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
-        elif not (np.isfinite(uu).all() and np.isfinite(vv).all() and np.isfinite(A).all()):
+        elif not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(A).all()):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
-        if gauge_mon is not None:
-            lev = LevelState(m, t, x, uu, vv, A, At, S, h, dim)
-            gauge_mon.on_level(lev, grid)
-        if opts.observers or m in snap_levels:
-            lev = LevelState(m, t, x, uu, vv, A, At, S, h, dim, first)
+        if opts.observers:
+            lev = LevelState(m, t, x, u, v, A, At, S, h, dim, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
-            if m in snap_levels:
-                snapshots.append(Snapshot(t, uu.copy(), vv.copy(), A.copy(), At.copy()))
+        if m in snap_levels:
+            snapshots.append(Snapshot(t, u.copy(), v.copy(), A.copy(), At.copy()))
         if opts.record_history:
-            hist_u.append(uu.copy())
-            hist_v.append(vv.copy())
-            hist_A.append(A.copy())
-            hist_At.append(At.copy())
+            history.append((u.copy(), v.copy(), A.copy(), At.copy()))
 
-    A_prev = a.astype(float, copy=True)  # level 0
-    S0 = _sources(0.0, u, v)
-    _emit(0, 0.0, u, v, A_prev, b.astype(float, copy=True), S0)
-
-    if steps > 0:
-        A_curr = _wave_first_step(a, b, S0, h)  # level 1
-        u, v = _transport_step(dim, M, h, u, v, A_prev, A_curr)
-        for m in range(1, steps + 1):
-            t = m * h
-            S = _sources(t, u, v)
-            A_next = _wave_diamond(A_curr, A_prev, S, h)
-            At = (A_next - A_prev) / (2.0 * h)
-            _emit(m, t, u, v, A_curr, At, S)
-            if m < steps:
-                u, v = _transport_step(dim, M, h, u, v, A_curr, A_next)
-                A_prev, A_curr = A_curr, A_next
-
-    traj.series = {k: np.asarray(vs) for k, vs in series.items()}
-    if gauge_mon is not None:
-        traj.series["gauge_residual"] = gauge_mon.series()
+    traj = Trajectory(
+        fam=fam,
+        grid=grid,
+        times=times,
+        series={k: np.asarray(vs) for k, vs in series.items()},
+        snapshots=snapshots,
+        meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
+    )
+    if opts.record_history:
+        traj.history = History(times, *(np.stack(col) for col in zip(*history)))
     for obs in opts.observers:
         fin = getattr(obs, "finalize", None)
         if fin is not None:
             fin(traj)
-    if opts.record_history:
-        traj.history = History(
-            times=times,
-            u=np.stack(hist_u),
-            v=np.stack(hist_v),
-            A=np.stack(hist_A),
-            At=np.stack(hist_At),
-        )
     return traj
 
 
@@ -537,29 +498,18 @@ def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source=None):
     h = grid.h
     x = grid.nodes()
     steps = grid.steps
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
 
-    def src(t):
+    def src(m, *_):
         if source is None:
             return np.zeros_like(x)
-        return np.asarray(source(t, x), dtype=float)
+        return np.asarray(source(m * h, x), dtype=float)
 
     W = np.zeros((steps + 1, x.size))
     Wt = np.zeros_like(W)
-    W[0] = f
-    Wt[0] = g
-    if steps == 0:
-        return h * np.arange(1), W, Wt
-    prev = f.copy()
-    curr = _wave_first_step(f[None], g[None], src(0.0)[None], h)[0]
-    W[1] = curr
-    for m in range(1, steps + 1):
-        nxt = _wave_diamond(curr[None], prev[None], src(m * h)[None], h)[0]
-        Wt[m] = (nxt - prev) / (2.0 * h)
-        if m < steps:
-            W[m + 1] = nxt
-            prev, curr = curr, nxt
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    for m, Wm, Wtm, _ in _leapfrog(f, g, src, h, steps):
+        W[m], Wt[m] = Wm, Wtm
     if not np.isfinite(W).all():
         raise SolverAbort("non-finite wave field")
     return h * np.arange(steps + 1), W, Wt
@@ -568,41 +518,30 @@ def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source=None):
 def dirac_solve(dim: int, M: float, grid: GridSpec, u0, v0, F=None):
     """Linear Dirac solve (zero potentials) with an external source F.
 
-    F is callable(t, x_nodes) -> (F_1, F_2) in the spinor basis; the induced
-    transport sources are (i F_2, i F_1).  Returns (times, U, V, l2_psi,
-    l2_F) with full level history (meant for moderate grids).
+    u0, v0 have shape (ncomp, n+1).  F is callable(t, x_nodes) -> (F_1, F_2)
+    of the same shape, in the spinor basis; the induced transport sources
+    are (i F_2, i F_1).  Returns (times, U, V, l2_psi, l2_F) with full level
+    history (meant for moderate grids).
     """
     h = grid.h
     x = grid.nodes()
     steps = grid.steps
     u = np.array(u0, dtype=complex, copy=True)
     v = np.array(v0, dtype=complex, copy=True)
-    if u.ndim == 1:
-        u = u[None, :]
-    if v.ndim == 1:
-        v = v[None, :]
     A = np.zeros((dim + 1, x.size))
 
     def ext(t):
         if F is None:
             return None
         f1, f2 = F(t, x)
-        f1 = np.asarray(f1, dtype=complex)
-        f2 = np.asarray(f2, dtype=complex)
-        if f1.ndim == 1 and u.shape[0] == 1:
-            f1 = f1[None, :]
-            f2 = f2[None, :]
-        return 1j * f2, 1j * f1
+        return 1j * np.asarray(f2, dtype=complex), 1j * np.asarray(f1, dtype=complex)
 
     def l2(fields):
         dens = sum((np.abs(w) ** 2).sum(axis=0) for w in fields)
         return float(np.sqrt(trapezoid(dens, h)))
 
     def l2F(t):
-        if F is None:
-            return 0.0
-        f1, f2 = F(t, x)
-        return l2([np.atleast_2d(f1), np.atleast_2d(f2)])
+        return 0.0 if F is None else l2(F(t, x))
 
     U = np.zeros((steps + 1, u.shape[0], x.size), dtype=complex)
     V = np.zeros_like(U)
@@ -658,14 +597,7 @@ def gauge_residual(traj: Trajectory, t: float, region: ConeRegion) -> float:
     if traj.history is None:
         raise ValueError("gauge_residual needs a trajectory with record_history=True")
     m = traj.level_of(t)
-    res = _gauge_residual_row(traj.history.A[m][1], traj.history.At[m][0], traj.grid.h)
-    sl = region.node_slice(t, traj.grid)
-    if sl is None:
-        return 0.0
-    inner = slice(max(sl.start, 1), min(sl.stop, traj.grid.n))
-    if inner.start >= inner.stop:
-        return 0.0
-    return float(np.abs(res[inner.start - 1 : inner.stop - 1]).max())
+    return _gauge_sup(traj.history.A[m][1], traj.history.At[m][0], region, t, traj.grid)
 
 
 def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int) -> float:
@@ -724,57 +656,28 @@ def cone_integral(traj: Trajectory, values, region: ConeRegion) -> float:
 def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = None):
     """One CSV per snapshot (x, Re/Im spinor components, potentials) plus a
     diagnostics series CSV.  Returns the list of written paths."""
-    import csv as _csv
-    import os
-
     os.makedirs(directory, exist_ok=True)
+    comments = () if config_hash is None else (f"config_hash={config_hash}",)
     paths = []
     x = traj.grid.nodes()
     for k, snap in enumerate(traj.snapshots):
         path = os.path.join(directory, f"snapshot_{k:03d}.csv")
-        cols: list[tuple[str, np.ndarray]] = []
-        for c in range(snap.u.shape[0]):
-            cols.append((f"Re_u{c + 1}", snap.u[c].real))
-            cols.append((f"Im_u{c + 1}", snap.u[c].imag))
-        for c in range(snap.v.shape[0]):
-            cols.append((f"Re_v{c + 1}", snap.v[c].real))
-            cols.append((f"Im_v{c + 1}", snap.v[c].imag))
+        cols: list[tuple[str, np.ndarray]] = [("x", x)]
+        for name, w in (("u", snap.u), ("v", snap.v)):
+            for c in range(w.shape[0]):
+                cols.append((f"Re_{name}{c + 1}", w[c].real))
+                cols.append((f"Im_{name}{c + 1}", w[c].imag))
         for mu in range(snap.A.shape[0]):
             cols.append((f"A{mu}", snap.A[mu]))
-        with open(path, "w", newline="") as fh:
-            if config_hash is not None:
-                fh.write(f"# config_hash={config_hash}\n")
-            fh.write(f"# t={snap.t!r}\n")
-            w = _csv.writer(fh)
-            w.writerow(["x", *(name for name, _ in cols)])
-            for i in range(x.size):
-                w.writerow([repr(float(x[i])), *(repr(float(vals[i])) for _, vals in cols)])
+        rows = zip(*(vals for _, vals in cols))
+        write_csv(path, [name for name, _ in cols], rows, (*comments, f"t={snap.t!r}"))
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     keys = sorted(traj.series.keys())
-    with open(dpath, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        w = _csv.writer(fh)
-        w.writerow(["t", *keys])
-        for m, t in enumerate(traj.times):
-            row = [repr(float(t))]
-            for k in keys:
-                col = traj.series[k]
-                row.append(repr(float(col[m])) if m < len(col) else "")
-            w.writerow(row)
+    rows = (
+        [t, *(traj.series[k][m] if m < len(traj.series[k]) else "" for k in keys)]
+        for m, t in enumerate(traj.times)
+    )
+    write_csv(dpath, ["t", *keys], rows, comments)
     paths.append(dpath)
     return paths
-
-
-def trajectory_to_npz(traj: Trajectory, path):
-    """Compressed-array export of the diagnostic series (and history if kept)."""
-    payload = {"times": traj.times}
-    for k, vals in traj.series.items():
-        payload[f"series_{k}"] = vals
-    if traj.history is not None:
-        payload["hist_u"] = traj.history.u
-        payload["hist_v"] = traj.history.v
-        payload["hist_A"] = traj.history.A
-        payload["hist_At"] = traj.history.At
-    np.savez_compressed(path, **payload)

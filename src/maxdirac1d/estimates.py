@@ -36,6 +36,7 @@ from .cone_solver import (
     Trajectory,
     characteristic_integrals,
     cone_quadrature,
+    cumulative_trapezoid,
     dirac_solve,
     trapezoid,
     wave_solve,
@@ -148,21 +149,13 @@ def _tv(values) -> float:
     return float(np.abs(np.diff(np.asarray(values))).sum())
 
 
-def _cum_time(values, h: float) -> np.ndarray:
-    """Cumulative trapezoid of a level series: out[m] = int_0^{mh}."""
-    values = np.asarray(values, dtype=float)
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * h * (values[:-1] + values[1:]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Energy inequality.
 # ---------------------------------------------------------------------------
 
 
 def _energy_report(l2_psi, l2_F, grid: GridSpec) -> EstimateReport:
-    rhs = l2_psi[0] + _cum_time(l2_F, grid.h)
+    rhs = l2_psi[0] + cumulative_trapezoid(l2_F, grid.h)
     return _worst_level("energy", l2_psi, rhs, _slack(grid))
 
 
@@ -259,7 +252,7 @@ def check_wave_estimates(grid: GridSpec, f, g, source=None) -> list[EstimateRepo
         src_l1 = np.array(
             [l1_exact(np.asarray(source(t, x), dtype=float), h) for t in times]
         )
-    cum_src = _cum_time(src_l1, h)
+    cum_src = cumulative_trapezoid(src_l1, h)
 
     sup_f = float(np.abs(np.asarray(f)).max())
     tv_f = _tv(f)
@@ -413,10 +406,10 @@ def check_nullform(
         nF = nG = 0.0
         if F is not None:
             rows = [l1_exact(np.abs(np.asarray(F(t, x), dtype=complex)), h) for t in times]
-            nF = float(_cum_time(rows, h)[-1])
+            nF = float(cumulative_trapezoid(rows, h)[-1])
         if G is not None:
             rows = [l1_exact(np.abs(np.asarray(G(t, x), dtype=complex)), h) for t in times]
-            nG = float(_cum_time(rows, h)[-1])
+            nG = float(cumulative_trapezoid(rows, h)[-1])
     else:
         nf, ng, nF, nG = rhs_norms
     rhs = (nf + nF) * (ng + nG)
@@ -451,7 +444,7 @@ def random_nullform_instance(rng: np.random.Generator, grid: GridSpec):
             env = rng.uniform(0.0, 1.0, size=mt + 1)
             phase = np.exp(2j * np.pi * rng.uniform())
             inst[slot] = _pw_source(prof, env, phase, h)
-            norms[pos] = float(_cum_time(env * l1_exact(prof, h), h)[-1])
+            norms[pos] = float(cumulative_trapezoid(env * l1_exact(prof, h), h)[-1])
     inst["rhs_norms"] = tuple(norms)
     return inst
 
@@ -519,7 +512,7 @@ def _fixed_nullform_instance(index: int, grid: GridSpec, base: GridSpec):
         if d[slot] is not None:
             (c, w, a), env = d[slot]
             sources[slot] = _pw_source(_hat(grid, c, w, a), env, 1.0, base.h)
-            norms[pos] = float(_cum_time(env * (a * w), base.h)[-1])
+            norms[pos] = float(cumulative_trapezoid(env * (a * w), base.h)[-1])
     return dict(
         f=f, g=g, F=sources["F"], G=sources["G"], T=T, X=0.0, rhs_norms=tuple(norms)
     )
@@ -569,7 +562,7 @@ def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
     rate = fam.M + np.asarray(traj.series["sup_A2"], dtype=float)
     if fam.dim == 3:
         rate = rate + np.asarray(traj.series["sup_A3"], dtype=float)
-    rhs = (l1u[0] + l1v[0]) * np.exp(_cum_time(rate, grid.h))
+    rhs = (l1u[0] + l1v[0]) * np.exp(cumulative_trapezoid(rate, grid.h))
     return _worst_level("gronwall_l1", l1u + l1v, rhs, _slack(grid))
 
 
@@ -593,8 +586,6 @@ def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
     for m, t in enumerate(traj.times):
         sel = (x >= rho + t) & (x <= 1.0 - t)
         dens = modulus_sq(fam.dim, hist.u[m], hist.v[m])
-        if fam.dim < 3:
-            dens = dens[0]
         lhs = max(lhs, float(dens[sel].max()))
     rhs = 3.0 / math.sqrt(fam.eps**2 + rho**2)
     return EstimateReport("bootstrap", lhs, rhs, _slack(grid))

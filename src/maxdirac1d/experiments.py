@@ -44,7 +44,7 @@ from .cone_solver import (
     trapezoid,
 )
 from .gamma_algebra import modulus_sq
-from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps
+from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv
 
 __all__ = [
     "SweepPlan",
@@ -129,6 +129,19 @@ class SweepPlan:
             "cutoff": [self.cutoff.inner, self.cutoff.outer],
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "SweepPlan":
+        """Inverse of to_dict."""
+        return cls(
+            dim=d["dim"],
+            M=d["M"],
+            eps_list=tuple(d["eps_list"]),
+            T=d["T"],
+            probes=tuple(tuple(p) for p in d["probes"]),
+            h_over_eps=d["h_over_eps"],
+            cutoff=CutoffSpec(*d["cutoff"]),
+        )
+
 
 def default_plan(dim: int = 2, M: float = 0.0) -> SweepPlan:
     """The documented campaign: T = 0.05 (inside every smallness guard),
@@ -203,8 +216,6 @@ class FloorMonitor:
             self.values.append(np.inf)
             return
         dens = modulus_sq(lev.dim, lev.u, lev.v)
-        if lev.dim < 3:
-            dens = dens[0]
         floor = 0.5 * f_eps(lev.x[sel] - t, self.eps) ** 2
         self.values.append(float((dens[sel] / floor).min()))
 
@@ -581,13 +592,13 @@ def write_sweep(results: list[SweepRecord], plan: SweepPlan, mode, directory) ->
     for rec in results:
         fname = f"diagnostics_{_eps_tag(rec.eps)}.csv"
         keys = sorted(rec.series.keys())
-        with open(os.path.join(directory, fname), "w", newline="") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            fh.write(f"# eps={rec.eps!r}\n")
-            w = csv.writer(fh)
-            w.writerow(["t", *keys])
-            for m, t in enumerate(rec.times):
-                w.writerow([repr(float(t)), *(repr(float(rec.series[k][m])) for k in keys)])
+        rows = ([t, *(rec.series[k][m] for k in keys)] for m, t in enumerate(rec.times))
+        write_csv(
+            os.path.join(directory, fname),
+            ["t", *keys],
+            rows,
+            (f"config_hash={chash}", f"eps={rec.eps!r}"),
+        )
         runs.append(
             {
                 "eps": rec.eps,
@@ -599,12 +610,12 @@ def write_sweep(results: list[SweepRecord], plan: SweepPlan, mode, directory) ->
             }
         )
     for k, (t, x) in enumerate(plan.probes):
-        with open(os.path.join(directory, f"blowup_probe{k}.csv"), "w", newline="") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            fh.write(f"# probe t={t!r} x={x!r}; columns log(1/eps), A0\n")
-            w = csv.writer(fh)
-            for rec in results:
-                w.writerow([repr(math.log(1.0 / rec.eps)), repr(float(rec.probe_A0[k]))])
+        write_csv(
+            os.path.join(directory, f"blowup_probe{k}.csv"),
+            None,
+            ([math.log(1.0 / rec.eps), rec.probe_A0[k]] for rec in results),
+            (f"config_hash={chash}", f"probe t={t!r} x={x!r}; columns log(1/eps), A0"),
+        )
     summary = {"config": cfg, "config_hash": chash, "runs": runs}
     with open(os.path.join(directory, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -617,15 +628,7 @@ def load_sweep(directory) -> tuple[list[SweepRecord], dict]:
     with open(os.path.join(directory, "summary.json")) as fh:
         summary = json.load(fh)
     cfg = summary["config"]
-    plan = SweepPlan(
-        dim=cfg["plan"]["dim"],
-        M=cfg["plan"]["M"],
-        eps_list=tuple(cfg["plan"]["eps_list"]),
-        T=cfg["plan"]["T"],
-        probes=tuple(tuple(p) for p in cfg["plan"]["probes"]),
-        h_over_eps=cfg["plan"]["h_over_eps"],
-        cutoff=CutoffSpec(*cfg["plan"]["cutoff"]),
-    )
+    plan = SweepPlan.from_dict(cfg["plan"])
     if config_hash(cfg) != summary["config_hash"]:
         raise ValueError("summary config hash mismatch")
     records = []

@@ -6,10 +6,12 @@ The system couples a spinor psi = (u, v) to potentials A_0..A_d through
     box A_0 = |psi|^2,   box A_j = -psi* g0 g^j psi,
 
 with metric signature (+, -, ..., -).  After diagonalising g0 g1 the spinor
-splits into a right-mover u and a left-mover v; u and v are complex scalars for
-d = 1, 2 and C^2-valued for d = 3.  This module holds the concrete matrices,
-the Clifford-relation verifier, and the componentwise right-hand sides used by
-the solvers (transport sources, wave sources, modulus sources).
+splits into a right-mover u and a left-mover v, each with one complex
+component for d = 1, 2 and two for d = 3.  Every half-spinor array has the
+shape (ncomp, n+1): a leading component axis, then the nodes.  This module
+holds the concrete matrices, the Clifford-relation verifier, and the
+componentwise right-hand sides used by the solvers (transport sources, wave
+sources, modulus sources).
 """
 
 from __future__ import annotations
@@ -145,16 +147,19 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # ---------------------------------------------------------------------------
 # Componentwise right-hand sides.
 #
-# u and v are complex scalars (or numpy arrays of them) for dim = 1, 2 and
-# arrays with a leading component axis of length 2 for dim = 3.  All functions
-# broadcast over trailing axes so the solver can pass whole node rows.
+# u and v are arrays of shape (ncomp, n+1) in every dim: a leading component
+# axis of length spinor_components(dim), then the nodes.  The bilinears reduce
+# the component axis and return (n+1,) rows.
 # ---------------------------------------------------------------------------
 
 
 def _as_spinor(dim: int, w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
-    if dim == 3 and (w.ndim == 0 or w.shape[0] != 2):
-        raise ValueError("dim-3 half-spinors need a leading component axis of length 2")
+    ncomp = spinor_components(dim)
+    if w.ndim < 2 or w.shape[0] != ncomp:
+        raise ValueError(
+            f"dim-{dim} half-spinors have shape ({ncomp}, nodes), got {w.shape}"
+        )
     return w
 
 
@@ -193,13 +198,10 @@ def spinor_rhs(dim: int, A, u, v, M: float):
 
 
 def modulus_sq(dim: int, u, v) -> np.ndarray:
-    """Pointwise |psi|^2 = |u|^2 + |v|^2 (summed over components for dim = 3)."""
+    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components."""
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    m = np.abs(u) ** 2 + np.abs(v) ** 2
-    if dim == 3:
-        m = m.sum(axis=0)
-    return m
+    return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=0)
 
 
 def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
@@ -213,17 +215,14 @@ def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
     _check_dim(dim)
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    mu = np.abs(u) ** 2
-    mv = np.abs(v) ** 2
-    if dim == 3:
-        mu = mu.sum(axis=0)
-        mv = mv.sum(axis=0)
+    mu = (np.abs(u) ** 2).sum(axis=0)
+    mv = (np.abs(v) ** 2).sum(axis=0)
     s0 = mu + mv
     s1 = -mu + mv
     if dim == 1:
         return s0, s1
     if dim == 2:
-        return s0, s1, -2.0 * np.imag(u * np.conj(v))
+        return s0, s1, -2.0 * np.imag(u[0] * np.conj(v[0]))
     ru = _rho_apply(u)
     ku = _kappa_apply(u)
     s2 = -2.0 * np.real(np.conj(v[0]) * ru[0] + np.conj(v[1]) * ru[1])
@@ -244,9 +243,10 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
     if dim == 1:
-        su = -2.0 * M * np.imag(np.conj(v) * u)
+        su = -2.0 * M * np.imag(np.conj(v[0]) * u[0])
     elif dim == 2:
-        su = 2.0 * A[2] * np.real(np.conj(v) * u) - 2.0 * M * np.imag(np.conj(v) * u)
+        dot = np.conj(v[0]) * u[0]
+        su = 2.0 * A[2] * np.real(dot) - 2.0 * M * np.imag(dot)
     else:
         ru = _rho_apply(u)
         ku = _kappa_apply(u)
@@ -261,21 +261,15 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate F = (A_0 g^0 + ... + A_d g^d) psi, split back into (F_u, F_v).
 
     Used by the energy-inequality verifier, which treats the whole potential
-    coupling as an external source.  u, v may be node arrays; the result has
-    the same shape as the inputs.
+    coupling as an external source.  The result has the shape of the inputs.
     """
     dim = gs.dim
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    if dim == 3:
-        psi = np.concatenate([u, v], axis=0)
-    else:
-        psi = np.stack([u, v])
+    psi = np.concatenate([u, v], axis=0)
     out = np.zeros_like(psi)
     for mu in range(dim + 1):
         out += np.asarray(A[mu]) * np.tensordot(gs.gammas[mu], psi, axes=(1, 0))
-    if dim == 3:
-        return out[:2], out[2:]
-    return out[0], out[1]
+    return out[: u.shape[0]], out[u.shape[0] :]

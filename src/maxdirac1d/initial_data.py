@@ -14,7 +14,6 @@ gauge relation inside the light cone.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,12 +30,10 @@ __all__ = [
     "f_eps",
     "spinor_datum",
     "potential_data",
-    "sample_nodes",
     "sample_midpoints",
     "lp_norm",
     "hs_norm",
-    "field_to_csv",
-    "snapshot_to_json",
+    "write_csv",
 ]
 
 
@@ -176,10 +173,6 @@ class GridSpec:
             )
 
 
-def sample_nodes(func, grid: GridSpec) -> np.ndarray:
-    return np.asarray(func(grid.nodes()))
-
-
 def sample_midpoints(func, grid: GridSpec) -> np.ndarray:
     """Sample on cell midpoints; avoids the node x = 0, which lets the
     singular eps = 0 profile be sampled for difference-norm studies."""
@@ -271,39 +264,16 @@ def hs_norm(values, s: float, grid: GridSpec, staggered: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-def field_to_csv(path, x, columns: dict[str, np.ndarray], config_hash: str | None = None):
-    """Write sampled fields as CSV with an x column; complex fields are split
-    into Re_/Im_ columns.  An optional config hash goes into a comment line."""
-    flat: dict[str, np.ndarray] = {}
-    for name, vals in columns.items():
-        vals = np.asarray(vals)
-        if np.iscomplexobj(vals):
-            flat[f"Re_{name}"] = vals.real
-            flat[f"Im_{name}"] = vals.imag
-        else:
-            flat[name] = vals
+def write_csv(path, header, rows, comments=()) -> None:
+    """Write one CSV file: a `# ` line per comment, then the header row
+    (skipped when None), then the rows.  Strings are written as they are;
+    every other cell as repr(float(cell)), which round-trips exactly."""
     with open(path, "w", newline="") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["x", *flat.keys()])
-        for i, xi in enumerate(np.asarray(x)):
-            writer.writerow([repr(float(xi)), *(repr(float(c[i])) for c in flat.values())])
-
-
-def snapshot_to_json(path, grid: GridSpec, eps: float, fields: dict[str, np.ndarray]):
-    """JSON snapshot {grid, eps, fields}; complex arrays become [re, im] pairs."""
-    doc = {
-        "grid": {"L": grid.L, "n": grid.n, "t_max": grid.t_max},
-        "eps": eps,
-        "fields": {},
-    }
-    for name, vals in fields.items():
-        vals = np.asarray(vals)
-        if np.iscomplexobj(vals):
-            doc["fields"][name] = [[float(z.real), float(z.imag)] for z in vals.ravel()]
-        else:
-            doc["fields"][name] = [float(z) for z in vals.ravel()]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-    return doc
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(
+            [c if isinstance(c, str) else repr(float(c)) for c in row] for row in rows
+        )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import characteristic_integrals, trapezoid
+from .cone_solver import characteristic_integrals, cumulative_trapezoid, shift, trapezoid
 from .gamma_algebra import spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum
 
@@ -47,20 +47,8 @@ class PicardResult:
         return len(self.distances)
 
 
-def _shift(rows: np.ndarray, k: int) -> np.ndarray:
-    """Translate nodal rows by k nodes (positive: to the right), zero fill."""
-    out = np.zeros_like(rows)
-    if k == 0:
-        out[...] = rows
-    elif k > 0:
-        out[..., k:] = rows[..., :-k]
-    else:
-        out[..., :k] = rows[..., -k:]
-    return out
-
-
 def _shift_clamp(rows: np.ndarray, k: int) -> np.ndarray:
-    """Translate like _shift but hold the edge values.
+    """Translate like cone_solver.shift but hold the edge values.
 
     Cumulative x-integrals are constant outside the support band, so sampling
     them beyond the grid must return the edge value, not zero; zero fill would
@@ -78,12 +66,6 @@ def _shift_clamp(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _cumtrapz(rows: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(rows)
-    out[..., 1:] = np.cumsum(0.5 * h * (rows[..., 1:] + rows[..., :-1]), axis=-1)
-    return out
-
-
 def _centered_dx(rows: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(rows)
     out[..., 1:-1] = (rows[..., 2:] - rows[..., :-2]) / (2.0 * h)
@@ -95,13 +77,13 @@ def _dalembert_levels(a, b, S, h, mt):
     A = np.zeros((mt + 1,) + a.shape)
     At = np.zeros_like(A)
     da = _centered_dx(a, h)
-    b_cum = _cumtrapz(b, h)
-    c_src = _cumtrapz(S, h)  # cumulative x-integrals per level
+    b_cum = cumulative_trapezoid(b, h)
+    c_src = cumulative_trapezoid(S, h)  # cumulative x-integrals per level
     plus = characteristic_integrals(S, h, -1)  # int S(s, x + (t-s)) ds
     minus = characteristic_integrals(S, h, +1)  # int S(s, x - (t-s)) ds
     for m in range(mt + 1):
-        left = _shift(a, m)  # a(x - t)
-        right = _shift(a, -m)  # a(x + t)
+        left = shift(a, m)  # a(x - t)
+        right = shift(a, -m)  # a(x + t)
         bint = _shift_clamp(b_cum, -m) - _shift_clamp(b_cum, m)
         src = np.zeros_like(a)
         for l in range(m + 1):
@@ -110,8 +92,8 @@ def _dalembert_levels(a, b, S, h, mt):
             src += w * diff
         A[m] = 0.5 * (left + right) + 0.5 * bint + 0.5 * src
         At[m] = (
-            0.5 * (_shift(da, -m) - _shift(da, m))
-            + 0.5 * (_shift(b, -m) + _shift(b, m))
+            0.5 * (shift(da, -m) - shift(da, m))
+            + 0.5 * (shift(b, -m) + shift(b, m))
             + 0.5 * (plus[m] + minus[m])
         )
     return A, At
@@ -127,8 +109,8 @@ def _linear_dirac(fam, grid, A, u0, v0, mt, inner_tol, max_sweeps=80):
     U = np.zeros((mt + 1,) + u0.shape, dtype=complex)
     V = np.zeros_like(U)
     for m in range(mt + 1):
-        U[m] = _shift(u0, m)
-        V[m] = _shift(v0, -m)
+        U[m] = shift(u0, m)
+        V[m] = shift(v0, -m)
     U_free, V_free = U.copy(), V.copy()
     for _ in range(max_sweeps):
         Ru = np.zeros_like(U)
@@ -189,8 +171,8 @@ def picard_solve(
     U = np.zeros((mt + 1,) + u0.shape, dtype=complex)
     V = np.zeros_like(U)
     for m in range(mt + 1):
-        U[m] = _shift(u0, m)
-        V[m] = _shift(v0, -m)
+        U[m] = shift(u0, m)
+        V[m] = shift(v0, -m)
 
     distances: list[float] = []
     stall = 0
@@ -198,10 +180,7 @@ def picard_solve(
         U_new, V_new = _linear_dirac(fam, grid, A, u0, v0, mt, inner_tol)
         S = np.zeros_like(zero_src)
         for m in range(mt + 1):
-            um, vm = U_new[m], V_new[m]
-            if fam.dim < 3:
-                um, vm = um[0], vm[0]
-            S[m] = np.stack(wave_sources(fam.dim, um, vm))
+            S[m] = np.stack(wave_sources(fam.dim, U_new[m], V_new[m]))
         A_new, At_new = _dalembert_levels(a, b, S, h, mt)
         dist = slab_distance(grid, U_new - U, V_new - V, A_new - A, At_new - At)
         U, V, A, At = U_new, V_new, A_new, At_new

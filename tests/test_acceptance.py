@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 
 from maxdirac1d import DataFamily, GridSpec, evolve, EvolveOptions, picard_solve
-from maxdirac1d.cone_solver import wave_solve
+from maxdirac1d.cone_solver import GaugeMonitor, wave_solve
 from maxdirac1d.estimates import nullform_refinement, run_nullform_suite
 from maxdirac1d.experiments import (
     SweepPlan,
@@ -127,8 +127,9 @@ def test_criterion_05_gauge_residual_constrained_decays_zero_does_not():
         for n in (512, 1024, 2048):
             grid = GridSpec(L=3.2, n=n, t_max=0.2)
             fam = DataFamily(dim=1, eps=0.1, potential_mode=mode)
-            traj = evolve(fam, grid, EvolveOptions(gauge_base=(-1.0, 1.0)))
-            per_n.append(float(traj.series["gauge_residual"].max()))
+            mon = GaugeMonitor((-1.0, 1.0))
+            evolve(fam, grid, EvolveOptions(observers=(mon,)))
+            per_n.append(float(mon.series().max()))
         residual[mode] = per_n
     con = residual["constrained"]
     for coarse, fine in zip(con, con[1:]):
@@ -202,7 +203,7 @@ def test_criterion_09_a0_blowup_logarithmic_in_eps():
             h_over_eps=h_over_eps,
             probes=(probe,),
         )
-        fits[h_over_eps] = check_claim3(run_sweep(plan))
+        fits[h_over_eps] = check_claim3(run_sweep(plan, claims=("claim3",)))
 
     fit = fits[16.0]
     assert fit.lower_ok.all()

@@ -21,8 +21,8 @@ from maxdirac1d.initial_data import chi, f_eps, spinor_datum
 from maxdirac1d.cone_solver import (
     characteristic_integrals,
     cone_quadrature,
+    GaugeMonitor,
     trajectory_to_csv,
-    trajectory_to_npz,
     trapezoid,
 )
 
@@ -123,8 +123,8 @@ def test_charge_drift_reduces_under_refinement():
 def test_dirac_solve_free_conserves_l2():
     grid = GridSpec(L=2.56, n=256, t_max=0.24)
     x = grid.nodes()
-    u0 = hat(x, -0.2, 0.15).astype(complex)
-    v0 = hat(x, 0.3, 0.1).astype(complex)
+    u0 = hat(x, -0.2, 0.15)[None, :].astype(complex)
+    v0 = hat(x, 0.3, 0.1)[None, :].astype(complex)
     times, U, V, l2_psi, l2_F = dirac_solve(1, 0.0, grid, u0, v0)
     assert np.abs(l2_psi - l2_psi[0]).max() < 1e-13
     assert np.array_equal(l2_F, np.zeros_like(l2_F))
@@ -196,8 +196,9 @@ def test_gauge_residual_constrained_vs_zero():
         for n in (512, 1024):
             grid = GridSpec(L=3.2, n=n, t_max=0.2)
             fam = DataFamily(dim=1, eps=0.1, potential_mode=mode)
-            traj = evolve(fam, grid, EvolveOptions(gauge_base=(-1.0, 1.0)))
-            per_n.append(traj.series["gauge_residual"].max())
+            mon = GaugeMonitor((-1.0, 1.0))
+            evolve(fam, grid, EvolveOptions(observers=(mon,)))
+            per_n.append(mon.series().max())
         results[mode] = per_n
     coarse, fine = results["constrained"]
     assert coarse / fine > 2.0  # at least first order
@@ -282,12 +283,6 @@ def test_snapshots_and_csv_export(tmp_path):
     assert first[0] == "# config_hash=cafe"
     header = first[1].split(",")
     assert header[0] == "t" and "charge" in header
-
-    npz = tmp_path / "run.npz"
-    trajectory_to_npz(traj, npz)
-    data = np.load(npz)
-    assert np.array_equal(data["times"], traj.times)
-    assert np.array_equal(data["series_charge"], traj.series["charge"])
 
 
 def test_snapshot_time_outside_slab():
@@ -388,7 +383,7 @@ def test_window_falls_back_to_full_grid():
     for opts in (
         EvolveOptions(observers=(_ConeRecorder(cone),), record_history=True),
         EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
-        EvolveOptions(observers=(_ConeRecorder(cone),), gauge_base=(-1.0, 1.0)),
+        EvolveOptions(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
         EvolveOptions(observers=(_ConeRecorder(cone), _LevelCounter())),
     ):
         assert evolve(fam, grid, opts).meta["window"] == (0, 129, grid.steps)

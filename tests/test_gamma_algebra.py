@@ -159,6 +159,33 @@ def test_modulus_sq_shapes():
     assert np.all(m3 >= 0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bilinears_take_component_axis_and_return_node_rows(dim):
+    rng = np.random.default_rng(13)
+    u, v, A = _random_fields(rng, dim)
+    gs = gamma_matrices(dim)
+    calls = (
+        lambda uu, vv: modulus_sq(dim, uu, vv),
+        lambda uu, vv: wave_sources(dim, uu, vv),
+        lambda uu, vv: modulus_rhs(dim, A, uu, vv, 0.5),
+        lambda uu, vv: interaction_term(gs, A, uu, vv),
+        lambda uu, vv: spinor_rhs(dim, A, uu, vv, 0.5),
+    )
+    wrong = np.ones((3 - spinor_components(dim), u.shape[1]), dtype=complex)
+    for call in calls:
+        with pytest.raises(ValueError, match="half-spinors"):
+            call(u[0], v[0])  # bare (n,) rows
+        with pytest.raises(ValueError, match="half-spinors"):
+            call(wrong, wrong)
+    assert modulus_sq(dim, u, v).shape == (u.shape[1],)
+    for s in wave_sources(dim, u, v):
+        assert s.shape == (u.shape[1],)
+    for s in modulus_rhs(dim, A, u, v, 0.5):
+        assert s.shape == (u.shape[1],)
+    for w in (*interaction_term(gs, A, u, v), *spinor_rhs(dim, A, u, v, 0.5)):
+        assert w.shape == u.shape
+
+
 def test_interaction_term_is_linear_in_A():
     rng = np.random.default_rng(9)
     gs = gamma_matrices(2)

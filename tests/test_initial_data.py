@@ -1,7 +1,5 @@
 """Data family, cutoff, grids, and the discrete norms."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from maxdirac1d import (
     potential_data,
     spinor_datum,
 )
-from maxdirac1d.initial_data import field_to_csv, sample_midpoints, sample_nodes, snapshot_to_json
+from maxdirac1d.initial_data import sample_midpoints, write_csv
 
 
 def test_chi_plateau_and_support():
@@ -156,9 +154,8 @@ def test_constrained_rate_symmetry():
 
 def test_sampling_helpers():
     grid = GridSpec(L=2.0, n=8, t_max=0.0)
-    nodes = sample_nodes(lambda x: x, grid)
     mids = sample_midpoints(lambda x: x, grid)
-    assert nodes.size == 9 and mids.size == 8
+    assert mids.size == 8
     assert mids[0] == pytest.approx(-2.0 + 0.25)
 
 
@@ -203,16 +200,10 @@ def test_field_io_roundtrip(tmp_path):
     grid = GridSpec(L=2.0, n=16, t_max=0.0)
     x = grid.nodes()
     path = tmp_path / "field.csv"
-    field_to_csv(path, x, {"a": x**2, "b": -x}, config_hash="deadbeef")
+    write_csv(path, ["x", "a", "b"], zip(x, x**2, -x), ("config_hash=deadbeef",))
     text = path.read_text().splitlines()
     assert text[0] == "# config_hash=deadbeef"
     assert text[1].split(",")[0] == "x"
     data = np.array([[float(v) for v in line.split(",")] for line in text[2:]])
     assert np.array_equal(data[:, 0], x)
     assert np.array_equal(data[:, 1], x**2)
-
-    jpath = tmp_path / "snap.json"
-    snapshot_to_json(jpath, grid, 0.1, {"a": x**2})
-    payload = json.loads(jpath.read_text())
-    assert payload["eps"] == 0.1
-    assert len(payload["fields"]["a"]) == x.size
