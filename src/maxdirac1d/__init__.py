@@ -11,6 +11,7 @@ potentials and a persistent spinor modulus.
 from .gamma_algebra import (
     CliffordReport,
     GammaSet,
+    coupling,
     gamma_matrices,
     interaction_term,
     modulus_rhs,

@@ -11,11 +11,12 @@ diamonds.  One time step, from level m to m+1:
      d'Alembert expansion (a_{j-1}+a_{j+1})/2 + h b_j + (h^2/2) S^0_j),
   3. advance the spinor by the implicit trapezoidal rule along the exact
      characteristics.  The implicit stage couples at most four complex
-     unknowns per node; because the coupling matrix is anti-hermitian with
+     unknowns per node through the u-v coupling (C, D) of
+     `gamma_algebra.coupling`; because it is anti-hermitian with
      DC = -(A_2^2 + A_3^2 + M^2) I, the solve reduces to a closed-form Schur
-     complement and the one-step map is a near-Cayley (almost unitary)
-     transform, which is what keeps the discrete charge drift at O(h^2) with
-     a small constant.
+     complement, the same in every dim, and the one-step map is a
+     near-Cayley (almost unitary) transform, which is what keeps the
+     discrete charge drift at O(h^2) with a small constant.
 
 Time derivatives of the potentials are reconstructed by centered differences
 (one extra wave step is taken past the last level so it gets a centered
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gamma_algebra import modulus_sq, spinor_rhs, wave_sources
+from .gamma_algebra import coupling, spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
     "cone_quadrature",
     "characteristic_integrals",
     "shift",
+    "free_transport",
     "trapezoid",
     "cumulative_trapezoid",
 ]
@@ -112,22 +114,12 @@ class ConeRegion:
         if not self.base_lo < self.base_hi:
             raise ValueError(f"empty cone base ({self.base_lo}, {self.base_hi})")
 
-    @classmethod
-    def from_vertex(cls, t: float, x: float) -> "ConeRegion":
-        if t <= 0:
-            raise ValueError(f"cone vertex needs t > 0, got t = {t}")
-        return cls(x - t, x + t)
-
     @property
     def height(self) -> float:
         return 0.5 * (self.base_hi - self.base_lo)
 
     def cross_section(self, s: float) -> tuple[float, float]:
         return self.base_lo + s, self.base_hi - s
-
-    def contains(self, s: float, x: float) -> bool:
-        lo, hi = self.cross_section(s)
-        return s >= 0 and lo <= x < hi
 
     def node_slice(self, s: float, grid: GridSpec) -> slice | None:
         """Half-open node index range of the cross-section at time s."""
@@ -265,13 +257,27 @@ def shift(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def free_transport(f, g, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Free transport of right-moving data f and left-moving data g through
+    levels 0..levels: U[m] is f shifted m nodes right, V[m] is g shifted m
+    nodes left, with zero inflow.  The result has a leading level axis."""
+    f, g = np.asarray(f), np.asarray(g)
+    n1 = f.shape[-1]
+    U = np.zeros((levels + 1,) + f.shape, dtype=f.dtype)
+    V = np.zeros((levels + 1,) + g.shape, dtype=g.dtype)
+    for m in range(levels + 1):
+        U[m, ..., m:] = f[..., : n1 - m]
+        V[m, ..., : n1 - m] = g[..., m:]
+    return U, V
+
+
 def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None):
     """One implicit-trapezoid step along the two characteristic families.
 
     u flows from node j-1 at the old level to node j at the new level, v the
     mirror image.  The implicit couplings at the new node form an
-    anti-hermitian system whose Schur complement is scalar, so the solve is
-    closed-form and vectorised over nodes.
+    anti-hermitian system whose Schur complement is scalar (DC = -k2), so the
+    solve is closed-form and vectorised over nodes.
     """
     du, dv = spinor_rhs(dim, A_old, u, v, M)
     if ext_old is not None:
@@ -285,33 +291,9 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None):
 
     den_u = 1.0 - 0.5j * h * (A_new[0] + A_new[1])
     den_v = 1.0 - 0.5j * h * (A_new[0] - A_new[1])
-    if dim == 1:
-        coup = -1j * M  # C = D = -iM
-        k2 = M * M
-        v_new = (Q + 0.5 * h * coup * P / den_u) / (den_v + 0.25 * h * h * k2 / den_u)
-        u_new = (P + 0.5 * h * coup * v_new) / den_u
-    elif dim == 2:
-        c_uv = A_new[2] - 1j * M
-        c_vu = -A_new[2] - 1j * M
-        k2 = A_new[2] * A_new[2] + M * M
-        v_new = (Q + 0.5 * h * c_vu * P / den_u) / (den_v + 0.25 * h * h * k2 / den_u)
-        u_new = (P + 0.5 * h * c_uv * v_new) / den_u
-    else:
-        A2, A3 = A_new[2], A_new[3]
-        k2 = A2 * A2 + A3 * A3 + M * M
-
-        def c_op(w):  # u <- v coupling
-            rw = np.stack([-w[1], w[0]])
-            kw = np.stack([1j * w[0], -1j * w[1]])
-            return -1j * A2 * rw - 1j * A3 * kw - 1j * M * w
-
-        def d_op(w):  # v <- u coupling
-            rw = np.stack([-w[1], w[0]])
-            kw = np.stack([1j * w[0], -1j * w[1]])
-            return 1j * A2 * rw + 1j * A3 * kw - 1j * M * w
-
-        v_new = (Q + 0.5 * h * d_op(P / den_u)) / (den_v + 0.25 * h * h * k2 / den_u)
-        u_new = (P + 0.5 * h * c_op(v_new)) / den_u
+    C, D, k2 = coupling(dim, 0.5 * h * A_new, 0.5 * h * M)  # h/2 times the coupling
+    v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u)
+    u_new = (P + C(v_new)) / den_u
     return u_new, v_new
 
 
@@ -442,7 +424,7 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     for m, A, At, S in _leapfrog(a, b, sources, h, steps):
         t = m * h
         if full:
-            q = float(trapezoid(modulus_sq(dim, u, v), h))
+            q = float(trapezoid(S[0], h))
             if not np.isfinite(q) or not np.isfinite(A).all():
                 raise SolverAbort(f"non-finite field values at t = {t:.6g}")
             if np.any(A[:, band] != 0.0) or np.any(u[:, band] != 0.0) or np.any(v[:, band] != 0.0):
@@ -674,10 +656,7 @@ def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = Non
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     keys = sorted(traj.series.keys())
-    rows = (
-        [t, *(traj.series[k][m] if m < len(traj.series[k]) else "" for k in keys)]
-        for m, t in enumerate(traj.times)
-    )
+    rows = ([t, *(traj.series[k][m] for k in keys)] for m, t in enumerate(traj.times))
     write_csv(dpath, ["t", *keys], rows, comments)
     paths.append(dpath)
     return paths

@@ -38,10 +38,11 @@ from .cone_solver import (
     cone_quadrature,
     cumulative_trapezoid,
     dirac_solve,
+    free_transport,
     trapezoid,
     wave_solve,
 )
-from .gamma_algebra import gamma_matrices, interaction_term, modulus_sq
+from .gamma_algebra import gamma_matrices, interaction_term, modulus_sq, spinor_components
 from .initial_data import CutoffSpec, GridSpec, chi
 
 __all__ = [
@@ -201,7 +202,7 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, dim: int = 
         amp = rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.uniform())
         return amp * np.exp(-(((x - c) / w) ** 2))
 
-    ncomp = 2 if dim == 3 else 1
+    ncomp = spinor_components(dim)
     u0 = np.stack([bump() for _ in range(ncomp)])
     v0 = np.stack([bump() for _ in range(ncomp)])
     fb1 = np.stack([bump() for _ in range(ncomp)])
@@ -351,14 +352,7 @@ def transport_pair(grid: GridSpec, f, g, F=None, G=None, levels: int | None = No
     """
     mt = grid.steps if levels is None else levels
     x = grid.nodes()
-    n1 = x.size
-    U = np.zeros((mt + 1, n1), dtype=complex)
-    V = np.zeros_like(U)
-    fA = np.asarray(f, dtype=complex)
-    gA = np.asarray(g, dtype=complex)
-    for m in range(mt + 1):
-        U[m, m:] = fA[: n1 - m]
-        V[m, : n1 - m] = gA[m:]
+    U, V = free_transport(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), mt)
     if F is not None:
         Fl = np.stack([np.asarray(F(m * grid.h, x), dtype=complex) for m in range(mt + 1)])
         U += characteristic_integrals(Fl, grid.h, +1)
@@ -376,15 +370,15 @@ def check_nullform(
     G=None,
     T: float | None = None,
     X: float = 0.0,
-    rhs_norms: tuple[float, float, float, float] | None = None,
+    *,
+    rhs_norms: tuple[float, float, float, float],
 ) -> EstimateReport:
     """Cone integral of |uv| against the product of the transport budgets.
 
     T must be a whole number of steps and X a grid node with the backward
-    cone from (T, X) inside the slab.  rhs_norms, when given, supplies
-    (||f||_1, ||g||_1, int ||F||_1, int ||G||_1) computed exactly by the
-    caller; otherwise they are evaluated from nodal moduli (exact for
-    profiles with constant phase).
+    cone from (T, X) inside the slab.  rhs_norms supplies
+    (||f||_1, ||g||_1, int ||F||_1, int ||G||_1), computed exactly by the
+    caller.
     """
     h = grid.h
     T = grid.t_max if T is None else T
@@ -398,20 +392,7 @@ def check_nullform(
     U, V = transport_pair(grid, f, g, F, G, levels=mt)
     lhs = cone_quadrature(np.abs(U) * np.abs(V), h, mt, jX)
 
-    if rhs_norms is None:
-        x = grid.nodes()
-        times = h * np.arange(mt + 1)
-        nf = l1_exact(np.abs(np.asarray(f, dtype=complex)), h)
-        ng = l1_exact(np.abs(np.asarray(g, dtype=complex)), h)
-        nF = nG = 0.0
-        if F is not None:
-            rows = [l1_exact(np.abs(np.asarray(F(t, x), dtype=complex)), h) for t in times]
-            nF = float(cumulative_trapezoid(rows, h)[-1])
-        if G is not None:
-            rows = [l1_exact(np.abs(np.asarray(G(t, x), dtype=complex)), h) for t in times]
-            nG = float(cumulative_trapezoid(rows, h)[-1])
-    else:
-        nf, ng, nF, nG = rhs_norms
+    nf, ng, nF, nG = rhs_norms
     rhs = (nf + nF) * (ng + nG)
     return EstimateReport("nullform", float(lhs), float(rhs), _slack(grid))
 
@@ -463,7 +444,7 @@ def run_nullform_suite(count: int, seed: int, grid: GridSpec | None = None) -> l
             inst["G"],
             inst["T"],
             inst["X"],
-            inst["rhs_norms"],
+            rhs_norms=inst["rhs_norms"],
         )
         reports.append(
             EstimateReport(f"nullform[{seed},{k}]", rep.lhs, rep.rhs, rep.slack_factor)
@@ -538,7 +519,7 @@ def nullform_refinement(index: int, base: GridSpec | None = None, factors=(1, 2,
             inst["G"],
             inst["T"],
             inst["X"],
-            inst["rhs_norms"],
+            rhs_norms=inst["rhs_norms"],
         )
         out.append((grid.n, rep.ratio, rep.slack_factor))
     return out
@@ -559,9 +540,9 @@ def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
     grid = traj.grid
     l1u = np.asarray(traj.series["l1_u"], dtype=float)
     l1v = np.asarray(traj.series["l1_v"], dtype=float)
-    rate = fam.M + np.asarray(traj.series["sup_A2"], dtype=float)
-    if fam.dim == 3:
-        rate = rate + np.asarray(traj.series["sup_A3"], dtype=float)
+    rate = fam.M
+    for j in range(2, fam.dim + 1):
+        rate = rate + np.asarray(traj.series[f"sup_A{j}"], dtype=float)
     rhs = (l1u[0] + l1v[0]) * np.exp(cumulative_trapezoid(rate, grid.h))
     return _worst_level("gronwall_l1", l1u + l1v, rhs, _slack(grid))
 

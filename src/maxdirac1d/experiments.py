@@ -43,7 +43,6 @@ from .cone_solver import (
     evolve,
     trapezoid,
 )
-from .gamma_algebra import modulus_sq
 from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv
 
 __all__ = [
@@ -179,18 +178,13 @@ class TransverseMonitor:
         self.values: list[float] = []
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
-        if lev.dim < 2:
-            self.values.append(0.0)
-            return
         half = 1.0 - lev.t
         if half < 0.0:
             self.values.append(0.0)
             return
         sel = np.abs(lev.x) <= half + 1e-12
-        tot = np.abs(lev.A[2][sel])
-        if lev.dim == 3:
-            tot = tot + np.abs(lev.A[3][sel])
-        self.values.append(float(tot.max()) if tot.size else 0.0)
+        tot = sum(np.abs(Aj[sel]) for Aj in lev.A[2:])  # 0 in dim 1
+        self.values.append(float(np.max(tot, initial=0.0)))
 
     def series(self) -> np.ndarray:
         return np.asarray(self.values)
@@ -215,9 +209,8 @@ class FloorMonitor:
         if t <= 0.0 or not sel.any():
             self.values.append(np.inf)
             return
-        dens = modulus_sq(lev.dim, lev.u, lev.v)
         floor = 0.5 * f_eps(lev.x[sel] - t, self.eps) ** 2
-        self.values.append(float((dens[sel] / floor).min()))
+        self.values.append(float((lev.S[0][sel] / floor).min()))
 
     def series(self) -> np.ndarray:
         return np.asarray(self.values)
@@ -475,12 +468,12 @@ class BlowupFit:
         }
 
 
-def check_claim3(results: list[SweepRecord], probes=None, fit_tol: float = 0.0) -> BlowupFit:
+def check_claim3(results: list[SweepRecord]) -> BlowupFit:
     """Logarithmic blow-up of A_0 at interior probes of {|x| < t}.
 
     Verifies the measured A_0 against the closed-form lower bound per
     epsilon, fits the slope against log(1/eps), and requires
-    slope >= (x+t)/8 - fit_tol per probe.  The zero potential mode is
+    slope >= (x+t)/8 per probe.  The zero potential mode is
     required: the closed form assumes vanishing A_0 data.
     """
     if not results:
@@ -488,7 +481,7 @@ def check_claim3(results: list[SweepRecord], probes=None, fit_tol: float = 0.0) 
     for rec in results:
         if rec.mode != PotentialMode.ZERO.value:
             raise ValueError("blow-up bound assumes the zero potential mode")
-    probes = tuple(results[0].probes if probes is None else probes)
+    probes = tuple(results[0].probes)
     if any(tuple(rec.probes) != probes for rec in results):
         raise ValueError("records disagree on the probe set")
     if len(results) < 2:
@@ -512,7 +505,7 @@ def check_claim3(results: list[SweepRecord], probes=None, fit_tol: float = 0.0) 
         a0=a0,
         slopes=slopes,
         intercepts=intercepts,
-        slope_bounds=bounds - fit_tol,
+        slope_bounds=bounds,
         lower_ok=lower_ok,
         monotone=monotone,
         implied_c=implied_c,

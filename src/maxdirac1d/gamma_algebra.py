@@ -9,9 +9,9 @@ with metric signature (+, -, ..., -).  After diagonalising g0 g1 the spinor
 splits into a right-mover u and a left-mover v, each with one complex
 component for d = 1, 2 and two for d = 3.  Every half-spinor array has the
 shape (ncomp, n+1): a leading component axis, then the nodes.  This module
-holds the concrete matrices, the Clifford-relation verifier, and the
-componentwise right-hand sides used by the solvers (transport sources, wave
-sources, modulus sources).
+holds the concrete matrices, the Clifford-relation verifier, the wave
+sources, and `coupling`: the u-v coupling, written out per dim in this one
+place, which the transport and modulus sources and the solver apply.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "gamma_matrices",
     "verify_clifford",
     "spinor_components",
+    "coupling",
     "spinor_rhs",
     "wave_sources",
     "modulus_rhs",
@@ -163,38 +164,47 @@ def _as_spinor(dim: int, w) -> np.ndarray:
     return w
 
 
-def _rho_apply(w: np.ndarray) -> np.ndarray:
-    return np.stack([-w[1], w[0]])
+def coupling(dim: int, A, M: float):
+    """The u-v coupling (C, D, k2) of the transport equations
 
+        (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u.
 
-def _kappa_apply(w: np.ndarray) -> np.ndarray:
-    return np.stack([1j * w[0], -1j * w[1]])
+    C and D map (ncomp, n) half-spinors to half-spinors; they come from the
+    mass and the transverse potentials A_2 (and A_3) only.  They satisfy
+    D = -C^dagger and DC = CD = -k2 with k2 = A_2^2 [+ A_3^2] + M^2, so the
+    coupling is anti-hermitian.  The operators are linear in (A, M): scaled
+    inputs give scaled operators and k2 scales quadratically.
+    """
+    _check_dim(dim)
+    if len(A) != dim + 1:
+        raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
+    if dim < 3:  # dim 1 is dim 2 with A_2 = 0
+        A2 = A[2] if dim == 2 else 0.0
+        c, d = A2 - 1j * M, -A2 - 1j * M
+        return (lambda w: c * w), (lambda w: d * w), A2 * A2 + M * M
+    A2, A3 = A[2], A[3]
+    p, q, s = A3 - 1j * M, -A3 - 1j * M, 1j * A2
+
+    def C(w):
+        return np.stack([p * w[0] + s * w[1], q * w[1] - s * w[0]])
+
+    def D(w):
+        return np.stack([q * w[0] - s * w[1], p * w[1] + s * w[0]])
+
+    return C, D, A2 * A2 + A3 * A3 + M * M
 
 
 def spinor_rhs(dim: int, A, u, v, M: float):
     """Transport sources (du, dv) with (dt + dx) u = du, (dt - dx) v = dv.
 
     A is the sequence (A_0, ..., A_dim) of real potentials (scalars or node
-    arrays).  The mass term couples u and v; for dim >= 2 the transverse
-    potentials couple them further through the (rho, kappa) action.
+    arrays).  The longitudinal potentials rotate phases; the mass and the
+    transverse potentials couple u and v through `coupling`.
     """
-    _check_dim(dim)
-    if len(A) != dim + 1:
-        raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
+    C, D, _ = coupling(dim, A, M)
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    plus = 1j * (A[0] + A[1])
-    minus = 1j * (A[0] - A[1])
-    if dim == 1:
-        du = plus * u - 1j * M * v
-        dv = minus * v - 1j * M * u
-    elif dim == 2:
-        du = plus * u + A[2] * v - 1j * M * v
-        dv = minus * v - A[2] * u - 1j * M * u
-    else:
-        du = plus * u - 1j * A[2] * _rho_apply(v) - 1j * A[3] * _kappa_apply(v) - 1j * M * v
-        dv = minus * v + 1j * A[2] * _rho_apply(u) + 1j * A[3] * _kappa_apply(u) - 1j * M * u
-    return du, dv
+    return 1j * (A[0] + A[1]) * u + C(v), 1j * (A[0] - A[1]) * v + D(u)
 
 
 def modulus_sq(dim: int, u, v) -> np.ndarray:
@@ -223,8 +233,8 @@ def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
         return s0, s1
     if dim == 2:
         return s0, s1, -2.0 * np.imag(u[0] * np.conj(v[0]))
-    ru = _rho_apply(u)
-    ku = _kappa_apply(u)
+    ru = np.stack([-u[1], u[0]])  # rho u
+    ku = np.stack([1j * u[0], -1j * u[1]])  # kappa u
     s2 = -2.0 * np.real(np.conj(v[0]) * ru[0] + np.conj(v[1]) * ru[1])
     s3 = -2.0 * np.real(np.conj(v[0]) * ku[0] + np.conj(v[1]) * ku[1])
     return s0, s1, s2, s3
@@ -233,27 +243,14 @@ def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
 def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     """Sources for the modulus system (dt + dx)|u|^2 and (dt - dx)|v|^2.
 
-    The two sources are exact negatives of each other, which is the discrete
-    backbone of charge conservation: the longitudinal potentials act by pure
-    phase rotation and drop out entirely.
+    su = 2 Re sum conj(u) C v, and sv = -su exactly because the coupling is
+    anti-hermitian: that is the discrete backbone of charge conservation.
+    The longitudinal potentials act by pure phase rotation and drop out.
     """
-    _check_dim(dim)
-    if len(A) != dim + 1:
-        raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
+    C, _, _ = coupling(dim, A, M)
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    if dim == 1:
-        su = -2.0 * M * np.imag(np.conj(v[0]) * u[0])
-    elif dim == 2:
-        dot = np.conj(v[0]) * u[0]
-        su = 2.0 * A[2] * np.real(dot) - 2.0 * M * np.imag(dot)
-    else:
-        ru = _rho_apply(u)
-        ku = _kappa_apply(u)
-        dot_r = np.conj(v[0]) * ru[0] + np.conj(v[1]) * ru[1]
-        dot_k = np.conj(v[0]) * ku[0] + np.conj(v[1]) * ku[1]
-        dot_m = np.conj(v[0]) * u[0] + np.conj(v[1]) * u[1]
-        su = 2.0 * A[2] * np.imag(dot_r) + 2.0 * A[3] * np.imag(dot_k) - 2.0 * M * np.imag(dot_m)
+    su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=0)
     return su, -su
 
 

@@ -266,14 +266,12 @@ def hs_norm(values, s: float, grid: GridSpec, staggered: bool = False) -> float:
 
 def write_csv(path, header, rows, comments=()) -> None:
     """Write one CSV file: a `# ` line per comment, then the header row
-    (skipped when None), then the rows.  Strings are written as they are;
-    every other cell as repr(float(cell)), which round-trips exactly."""
+    (skipped when None), then the rows.  Every cell is written as
+    repr(float(cell)), which round-trips exactly."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
-        writer.writerows(
-            [c if isinstance(c, str) else repr(float(c)) for c in row] for row in rows
-        )
+        writer.writerows([repr(float(c)) for c in row] for row in rows)

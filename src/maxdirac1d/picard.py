@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import characteristic_integrals, cumulative_trapezoid, shift, trapezoid
+from .cone_solver import (
+    characteristic_integrals,
+    cumulative_trapezoid,
+    free_transport,
+    shift,
+    trapezoid,
+)
 from .gamma_algebra import spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum
 
@@ -99,23 +105,19 @@ def _dalembert_levels(a, b, S, h, mt):
     return A, At
 
 
-def _linear_dirac(fam, grid, A, u0, v0, mt, inner_tol, max_sweeps=80):
-    """Solve the linear Dirac equation with frozen potentials on the slab.
+def _linear_dirac(fam, grid, A, U_free, V_free, inner_tol, max_sweeps=80):
+    """Solve the linear Dirac equation with frozen potentials on the slab,
+    starting from the free transport (U_free, V_free) of the data.
 
     Successive substitution on the Volterra form; converges superexponentially
     for bounded potentials, independently of the outer contraction question.
     """
     h = grid.h
-    U = np.zeros((mt + 1,) + u0.shape, dtype=complex)
-    V = np.zeros_like(U)
-    for m in range(mt + 1):
-        U[m] = shift(u0, m)
-        V[m] = shift(v0, -m)
-    U_free, V_free = U.copy(), V.copy()
+    U, V = U_free, V_free
     for _ in range(max_sweeps):
         Ru = np.zeros_like(U)
         Rv = np.zeros_like(V)
-        for m in range(mt + 1):
+        for m in range(U.shape[0]):
             du, dv = spinor_rhs(fam.dim, tuple(A[m]), U[m], V[m], fam.M)
             Ru[m], Rv[m] = du, dv
         U_new = U_free + characteristic_integrals(Ru, h, +1)
@@ -168,16 +170,13 @@ def picard_solve(
 
     inner_tol = min(1e-12, 0.01 * tol)
     A, At = A_free, At_free
-    U = np.zeros((mt + 1,) + u0.shape, dtype=complex)
-    V = np.zeros_like(U)
-    for m in range(mt + 1):
-        U[m] = shift(u0, m)
-        V[m] = shift(v0, -m)
+    U_free, V_free = free_transport(u0, v0, mt)
+    U, V = U_free, V_free
 
     distances: list[float] = []
     stall = 0
     for _ in range(max_iter):
-        U_new, V_new = _linear_dirac(fam, grid, A, u0, v0, mt, inner_tol)
+        U_new, V_new = _linear_dirac(fam, grid, A, U_free, V_free, inner_tol)
         S = np.zeros_like(zero_src)
         for m in range(mt + 1):
             S[m] = np.stack(wave_sources(fam.dim, U_new[m], V_new[m]))

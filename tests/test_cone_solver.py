@@ -17,11 +17,15 @@ from maxdirac1d import (
     gauge_residual,
     wave_solve,
 )
+from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs
 from maxdirac1d.initial_data import chi, f_eps, spinor_datum
 from maxdirac1d.cone_solver import (
+    _transport_step,
     characteristic_integrals,
     cone_quadrature,
+    free_transport,
     GaugeMonitor,
+    shift,
     trajectory_to_csv,
     trapezoid,
 )
@@ -118,6 +122,45 @@ def test_charge_drift_reduces_under_refinement():
         q = traj.series["charge"]
         drifts.append(np.abs(q - q[0]).max() / q[0])
     assert 2.5 < drifts[0] / drifts[1] < 6.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("with_ext", [False, True])
+def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
+    # u_new[j] - u[j-1] = h/2 (du_old[j-1] + du_new[j]), and the mirror
+    # image for v, wherever the stencil has both nodes
+    rng = np.random.default_rng(29)
+    nc, n1, h, M = spinor_components(dim), 40, 0.05, 0.7
+
+    def spinor():
+        return rng.normal(size=(nc, n1)) + 1j * rng.normal(size=(nc, n1))
+
+    u, v = spinor(), spinor()
+    A_old, A_new = rng.normal(size=(2, dim + 1, n1))
+    ext_old = (spinor(), spinor()) if with_ext else None
+    ext_new = (spinor(), spinor()) if with_ext else None
+    u1, v1 = _transport_step(dim, M, h, u, v, A_old, A_new, ext_old, ext_new)
+    du0, dv0 = spinor_rhs(dim, A_old, u, v, M)
+    du1, dv1 = spinor_rhs(dim, A_new, u1, v1, M)
+    if with_ext:
+        du0, dv0 = du0 + ext_old[0], dv0 + ext_old[1]
+        du1, dv1 = du1 + ext_new[0], dv1 + ext_new[1]
+    res_u = u1[:, 1:] - u[:, :-1] - 0.5 * h * (du0[:, :-1] + du1[:, 1:])
+    res_v = v1[:, :-1] - v[:, 1:] - 0.5 * h * (dv0[:, 1:] + dv1[:, :-1])
+    scale = max(np.abs(u1).max(), np.abs(v1).max())
+    assert np.abs(res_u).max() <= 1e-13 * scale
+    assert np.abs(res_v).max() <= 1e-13 * scale
+
+
+def test_free_transport_equals_shifted_data():
+    rng = np.random.default_rng(31)
+    f = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+    g = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+    U, V = free_transport(f, g, 11)
+    assert U.shape == V.shape == (12, 2, 12)
+    for m in range(12):
+        assert np.array_equal(U[m], shift(f, m))
+        assert np.array_equal(V[m], shift(g, -m))
 
 
 def test_dirac_solve_free_conserves_l2():

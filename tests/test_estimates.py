@@ -238,9 +238,9 @@ def test_nullform_matches_adaptive_quadrature():
 def test_nullform_rejects_bad_cones():
     f = _hat(GRID_TALL, 0.0, 0.2, 1.0)
     with pytest.raises(ValueError, match="whole number of steps"):
-        check_nullform(GRID_TALL, f, f, T=0.645)
+        check_nullform(GRID_TALL, f, f, T=0.645, rhs_norms=(0, 0, 0, 0))
     with pytest.raises(ValueError, match="grid node"):
-        check_nullform(GRID_TALL, f, f, X=2.5)
+        check_nullform(GRID_TALL, f, f, X=2.5, rhs_norms=(0, 0, 0, 0))
 
 
 def test_nullform_suite_passes():

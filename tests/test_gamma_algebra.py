@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdirac1d import (
+    coupling,
     gamma_matrices,
     interaction_term,
     modulus_rhs,
@@ -87,11 +88,43 @@ def test_modulus_rhs_matches_spinor_rhs(dim):
     M = 0.7
     du, dv = spinor_rhs(dim, A, u, v, M)
     su, sv = modulus_rhs(dim, A, u, v, M)
-    from_u = 2.0 * np.real(du * np.conj(u)).sum(axis=0) if dim == 3 else 2.0 * np.real(du * np.conj(u))[0]
-    from_v = 2.0 * np.real(dv * np.conj(v)).sum(axis=0) if dim == 3 else 2.0 * np.real(dv * np.conj(v))[0]
-    assert np.allclose(np.atleast_1d(su.squeeze()), from_u, atol=1e-12)
-    assert np.allclose(np.atleast_1d(sv.squeeze()), from_v, atol=1e-12)
+    from_u = 2.0 * np.real(du * np.conj(u)).sum(axis=0)
+    from_v = 2.0 * np.real(dv * np.conj(v)).sum(axis=0)
+    assert np.allclose(su, from_u, atol=1e-12)
+    assert np.allclose(sv, from_v, atol=1e-12)
     assert np.array_equal(su, -sv)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_spinor_rhs_is_the_dirac_operator(dim):
+    """(du, dv) is i g0 (A_mu g^mu - M) psi, split at ncomp: the Dirac
+    equation multiplied by i g0, where g0 g1 = diag(1, -1) on (u, v)."""
+    rng = np.random.default_rng(17)
+    u, v, A = _random_fields(rng, dim)
+    M = 0.9
+    gs = gamma_matrices(dim)
+    psi = np.concatenate([u, v])
+    F = np.concatenate(interaction_term(gs, A, u, v))
+    want = 1j * np.tensordot(gs.gammas[0], F - M * psi, axes=(1, 0))
+    du, dv = spinor_rhs(dim, A, u, v, M)
+    nc = spinor_components(dim)
+    assert np.allclose(du, want[:nc], rtol=0.0, atol=1e-12)
+    assert np.allclose(dv, want[nc:], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coupling_is_antihermitian_with_scalar_schur_complement(dim):
+    rng = np.random.default_rng(19)
+    w1, w2, A = _random_fields(rng, dim)
+    M = 0.6
+    C, D, k2 = coupling(dim, A, M)
+    assert np.allclose(k2, (A[2:] ** 2).sum(axis=0) + M * M, rtol=0.0, atol=1e-12)
+    assert np.allclose(D(C(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
+    assert np.allclose(C(D(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
+    # D = -C^dagger, node by node
+    lhs = (np.conj(w1) * C(w2)).sum(axis=0)
+    rhs = -np.conj((np.conj(w2) * D(w1)).sum(axis=0))
+    assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
