@@ -21,9 +21,11 @@ abort, 4 verdict failure.
 
 Configs are strict JSON: unknown keys are rejected and the physically
 meaningful fields (dim, M, eps or eps_list, T or t_max) have no defaults.
-Cross-field constraints (grid divisibility, support margins, claim regime
-guards) are re-checked at load time so that a bad config never reaches the
-solver.
+Cross-field constraints (grid divisibility, support margins, and the claim
+preconditions of `experiments.sweep_claims`) are checked at load time so
+that a bad config never reaches the solver.  The claims, their verdicts and
+the suite defaults live in `experiments` and `estimates`; this module only
+reads configs, calls them and writes their results.
 """
 
 from __future__ import annotations
@@ -46,21 +48,21 @@ from .estimates import (
     run_energy_suite,
     run_nullform_suite,
     run_wave_suite,
+    suite_grid,
 )
 from .experiments import (
     CLAIMS,
     SweepPlan,
-    check_claim1,
-    check_claim2,
-    check_claim3,
     config_hash,
-    gauss_divergence,
     load_sweep,
     run_sweep,
+    sweep_claims,
+    verdict_passed,
+    verdicts,
     write_sweep,
 )
 from .gamma_algebra import modulus_sq
-from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv
+from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,14 +215,11 @@ _SCHEMAS = {
     "norms": NORMS_SCHEMA,
 }
 
-_RANDOM_SUITES = ("energy", "wave", "nullform")
-
-
-def _cutoff_from(raw: dict) -> CutoffSpec:
-    c = raw.get("cutoff")
-    if c is None:
-        return CutoffSpec()
-    return CutoffSpec(inner=c["inner"], outer=c["outer"])
+_SUITE_RUNNERS = {
+    "energy": run_energy_suite,
+    "wave": run_wave_suite,
+    "nullform": run_nullform_suite,
+}
 
 
 @functools.cache
@@ -254,7 +253,7 @@ def load_config(path: str, command: str) -> dict:
     ctx: dict = {"raw": raw}
     try:
         if command == "simulate":
-            cutoff = _cutoff_from(raw)
+            cutoff = CutoffSpec(**raw.get("cutoff", {}))
             ctx["fam"] = DataFamily(
                 dim=raw["dim"],
                 eps=raw["eps"],
@@ -262,15 +261,13 @@ def load_config(path: str, command: str) -> dict:
                 potential_mode=PotentialMode(raw.get("potential_mode", "zero")),
                 cutoff=cutoff,
             )
-            g = raw["grid"]
-            grid = GridSpec(L=g["L"], n=g["n"], t_max=g["t_max"])
+            grid = GridSpec(**raw["grid"])
             grid.ensure_support(cutoff.outer)
             for ts in raw.get("snapshot_times", []):
                 if ts < 0 or ts > grid.t_max:
                     raise ValueError(f"snapshot time {ts} outside [0, {grid.t_max}]")
             ctx["grid"] = grid
         elif command == "sweep":
-            cutoff = _cutoff_from(raw)
             mode = PotentialMode(raw.get("potential_mode", "zero"))
             plan = SweepPlan(
                 dim=raw["dim"],
@@ -279,36 +276,22 @@ def load_config(path: str, command: str) -> dict:
                 T=raw["T"],
                 probes=tuple(tuple(p) for p in raw.get("probes", [])),
                 h_over_eps=raw.get("h_over_eps", 16.0),
-                cutoff=cutoff,
+                cutoff=CutoffSpec(**raw.get("cutoff", {})),
             )
-            claims = raw.get("claims")
-            if claims is None:
-                claims = list(CLAIMS) if mode is PotentialMode.ZERO else ["claim1", "claim2"]
-            if "claim2" in claims and 6.0 * (raw["M"] + 1.0) * raw["T"] >= 1.0:
-                raise ValueError(
-                    f"claim2 regime requires 6(M+1)T < 1, got 6*{raw['M'] + 1}*{raw['T']} = "
-                    f"{6.0 * (raw['M'] + 1.0) * raw['T']:g}"
-                )
-            if "claim3" in claims and mode is not PotentialMode.ZERO:
-                raise ValueError("claim3 needs potential_mode 'zero' (vanishing A_0 data)")
-            if "claim3" in claims and len(raw["eps_list"]) < 2:
-                raise ValueError("claim3 needs at least 2 epsilons for the log-slope fit")
-            if "gauss" in claims and len(raw["eps_list"]) < 3:
-                raise ValueError("gauss verdict needs at least 3 epsilons for slope and diffs")
-            ctx["plan"], ctx["mode"], ctx["claims"] = plan, mode, sorted(claims)
+            ctx["plan"], ctx["mode"] = plan, mode
+            ctx["claims"] = sweep_claims(plan, mode, raw.get("claims"))
         elif command == "verify":
             suites = raw.get("suites")
             if suites is None:
                 suites = ["energy", "wave", "nullform", "refinement", "bootstrap"]
             counts = raw.get("counts", {})
-            for name in _RANDOM_SUITES:
+            for name in _SUITE_RUNNERS:
                 if name in suites and name not in counts:
                     raise ValueError(f"suite '{name}' selected but counts.{name} missing")
             if "recompute" in suites and "recompute_dir" not in raw:
                 raise ValueError("suite 'recompute' selected but recompute_dir missing")
             if "grid" in raw:
-                g = raw["grid"]
-                ctx["suite_grid"] = GridSpec(L=g["L"], n=g["n"], t_max=g["t_max"])
+                ctx["suite_grid"] = GridSpec(**raw["grid"])
             ctx["suites"] = suites
         elif command == "norms":
             eps_list = raw["eps_list"]
@@ -318,7 +301,7 @@ def load_config(path: str, command: str) -> dict:
             n = raw.get("n", 4096)
             # one-step slab: only the spatial mesh matters for data norms
             ctx["grid"] = GridSpec(L=L, n=n, t_max=2.0 * L / n)
-            ctx["cutoff"] = _cutoff_from(raw)
+            ctx["cutoff"] = CutoffSpec(**raw.get("cutoff", {}))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return ctx
@@ -333,24 +316,6 @@ def _out_dir(raw: dict, args, command: str) -> str:
     out = args.out or raw.get("out") or f"{command}_out"
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +370,7 @@ def cmd_simulate(ctx: dict, args) -> int:
     }
     if args.oracle:
         manifest["oracle_A0_max_deviation"] = _a0_oracle(traj)
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"simulate: wrote {len(paths) + 1} files to {out}; charge drift {drift:.3e}")
     if args.oracle:
         dev = manifest["oracle_A0_max_deviation"]
@@ -418,77 +383,27 @@ def cmd_simulate(ctx: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_verdict(eps_list) -> dict:
-    """Divergence/convergence pair for the charge pairing.
-
-    The bump profile has phi(0) = 1, so the pairing must grow with log-slope
-    within 5% of 2; the node profile has phi(0) = 0, so successive pairing
-    differences must shrink."""
-
-    def bump(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) < 1.0, np.cos(0.5 * np.pi * x) ** 2, 0.0)
-
-    def node(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) < 1.0, np.sin(np.pi * x) ** 2, 0.0)
-
-    div = gauss_divergence(eps_list, bump)
-    conv = gauss_divergence(eps_list, node)
-    slope_ok = abs(div["slope"] - div["expected_slope"]) <= 0.05 * div["expected_slope"]
-    d = np.abs(np.asarray(conv["diffs"]))
-    conv_ok = bool(np.all(d[1:] < d[:-1]))
-    return {
-        "divergent": _jsonable(div),
-        "convergent": _jsonable(conv),
-        "slope_ok": bool(slope_ok),
-        "convergence_ok": conv_ok,
-        "pass": bool(slope_ok) and conv_ok,
-    }
-
-
-def _compute_verdicts(records, plan: SweepPlan, claims) -> dict:
-    verdicts = {}
-    if "claim1" in claims:
-        verdicts["claim1"] = check_claim1(records, plan.T)
-    if "claim2" in claims:
-        verdicts["claim2"] = check_claim2(records, plan.T)
-    if "claim3" in claims:
-        verdicts["claim3"] = check_claim3(records).to_dict()
-    if "gauss" in claims:
-        verdicts["gauss"] = _gauss_verdict(plan.eps_list)
-    return verdicts
-
-
-def _verdict_passed(name: str, verdict) -> bool:
-    if isinstance(verdict, list):
-        return all(entry["pass"] for entry in verdict)
-    return bool(verdict["pass"])
-
-
 def cmd_sweep(ctx: dict, args) -> int:
     raw, plan, mode, claims = ctx["raw"], ctx["plan"], ctx["mode"], ctx["claims"]
     jobs = args.jobs or raw.get("jobs", 1)
     out = _out_dir(raw, args, "sweep")
     results = run_sweep(plan, mode=mode, jobs=jobs, claims=claims)
     summary = write_sweep(results, plan, mode, out)
-    verdicts = _compute_verdicts(results, plan, claims)
-    ok = all(_verdict_passed(name, v) for name, v in verdicts.items())
-    _write_json(
+    found = verdicts(results, plan, claims)
+    failed = [name for name in claims if not verdict_passed(found[name])]
+    write_json(
         os.path.join(out, "verdicts.json"),
         {
             "config_hash": summary["config_hash"],
             "claims": claims,
-            "verdicts": verdicts,
-            "pass": ok,
+            "verdicts": found,
+            "pass": not failed,
         },
     )
     for name in claims:
-        state = "pass" if _verdict_passed(name, verdicts[name]) else "FAIL"
-        print(f"sweep: {name} {state}")
+        print(f"sweep: {name} {'FAIL' if name in failed else 'pass'}")
     print(f"sweep: wrote campaign to {out}")
-    if not ok:
-        failed = [n for n in claims if not _verdict_passed(n, verdicts[n])]
+    if failed:
         print(f"sweep: verdict failure: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VERDICT
     return EXIT_OK
@@ -497,12 +412,6 @@ def cmd_sweep(ctx: dict, args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_SUITE_RUNNERS = {
-    "energy": run_energy_suite,
-    "wave": run_wave_suite,
-    "nullform": run_nullform_suite,
-}
 
 _NAME_TAG = re.compile(r"\[(\d+),(\d+)\]$")
 
@@ -521,8 +430,8 @@ def _recompute_entry(directory: str) -> dict:
     with open(os.path.join(directory, "verdicts.json")) as fh:
         stored = json.load(fh)
     plan = SweepPlan.from_dict(summary["config"]["plan"])
-    fresh = _compute_verdicts(records, plan, stored["claims"])
-    identical = json.loads(json.dumps(_jsonable(fresh))) == stored["verdicts"]
+    fresh = verdicts(records, plan, stored["claims"])
+    identical = json.loads(json.dumps(fresh)) == stored["verdicts"]
     return {
         "name": "recompute",
         "directory": str(directory),
@@ -540,13 +449,10 @@ def cmd_verify(ctx: dict, args) -> int:
     reports: list[dict] = []
     failures = 0
 
-    for name in _RANDOM_SUITES:
+    for name in _SUITE_RUNNERS:
         if name not in suites:
             continue
-        if "suite_grid" in ctx:
-            grid = ctx["suite_grid"]
-        else:
-            grid = GridSpec(L=2.56, n=256, t_max=0.64 if name == "nullform" else 0.24)
+        grid = ctx.get("suite_grid") or suite_grid(name)
         t0 = time.time()
         reps = _SUITE_RUNNERS[name](counts[name], seed, grid)
         elapsed = time.time() - t0
@@ -606,7 +512,7 @@ def cmd_verify(ctx: dict, args) -> int:
         "failures": failures,
         "pass": failures == 0,
     }
-    _write_json(os.path.join(out, "verify_report.json"), payload)
+    write_json(os.path.join(out, "verify_report.json"), payload)
     print(f"verify: {len(reports)} reports, {failures} failures; report in {out}")
     return EXIT_OK if failures == 0 else EXIT_VERDICT
 
@@ -628,27 +534,21 @@ def cmd_norms(ctx: dict, args) -> int:
         sample_midpoints(lambda x: chi(x, cutoff) * f_eps(x, e), grid) for e in eps_list
     ]
     s_cols = [f"H{s:g}" for s in s_values]
-    rows = []
-    for e, vals in zip(eps_list, samples):
-        row = {
-            "eps": e,
-            "L1": lp_norm(vals, 1, grid, staggered=True),
-            "L2": lp_norm(vals, 2, grid, staggered=True),
-        }
+
+    def l2_hs(vals) -> dict:
+        row = {"L2": lp_norm(vals, 2, grid, staggered=True)}
         for s, col in zip(s_values, s_cols):
             row[col] = hs_norm(vals, s, grid, staggered=True)
-        rows.append(row)
-    diffs = []
-    for k in range(len(eps_list) - 1):
-        d = samples[k + 1] - samples[k]
-        drow = {
-            "eps_hi": eps_list[k],
-            "eps_lo": eps_list[k + 1],
-            "L2": lp_norm(d, 2, grid, staggered=True),
-        }
-        for s, col in zip(s_values, s_cols):
-            drow[col] = hs_norm(d, s, grid, staggered=True)
-        diffs.append(drow)
+        return row
+
+    rows = [
+        {"eps": e, "L1": lp_norm(vals, 1, grid, staggered=True), **l2_hs(vals)}
+        for e, vals in zip(eps_list, samples)
+    ]
+    diffs = [
+        {"eps_hi": hi, "eps_lo": lo, **l2_hs(s_lo - s_hi)}
+        for hi, lo, s_hi, s_lo in zip(eps_list, eps_list[1:], samples, samples[1:])
+    ]
 
     comments = (f"config_hash={chash}",)
     npath = os.path.join(out, "norms.csv")
@@ -657,7 +557,7 @@ def cmd_norms(ctx: dict, args) -> int:
     dpath = os.path.join(out, "norm_diffs.csv")
     header = ["eps_hi", "eps_lo", "L2", *s_cols]
     write_csv(dpath, header, ([drow[k] for k in header] for drow in diffs), comments)
-    _write_json(
+    write_json(
         os.path.join(out, "norms.json"),
         {"config_hash": chash, "config": raw, "norms": rows, "differences": diffs},
     )

@@ -199,13 +199,11 @@ class EvolveOptions:
     record_history: keep every level (memory grows with steps x nodes).
     observers: objects with `on_level(lev, grid)` and optionally
         `finalize(traj)` and `reads(grid)` (see `_read_window`).
-    datum_override: (u, v) of shape (ncomp, n+1) instead of the family datum.
     """
 
     snapshot_times: tuple[float, ...] = ()
     record_history: bool = False
     observers: tuple = ()
-    datum_override: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _gauge_sup(A1, At0, region: ConeRegion, t: float, grid: GridSpec) -> float:
@@ -371,9 +369,8 @@ def _read_window(grid: GridSpec, opts: EvolveOptions) -> tuple[int, int, int] | 
 
 
 def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -> Trajectory:
-    """Run the coupled system from the family datum (or `datum_override`) up
-    to grid.t_max, or only over the window its observers read (see the module
-    docstring).
+    """Run the coupled system from the family datum up to grid.t_max, or
+    only over the window its observers read (see the module docstring).
 
     Full-grid runs record the series `charge`, `l1_u`, `l1_v` and `sup_A0` ..
     `sup_A{dim}` per level; windowed runs record none.  `meta` records the
@@ -388,11 +385,7 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     first, end, steps = (0, grid.n + 1, grid.steps) if full else window
     x = grid.nodes()
 
-    if opts.datum_override is not None:
-        u = np.array(opts.datum_override[0], dtype=complex, copy=True)
-        v = np.array(opts.datum_override[1], dtype=complex, copy=True)
-    else:
-        u, v = spinor_datum(fam, grid)
+    u, v = spinor_datum(fam, grid)
     a, b = potential_data(fam, grid)
     if not full:
         # slices of the full-grid samples, so every value is the same float
@@ -510,7 +503,7 @@ def dirac_solve(dim: int, M: float, grid: GridSpec, u0, v0, F=None):
     steps = grid.steps
     u = np.array(u0, dtype=complex, copy=True)
     v = np.array(v0, dtype=complex, copy=True)
-    A = np.zeros((dim + 1, x.size))
+    A = np.zeros(dim + 1)  # zero potentials, as scalars: no per-node work
 
     def ext(t):
         if F is None:

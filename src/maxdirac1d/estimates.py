@@ -26,11 +26,9 @@ the left-hand side, never from quadrature ambiguity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .cone_solver import (
     Trajectory,
@@ -62,6 +60,7 @@ __all__ = [
     "run_wave_suite",
     "run_nullform_suite",
     "nullform_refinement",
+    "suite_grid",
 ]
 
 
@@ -102,6 +101,24 @@ class EstimateReport:
 
 def _slack(grid: GridSpec) -> float:
     return 1.0 + 10.0 * grid.h
+
+
+def suite_grid(suite: str) -> GridSpec:
+    """Default grid of a randomized suite (and, for nullform, of the
+    refinement study): n = 256 on [-2.56, 2.56], up to t = 0.64 for the
+    nullform cones and t = 0.24 otherwise."""
+    return GridSpec(L=2.56, n=256, t_max=0.64 if suite == "nullform" else 0.24)
+
+
+def _run_suite(count: int, seed: int, grid: GridSpec, instance, check) -> list[EstimateReport]:
+    """Reports of `check(grid, **instance(rng, grid))` for `count` instances,
+    instance k drawn from the RNG seeded [seed, k] and tagged [seed,k]."""
+    reports = []
+    for k in range(count):
+        reps = check(grid, **instance(np.random.default_rng([seed, k]), grid))
+        for rep in reps if isinstance(reps, list) else [reps]:
+            reports.append(replace(rep, name=f"{rep.name}[{seed},{k}]"))
+    return reports
 
 
 def _worst_level(name, lhs_series, rhs_series, slack) -> EstimateReport:
@@ -216,18 +233,13 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, dim: int = 
     return dict(dim=dim, M=M, u0=u0, v0=v0, F=F)
 
 
+def _solved_energy_inequality(grid: GridSpec, **inst) -> EstimateReport:
+    return check_energy_inequality(dirac_solve(grid=grid, **inst), grid)
+
+
 def run_energy_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
-    grid = grid or GridSpec(L=2.56, n=256, t_max=0.24)
-    reports = []
-    for k in range(count):
-        rng = np.random.default_rng([seed, k])
-        inst = random_energy_instance(rng, grid)
-        res = dirac_solve(inst["dim"], inst["M"], grid, inst["u0"], inst["v0"], inst["F"])
-        rep = check_energy_inequality(res, grid)
-        reports.append(
-            EstimateReport(f"energy[{seed},{k}]", rep.lhs, rep.rhs, rep.slack_factor)
-        )
-    return reports
+    grid = grid or suite_grid("energy")
+    return _run_suite(count, seed, grid, random_energy_instance, _solved_energy_inequality)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +338,8 @@ def random_wave_instance(rng: np.random.Generator, grid: GridSpec):
 
 
 def run_wave_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
-    grid = grid or GridSpec(L=2.56, n=256, t_max=0.24)
-    reports = []
-    for k in range(count):
-        rng = np.random.default_rng([seed, k])
-        inst = random_wave_instance(rng, grid)
-        for rep in check_wave_estimates(grid, inst["f"], inst["g"], inst["source"]):
-            reports.append(
-                EstimateReport(f"{rep.name}[{seed},{k}]", rep.lhs, rep.rhs, rep.slack_factor)
-            )
-    return reports
+    grid = grid or suite_grid("wave")
+    return _run_suite(count, seed, grid, random_wave_instance, check_wave_estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +435,8 @@ def random_nullform_instance(rng: np.random.Generator, grid: GridSpec):
 
 
 def run_nullform_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
-    grid = grid or GridSpec(L=2.56, n=256, t_max=0.64)
-    reports = []
-    for k in range(count):
-        rng = np.random.default_rng([seed, k])
-        inst = random_nullform_instance(rng, grid)
-        rep = check_nullform(
-            grid,
-            inst["f"],
-            inst["g"],
-            inst["F"],
-            inst["G"],
-            inst["T"],
-            inst["X"],
-            rhs_norms=inst["rhs_norms"],
-        )
-        reports.append(
-            EstimateReport(f"nullform[{seed},{k}]", rep.lhs, rep.rhs, rep.slack_factor)
-        )
-    return reports
+    grid = grid or suite_grid("nullform")
+    return _run_suite(count, seed, grid, random_nullform_instance, check_nullform)
 
 
 def _hat(grid: GridSpec, center: float, width: float, amp: float) -> np.ndarray:
@@ -506,21 +493,11 @@ def nullform_refinement(index: int, base: GridSpec | None = None, factors=(1, 2,
     list of (n, measured ratio, allowed slack); the allowed slack falls to
     1 while the measured ratio converges and stays below it.
     """
-    base = base or GridSpec(L=2.56, n=256, t_max=0.64)
+    base = base or suite_grid("nullform")
     out = []
     for fac in factors:
         grid = GridSpec(L=base.L, n=fac * base.n, t_max=base.t_max)
-        inst = _fixed_nullform_instance(index, grid, base)
-        rep = check_nullform(
-            grid,
-            inst["f"],
-            inst["g"],
-            inst["F"],
-            inst["G"],
-            inst["T"],
-            inst["X"],
-            rhs_norms=inst["rhs_norms"],
-        )
+        rep = check_nullform(grid, **_fixed_nullform_instance(index, grid, base))
         out.append((grid.n, rep.ratio, rep.slack_factor))
     return out
 
@@ -576,23 +553,23 @@ def bootstrap_threshold(M: float, cutoff: CutoffSpec | None = None) -> tuple[flo
     """Concrete smallness constants (C, delta) for the transverse bootstrap.
 
     C = int |chi(x)| |x|^{-1/2} dx for the package cutoff, computed after the
-    substitution x = y^2 which removes the root singularity; delta solves
-    C^2 alpha(delta) = 1/2 with
-    alpha(t) = (1 + t(M+1) e^{t(M+1)}) t(M+1) e^{t(M+1)}.
+    substitution x = y^2 which removes the root singularity.  chi(y^2) is
+    flat at both ends of [0, sqrt(outer)] (even in y at 0, all derivatives
+    zero at the outer edge), so the trapezoid rule converges spectrally.
+    delta solves C^2 alpha(delta) = 1/2 with alpha(t) = (1 + z) z and
+    z = t(M+1) e^{t(M+1)}: the quadratic gives z, and Newton's method on
+    w e^w = z gives w = delta (M+1).
     """
     cutoff = cutoff or CutoffSpec()
-    ymax = math.sqrt(cutoff.outer)
-    C = 4.0 * quad(lambda y: float(chi(y * y, cutoff)), 0.0, ymax, limit=200)[0]
-
-    lam = M + 1.0
-
-    def alpha(t):
-        z = t * lam * math.exp(t * lam)
-        return (1.0 + z) * z
+    y = np.linspace(0.0, math.sqrt(cutoff.outer), 513)
+    C = 4.0 * float(trapezoid(chi(y * y, cutoff), y[1]))
 
     target = 0.5 / (C * C)
-    hi = 1.0
-    while alpha(hi) < target:
-        hi *= 2.0
-    delta = brentq(lambda t: alpha(t) - target, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
-    return C, delta
+    z = 2.0 * target / (1.0 + math.sqrt(1.0 + 4.0 * target))  # (1 + z) z = target
+    w = math.log1p(z)  # W(z) <= log(1 + z); Newton descends monotonically from above
+    for _ in range(100):
+        step = (w - z * math.exp(-w)) / (1.0 + w)
+        w -= step
+        if step <= 4.0 * np.finfo(float).eps * w:
+            break
+    return C, w / (M + 1.0)

@@ -17,9 +17,9 @@ Each observer declares the backward cones it reads, so a run marches only
 their hull (see `cone_solver`); the whole-line series stay empty.
 
 The checkers turn those series into per-epsilon verdicts, a least-squares
-blow-up fit, and the distributional divergence of the Gauss-law pairing.
-All artifacts embed a hash of the generating configuration so persisted
-campaigns can be re-verified bit for bit.
+blow-up fit, and the Gauss-law pairing's divergence; `sweep_claims` holds
+each claim's preconditions.  Artifacts embed a hash of the generating
+configuration so persisted campaigns can be re-verified bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .cone_solver import (
     evolve,
     trapezoid,
 )
-from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv
+from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv, write_json
 
 __all__ = [
     "SweepPlan",
@@ -54,11 +54,15 @@ __all__ = [
     "grid_for_eps",
     "pool_size",
     "run_sweep",
+    "sweep_claims",
     "check_claim1",
     "check_claim2",
     "check_claim3",
+    "check_gauss",
     "a0_lower_bound",
     "gauss_divergence",
+    "verdicts",
+    "verdict_passed",
     "config_hash",
     "write_sweep",
     "load_sweep",
@@ -267,7 +271,6 @@ class SweepRecord:
     eps: float
     dim: int
     M: float
-    T: float
     mode: str
     n: int
     h: float
@@ -299,7 +302,6 @@ def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float, claims) -> SweepR
         eps=eps,
         dim=plan.dim,
         M=plan.M,
-        T=plan.T,
         mode=mode.value,
         n=grid.n,
         h=grid.h,
@@ -342,8 +344,41 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Claim checkers.
+# Claim selection, with the preconditions of each verdict, and the checkers.
 # ---------------------------------------------------------------------------
+
+
+def _require_claim2_regime(M: float, T: float) -> None:
+    if (regime := 6.0 * (M + 1.0) * T) >= 1.0:
+        raise ValueError(f"claim2 regime requires 6(M+1)T < 1, got 6*{M + 1}*{T} = {regime:g}")
+
+
+def _require_claim3_ladder(modes, count: int) -> None:
+    if any(PotentialMode(m) is not PotentialMode.ZERO for m in modes):
+        raise ValueError("claim3 needs the zero potential mode (vanishing A_0 data)")
+    if count < 2:
+        raise ValueError("claim3 needs at least 2 epsilons for the log-slope fit")
+
+
+def _require_gauss_ladder(count: int) -> None:
+    if count < 3:
+        raise ValueError("gauss verdict needs at least 3 epsilons for slope and diffs")
+
+
+def sweep_claims(plan: SweepPlan, mode, claims=None) -> list[str]:
+    """The sorted claims a sweep of `plan` checks: `claims`, or by default
+    all in the zero potential mode and claims 1 and 2 otherwise.  Raises
+    ValueError when the plan misses a precondition of a selected claim."""
+    mode = PotentialMode(mode)
+    if claims is None:
+        claims = CLAIMS if mode is PotentialMode.ZERO else ("claim1", "claim2")
+    if "claim2" in claims:
+        _require_claim2_regime(plan.M, plan.T)
+    if "claim3" in claims:
+        _require_claim3_ladder((mode,), len(plan.eps_list))
+    if "gauss" in claims:
+        _require_gauss_ladder(len(plan.eps_list))
+    return sorted(claims)
 
 
 def _largest_passing_t(times, running_series, bound) -> float:
@@ -395,8 +430,7 @@ def check_claim2(results: list[SweepRecord], T: float) -> list[dict]:
     """
     out = []
     for rec in results:
-        if 6.0 * (rec.M + 1.0) * T >= 1.0:
-            raise ValueError("claim 2 regime requires 6(M+1)T < 1")
+        _require_claim2_regime(rec.M, T)
         sel = (rec.times > 0.0) & (rec.times < T - 1e-12)
         ratios = rec.series["claim2_min_ratio"][sel]
         ratios = ratios[np.isfinite(ratios)]
@@ -478,14 +512,10 @@ def check_claim3(results: list[SweepRecord]) -> BlowupFit:
     """
     if not results:
         raise ValueError("empty sweep results")
-    for rec in results:
-        if rec.mode != PotentialMode.ZERO.value:
-            raise ValueError("blow-up bound assumes the zero potential mode")
+    _require_claim3_ladder([rec.mode for rec in results], len(results))
     probes = tuple(results[0].probes)
     if any(tuple(rec.probes) != probes for rec in results):
         raise ValueError("records disagree on the probe set")
-    if len(results) < 2:
-        raise ValueError("the blow-up fit needs at least 2 epsilons")
     eps = np.array([rec.eps for rec in results])
     a0 = np.stack([rec.probe_A0 for rec in results], axis=1)  # (probes, eps)
     logs = np.log(1.0 / eps)
@@ -499,7 +529,7 @@ def check_claim3(results: list[SweepRecord]) -> BlowupFit:
         lower_ok[k] = a0[k] >= a0_lower_bound(t, x, eps)
     monotone = np.array([bool((np.diff(a0[k]) > 0).all()) for k in range(len(probes))])
     implied_c = float((a0[:, -1] / abs(math.log(eps[-1]))).min())
-    fit = BlowupFit(
+    return BlowupFit(
         probes=probes,
         eps=eps,
         a0=a0,
@@ -510,11 +540,10 @@ def check_claim3(results: list[SweepRecord]) -> BlowupFit:
         monotone=monotone,
         implied_c=implied_c,
     )
-    return fit
 
 
 # ---------------------------------------------------------------------------
-# Gauss-law pairing divergence.
+# Gauss-law pairing divergence, and the verdict of each claim.
 # ---------------------------------------------------------------------------
 
 
@@ -556,6 +585,57 @@ def gauss_divergence(eps_list, phi, h_over_eps: float = 16.0) -> dict:
         "phi0": phi0,
         "diffs": np.diff(pair_arr).tolist(),
     }
+
+
+def _bump(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) < 1.0, np.cos(0.5 * np.pi * x) ** 2, 0.0)
+
+
+def _node(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) < 1.0, np.sin(np.pi * x) ** 2, 0.0)
+
+
+def check_gauss(eps_list) -> dict:
+    """Divergence/convergence pair for the charge pairing.
+
+    The bump profile has phi(0) = 1, so the pairing must grow with log-slope
+    within 5% of 2; the node profile has phi(0) = 0, so successive pairing
+    differences must shrink.
+    """
+    _require_gauss_ladder(len(eps_list))
+    div = gauss_divergence(eps_list, _bump)
+    conv = gauss_divergence(eps_list, _node)
+    slope_ok = abs(div["slope"] - div["expected_slope"]) <= 0.05 * div["expected_slope"]
+    d = np.abs(np.asarray(conv["diffs"]))
+    conv_ok = bool(np.all(d[1:] < d[:-1]))
+    return {
+        "divergent": div,
+        "convergent": conv,
+        "slope_ok": slope_ok,
+        "convergence_ok": conv_ok,
+        "pass": slope_ok and conv_ok,
+    }
+
+
+def verdicts(records: list[SweepRecord], plan: SweepPlan, claims) -> dict:
+    """The verdict of each selected claim on a campaign's records, as plain
+    JSON (what verdicts.json holds)."""
+    checks = {
+        "claim1": lambda: check_claim1(records, plan.T),
+        "claim2": lambda: check_claim2(records, plan.T),
+        "claim3": lambda: check_claim3(records).to_dict(),
+        "gauss": lambda: check_gauss(plan.eps_list),
+    }
+    return {name: checks[name]() for name in claims}
+
+
+def verdict_passed(verdict) -> bool:
+    """Whether a verdict passed: per-epsilon lists pass entry by entry."""
+    if isinstance(verdict, list):
+        return all(entry["pass"] for entry in verdict)
+    return bool(verdict["pass"])
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +690,7 @@ def write_sweep(results: list[SweepRecord], plan: SweepPlan, mode, directory) ->
             (f"config_hash={chash}", f"probe t={t!r} x={x!r}; columns log(1/eps), A0"),
         )
     summary = {"config": cfg, "config_hash": chash, "runs": runs}
-    with open(os.path.join(directory, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "summary.json"), summary)
     return summary
 
 
@@ -638,7 +716,6 @@ def load_sweep(directory) -> tuple[list[SweepRecord], dict]:
                 eps=run["eps"],
                 dim=plan.dim,
                 M=plan.M,
-                T=plan.T,
                 mode=cfg["mode"],
                 n=run["n"],
                 h=run["h"],

@@ -14,6 +14,7 @@ gauge relation inside the light cone.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +35,7 @@ __all__ = [
     "lp_norm",
     "hs_norm",
     "write_csv",
+    "write_json",
 ]
 
 
@@ -275,3 +277,10 @@ def write_csv(path, header, rows, comments=()) -> None:
         if header is not None:
             writer.writerow(header)
         writer.writerows([repr(float(c)) for c in row] for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Write one JSON file: sorted keys, two-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

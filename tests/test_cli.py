@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: exit codes, artifacts, strict config handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maxdirac1d
 from maxdirac1d import cli
 from maxdirac1d.cone_solver import SolverAbort
 from maxdirac1d.initial_data import GridSpec
@@ -113,6 +117,16 @@ def test_claim3_needs_two_eps_at_load(tmp_path):
         cli.load_config(one, "sweep")
     two = write_config(tmp_path, dict(SWEEP_CONFIG, eps_list=[0.03, 0.02], claims=["claim3"]))
     assert cli.load_config(two, "sweep")["claims"] == ["claim3"]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maxdirac1d.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import maxdirac1d.cli, sys; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maxdirac1d import cone_solver
 from maxdirac1d import (
     ConeRegion,
     DataFamily,
@@ -266,22 +267,29 @@ def test_gauge_residual_accessor_needs_history():
 # ---------------------------------------------------------------------------
 
 
-def test_abort_on_nonfinite_datum():
+def _inject_datum(monkeypatch, u0):
+    """Make evolve start from (u0, 0) instead of the family datum."""
+    monkeypatch.setattr(cone_solver, "spinor_datum", lambda fam, grid: (u0, np.zeros_like(u0)))
+
+
+def test_abort_on_nonfinite_datum(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
     u0 = np.zeros((1, 65), dtype=complex)
     u0[0, 32] = np.nan
+    _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite"):
-        evolve(fam, grid, EvolveOptions(datum_override=(u0, np.zeros_like(u0))))
+        evolve(fam, grid)
 
 
-def test_abort_on_boundary_support():
+def test_abort_on_boundary_support(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
     u0 = np.zeros((1, 65), dtype=complex)
     u0[0, 1] = 1.0  # inside the guarded band
+    _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="boundary band"):
-        evolve(fam, grid, EvolveOptions(datum_override=(u0, np.zeros_like(u0))))
+        evolve(fam, grid)
 
 
 def test_small_grid_rejected_before_running():
@@ -432,11 +440,12 @@ def test_window_falls_back_to_full_grid():
         assert evolve(fam, grid, opts).meta["window"] == (0, 129, grid.steps)
 
 
-def test_abort_on_nonfinite_inside_window():
+def test_abort_on_nonfinite_inside_window(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
     u0 = np.zeros((1, 65), dtype=complex)
     u0[0, 30] = np.nan
     rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 2)])
+    _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite"):
-        evolve(fam, grid, EvolveOptions(datum_override=(u0, np.zeros_like(u0)), observers=(rec,)))
+        evolve(fam, grid, EvolveOptions(observers=(rec,)))

@@ -25,6 +25,7 @@ from maxdirac1d.experiments import (
     load_sweep,
     pool_size,
     run_sweep,
+    sweep_claims,
     write_sweep,
 )
 from maxdirac1d.initial_data import DataFamily, PotentialMode
@@ -75,6 +76,38 @@ def test_plan_validation(kwargs, match):
     base.update(kwargs)
     with pytest.raises(ValueError, match=match):
         SweepPlan(**base)
+
+
+def test_sweep_claims_defaults_per_mode():
+    plan = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07, 0.05), T=0.05)
+    assert sweep_claims(plan, "zero") == ["claim1", "claim2", "claim3", "gauss"]
+    assert sweep_claims(plan, PotentialMode.CONSTRAINED) == ["claim1", "claim2"]
+    assert sweep_claims(plan, "zero", ("gauss", "claim1")) == ["claim1", "gauss"]
+
+
+def test_sweep_claims_preconditions_at_their_boundaries():
+    # claim 2: 6(M+1)T < 1, with M = 1 that is T < 1/12
+    T_edge = 1.0 / 12.0
+    assert 6.0 * 2.0 * T_edge == 1.0
+    below = SweepPlan(dim=2, M=1.0, eps_list=(0.1,), T=float(np.nextafter(T_edge, 0.0)))
+    assert sweep_claims(below, "zero", ["claim2"]) == ["claim2"]
+    at = SweepPlan(dim=2, M=1.0, eps_list=(0.1,), T=T_edge)
+    with pytest.raises(ValueError, match="6\\(M\\+1\\)T < 1"):
+        sweep_claims(at, "zero", ["claim2"])
+    # claim 3: at least 2 epsilons, zero potential mode
+    one, two, three = (
+        SweepPlan(dim=2, M=0.0, eps_list=eps, T=0.05)
+        for eps in ((0.1,), (0.1, 0.07), (0.1, 0.07, 0.05))
+    )
+    with pytest.raises(ValueError, match="at least 2 epsilons"):
+        sweep_claims(one, "zero", ["claim3"])
+    assert sweep_claims(two, "zero", ["claim3"]) == ["claim3"]
+    with pytest.raises(ValueError, match="zero potential mode"):
+        sweep_claims(two, "constrained", ["claim3"])
+    # gauss: at least 3 epsilons
+    with pytest.raises(ValueError, match="at least 3 epsilons"):
+        sweep_claims(two, "zero", ["gauss"])
+    assert sweep_claims(three, "zero", ["gauss"]) == ["gauss"]
 
 
 def test_plan_to_dict_round_trip():
@@ -139,7 +172,6 @@ def _record(**over):
         eps=0.1,
         dim=2,
         M=0.0,
-        T=0.02,
         mode="zero",
         n=100,
         h=0.01,
@@ -168,8 +200,8 @@ def test_claim1_verdicts():
 
 def test_claim2_verdicts_and_guard():
     # tol = 1 - 50 h^2 / eps^2 = 0.5 at h = 0.01, eps = 0.1
-    ok = _record(T=0.03, series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.7])})
-    bad = _record(T=0.03, series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.4])})
+    ok = _record(series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.7])})
+    bad = _record(series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.4])})
     out = check_claim2([ok, bad], 0.03)
     assert out[0]["floor_factor"] == pytest.approx(0.5)
     assert out[0]["min_ratio"] == 0.7 and out[0]["pass"]
