@@ -44,6 +44,7 @@ import numpy as np
 from .cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve, trajectory_to_csv
 from .estimates import (
     bootstrap_threshold,
+    check_suite_grid,
     nullform_refinement,
     run_energy_suite,
     run_nullform_suite,
@@ -292,6 +293,9 @@ def load_config(path: str, command: str) -> dict:
                 raise ValueError("suite 'recompute' selected but recompute_dir missing")
             if "grid" in raw:
                 ctx["suite_grid"] = GridSpec(**raw["grid"])
+                for name in _SUITE_RUNNERS:
+                    if name in suites:
+                        check_suite_grid(name, ctx["suite_grid"])
             ctx["suites"] = suites
         elif command == "norms":
             eps_list = raw["eps_list"]

@@ -59,6 +59,8 @@ __all__ = [
     "evolve",
     "wave_solve",
     "dirac_solve",
+    "dirac_levels",
+    "l2_norm",
     "charge",
     "gauge_residual",
     "cone_integral",
@@ -465,24 +467,25 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
 def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source=None):
     """Scalar wave solve with the diamond scheme.
 
-    f, g are nodal data; source (optional) is callable(t, x_nodes) -> nodal
-    values.  Returns (times, W, Wt) with one row per level up to t_max;
+    f, g are nodal data of shape (..., n+1), with any leading batch axes;
+    source (optional) is the level array (steps+1, ..., n+1) of box W.
+    Returns (times, W, Wt), W and Wt with a leading level axis up to t_max;
     boundary nodes are held at zero, so comparisons should stay inside the
     domain of determinacy of the interior.
     """
     h = grid.h
-    x = grid.nodes()
     steps = grid.steps
-
-    def src(m, *_):
-        if source is None:
-            return np.zeros_like(x)
-        return np.asarray(source(m * h, x), dtype=float)
-
-    W = np.zeros((steps + 1, x.size))
-    Wt = np.zeros_like(W)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
+    zero = np.zeros(f.shape)
+    if source is not None:
+        source = np.asarray(source, dtype=float)
+
+    def src(m, *_):
+        return zero if source is None else source[m]
+
+    W = np.zeros((steps + 1,) + f.shape)
+    Wt = np.zeros_like(W)
     for m, Wm, Wtm, _ in _leapfrog(f, g, src, h, steps):
         W[m], Wt[m] = Wm, Wtm
     if not np.isfinite(W).all():
@@ -490,53 +493,55 @@ def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source=None):
     return h * np.arange(steps + 1), W, Wt
 
 
-def dirac_solve(dim: int, M: float, grid: GridSpec, u0, v0, F=None):
-    """Linear Dirac solve (zero potentials) with an external source F.
-
-    u0, v0 have shape (ncomp, n+1).  F is callable(t, x_nodes) -> (F_1, F_2)
-    of the same shape, in the spinor basis; the induced transport sources
-    are (i F_2, i F_1).  Returns (times, U, V, l2_psi, l2_F) with full level
-    history (meant for moderate grids).
-    """
-    h = grid.h
-    x = grid.nodes()
-    steps = grid.steps
-    u = np.array(u0, dtype=complex, copy=True)
-    v = np.array(v0, dtype=complex, copy=True)
+def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
+    """Yield (u, v) at levels 0..steps of the linear Dirac equation with zero
+    potentials, from u, v of shape (..., ncomp, n+1).  F is None or the pair
+    (F_1, F_2) of complex source level arrays (steps+1, ..., ncomp, n+1), in
+    the spinor basis; the induced transport sources are (i F_2, i F_1)."""
     A = np.zeros(dim + 1)  # zero potentials, as scalars: no per-node work
 
-    def ext(t):
-        if F is None:
-            return None
-        f1, f2 = F(t, x)
-        return 1j * np.asarray(f2, dtype=complex), 1j * np.asarray(f1, dtype=complex)
+    def ext(m):
+        return None if F is None else (1j * F[1][m], 1j * F[0][m])
 
-    def l2(fields):
-        dens = sum((np.abs(w) ** 2).sum(axis=0) for w in fields)
-        return float(np.sqrt(trapezoid(dens, h)))
-
-    def l2F(t):
-        return 0.0 if F is None else l2(F(t, x))
-
-    U = np.zeros((steps + 1, u.shape[0], x.size), dtype=complex)
-    V = np.zeros_like(U)
-    l2_psi = np.zeros(steps + 1)
-    l2_F = np.zeros(steps + 1)
-    U[0], V[0] = u, v
-    l2_psi[0] = l2([u, v])
-    l2_F[0] = l2F(0.0)
+    yield u, v
     for m in range(1, steps + 1):
-        u, v = _transport_step(dim, M, h, u, v, A, A, ext((m - 1) * h), ext(m * h))
-        U[m], V[m] = u, v
-        l2_psi[m] = l2([u, v])
-        l2_F[m] = l2F(m * h)
-    return h * np.arange(steps + 1), U, V, l2_psi, l2_F
+        u, v = _transport_step(dim, M, h, u, v, A, A, ext(m - 1), ext(m))
+        yield u, v
+
+
+def l2_norm(fields, h: float) -> np.ndarray:
+    """L^2 norm of the spinor parts `fields` (each (..., ncomp, n+1)), summed
+    over components and parts: one value per leading index."""
+    dens = sum((np.abs(w) ** 2).sum(axis=-2) for w in fields)
+    return np.sqrt(trapezoid(dens, h))
+
+
+def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
+    """Linear Dirac solve (zero potentials) with an external source F.
+
+    u0, v0 have shape (..., ncomp, n+1), with any leading batch axes, and M
+    is a scalar or broadcasts per instance, such as (K, 1, 1).  F is None or
+    the pair (F_1, F_2) of source level arrays (steps+1, ..., ncomp, n+1)
+    (see `dirac_levels`).  Returns (times, U, V, l2_psi, l2_F) with the full
+    level history on a leading level axis (meant for moderate grids).
+    """
+    h = grid.h
+    u = np.array(u0, dtype=complex, copy=True)
+    v = np.array(v0, dtype=complex, copy=True)
+    if F is not None:
+        F = tuple(np.asarray(Fc, dtype=complex) for Fc in F)
+    levels = list(dirac_levels(dim, M, h, u, v, F, grid.steps))
+    U = np.stack([u for u, _ in levels])
+    V = np.stack([v for _, v in levels])
+    l2_F = np.zeros(U.shape[:-2]) if F is None else l2_norm(F, h)
+    return h * np.arange(grid.steps + 1), U, V, l2_norm((U, V), h), l2_F
 
 
 def characteristic_integrals(G: np.ndarray, h: float, direction: int) -> np.ndarray:
     """Cumulative trapezoid of G along characteristics.
 
-    G has shape (levels, ..., nodes); the result T satisfies T[0] = 0 and
+    G has shape (levels, ..., nodes), with any batch axes between the level
+    and node axes; the result T satisfies T[0] = 0 and
     T[m, j] = integral of G along the characteristic reaching (t_m, x_j) from
     t = 0 with slope dx/dt = direction (+1: from the left, -1: from the
     right), by the product trapezoid rule on the exactly aligned samples.
@@ -575,12 +580,13 @@ def gauge_residual(traj: Trajectory, t: float, region: ConeRegion) -> float:
     return _gauge_sup(traj.history.A[m][1], traj.history.At[m][0], region, t, traj.grid)
 
 
-def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int) -> float:
+def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int):
     """Space-time quadrature over the backward cone from (level, node).
 
     Trapezoid in space over the exactly node-aligned cross-sections, composite
     trapezoid in time (equivalently, midpoint in time after averaging adjacent
-    cross-sections).  level_values[l] is the nodal row at level l.
+    cross-sections).  level_values[l] holds the nodal rows at level l, with
+    any leading batch axes (..., nodes); the result has those batch axes.
     """
     total = 0.0
     prev_int = None
@@ -588,12 +594,11 @@ def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int)
         half = vertex_level - l
         j_lo, j_hi = vertex_node - half, vertex_node + half
         row = np.asarray(level_values[l])
-        if j_lo < 0 or j_hi >= row.size:
+        if j_lo < 0 or j_hi >= row.shape[-1]:
             raise ValueError("cone sticks out of the grid")
-        seg = row[j_lo : j_hi + 1]
-        cur = float(trapezoid(seg, h)) if seg.size > 1 else 0.0
+        cur = trapezoid(row[..., j_lo : j_hi + 1], h) if half > 0 else 0.0
         if prev_int is not None:
-            total += 0.5 * h * (prev_int + cur)
+            total = total + 0.5 * h * (prev_int + cur)
         prev_int = cur
     return total
 
@@ -620,7 +625,7 @@ def cone_integral(traj: Trajectory, values, region: ConeRegion) -> float:
         rows = values
     else:
         rows = [values(l) for l in range(m + 1)]
-    return cone_quadrature(rows, grid.h, m, j)
+    return float(cone_quadrature(rows, grid.h, m, j))
 
 
 # ---------------------------------------------------------------------------

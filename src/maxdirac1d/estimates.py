@@ -21,6 +21,12 @@ statements and the discretization perturbs both sides at O(h).  Randomized
 instances are piecewise linear with nodes on the grid, so every right-hand
 side norm is computed exactly and a reported violation can only come from
 the left-hand side, never from quadrature ambiguity.
+
+Sources are level arrays, one nodal row per time level, not callables.  The
+randomized suites draw instance k from the RNG seeded [seed, k] and solve
+their instances stacked on a batch axis, in batches whose largest array
+stays under BATCH_BYTES; each null-form instance is solved on its own cone
+base only.  `check_suite_grid` states the grids each generator can draw on.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ from .cone_solver import (
     characteristic_integrals,
     cone_quadrature,
     cumulative_trapezoid,
-    dirac_solve,
+    dirac_levels,
     free_transport,
+    l2_norm,
     trapezoid,
     wave_solve,
 )
@@ -61,6 +68,7 @@ __all__ = [
     "run_nullform_suite",
     "nullform_refinement",
     "suite_grid",
+    "check_suite_grid",
 ]
 
 
@@ -110,19 +118,69 @@ def suite_grid(suite: str) -> GridSpec:
     return GridSpec(L=2.56, n=256, t_max=0.64 if suite == "nullform" else 0.24)
 
 
-def _run_suite(count: int, seed: int, grid: GridSpec, instance, check) -> list[EstimateReport]:
-    """Reports of `check(grid, **instance(rng, grid))` for `count` instances,
-    instance k drawn from the RNG seeded [seed, k] and tagged [seed,k]."""
-    reports = []
-    for k in range(count):
-        reps = check(grid, **instance(np.random.default_rng([seed, k]), grid))
-        for rep in reps if isinstance(reps, list) else [reps]:
-            reports.append(replace(rep, name=f"{rep.name}[{seed},{k}]"))
-    return reports
+PROFILE_MAX_WIDTH = 64  # widest `_pw_profile` support: stride 8 times 8 segments
+ENERGY_MARGIN = 1.2  # slab room the energy bumps keep beyond their centers' reach
 
 
-def _worst_level(name, lhs_series, rhs_series, slack) -> EstimateReport:
-    """Report at the time level with the worst lhs/rhs ratio.
+def check_suite_grid(suite: str, grid: GridSpec) -> None:
+    """Raise ValueError unless the suite's instance generator can draw on
+    `grid` for every seed: the profiles of the wave and nullform suites need
+    n - 2 floor(n/10) > PROFILE_MAX_WIDTH, the nullform cones
+    2 <= steps <= n/2, and the energy bumps L - t_max - ENERGY_MARGIN > 0."""
+    if suite in ("wave", "nullform") and grid.n - 2 * (grid.n // 10) <= PROFILE_MAX_WIDTH:
+        raise ValueError(
+            f"grid: the {suite} suite needs n - 2 floor(n/10) > {PROFILE_MAX_WIDTH} "
+            f"for its profiles, got n = {grid.n}"
+        )
+    if suite == "nullform" and not 2 <= grid.steps <= grid.n / 2:
+        raise ValueError(
+            f"grid: the nullform suite needs 2 <= steps <= n/2 for its cones, "
+            f"got steps = {grid.steps}, n = {grid.n}"
+        )
+    if suite == "energy" and not grid.L - grid.t_max - ENERGY_MARGIN > 0.0:
+        raise ValueError(
+            f"grid: the energy suite needs L - t_max - {ENERGY_MARGIN} > 0 for its bumps, "
+            f"got L = {grid.L}, t_max = {grid.t_max}"
+        )
+
+
+# The largest array one batch of a suite may hold.  A batch holds several
+# arrays this size at once (sources, fields, their norm temporaries: about
+# eight in the wave suite), so 512 KiB keeps each suite's peak memory under
+# that of the refinement study, whose largest array is 129 x 1025 complex.
+BATCH_BYTES = 2**19
+
+
+def _run_suite(count, seed, grid, draw, solve, nbytes, height=None) -> list[EstimateReport]:
+    """Reports of `count` instances, instance k drawn from the RNG seeded
+    [seed, k] and tagged [seed,k], in instance order.
+
+    An instance is solved over `height(rng, grid)` steps, the first number
+    it draws (grid.steps, drawing nothing, when height is None).  Instances
+    of one height are drawn by `draw(rng, grid, steps)` and solved together
+    by `solve(grid, steps, instances)`, which returns one report list per
+    instance.  A batch holds at most BATCH_BYTES // nbytes(grid, steps)
+    instances, nbytes being what one instance adds to the batch's largest
+    array; only one batch is drawn at a time.
+    """
+    rngs = [np.random.default_rng([seed, k]) for k in range(count)]
+    by_height: dict[int, list[int]] = {}
+    for k, rng in enumerate(rngs):
+        by_height.setdefault(grid.steps if height is None else height(rng, grid), []).append(k)
+    reports: list = [None] * count
+    for steps, ks in by_height.items():
+        size = max(1, BATCH_BYTES // nbytes(grid, steps))
+        for i in range(0, len(ks), size):
+            batch = ks[i : i + size]
+            solved = solve(grid, steps, [draw(rngs[k], grid, steps) for k in batch])
+            for k, reps in zip(batch, solved):
+                reports[k] = [replace(r, name=f"{r.name}[{seed},{k}]") for r in reps]
+    return [r for reps in reports for r in reps]
+
+
+def _worst_levels(name, lhs_series, rhs_series, slack) -> list[EstimateReport]:
+    """One report per leading index of the (..., levels) series, each at the
+    time level with the worst lhs/rhs ratio.
 
     Level 0 is skipped when later levels exist: there lhs <= rhs holds by
     construction (both sides reduce to data norms), so it can only mask the
@@ -135,9 +193,15 @@ def _worst_level(name, lhs_series, rhs_series, slack) -> EstimateReport:
         lhs_series / np.where(rhs_series == 0.0, 1.0, rhs_series),
         np.where(lhs_series > 0.0, np.inf, 0.0),
     )
-    start = 1 if q.size > 1 else 0
-    m = start + int(np.argmax(q[start:]))
-    return EstimateReport(name, float(lhs_series[m]), float(rhs_series[m]), slack)
+    levels = q.shape[-1]
+    start = 1 if levels > 1 else 0
+    worst = start + np.argmax(q[..., start:], axis=-1).reshape(-1)
+    lhs_rows = lhs_series.reshape(-1, levels)
+    rhs_rows = rhs_series.reshape(-1, levels)
+    return [
+        EstimateReport(name, float(lhs_rows[i, m]), float(rhs_rows[i, m]), slack)
+        for i, m in enumerate(worst)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +209,27 @@ def _worst_level(name, lhs_series, rhs_series, slack) -> EstimateReport:
 # ---------------------------------------------------------------------------
 
 
-def l1_exact(values, h: float) -> float:
-    """Exact integral of |f| for the piecewise-linear interpolant of values.
+def l1_exact(values, h: float):
+    """Exact integral of |f| for the piecewise-linear interpolant of values,
+    one per row of the (..., nodes) input.
 
     Real input only.  Cells where f changes sign contribute
     h (a^2 + b^2) / (2(|a| + |b|)), the two-triangle area; cells without a
     crossing reduce to the trapezoid h(|a| + |b|)/2.
     """
     vals = np.asarray(values, dtype=float)
-    a, b = vals[:-1], vals[1:]
+    a, b = vals[..., :-1], vals[..., 1:]
     same = a * b >= 0.0
     plain = 0.5 * h * (np.abs(a) + np.abs(b))
     denom = np.abs(a) + np.abs(b)
     # crossing cells have a, b of strictly opposite signs, so denom > 0 there
     cross = 0.5 * h * (a * a + b * b) / np.where(denom == 0.0, 1.0, denom)
-    return float(np.where(same, plain, cross).sum())
+    return np.where(same, plain, cross).sum(axis=-1)
 
 
-def _tv(values) -> float:
-    """Total variation of the nodal polyline = ||f'||_1 for pw-linear f."""
-    return float(np.abs(np.diff(np.asarray(values))).sum())
+def _tv(values):
+    """Total variation of each nodal polyline = ||f'||_1 for pw-linear f."""
+    return np.abs(np.diff(np.asarray(values), axis=-1)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +237,10 @@ def _tv(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _energy_report(l2_psi, l2_F, grid: GridSpec) -> EstimateReport:
-    rhs = l2_psi[0] + cumulative_trapezoid(l2_F, grid.h)
-    return _worst_level("energy", l2_psi, rhs, _slack(grid))
+def _energy_reports(l2_psi, l2_F, grid: GridSpec) -> list[EstimateReport]:
+    """One energy report per row of the (..., levels) L^2 series."""
+    rhs = l2_psi[..., :1] + cumulative_trapezoid(l2_F, grid.h)
+    return _worst_levels("energy", l2_psi, rhs, _slack(grid))
 
 
 def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport:
@@ -182,8 +248,8 @@ def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport
 
     Accepts either a Trajectory with recorded history, in which case the
     source is the full potential coupling A_mu gamma^mu psi recomputed level
-    by level, or the (times, U, V, l2_psi, l2_F) tuple of dirac_solve, in
-    which case the grid must be passed explicitly.
+    by level, or the (times, U, V, l2_psi, l2_F) tuple of an unbatched
+    dirac_solve, in which case the grid must be passed explicitly.
     """
     if isinstance(run, Trajectory):
         hist = run.history
@@ -197,21 +263,23 @@ def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport
             dens = (np.abs(Fu) ** 2).sum(axis=0) + (np.abs(Fv) ** 2).sum(axis=0)
             l2_F[m] = math.sqrt(float(trapezoid(dens, grid.h)))
         l2_psi = np.sqrt(np.asarray(run.series["charge"], dtype=float))
-        return _energy_report(l2_psi, l2_F, grid)
+        return _energy_reports(l2_psi, l2_F, grid)[0]
     if grid is None:
         raise ValueError("synthetic runs need the grid passed alongside")
     _, _, _, l2_psi, l2_F = run
-    return _energy_report(np.asarray(l2_psi, dtype=float), np.asarray(l2_F, dtype=float), grid)
+    return _energy_reports(np.asarray(l2_psi, dtype=float), np.asarray(l2_F, dtype=float), grid)[0]
 
 
-def random_energy_instance(rng: np.random.Generator, grid: GridSpec, dim: int = 1):
-    """Random smooth data and source for the sourced Dirac equation.
+def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int, dim: int = 1):
+    """Random smooth data and source for the sourced Dirac equation, as
+    `dirac_solve` arguments with source levels 0..steps.
 
     Gaussian bumps confined well inside the slab so nothing reaches the
     boundary within t_max (outflow would only shrink the left-hand side).
+    The source is fb e^{i omega t} per spinor part, at the level times.
     """
     x = grid.nodes()
-    reach = min(1.0, grid.L - grid.t_max - 1.2)
+    reach = min(1.0, grid.L - grid.t_max - ENERGY_MARGIN)
 
     def bump():
         c = rng.uniform(-reach, reach)
@@ -225,21 +293,31 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, dim: int = 
     fb1 = np.stack([bump() for _ in range(ncomp)])
     fb2 = np.stack([bump() for _ in range(ncomp)])
     om1, om2 = rng.uniform(-3.0, 3.0, size=2)
-
-    def F(t, _x):
-        return fb1 * np.exp(1j * om1 * t), fb2 * np.exp(1j * om2 * t)
-
+    t = grid.h * np.arange(steps + 1)
+    F = (fb1 * np.exp(1j * om1 * t)[:, None, None], fb2 * np.exp(1j * om2 * t)[:, None, None])
     M = rng.uniform(0.0, 2.0)
     return dict(dim=dim, M=M, u0=u0, v0=v0, F=F)
 
 
-def _solved_energy_inequality(grid: GridSpec, **inst) -> EstimateReport:
-    return check_energy_inequality(dirac_solve(grid=grid, **inst), grid)
+def _solve_energy(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport]]:
+    """Energy reports of stacked instances: only the L^2 series are kept,
+    not the level history."""
+    h = grid.h
+    u0 = np.stack([inst["u0"] for inst in insts])
+    v0 = np.stack([inst["v0"] for inst in insts])
+    M = np.array([inst["M"] for inst in insts])[:, None, None]
+    F = tuple(np.stack([inst["F"][c] for inst in insts], axis=1) for c in (0, 1))
+    march = dirac_levels(insts[0]["dim"], M, h, u0, v0, F, steps)
+    l2_psi = np.stack([l2_norm(uv, h) for uv in march], axis=-1)
+    return [[rep] for rep in _energy_reports(l2_psi, l2_norm(F, h).T, grid)]
 
 
 def run_energy_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
     grid = grid or suite_grid("energy")
-    return _run_suite(count, seed, grid, random_energy_instance, _solved_energy_inequality)
+    return _run_suite(
+        count, seed, grid, random_energy_instance, _solve_energy,
+        lambda grid, steps: (steps + 1) * (grid.n + 1) * 16,  # a complex row per level
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,46 +325,54 @@ def run_energy_suite(count: int, seed: int, grid: GridSpec | None = None) -> lis
 # ---------------------------------------------------------------------------
 
 
-def check_wave_estimates(grid: GridSpec, f, g, source=None) -> list[EstimateReport]:
-    """The d'Alembert bounds: sup, variation, time derivative, AC combination.
-
-    f, g are real nodal arrays (data of box W = S); source is callable
-    (t, x_nodes) -> nodal row, or None.  All right-hand side norms are
-    exact for piecewise-linear input; each report compares at its worst
-    time level.  Returns four reports: wave_sup, wave_tv, wave_dt and the
-    factor-3 wave_combined in sup + variation.
-    """
+def _wave_reports(grid: GridSpec, f, g, source) -> list[list[EstimateReport]]:
+    """The four wave reports of each of the stacked instances: f, g of shape
+    (K, n+1), source a level array (steps+1, K, n+1) or None."""
     h = grid.h
     times, W, Wt = wave_solve(grid, f, g, source)
-    x = grid.nodes()
     if source is None:
-        src_l1 = np.zeros(times.size)
+        src_l1 = np.zeros(f.shape[:-1] + times.shape)
     else:
-        src_l1 = np.array(
-            [l1_exact(np.asarray(source(t, x), dtype=float), h) for t in times]
-        )
+        src_l1 = l1_exact(source, h).T
     cum_src = cumulative_trapezoid(src_l1, h)
 
-    sup_f = float(np.abs(np.asarray(f)).max())
-    tv_f = _tv(f)
-    l1_g = l1_exact(g, h)
+    sup_f = np.abs(f).max(axis=-1)[:, None]
+    tv_f = _tv(f)[:, None]
+    l1_g = l1_exact(g, h)[:, None]
     slack = _slack(grid)
 
-    sup_series = np.abs(W).max(axis=1)
-    tv_series = np.abs(np.diff(W, axis=1)).sum(axis=1)
-    dt_series = np.array([l1_exact(Wt[m], h) for m in range(times.size)])
+    sup_series = np.abs(W).max(axis=-1).T
+    tv_series = np.abs(np.diff(W, axis=-1)).sum(axis=-1).T
+    dt_series = l1_exact(Wt, h).T
 
-    return [
-        _worst_level("wave_sup", sup_series, sup_f + l1_g + cum_src, slack),
-        _worst_level("wave_tv", tv_series, tv_f + l1_g + cum_src, slack),
-        _worst_level("wave_dt", dt_series, tv_f + l1_g + cum_src, slack),
-        _worst_level(
+    per_name = [
+        _worst_levels("wave_sup", sup_series, sup_f + l1_g + cum_src, slack),
+        _worst_levels("wave_tv", tv_series, tv_f + l1_g + cum_src, slack),
+        _worst_levels("wave_dt", dt_series, tv_f + l1_g + cum_src, slack),
+        _worst_levels(
             "wave_combined",
             sup_series + tv_series + dt_series,
             3.0 * (sup_f + tv_f + l1_g + cum_src),
             slack,
         ),
     ]
+    return [list(reps) for reps in zip(*per_name)]
+
+
+def check_wave_estimates(grid: GridSpec, f, g, source=None) -> list[EstimateReport]:
+    """The d'Alembert bounds: sup, variation, time derivative, AC combination.
+
+    f, g are real nodal arrays (data of box W = S); source is the source
+    level array (steps+1, n+1) of S, or None.  All right-hand side norms are
+    exact for piecewise-linear input; each report compares at its worst
+    time level.  Returns four reports: wave_sup, wave_tv, wave_dt and the
+    factor-3 wave_combined in sup + variation.
+    """
+    f = np.asarray(f, dtype=float)[None]
+    g = np.asarray(g, dtype=float)[None]
+    if source is not None:
+        source = np.asarray(source, dtype=float)[:, None]
+    return _wave_reports(grid, f, g, source)[0]
 
 
 def _pw_profile(rng: np.random.Generator, grid: GridSpec):
@@ -297,7 +383,8 @@ def _pw_profile(rng: np.random.Generator, grid: GridSpec):
     balanced: data rough at the bare grid scale excite its checkerboard
     mode, whose variation grows linearly in time even though the sup error
     stays O(h).  That mode reflects sampling below the instance's own
-    length scale, not the inequality under test.
+    length scale, not the inequality under test.  The support is at most
+    PROFILE_MAX_WIDTH nodes wide (see `check_suite_grid`).
     """
     n = grid.n
     stride = 2 * int(rng.integers(1, 5))
@@ -314,32 +401,42 @@ def _pw_profile(rng: np.random.Generator, grid: GridSpec):
     return vals
 
 
-def _pw_source(prof: np.ndarray, env: np.ndarray, phase: complex, h_base: float):
-    """Source closure phase * env(t) * prof with env pw-linear on base levels.
+def _pw_source(prof: np.ndarray, env: np.ndarray, phase: complex, h_base: float, times):
+    """Source level array phase * env(t) * prof at the level `times`, with
+    env pw-linear on the base levels h_base * (0, 1, ...).
 
     Works on any refinement of the base grid in time: np.interp reproduces
     the same piecewise-linear envelope, and the trapezoid rule integrates it
     exactly on any node-nested time grid.
     """
-    tgrid = h_base * np.arange(env.size)
-
-    def S(t, _x):
-        return phase * float(np.interp(t, tgrid, env)) * prof
-
-    return S
+    envt = np.interp(times, h_base * np.arange(env.size), env)
+    return (phase * envt)[:, None] * prof
 
 
-def random_wave_instance(rng: np.random.Generator, grid: GridSpec):
+def random_wave_instance(rng: np.random.Generator, grid: GridSpec, steps: int):
+    """Random pw-linear data and source, as `check_wave_estimates` arguments
+    with source levels 0..steps."""
     f = _pw_profile(rng, grid)
     g = _pw_profile(rng, grid)
     prof = _pw_profile(rng, grid)
-    env = rng.uniform(0.0, 1.0, size=grid.steps + 1)
-    return dict(f=f, g=g, source=_pw_source(prof, env, 1.0, grid.h))
+    env = rng.uniform(0.0, 1.0, size=steps + 1)
+    times = grid.h * np.arange(steps + 1)
+    return dict(f=f, g=g, source=_pw_source(prof, env, 1.0, grid.h, times))
+
+
+def _solve_wave(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport]]:
+    f = np.stack([inst["f"] for inst in insts])
+    g = np.stack([inst["g"] for inst in insts])
+    source = np.stack([inst["source"] for inst in insts], axis=1)
+    return _wave_reports(grid, f, g, source)
 
 
 def run_wave_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
     grid = grid or suite_grid("wave")
-    return _run_suite(count, seed, grid, random_wave_instance, check_wave_estimates)
+    return _run_suite(
+        count, seed, grid, random_wave_instance, _solve_wave,
+        lambda grid, steps: (steps + 1) * (grid.n + 1) * 8,  # a real row per level
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +447,30 @@ def run_wave_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[
 def transport_pair(grid: GridSpec, f, g, F=None, G=None, levels: int | None = None):
     """Solve (d_t + d_x) u = F, (d_t - d_x) v = G by exact characteristics.
 
-    Returns (U, V) level arrays of shape (levels+1, n+1).  The free parts
-    are node shifts of the data (exact, zero inflow at the boundary); the
-    Duhamel parts are product-trapezoid integrals along characteristics.
+    f, g are nodal rows (..., nodes), with any leading batch axes; F, G are
+    None or source level arrays (levels+1, ..., nodes), of which levels
+    0..levels are read.  Returns (U, V) level arrays of shape
+    (levels+1, ..., nodes).  The free parts are node shifts of the data
+    (exact, zero inflow at the row ends); the Duhamel parts are
+    product-trapezoid integrals along characteristics.
     """
     mt = grid.steps if levels is None else levels
-    x = grid.nodes()
     U, V = free_transport(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), mt)
     if F is not None:
-        Fl = np.stack([np.asarray(F(m * grid.h, x), dtype=complex) for m in range(mt + 1)])
-        U += characteristic_integrals(Fl, grid.h, +1)
+        U += characteristic_integrals(np.asarray(F[: mt + 1], dtype=complex), grid.h, +1)
     if G is not None:
-        Gl = np.stack([np.asarray(G(m * grid.h, x), dtype=complex) for m in range(mt + 1)])
-        V += characteristic_integrals(Gl, grid.h, -1)
+        V += characteristic_integrals(np.asarray(G[: mt + 1], dtype=complex), grid.h, -1)
     return U, V
+
+
+def _cone_lhs(grid: GridSpec, mt: int, f, g, F, G):
+    """iint |u v| over the backward cone of height mt steps whose base is
+    the whole of the rows f, g (..., 2 mt + 1): one value per row.
+
+    The base is the cone's domain of dependence, so every value inside the
+    cone equals that of a solve on any wider row, bitwise."""
+    U, V = transport_pair(grid, f, g, F, G, levels=mt)
+    return cone_quadrature(np.abs(U) * np.abs(V), grid.h, mt, mt)
 
 
 def check_nullform(
@@ -380,9 +487,10 @@ def check_nullform(
     """Cone integral of |uv| against the product of the transport budgets.
 
     T must be a whole number of steps and X a grid node with the backward
-    cone from (T, X) inside the slab.  rhs_norms supplies
+    cone from (T, X) inside the slab.  f, g are nodal rows and F, G source
+    level arrays (at least T/h + 1 levels) or None.  rhs_norms supplies
     (||f||_1, ||g||_1, int ||F||_1, int ||G||_1), computed exactly by the
-    caller.
+    caller.  The transport is solved on the cone's base only.
     """
     h = grid.h
     T = grid.t_max if T is None else T
@@ -393,50 +501,85 @@ def check_nullform(
     if abs(-grid.L + jX * h - X) > 1e-9 or not mt <= jX <= grid.n - mt:
         raise ValueError("cone vertex X must be a grid node with the cone inside the slab")
 
-    U, V = transport_pair(grid, f, g, F, G, levels=mt)
-    lhs = cone_quadrature(np.abs(U) * np.abs(V), h, mt, jX)
+    base = slice(jX - mt, jX + mt + 1)
+    F, G = (None if S is None else np.asarray(S)[..., base] for S in (F, G))
+    lhs = _cone_lhs(grid, mt, np.asarray(f)[..., base], np.asarray(g)[..., base], F, G)
 
     nf, ng, nF, nG = rhs_norms
     rhs = (nf + nF) * (ng + nG)
     return EstimateReport("nullform", float(lhs), float(rhs), _slack(grid))
 
 
-def random_nullform_instance(rng: np.random.Generator, grid: GridSpec):
-    """Random pw-linear transport system plus a random admissible cone.
+def _cone_height(rng: np.random.Generator, grid: GridSpec) -> int:
+    return int(rng.integers(2, grid.steps + 1))
 
-    Profiles carry constant phases so the right-hand side norms are exactly
-    the norms of the real profiles.
+
+def random_nullform_instance(rng: np.random.Generator, grid: GridSpec, mt: int):
+    """Random pw-linear transport system on a random admissible cone of
+    height mt steps, the instance's first draw (`_cone_height`).
+
+    Returns the cone vertex node "jX", the data "f" and "g" as (real
+    profile, constant phase), and the sources "F" and "G" as (profile,
+    envelope on levels 0..mt, phase) for `_pw_source`; a source is absent
+    with probability 0.3, as zero profile and envelope.  The phases are
+    constant so the right-hand side norms are exactly the norms of the real
+    profiles.
     """
-    n = grid.n
-    h = grid.h
-    mt = int(rng.integers(2, grid.steps + 1))
-    jX = int(rng.integers(mt, n - mt + 1))
-
+    jX = int(rng.integers(mt, grid.n - mt + 1))
     fr = _pw_profile(rng, grid)
     gr = _pw_profile(rng, grid)
     inst = {
-        "f": fr * np.exp(2j * np.pi * rng.uniform()),
-        "g": gr * np.exp(2j * np.pi * rng.uniform()),
-        "F": None,
-        "G": None,
-        "T": mt * h,
-        "X": -grid.L + jX * h,
+        "jX": jX,
+        "f": (fr, np.exp(2j * np.pi * rng.uniform())),
+        "g": (gr, np.exp(2j * np.pi * rng.uniform())),
     }
-    norms = [l1_exact(fr, h), l1_exact(gr, h), 0.0, 0.0]
-    for slot, pos in (("F", 2), ("G", 3)):
+    for slot in ("F", "G"):
         if rng.uniform() < 0.7:
             prof = _pw_profile(rng, grid)
             env = rng.uniform(0.0, 1.0, size=mt + 1)
-            phase = np.exp(2j * np.pi * rng.uniform())
-            inst[slot] = _pw_source(prof, env, phase, h)
-            norms[pos] = float(cumulative_trapezoid(env * l1_exact(prof, h), h)[-1])
-    inst["rhs_norms"] = tuple(norms)
+            inst[slot] = (prof, env, np.exp(2j * np.pi * rng.uniform()))
+        else:
+            inst[slot] = (np.zeros(grid.n + 1), np.zeros(mt + 1), 0j)
     return inst
+
+
+def _solve_nullform(grid: GridSpec, mt: int, insts) -> list[list[EstimateReport]]:
+    """Null-form reports of stacked instances of one cone height mt, each
+    solved on its own cone base [jX - mt, jX + mt] (see `_cone_lhs`).  The
+    norms are taken over the whole rows, as `check_nullform`'s callers do."""
+    h = grid.h
+    times = h * np.arange(mt + 1)
+    rows = np.arange(len(insts))[:, None]
+    base = np.array([inst["jX"] for inst in insts])[:, None] + np.arange(-mt, mt + 1)
+    data, sources, norms = [], [], []
+    for slot in ("f", "g"):
+        prof = np.stack([inst[slot][0] for inst in insts])
+        norms.append(l1_exact(prof, h))
+        data.append(prof[rows, base] * np.array([inst[slot][1] for inst in insts])[:, None])
+    for slot in ("F", "G"):
+        prof = np.stack([inst[slot][0] for inst in insts])
+        env = np.stack([inst[slot][1] for inst in insts])
+        norms.append(cumulative_trapezoid(env * l1_exact(prof, h)[:, None], h)[:, -1])
+        levels = [
+            _pw_source(p, e, inst[slot][2], h, times)
+            for p, e, inst in zip(prof[rows, base], env, insts)
+        ]
+        sources.append(np.stack(levels, axis=1))
+    lhs = _cone_lhs(grid, mt, *data, *sources)
+    nf, ng, nF, nG = norms
+    rhs = (nf + nF) * (ng + nG)
+    slack = _slack(grid)
+    return [[EstimateReport("nullform", float(a), float(b), slack)] for a, b in zip(lhs, rhs)]
 
 
 def run_nullform_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
     grid = grid or suite_grid("nullform")
-    return _run_suite(count, seed, grid, random_nullform_instance, check_nullform)
+    return _run_suite(
+        count, seed, grid, random_nullform_instance, _solve_nullform,
+        # a complex cone-base row per level, or a real whole-row profile
+        lambda grid, mt: max((mt + 1) * (2 * mt + 1) * 16, (grid.n + 1) * 8),
+        _cone_height,
+    )
 
 
 def _hat(grid: GridSpec, center: float, width: float, amp: float) -> np.ndarray:
@@ -474,12 +617,13 @@ def _fixed_nullform_instance(index: int, grid: GridSpec, base: GridSpec):
     d = designs[index]
     f = _hat(grid, *d["f"])
     g = _hat(grid, *d["g"])
+    times = grid.h * np.arange(grid.steps + 1)
     norms = [d["f"][1] * d["f"][2], d["g"][1] * d["g"][2], 0.0, 0.0]
     sources = {"F": None, "G": None}
     for slot, pos in (("F", 2), ("G", 3)):
         if d[slot] is not None:
             (c, w, a), env = d[slot]
-            sources[slot] = _pw_source(_hat(grid, c, w, a), env, 1.0, base.h)
+            sources[slot] = _pw_source(_hat(grid, c, w, a), env, 1.0, base.h, times)
             norms[pos] = float(cumulative_trapezoid(env * (a * w), base.h)[-1])
     return dict(
         f=f, g=g, F=sources["F"], G=sources["G"], T=T, X=0.0, rhs_norms=tuple(norms)
@@ -521,7 +665,7 @@ def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
     for j in range(2, fam.dim + 1):
         rate = rate + np.asarray(traj.series[f"sup_A{j}"], dtype=float)
     rhs = (l1u[0] + l1v[0]) * np.exp(cumulative_trapezoid(rate, grid.h))
-    return _worst_level("gronwall_l1", l1u + l1v, rhs, _slack(grid))
+    return _worst_levels("gronwall_l1", l1u + l1v, rhs, _slack(grid))[0]
 
 
 def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:

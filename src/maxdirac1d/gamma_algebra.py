@@ -8,10 +8,11 @@ The system couples a spinor psi = (u, v) to potentials A_0..A_d through
 with metric signature (+, -, ..., -).  After diagonalising g0 g1 the spinor
 splits into a right-mover u and a left-mover v, each with one complex
 component for d = 1, 2 and two for d = 3.  Every half-spinor array has the
-shape (ncomp, n+1): a leading component axis, then the nodes.  This module
-holds the concrete matrices, the Clifford-relation verifier, the wave
-sources, and `coupling`: the u-v coupling, written out per dim in this one
-place, which the transport and modulus sources and the solver apply.
+shape (..., ncomp, n+1): optional batch axes, a component axis, then the
+nodes.  This module holds the concrete matrices, the Clifford-relation
+verifier, the wave sources, and `coupling`: the u-v coupling, written out
+per dim in this one place, which the transport and modulus sources and the
+solver apply.
 """
 
 from __future__ import annotations
@@ -148,18 +149,20 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # ---------------------------------------------------------------------------
 # Componentwise right-hand sides.
 #
-# u and v are arrays of shape (ncomp, n+1) in every dim: a leading component
-# axis of length spinor_components(dim), then the nodes.  The bilinears reduce
-# the component axis and return (n+1,) rows.
+# u and v are arrays of shape (..., ncomp, n+1) in every dim: optional batch
+# axes, a component axis of length spinor_components(dim), then the nodes.
+# The bilinears reduce the component axis and return (..., n+1) rows.
+# Potentials and the mass broadcast against (..., 1, n+1): scalars, node rows,
+# or per-instance arrays such as a mass of shape (K, 1, 1).
 # ---------------------------------------------------------------------------
 
 
 def _as_spinor(dim: int, w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     ncomp = spinor_components(dim)
-    if w.ndim < 2 or w.shape[0] != ncomp:
+    if w.ndim < 2 or w.shape[-2] != ncomp:
         raise ValueError(
-            f"dim-{dim} half-spinors have shape ({ncomp}, nodes), got {w.shape}"
+            f"dim-{dim} half-spinors have shape (..., {ncomp}, nodes), got {w.shape}"
         )
     return w
 
@@ -169,7 +172,7 @@ def coupling(dim: int, A, M: float):
 
         (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u.
 
-    C and D map (ncomp, n) half-spinors to half-spinors; they come from the
+    C and D map (..., ncomp, n) half-spinors to half-spinors; they come from the
     mass and the transverse potentials A_2 (and A_3) only.  They satisfy
     D = -C^dagger and DC = CD = -k2 with k2 = A_2^2 [+ A_3^2] + M^2, so the
     coupling is anti-hermitian.  The operators are linear in (A, M): scaled
@@ -185,11 +188,14 @@ def coupling(dim: int, A, M: float):
     A2, A3 = A[2], A[3]
     p, q, s = A3 - 1j * M, -A3 - 1j * M, 1j * A2
 
+    # components sliced with their axis kept, so (K, 1, 1) masses broadcast
     def C(w):
-        return np.stack([p * w[0] + s * w[1], q * w[1] - s * w[0]])
+        w0, w1 = w[..., :1, :], w[..., 1:, :]
+        return np.concatenate([p * w0 + s * w1, q * w1 - s * w0], axis=-2)
 
     def D(w):
-        return np.stack([q * w[0] - s * w[1], p * w[1] + s * w[0]])
+        w0, w1 = w[..., :1, :], w[..., 1:, :]
+        return np.concatenate([q * w0 - s * w1, p * w1 + s * w0], axis=-2)
 
     return C, D, A2 * A2 + A3 * A3 + M * M
 
@@ -211,7 +217,7 @@ def modulus_sq(dim: int, u, v) -> np.ndarray:
     """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components."""
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=0)
+    return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
 def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
@@ -225,18 +231,19 @@ def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
     _check_dim(dim)
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    mu = (np.abs(u) ** 2).sum(axis=0)
-    mv = (np.abs(v) ** 2).sum(axis=0)
+    mu = (np.abs(u) ** 2).sum(axis=-2)
+    mv = (np.abs(v) ** 2).sum(axis=-2)
     s0 = mu + mv
     s1 = -mu + mv
     if dim == 1:
         return s0, s1
+    u0, v0 = u[..., 0, :], v[..., 0, :]
     if dim == 2:
-        return s0, s1, -2.0 * np.imag(u[0] * np.conj(v[0]))
-    ru = np.stack([-u[1], u[0]])  # rho u
-    ku = np.stack([1j * u[0], -1j * u[1]])  # kappa u
-    s2 = -2.0 * np.real(np.conj(v[0]) * ru[0] + np.conj(v[1]) * ru[1])
-    s3 = -2.0 * np.real(np.conj(v[0]) * ku[0] + np.conj(v[1]) * ku[1])
+        return s0, s1, -2.0 * np.imag(u0 * np.conj(v0))
+    u1, v1 = u[..., 1, :], v[..., 1, :]
+    # rho u = (-u1, u0) and kappa u = (i u0, -i u1)
+    s2 = -2.0 * np.real(np.conj(v0) * -u1 + np.conj(v1) * u0)
+    s3 = -2.0 * np.real(np.conj(v0) * (1j * u0) + np.conj(v1) * (-1j * u1))
     return s0, s1, s2, s3
 
 
@@ -250,7 +257,7 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     C, _, _ = coupling(dim, A, M)
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=0)
+    su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
     return su, -su
 
 
@@ -265,8 +272,10 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
-    psi = np.concatenate([u, v], axis=0)
+    psi = np.concatenate([u, v], axis=-2)
     out = np.zeros_like(psi)
     for mu in range(dim + 1):
-        out += np.asarray(A[mu]) * np.tensordot(gs.gammas[mu], psi, axes=(1, 0))
-    return out[: u.shape[0]], out[u.shape[0] :]
+        gpsi = np.moveaxis(np.tensordot(gs.gammas[mu], psi, axes=(1, -2)), 0, -2)
+        out += np.asarray(A[mu]) * gpsi
+    ncomp = u.shape[-2]
+    return out[..., :ncomp, :], out[..., ncomp:, :]

@@ -63,7 +63,7 @@ def test_criterion_02_wave_solver_manufactured_and_second_order():
     # cone misses the zero-filled boundary, and there the scheme is exact.
     grid = GridSpec(L=2.56, n=256, t_max=0.24)
     zero = np.zeros(grid.n + 1)
-    times, W, Wt = wave_solve(grid, zero, zero, lambda t, x: np.ones_like(x))
+    times, W, Wt = wave_solve(grid, zero, zero, np.ones((grid.steps + 1, grid.n + 1)))
     x = grid.nodes()
     worst = 0.0
     for m, t in enumerate(times):

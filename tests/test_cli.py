@@ -29,6 +29,8 @@ SIM_CONFIG = {
     "snapshot_times": [0.0, 0.08, 0.16],
 }
 
+VERIFY_GRID = {"seed": 0, "counts": {"energy": 20, "wave": 20, "nullform": 20}}
+
 SWEEP_CONFIG = {
     "dim": 2,
     "M": 0.0,
@@ -102,6 +104,14 @@ def test_simulate_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
         ("verify", {"seed": 1, "suites": ["recompute"]}),
         ("norms", {"eps_list": [1e-3, 1e-2]}),
         ("sweep", dict(SWEEP_CONFIG, eps_list=[0.03], claims=["claim3"])),
+        # grids the suites' instance generators cannot draw on, whatever the seed
+        ("verify", dict(VERIFY_GRID, suites=["wave"], grid={"L": 2.56, "n": 80, "t_max": 0.064})),
+        ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 80, "t_max": 0.064})),
+        ("verify", dict(VERIFY_GRID, suites=["wave"], grid={"L": 2.56, "n": 16, "t_max": 0.64})),
+        ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 16, "t_max": 0.64})),
+        ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 256, "t_max": 3.0})),
+        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 1.28, "n": 128, "t_max": 0.24})),
+        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 128, "t_max": 2.56})),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -323,3 +333,9 @@ def test_norms_tables(tmp_path, capsys):
 def test_norms_allows_trailing_zero_eps(tmp_path):
     cfg = write_config(tmp_path, {"eps_list": [1e-2, 0.0], "n": 512})
     assert cli.main(["norms", "--config", cfg, "--out", str(tmp_path / "n")]) == 0
+
+
+def test_bad_suite_grid_names_grid_and_suite(tmp_path):
+    bad = dict(VERIFY_GRID, suites=["wave", "nullform"], grid={"L": 2.56, "n": 256, "t_max": 3.0})
+    with pytest.raises(cli.ConfigError, match="grid: the nullform suite needs 2 <= steps <= n/2"):
+        cli.load_config(write_config(tmp_path, bad), "verify")

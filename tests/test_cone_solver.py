@@ -44,7 +44,7 @@ def hat(x, center, width, amp=1.0):
 def test_wave_quadratic_source_exact():
     # box A = 1 with zero data has the exact solution A = t^2/2
     grid = GridSpec(L=2.56, n=256, t_max=0.5)
-    times, W, Wt = wave_solve(grid, np.zeros(257), np.zeros(257), lambda t, x: np.ones_like(x))
+    times, W, Wt = wave_solve(grid, np.zeros(257), np.zeros(257), np.ones((grid.steps + 1, 257)))
     interior = slice(grid.steps, grid.n + 1 - grid.steps)
     for m in (grid.steps // 2, grid.steps):
         assert np.abs(W[m, interior] - times[m] ** 2 / 2.0).max() < 1e-13
@@ -449,3 +449,27 @@ def test_abort_on_nonfinite_inside_window(monkeypatch):
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite"):
         evolve(fam, grid, EvolveOptions(observers=(rec,)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transport_step_batches_bitwise(dim):
+    # stacked instances with their own potentials (dim+1, K, 1, n), masses
+    # (K, 1, 1) and sources step exactly like one at a time
+    rng = np.random.default_rng(37)
+    K, nc, n1, h = 3, spinor_components(dim), 24, 0.05
+
+    def spinors():
+        return rng.normal(size=(K, nc, n1)) + 1j * rng.normal(size=(K, nc, n1))
+
+    u, v = spinors(), spinors()
+    A_old, A_new = rng.normal(size=(2, dim + 1, K, 1, n1))
+    ext_old, ext_new = (spinors(), spinors()), (spinors(), spinors())
+    masses = rng.uniform(0.0, 2.0, size=K)
+    ub, vb = _transport_step(dim, masses[:, None, None], h, u, v, A_old, A_new, ext_old, ext_new)
+    for k in range(K):
+        uk, vk = _transport_step(
+            dim, masses[k], h, u[k], v[k], A_old[:, k], A_new[:, k],
+            (ext_old[0][k], ext_old[1][k]), (ext_new[0][k], ext_new[1][k]),
+        )
+        assert np.array_equal(ub[k], uk)
+        assert np.array_equal(vb[k], vk)

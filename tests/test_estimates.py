@@ -11,20 +11,28 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from maxdirac1d import DataFamily, EvolveOptions, GridSpec, evolve
 from maxdirac1d.cone_solver import dirac_solve
+from maxdirac1d.cone_solver import cone_quadrature, cumulative_trapezoid
 from maxdirac1d.estimates import (
     EstimateReport,
+    _cone_height,
     _hat,
+    _pw_source,
     bootstrap_threshold,
     check_bootstrap_bound,
     check_energy_inequality,
     check_gronwall_l1,
     check_nullform,
+    check_suite_grid,
     check_wave_estimates,
     l1_exact,
     nullform_refinement,
+    random_energy_instance,
+    random_nullform_instance,
+    random_wave_instance,
     run_energy_suite,
     run_nullform_suite,
     run_wave_suite,
+    suite_grid,
     transport_pair,
 )
 from maxdirac1d.initial_data import CutoffSpec, chi
@@ -340,3 +348,93 @@ def test_bootstrap_threshold_solves_smallness_equation():
         C, delta = bootstrap_threshold(M)
         z = delta * (M + 1.0) * math.exp(delta * (M + 1.0))
         assert C * C * (1.0 + z) * z == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched suites against single-instance checks.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mt", [2, GRID_TALL.steps // 2, GRID_TALL.steps])
+@pytest.mark.parametrize("edge", ["left", "right"])
+def test_cone_local_solve_bitwise_equal_to_full_row_inside_cone(mt, edge):
+    grid = GRID_TALL
+    jX = mt if edge == "left" else grid.n - mt
+    rng = np.random.default_rng([mt, jX])
+
+    def rows(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    f, g = rows(grid.n + 1), rows(grid.n + 1)
+    F, G = rows(mt + 1, grid.n + 1), rows(mt + 1, grid.n + 1)
+    U, V = transport_pair(grid, f, g, F, G, levels=mt)
+    base = slice(jX - mt, jX + mt + 1)
+    Uc, Vc = transport_pair(grid, f[base], g[base], F[:, base], G[:, base], levels=mt)
+    for lev in range(mt + 1):
+        inside = slice(jX - mt + lev, jX + mt - lev + 1)
+        assert np.array_equal(Uc[lev, lev : 2 * mt - lev + 1], U[lev, inside])
+        assert np.array_equal(Vc[lev, lev : 2 * mt - lev + 1], V[lev, inside])
+    rep = check_nullform(
+        grid, f, g, F, G, T=mt * grid.h, X=-grid.L + jX * grid.h, rhs_norms=(1.0, 1.0, 0.0, 0.0)
+    )
+    assert rep.lhs == cone_quadrature(np.abs(U) * np.abs(V), grid.h, mt, jX)
+
+
+def _nullform_check_of(inst, grid, mt):
+    """check_nullform on the whole rows of one drawn nullform instance."""
+    h = grid.h
+    times = h * np.arange(mt + 1)
+    norms = [l1_exact(inst[slot][0], h) for slot in ("f", "g")]
+    sources = []
+    for slot in ("F", "G"):
+        prof, env, phase = inst[slot]
+        norms.append(cumulative_trapezoid(env * l1_exact(prof, h), h)[-1])
+        sources.append(_pw_source(prof, env, phase, h, times))
+    return check_nullform(
+        grid,
+        inst["f"][0] * inst["f"][1],
+        inst["g"][0] * inst["g"][1],
+        *sources,
+        T=mt * h,
+        X=-grid.L + inst["jX"] * h,
+        rhs_norms=tuple(norms),
+    )
+
+
+@pytest.mark.parametrize("suite", ["energy", "wave", "nullform"])
+def test_batched_suites_equal_single_instance_checks(suite):
+    grid, seed, count = suite_grid(suite), 4, 12
+    run = {"energy": run_energy_suite, "wave": run_wave_suite, "nullform": run_nullform_suite}
+    batched = run[suite](count, seed, grid)
+    single = []
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        if suite == "energy":
+            inst = random_energy_instance(rng, grid, grid.steps)
+            reps = [check_energy_inequality(dirac_solve(grid=grid, **inst), grid)]
+        elif suite == "wave":
+            reps = check_wave_estimates(grid, **random_wave_instance(rng, grid, grid.steps))
+        else:
+            mt = _cone_height(rng, grid)
+            reps = [_nullform_check_of(random_nullform_instance(rng, grid, mt), grid, mt)]
+        single += [(f"{r.name}[{seed},{k}]", r.lhs, r.rhs) for r in reps]
+    assert [(r.name, r.lhs, r.rhs) for r in batched] == single
+
+
+@pytest.mark.parametrize(
+    "suite, edge, beyond",
+    [
+        ("wave", dict(L=2.05, n=82, t_max=0.05), dict(L=2.0, n=80, t_max=0.05)),
+        ("nullform", dict(L=2.05, n=82, t_max=2.05), dict(L=2.05, n=82, t_max=2.1)),
+        ("nullform", dict(L=2.56, n=256, t_max=0.04), dict(L=2.56, n=256, t_max=0.02)),
+        ("energy", dict(L=2.56, n=128, t_max=1.32), dict(L=2.56, n=128, t_max=1.4)),
+    ],
+)
+def test_suite_grid_bounds_are_exact(suite, edge, beyond):
+    # every seed draws on the edge grid; a grid just beyond is refused up front
+    run = {"energy": run_energy_suite, "wave": run_wave_suite, "nullform": run_nullform_suite}
+    grid = GridSpec(**edge)
+    check_suite_grid(suite, grid)
+    assert all(r.passed for r in run[suite](20, 1, grid))
+    with pytest.raises(ValueError, match=f"grid: the {suite} suite"):
+        check_suite_grid(suite, GridSpec(**beyond))

@@ -229,3 +229,44 @@ def test_interaction_term_is_linear_in_A():
     assert np.allclose(Fv2, 2.0 * Fv1)
     with pytest.raises(ValueError):
         interaction_term(gs, A[:2], u, v)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
+    """Stacked (K, ncomp, n) spinors with per-instance potentials
+    (dim+1, K, 1, n) and masses (K, 1, 1) give each instance's own result,
+    bitwise."""
+    rng = np.random.default_rng(23)
+    K, n = 4, 11
+    insts = [_random_fields(rng, dim, n) for _ in range(K)]
+    masses = rng.uniform(0.0, 2.0, size=K)
+    u = np.stack([inst[0] for inst in insts])
+    v = np.stack([inst[1] for inst in insts])
+    A = np.stack([inst[2] for inst in insts], axis=1)[:, :, None, :]
+    M = masses[:, None, None]
+    gs = gamma_matrices(dim)
+    C, D, k2 = coupling(dim, A, M)
+    batched = {
+        "spinor_rhs": spinor_rhs(dim, A, u, v, M),
+        "modulus_rhs": modulus_rhs(dim, A, u, v, M),
+        "interaction_term": interaction_term(gs, A, u, v),
+        "wave_sources": wave_sources(dim, u, v),
+        "modulus_sq": (modulus_sq(dim, u, v),),
+        "coupling": (C(v), D(u), np.broadcast_to(k2, (K, 1, n))),
+    }
+    for k, (uk, vk, Ak) in enumerate(insts):
+        Ck, Dk, k2k = coupling(dim, Ak, masses[k])
+        single = {
+            "spinor_rhs": spinor_rhs(dim, Ak, uk, vk, masses[k]),
+            "modulus_rhs": modulus_rhs(dim, Ak, uk, vk, masses[k]),
+            "interaction_term": interaction_term(gs, Ak, uk, vk),
+            "wave_sources": wave_sources(dim, uk, vk),
+            "modulus_sq": (modulus_sq(dim, uk, vk),),
+            "coupling": (Ck(vk), Dk(uk), np.broadcast_to(k2k, (1, n))),
+        }
+        for name, outs in single.items():
+            assert len(outs) == len(batched[name])
+            for got, want in zip(batched[name], outs):
+                assert np.array_equal(got[k], want), name
+    with pytest.raises(ValueError, match="half-spinors"):
+        wave_sources(dim, u[:, 0, :], v[:, 0, :])  # (K, n): no component axis
