@@ -41,7 +41,7 @@ import time
 import jsonschema
 import numpy as np
 
-from .cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve, trajectory_to_csv
+from .cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve, snapshot_levels, trajectory_to_csv
 from .estimates import (
     bootstrap_threshold,
     check_suite_grid,
@@ -267,6 +267,7 @@ def load_config(path: str, command: str) -> dict:
             for ts in raw.get("snapshot_times", []):
                 if ts < 0 or ts > grid.t_max:
                     raise ValueError(f"snapshot time {ts} outside [0, {grid.t_max}]")
+            snapshot_levels(raw.get("snapshot_times", []), grid)
             ctx["grid"] = grid
         elif command == "sweep":
             mode = PotentialMode(raw.get("potential_mode", "zero"))

@@ -23,18 +23,33 @@ Time derivatives of the potentials are reconstructed by centered differences
 value; level 0 uses the b datum, which is exact).
 
 Every stencil reaches one node to each side per step, so the value at node j
-of level m depends only on the data at nodes j - m .. j + m.  A full-grid run
-holds the fields at exactly zero in a two-node band at the boundary; the grid
-contract (`GridSpec.ensure_support`) proves that supports never reach it, and
-a guard aborts the run if they ever do.  When every observer declares the
-backward cones it reads (`reads`) and nothing else asks for whole-line output,
-`evolve` instead marches a static window of nodes: the hull of those cones at
-t = 0, widened by a stencil margin, up to the last level any observer reads.
-The window edges are zero-filled like the boundary band, so values there go
-wrong, but the error travels inward one node per step, exactly like the cone
-shrinks: every node inside a declared cone is bitwise equal to the full-grid
-run.  A windowed run keeps the non-finite check and drops the band test and
-the whole-line series, which have no meaning on a window.
+of level m depends only on the data at nodes j - m .. j + m.  `evolve`
+therefore marches a static window of nodes, the intersection of two hulls:
+
+  * what the observers read: the hull of the backward cones they declare
+    (`reads`) at t = 0, widened by a stencil margin, up to the last level any
+    of them reads; or the whole line up to t_max when there are snapshots,
+    history or no observers;
+  * the support cone of the datum: its first and last nonzero nodes, widened
+    by one node per side per level and one node for the extra wave level,
+    plus the window edge node.
+
+The window edges are zero-filled like the boundary band.  At a support-cone
+edge that is exact, since the full-grid run is zero there too, so whole-line
+output is bitwise a full-grid run: the series are taken over full-width rows
+padded with zeros (a shorter sum would round differently), and snapshots and
+history come back full-width.  At a read-hull edge the values go wrong, but
+the error travels inward one node per step, exactly like the cone shrinks:
+every node inside a declared cone is bitwise equal to the full-grid run.
+Runs with declared reads record no whole-line series, which have no meaning
+on such a window.  An observer that declares no `reads` (GaugeMonitor) sees
+full-width rows: that run marches every node.
+
+The grid contract (`GridSpec.ensure_support`) keeps every support clear of a
+two-node band at each boundary; a guard aborts the run if the fields there
+ever turn nonzero.  It checks the band nodes inside the window, so a datum
+whose support cone reaches the band runs on a window that holds them, and
+aborts as a full-grid run would.
 """
 
 from __future__ import annotations
@@ -57,6 +72,7 @@ __all__ = [
     "EvolveOptions",
     "GaugeMonitor",
     "evolve",
+    "snapshot_levels",
     "wave_solve",
     "dirac_solve",
     "dirac_levels",
@@ -152,7 +168,9 @@ class Snapshot:
 @dataclass
 class LevelState:
     """What observers see at each accepted time level.  The arrays cover the
-    marched nodes, which start at full-grid node `first`."""
+    marched window, which starts at full-grid node `first` (`evolve`); past a
+    support-cone edge of the window every field is exactly zero, and the
+    window keeps at least one such zero node at that edge."""
 
     m: int
     t: float
@@ -200,7 +218,7 @@ class EvolveOptions:
     snapshot_times: times at which to keep full (u, v, A, At) snapshots.
     record_history: keep every level (memory grows with steps x nodes).
     observers: objects with `on_level(lev, grid)` and optionally
-        `finalize(traj)` and `reads(grid)` (see `_read_window`).
+        `finalize(traj)` and `reads(grid)` (see `_window`).
     """
 
     snapshot_times: tuple[float, ...] = ()
@@ -345,70 +363,106 @@ def _leapfrog(a, b, sources, h, steps):
 STENCIL_MARGIN = 1  # nodes added to each side of a window, for round-off in the cone bases
 
 
-def _read_window(grid: GridSpec, opts: EvolveOptions) -> tuple[int, int, int] | None:
-    """(first node, end node, last level) the observers read, or None.
+def _window(grid: GridSpec, opts: EvolveOptions, data) -> tuple[int, int, int, bool]:
+    """(first node, end node, last level) that `evolve` marches, and whether
+    the observers read the whole line (see the module docstring).
 
-    Each observer may declare `reads(grid)`: the backward cones it reads, as
-    (ConeRegion, last level) pairs.  The window is the hull of their bases,
-    widened by STENCIL_MARGIN nodes per side.  Snapshots, history, or an
-    observer that declares nothing (such as GaugeMonitor) keep the run on the
-    full grid (None).
+    The read hull is the hull of the cone bases that the observers declare
+    with `reads(grid)`, as (ConeRegion, last level) pairs, widened by
+    STENCIL_MARGIN nodes per side.  Snapshots, history or no observers read
+    the whole line; an observer that declares nothing (GaugeMonitor) reads
+    full-width rows, which ends the search.  The support cone is the nonzero
+    nodes of the datum rows `data` (each (..., n+1)) widened by last + 2 per
+    side.  A read hull disjoint from it reads only zeros and is marched as
+    declared.
     """
-    if not opts.observers or opts.snapshot_times or opts.record_history:
-        return None
-    first, end, last = grid.n + 1, 0, 0
+    n1 = grid.n + 1
+    whole_line = not opts.observers or bool(opts.snapshot_times) or opts.record_history
+    first, end, last = n1, 0, 0
     for obs in opts.observers:
         reads = getattr(obs, "reads", None)
         if reads is None:
-            return None
+            return 0, n1, grid.steps, True
         for region, level in reads(grid):
             first = min(first, math.floor((region.base_lo + grid.L) / grid.h) - STENCIL_MARGIN)
             end = max(end, math.ceil((region.base_hi + grid.L) / grid.h) + STENCIL_MARGIN + 1)
             last = max(last, level)
-    if first >= end:
-        return None
-    return max(0, first), min(grid.n + 1, end), min(last, grid.steps)
+    if whole_line or first >= end:
+        first, end, last, whole_line = 0, n1, grid.steps, True
+    else:
+        first, end, last = max(0, first), min(n1, end), min(last, grid.steps)
+
+    live = np.zeros(n1, dtype=bool)
+    for w in data:
+        live |= (w != 0).reshape(-1, n1).any(axis=0)
+    nodes = np.flatnonzero(live)  # never empty: the spinor datum is eps^(-1/2) at x = 0
+    lo, hi = int(nodes[0]) - last - 2, int(nodes[-1]) + last + 3
+    if lo < end and first < hi:
+        first, end = max(first, lo), min(end, hi)
+    return first, end, last, whole_line
+
+
+def snapshot_levels(times, grid: GridSpec) -> dict[int, float]:
+    """Map each snapshot time to its level.  Raises ValueError for a time
+    off the slab or for two times that round to the same level."""
+    levels: dict[int, float] = {}
+    for ts in times:
+        m = int(round(ts / grid.h))
+        if m < 0 or m > grid.steps or abs(m * grid.h - ts) > 0.5 * grid.h + 1e-12:
+            raise ValueError(f"snapshot_times entry {ts} outside the computed slab")
+        if m in levels:
+            raise ValueError(f"snapshot_times {levels[m]} and {ts} round to the same level {m}")
+        levels[m] = ts
+    return levels
 
 
 def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -> Trajectory:
     """Run the coupled system from the family datum up to grid.t_max, or
-    only over the window its observers read (see the module docstring).
+    only up to the last level its observers read.
 
-    Full-grid runs record the series `charge`, `l1_u`, `l1_v` and `sup_A0` ..
-    `sup_A{dim}` per level; windowed runs record none.  `meta` records the
-    marched `window` (first node, end node, last level) and the `node_steps`
-    computed.
+    The marched window is the read hull of the observers cut to the support
+    cone of the datum (`_window`, and the module docstring); an observer
+    that declares no `reads` keeps the run full-width.  Whole-line runs
+    record the series `charge`, `l1_u`, `l1_v` and `sup_A0` .. `sup_A{dim}`
+    per level, taken over full-width rows, and return snapshots and history
+    as full-width arrays (zero outside the window); runs with declared reads
+    record no series.  `meta` records the marched `window` (first node, end
+    node, last level) and the `node_steps` computed.
     """
     opts = opts or EvolveOptions()
     grid.ensure_support(fam.cutoff.outer)
-    dim, M, h = fam.dim, fam.M, grid.h
-    window = _read_window(grid, opts)
-    full = window is None
-    first, end, steps = (0, grid.n + 1, grid.steps) if full else window
-    x = grid.nodes()
-
+    snap_levels = snapshot_levels(opts.snapshot_times, grid)
+    dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
     u, v = spinor_datum(fam, grid)
     a, b = potential_data(fam, grid)
-    if not full:
-        # slices of the full-grid samples, so every value is the same float
-        x, u, v, a, b = (w[..., first:end].copy() for w in (x, u, v, a, b))
-
-    snap_levels: dict[int, float] = {}
-    for ts in opts.snapshot_times:
-        m = int(round(ts / h))
-        if m < 0 or m > steps or abs(m * h - ts) > 0.5 * h + 1e-12:
-            raise ValueError(f"snapshot time {ts} outside the computed slab")
-        snap_levels[m] = ts
+    first, end, steps, whole_line = _window(grid, opts, (u, v, a, b))
+    # slices of the full-grid samples, so every value is the same float
+    x = grid.nodes()[first:end]
+    u, v, a, b = (w[..., first:end].copy() for w in (u, v, a, b))
 
     times = h * np.arange(steps + 1)
     series: dict[str, list[float]] = {}
-    if full:
+    if whole_line:
         series.update(charge=[], l1_u=[], l1_v=[])
         for mu in range(dim + 1):
             series[f"sup_A{mu}"] = []
-    band = np.r_[0:2, grid.n - 1 : grid.n + 1]
-    history: list[tuple[np.ndarray, ...]] = []
+    row = np.zeros(n1)  # full-width row for the series sums, zero outside the window
+    band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
+    history = None
+    if opts.record_history:
+        history = History(
+            times, *(np.zeros((steps + 1, *w.shape[:-1], n1), w.dtype) for w in (u, v, a, b))
+        )
     snapshots: list[Snapshot] = []
+
+    def full_width(w):
+        out = np.zeros((*w.shape[:-1], n1), w.dtype)
+        out[..., first:end] = w
+        return out
+
+    def full_trapezoid(w):
+        row[first:end] = w
+        return float(trapezoid(row, h))
 
     def sources(m, A_old, A_new):  # leaves u, v at level m for the loop body
         nonlocal u, v
@@ -418,29 +472,30 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
 
     for m, A, At, S in _leapfrog(a, b, sources, h, steps):
         t = m * h
-        if full:
-            q = float(trapezoid(S[0], h))
-            if not np.isfinite(q) or not np.isfinite(A).all():
-                raise SolverAbort(f"non-finite field values at t = {t:.6g}")
-            if np.any(A[:, band] != 0.0) or np.any(u[:, band] != 0.0) or np.any(v[:, band] != 0.0):
-                raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
+        if whole_line:
+            q = full_trapezoid(S[0])
+            finite = np.isfinite(q)
+        else:
+            finite = np.isfinite(u).all() and np.isfinite(v).all()
+        if not finite or not np.isfinite(A).all():
+            raise SolverAbort(f"non-finite field values at t = {t:.6g}")
+        if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
+            raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
+        if whole_line:
             series["charge"].append(q)
-            au = np.sqrt((np.abs(u) ** 2).sum(axis=0))
-            av = np.sqrt((np.abs(v) ** 2).sum(axis=0))
-            series["l1_u"].append(float(trapezoid(au, h)))
-            series["l1_v"].append(float(trapezoid(av, h)))
+            series["l1_u"].append(full_trapezoid(np.sqrt((np.abs(u) ** 2).sum(axis=0))))
+            series["l1_v"].append(full_trapezoid(np.sqrt((np.abs(v) ** 2).sum(axis=0))))
             for mu in range(dim + 1):
                 series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
-        elif not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(A).all()):
-            raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if opts.observers:
             lev = LevelState(m, t, x, u, v, A, At, S, h, dim, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
         if m in snap_levels:
-            snapshots.append(Snapshot(t, u.copy(), v.copy(), A.copy(), At.copy()))
-        if opts.record_history:
-            history.append((u.copy(), v.copy(), A.copy(), At.copy()))
+            snapshots.append(Snapshot(t, *(full_width(w) for w in (u, v, A, At))))
+        if history is not None:
+            for rows, w in zip((history.u, history.v, history.A, history.At), (u, v, A, At)):
+                rows[m, ..., first:end] = w
 
     traj = Trajectory(
         fam=fam,
@@ -448,10 +503,9 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         times=times,
         series={k: np.asarray(vs) for k, vs in series.items()},
         snapshots=snapshots,
+        history=history,
         meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
     )
-    if opts.record_history:
-        traj.history = History(times, *(np.stack(col) for col in zip(*history)))
     for obs in opts.observers:
         fin = getattr(obs, "finalize", None)
         if fin is not None:
@@ -642,19 +696,19 @@ def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = Non
     x = traj.grid.nodes()
     for k, snap in enumerate(traj.snapshots):
         path = os.path.join(directory, f"snapshot_{k:03d}.csv")
-        cols: list[tuple[str, np.ndarray]] = [("x", x)]
+        names, cols = ["x"], [x]
         for name, w in (("u", snap.u), ("v", snap.v)):
             for c in range(w.shape[0]):
-                cols.append((f"Re_{name}{c + 1}", w[c].real))
-                cols.append((f"Im_{name}{c + 1}", w[c].imag))
+                names += [f"Re_{name}{c + 1}", f"Im_{name}{c + 1}"]
+                cols += [w[c].real, w[c].imag]
         for mu in range(snap.A.shape[0]):
-            cols.append((f"A{mu}", snap.A[mu]))
-        rows = zip(*(vals for _, vals in cols))
-        write_csv(path, [name for name, _ in cols], rows, (*comments, f"t={snap.t!r}"))
+            names.append(f"A{mu}")
+            cols.append(snap.A[mu])
+        write_csv(path, names, np.column_stack(cols), (*comments, f"t={snap.t!r}"))
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     keys = sorted(traj.series.keys())
-    rows = ([t, *(traj.series[k][m] for k in keys)] for m, t in enumerate(traj.times))
-    write_csv(dpath, ["t", *keys], rows, comments)
+    block = np.column_stack([traj.times, *(traj.series[k] for k in keys)])
+    write_csv(dpath, ["t", *keys], block, comments)
     paths.append(dpath)
     return paths

@@ -665,11 +665,10 @@ def write_sweep(results: list[SweepRecord], plan: SweepPlan, mode, directory) ->
     for rec in results:
         fname = f"diagnostics_{_eps_tag(rec.eps)}.csv"
         keys = sorted(rec.series.keys())
-        rows = ([t, *(rec.series[k][m] for k in keys)] for m, t in enumerate(rec.times))
         write_csv(
             os.path.join(directory, fname),
             ["t", *keys],
-            rows,
+            np.column_stack([rec.times, *(rec.series[k] for k in keys)]),
             (f"config_hash={chash}", f"eps={rec.eps!r}"),
         )
         runs.append(

@@ -216,7 +216,9 @@ def potential_data(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndar
     b = np.zeros((fam.dim + 1, x.size))
     if fam.potential_mode is PotentialMode.CONSTRAINED:
         e = fam.eps
-        b[1] = chi(x, fam.cutoff) * np.log(x + np.sqrt(e * e + x * x))
+        c = chi(x, fam.cutoff)
+        on = c > 0  # off the support, 0 * log(...) < 0 would leave -0.0
+        b[1, on] = c[on] * np.log(x[on] + np.sqrt(e * e + x[on] * x[on]))
     return a, b
 
 
@@ -266,17 +268,27 @@ def hs_norm(values, s: float, grid: GridSpec, staggered: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
+CSV_CHUNK_ROWS = 512  # rows per `.tolist()` call: the fastest measured, and little memory
+
+
 def write_csv(path, header, rows, comments=()) -> None:
     """Write one CSV file: a `# ` line per comment, then the header row
-    (skipped when None), then the rows.  Every cell is written as
-    repr(float(cell)), which round-trips exactly."""
+    (skipped when None), then the rows.
+
+    `rows` is a (rows, cols) float block, or an iterable of equal-length
+    rows that numpy stacks into one.  Every cell is written as
+    repr(float(cell)), which round-trips exactly, with the csv module's
+    \\r\\n line ends; the cells are converted CSV_CHUNK_ROWS rows at a time.
+    """
+    block = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        writer.writerows([repr(float(c)) for c in row] for row in rows)
+            csv.writer(fh).writerow(header)
+        for start in range(0, len(block), CSV_CHUNK_ROWS):
+            chunk = block[start : start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in chunk))
 
 
 def write_json(path, payload) -> None:

@@ -72,6 +72,12 @@ def test_simulate_rejects_snapshot_outside_slab(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_snapshot_times_sharing_a_level_name_the_key(tmp_path):
+    bad = write_config(tmp_path, dict(SIM_CONFIG, snapshot_times=[0.0, 0.08, 0.0801]))
+    with pytest.raises(cli.ConfigError, match="snapshot_times 0.08 and 0.0801 round to the same level 4"):
+        cli.load_config(bad, "simulate")
+
+
 def test_simulate_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
     def explode(*a, **k):
         raise SolverAbort("instability detected")
@@ -112,6 +118,8 @@ def test_simulate_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
         ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 256, "t_max": 3.0})),
         ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 1.28, "n": 128, "t_max": 0.24})),
         ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 128, "t_max": 2.56})),
+        # snapshot times that round to one level (h = 0.02)
+        ("simulate", dict(SIM_CONFIG, snapshot_times=[0.08, 0.08, 0.0801])),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):

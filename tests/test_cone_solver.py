@@ -342,6 +342,13 @@ def test_snapshot_time_outside_slab():
         evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(snapshot_times=(0.5,)))
 
 
+def test_snapshot_times_sharing_a_level_rejected():
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)  # h = 0.04
+    for times in ((0.08, 0.08), (0.08, 0.0801)):
+        with pytest.raises(ValueError, match="round to the same level 2"):
+            evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(snapshot_times=times))
+
+
 def test_trapezoid_matches_numpy():
     rng = np.random.default_rng(1)
     vals = rng.normal(size=33)
@@ -431,13 +438,100 @@ def test_window_falls_back_to_full_grid():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=1, eps=0.1)
     cone = [(ConeRegion(-0.2, 0.2), 3)]
+    # an observer that declares no reads sees full-width rows
     for opts in (
-        EvolveOptions(observers=(_ConeRecorder(cone),), record_history=True),
-        EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
         EvolveOptions(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
         EvolveOptions(observers=(_ConeRecorder(cone), _LevelCounter())),
     ):
         assert evolve(fam, grid, opts).meta["window"] == (0, 129, grid.steps)
+    # history and snapshots read the whole line up to t_max, cut to the
+    # support cone: the datum lives on nodes 15..113 (|x| < 2), widened by
+    # steps + 2 per side
+    for opts in (
+        EvolveOptions(observers=(_ConeRecorder(cone),), record_history=True),
+        EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
+    ):
+        assert evolve(fam, grid, opts).meta["window"] == (8, 121, grid.steps)
+
+
+class _Blind:
+    """A no-op observer that declares no reads, which keeps a run full-width."""
+
+    def on_level(self, lev, grid):
+        pass
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", list(PotentialMode))
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
+    grid = GridSpec(L=2.56, n=256, t_max=0.2)
+    fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
+    opts = dict(snapshot_times=(0.0, 0.1, 0.2), record_history=True)
+    win = evolve(fam, grid, EvolveOptions(**opts))
+    full = evolve(fam, grid, EvolveOptions(**opts, observers=(_Blind(),)))
+    assert full.meta["window"] == (0, grid.n + 1, grid.steps)
+    first, end, last = win.meta["window"]
+    assert 0 < first and end < grid.n + 1 and last == grid.steps
+    assert win.series.keys() == full.series.keys()
+    for key in full.series:
+        assert _same_bits(win.series[key], full.series[key]), key
+    assert len(win.snapshots) == len(full.snapshots) == 3
+    for sw, sf in zip(win.snapshots, full.snapshots):
+        assert sw.t == sf.t
+        for name in ("u", "v", "A", "At"):
+            assert _same_bits(getattr(sw, name), getattr(sf, name)), (sw.t, name)
+    for name in ("times", "u", "v", "A", "At"):
+        assert _same_bits(getattr(win.history, name), getattr(full.history, name)), name
+
+
+def test_support_window_bitwise_with_potential_datum(monkeypatch):
+    # A nonzero a reaches one node further per level than the spinor does, up
+    # to the extra wave level past t_max that the last At reads
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+    fam = DataFamily(dim=2, eps=0.1, M=1.0)
+
+    def with_a(fam, grid):
+        a, b = np.zeros((2, fam.dim + 1, grid.n + 1))
+        a[:, 114:119] = 0.5  # past the spinor's support, which ends at node 113
+        return a, b
+
+    monkeypatch.setattr(cone_solver, "potential_data", with_a)
+    opts = dict(snapshot_times=(0.2,), record_history=True)
+    win = evolve(fam, grid, EvolveOptions(**opts))
+    full = evolve(fam, grid, EvolveOptions(**opts, observers=(_Blind(),)))
+    assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
+    for name in ("u", "v", "A", "At"):
+        assert _same_bits(getattr(win.history, name), getattr(full.history, name)), name
+
+
+def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
+    grid = GridSpec(L=2.56, n=64, t_max=0.16)
+    fam = DataFamily(dim=1, eps=0.1)
+    u0 = np.zeros((1, 65), dtype=complex)
+    u0[0, [2, 62]] = 1.0  # clear of the band at t = 0; u moves into it at t = h
+    _inject_datum(monkeypatch, u0)
+    with pytest.raises(SolverAbort, match="boundary band"):
+        evolve(fam, grid, EvolveOptions(snapshot_times=(0.0,)))
+    rec = _ConeRecorder([(ConeRegion(-grid.L, grid.L), grid.steps)])
+    with pytest.raises(SolverAbort, match="boundary band at t = 0.08"):
+        evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    assert [(m, first, u.shape[-1]) for m, first, u, *_ in rec.levels] == [(0, 0, 65)]
+
+
+def test_read_hull_disjoint_from_support_is_marched_as_declared():
+    # the support cone of |x| < 2 reaches x = 2.2 by level 3 + 2; the cone
+    # over [2.3, 2.5] reads only zeros
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+    rec = _ConeRecorder([(ConeRegion(2.3, 2.5), 3)])
+    traj = evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(observers=(rec,)))
+    assert traj.meta["window"] == (120, 129, 3)
+    assert all(not u.any() and not A.any() for _, _, u, _, A in rec.levels)
 
 
 def test_abort_on_nonfinite_inside_window(monkeypatch):

@@ -10,7 +10,9 @@ from scipy.integrate import quad
 
 from maxdirac1d.cone_solver import EvolveOptions, evolve
 from maxdirac1d.experiments import (
+    FloorMonitor,
     ProbeMonitor,
+    TransverseMonitor,
     SweepPlan,
     SweepRecord,
     a0_lower_bound,
@@ -28,7 +30,7 @@ from maxdirac1d.experiments import (
     sweep_claims,
     write_sweep,
 )
-from maxdirac1d.initial_data import DataFamily, PotentialMode
+from maxdirac1d.initial_data import CutoffSpec, DataFamily, PotentialMode
 
 COARSE = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07), T=0.05, h_over_eps=4.0)
 
@@ -295,6 +297,39 @@ def test_probe_monitor_window_matches_full_grid():
     assert end - first < (grid.n + 1) // 10
     assert last < grid.steps
     assert np.array_equal(windowed.result(), full.result())
+
+
+class _Blind:
+    """Declares no reads, which keeps a run full-width."""
+
+    def on_level(self, lev, grid):
+        pass
+
+
+def test_monitors_on_a_support_cut_window_match_full_width():
+    # a cutoff narrower than the ball: the support cone cuts the K_T hull the
+    # claim 1 and 2 monitors read, and the fields past the cut are zero
+    cutoff = CutoffSpec(inner=0.3, outer=0.6)
+    plan = SweepPlan(
+        dim=2, M=1.0, eps_list=(0.02,), T=0.05, h_over_eps=8.0,
+        probes=((0.04, 0.01),), cutoff=cutoff,
+    )
+    grid = grid_for_eps(plan, 0.02)
+    fam = DataFamily(dim=2, eps=0.02, M=1.0, cutoff=cutoff)
+
+    def run(*extra):
+        mons = (TransverseMonitor(), FloorMonitor(0.02), ProbeMonitor(plan.probes, grid))
+        traj = evolve(fam, grid, EvolveOptions(observers=(*mons, *extra)))
+        return traj, [m.series() for m in mons[:2]] + [mons[2].result()]
+
+    cut, cut_out = run()
+    full, full_out = run(_Blind())
+    first, end, _ = cut.meta["window"]
+    x_end = -grid.L + (end - 1) * grid.h
+    assert x_end < 1.0 - grid.t_max  # the floor cross-section reaches past the window
+    assert full.meta["window"] == (0, grid.n + 1, grid.steps)
+    for a, b in zip(cut_out, full_out):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sweep_claims_select_monitors(coarse_sweep):

@@ -1,5 +1,7 @@
 """Data family, cutoff, grids, and the discrete norms."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from maxdirac1d import (
     potential_data,
     spinor_datum,
 )
-from maxdirac1d.initial_data import sample_midpoints, write_csv
+from maxdirac1d.initial_data import CSV_CHUNK_ROWS, sample_midpoints, write_csv
 
 
 def test_chi_plateau_and_support():
@@ -207,3 +209,31 @@ def test_field_io_roundtrip(tmp_path):
     data = np.array([[float(v) for v in line.split(",")] for line in text[2:]])
     assert np.array_equal(data[:, 0], x)
     assert np.array_equal(data[:, 1], x**2)
+
+
+def _oracle_csv(path, header, rows, comments):
+    """The plain csv.writer text, one repr(float(cell)) at a time."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([repr(float(c)) for c in row] for row in rows)
+
+
+@pytest.mark.parametrize("nrows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("ncols", [1, 3])
+def test_write_csv_bytes_match_csv_writer(tmp_path, nrows, ncols):
+    cells = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, -2.5])
+    block = np.resize(cells, nrows * ncols).reshape(nrows, ncols)
+    header = [f"c{k}" for k in range(ncols)]
+    comments = ("config_hash=deadbeef", "t=0.1")
+    for hdr in (header, None):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        _oracle_csv(want, hdr, block, comments)
+        write_csv(got, hdr, block, comments)
+        assert got.read_bytes() == want.read_bytes()
+        # rows given as an iterable of numpy scalars take the same path
+        write_csv(got, hdr, (tuple(row) for row in block), comments)
+        assert got.read_bytes() == want.read_bytes()
