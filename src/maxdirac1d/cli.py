@@ -19,26 +19,31 @@ Subcommands:
 Exit codes are a stable contract for CI: 0 pass, 2 config error, 3 solver
 abort, 4 verdict failure.
 
-Configs are strict JSON: unknown keys are rejected and the physically
-meaningful fields (dim, M, eps or eps_list, T or t_max) have no defaults.
-Cross-field constraints (grid divisibility, support margins, and the claim
-preconditions of `experiments.sweep_claims`) are checked at load time so
-that a bad config never reaches the solver.  The claims, their verdicts and
-the suite defaults live in `experiments` and `estimates`; this module only
-reads configs, calls them and writes their results.
+Configs are strict JSON, checked against one table per command
+(`CONFIG_TABLES`): unknown keys are rejected, integers must be integer
+literals (2, not 2.0 or true), every number must be finite as a float, and
+the physically meaningful fields (dim, M, eps or eps_list, T or t_max) have
+no defaults.  The --seed and --jobs flags are checked against the same table
+entries as the keys they override.  Cross-field constraints (grid
+divisibility, support margins, and the claim preconditions of
+`experiments.sweep_claims`) are checked at load time so that a bad config
+never reaches the solver.  The claims, their verdicts and the suite
+defaults live in `experiments` and `estimates`; this module only reads
+configs, calls them and writes their results.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import operator
 import os
 import re
+import reprlib
 import sys
 import time
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve, snapshot_levels, trajectory_to_csv
@@ -73,168 +78,134 @@ EXIT_VERDICT = 4
 
 class ConfigError(Exception):
     """Raised for anything wrong with a config file: unreadable, bad JSON,
-    schema violation, or a failed cross-field constraint."""
+    a value its command's table rejects, or a failed cross-field constraint."""
 
 
 # ---------------------------------------------------------------------------
-# Config schemas.  Strict throughout: additionalProperties false, and no
-# defaults for dim, M, eps/eps_list, T/t_max.
+# Config tables: one rule per key (see the module docstring).
 # ---------------------------------------------------------------------------
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["L", "n", "t_max"],
-    "properties": {
-        "L": {"type": "number", "exclusiveMinimum": 0},
-        "n": {"type": "integer", "minimum": 4},
-        "t_max": {"type": "number", "minimum": 0},
-    },
-}
-
-_CUTOFF_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["inner", "outer"],
-    "properties": {
-        "inner": {"type": "number", "exclusiveMinimum": 0},
-        "outer": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_PROBE_SCHEMA = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-SIMULATE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim", "M", "eps", "grid"],
-    "properties": {
-        "dim": {"enum": [1, 2, 3]},
-        "M": {"type": "number", "minimum": 0},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "potential_mode": {"enum": ["zero", "constrained"]},
-        "grid": _GRID_SCHEMA,
-        "cutoff": _CUTOFF_SCHEMA,
-        "snapshot_times": {"type": "array", "items": {"type": "number"}},
-        "record_history": {"type": "boolean"},
-        "out": {"type": "string"},
-    },
-}
-
-SWEEP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim", "M", "eps_list", "T"],
-    "properties": {
-        "dim": {"enum": [1, 2, 3]},
-        "M": {"type": "number", "minimum": 0},
-        "eps_list": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "potential_mode": {"enum": ["zero", "constrained"]},
-        "probes": {"type": "array", "items": _PROBE_SCHEMA},
-        "h_over_eps": {"type": "number", "minimum": 1},
-        "cutoff": _CUTOFF_SCHEMA,
-        "claims": {
-            "type": "array",
-            "minItems": 1,
-            "uniqueItems": True,
-            "items": {"enum": list(CLAIMS)},
-        },
-        "jobs": {"type": "integer", "minimum": 1},
-        "out": {"type": "string"},
-    },
-}
-
-VERIFY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["seed"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "suites": {
-            "type": "array",
-            "minItems": 1,
-            "uniqueItems": True,
-            "items": {
-                "enum": ["energy", "wave", "nullform", "refinement", "bootstrap", "recompute"]
-            },
-        },
-        "counts": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "energy": {"type": "integer", "minimum": 1},
-                "wave": {"type": "integer", "minimum": 1},
-                "nullform": {"type": "integer", "minimum": 1},
-            },
-        },
-        # applies to the three randomized suites; refinement keeps its own base
-        "grid": _GRID_SCHEMA,
-        "refinement_factors": {
-            "type": "array",
-            "minItems": 2,
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "bootstrap_masses": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "recompute_dir": {"type": "string"},
-        "out": {"type": "string"},
-    },
-}
-
-NORMS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["eps_list"],
-    "properties": {
-        "eps_list": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "number", "minimum": 0},
-        },
-        # hs_norm is restricted to negative orders
-        "s_values": {"type": "array", "items": {"type": "number", "exclusiveMaximum": 0}},
-        "L": {"type": "number", "exclusiveMinimum": 0},
-        "n": {"type": "integer", "minimum": 4},
-        "cutoff": _CUTOFF_SCHEMA,
-        "out": {"type": "string"},
-    },
-}
-
-_SCHEMAS = {
-    "simulate": SIMULATE_SCHEMA,
-    "sweep": SWEEP_SCHEMA,
-    "verify": VERIFY_SCHEMA,
-    "norms": NORMS_SCHEMA,
-}
 
 _SUITE_RUNNERS = {
     "energy": run_energy_suite,
     "wave": run_wave_suite,
     "nullform": run_nullform_suite,
 }
+_SUITES = (*_SUITE_RUNNERS, "refinement", "bootstrap", "recompute")
 
 
-@functools.cache
-def _validator(command: str):
-    """The command's schema validator, checked against its meta-schema and
-    built once per process (the schemas are constants)."""
-    schema = _SCHEMAS[command]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+class Key(NamedTuple):
+    """One config value: its JSON type, whether it is required, a bound such
+    as '> 0' (or 'len >= 1' on an array's length) and an enum; for an array
+    the uniqueness and rule of its items, for an object the table of its keys."""
+
+    kind: str
+    required: bool = False
+    bound: str = ""
+    enum: tuple = ()
+    unique: bool = False
+    items: Key | None = None
+    table: dict | None = None
 
 
-def load_config(path: str, command: str) -> dict:
-    """Read, schema-validate, and cross-check a config file.
+_GRID = {
+    "L": Key("number", True, "> 0"),
+    "n": Key("integer", True, ">= 4"),
+    "t_max": Key("number", True, ">= 0"),
+}
+_CUTOFF = {
+    "inner": Key("number", True, "> 0"),
+    "outer": Key("number", True, "> 0"),
+}
+_COUNTS = {suite: Key("integer", bound=">= 1") for suite in _SUITE_RUNNERS}
+CONFIG_TABLES = {
+    "simulate": {
+        "dim": Key("integer", True, enum=(1, 2, 3)),
+        "M": Key("number", True, ">= 0"),
+        "eps": Key("number", True, "> 0"),
+        "potential_mode": Key("string", enum=("zero", "constrained")),
+        "grid": Key("object", True, table=_GRID),
+        "cutoff": Key("object", table=_CUTOFF),
+        "snapshot_times": Key("array", items=Key("number")),
+        "record_history": Key("boolean"),
+        "out": Key("string"),
+    },
+    "sweep": {
+        "dim": Key("integer", True, enum=(1, 2, 3)),
+        "M": Key("number", True, ">= 0"),
+        "eps_list": Key("array", True, "len >= 1", items=Key("number", bound="> 0")),
+        "T": Key("number", True, "> 0"),
+        "potential_mode": Key("string", enum=("zero", "constrained")),
+        "probes": Key("array", items=Key("array", bound="len == 2", items=Key("number"))),
+        "h_over_eps": Key("number", bound=">= 1"),
+        "cutoff": Key("object", table=_CUTOFF),
+        "claims": Key("array", bound="len >= 1", unique=True, items=Key("string", enum=CLAIMS)),
+        "jobs": Key("integer", bound=">= 1"),
+        "out": Key("string"),
+    },
+    "verify": {
+        "seed": Key("integer", True, ">= 0"),
+        "suites": Key("array", bound="len >= 1", unique=True, items=Key("string", enum=_SUITES)),
+        "counts": Key("object", table=_COUNTS),
+        # applies to the three randomized suites; refinement keeps its own base
+        "grid": Key("object", table=_GRID),
+        "refinement_factors": Key("array", bound="len >= 2", items=Key("integer", bound=">= 1")),
+        "bootstrap_masses": Key("array", items=Key("number", bound=">= 0")),
+        "recompute_dir": Key("string"),
+        "out": Key("string"),
+    },
+    "norms": {
+        "eps_list": Key("array", True, "len >= 1", items=Key("number", bound=">= 0")),
+        # hs_norm is restricted to negative orders
+        "s_values": Key("array", items=Key("number", bound="< 0")),
+        "L": Key("number", bound="> 0"),
+        "n": Key("integer", bound=">= 4"),
+        "cutoff": Key("object", table=_CUTOFF),
+        "out": Key("string"),
+    },
+}
+_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool, "array": list, "object": dict}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "==": operator.eq}
+
+
+def _check(value, key: Key, loc: str) -> None:
+    """Raise ValueError('loc: message') where `value` breaks `key`; loc is
+    the slash path of the offending key (e.g. grid/n), or <root>."""
+    shown = reprlib.repr(value)
+    if not isinstance(value, _TYPES[key.kind]) or isinstance(value, bool) != (key.kind == "boolean"):
+        raise ValueError(f"{loc}: {shown} is not of type '{key.kind}'")
+    if key.kind in ("integer", "number") and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{loc}: {shown} is not finite as a float")
+    if key.enum and value not in key.enum:
+        raise ValueError(f"{loc}: {shown} is not one of {list(key.enum)}")
+    if key.bound:
+        *size, op, limit = key.bound.split()
+        if not _BOUNDS[op](len(value) if size else value, float(limit)):
+            raise ValueError(f"{loc}: needs {key.bound}, got {shown}")
+    if key.kind == "array":
+        for i, item in enumerate(value):
+            _check(item, key.items, f"{loc}/{i}")
+        if key.unique and len(set(value)) < len(value):
+            raise ValueError(f"{loc}: items are not unique")
+    if key.kind == "object":
+        prefix = "" if loc == "<root>" else f"{loc}/"
+        for name in sorted(value.keys() - key.table.keys()):
+            raise ValueError(f"{prefix}{name}: unknown key")
+        for name, rule in key.table.items():
+            if name in value:
+                _check(value[name], rule, prefix + name)
+            elif rule.required:
+                raise ValueError(f"{prefix}{name}: required key missing")
+
+
+def _given(raw: dict, **params) -> dict:
+    """{param: raw[key]} for the keys the config holds; the library keeps each default."""
+    return {param: raw[key] for param, key in params.items() if key in raw}
+
+
+def load_config(path: str, command: str, flags: dict | None = None) -> dict:
+    """Read, check against the command's table, and cross-check a config
+    file.  `flags` (command-line overrides such as seed or jobs) are checked
+    against the same table entries and then merged into the raw config.
 
     Returns a context dict holding the raw config plus the constructed
     domain objects for the subcommand.  Raises ConfigError on any problem.
@@ -244,23 +215,20 @@ def load_config(path: str, command: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, a bad encoding, an integer of over 4300 digits
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(raw))
-    if error is not None:
-        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {loc}: {error.message}") from error
 
     ctx: dict = {"raw": raw}
     try:
+        table = CONFIG_TABLES[command]
+        _check(raw, Key("object", table=table), "<root>")
+        for name, value in (flags or {}).items():
+            _check(value, table[name], f"--{name}")
+            raw[name] = value
         if command == "simulate":
             cutoff = CutoffSpec(**raw.get("cutoff", {}))
             ctx["fam"] = DataFamily(
-                dim=raw["dim"],
-                eps=raw["eps"],
-                M=raw["M"],
-                potential_mode=PotentialMode(raw.get("potential_mode", "zero")),
-                cutoff=cutoff,
+                raw["dim"], raw["eps"], raw["M"], cutoff=cutoff, **_given(raw, potential_mode="potential_mode")
             )
             grid = GridSpec(**raw["grid"])
             grid.ensure_support(cutoff.outer)
@@ -277,26 +245,21 @@ def load_config(path: str, command: str) -> dict:
                 eps_list=tuple(raw["eps_list"]),
                 T=raw["T"],
                 probes=tuple(tuple(p) for p in raw.get("probes", [])),
-                h_over_eps=raw.get("h_over_eps", 16.0),
                 cutoff=CutoffSpec(**raw.get("cutoff", {})),
+                **_given(raw, h_over_eps="h_over_eps"),
             )
             ctx["plan"], ctx["mode"] = plan, mode
             ctx["claims"] = sweep_claims(plan, mode, raw.get("claims"))
         elif command == "verify":
-            suites = raw.get("suites")
-            if suites is None:
-                suites = ["energy", "wave", "nullform", "refinement", "bootstrap"]
-            counts = raw.get("counts", {})
-            for name in _SUITE_RUNNERS:
-                if name in suites and name not in counts:
-                    raise ValueError(f"suite '{name}' selected but counts.{name} missing")
+            suites = raw.get("suites", [s for s in _SUITES if s != "recompute"])
             if "recompute" in suites and "recompute_dir" not in raw:
                 raise ValueError("suite 'recompute' selected but recompute_dir missing")
-            if "grid" in raw:
-                ctx["suite_grid"] = GridSpec(**raw["grid"])
-                for name in _SUITE_RUNNERS:
-                    if name in suites:
-                        check_suite_grid(name, ctx["suite_grid"])
+            ctx["suite_grid"] = GridSpec(**raw["grid"]) if "grid" in raw else None
+            for name in (s for s in _SUITE_RUNNERS if s in suites):
+                if name not in raw.get("counts", {}):
+                    raise ValueError(f"suite '{name}' selected but counts.{name} missing")
+                if ctx["suite_grid"]:
+                    check_suite_grid(name, ctx["suite_grid"])
             ctx["suites"] = suites
         elif command == "norms":
             eps_list = raw["eps_list"]
@@ -307,7 +270,7 @@ def load_config(path: str, command: str) -> dict:
             # one-step slab: only the spatial mesh matters for data norms
             ctx["grid"] = GridSpec(L=L, n=n, t_max=2.0 * L / n)
             ctx["cutoff"] = CutoffSpec(**raw.get("cutoff", {}))
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a grid whose h underflows or steps overflow
         raise ConfigError(f"{path}: {exc}") from exc
     return ctx
 
@@ -390,9 +353,8 @@ def cmd_simulate(ctx: dict, args) -> int:
 
 def cmd_sweep(ctx: dict, args) -> int:
     raw, plan, mode, claims = ctx["raw"], ctx["plan"], ctx["mode"], ctx["claims"]
-    jobs = args.jobs or raw.get("jobs", 1)
     out = _out_dir(raw, args, "sweep")
-    results = run_sweep(plan, mode=mode, jobs=jobs, claims=claims)
+    results = run_sweep(plan, mode=mode, claims=claims, **_given(raw, jobs="jobs"))
     summary = write_sweep(results, plan, mode, out)
     found = verdicts(results, plan, claims)
     failed = [name for name in claims if not verdict_passed(found[name])]
@@ -447,19 +409,17 @@ def _recompute_entry(directory: str) -> dict:
 
 def cmd_verify(ctx: dict, args) -> int:
     raw, suites = ctx["raw"], ctx["suites"]
-    seed = args.seed if args.seed is not None else raw["seed"]
-    counts = raw.get("counts", {})
     out = _out_dir(raw, args, "verify")
-    chash = config_hash({"command": "verify", **raw, "seed": seed})
+    chash = config_hash({"command": "verify", **raw})
     reports: list[dict] = []
     failures = 0
 
     for name in _SUITE_RUNNERS:
         if name not in suites:
             continue
-        grid = ctx.get("suite_grid") or suite_grid(name)
+        grid = ctx["suite_grid"] or suite_grid(name)
         t0 = time.time()
-        reps = _SUITE_RUNNERS[name](counts[name], seed, grid)
+        reps = _SUITE_RUNNERS[name](raw["counts"][name], raw["seed"], grid)
         elapsed = time.time() - t0
         bad = [r for r in reps if not r.passed]
         failures += len(bad)
@@ -476,9 +436,8 @@ def cmd_verify(ctx: dict, args) -> int:
             reports.append(entry)
 
     if "refinement" in suites:
-        factors = tuple(raw.get("refinement_factors", (1, 2, 4)))
         for idx in (0, 1, 2):
-            rows = nullform_refinement(idx, factors=factors)
+            rows = nullform_refinement(idx, **_given(raw, factors="refinement_factors"))
             ok = all(ratio <= slack for _, ratio, slack in rows)
             failures += 0 if ok else 1
             reports.append(
@@ -512,7 +471,7 @@ def cmd_verify(ctx: dict, args) -> int:
 
     payload = {
         "config_hash": chash,
-        "seed": seed,
+        "seed": raw["seed"],
         "reports": reports,
         "failures": failures,
         "pass": failures == 0,
@@ -627,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {k: v for k in ("seed", "jobs") if (v := getattr(args, k, None)) is not None}
     try:
-        ctx = load_config(args.config, args.command)
+        ctx = load_config(args.config, args.command, flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

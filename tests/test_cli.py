@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: exit codes, artifacts, strict config handling."""
 
+import copy
+import functools
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxdirac1d
 from maxdirac1d import cli
@@ -94,6 +100,30 @@ def test_simulate_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def with_literal(cfg, key, literal):
+    """cfg as JSON text whose `key` holds `literal` verbatim: numbers
+    json.dumps cannot write, such as 1e400 (json.load reads it as inf)."""
+    return json.dumps(dict(cfg, **{key: "@"})).replace('"@"', literal)
+
+
+# integer keys given floats, and numbers that are not finite as floats:
+# (command, payload, the key the error must name)
+BAD_NUMBERS = [
+    ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256.0, "t_max": 0.16}), "grid/n"),
+    ("verify", dict(VERIFY_GRID, seed=3.0), "seed"),
+    ("verify", {"seed": 0, "suites": ["energy"], "counts": {"energy": 2.0}}, "counts/energy"),
+    ("sweep", dict(SWEEP_CONFIG, jobs=2.0), "jobs"),
+    ("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2.0]}, "refinement_factors/1"),
+    ("norms", {"eps_list": [1e-2, 1e-3], "n": 512.0}, "n"),
+    ("simulate", dict(SIM_CONFIG, M=float("nan")), "M"),
+    ("simulate", dict(SIM_CONFIG, eps=float("nan")), "eps"),
+    ("simulate", dict(SIM_CONFIG, grid={"L": float("inf"), "n": 256, "t_max": 0.16}, snapshot_times=[]), "grid/L"),
+    ("sweep", with_literal(dict(SWEEP_CONFIG, claims=["claim1"]), "T", "1e400"), "T"),
+    ("verify", with_literal({"seed": 0, "suites": ["bootstrap"]}, "bootstrap_masses", "[1e400]"), "bootstrap_masses/0"),
+    ("norms", {"eps_list": [1e-2, 1e-3], "n": 10**400}, "n"),
+]
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -120,6 +150,11 @@ def test_simulate_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
         ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 128, "t_max": 2.56})),
         # snapshot times that round to one level (h = 0.02)
         ("simulate", dict(SIM_CONFIG, snapshot_times=[0.08, 0.08, 0.0801])),
+        *[(command, payload) for command, payload, _ in BAD_NUMBERS],
+        # finite numbers whose step count t_max / h overflows, or whose h underflows
+        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 1e307}, snapshot_times=[])),
+        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 256, "t_max": 1e307})),
+        ("norms", {"eps_list": [1e-2, 1e-3], "L": 5e-324}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -127,6 +162,130 @@ def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command, payload, loc", BAD_NUMBERS, ids=[f"{c}:{loc}" for c, _, loc in BAD_NUMBERS])
+def test_bad_numbers_name_the_key(tmp_path, command, payload, loc):
+    with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: "):
+        cli.load_config(write_config(tmp_path, payload), command)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--seed", "-1"], ["sweep", "--jobs", "-4"], ["sweep", "--jobs", "0"]]
+)
+def test_bad_flags_exit_2_naming_the_flag(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, VERIFY_GRID if argv[0] == "verify" else SWEEP_CONFIG)
+    rc = cli.main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f": {argv[1]}: needs >= " in err
+    assert not (tmp_path / "o").exists()
+
+
+# one valid config per command that holds every key its table allows
+FULL_CONFIGS = {
+    "simulate": dict(SIM_CONFIG, cutoff={"inner": 1.0, "outer": 2.0}, record_history=False, out="o"),
+    "sweep": dict(SWEEP_CONFIG, potential_mode="zero", cutoff={"inner": 1.0, "outer": 2.0}, jobs=1, out="o"),
+    "verify": {
+        "seed": 0,
+        "suites": ["energy", "wave", "nullform", "refinement", "bootstrap", "recompute"],
+        "counts": {"energy": 1, "wave": 1, "nullform": 1},
+        "grid": {"L": 2.56, "n": 256, "t_max": 0.24},
+        "refinement_factors": [1, 2],
+        "bootstrap_masses": [0.0, 1.0],
+        "recompute_dir": "campaign",
+        "out": "o",
+    },
+    "norms": {
+        "eps_list": [1e-2, 1e-3],
+        "s_values": [-0.5],
+        "L": 2.5,
+        "n": 1024,
+        "cutoff": {"inner": 1.0, "outer": 2.0},
+        "out": "o",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+def test_full_configs_load(tmp_path, command):
+    assert cli.load_config(write_config(tmp_path, FULL_CONFIGS[command]), command)["raw"] == FULL_CONFIGS[command]
+
+
+# the integer-typed keys of each command, as paths ("*": every list item)
+INT_KEYS = {
+    "simulate": [("grid", "n")],
+    "sweep": [("jobs",)],
+    "verify": [("seed",), ("counts", "energy"), ("counts", "wave"), ("counts", "nullform"), ("grid", "n"), ("refinement_factors", "*")],
+    "norms": [("n",)],
+}
+
+# values that sit on a rule's edge (bools, integer-valued floats, an int or
+# a literal past the float range, 1e400 read as inf), then arbitrary JSON
+EDGE_VALUES = [True, False, None, 0, -1, 2.0, 256.0, 1e307, 5e-324, 10**400, float("inf"), float("nan"), "", []]
+JSON_VALUES = st.sampled_from(EDGE_VALUES) | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**6), 10**6).map(float)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON value, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, cfg):
+    """cfg after one or two mutations: drop a key or item, add an unknown
+    key, or replace any value with arbitrary JSON."""
+    cfg = copy.deepcopy(cfg)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from([(), *_paths(cfg)]))
+        node = functools.reduce(operator.getitem, path[:-1], cfg)
+        action = draw(st.sampled_from(["drop", "add", "replace"]))
+        if not path or action == "add":
+            target = functools.reduce(operator.getitem, path, cfg)
+            if isinstance(target, dict):
+                target[draw(st.text(min_size=1, max_size=6))] = draw(JSON_VALUES)
+        elif action == "drop":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = draw(JSON_VALUES)
+    return cfg
+
+
+def _values_at(node, path):
+    if not path:
+        yield node
+    elif path[0] == "*":
+        for item in node:
+            yield from _values_at(item, path[1:])
+    elif path[0] in node:
+        yield from _values_at(node[path[0]], path[1:])
+
+
+@pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, command, data):
+    cfg = data.draw(mutated(FULL_CONFIGS[command]))
+    path = write_config(tmp_path_factory.getbasetemp(), cfg, name=f"mutated_{command}.json")
+    try:
+        ctx = cli.load_config(path, command)
+    except cli.ConfigError:
+        return
+    for key in INT_KEYS[command]:
+        for value in _values_at(ctx["raw"], key):
+            assert type(value) is int, (key, value)
 
 
 def test_claim3_needs_two_eps_at_load(tmp_path):
@@ -141,7 +300,7 @@ def test_cli_import_leaves_scipy_out():
     # scipy is a test dependency only; a fresh interpreter shows what the CLI loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(maxdirac1d.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import maxdirac1d.cli, sys; assert 'scipy' not in sys.modules"
+    code = "import maxdirac1d.cli, sys; assert not {'scipy', 'jsonschema'} & set(sys.modules)"
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
