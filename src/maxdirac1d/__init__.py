@@ -14,6 +14,7 @@ from .gamma_algebra import (
     coupling,
     gamma_matrices,
     interaction_term,
+    marched_components,
     modulus_rhs,
     modulus_sq,
     spinor_components,

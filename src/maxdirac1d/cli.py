@@ -25,11 +25,12 @@ literals (2, not 2.0 or true), every number must be finite as a float, and
 the physically meaningful fields (dim, M, eps or eps_list, T or t_max) have
 no defaults.  The --seed and --jobs flags are checked against the same table
 entries as the keys they override.  Cross-field constraints (grid
-divisibility, support margins, and the claim preconditions of
-`experiments.sweep_claims`) are checked at load time so that a bad config
-never reaches the solver.  The claims, their verdicts and the suite
-defaults live in `experiments` and `estimates`; this module only reads
-configs, calls them and writes their results.
+divisibility, support margins, the MAX_NODES cap on every grid a run would
+build, and the claim preconditions of `experiments.sweep_claims`) are
+checked at load time so that a bad config never reaches the solver.  The
+claims, their verdicts and the suite defaults live in `experiments` and
+`estimates`; this module only reads configs, calls them and writes their
+results.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .experiments import (
     CLAIMS,
     SweepPlan,
     config_hash,
+    grid_for_eps,
     load_sweep,
     run_sweep,
     sweep_claims,
@@ -68,7 +70,7 @@ from .experiments import (
     write_sweep,
 )
 from .gamma_algebra import modulus_sq
-from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv, write_json
+from .initial_data import CutoffSpec, DataFamily, GridError, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,6 +199,29 @@ def _check(value, key: Key, loc: str) -> None:
                 raise ValueError(f"{prefix}{name}: required key missing")
 
 
+# Grid nodes a config may ask for: 268 MB per complex row.  ROADMAP item 2's
+# deepest ladder rung (eps = 10^-4.5 at h/eps = 64) needs about 4.9e6.
+MAX_NODES = 2**24
+
+
+def _cap_nodes(loc: str, n: int, why: str = "") -> None:
+    if n + 1 > MAX_NODES:
+        raise ValueError(f"{loc}: {why}{n + 1} grid nodes, more than MAX_NODES = {MAX_NODES}")
+
+
+def _grid(prefix: str, fields: dict, outer: float | None = None) -> GridSpec:
+    """GridSpec(**fields) under the node cap, with room for supports out to
+    `outer` when given; an error names its key as prefix + field."""
+    try:
+        grid = GridSpec(**fields)
+        if outer is not None:
+            grid.ensure_support(outer)
+    except GridError as exc:
+        raise ValueError(f"{prefix}{exc.key}: {exc}") from exc
+    _cap_nodes(f"{prefix}n", grid.n)
+    return grid
+
+
 def _given(raw: dict, **params) -> dict:
     """{param: raw[key]} for the keys the config holds; the library keeps each default."""
     return {param: raw[key] for param, key in params.items() if key in raw}
@@ -230,8 +255,7 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             ctx["fam"] = DataFamily(
                 raw["dim"], raw["eps"], raw["M"], cutoff=cutoff, **_given(raw, potential_mode="potential_mode")
             )
-            grid = GridSpec(**raw["grid"])
-            grid.ensure_support(cutoff.outer)
+            grid = _grid("grid/", raw["grid"], cutoff.outer)
             for ts in raw.get("snapshot_times", []):
                 if ts < 0 or ts > grid.t_max:
                     raise ValueError(f"snapshot time {ts} outside [0, {grid.t_max}]")
@@ -248,13 +272,22 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
                 cutoff=CutoffSpec(**raw.get("cutoff", {})),
                 **_given(raw, h_over_eps="h_over_eps"),
             )
+            for i, eps in enumerate(plan.eps_list):
+                try:
+                    n = grid_for_eps(plan, eps).n
+                except (ValueError, ArithmeticError) as exc:
+                    raise ValueError(f"eps_list/{i}: no grid for eps = {eps!r}: {exc}") from exc
+                _cap_nodes(f"eps_list/{i}", n, f"eps = {eps!r} at h_over_eps = {plan.h_over_eps!r} needs ")
             ctx["plan"], ctx["mode"] = plan, mode
             ctx["claims"] = sweep_claims(plan, mode, raw.get("claims"))
         elif command == "verify":
             suites = raw.get("suites", [s for s in _SUITES if s != "recompute"])
             if "recompute" in suites and "recompute_dir" not in raw:
                 raise ValueError("suite 'recompute' selected but recompute_dir missing")
-            ctx["suite_grid"] = GridSpec(**raw["grid"]) if "grid" in raw else None
+            ctx["suite_grid"] = _grid("grid/", raw["grid"]) if "grid" in raw else None
+            base = suite_grid("nullform")  # the refinement study's own base grid
+            for i, factor in enumerate(raw.get("refinement_factors", ())):
+                _cap_nodes(f"refinement_factors/{i}", factor * base.n, f"factor {factor} on the base n = {base.n} gives ")
             for name in (s for s in _SUITE_RUNNERS if s in suites):
                 if name not in raw.get("counts", {}):
                     raise ValueError(f"suite '{name}' selected but counts.{name} missing")
@@ -268,9 +301,9 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             L = raw.get("L", 2.5)
             n = raw.get("n", 4096)
             # one-step slab: only the spatial mesh matters for data norms
-            ctx["grid"] = GridSpec(L=L, n=n, t_max=2.0 * L / n)
+            ctx["grid"] = _grid("", {"L": L, "n": n, "t_max": 2.0 * L / n})
             ctx["cutoff"] = CutoffSpec(**raw.get("cutoff", {}))
-    except (ValueError, ArithmeticError) as exc:  # a grid whose h underflows or steps overflow
+    except (ValueError, ArithmeticError) as exc:  # arithmetic on extreme finite numbers
         raise ConfigError(f"{path}: {exc}") from exc
     return ctx
 

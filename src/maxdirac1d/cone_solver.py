@@ -45,6 +45,23 @@ Runs with declared reads record no whole-line series, which have no meaning
 on such a window.  An observer that declares no `reads` (GaugeMonitor) sees
 full-width rows: that run marches every node.
 
+Components are cut the same way.  The paper's datum puts chi f_eps in u[0]
+only and has a_2 = b_2 = 0.  In dim 3 the second components u[1], v[1] and
+A_2 then stay +0.0 for the whole run, so `evolve` marches the first
+components only (`gamma_algebra.marched_components`, `meta["components"]`).
+That holds in floating point, not only in exact arithmetic.  Every term
+that feeds a second component, or the source S_2 of A_2, is a product of a
+finite number with one of those zeros or with s = i A_2, so it is a zero.
+Sums of zeros stay +0.0, since a sum is -0.0 only when both terms are, and
+A_2 is built from +0.0 data by such sums.  A non-finite first component
+aborts the run at its level either way.  The one-component coupling and
+sources round the first components exactly as the two-component ones do,
+so the series, snapshots, history and observed levels are bitwise those of
+a two-component run.  The second components come back as zero rows in the
+full-width arrays and in what observers see; only the sign of S_2's zeros
+may differ, and it reaches no field.  A datum with any other value there,
+-0.0 included, marches both components.
+
 The grid contract (`GridSpec.ensure_support`) keeps every support clear of a
 two-node band at each boundary; a guard aborts the run if the fields there
 ever turn nonzero.  It checks the band nodes inside the window, so a datum
@@ -60,8 +77,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gamma_algebra import coupling, spinor_rhs, wave_sources
-from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
+from .gamma_algebra import coupling, marched_components, spinor_components, spinor_rhs, wave_sources
+from .initial_data import DataFamily, GridSpec, _write_csv, potential_data, spinor_datum, write_csv
 
 __all__ = [
     "SolverAbort",
@@ -170,7 +187,8 @@ class LevelState:
     """What observers see at each accepted time level.  The arrays cover the
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
-    window keeps at least one such zero node at that edge."""
+    window keeps at least one such zero node at that edge.  u and v hold
+    every component, the ones not marched as zero rows."""
 
     m: int
     t: float
@@ -289,15 +307,16 @@ def free_transport(f, g, levels: int) -> tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
-def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None):
+def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None, ncomp=None):
     """One implicit-trapezoid step along the two characteristic families.
 
     u flows from node j-1 at the old level to node j at the new level, v the
     mirror image.  The implicit couplings at the new node form an
     anti-hermitian system whose Schur complement is scalar (DC = -k2), so the
-    solve is closed-form and vectorised over nodes.
+    solve is closed-form and vectorised over nodes.  ncomp is the marched
+    component count (`gamma_algebra.marched_components`).
     """
-    du, dv = spinor_rhs(dim, A_old, u, v, M)
+    du, dv = spinor_rhs(dim, A_old, u, v, M, ncomp=ncomp)
     if ext_old is not None:
         du = du + ext_old[0]
         dv = dv + ext_old[1]
@@ -309,7 +328,7 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None):
 
     den_u = 1.0 - 0.5j * h * (A_new[0] + A_new[1])
     den_v = 1.0 - 0.5j * h * (A_new[0] - A_new[1])
-    C, D, k2 = coupling(dim, 0.5 * h * A_new, 0.5 * h * M)  # h/2 times the coupling
+    C, D, k2 = coupling(dim, 0.5 * h * A_new, 0.5 * h * M, ncomp=ncomp)  # h/2 times the coupling
     v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u)
     u_new = (P + C(v_new)) / den_u
     return u_new, v_new
@@ -427,7 +446,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     per level, taken over full-width rows, and return snapshots and history
     as full-width arrays (zero outside the window); runs with declared reads
     record no series.  `meta` records the marched `window` (first node, end
-    node, last level) and the `node_steps` computed.
+    node, last level), the `node_steps` computed and the spinor `components`
+    marched (see the module docstring).
     """
     opts = opts or EvolveOptions()
     grid.ensure_support(fam.cutoff.outer)
@@ -436,9 +456,10 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     u, v = spinor_datum(fam, grid)
     a, b = potential_data(fam, grid)
     first, end, steps, whole_line = _window(grid, opts, (u, v, a, b))
+    ncomp, nc = marched_components(dim, u, v, a, b), spinor_components(dim)
     # slices of the full-grid samples, so every value is the same float
     x = grid.nodes()[first:end]
-    u, v, a, b = (w[..., first:end].copy() for w in (u, v, a, b))
+    u, v, a, b = (w[..., first:end].copy() for w in (u[:ncomp], v[:ncomp], a, b))
 
     times = h * np.arange(steps + 1)
     series: dict[str, list[float]] = {}
@@ -449,15 +470,18 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     row = np.zeros(n1)  # full-width row for the series sums, zero outside the window
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
     history = None
+    rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At; spinor rows past ncomp stay zero
     if opts.record_history:
-        history = History(
-            times, *(np.zeros((steps + 1, *w.shape[:-1], n1), w.dtype) for w in (u, v, a, b))
-        )
+        history = History(times, *(np.zeros((steps + 1, r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
     snapshots: list[Snapshot] = []
+    unmarched = np.zeros((nc - ncomp, end - first), complex)
 
-    def full_width(w):
-        out = np.zeros((*w.shape[:-1], n1), w.dtype)
-        out[..., first:end] = w
+    def all_components(w):
+        return np.concatenate((w, unmarched)) if unmarched.size else w
+
+    def full_width(w, r):
+        out = np.zeros((r, n1), w.dtype)
+        out[: len(w), first:end] = w
         return out
 
     def full_trapezoid(w):
@@ -467,8 +491,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     def sources(m, A_old, A_new):  # leaves u, v at level m for the loop body
         nonlocal u, v
         if m > 0:
-            u, v = _transport_step(dim, M, h, u, v, A_old, A_new)
-        return np.stack(wave_sources(dim, u, v))
+            u, v = _transport_step(dim, M, h, u, v, A_old, A_new, ncomp=ncomp)
+        return np.stack(wave_sources(dim, u, v, ncomp=ncomp))
 
     for m, A, At, S in _leapfrog(a, b, sources, h, steps):
         t = m * h
@@ -488,14 +512,14 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             for mu in range(dim + 1):
                 series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
         if opts.observers:
-            lev = LevelState(m, t, x, u, v, A, At, S, h, dim, first)
+            lev = LevelState(m, t, x, all_components(u), all_components(v), A, At, S, h, dim, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
         if m in snap_levels:
-            snapshots.append(Snapshot(t, *(full_width(w) for w in (u, v, A, At))))
+            snapshots.append(Snapshot(t, *(full_width(w, r) for w, r in zip((u, v, A, At), rows))))
         if history is not None:
-            for rows, w in zip((history.u, history.v, history.A, history.At), (u, v, A, At)):
-                rows[m, ..., first:end] = w
+            for level_rows, w in zip((history.u, history.v, history.A, history.At), (u, v, A, At)):
+                level_rows[m, : len(w), first:end] = w
 
     traj = Trajectory(
         fam=fam,
@@ -504,7 +528,7 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         series={k: np.asarray(vs) for k, vs in series.items()},
         snapshots=snapshots,
         history=history,
-        meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
+        meta={"window": (first, end, steps), "node_steps": (end - first) * steps, "components": ncomp},
     )
     for obs in opts.observers:
         fin = getattr(obs, "finalize", None)
@@ -693,10 +717,11 @@ def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = Non
     os.makedirs(directory, exist_ok=True)
     comments = () if config_hash is None else (f"config_hash={config_hash}",)
     paths = []
-    x = traj.grid.nodes()
+    # every snapshot has the same x column: format it once, as write_csv would
+    x = list(map(repr, traj.grid.nodes().tolist())) if traj.snapshots else None
     for k, snap in enumerate(traj.snapshots):
         path = os.path.join(directory, f"snapshot_{k:03d}.csv")
-        names, cols = ["x"], [x]
+        names, cols = ["x"], []
         for name, w in (("u", snap.u), ("v", snap.v)):
             for c in range(w.shape[0]):
                 names += [f"Re_{name}{c + 1}", f"Im_{name}{c + 1}"]
@@ -704,7 +729,7 @@ def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = Non
         for mu in range(snap.A.shape[0]):
             names.append(f"A{mu}")
             cols.append(snap.A[mu])
-        write_csv(path, names, np.column_stack(cols), (*comments, f"t={snap.t!r}"))
+        _write_csv(path, names, np.column_stack(cols), (*comments, f"t={snap.t!r}"), lead=x)
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     keys = sorted(traj.series.keys())

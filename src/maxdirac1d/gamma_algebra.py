@@ -13,6 +13,12 @@ nodes.  This module holds the concrete matrices, the Clifford-relation
 verifier, the wave sources, and `coupling`: the u-v coupling, written out
 per dim in this one place, which the transport and modulus sources and the
 solver apply.
+
+It also owns the one rule that drops components: in dim 3 a datum whose
+second components u[1], v[1] and transverse data a_2, b_2 are zero keeps
+them zero for the whole run (`marched_components`).  The solver then marches
+the first components only, and passes `ncomp=1` to `coupling`, `spinor_rhs`
+and `wave_sources`; every other caller keeps the strict shape contract.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "gamma_matrices",
     "verify_clifford",
     "spinor_components",
+    "marched_components",
     "coupling",
     "spinor_rhs",
     "wave_sources",
@@ -157,9 +164,42 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # ---------------------------------------------------------------------------
 
 
-def _as_spinor(dim: int, w) -> np.ndarray:
+def _marched(dim: int, ncomp: int | None) -> int:
+    """The component count a call works on: spinor_components(dim), or 1 in
+    dim 3 for a state from `marched_components`."""
+    full = spinor_components(dim)
+    if ncomp is None or ncomp == full:
+        return full
+    if ncomp != 1:
+        raise ValueError(f"dim-{dim} runs march {full} or 1 components, got {ncomp!r}")
+    return 1
+
+
+def _plus_zero(w) -> bool:
+    """Every entry is +0.0; a -0.0 would print differently from the zeros
+    that stand in for the components not marched."""
+    return not np.ascontiguousarray(w).view(np.uint8).any()
+
+
+def marched_components(dim: int, u, v, a, b) -> int:
+    """Half-spinor components a run from the datum (u, v, a, b) must march.
+
+    In dim 3, if u[1], v[1], a_2 and b_2 are all +0.0, then A_2 stays zero:
+    its source S_2 = -2 Re(conj(v_0)(-u_1) + conj(v_1) u_0) vanishes with the
+    second components, and they in turn see only s = i A_2 = 0 and their own
+    zero values, since the coupling with s = 0 is diagonal.  Every product
+    that would carry them is an exact zero, so they stay exactly zero, and
+    the run needs the first components only: 1.  Otherwise, and in dims 1
+    and 2, spinor_components(dim).
+    """
+    if dim == 3 and all(_plus_zero(w) for w in (u[..., 1, :], v[..., 1, :], a[2], b[2])):
+        return 1
+    return spinor_components(dim)
+
+
+def _as_spinor(dim: int, w, ncomp: int | None = None) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
-    ncomp = spinor_components(dim)
+    ncomp = _marched(dim, ncomp)
     if w.ndim < 2 or w.shape[-2] != ncomp:
         raise ValueError(
             f"dim-{dim} half-spinors have shape (..., {ncomp}, nodes), got {w.shape}"
@@ -167,7 +207,7 @@ def _as_spinor(dim: int, w) -> np.ndarray:
     return w
 
 
-def coupling(dim: int, A, M: float):
+def coupling(dim: int, A, M: float, *, ncomp: int | None = None):
     """The u-v coupling (C, D, k2) of the transport equations
 
         (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u.
@@ -177,16 +217,28 @@ def coupling(dim: int, A, M: float):
     D = -C^dagger and DC = CD = -k2 with k2 = A_2^2 [+ A_3^2] + M^2, so the
     coupling is anti-hermitian.  The operators are linear in (A, M): scaled
     inputs give scaled operators and k2 scales quadratically.
+
+    ncomp=1 in dim 3 is the coupling on first components, for a state whose
+    second components and A_2 are +0.0 (`marched_components`): C = p w and
+    D = q w with p = A_3 - iM, q = -A_3 - iM, and k2 = A_3^2 + M^2.  Each
+    gives the bits of the first components of the two-component coupling;
+    A_2 is not read.
     """
-    _check_dim(dim)
+    ncomp = _marched(dim, ncomp)
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
     if dim < 3:  # dim 1 is dim 2 with A_2 = 0
         A2 = A[2] if dim == 2 else 0.0
         c, d = A2 - 1j * M, -A2 - 1j * M
         return (lambda w: c * w), (lambda w: d * w), A2 * A2 + M * M
-    A2, A3 = A[2], A[3]
-    p, q, s = A3 - 1j * M, -A3 - 1j * M, 1j * A2
+    A3 = A[3]
+    p, q = A3 - 1j * M, -A3 - 1j * M
+    if ncomp == 1:
+        # s = i A_2 and s w_1 are +0: the "+ 0.0" stands for "+ s w_1", which
+        # turns a -0.0 part into +0.0; "- s w_1" and 0 + A_3^2 change no bits
+        return (lambda w: p * w + 0.0), (lambda w: q * w), A3 * A3 + M * M
+    A2 = A[2]
+    s = 1j * A2
 
     # components sliced with their axis kept, so (K, 1, 1) masses broadcast
     def C(w):
@@ -200,16 +252,17 @@ def coupling(dim: int, A, M: float):
     return C, D, A2 * A2 + A3 * A3 + M * M
 
 
-def spinor_rhs(dim: int, A, u, v, M: float):
+def spinor_rhs(dim: int, A, u, v, M: float, *, ncomp: int | None = None):
     """Transport sources (du, dv) with (dt + dx) u = du, (dt - dx) v = dv.
 
     A is the sequence (A_0, ..., A_dim) of real potentials (scalars or node
     arrays).  The longitudinal potentials rotate phases; the mass and the
-    transverse potentials couple u and v through `coupling`.
+    transverse potentials couple u and v through `coupling`.  ncomp is the
+    marched component count, as in `coupling`.
     """
-    C, D, _ = coupling(dim, A, M)
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
+    C, D, _ = coupling(dim, A, M, ncomp=ncomp)
+    u = _as_spinor(dim, u, ncomp)
+    v = _as_spinor(dim, v, ncomp)
     return 1j * (A[0] + A[1]) * u + C(v), 1j * (A[0] - A[1]) * v + D(u)
 
 
@@ -220,17 +273,18 @@ def modulus_sq(dim: int, u, v) -> np.ndarray:
     return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
-def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
+def wave_sources(dim: int, u, v, *, ncomp: int | None = None) -> tuple[np.ndarray, ...]:
     """Sources (S_0, ..., S_dim) with box A_mu = S_mu.
 
     S_0 = |u|^2 + |v|^2 is the charge density; S_1 = -|u|^2 + |v|^2 is minus
     the current.  The transverse sources are the null bilinears that make the
     A_j fields bounded: -2 Im(u conj(v)) for dim = 2 and -2 Re(v* rho u),
-    -2 Re(v* kappa u) for dim = 3.
+    -2 Re(v* kappa u) for dim = 3.  With ncomp=1 in dim 3 (second components
+    zero, `marched_components`) S_2 = 0 and S_3 = -2 Re(conj(v_0) i u_0).
     """
     _check_dim(dim)
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
+    u = _as_spinor(dim, u, ncomp)
+    v = _as_spinor(dim, v, ncomp)
     mu = (np.abs(u) ** 2).sum(axis=-2)
     mv = (np.abs(v) ** 2).sum(axis=-2)
     s0 = mu + mv
@@ -240,6 +294,14 @@ def wave_sources(dim: int, u, v) -> tuple[np.ndarray, ...]:
     u0, v0 = u[..., 0, :], v[..., 0, :]
     if dim == 2:
         return s0, s1, -2.0 * np.imag(u0 * np.conj(v0))
+    if u.shape[-2] == 1:
+        # u_1 = v_1 = +0.0, so the dropped products are zeros.  The one in S_3
+        # has real part +0.0; "+ 0.0" does what adding it does to a -0.0.
+        # S_2's sum is +0.0 unless both its products have real part -0.0
+        # (u_0 signs -,-; v_0 signs +,+), so S_2 = -2 (+0.0) = -0.0 nearly
+        # everywhere; A_2 stays +0.0 under either sign.
+        s3 = -2.0 * (np.real(np.conj(v0) * (1j * u0)) + 0.0)
+        return s0, s1, np.full_like(s0, -0.0), s3
     u1, v1 = u[..., 1, :], v[..., 1, :]
     # rho u = (-u1, u0) and kappa u = (i u0, -i u1)
     s2 = -2.0 * np.real(np.conj(v0) * -u1 + np.conj(v1) * u0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,6 +27,7 @@ __all__ = [
     "CutoffSpec",
     "PotentialMode",
     "DataFamily",
+    "GridError",
     "GridSpec",
     "chi",
     "f_eps",
@@ -127,13 +129,23 @@ class DataFamily:
             raise ValueError("constrained potential data needs eps > 0")
 
 
+class GridError(ValueError):
+    """A grid that cannot be built or run; `key` is the GridSpec field the
+    message is about (L, n or t_max)."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform characteristic grid on [-L, L] with h = dt = 2L/n.
 
-    n must be even so the node x = 0 exists; t_max must be an integer number
-    of steps.  Runs additionally require L >= cutoff.outer + t_max + 2h so
-    that supports never reach the boundary (checked via ensure_support).
+    n must be even so the node x = 0 exists; h must be a finite positive
+    float; t_max must be an integer number of steps.  Runs additionally
+    require L >= cutoff.outer + t_max + 2h so that supports never reach the
+    boundary (checked via ensure_support).  Errors are GridErrors.
     """
 
     L: float
@@ -142,16 +154,18 @@ class GridSpec:
 
     def __post_init__(self):
         if self.L <= 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+            raise GridError("L", f"half-width L must be positive, got {self.L}")
         if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"n must be an even integer >= 4, got {self.n}")
+            raise GridError("n", f"n must be an even integer >= 4, got {self.n}")
         if self.t_max < 0:
-            raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
+            raise GridError("t_max", f"t_max must be nonnegative, got {self.t_max}")
+        if not 0.0 < self.h < math.inf:
+            raise GridError("L", f"h = 2L/n = {self.h!r} is not a finite positive step (L = {self.L!r}, n = {self.n})")
+        if not self.t_max / self.h < math.inf:
+            raise GridError("t_max", f"t_max = {self.t_max!r} is too many steps of h = {self.h!r} to count")
         steps = round(self.t_max / self.h)
         if abs(steps * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
-            raise ValueError(
-                f"t_max = {self.t_max} is not an integer number of steps of h = {self.h}"
-            )
+            raise GridError("t_max", f"t_max = {self.t_max} is not an integer number of steps of h = {self.h}")
 
     @property
     def h(self) -> float:
@@ -169,10 +183,8 @@ class GridSpec:
 
     def ensure_support(self, outer: float) -> None:
         if self.L < outer + self.t_max + 2.0 * self.h:
-            raise ValueError(
-                f"grid too small: need L >= {outer + self.t_max + 2 * self.h:.6g} "
-                f"(outer + t_max + 2h), got L = {self.L}"
-            )
+            need = outer + self.t_max + 2 * self.h
+            raise GridError("L", f"grid too small: need L >= {need:.6g} (outer + t_max + 2h), got L = {self.L}")
 
 
 def sample_midpoints(func, grid: GridSpec) -> np.ndarray:
@@ -281,6 +293,13 @@ def write_csv(path, header, rows, comments=()) -> None:
     \\r\\n line ends; the cells are converted CSV_CHUNK_ROWS rows at a time.
     """
     block = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    _write_csv(path, header, block, comments)
+
+
+def _write_csv(path, header, block, comments, lead: list[str] | None = None) -> None:
+    """write_csv of a float block.  `lead`, when given, is a first column
+    already formatted as repr(float(cell)) text, so that files sharing that
+    column format it once; `block` then holds the other columns."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -288,7 +307,11 @@ def write_csv(path, header, rows, comments=()) -> None:
             csv.writer(fh).writerow(header)
         for start in range(0, len(block), CSV_CHUNK_ROWS):
             chunk = block[start : start + CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in chunk))
+            if lead is None:
+                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in chunk))
+            else:
+                cells = lead[start : start + CSV_CHUNK_ROWS]
+                fh.write("".join(f"{c},{','.join(map(repr, row))}\r\n" for c, row in zip(cells, chunk)))
 
 
 def write_json(path, payload) -> None:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import maxdirac1d
 from maxdirac1d import cli
 from maxdirac1d.cone_solver import SolverAbort
+from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.initial_data import GridSpec
 
 
@@ -155,6 +156,13 @@ BAD_NUMBERS = [
         ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 1e307}, snapshot_times=[])),
         ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 256, "t_max": 1e307})),
         ("norms", {"eps_list": [1e-2, 1e-3], "L": 5e-324}),
+        # h = 2L/n overflows to inf
+        ("norms", {"eps_list": [1e-2, 1e-3], "L": 1e308, "n": 4}),
+        # grids past MAX_NODES, given or implied
+        ("norms", {"eps_list": [1e-2, 1e-3], "n": 10**12}),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[1e-12])),
+        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 2**24, "t_max": 0.0}, snapshot_times=[])),
+        ("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2**16]}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -168,6 +176,58 @@ def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
 def test_bad_numbers_name_the_key(tmp_path, command, payload, loc):
     with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: "):
         cli.load_config(write_config(tmp_path, payload), command)
+
+
+@pytest.mark.parametrize(
+    "command, payload, loc, message",
+    [
+        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 0.205}), "grid/t_max", "not an integer number of steps"),
+        ("simulate", dict(SIM_CONFIG, grid={"L": 2.0, "n": 200, "t_max": 0.5}), "grid/L", "grid too small"),
+        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 1e307}, snapshot_times=[]), "grid/t_max", "too many steps"),
+        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 255, "t_max": 0.24}), "grid/n", "even integer"),
+        ("norms", {"eps_list": [1e-2, 1e-3], "L": 1e308, "n": 4}, "L", "h = 2L/n = inf is not a finite positive step"),
+        ("norms", {"eps_list": [1e-2, 1e-3], "L": 5e-324}, "L", "h = 2L/n = 0.0 is not a finite positive step"),
+    ],
+)
+def test_grid_errors_name_the_key(tmp_path, command, payload, loc, message):
+    with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: .*{re.escape(message)}"):
+        cli.load_config(write_config(tmp_path, payload), command)
+
+
+def test_node_cap_at_its_boundary(tmp_path, monkeypatch):
+    # loading builds GridSpecs only: nothing the size of a grid is allocated
+    cap = cli.MAX_NODES
+    assert cap >= 4_900_000  # ROADMAP item 2's deepest rung, eps = 10^-4.5 at h/eps = 64
+    fits, over = cap - 2, cap  # even n with n + 1 nodes on either side of the cap
+    for n, ok in ((fits, True), (over, False)):
+        cases = [
+            ("norms", {"eps_list": [1e-2, 1e-3], "n": n}, "n"),
+            ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": n, "t_max": 0.0}, snapshot_times=[]), "grid/n"),
+            ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": n, "t_max": 0.0}), "grid/n"),
+        ]
+        for command, payload, loc in cases:
+            path = write_config(tmp_path, payload)
+            if ok:
+                assert cli.load_config(path, command)
+            else:
+                with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: {cap + 1} grid nodes, more than MAX_NODES"):
+                    cli.load_config(path, command)
+    # the refinement study multiplies its base n = 256
+    for factors, ok in (([1, (cap - 1) // 256], True), ([1, cap // 256], False)):
+        path = write_config(tmp_path, {"seed": 0, "suites": ["refinement"], "refinement_factors": factors})
+        if ok:
+            assert cli.load_config(path, "verify")
+        else:
+            with pytest.raises(cli.ConfigError, match=": refinement_factors/1: factor"):
+                cli.load_config(path, "verify")
+    # a sweep's grids come from its eps: set the cap at the node count of one
+    n = grid_for_eps(SweepPlan(dim=2, M=0.0, eps_list=(1e-4,), T=0.05, h_over_eps=4.0), 1e-4).n
+    path = write_config(tmp_path, dict(SWEEP_CONFIG, eps_list=[0.1, 1e-4]))
+    monkeypatch.setattr(cli, "MAX_NODES", n + 1)
+    assert cli.load_config(path, "sweep")
+    monkeypatch.setattr(cli, "MAX_NODES", n)
+    with pytest.raises(cli.ConfigError, match=": eps_list/1: eps = 0.0001 at h_over_eps = 4.0 needs"):
+        cli.load_config(path, "sweep")
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,9 @@ from maxdirac1d import (
     gauge_residual,
     wave_solve,
 )
+from maxdirac1d.experiments import SweepPlan, run_sweep
 from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs
-from maxdirac1d.initial_data import chi, f_eps, spinor_datum
+from maxdirac1d.initial_data import chi, f_eps, spinor_datum, write_csv
 from maxdirac1d.cone_solver import (
     _transport_step,
     characteristic_integrals,
@@ -420,14 +421,14 @@ def test_meta_records_window_and_node_steps():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=2, eps=0.1)
     full = evolve(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
-    assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps}
+    assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps, "components": 1}
     assert "charge" in full.series
 
     # base [-0.205, 0.205] spans nodes 117.75..138.25: nodes 117..139 plus
     # one margin node per side
     rec = _ConeRecorder([(ConeRegion(-0.205, 0.205), 6)])
     win = evolve(fam, grid, EvolveOptions(observers=(rec,)))
-    assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6}
+    assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6, "components": 1}
     assert win.series == {}
     assert win.times.size == 7
     with pytest.raises(ValueError, match="full-grid"):
@@ -567,3 +568,132 @@ def test_transport_step_batches_bitwise(dim):
         )
         assert np.array_equal(ub[k], uk)
         assert np.array_equal(vb[k], vk)
+
+
+# ---------------------------------------------------------------------------
+# Dim 3 on first components (gamma_algebra.marched_components).
+# ---------------------------------------------------------------------------
+
+
+class _StateRecorder:
+    """Keeps a copy of every LevelState field a step computes; declares
+    `cones` as its reads when given."""
+
+    def __init__(self, cones=None):
+        self.states = []
+        if cones is not None:
+            self.reads = lambda grid: cones
+
+    def on_level(self, lev, grid):
+        self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.At, lev.S))))
+
+
+def _two_components(monkeypatch):
+    """Make evolve march both dim-3 components whatever the datum."""
+    monkeypatch.setattr(cone_solver, "marched_components", lambda dim, *datum: spinor_components(dim))
+
+
+def _same_states(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        m, first, u, v, A, At, S = g
+        assert (m, first) == w[:2]
+        for name, a, b in zip(("u", "v", "A", "At"), (u, v, A, At), w[2:6]):
+            assert _same_bits(a, b), (m, name)
+        assert _same_bits(S[[0, 1, 3]], w[6][[0, 1, 3]]), m
+        assert np.array_equal(S[2], w[6][2]) and not S[2].any(), m  # zeros of either sign
+
+
+@pytest.mark.parametrize("mode", list(PotentialMode))
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode, M):
+    grid = GridSpec(L=2.56, n=256, t_max=0.2)
+    fam = DataFamily(dim=3, eps=0.05, M=M, potential_mode=mode)
+
+    def run():
+        gauge, rec = GaugeMonitor(), _StateRecorder()
+        opts = EvolveOptions(snapshot_times=(0.0, 0.1, 0.2), record_history=True, observers=(gauge, rec))
+        return evolve(fam, grid, opts), gauge.series(), rec.states
+
+    one, one_gauge, one_states = run()
+    _two_components(monkeypatch)
+    two, two_gauge, two_states = run()
+    assert one.meta["components"] == 1 and two.meta["components"] == 2
+    assert one.meta["window"] == two.meta["window"] == (0, grid.n + 1, grid.steps)
+    assert one.series.keys() == two.series.keys()
+    for key in two.series:
+        assert _same_bits(one.series[key], two.series[key]), key
+    assert _same_bits(one_gauge, two_gauge)
+    for s1, s2 in zip(one.snapshots, two.snapshots):
+        for name in ("u", "v", "A", "At"):
+            assert _same_bits(getattr(s1, name), getattr(s2, name)), (s1.t, name)
+    for name in ("u", "v", "A", "At"):
+        assert _same_bits(getattr(one.history, name), getattr(two.history, name)), name
+    zero = np.zeros_like(one.history.u[:, 1])
+    assert _same_bits(one.history.u[:, 1], zero) and _same_bits(one.history.v[:, 1], zero)
+    assert _same_bits(one.history.A[:, 2], zero.real)
+    _same_states(one_states, two_states)
+
+
+def test_dim3_first_components_in_windowed_runs(monkeypatch):
+    grid = GridSpec(L=2.56, n=512, t_max=0.3)
+    fam = DataFamily(dim=3, eps=0.05, M=1.0)
+    cones = [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)]
+    plan = SweepPlan(dim=3, M=1.0, eps_list=(0.1, 0.07), T=0.05, probes=((0.04, 0.0), (0.03, -0.01)), h_over_eps=4.0)
+    marched = []
+
+    def spy(*args):
+        marched.append(real(*args))
+        return marched[-1]
+
+    real = cone_solver.marched_components
+    monkeypatch.setattr(cone_solver, "marched_components", spy)
+    rec = _StateRecorder(cones)
+    one = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    one_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
+    assert marched == [1, 1, 1]
+    _two_components(monkeypatch)
+    rec2 = _StateRecorder(cones)
+    two = evolve(fam, grid, EvolveOptions(observers=(rec2,)))
+    two_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
+    assert one.meta["window"] == two.meta["window"]
+    assert one.meta["window"][1] - one.meta["window"][0] < grid.n + 1
+    _same_states(rec.states, rec2.states)
+    for r1, r2 in zip(one_sweep, two_sweep):
+        assert _same_bits(r1.probe_A0, r2.probe_A0)
+        assert r1.series.keys() == r2.series.keys()
+        for key in r2.series:
+            assert _same_bits(r1.series[key], r2.series[key]), (r1.eps, key)
+
+
+@pytest.mark.parametrize("field, row", [("u", 1), ("v", 1), ("a", 2), ("b", 2)])
+def test_dim3_nonzero_second_component_datum_marches_both(monkeypatch, field, row):
+    grid = GridSpec(L=2.56, n=128, t_max=0.12)
+    fam = DataFamily(dim=3, eps=0.1, M=1.0)
+    u0, v0 = spinor_datum(fam, grid)
+    a0, b0 = np.zeros((2, 4, grid.n + 1))
+    datum = {"u": u0, "v": v0, "a": a0, "b": b0}
+    datum[field][row, 60:66] = 0.25
+    monkeypatch.setattr(cone_solver, "spinor_datum", lambda fam, grid: (datum["u"], datum["v"]))
+    monkeypatch.setattr(cone_solver, "potential_data", lambda fam, grid: (datum["a"], datum["b"]))
+    traj = evolve(fam, grid, EvolveOptions(record_history=True))
+    assert traj.meta["components"] == 2
+    assert traj.history.u[-1, 1].any() or traj.history.v[-1, 1].any()
+
+
+def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
+    grid = GridSpec(L=2.56, n=128, t_max=0.12)
+    traj = evolve(DataFamily(dim=3, eps=0.1, M=1.0), grid, EvolveOptions(snapshot_times=(0.0, 0.12)))
+    paths = trajectory_to_csv(traj, tmp_path / "run", config_hash="cafe")
+    for k, snap in enumerate(traj.snapshots):
+        cols = [grid.nodes()]
+        for w in (snap.u, snap.v):
+            for c in range(w.shape[0]):
+                cols += [w[c].real, w[c].imag]
+        cols += list(snap.A)
+        want = tmp_path / f"want_{k}.csv"
+        with open(paths[k], "rb") as fh:
+            got = fh.read()
+        header = got.decode().splitlines()[2].split(",")
+        write_csv(want, header, np.column_stack(cols), ("config_hash=cafe", f"t={snap.t!r}"))
+        assert got == want.read_bytes()

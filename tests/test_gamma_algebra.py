@@ -9,6 +9,7 @@ from maxdirac1d import (
     coupling,
     gamma_matrices,
     interaction_term,
+    marched_components,
     modulus_rhs,
     modulus_sq,
     spinor_components,
@@ -270,3 +271,98 @@ def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
                 assert np.array_equal(got[k], want), name
     with pytest.raises(ValueError, match="half-spinors"):
         wave_sources(dim, u[:, 0, :], v[:, 0, :])  # (K, n): no component axis
+
+
+# ---------------------------------------------------------------------------
+# The one-component dim-3 route (marched_components, ncomp=1).
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _first_component_state(rng, n=64):
+    """A dim-3 state whose second components and A_2 row are +0.0, with
+    first components of every sign and some exact zeros."""
+    u, v, A = _random_fields(rng, 3, n)
+    u[1] = v[1] = 0.0
+    A[2] = 0.0
+    u[0, ::7] = 0.0
+    v[0, 3::5] = 0.0
+    return u, v, A
+
+
+def test_marched_components_rule():
+    n = 9
+    u, v = np.zeros((2, 2, n), dtype=complex)
+    a, b = np.zeros((2, 4, n))
+    u[0] = 1.0
+    assert marched_components(3, u, v, a, b) == 1
+    for field, row in ((u, 1), (v, 1), (a, 2), (b, 2)):
+        for value in (1e-300, -0.0, np.nan):
+            field[row, 4] = value
+            assert marched_components(3, u, v, a, b) == 2, (row, value)
+            field[row, 4] = 0.0
+    # the first components and the other potentials do not enter
+    v[0], a[3], b[1] = 2.0, 0.5, -0.5
+    assert marched_components(3, u, v, a, b) == 1
+    for dim in (1, 2):
+        assert marched_components(dim, u[:1], v[:1], a[: dim + 1], b[: dim + 1]) == 1
+
+
+@pytest.mark.parametrize("M", [0.0, 1.0, 0.37])
+def test_one_component_sources_and_coupling_bitwise(M):
+    rng = np.random.default_rng(41)
+    u, v, A = _first_component_state(rng)
+    u1, v1 = u[:1], v[:1]
+    full = wave_sources(3, u, v)
+    reduced = wave_sources(3, u1, v1, ncomp=1)
+    for mu in (0, 1, 3):
+        assert _same_bits(reduced[mu], full[mu]), mu
+    # S_2 is zero either way; only the sign of its zeros may differ
+    assert np.array_equal(reduced[2], full[2]) and not reduced[2].any()
+    C, D, k2 = coupling(3, A, M)
+    C1, D1, k21 = coupling(3, A, M, ncomp=1)
+    assert _same_bits(k21, k2)
+    assert _same_bits(C1(v1), C(v)[:1])
+    assert _same_bits(D1(u1), D(u)[:1])
+    du, dv = spinor_rhs(3, A, u, v, M)
+    du1, dv1 = spinor_rhs(3, A, u1, v1, M, ncomp=1)
+    assert _same_bits(du1, du[:1]) and _same_bits(dv1, dv[:1])
+    assert not du[1].any() and not dv[1].any()
+
+
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_one_component_transport_step_bitwise(M):
+    from maxdirac1d.cone_solver import _transport_step
+
+    rng = np.random.default_rng(43)
+    u, v, A_old = _first_component_state(rng)
+    A_new = rng.normal(size=A_old.shape)
+    A_new[2] = 0.0
+    h = 0.05
+    uf, vf = _transport_step(3, M, h, u, v, A_old, A_new)
+    ur, vr = _transport_step(3, M, h, u[:1], v[:1], A_old, A_new, ncomp=1)
+    assert _same_bits(ur, uf[:1]) and _same_bits(vr, vf[:1])
+    zero = np.zeros_like(uf[1])
+    assert _same_bits(uf[1], zero) and _same_bits(vf[1], zero)  # the second components stay +0.0
+
+
+def test_one_component_route_is_private_to_dim3():
+    rng = np.random.default_rng(47)
+    u, v, A = _first_component_state(rng, 8)
+    # the public contract: a dim-3 half-spinor has two components
+    for call in (
+        lambda: wave_sources(3, u[:1], v[:1]),
+        lambda: spinor_rhs(3, A, u[:1], v[:1], 1.0),
+        lambda: wave_sources(3, u, v, ncomp=1),
+    ):
+        with pytest.raises(ValueError, match="half-spinors"):
+            call()
+    for dim, ncomp in ((3, 3), (2, 2), (1, 0)):
+        with pytest.raises(ValueError, match="components"):
+            coupling(dim, A[: dim + 1], 1.0, ncomp=ncomp)
+    # ncomp = spinor_components(dim) is the default
+    assert all(_same_bits(a, b) for a, b in zip(wave_sources(3, u, v, ncomp=2), wave_sources(3, u, v)))

@@ -14,6 +14,10 @@ Re-record only when a change is meant to move them, with its reason and its
 largest deviation in CHANGES.md:
 
     PYTHONPATH=src python tests/test_reference_outputs.py
+
+A new case is recorded alone, by name, so that the others stay as they are:
+
+    PYTHONPATH=src python tests/test_reference_outputs.py <case> ...
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ CASES = {
         )
         for d in (1, 2, 3)
     },
+    # dim 3 with a nonzero b_1 datum: the constrained potential data in the
+    # charge-critical dimension
+    "simulate_dim3_constrained": (
+        "simulate",
+        {"dim": 3, **_SIM, "potential_mode": "constrained", "snapshot_times": [0.0, 0.08, 0.16]},
+        ["--oracle"],
+    ),
     "norms": ("norms", {"eps_list": [1e-2, 1e-3, 0.0], "s_values": [-0.5, -0.25], "n": 1024}, []),
     "verify_default_grid": (
         "verify",
@@ -145,8 +156,9 @@ def run_case(name: str, root: str) -> dict:
     return {"exit_code": rc, **(fingerprint(out) if os.path.isdir(out) else {})}
 
 
-def run_all(root: str) -> dict[str, dict]:
-    return {name: run_case(name, root) for name in CASES}  # sweeps first: verify reads one
+def run_all(root: str, names=CASES) -> dict[str, dict]:
+    # in CASES order, sweeps first: verify reads one
+    return {name: run_case(name, root) for name in CASES if name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +206,21 @@ def test_outputs_match_references(outputs, case, capsys):
     assert not problems, "\n".join(problems[:20])
 
 
-def record() -> None:
+def record(names=CASES) -> None:
+    """Record the named cases (all by default).  A verify case that reads a
+    sweep's output needs that sweep among the names."""
+    unknown = set(names) - CASES.keys()
+    if unknown:
+        raise SystemExit(f"unknown cases: {sorted(unknown)}")
     os.makedirs(REFERENCES, exist_ok=True)
     with tempfile.TemporaryDirectory() as root:
-        for case, fp in run_all(root).items():
+        recorded = run_all(root, names)
+        for case, fp in recorded.items():
             with open(os.path.join(REFERENCES, f"{case}.json"), "w") as fh:
                 json.dump(fp, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-    print(f"recorded {len(CASES)} cases in {REFERENCES}", file=sys.stderr)
+    print(f"recorded {len(recorded)} cases in {REFERENCES}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:] or CASES)
