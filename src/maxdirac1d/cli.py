@@ -61,6 +61,7 @@ from .experiments import (
     CLAIMS,
     SweepPlan,
     config_hash,
+    gauss_pairing_n,
     grid_for_eps,
     load_sweep,
     run_sweep,
@@ -128,7 +129,6 @@ CONFIG_TABLES = {
         "grid": Key("object", True, table=_GRID),
         "cutoff": Key("object", table=_CUTOFF),
         "snapshot_times": Key("array", items=Key("number")),
-        "record_history": Key("boolean"),
         "out": Key("string"),
     },
     "sweep": {
@@ -280,6 +280,9 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
                 _cap_nodes(f"eps_list/{i}", n, f"eps = {eps!r} at h_over_eps = {plan.h_over_eps!r} needs ")
             ctx["plan"], ctx["mode"] = plan, mode
             ctx["claims"] = sweep_claims(plan, mode, raw.get("claims"))
+            if "gauss" in ctx["claims"]:
+                for i, eps in enumerate(plan.eps_list):
+                    _cap_nodes(f"eps_list/{i}", gauss_pairing_n(eps), f"the gauss pairing at eps = {eps!r} needs ")
         elif command == "verify":
             suites = raw.get("suites", [s for s in _SUITES if s != "recompute"])
             if "recompute" in suites and "recompute_dir" not in raw:
@@ -348,10 +351,7 @@ def cmd_simulate(ctx: dict, args) -> int:
     raw, fam, grid = ctx["raw"], ctx["fam"], ctx["grid"]
     out = _out_dir(raw, args, "simulate")
     chash = config_hash({"command": "simulate", **raw})
-    opts = EvolveOptions(
-        snapshot_times=tuple(raw.get("snapshot_times", ())),
-        record_history=bool(raw.get("record_history", False)) or args.oracle,
-    )
+    opts = EvolveOptions(snapshot_times=tuple(raw.get("snapshot_times", ())), record_history=args.oracle)
     traj = evolve(fam, grid, opts)
     paths = trajectory_to_csv(traj, out, config_hash=chash)
     q = traj.series["charge"]

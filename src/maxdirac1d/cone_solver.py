@@ -83,8 +83,7 @@ from .initial_data import DataFamily, GridSpec, _write_csv, potential_data, spin
 __all__ = [
     "SolverAbort",
     "ConeRegion",
-    "Snapshot",
-    "History",
+    "Levels",
     "Trajectory",
     "EvolveOptions",
     "GaugeMonitor",
@@ -174,15 +173,6 @@ class ConeRegion:
 
 
 @dataclass
-class Snapshot:
-    t: float
-    u: np.ndarray  # (ncomp, n+1) complex
-    v: np.ndarray
-    A: np.ndarray  # (dim+1, n+1) real
-    At: np.ndarray
-
-
-@dataclass
 class LevelState:
     """What observers see at each accepted time level.  The arrays cover the
     marched window, which starts at full-grid node `first` (`evolve`); past a
@@ -198,17 +188,18 @@ class LevelState:
     A: np.ndarray
     At: np.ndarray
     S: np.ndarray
-    h: float
-    dim: int
-    first: int = 0
+    first: int
 
 
 @dataclass
-class History:
+class Levels:
+    """Full-width fields at a set of time levels, in level order: `times` and
+    u, v (levels, ncomp, n+1) complex, A, At (levels, dim+1, n+1) real."""
+
     times: np.ndarray
-    u: np.ndarray  # (levels, ncomp, n+1)
+    u: np.ndarray
     v: np.ndarray
-    A: np.ndarray  # (levels, dim+1, n+1)
+    A: np.ndarray
     At: np.ndarray
 
 
@@ -218,8 +209,8 @@ class Trajectory:
     grid: GridSpec
     times: np.ndarray
     series: dict[str, np.ndarray]
-    snapshots: list[Snapshot] = field(default_factory=list)
-    history: History | None = None
+    snapshots: Levels
+    history: Levels | None = None
     meta: dict = field(default_factory=dict)
 
     def level_of(self, t: float) -> int:
@@ -236,7 +227,7 @@ class EvolveOptions:
     snapshot_times: times at which to keep full (u, v, A, At) snapshots.
     record_history: keep every level (memory grows with steps x nodes).
     observers: objects with `on_level(lev, grid)` and optionally
-        `finalize(traj)` and `reads(grid)` (see `_window`).
+        `reads(grid)` (see `_window`).
     """
 
     snapshot_times: tuple[float, ...] = ()
@@ -451,7 +442,7 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     """
     opts = opts or EvolveOptions()
     grid.ensure_support(fam.cutoff.outer)
-    snap_levels = snapshot_levels(opts.snapshot_times, grid)
+    snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(opts.snapshot_times, grid)))}
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
     u, v = spinor_datum(fam, grid)
     a, b = potential_data(fam, grid)
@@ -469,20 +460,17 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             series[f"sup_A{mu}"] = []
     row = np.zeros(n1)  # full-width row for the series sums, zero outside the window
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
-    history = None
-    rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At; spinor rows past ncomp stay zero
-    if opts.record_history:
-        history = History(times, *(np.zeros((steps + 1, r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
-    snapshots: list[Snapshot] = []
+    rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At
+
+    def record(levels):  # zero-filled full-width arrays; spinor rows past ncomp stay zero
+        return Levels(times[levels], *(np.zeros((len(levels), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
+
+    snapshots = record(list(snap_at))
+    history = record(np.arange(steps + 1)) if opts.record_history else None
     unmarched = np.zeros((nc - ncomp, end - first), complex)
 
     def all_components(w):
         return np.concatenate((w, unmarched)) if unmarched.size else w
-
-    def full_width(w, r):
-        out = np.zeros((r, n1), w.dtype)
-        out[: len(w), first:end] = w
-        return out
 
     def full_trapezoid(w):
         row[first:end] = w
@@ -512,16 +500,15 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             for mu in range(dim + 1):
                 series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
         if opts.observers:
-            lev = LevelState(m, t, x, all_components(u), all_components(v), A, At, S, h, dim, first)
+            lev = LevelState(m, t, x, all_components(u), all_components(v), A, At, S, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
-        if m in snap_levels:
-            snapshots.append(Snapshot(t, *(full_width(w, r) for w, r in zip((u, v, A, At), rows))))
-        if history is not None:
-            for level_rows, w in zip((history.u, history.v, history.A, history.At), (u, v, A, At)):
-                level_rows[m, : len(w), first:end] = w
+        for rec, k in ((snapshots, snap_at.get(m)), (history, m)):
+            if rec is not None and k is not None:
+                for level_rows, w in zip((rec.u, rec.v, rec.A, rec.At), (u, v, A, At)):
+                    level_rows[k, : len(w), first:end] = w
 
-    traj = Trajectory(
+    return Trajectory(
         fam=fam,
         grid=grid,
         times=times,
@@ -530,11 +517,6 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         history=history,
         meta={"window": (first, end, steps), "node_steps": (end - first) * steps, "components": ncomp},
     )
-    for obs in opts.observers:
-        fin = getattr(obs, "finalize", None)
-        if fin is not None:
-            fin(traj)
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -717,19 +699,20 @@ def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = Non
     os.makedirs(directory, exist_ok=True)
     comments = () if config_hash is None else (f"config_hash={config_hash}",)
     paths = []
+    snaps = traj.snapshots
     # every snapshot has the same x column: format it once, as write_csv would
-    x = list(map(repr, traj.grid.nodes().tolist())) if traj.snapshots else None
-    for k, snap in enumerate(traj.snapshots):
+    x = list(map(repr, traj.grid.nodes().tolist())) if snaps.times.size else None
+    for k, t in enumerate(snaps.times.tolist()):
         path = os.path.join(directory, f"snapshot_{k:03d}.csv")
         names, cols = ["x"], []
-        for name, w in (("u", snap.u), ("v", snap.v)):
+        for name, w in (("u", snaps.u[k]), ("v", snaps.v[k])):
             for c in range(w.shape[0]):
                 names += [f"Re_{name}{c + 1}", f"Im_{name}{c + 1}"]
                 cols += [w[c].real, w[c].imag]
-        for mu in range(snap.A.shape[0]):
+        for mu, A_mu in enumerate(snaps.A[k]):
             names.append(f"A{mu}")
-            cols.append(snap.A[mu])
-        _write_csv(path, names, np.column_stack(cols), (*comments, f"t={snap.t!r}"), lead=x)
+            cols.append(A_mu)
+        _write_csv(path, names, np.column_stack(cols), (*comments, f"t={t!r}"), lead=x)
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     keys = sorted(traj.series.keys())

@@ -61,6 +61,7 @@ __all__ = [
     "check_gauss",
     "a0_lower_bound",
     "gauss_divergence",
+    "gauss_pairing_n",
     "verdicts",
     "verdict_passed",
     "config_hash",
@@ -547,7 +548,15 @@ def check_claim3(results: list[SweepRecord]) -> BlowupFit:
 # ---------------------------------------------------------------------------
 
 
-def gauss_divergence(eps_list, phi, h_over_eps: float = 16.0) -> dict:
+GAUSS_H_OVER_EPS = 16.0  # the pairing grid's resolution, in `check_gauss` and the CLI node cap
+
+
+def gauss_pairing_n(eps: float, h_over_eps: float = GAUSS_H_OVER_EPS) -> int:
+    """Intervals n of the pairing grid on [-1, 1] with h <= eps/h_over_eps."""
+    return 2 * math.ceil(1.0 / (eps / h_over_eps))
+
+
+def gauss_divergence(eps_list, phi, h_over_eps: float = GAUSS_H_OVER_EPS) -> dict:
     """Pairing <phi, |psi_0,eps|^2> per epsilon and its log-slope.
 
     phi must be smooth and supported in (-1, 1): there the datum density is
@@ -565,7 +574,7 @@ def gauss_divergence(eps_list, phi, h_over_eps: float = 16.0) -> dict:
         raise ValueError("test function must be supported inside (-1, 1)")
     pair = []
     for e in eps:
-        n = 2 * math.ceil(1.0 / (e / h_over_eps))
+        n = gauss_pairing_n(e, h_over_eps)
         xs = np.linspace(-1.0, 1.0, n + 1)
         vals = np.asarray(phi(xs)) / np.sqrt(e * e + xs * xs)
         pair.append(float(trapezoid(vals, 2.0 / n)))

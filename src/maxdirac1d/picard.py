@@ -114,12 +114,9 @@ def _linear_dirac(fam, grid, A, U_free, V_free, inner_tol, max_sweeps=80):
     """
     h = grid.h
     U, V = U_free, V_free
+    A_rows = np.moveaxis(A, 1, 0)[:, :, None]  # (dim+1, levels, 1, n+1): A_mu on every level
     for _ in range(max_sweeps):
-        Ru = np.zeros_like(U)
-        Rv = np.zeros_like(V)
-        for m in range(U.shape[0]):
-            du, dv = spinor_rhs(fam.dim, tuple(A[m]), U[m], V[m], fam.M)
-            Ru[m], Rv[m] = du, dv
+        Ru, Rv = spinor_rhs(fam.dim, A_rows, U, V, fam.M)
         U_new = U_free + characteristic_integrals(Ru, h, +1)
         V_new = V_free + characteristic_integrals(Rv, h, -1)
         change = max(np.abs(U_new - U).max(), np.abs(V_new - V).max())
@@ -177,9 +174,7 @@ def picard_solve(
     stall = 0
     for _ in range(max_iter):
         U_new, V_new = _linear_dirac(fam, grid, A, U_free, V_free, inner_tol)
-        S = np.zeros_like(zero_src)
-        for m in range(mt + 1):
-            S[m] = np.stack(wave_sources(fam.dim, U_new[m], V_new[m]))
+        S = np.stack(wave_sources(fam.dim, U_new, V_new), axis=1)
         A_new, At_new = _dalembert_levels(a, b, S, h, mt)
         dist = slab_distance(grid, U_new - U, V_new - V, A_new - A, At_new - At)
         U, V, A, At = U_new, V_new, A_new, At_new

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import maxdirac1d
 from maxdirac1d import cli
 from maxdirac1d.cone_solver import SolverAbort
-from maxdirac1d.experiments import SweepPlan, grid_for_eps
+from maxdirac1d.experiments import SweepPlan, gauss_pairing_n, grid_for_eps
 from maxdirac1d.initial_data import GridSpec
 
 
@@ -82,6 +82,13 @@ def test_simulate_rejects_snapshot_outside_slab(tmp_path, capsys):
 def test_snapshot_times_sharing_a_level_name_the_key(tmp_path):
     bad = write_config(tmp_path, dict(SIM_CONFIG, snapshot_times=[0.0, 0.08, 0.0801]))
     with pytest.raises(cli.ConfigError, match="snapshot_times 0.08 and 0.0801 round to the same level 4"):
+        cli.load_config(bad, "simulate")
+
+
+def test_simulate_record_history_key_is_unknown(tmp_path):
+    # only --oracle reads a history, and the flag keeps one by itself
+    bad = write_config(tmp_path, dict(SIM_CONFIG, record_history=True))
+    with pytest.raises(cli.ConfigError, match=": record_history: unknown key"):
         cli.load_config(bad, "simulate")
 
 
@@ -163,6 +170,8 @@ BAD_NUMBERS = [
         ("sweep", dict(SWEEP_CONFIG, eps_list=[1e-12])),
         ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 2**24, "t_max": 0.0}, snapshot_times=[])),
         ("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2**16]}),
+        # the gauss pairing grid (h = eps/16) is wider than the sweep's at h_over_eps = 1
+        ("sweep", {"dim": 2, "M": 0, "eps_list": [1e-2, 1e-4, 3e-7], "T": 0.05, "h_over_eps": 1, "claims": ["gauss"]}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -228,6 +237,18 @@ def test_node_cap_at_its_boundary(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "MAX_NODES", n)
     with pytest.raises(cli.ConfigError, match=": eps_list/1: eps = 0.0001 at h_over_eps = 4.0 needs"):
         cli.load_config(path, "sweep")
+    # the gauss pairing's grid comes from eps alone, and counts only when gauss
+    # is selected, as it is by default in the zero mode
+    n = gauss_pairing_n(1e-4)
+    assert n > grid_for_eps(SweepPlan(dim=2, M=0.0, eps_list=(1e-4,), T=0.05, h_over_eps=1.0), 1e-4).n
+    ladder = {k: v for k, v in SWEEP_CONFIG.items() if k != "claims"} | {"eps_list": [0.1, 0.07, 1e-4], "h_over_eps": 1.0}
+    gauss, other = write_config(tmp_path, ladder, "default.json"), write_config(tmp_path, dict(ladder, claims=["claim1"]), "claim1.json")
+    monkeypatch.setattr(cli, "MAX_NODES", n + 1)
+    assert cli.load_config(gauss, "sweep")
+    monkeypatch.setattr(cli, "MAX_NODES", n)
+    assert cli.load_config(other, "sweep")
+    with pytest.raises(cli.ConfigError, match=": eps_list/2: the gauss pairing at eps = 0.0001 needs"):
+        cli.load_config(gauss, "sweep")
 
 
 @pytest.mark.parametrize(
@@ -244,7 +265,7 @@ def test_bad_flags_exit_2_naming_the_flag(tmp_path, capsys, argv):
 
 # one valid config per command that holds every key its table allows
 FULL_CONFIGS = {
-    "simulate": dict(SIM_CONFIG, cutoff={"inner": 1.0, "outer": 2.0}, record_history=False, out="o"),
+    "simulate": dict(SIM_CONFIG, cutoff={"inner": 1.0, "outer": 2.0}, out="o"),
     "sweep": dict(SWEEP_CONFIG, potential_mode="zero", cutoff={"inner": 1.0, "outer": 2.0}, jobs=1, out="o"),
     "verify": {
         "seed": 0,

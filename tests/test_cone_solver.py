@@ -310,16 +310,12 @@ class _LevelCounter:
     def on_level(self, lev, grid):
         self.times.append(lev.t)
 
-    def finalize(self, traj):
-        self.done = True
-
 
 def test_observer_sees_every_level():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     obs = _LevelCounter()
     traj = evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(observers=(obs,)))
     assert obs.times == [m * grid.h for m in range(grid.steps + 1)]
-    assert obs.done
     assert traj.times.size == grid.steps + 1
 
 
@@ -327,7 +323,7 @@ def test_snapshots_and_csv_export(tmp_path):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     opts = EvolveOptions(snapshot_times=(0.0, 0.1, 0.2))
     traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, opts)
-    assert [s.t for s in traj.snapshots] == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
+    assert traj.snapshots.times.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
     paths = trajectory_to_csv(traj, tmp_path, config_hash="cafe")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["diagnostics.csv", "snapshot_000.csv", "snapshot_001.csv", "snapshot_002.csv"]
@@ -335,6 +331,17 @@ def test_snapshots_and_csv_export(tmp_path):
     assert first[0] == "# config_hash=cafe"
     header = first[1].split(",")
     assert header[0] == "t" and "charge" in header
+
+
+def test_snapshots_are_the_history_rows_at_their_levels():
+    grid = GridSpec(L=2.56, n=256, t_max=0.2)  # h = 0.02
+    fam = DataFamily(dim=3, eps=0.05, M=1.0)
+    traj = evolve(fam, grid, EvolveOptions(snapshot_times=(0.2, 0.0, 0.1), record_history=True))
+    assert traj.meta["window"][0] > 0  # padded from a support-cut window
+    for name in ("times", "u", "v", "A", "At"):
+        assert _same_bits(getattr(traj.snapshots, name), getattr(traj.history, name)[[0, 5, 10]]), name
+    empty = evolve(fam, grid).snapshots
+    assert empty.times.shape == (0,) and empty.u.shape == (0, 2, grid.n + 1) and empty.A.shape == (0, 4, grid.n + 1)
 
 
 def test_snapshot_time_outside_slab():
@@ -482,12 +489,9 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
     assert win.series.keys() == full.series.keys()
     for key in full.series:
         assert _same_bits(win.series[key], full.series[key]), key
-    assert len(win.snapshots) == len(full.snapshots) == 3
-    for sw, sf in zip(win.snapshots, full.snapshots):
-        assert sw.t == sf.t
-        for name in ("u", "v", "A", "At"):
-            assert _same_bits(getattr(sw, name), getattr(sf, name)), (sw.t, name)
+    assert win.snapshots.times.size == 3
     for name in ("times", "u", "v", "A", "At"):
+        assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
         assert _same_bits(getattr(win.history, name), getattr(full.history, name)), name
 
 
@@ -624,10 +628,8 @@ def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode
     for key in two.series:
         assert _same_bits(one.series[key], two.series[key]), key
     assert _same_bits(one_gauge, two_gauge)
-    for s1, s2 in zip(one.snapshots, two.snapshots):
-        for name in ("u", "v", "A", "At"):
-            assert _same_bits(getattr(s1, name), getattr(s2, name)), (s1.t, name)
     for name in ("u", "v", "A", "At"):
+        assert _same_bits(getattr(one.snapshots, name), getattr(two.snapshots, name)), name
         assert _same_bits(getattr(one.history, name), getattr(two.history, name)), name
     zero = np.zeros_like(one.history.u[:, 1])
     assert _same_bits(one.history.u[:, 1], zero) and _same_bits(one.history.v[:, 1], zero)
@@ -685,15 +687,16 @@ def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
     grid = GridSpec(L=2.56, n=128, t_max=0.12)
     traj = evolve(DataFamily(dim=3, eps=0.1, M=1.0), grid, EvolveOptions(snapshot_times=(0.0, 0.12)))
     paths = trajectory_to_csv(traj, tmp_path / "run", config_hash="cafe")
-    for k, snap in enumerate(traj.snapshots):
+    snaps = traj.snapshots
+    for k, t in enumerate(snaps.times.tolist()):
         cols = [grid.nodes()]
-        for w in (snap.u, snap.v):
+        for w in (snaps.u[k], snaps.v[k]):
             for c in range(w.shape[0]):
                 cols += [w[c].real, w[c].imag]
-        cols += list(snap.A)
+        cols += list(snaps.A[k])
         want = tmp_path / f"want_{k}.csv"
         with open(paths[k], "rb") as fh:
             got = fh.read()
         header = got.decode().splitlines()[2].split(",")
-        write_csv(want, header, np.column_stack(cols), ("config_hash=cafe", f"t={snap.t!r}"))
+        write_csv(want, header, np.column_stack(cols), ("config_hash=cafe", f"t={t!r}"))
         assert got == want.read_bytes()
