@@ -67,13 +67,34 @@ two-node band at each boundary; a guard aborts the run if the fields there
 ever turn nonzero.  It checks the band nodes inside the window, so a datum
 whose support cone reaches the band runs on a window that holds them, and
 aborts as a full-grid run would.
+
+One level of `evolve` makes each pass over the window once:
+
+  * one density evaluation: `wave_sources` writes |u|^2 and |v|^2 next to
+    the sources, and the series `l1_u`, `l1_v` take their square roots;
+  * one |A| reduction: np.abs(A).max(axis=-1) gives every `sup_A<mu>` and,
+    being nan or inf exactly where A has a non-finite value, the finiteness
+    check of A on whole-line runs;
+  * At only where it is read: `_leapfrog` yields a callable that forms the
+    centered difference on its first call, which snapshots, the history and
+    observers (through `LevelState.At`) make; `wave_solve` reads it at every
+    level;
+  * per-run arrays in place of per-level temporaries: the transport's
+    shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
+    just reached to the next step), the diamond's three potential levels,
+    which it cycles through, and the sources and densities.
+
+Each of these computes the same floats in the same order as the plain
+expressions it replaces, so the outputs are bitwise unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -178,7 +199,9 @@ class LevelState:
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
     window keeps at least one such zero node at that edge.  u and v hold
-    every component, the ones not marched as zero rows."""
+    every component, the ones not marched as zero rows.  The arrays are the
+    run's working arrays: they hold their values during `on_level` only, so
+    an observer copies what it keeps.  At is computed when first read."""
 
     m: int
     t: float
@@ -186,9 +209,13 @@ class LevelState:
     u: np.ndarray
     v: np.ndarray
     A: np.ndarray
-    At: np.ndarray
+    at: Callable[[], np.ndarray]
     S: np.ndarray
     first: int
+
+    @property
+    def At(self) -> np.ndarray:
+        return self.at()
 
 
 @dataclass
@@ -271,10 +298,16 @@ class GaugeMonitor:
 # ---------------------------------------------------------------------------
 
 
-def shift(rows: np.ndarray, k: int) -> np.ndarray:
+def shift(rows: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Translate nodal rows by k nodes along the last axis (positive: to the
-    right), filling the vacated nodes with zeros."""
-    out = np.zeros_like(rows)
+    right), filling the vacated nodes with zeros.  `out`, when given, is the
+    array of rows' shape that receives the result."""
+    if out is None:
+        out = np.zeros_like(rows)
+    elif k > 0:
+        out[..., :k] = 0.0
+    elif k < 0:
+        out[..., k:] = 0.0
     if k == 0:
         out[...] = rows
     elif k > 0:
@@ -298,30 +331,67 @@ def free_transport(f, g, levels: int) -> tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
-def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None, ncomp=None):
+class _StepWork:
+    """What a run of consecutive `_transport_step` calls keeps from one step
+    to the next: the arrays that each step shifts P and Q into, and `sums`,
+    the rows (A_0 + A_1, A_0 - A_1) of the last step's new level, which are
+    the next step's old level."""
+
+    def __init__(self, shape):
+        self.P = np.empty(shape, complex)
+        self.Q = np.empty(shape, complex)
+        self.sums = None
+
+
+class _Scaled:
+    """The potential rows c * A[k], each computed when it is read: `coupling`
+    reads only its transverse rows."""
+
+    def __init__(self, A, c):
+        self.A, self.c = A, c
+
+    def __len__(self):
+        return len(self.A)
+
+    def __getitem__(self, k):
+        return self.c * self.A[k]
+
+
+def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None, ncomp=None, work=None):
     """One implicit-trapezoid step along the two characteristic families.
 
     u flows from node j-1 at the old level to node j at the new level, v the
     mirror image.  The implicit couplings at the new node form an
     anti-hermitian system whose Schur complement is scalar (DC = -k2), so the
     solve is closed-form and vectorised over nodes.  ncomp is the marched
-    component count (`gamma_algebra.marched_components`).
+    component count (`gamma_algebra.marched_components`).  `work` is a
+    `_StepWork` for a run of steps, each from the level the last one reached.
     """
-    du, dv = spinor_rhs(dim, A_old, u, v, M, ncomp=ncomp)
+    half = 0.5 * h
+    du, dv = spinor_rhs(dim, A_old, u, v, M, ncomp=ncomp, sums=None if work is None else work.sums)
     if ext_old is not None:
         du = du + ext_old[0]
         dv = dv + ext_old[1]
-    P = shift(u + 0.5 * h * du, 1)
-    Q = shift(v + 0.5 * h * dv, -1)
+    P = shift(u + half * du, 1, out=None if work is None else work.P)
+    Q = shift(v + half * dv, -1, out=None if work is None else work.Q)
     if ext_new is not None:
-        P = P + 0.5 * h * ext_new[0]
-        Q = Q + 0.5 * h * ext_new[1]
+        P = P + half * ext_new[0]
+        Q = Q + half * ext_new[1]
 
-    den_u = 1.0 - 0.5j * h * (A_new[0] + A_new[1])
-    den_v = 1.0 - 0.5j * h * (A_new[0] - A_new[1])
-    C, D, k2 = coupling(dim, 0.5 * h * A_new, 0.5 * h * M, ncomp=ncomp)  # h/2 times the coupling
-    v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u)
-    u_new = (P + C(v_new)) / den_u
+    sums = A_new[0] + A_new[1], A_new[0] - A_new[1]
+    if work is not None:
+        work.sums = sums
+    den_u = 1.0 - 0.5j * h * sums[0]
+    den_v = 1.0 - 0.5j * h * sums[1]
+    C, D, k2 = coupling(dim, _Scaled(A_new, half), half * M, ncomp=ncomp)  # h/2 times the coupling
+    # v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u) and
+    # u_new = (P + C(v_new)) / den_u, the sums and quotients written in place
+    v_new = D(P / den_u)
+    np.add(Q, v_new, out=v_new)
+    np.divide(v_new, den_v + k2 / den_u, out=v_new)
+    u_new = C(v_new)
+    np.add(P, u_new, out=u_new)
+    np.divide(u_new, den_u, out=u_new)
     return u_new, v_new
 
 
@@ -335,12 +405,21 @@ def _wave_first_step(a, b, S0, h):
     return out
 
 
-def _wave_diamond(A_curr, A_prev, S, h):
-    out = np.zeros_like(A_curr)
-    out[..., 1:-1] = (
-        A_curr[..., :-2] + A_curr[..., 2:] - A_prev[..., 1:-1] + h * h * S[..., 1:-1]
-    )
+def _wave_diamond(A_curr, A_prev, S, h, out=None):
+    """The diamond step to the next level.  `out`, when given, is an array
+    with zero boundary nodes that receives it: the level before A_prev."""
+    if out is None:
+        out = np.zeros_like(A_curr)
+    inner = out[..., 1:-1]
+    np.add(A_curr[..., :-2], A_curr[..., 2:], out=inner)
+    inner -= A_prev[..., 1:-1]
+    inner += h * h * S[..., 1:-1]
     return out
+
+
+def _centered(A_next, A_prev, h):
+    """At of the level between A_prev and A_next, computed on the first call."""
+    return functools.cache(lambda: (A_next - A_prev) / (2.0 * h))
 
 
 def _leapfrog(a, b, sources, h, steps):
@@ -348,20 +427,24 @@ def _leapfrog(a, b, sources, h, steps):
 
     `sources(m, A_old, A_new)` returns the level-m source S^m; for m >= 1 it
     is called once A^{m-1} (A_old) and A^m (A_new) are known, which is what a
-    spinor transport step to level m reads.  Yields (m, A^m, At^m, S^m).
-    Level 1 comes from the d'Alembert first step and later levels from the
-    diamond.  At is the centered difference, so every level, the last one
-    included, takes the diamond step past it; level 0 yields the b datum.
+    spinor transport step to level m reads.  Yields (m, A^m, at, S^m), where
+    `at()` returns At^m.  Level 1 comes from the d'Alembert first step and
+    later levels from the diamond.  At is the centered difference, so every
+    level, the last one included, takes the diamond step past it; level 0
+    yields the b datum.  The diamonds cycle through three arrays, so A^m and
+    `at` hold only until the generator is resumed.
     """
     S = sources(0, None, a)
-    yield 0, a, b, S
+    yield 0, a, (lambda: b), S
     if steps == 0:
         return
     A_prev, A_curr = a, _wave_first_step(a, b, S, h)
+    spare = np.zeros_like(A_curr)
     for m in range(1, steps + 1):
         S = sources(m, A_prev, A_curr)
-        A_next = _wave_diamond(A_curr, A_prev, S, h)
-        yield m, A_curr, (A_next - A_prev) / (2.0 * h), S
+        A_next = _wave_diamond(A_curr, A_prev, S, h, out=spare)
+        yield m, A_curr, _centered(A_next, A_prev, h), S
+        spare = A_prev if m > 1 else np.zeros_like(A_curr)  # the datum a is not ours to write
         A_prev, A_curr = A_curr, A_next
 
 
@@ -476,36 +559,43 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         row[first:end] = w
         return float(trapezoid(row, h))
 
+    # per-run arrays written in place at every level
+    work = _StepWork(u.shape)
+    level_sources = np.empty((dim + 1, end - first))
+    dens = np.empty((2, end - first))  # |u|^2, |v|^2 summed over components
+
     def sources(m, A_old, A_new):  # leaves u, v at level m for the loop body
         nonlocal u, v
         if m > 0:
-            u, v = _transport_step(dim, M, h, u, v, A_old, A_new, ncomp=ncomp)
-        return np.stack(wave_sources(dim, u, v, ncomp=ncomp))
+            u, v = _transport_step(dim, M, h, u, v, A_old, A_new, ncomp=ncomp, work=work)
+        wave_sources(dim, u, v, ncomp=ncomp, out=level_sources, densities=dens)
+        return level_sources
 
-    for m, A, At, S in _leapfrog(a, b, sources, h, steps):
+    for m, A, at, S in _leapfrog(a, b, sources, h, steps):
         t = m * h
         if whole_line:
             q = full_trapezoid(S[0])
-            finite = np.isfinite(q)
+            sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
+            finite = np.isfinite(q) and np.isfinite(sup_A.max())
         else:
-            finite = np.isfinite(u).all() and np.isfinite(v).all()
-        if not finite or not np.isfinite(A).all():
+            finite = np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(A).all()
+        if not finite:
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
         if whole_line:
             series["charge"].append(q)
-            series["l1_u"].append(full_trapezoid(np.sqrt((np.abs(u) ** 2).sum(axis=0))))
-            series["l1_v"].append(full_trapezoid(np.sqrt((np.abs(v) ** 2).sum(axis=0))))
-            for mu in range(dim + 1):
-                series[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()))
+            series["l1_u"].append(full_trapezoid(np.sqrt(dens[0])))
+            series["l1_v"].append(full_trapezoid(np.sqrt(dens[1])))
+            for mu, sup in enumerate(sup_A.tolist()):
+                series[f"sup_A{mu}"].append(sup)
         if opts.observers:
-            lev = LevelState(m, t, x, all_components(u), all_components(v), A, At, S, first)
+            lev = LevelState(m, t, x, all_components(u), all_components(v), A, at, S, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
         for rec, k in ((snapshots, snap_at.get(m)), (history, m)):
             if rec is not None and k is not None:
-                for level_rows, w in zip((rec.u, rec.v, rec.A, rec.At), (u, v, A, At)):
+                for level_rows, w in zip((rec.u, rec.v, rec.A, rec.At), (u, v, A, at())):
                     level_rows[k, : len(w), first:end] = w
 
     return Trajectory(
@@ -546,8 +636,8 @@ def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source=None):
 
     W = np.zeros((steps + 1,) + f.shape)
     Wt = np.zeros_like(W)
-    for m, Wm, Wtm, _ in _leapfrog(f, g, src, h, steps):
-        W[m], Wt[m] = Wm, Wtm
+    for m, Wm, at, _ in _leapfrog(f, g, src, h, steps):
+        W[m], Wt[m] = Wm, at()
     if not np.isfinite(W).all():
         raise SolverAbort("non-finite wave field")
     return h * np.arange(steps + 1), W, Wt

@@ -224,46 +224,74 @@ def coupling(dim: int, A, M: float, *, ncomp: int | None = None):
     gives the bits of the first components of the two-component coupling;
     A_2 is not read.
     """
+    C, D, rows = _coupling_maps(dim, A, M, ncomp)
+    k2 = rows[0] * rows[0]
+    for r in rows[1:]:
+        k2 = k2 + r * r
+    return C, D, k2 + M * M
+
+
+def _coupling_maps(dim: int, A, M, ncomp: int | None):
+    """C and D of `coupling`, and the transverse rows that k2 sums the
+    squares of.  A is indexed once per row it reads: A_2 in dim 2, A_3 in
+    dim 3 on first components, A_2 and A_3 in dim 3, nothing in dim 1."""
     ncomp = _marched(dim, ncomp)
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
     if dim < 3:  # dim 1 is dim 2 with A_2 = 0
         A2 = A[2] if dim == 2 else 0.0
         c, d = A2 - 1j * M, -A2 - 1j * M
-        return (lambda w: c * w), (lambda w: d * w), A2 * A2 + M * M
+        return (lambda w: c * w), (lambda w: d * w), (A2,)
     A3 = A[3]
     p, q = A3 - 1j * M, -A3 - 1j * M
     if ncomp == 1:
-        # s = i A_2 and s w_1 are +0: the "+ 0.0" stands for "+ s w_1", which
-        # turns a -0.0 part into +0.0; "- s w_1" and 0 + A_3^2 change no bits
-        return (lambda w: p * w + 0.0), (lambda w: q * w), A3 * A3 + M * M
+
+        def C1(w):
+            # s = i A_2 and s w_1 are +0: the "+ 0.0" stands for "+ s w_1",
+            # which turns a -0.0 part into +0.0; "- s w_1" and 0 + A_3^2
+            # change no bits
+            out = p * w
+            out += 0.0
+            return out
+
+        return C1, (lambda w: q * w), (A3,)
     A2 = A[2]
     s = 1j * A2
 
-    # components sliced with their axis kept, so (K, 1, 1) masses broadcast
-    def C(w):
+    # both halves written into one array: each is its first product, then
+    # the s term added in place; components sliced with their axis kept, so
+    # (K, 1, 1) masses broadcast
+    def halves(w, first, second, top_op, bottom_op):
         w0, w1 = w[..., :1, :], w[..., 1:, :]
-        return np.concatenate([p * w0 + s * w1, q * w1 - s * w0], axis=-2)
+        out = np.empty(np.broadcast(p, s, w).shape, complex)
+        top, bottom = out[..., :1, :], out[..., 1:, :]
+        top_op(np.multiply(first, w0, out=top), s * w1, out=top)
+        bottom_op(np.multiply(second, w1, out=bottom), s * w0, out=bottom)
+        return out
 
-    def D(w):
-        w0, w1 = w[..., :1, :], w[..., 1:, :]
-        return np.concatenate([q * w0 - s * w1, p * w1 + s * w0], axis=-2)
+    def C(w):  # (p w0 + s w1, q w1 - s w0)
+        return halves(w, p, q, np.add, np.subtract)
 
-    return C, D, A2 * A2 + A3 * A3 + M * M
+    def D(w):  # (q w0 - s w1, p w1 + s w0)
+        return halves(w, q, p, np.subtract, np.add)
+
+    return C, D, (A2, A3)
 
 
-def spinor_rhs(dim: int, A, u, v, M: float, *, ncomp: int | None = None):
+def spinor_rhs(dim: int, A, u, v, M: float, *, ncomp: int | None = None, sums=None):
     """Transport sources (du, dv) with (dt + dx) u = du, (dt - dx) v = dv.
 
     A is the sequence (A_0, ..., A_dim) of real potentials (scalars or node
     arrays).  The longitudinal potentials rotate phases; the mass and the
     transverse potentials couple u and v through `coupling`.  ncomp is the
-    marched component count, as in `coupling`.
+    marched component count, as in `coupling`.  `sums`, when given, is the
+    pair (A_0 + A_1, A_0 - A_1) already formed from these A.
     """
-    C, D, _ = coupling(dim, A, M, ncomp=ncomp)
+    C, D, _ = _coupling_maps(dim, A, M, ncomp)
     u = _as_spinor(dim, u, ncomp)
     v = _as_spinor(dim, v, ncomp)
-    return 1j * (A[0] + A[1]) * u + C(v), 1j * (A[0] - A[1]) * v + D(u)
+    plus, minus = (A[0] + A[1], A[0] - A[1]) if sums is None else sums
+    return 1j * plus * u + C(v), 1j * minus * v + D(u)
 
 
 def modulus_sq(dim: int, u, v) -> np.ndarray:
@@ -273,7 +301,14 @@ def modulus_sq(dim: int, u, v) -> np.ndarray:
     return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
-def wave_sources(dim: int, u, v, *, ncomp: int | None = None) -> tuple[np.ndarray, ...]:
+def _density(w, out=None) -> np.ndarray:
+    """|w|^2 summed over the component axis, into `out` when given."""
+    squares = np.abs(w)
+    squares **= 2  # in place, the bits of np.abs(w) ** 2
+    return np.sum(squares, axis=-2, out=out)
+
+
+def wave_sources(dim: int, u, v, *, ncomp: int | None = None, out=None, densities=None) -> tuple[np.ndarray, ...]:
     """Sources (S_0, ..., S_dim) with box A_mu = S_mu.
 
     S_0 = |u|^2 + |v|^2 is the charge density; S_1 = -|u|^2 + |v|^2 is minus
@@ -281,32 +316,41 @@ def wave_sources(dim: int, u, v, *, ncomp: int | None = None) -> tuple[np.ndarra
     A_j fields bounded: -2 Im(u conj(v)) for dim = 2 and -2 Re(v* rho u),
     -2 Re(v* kappa u) for dim = 3.  With ncomp=1 in dim 3 (second components
     zero, `marched_components`) S_2 = 0 and S_3 = -2 Re(conj(v_0) i u_0).
+
+    The sources are the rows of one (dim+1, ..., n+1) array: `out` when
+    given, which a caller stepping many levels keeps from one to the next.
+    `densities`, when given, is a (2, ..., n+1) array that receives the
+    rows |u|^2 and |v|^2 that S_0 and S_1 are made of.
     """
     _check_dim(dim)
     u = _as_spinor(dim, u, ncomp)
     v = _as_spinor(dim, v, ncomp)
-    mu = (np.abs(u) ** 2).sum(axis=-2)
-    mv = (np.abs(v) ** 2).sum(axis=-2)
-    s0 = mu + mv
-    s1 = -mu + mv
+    rows = (None, None) if densities is None else densities
+    mu, mv = _density(u, rows[0]), _density(v, rows[1])
+    if out is None:
+        out = np.empty((dim + 1, *np.broadcast(mu, mv).shape))
+    np.add(mu, mv, out=out[0])
+    np.add(np.negative(mu, out=out[1]), mv, out=out[1])  # -mu + mv
     if dim == 1:
-        return s0, s1
+        return tuple(out)
     u0, v0 = u[..., 0, :], v[..., 0, :]
     if dim == 2:
-        return s0, s1, -2.0 * np.imag(u0 * np.conj(v0))
+        np.multiply(-2.0, np.imag(u0 * np.conj(v0)), out=out[2])
+        return tuple(out)
     if u.shape[-2] == 1:
         # u_1 = v_1 = +0.0, so the dropped products are zeros.  The one in S_3
         # has real part +0.0; "+ 0.0" does what adding it does to a -0.0.
         # S_2's sum is +0.0 unless both its products have real part -0.0
         # (u_0 signs -,-; v_0 signs +,+), so S_2 = -2 (+0.0) = -0.0 nearly
         # everywhere; A_2 stays +0.0 under either sign.
-        s3 = -2.0 * (np.real(np.conj(v0) * (1j * u0)) + 0.0)
-        return s0, s1, np.full_like(s0, -0.0), s3
+        out[2] = -0.0
+        np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[3])
+        return tuple(out)
     u1, v1 = u[..., 1, :], v[..., 1, :]
     # rho u = (-u1, u0) and kappa u = (i u0, -i u1)
-    s2 = -2.0 * np.real(np.conj(v0) * -u1 + np.conj(v1) * u0)
-    s3 = -2.0 * np.real(np.conj(v0) * (1j * u0) + np.conj(v1) * (-1j * u1))
-    return s0, s1, s2, s3
+    np.multiply(-2.0, np.real(np.conj(v0) * -u1 + np.conj(v1) * u0), out=out[2])
+    np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0) + np.conj(v1) * (-1j * u1)), out=out[3])
+    return tuple(out)
 
 
 def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +360,7 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     anti-hermitian: that is the discrete backbone of charge conservation.
     The longitudinal potentials act by pure phase rotation and drop out.
     """
-    C, _, _ = coupling(dim, A, M)
+    C, _, _ = _coupling_maps(dim, A, M, None)
     u = _as_spinor(dim, u)
     v = _as_spinor(dim, v)
     su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)

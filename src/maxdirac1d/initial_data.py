@@ -280,7 +280,7 @@ def hs_norm(values, s: float, grid: GridSpec, staggered: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-CSV_CHUNK_ROWS = 512  # rows per `.tolist()` call: the fastest measured, and little memory
+CSV_CHUNK_ROWS = 512  # rows formatted at a time: the fastest measured, and little memory
 
 
 def write_csv(path, header, rows, comments=()) -> None:
@@ -299,19 +299,27 @@ def write_csv(path, header, rows, comments=()) -> None:
 def _write_csv(path, header, block, comments, lead: list[str] | None = None) -> None:
     """write_csv of a float block.  `lead`, when given, is a first column
     already formatted as repr(float(cell)) text, so that files sharing that
-    column format it once; `block` then holds the other columns."""
+    column format it once; `block` then holds the other columns.
+
+    Field data is mostly +0.0 outside the support cone, so the cells are
+    formatted a column at a time: every +0.0 cell shares one "0.0" string,
+    and repr runs on the other cells only (-0.0, nan and inf among them)."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         if header is not None:
             csv.writer(fh).writerow(header)
         for start in range(0, len(block), CSV_CHUNK_ROWS):
-            chunk = block[start : start + CSV_CHUNK_ROWS].tolist()
-            if lead is None:
-                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in chunk))
-            else:
-                cells = lead[start : start + CSV_CHUNK_ROWS]
-                fh.write("".join(f"{c},{','.join(map(repr, row))}\r\n" for c, row in zip(cells, chunk)))
+            chunk = block[start : start + CSV_CHUNK_ROWS]
+            columns = [] if lead is None else [lead[start : start + CSV_CHUNK_ROWS]]
+            for values in chunk.T:
+                text = ["0.0"] * len(values)
+                nonzero = np.flatnonzero(values.view(np.uint64))  # the bits of +0.0 are all zero
+                for i, cell in zip(nonzero.tolist(), map(repr, values[nonzero].tolist())):
+                    text[i] = cell
+                columns.append(text)
+            rows = zip(*columns) if columns else [()] * len(chunk)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def write_json(path, payload) -> None:

@@ -176,6 +176,9 @@ BAD_NUMBERS = [
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, payload)
+    # rejected by the config check itself, before any run could start
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(cfg, command)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")

@@ -163,6 +163,9 @@ def test_free_transport_equals_shifted_data():
     for m in range(12):
         assert np.array_equal(U[m], shift(f, m))
         assert np.array_equal(V[m], shift(g, -m))
+        # into a reused array, whatever it held
+        assert np.array_equal(U[m], shift(f, m, out=np.full_like(f, np.nan)))
+        assert np.array_equal(V[m], shift(g, -m, out=np.full_like(g, np.nan)))
 
 
 def test_dirac_solve_free_conserves_l2():
@@ -342,6 +345,34 @@ def test_snapshots_are_the_history_rows_at_their_levels():
         assert _same_bits(getattr(traj.snapshots, name), getattr(traj.history, name)[[0, 5, 10]]), name
     empty = evolve(fam, grid).snapshots
     assert empty.times.shape == (0,) and empty.u.shape == (0, 2, grid.n + 1) and empty.A.shape == (0, 4, grid.n + 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", list(PotentialMode))
+def test_series_are_their_definitions_on_the_history_rows(dim, mode):
+    # the series reuse the densities of the wave sources and one |A| max per
+    # level; recomputed from the full-width history rows they come out the same
+    grid = GridSpec(L=2.56, n=256, t_max=0.2)
+    fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
+    traj = evolve(fam, grid, EvolveOptions(snapshot_times=(0.0, 0.1, 0.2), record_history=True))
+    hist, h = traj.history, grid.h
+    assert traj.meta["window"][0] > 0  # the series sum zero-padded rows
+    dens_u = (np.abs(hist.u) ** 2).sum(axis=-2)
+    dens_v = (np.abs(hist.v) ** 2).sum(axis=-2)
+    want = {
+        "charge": [float(trapezoid(row, h)) for row in dens_u + dens_v],
+        "l1_u": [float(trapezoid(np.sqrt(row), h)) for row in dens_u],
+        "l1_v": [float(trapezoid(np.sqrt(row), h)) for row in dens_v],
+        **{f"sup_A{mu}": [float(np.abs(A[mu]).max()) for A in hist.A] for mu in range(dim + 1)},
+    }
+    assert traj.series.keys() == want.keys()
+    for key, values in want.items():
+        assert _same_bits(traj.series[key], np.asarray(values)), key
+    # At, formed where snapshots and the history read it: the same at the
+    # snapshot levels, b at level 0 and centered differences after
+    assert _same_bits(traj.snapshots.At, hist.At[[0, 5, 10]])
+    assert _same_bits(hist.At[0], np.stack(cone_solver.potential_data(fam, grid))[1])
+    assert _same_bits(hist.At[1:-1], (hist.A[2:] - hist.A[:-2]) / (2.0 * h))
 
 
 def test_snapshot_time_outside_slab():
@@ -548,6 +579,32 @@ def test_abort_on_nonfinite_inside_window(monkeypatch):
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite"):
         evolve(fam, grid, EvolveOptions(observers=(rec,)))
+
+
+@pytest.mark.parametrize("field, level", [("a", 0), ("b", 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
+    # a reaches A at level 0 and b at level 1 (the first step); the whole-line
+    # check (one |A| max per level) and the windowed one stop at the same t
+    grid = GridSpec(L=2.56, n=64, t_max=0.16)
+    fam = DataFamily(dim=2, eps=0.1, M=1.0)
+
+    def bad_datum(fam, grid):
+        a, b = np.zeros((2, fam.dim + 1, grid.n + 1))
+        (a if field == "a" else b)[2, 32] = bad
+        return a, b
+
+    monkeypatch.setattr(cone_solver, "potential_data", bad_datum)
+    message = f"non-finite field values at t = {level * grid.h:.6g}$"
+    rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 3)])
+    # the transport step to a level reads its A before the level is checked
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverAbort, match=message):
+            evolve(fam, grid, EvolveOptions(snapshot_times=(0.0,)))
+        with pytest.raises(SolverAbort, match=message):
+            evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    assert [m for m, *_ in rec.levels] == list(range(level))
+    assert all(u.shape[-1] < grid.n + 1 for _, _, u, *_ in rec.levels)  # a windowed run
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -226,8 +226,19 @@ def _oracle_csv(path, header, rows, comments):
 @pytest.mark.parametrize("ncols", [1, 3])
 def test_write_csv_bytes_match_csv_writer(tmp_path, nrows, ncols):
     cells = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, -2.5])
-    block = np.resize(cells, nrows * ncols).reshape(nrows, ncols)
-    header = [f"c{k}" for k in range(ncols)]
+    # the writer formats a column at a time and shares one string for +0.0:
+    # columns with runs of +0.0 of every kind, next to the mixed ones
+    j = np.arange(nrows)
+    runs = np.column_stack(
+        [
+            np.zeros(nrows),  # all +0.0
+            1.0 + j / 7.0,  # no +0.0 at all
+            np.where(j % 5 == 2, -0.0, np.where(j % 11 == 6, np.nan, 0.0)),  # -0.0 and nan inside zero runs
+            np.where((j == CSV_CHUNK_ROWS - 2) | (j == 2 * CSV_CHUNK_ROWS + 1), 0.5, 0.0),  # zero runs across chunks
+        ]
+    )
+    block = np.hstack([np.resize(cells, nrows * ncols).reshape(nrows, ncols), runs])
+    header = [f"c{k}" for k in range(block.shape[1])]
     comments = ("config_hash=deadbeef", "t=0.1")
     for hdr in (header, None):
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"

@@ -1,0 +1,143 @@
+"""Run a fixed list of command-line configs on two revisions and compare
+every output file byte for byte.
+
+    python tools/compare_outputs.py REV [OTHER]
+
+REV and OTHER are git revisions; OTHER defaults to HEAD.  OTHER may also be
+a directory holding a checkout (`.` for the working tree, uncommitted edits
+included).  Each revision is exported with `git archive` into a temporary
+directory and runs the same configs from the same relative paths, in one
+process at a time.  The configs cover `simulate` in dims 1-3 with both
+potential modes, with and without `--oracle`; the benchmark's dim-3
+n = 16384 simulate run; default-claims sweeps in dims 1-3; the benchmark's
+blow-up ladder; `verify` with seed 0; and `norms`.  The exit status is 0
+when every run exits alike and writes the same files with the same bytes,
+and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_SIM = {"M": 1.0, "eps": 0.1, "grid": {"L": 2.56, "n": 256, "t_max": 0.16}, "snapshot_times": [0.0, 0.08, 0.16]}
+_LADDER = {"M": 0.0, "eps_list": [0.1, 0.07, 0.05], "T": 0.05, "h_over_eps": 4.0, "probes": [[0.04, 0.0], [0.03, -0.01]]}
+_BENCH_T = 160 * 2.0 * 2.56 / 16384
+
+# name -> (command, config, extra arguments)
+CASES = {
+    **{
+        f"simulate_dim{d}_{mode}{'_oracle' if oracle else ''}": (
+            "simulate",
+            {"dim": d, **_SIM, "potential_mode": mode},
+            ["--oracle"] if oracle else [],
+        )
+        for d in (1, 2, 3)
+        for mode in ("zero", "constrained")
+        for oracle in (False, True)
+    },
+    "simulate_bench_dim3": (
+        "simulate",
+        {"dim": 3, "M": 0.875, "eps": 0.01, "grid": {"L": 2.56, "n": 16384, "t_max": _BENCH_T}, "snapshot_times": [0.0, _BENCH_T]},
+        [],
+    ),
+    **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
+    "sweep_blowup": (
+        "sweep",
+        {
+            "dim": 2,
+            "M": 0.0,
+            "eps_list": [1e-2, 10**-2.25, 10**-2.5],
+            "T": 0.05,
+            "h_over_eps": 16.0,
+            "probes": [[0.02, -0.012]],
+            "claims": ["claim3"],
+            "jobs": 1,
+        },
+        [],
+    ),
+    "verify_seed0": (
+        "verify",
+        {"seed": 0, "suites": ["energy", "wave", "nullform", "refinement"], "counts": {"energy": 200, "wave": 100, "nullform": 800}},
+        [],
+    ),
+    "norms": ("norms", {"eps_list": [1e-2, 1e-3, 0.0], "s_values": [-0.5, -0.25], "n": 1024}, []),
+}
+
+
+def checkout(rev: str, into: str) -> str:
+    """The source tree of `rev`: a directory as given, or a git revision
+    exported into `into`."""
+    if os.path.isdir(rev):
+        return os.path.abspath(rev)
+    tar_path = into + ".tar"
+    subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o", tar_path, rev], check=True)
+    with tarfile.open(tar_path) as tar:
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    os.remove(tar_path)
+    return into
+
+
+def run_cases(tree: str, run_dir: str) -> dict[str, int]:
+    """Run every case with `tree`'s package, from run_dir; exit codes."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    os.makedirs(os.path.join(run_dir, "configs"))
+    codes = {}
+    for name, (command, config, extra) in CASES.items():
+        cfg = os.path.join("configs", f"{name}.json")
+        with open(os.path.join(run_dir, cfg), "w") as fh:
+            json.dump(config, fh)
+        argv = [sys.executable, "-m", "maxdirac1d", command, "--config", cfg, "--out", os.path.join("out", name), *extra]
+        proc = subprocess.run(argv, cwd=run_dir, env=env, capture_output=True, text=True)
+        codes[name] = proc.returncode
+        print(f"  {name}: exit {proc.returncode}", file=sys.stderr)
+    return codes
+
+
+def differences(left: str, right: str) -> list[str]:
+    """Files present on one side only or with different bytes, as relative paths."""
+    problems = []
+    names = set()
+    for side in (left, right):
+        for root, _, files in os.walk(side):
+            names.update(os.path.relpath(os.path.join(root, f), side) for f in files)
+    for name in sorted(names):
+        a, b = os.path.join(left, name), os.path.join(right, name)
+        if not (os.path.isfile(a) and os.path.isfile(b)):
+            problems.append(f"{name}: only in {'the first' if os.path.isfile(a) else 'the second'} run")
+        elif not filecmp.cmp(a, b, shallow=False):
+            problems.append(f"{name}: bytes differ")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    revs = [argv[0], argv[1] if len(argv) > 1 else "HEAD"]
+    with tempfile.TemporaryDirectory() as tmp:
+        codes, outs = [], []
+        for k, rev in enumerate(revs):
+            print(f"{rev}:", file=sys.stderr)
+            tree = checkout(rev, os.path.join(tmp, f"tree{k}"))
+            run_dir = os.path.join(tmp, f"run{k}")
+            codes.append(run_cases(tree, run_dir))
+            outs.append(os.path.join(run_dir, "out"))
+        problems = [f"{name}: exit {codes[0][name]} vs {codes[1][name]}" for name in CASES if codes[0][name] != codes[1][name]]
+        problems += differences(*outs)
+        count = sum(len(files) for _, _, files in os.walk(outs[0]))
+    for line in problems:
+        print(line)
+    print(f"{len(CASES)} runs, {count} files: {'identical' if not problems else f'{len(problems)} differences'}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
