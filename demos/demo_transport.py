@@ -18,15 +18,13 @@ eps = 0.1
 
 for mode in ("zero", "constrained"):
     fam = DataFamily(dim=1, eps=eps, M=0.0, potential_mode=mode)
-    traj = evolve(fam, grid, EvolveOptions(record_history=True))
-    hist = traj.history
+    snaps = evolve(fam, grid, EvolveOptions(snapshot_times=(0.0, 0.08, 0.16))).snapshots
     print(f"potential mode {mode!r}:")
-    for t in (0.0, 0.08, 0.16):
-        m = traj.level_of(t)
+    for k, t in enumerate(snaps.times):
         ref = chi(x - t) * f_eps(x - t, eps)
-        dev = np.abs(np.abs(hist.u[m][0]) - ref).max()
-        vmax = np.abs(hist.v[m]).max()
-        phase = np.angle(hist.u[m][0][np.argmax(ref)])
+        dev = np.abs(np.abs(snaps.u[k][0]) - ref).max()
+        vmax = np.abs(snaps.v[k]).max()
+        phase = np.angle(snaps.u[k][0][np.argmax(ref)])
         print(f"  t = {t:.2f}: sup | |u| - profile | = {dev:.3e}, "
               f"sup |v| = {vmax:.3e}, phase at peak = {phase:+.4f}")
     print()

@@ -40,10 +40,8 @@ from .cone_solver import (
     SolverAbort,
     Trajectory,
     charge,
-    cone_integral,
     dirac_solve,
     evolve,
-    gauge_residual,
     wave_solve,
 )
 from .picard import PicardNonContraction, PicardResult, picard_solve

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve, snapshot_levels, trajectory_to_csv
+from .cone_solver import EvolveOptions, SolverAbort, cone_section, cone_time_trapezoid, evolve, snapshot_levels, trajectory_to_csv
 from .estimates import (
     bootstrap_threshold,
     check_suite_grid,
@@ -327,31 +327,45 @@ def _out_dir(raw: dict, args, command: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _a0_oracle(traj) -> float:
-    """Max deviation of the stored A_0 from half the cone integral of the
+class A0Oracle:
+    """Max deviation of the computed A_0 from half the cone integral of the
     charge density, over a few cone vertices inside the slab.
 
     Both potential-data flavours start from vanishing A_0 data, so the
     Duhamel representation makes the two quantities equal up to quadrature
-    error; the deviation is O(h^2)."""
-    hist = traj.history
-    grid = traj.grid
-    dens = [modulus_sq(traj.fam.dim, hist.u[m], hist.v[m]) for m in range(len(hist.times))]
-    center = grid.n // 2
-    worst = 0.0
-    for m in sorted({max(1, grid.steps // 2), grid.steps}):
-        for j in (center - m // 2, center, center + m // 2):
-            measured = float(hist.A[m][0][j])
-            oracle = 0.5 * cone_quadrature(dens, grid.h, m, j)
-            worst = max(worst, abs(measured - oracle))
-    return worst
+    error; the deviation is O(h^2).  As an observer it adds each level's
+    cross-section of every vertex cone and reads A_0 at the vertices of that
+    level, in O(n) memory; it declares no `reads`, so its rows are full-width."""
+
+    def __init__(self, dim: int, grid: GridSpec):
+        self.dim, self.h = dim, grid.h
+        center = grid.n // 2
+        levels = sorted(m for m in {max(1, grid.steps // 2), grid.steps} if m <= grid.steps)
+        # vertex (level, node) -> the cross-section integrals of its cone so far
+        self.sections = {(m, j): [] for m in levels for j in (center - m // 2, center, center + m // 2)}
+        self.measured: dict[tuple[int, int], float] = {}  # A_0 at each vertex
+
+    def on_level(self, lev, grid: GridSpec) -> None:
+        dens = modulus_sq(self.dim, lev.u, lev.v)
+        for (m, j), sections in self.sections.items():
+            if lev.m <= m:
+                sections.append(cone_section(dens, grid.h, m - lev.m, j))
+            if lev.m == m:
+                self.measured[m, j] = float(lev.A[0][j])
+
+    def deviation(self) -> float:
+        worst = 0.0
+        for v, sections in self.sections.items():
+            worst = max(worst, abs(self.measured[v] - 0.5 * cone_time_trapezoid(sections, self.h)))
+        return worst
 
 
 def cmd_simulate(ctx: dict, args) -> int:
     raw, fam, grid = ctx["raw"], ctx["fam"], ctx["grid"]
     out = _out_dir(raw, args, "simulate")
     chash = config_hash({"command": "simulate", **raw})
-    opts = EvolveOptions(snapshot_times=tuple(raw.get("snapshot_times", ())), record_history=args.oracle)
+    oracle = A0Oracle(fam.dim, grid) if args.oracle else None
+    opts = EvolveOptions(snapshot_times=tuple(raw.get("snapshot_times", ())), observers=(oracle,) if oracle else ())
     traj = evolve(fam, grid, opts)
     paths = trajectory_to_csv(traj, out, config_hash=chash)
     q = traj.series["charge"]
@@ -370,7 +384,7 @@ def cmd_simulate(ctx: dict, args) -> int:
         "files": sorted(os.path.basename(p) for p in paths),
     }
     if args.oracle:
-        manifest["oracle_A0_max_deviation"] = _a0_oracle(traj)
+        manifest["oracle_A0_max_deviation"] = oracle.deviation()
     write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"simulate: wrote {len(paths) + 1} files to {out}; charge drift {drift:.3e}")
     if args.oracle:

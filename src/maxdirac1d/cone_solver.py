@@ -28,8 +28,8 @@ therefore marches a static window of nodes, the intersection of two hulls:
 
   * what the observers read: the hull of the backward cones they declare
     (`reads`) at t = 0, widened by a stencil margin, up to the last level any
-    of them reads; or the whole line up to t_max when there are snapshots,
-    history or no observers;
+    of them reads; or the whole line up to t_max when there are snapshots or
+    no observers;
   * the support cone of the datum: its first and last nonzero nodes, widened
     by one node per side per level and one node for the extra wave level,
     plus the window edge node.
@@ -37,8 +37,8 @@ therefore marches a static window of nodes, the intersection of two hulls:
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
 output is bitwise a full-grid run: the series are taken over full-width rows
-padded with zeros (a shorter sum would round differently), and snapshots and
-history come back full-width.  At a read-hull edge the values go wrong, but
+padded with zeros (a shorter sum would round differently), and snapshots
+come back full-width.  At a read-hull edge the values go wrong, but
 the error travels inward one node per step, exactly like the cone shrinks:
 every node inside a declared cone is bitwise equal to the full-grid run.
 Runs with declared reads record no whole-line series, which have no meaning
@@ -56,7 +56,7 @@ Sums of zeros stay +0.0, since a sum is -0.0 only when both terms are, and
 A_2 is built from +0.0 data by such sums.  A non-finite first component
 aborts the run at its level either way.  The one-component coupling and
 sources round the first components exactly as the two-component ones do,
-so the series, snapshots, history and observed levels are bitwise those of
+so the series, snapshots and observed levels are bitwise those of
 a two-component run.  The second components come back as zero rows in the
 full-width arrays and in what observers see; only the sign of S_2's zeros
 may differ, and it reaches no field.  A datum with any other value there,
@@ -74,11 +74,10 @@ One level of `evolve` makes each pass over the window once:
     the sources, and the series `l1_u`, `l1_v` take their square roots;
   * one |A| reduction: np.abs(A).max(axis=-1) gives every `sup_A<mu>` and,
     being nan or inf exactly where A has a non-finite value, the finiteness
-    check of A on whole-line runs;
+    check of A on whole-line runs, made before the transport step reads A;
   * At only where it is read: `_leapfrog` yields a callable that forms the
-    centered difference on its first call, which snapshots, the history and
-    observers (through `LevelState.At`) make; `wave_solve` reads it at every
-    level;
+    centered difference on its first call, which snapshots and observers
+    (through `LevelState.At`) make; `wave_solve` reads it at every level;
   * per-run arrays in place of per-level temporaries: the transport's
     shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
     just reached to the next step), the diamond's three potential levels,
@@ -99,7 +98,7 @@ from typing import Callable
 import numpy as np
 
 from .gamma_algebra import coupling, marched_components, spinor_components, spinor_rhs, wave_sources
-from .initial_data import DataFamily, GridSpec, _write_csv, potential_data, spinor_datum, write_csv
+from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
     "SolverAbort",
@@ -115,8 +114,8 @@ __all__ = [
     "dirac_levels",
     "l2_norm",
     "charge",
-    "gauge_residual",
-    "cone_integral",
+    "cone_section",
+    "cone_time_trapezoid",
     "cone_quadrature",
     "characteristic_integrals",
     "shift",
@@ -168,10 +167,6 @@ class ConeRegion:
     def __post_init__(self):
         if not self.base_lo < self.base_hi:
             raise ValueError(f"empty cone base ({self.base_lo}, {self.base_hi})")
-
-    @property
-    def height(self) -> float:
-        return 0.5 * (self.base_hi - self.base_lo)
 
     def cross_section(self, s: float) -> tuple[float, float]:
         return self.base_lo + s, self.base_hi - s
@@ -237,7 +232,6 @@ class Trajectory:
     times: np.ndarray
     series: dict[str, np.ndarray]
     snapshots: Levels
-    history: Levels | None = None
     meta: dict = field(default_factory=dict)
 
     def level_of(self, t: float) -> int:
@@ -251,32 +245,19 @@ class Trajectory:
 class EvolveOptions:
     """What `evolve` records besides the per-level series.
 
-    snapshot_times: times at which to keep full (u, v, A, At) snapshots.
-    record_history: keep every level (memory grows with steps x nodes).
+    snapshot_times: times at which to keep full (u, v, A, At) snapshots;
+        h * arange(steps + 1) keeps every level (memory grows as steps x n).
     observers: objects with `on_level(lev, grid)` and optionally
         `reads(grid)` (see `_window`).
     """
 
     snapshot_times: tuple[float, ...] = ()
-    record_history: bool = False
     observers: tuple = ()
 
 
-def _gauge_sup(A1, At0, region: ConeRegion, t: float, grid: GridSpec) -> float:
-    """sup of |dt A_0 - dx A_1| (centered dx, interior nodes only) over the
-    region's cross-section at t; 0 where the cross-section holds no node."""
-    sl = region.node_slice(t, grid)
-    if sl is None:
-        return 0.0
-    lo, hi = max(sl.start, 1), min(sl.stop, grid.n)
-    if lo >= hi:
-        return 0.0
-    res = At0[lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
-    return float(np.abs(res).max())
-
-
 class GaugeMonitor:
-    """Records sup |dt A_0 - dx A_1| over a dependence-cone cross-section.
+    """Records sup |dt A_0 - dx A_1| (centered dx, interior nodes only) over
+    a dependence-cone cross-section, 0 where it holds no node.
 
     Pass it in `EvolveOptions.observers` and read `series()` after the run.
     It declares no `reads`, so the run stays on the full grid.
@@ -287,7 +268,14 @@ class GaugeMonitor:
         self.values: list[float] = []
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
-        self.values.append(_gauge_sup(lev.A[1], lev.At[0], self.region, lev.t, grid))
+        sl = self.region.node_slice(lev.t, grid)
+        lo, hi = (0, 0) if sl is None else (max(sl.start, 1), min(sl.stop, grid.n))
+        if lo >= hi:
+            self.values.append(0.0)
+            return
+        A1 = lev.A[1]
+        res = lev.At[0][lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
+        self.values.append(float(np.abs(res).max()))
 
     def series(self) -> np.ndarray:
         return np.asarray(self.values)
@@ -462,15 +450,15 @@ def _window(grid: GridSpec, opts: EvolveOptions, data) -> tuple[int, int, int, b
 
     The read hull is the hull of the cone bases that the observers declare
     with `reads(grid)`, as (ConeRegion, last level) pairs, widened by
-    STENCIL_MARGIN nodes per side.  Snapshots, history or no observers read
-    the whole line; an observer that declares nothing (GaugeMonitor) reads
+    STENCIL_MARGIN nodes per side.  Snapshots or no observers read the whole
+    line; an observer that declares nothing (GaugeMonitor) reads
     full-width rows, which ends the search.  The support cone is the nonzero
     nodes of the datum rows `data` (each (..., n+1)) widened by last + 2 per
     side.  A read hull disjoint from it reads only zeros and is marched as
     declared.
     """
     n1 = grid.n + 1
-    whole_line = not opts.observers or bool(opts.snapshot_times) or opts.record_history
+    whole_line = not opts.observers or len(opts.snapshot_times) > 0
     first, end, last = n1, 0, 0
     for obs in opts.observers:
         reads = getattr(obs, "reads", None)
@@ -517,8 +505,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     cone of the datum (`_window`, and the module docstring); an observer
     that declares no `reads` keeps the run full-width.  Whole-line runs
     record the series `charge`, `l1_u`, `l1_v` and `sup_A0` .. `sup_A{dim}`
-    per level, taken over full-width rows, and return snapshots and history
-    as full-width arrays (zero outside the window); runs with declared reads
+    per level, taken over full-width rows, and return snapshots as
+    full-width arrays (zero outside the window); runs with declared reads
     record no series.  `meta` records the marched `window` (first node, end
     node, last level), the `node_steps` computed and the spinor `components`
     marched (see the module docstring).
@@ -545,11 +533,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
     rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At
 
-    def record(levels):  # zero-filled full-width arrays; spinor rows past ncomp stay zero
-        return Levels(times[levels], *(np.zeros((len(levels), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
-
-    snapshots = record(list(snap_at))
-    history = record(np.arange(steps + 1)) if opts.record_history else None
+    # zero-filled full-width arrays; spinor rows past ncomp stay zero
+    snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
     unmarched = np.zeros((nc - ncomp, end - first), complex)
 
     def all_components(w):
@@ -563,9 +548,14 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     work = _StepWork(u.shape)
     level_sources = np.empty((dim + 1, end - first))
     dens = np.empty((2, end - first))  # |u|^2, |v|^2 summed over components
+    sup_A = None  # |A| max per potential of the level that `sources` checked last
 
-    def sources(m, A_old, A_new):  # leaves u, v at level m for the loop body
-        nonlocal u, v
+    def sources(m, A_old, A_new):  # checks A^m, then leaves u, v at level m for the loop body
+        nonlocal u, v, sup_A
+        if whole_line:
+            sup_A = np.abs(A_new).max(axis=-1)  # not finite where A is not
+        if not (np.isfinite(sup_A.max()) if whole_line else np.isfinite(A_new).all()):
+            raise SolverAbort(f"non-finite field values at t = {m * h:.6g}")
         if m > 0:
             u, v = _transport_step(dim, M, h, u, v, A_old, A_new, ncomp=ncomp, work=work)
         wave_sources(dim, u, v, ncomp=ncomp, out=level_sources, densities=dens)
@@ -574,12 +564,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     for m, A, at, S in _leapfrog(a, b, sources, h, steps):
         t = m * h
         if whole_line:
-            q = full_trapezoid(S[0])
-            sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
-            finite = np.isfinite(q) and np.isfinite(sup_A.max())
-        else:
-            finite = np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(A).all()
-        if not finite:
+            q = full_trapezoid(S[0])  # not finite where u or v is not
+        if not (np.isfinite(q) if whole_line else np.isfinite(u).all() and np.isfinite(v).all()):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
@@ -593,10 +579,10 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             lev = LevelState(m, t, x, all_components(u), all_components(v), A, at, S, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
-        for rec, k in ((snapshots, snap_at.get(m)), (history, m)):
-            if rec is not None and k is not None:
-                for level_rows, w in zip((rec.u, rec.v, rec.A, rec.At), (u, v, A, at())):
-                    level_rows[k, : len(w), first:end] = w
+        k = snap_at.get(m)
+        if k is not None:
+            for level_rows, w in zip((snapshots.u, snapshots.v, snapshots.A, snapshots.At), (u, v, A, at())):
+                level_rows[k, : len(w), first:end] = w
 
     return Trajectory(
         fam=fam,
@@ -604,7 +590,6 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         times=times,
         series={k: np.asarray(vs) for k, vs in series.items()},
         snapshots=snapshots,
-        history=history,
         meta={"window": (first, end, steps), "node_steps": (end - first) * steps, "components": ncomp},
     )
 
@@ -722,60 +707,36 @@ def charge(traj: Trajectory, t: float) -> float:
     return float(traj.series["charge"][traj.level_of(t)])
 
 
-def gauge_residual(traj: Trajectory, t: float, region: ConeRegion) -> float:
-    """sup over the region's cross-section at t of |dt A_0 - dx A_1|."""
-    if traj.history is None:
-        raise ValueError("gauge_residual needs a trajectory with record_history=True")
-    m = traj.level_of(t)
-    return _gauge_sup(traj.history.A[m][1], traj.history.At[m][0], region, t, traj.grid)
+def cone_section(row: np.ndarray, h: float, half: int, node: int):
+    """Trapezoid of the nodal rows `row` (..., nodes) over nodes
+    node - half .. node + half: the cross-section of a backward cone with
+    vertex node `node`, `half` levels below the vertex (0 at the vertex)."""
+    j_lo, j_hi = node - half, node + half
+    if j_lo < 0 or j_hi >= row.shape[-1]:
+        raise ValueError("cone sticks out of the grid")
+    return trapezoid(row[..., j_lo : j_hi + 1], h) if half > 0 else 0.0
+
+
+def cone_time_trapezoid(sections, h: float):
+    """Composite trapezoid in time of the cross-section integrals of
+    consecutive levels, in level order."""
+    total = 0.0
+    for prev, cur in zip(sections, sections[1:]):
+        total = total + 0.5 * h * (prev + cur)
+    return total
 
 
 def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int):
     """Space-time quadrature over the backward cone from (level, node).
 
-    Trapezoid in space over the exactly node-aligned cross-sections, composite
-    trapezoid in time (equivalently, midpoint in time after averaging adjacent
-    cross-sections).  level_values[l] holds the nodal rows at level l, with
-    any leading batch axes (..., nodes); the result has those batch axes.
+    Trapezoid in space over the exactly node-aligned cross-sections
+    (`cone_section`), composite trapezoid in time (`cone_time_trapezoid`;
+    equivalently, midpoint in time after averaging adjacent cross-sections).
+    level_values[l] holds the nodal rows at level l, with any leading batch
+    axes (..., nodes); the result has those batch axes.
     """
-    total = 0.0
-    prev_int = None
-    for l in range(vertex_level + 1):
-        half = vertex_level - l
-        j_lo, j_hi = vertex_node - half, vertex_node + half
-        row = np.asarray(level_values[l])
-        if j_lo < 0 or j_hi >= row.shape[-1]:
-            raise ValueError("cone sticks out of the grid")
-        cur = trapezoid(row[..., j_lo : j_hi + 1], h) if half > 0 else 0.0
-        if prev_int is not None:
-            total = total + 0.5 * h * (prev_int + cur)
-        prev_int = cur
-    return total
-
-
-def cone_integral(traj: Trajectory, values, region: ConeRegion) -> float:
-    """Integrate nodal values over a backward cone contained in the slab.
-
-    `values` is either an array (levels, nodes) or a callable mapping a
-    history level index to a nodal row (evaluated lazily).  The cone vertex
-    must sit on a grid node and level.
-    """
-    if traj.history is None and not isinstance(values, np.ndarray):
-        raise ValueError("cone_integral needs history or precomputed level values")
-    grid = traj.grid
-    t_v = region.height
-    x_v = 0.5 * (region.base_lo + region.base_hi)
-    m = int(round(t_v / grid.h))
-    j = int(round((x_v + grid.L) / grid.h))
-    if abs(m * grid.h - t_v) > 1e-6 * grid.h or abs(-grid.L + j * grid.h - x_v) > 1e-6 * grid.h:
-        raise ValueError("cone vertex must lie on a grid node and level")
-    if m >= traj.times.size:
-        raise ValueError("cone vertex above the computed slab")
-    if isinstance(values, np.ndarray):
-        rows = values
-    else:
-        rows = [values(l) for l in range(m + 1)]
-    return float(cone_quadrature(rows, grid.h, m, j))
+    levels = range(vertex_level + 1)
+    return cone_time_trapezoid([cone_section(np.asarray(level_values[l]), h, vertex_level - l, vertex_node) for l in levels], h)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +763,7 @@ def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = Non
         for mu, A_mu in enumerate(snaps.A[k]):
             names.append(f"A{mu}")
             cols.append(A_mu)
-        _write_csv(path, names, np.column_stack(cols), (*comments, f"t={t!r}"), lead=x)
+        write_csv(path, names, np.column_stack(cols), (*comments, f"t={t!r}"), lead=x)
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     keys = sorted(traj.series.keys())

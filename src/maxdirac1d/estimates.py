@@ -246,15 +246,16 @@ def _energy_reports(l2_psi, l2_F, grid: GridSpec) -> list[EstimateReport]:
 def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport:
     """Energy inequality for a Dirac run.
 
-    Accepts either a Trajectory with recorded history, in which case the
-    source is the full potential coupling A_mu gamma^mu psi recomputed level
-    by level, or the (times, U, V, l2_psi, l2_F) tuple of an unbatched
-    dirac_solve, in which case the grid must be passed explicitly.
+    Accepts either a Trajectory with a snapshot at every level, in which
+    case the source is the full potential coupling A_mu gamma^mu psi
+    recomputed level by level, or the (times, U, V, l2_psi, l2_F) tuple of
+    an unbatched dirac_solve, in which case the grid must be passed
+    explicitly.
     """
     if isinstance(run, Trajectory):
-        hist = run.history
-        if hist is None:
-            raise ValueError("energy check on a trajectory requires record_history")
+        hist = run.snapshots
+        if hist.times.size != run.times.size:
+            raise ValueError("energy check on a trajectory needs a snapshot at every level")
         grid = run.grid
         gs = gamma_matrices(run.fam.dim)
         l2_F = np.zeros(run.times.size)
@@ -680,9 +681,9 @@ def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
         raise ValueError("bootstrap regime requires 2(M+1) t_max < 1")
     if not 0.0 < rho < 1.0 - 2.0 * T:
         raise ValueError("rho must lie in (0, 1 - 2 t_max)")
-    hist = traj.history
-    if hist is None:
-        raise ValueError("bootstrap check requires record_history")
+    hist = traj.snapshots
+    if hist.times.size != traj.times.size:
+        raise ValueError("bootstrap check needs a snapshot at every level")
     x = grid.nodes()
     lhs = 0.0
     for m, t in enumerate(traj.times):

@@ -283,7 +283,7 @@ def hs_norm(values, s: float, grid: GridSpec, staggered: bool = False) -> float:
 CSV_CHUNK_ROWS = 512  # rows formatted at a time: the fastest measured, and little memory
 
 
-def write_csv(path, header, rows, comments=()) -> None:
+def write_csv(path, header, rows, comments=(), lead: list[str] | None = None) -> None:
     """Write one CSV file: a `# ` line per comment, then the header row
     (skipped when None), then the rows.
 
@@ -291,19 +291,14 @@ def write_csv(path, header, rows, comments=()) -> None:
     rows that numpy stacks into one.  Every cell is written as
     repr(float(cell)), which round-trips exactly, with the csv module's
     \\r\\n line ends; the cells are converted CSV_CHUNK_ROWS rows at a time.
-    """
-    block = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    _write_csv(path, header, block, comments)
-
-
-def _write_csv(path, header, block, comments, lead: list[str] | None = None) -> None:
-    """write_csv of a float block.  `lead`, when given, is a first column
-    already formatted as repr(float(cell)) text, so that files sharing that
-    column format it once; `block` then holds the other columns.
+    `lead`, when given, is a first column already formatted that way, so
+    that files sharing that column format it once; `rows` then holds the
+    other columns.
 
     Field data is mostly +0.0 outside the support cone, so the cells are
     formatted a column at a time: every +0.0 cell shares one "0.0" string,
     and repr runs on the other cells only (-0.0, nan and inf among them)."""
+    block = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -318,8 +313,8 @@ def _write_csv(path, header, block, comments, lead: list[str] | None = None) -> 
                 for i, cell in zip(nonzero.tolist(), map(repr, values[nonzero].tolist())):
                     text[i] = cell
                 columns.append(text)
-            rows = zip(*columns) if columns else [()] * len(chunk)
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            lines = zip(*columns) if columns else [()] * len(chunk)
+            fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
 def write_json(path, payload) -> None:

@@ -77,7 +77,7 @@ def test_criterion_02_wave_solver_manufactured_and_second_order():
     for n in (512, 1024, 2048):
         gr = GridSpec(L=2.56, n=n, t_max=0.1)
         fam = DataFamily(dim=2, eps=0.1, M=1.0)
-        hist = evolve(fam, gr, EvolveOptions(record_history=True)).history
+        hist = evolve(fam, gr, EvolveOptions(snapshot_times=gr.h * np.arange(gr.steps + 1))).snapshots
         sols[n] = (np.asarray(hist.u[-1]), np.asarray(hist.v[-1]), np.asarray(hist.A[-1]))
 
     def supdiff(coarse, fine):
@@ -107,8 +107,8 @@ def test_criterion_04_free_transport_modulus_tracks_profile():
     for n in (512, 1024):
         grid = GridSpec(L=2.56, n=n, t_max=0.16)
         fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-        traj = evolve(fam, grid, EvolveOptions(record_history=True))
-        hist = traj.history
+        traj = evolve(fam, grid, EvolveOptions(snapshot_times=grid.h * np.arange(grid.steps + 1)))
+        hist = traj.snapshots
         x = grid.nodes()
         dev_u = dev_v = 0.0
         for m, t in enumerate(traj.times):
@@ -253,7 +253,7 @@ def test_criterion_11_picard_matches_marching_solver():
     fam = DataFamily(dim=2, eps=0.1, M=0.0)
     tol = 1e-10
     res = picard_solve(fam, grid, 0.1, tol=tol)
-    hist = evolve(fam, grid, EvolveOptions(record_history=True)).history
+    hist = evolve(fam, grid, EvolveOptions(snapshot_times=grid.h * np.arange(grid.steps + 1))).snapshots
 
     bound = max(5.0 * grid.h**2, 10.0 * tol)
     levels = range(grid.steps + 1)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 import maxdirac1d
 from maxdirac1d import cli
-from maxdirac1d.cone_solver import SolverAbort
+from maxdirac1d.cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve
 from maxdirac1d.experiments import SweepPlan, gauss_pairing_n, grid_for_eps
-from maxdirac1d.initial_data import GridSpec
+from maxdirac1d.gamma_algebra import modulus_sq
+from maxdirac1d.initial_data import DataFamily, GridSpec
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -72,6 +74,57 @@ def test_simulate_writes_manifest_and_oracle(tmp_path, capsys):
     assert "charge drift" in capsys.readouterr().out
 
 
+def _a0_oracle_from_every_level(traj):
+    """The oracle deviation from a run that kept every level: half the cone
+    quadrature of the charge density against A_0, at the vertices of
+    `cli.A0Oracle`."""
+    snaps, grid = traj.snapshots, traj.grid
+    dens = [modulus_sq(traj.fam.dim, snaps.u[m], snaps.v[m]) for m in range(len(snaps.times))]
+    center = grid.n // 2
+    worst = 0.0
+    for m in sorted({max(1, grid.steps // 2), grid.steps}):
+        for j in (center - m // 2, center, center + m // 2):
+            measured = float(snaps.A[m][0][j])
+            oracle = 0.5 * cone_quadrature(dens, grid.h, m, j)
+            worst = max(worst, abs(measured - oracle))
+    return worst
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["zero", "constrained"])
+def test_streamed_oracle_equals_every_level_quadrature(dim, mode):
+    grid = GridSpec(L=2.56, n=256, t_max=0.16)
+    fam = DataFamily(dim=dim, eps=0.1, M=1.0, potential_mode=mode)
+    oracle = cli.A0Oracle(dim, grid)
+    streamed = evolve(fam, grid, EvolveOptions(observers=(oracle,)))
+    assert streamed.meta["window"] == (0, grid.n + 1, grid.steps)  # full-width rows
+    want = _a0_oracle_from_every_level(evolve(fam, grid, EvolveOptions(snapshot_times=grid.h * np.arange(grid.steps + 1))))
+    assert want > 0.0
+    assert np.float64(oracle.deviation()).tobytes() == np.float64(want).tobytes()
+
+
+def test_oracle_memory_stays_that_of_a_plain_run(tmp_path):
+    # the streamed sums hold O(n) numbers; every level of this run would be
+    # 129 x 4097 x 80 B = 42 MB
+    cfg = write_config(tmp_path, {"dim": 2, "M": 1.0, "eps": 0.01, "grid": {"L": 2.56, "n": 4096, "t_max": 0.16}})
+    peaks = {}
+    for extra in ([], ["--oracle"]):
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / f"out{len(extra)}"), *extra]) == 0
+            peaks[bool(extra)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] <= 2 * peaks[False], peaks
+
+
+def test_simulate_oracle_with_no_steps(tmp_path):
+    # t_max = 0: the one vertex level is 0, where A_0 and the cone integral vanish
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 0}, snapshot_times=[0.0]))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"), "--oracle"]) == 0
+    assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["oracle_A0_max_deviation"] == 0.0
+
+
 def test_simulate_rejects_snapshot_outside_slab(tmp_path, capsys):
     bad = dict(SIM_CONFIG, snapshot_times=[0.3])
     rc = cli.main(["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")])
@@ -86,7 +139,7 @@ def test_snapshot_times_sharing_a_level_name_the_key(tmp_path):
 
 
 def test_simulate_record_history_key_is_unknown(tmp_path):
-    # only --oracle reads a history, and the flag keeps one by itself
+    # every level is kept through snapshot_times only; --oracle streams its sums
     bad = write_config(tmp_path, dict(SIM_CONFIG, record_history=True))
     with pytest.raises(cli.ConfigError, match=": record_history: unknown key"):
         cli.load_config(bad, "simulate")

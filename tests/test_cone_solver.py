@@ -12,10 +12,8 @@ from maxdirac1d import (
     PotentialMode,
     SolverAbort,
     charge,
-    cone_integral,
     dirac_solve,
     evolve,
-    gauge_residual,
     wave_solve,
 )
 from maxdirac1d.experiments import SweepPlan, run_sweep
@@ -31,6 +29,11 @@ from maxdirac1d.cone_solver import (
     trajectory_to_csv,
     trapezoid,
 )
+
+
+def every_level(grid):
+    """snapshot_times that keep every level of a run on `grid`."""
+    return grid.h * np.arange(grid.steps + 1)
 
 
 def hat(x, center, width, amp=1.0):
@@ -92,13 +95,13 @@ def test_wave_nonfinite_aborts():
 def test_transport_exact_d1_massless():
     grid = GridSpec(L=2.56, n=512, t_max=0.25)
     fam = DataFamily(dim=1, eps=0.1, M=0.0)
-    traj = evolve(fam, grid, EvolveOptions(record_history=True))
+    traj = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid)))
     x = grid.nodes()
     t = grid.t_max
     exact = chi(x - t, fam.cutoff) * f_eps(x - t, 0.1)
-    got = np.abs(traj.history.u[grid.steps][0])
+    got = np.abs(traj.snapshots.u[grid.steps][0])
     assert np.abs(got - exact).max() < 1e-12
-    assert np.abs(traj.history.v).max() == 0.0
+    assert np.abs(traj.snapshots.v).max() == 0.0
 
 
 def test_massless_runs_stay_longitudinal():
@@ -200,18 +203,6 @@ def test_cone_quadrature_out_of_grid():
         cone_quadrature(rows, grid.h, grid.steps, 0)
 
 
-def test_cone_integral_against_quadrature():
-    grid = GridSpec(L=2.56, n=256, t_max=0.24)
-    traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, EvolveOptions(record_history=True))
-    rows = np.abs(traj.history.u[:, 0, :]) ** 2
-    region = ConeRegion(-grid.t_max, grid.t_max)
-    val = cone_integral(traj, rows, region)
-    direct = cone_quadrature(rows, grid.h, grid.steps, grid.n // 2)
-    assert val == direct
-    with pytest.raises(ValueError, match="grid node"):
-        cone_integral(traj, rows, ConeRegion(-0.1234, 0.1234 + 2e-4))
-
-
 def test_characteristic_integrals_constant():
     h = 0.01
     G = np.ones((21, 101))
@@ -253,17 +244,6 @@ def test_gauge_residual_constrained_vs_zero():
     assert fine < 1e-3
     z_coarse, z_fine = results["zero"]
     assert min(z_coarse, z_fine) > 1.0  # no gauge data, no gauge condition
-
-
-def test_gauge_residual_accessor_needs_history():
-    grid = GridSpec(L=3.2, n=256, t_max=0.2)
-    fam = DataFamily(dim=1, eps=0.1, potential_mode=PotentialMode.CONSTRAINED)
-    traj = evolve(fam, grid)
-    with pytest.raises(ValueError):
-        gauge_residual(traj, 0.1, ConeRegion(-1.0, 1.0))
-    traj = evolve(fam, grid, EvolveOptions(record_history=True))
-    val = gauge_residual(traj, 0.1, ConeRegion(-1.0, 1.0))
-    assert 0.0 < val < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +319,11 @@ def test_snapshots_and_csv_export(tmp_path):
 def test_snapshots_are_the_history_rows_at_their_levels():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)  # h = 0.02
     fam = DataFamily(dim=3, eps=0.05, M=1.0)
-    traj = evolve(fam, grid, EvolveOptions(snapshot_times=(0.2, 0.0, 0.1), record_history=True))
+    traj = evolve(fam, grid, EvolveOptions(snapshot_times=(0.2, 0.0, 0.1)))
+    hist = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid))).snapshots
     assert traj.meta["window"][0] > 0  # padded from a support-cut window
     for name in ("times", "u", "v", "A", "At"):
-        assert _same_bits(getattr(traj.snapshots, name), getattr(traj.history, name)[[0, 5, 10]]), name
+        assert _same_bits(getattr(traj.snapshots, name), getattr(hist, name)[[0, 5, 10]]), name
     empty = evolve(fam, grid).snapshots
     assert empty.times.shape == (0,) and empty.u.shape == (0, 2, grid.n + 1) and empty.A.shape == (0, 4, grid.n + 1)
 
@@ -351,11 +332,13 @@ def test_snapshots_are_the_history_rows_at_their_levels():
 @pytest.mark.parametrize("mode", list(PotentialMode))
 def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     # the series reuse the densities of the wave sources and one |A| max per
-    # level; recomputed from the full-width history rows they come out the same
+    # level; recomputed from the full-width rows of every level they come out
+    # the same
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
-    traj = evolve(fam, grid, EvolveOptions(snapshot_times=(0.0, 0.1, 0.2), record_history=True))
-    hist, h = traj.history, grid.h
+    traj = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid)))
+    snaps = evolve(fam, grid, EvolveOptions(snapshot_times=(0.0, 0.1, 0.2))).snapshots
+    hist, h = traj.snapshots, grid.h
     assert traj.meta["window"][0] > 0  # the series sum zero-padded rows
     dens_u = (np.abs(hist.u) ** 2).sum(axis=-2)
     dens_v = (np.abs(hist.v) ** 2).sum(axis=-2)
@@ -368,9 +351,9 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     assert traj.series.keys() == want.keys()
     for key, values in want.items():
         assert _same_bits(traj.series[key], np.asarray(values)), key
-    # At, formed where snapshots and the history read it: the same at the
-    # snapshot levels, b at level 0 and centered differences after
-    assert _same_bits(traj.snapshots.At, hist.At[[0, 5, 10]])
+    # At, formed where snapshots read it: the same whether three levels or
+    # every level are kept, b at level 0 and centered differences after
+    assert _same_bits(snaps.At, hist.At[[0, 5, 10]])
     assert _same_bits(hist.At[0], np.stack(cone_solver.potential_data(fam, grid))[1])
     assert _same_bits(hist.At[1:-1], (hist.A[2:] - hist.A[:-2]) / (2.0 * h))
 
@@ -430,7 +413,7 @@ def _cone_sets(grid):
 def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
     grid = GridSpec(L=2.56, n=512, t_max=0.3)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
-    hist = evolve(fam, grid, EvolveOptions(record_history=True)).history
+    hist = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid))).snapshots
     x = grid.nodes()
     for cones in _cone_sets(grid):
         rec = _ConeRecorder(cones)
@@ -483,11 +466,11 @@ def test_window_falls_back_to_full_grid():
         EvolveOptions(observers=(_ConeRecorder(cone), _LevelCounter())),
     ):
         assert evolve(fam, grid, opts).meta["window"] == (0, 129, grid.steps)
-    # history and snapshots read the whole line up to t_max, cut to the
-    # support cone: the datum lives on nodes 15..113 (|x| < 2), widened by
-    # steps + 2 per side
+    # snapshots, every level's or one, read the whole line up to t_max, cut
+    # to the support cone: the datum lives on nodes 15..113 (|x| < 2),
+    # widened by steps + 2 per side
     for opts in (
-        EvolveOptions(observers=(_ConeRecorder(cone),), record_history=True),
+        EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=every_level(grid)),
         EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
     ):
         assert evolve(fam, grid, opts).meta["window"] == (8, 121, grid.steps)
@@ -511,19 +494,18 @@ def _same_bits(a, b):
 def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
-    opts = dict(snapshot_times=(0.0, 0.1, 0.2), record_history=True)
-    win = evolve(fam, grid, EvolveOptions(**opts))
-    full = evolve(fam, grid, EvolveOptions(**opts, observers=(_Blind(),)))
-    assert full.meta["window"] == (0, grid.n + 1, grid.steps)
-    first, end, last = win.meta["window"]
-    assert 0 < first and end < grid.n + 1 and last == grid.steps
-    assert win.series.keys() == full.series.keys()
-    for key in full.series:
-        assert _same_bits(win.series[key], full.series[key]), key
-    assert win.snapshots.times.size == 3
-    for name in ("times", "u", "v", "A", "At"):
-        assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
-        assert _same_bits(getattr(win.history, name), getattr(full.history, name)), name
+    for times in ((0.0, 0.1, 0.2), every_level(grid)):
+        win = evolve(fam, grid, EvolveOptions(snapshot_times=times))
+        full = evolve(fam, grid, EvolveOptions(snapshot_times=times, observers=(_Blind(),)))
+        assert full.meta["window"] == (0, grid.n + 1, grid.steps)
+        first, end, last = win.meta["window"]
+        assert 0 < first and end < grid.n + 1 and last == grid.steps
+        assert win.series.keys() == full.series.keys()
+        for key in full.series:
+            assert _same_bits(win.series[key], full.series[key]), key
+        assert win.snapshots.times.size == len(times)
+        for name in ("times", "u", "v", "A", "At"):
+            assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
 
 
 def test_support_window_bitwise_with_potential_datum(monkeypatch):
@@ -538,12 +520,12 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
         return a, b
 
     monkeypatch.setattr(cone_solver, "potential_data", with_a)
-    opts = dict(snapshot_times=(0.2,), record_history=True)
+    opts = dict(snapshot_times=every_level(grid))
     win = evolve(fam, grid, EvolveOptions(**opts))
     full = evolve(fam, grid, EvolveOptions(**opts, observers=(_Blind(),)))
     assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
     for name in ("u", "v", "A", "At"):
-        assert _same_bits(getattr(win.history, name), getattr(full.history, name)), name
+        assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
 
 
 def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
@@ -597,12 +579,12 @@ def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
     monkeypatch.setattr(cone_solver, "potential_data", bad_datum)
     message = f"non-finite field values at t = {level * grid.h:.6g}$"
     rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 3)])
-    # the transport step to a level reads its A before the level is checked
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(SolverAbort, match=message):
-            evolve(fam, grid, EvolveOptions(snapshot_times=(0.0,)))
-        with pytest.raises(SolverAbort, match=message):
-            evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    # A^m is checked before the transport step to level m reads it, so no
+    # arithmetic on the bad value warns (warnings are errors under pytest)
+    with pytest.raises(SolverAbort, match=message):
+        evolve(fam, grid, EvolveOptions(snapshot_times=(0.0,)))
+    with pytest.raises(SolverAbort, match=message):
+        evolve(fam, grid, EvolveOptions(observers=(rec,)))
     assert [m for m, *_ in rec.levels] == list(range(level))
     assert all(u.shape[-1] < grid.n + 1 for _, _, u, *_ in rec.levels)  # a windowed run
 
@@ -673,7 +655,7 @@ def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode
 
     def run():
         gauge, rec = GaugeMonitor(), _StateRecorder()
-        opts = EvolveOptions(snapshot_times=(0.0, 0.1, 0.2), record_history=True, observers=(gauge, rec))
+        opts = EvolveOptions(snapshot_times=every_level(grid), observers=(gauge, rec))
         return evolve(fam, grid, opts), gauge.series(), rec.states
 
     one, one_gauge, one_states = run()
@@ -687,10 +669,9 @@ def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode
     assert _same_bits(one_gauge, two_gauge)
     for name in ("u", "v", "A", "At"):
         assert _same_bits(getattr(one.snapshots, name), getattr(two.snapshots, name)), name
-        assert _same_bits(getattr(one.history, name), getattr(two.history, name)), name
-    zero = np.zeros_like(one.history.u[:, 1])
-    assert _same_bits(one.history.u[:, 1], zero) and _same_bits(one.history.v[:, 1], zero)
-    assert _same_bits(one.history.A[:, 2], zero.real)
+    zero = np.zeros_like(one.snapshots.u[:, 1])
+    assert _same_bits(one.snapshots.u[:, 1], zero) and _same_bits(one.snapshots.v[:, 1], zero)
+    assert _same_bits(one.snapshots.A[:, 2], zero.real)
     _same_states(one_states, two_states)
 
 
@@ -735,9 +716,9 @@ def test_dim3_nonzero_second_component_datum_marches_both(monkeypatch, field, ro
     datum[field][row, 60:66] = 0.25
     monkeypatch.setattr(cone_solver, "spinor_datum", lambda fam, grid: (datum["u"], datum["v"]))
     monkeypatch.setattr(cone_solver, "potential_data", lambda fam, grid: (datum["a"], datum["b"]))
-    traj = evolve(fam, grid, EvolveOptions(record_history=True))
+    traj = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid)))
     assert traj.meta["components"] == 2
-    assert traj.history.u[-1, 1].any() or traj.history.v[-1, 1].any()
+    assert traj.snapshots.u[-1, 1].any() or traj.snapshots.v[-1, 1].any()
 
 
 def test_snapshot_csv_bytes_equal_write_csv(tmp_path):

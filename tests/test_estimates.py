@@ -39,12 +39,13 @@ from maxdirac1d.initial_data import CutoffSpec, chi
 
 GRID = GridSpec(L=2.56, n=256, t_max=0.24)
 GRID_TALL = GridSpec(L=2.56, n=256, t_max=0.64)
+EVERY_LEVEL = GRID.h * np.arange(GRID.steps + 1)  # snapshot_times of every level on GRID
 
 
 @pytest.fixture(scope="module")
 def massless_run():
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
-    return evolve(fam, GRID, EvolveOptions(record_history=True))
+    return evolve(fam, GRID, EvolveOptions(snapshot_times=EVERY_LEVEL))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_energy_on_trajectory_requires_history(massless_run):
     assert rep.passed
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     bare = evolve(fam, GRID)
-    with pytest.raises(ValueError, match="record_history"):
+    with pytest.raises(ValueError, match="snapshot at every level"):
         check_energy_inequality(bare)
 
 
@@ -289,7 +290,7 @@ def test_gronwall_saturates_for_longitudinal_flow(massless_run):
 
 def test_gronwall_needs_transverse_potentials():
     fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-    traj = evolve(fam, GRID, EvolveOptions(record_history=True))
+    traj = evolve(fam, GRID, EvolveOptions(snapshot_times=EVERY_LEVEL))
     with pytest.raises(ValueError, match="dim 2 or 3"):
         check_gronwall_l1(traj)
 
@@ -305,13 +306,13 @@ def test_bootstrap_bound_ratio_one_third(massless_run):
 def test_bootstrap_bound_guards(massless_run):
     tall = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     wide = GridSpec(L=2.72, n=272, t_max=0.64)
-    traj_tall = evolve(tall, wide, EvolveOptions(record_history=True))
+    traj_tall = evolve(tall, wide, EvolveOptions(snapshot_times=wide.h * np.arange(wide.steps + 1)))
     with pytest.raises(ValueError, match="2\\(M\\+1\\) t_max < 1"):
         check_bootstrap_bound(traj_tall, 0.1)
     with pytest.raises(ValueError, match="rho"):
         check_bootstrap_bound(massless_run, 0.6)
     bare = evolve(tall, GRID)
-    with pytest.raises(ValueError, match="record_history"):
+    with pytest.raises(ValueError, match="snapshot at every level"):
         check_bootstrap_bound(bare, 0.5)
 
 

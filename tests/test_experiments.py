@@ -292,7 +292,7 @@ def test_probe_monitor_window_matches_full_grid():
     windowed = ProbeMonitor(plan.probes, grid)
     full = ProbeMonitor(plan.probes, grid)
     traj = evolve(fam, grid, EvolveOptions(observers=(windowed,)))
-    evolve(fam, grid, EvolveOptions(observers=(full,), record_history=True))
+    evolve(fam, grid, EvolveOptions(observers=(full,), snapshot_times=grid.h * np.arange(grid.steps + 1)))
     first, end, last = traj.meta["window"]
     assert end - first < (grid.n + 1) // 10
     assert last < grid.steps

@@ -14,8 +14,8 @@ def test_agrees_with_marching_solver():
     # one pass and the spinors coincide with the marching solution bitwise
     fam = DataFamily(dim=2, eps=0.1, M=0.0)
     res = picard_solve(fam, GRID, 0.1, tol=1e-10)
-    traj = evolve(fam, GRID, EvolveOptions(record_history=True))
-    hist = traj.history
+    traj = evolve(fam, GRID, EvolveOptions(snapshot_times=GRID.h * np.arange(GRID.steps + 1)))
+    hist = traj.snapshots
     mt = GRID.steps
 
     du = max(

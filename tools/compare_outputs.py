@@ -9,10 +9,12 @@ included).  Each revision is exported with `git archive` into a temporary
 directory and runs the same configs from the same relative paths, in one
 process at a time.  The configs cover `simulate` in dims 1-3 with both
 potential modes, with and without `--oracle`; the benchmark's dim-3
-n = 16384 simulate run; default-claims sweeps in dims 1-3; the benchmark's
-blow-up ladder; `verify` with seed 0; and `norms`.  The exit status is 0
-when every run exits alike and writes the same files with the same bytes,
-and 1 otherwise.
+n = 16384 simulate run, with and without `--oracle`; default-claims sweeps
+in dims 1-3; the benchmark's blow-up ladder; `verify` with seed 0; and
+`norms`.  Each run's wall time and peak RSS (the child's own maximum
+resident set, from `os.wait4`) are printed side by side for the two
+revisions.  The exit status is 0 when every run exits alike and writes the
+same files with the same bytes, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SIM = {"M": 1.0, "eps": 0.1, "grid": {"L": 2.56, "n": 256, "t_max": 0.16}, "snapshot_times": [0.0, 0.08, 0.16]}
 _LADDER = {"M": 0.0, "eps_list": [0.1, 0.07, 0.05], "T": 0.05, "h_over_eps": 4.0, "probes": [[0.04, 0.0], [0.03, -0.01]]}
 _BENCH_T = 160 * 2.0 * 2.56 / 16384
+_BENCH_DIM3 = {"dim": 3, "M": 0.875, "eps": 0.01, "grid": {"L": 2.56, "n": 16384, "t_max": _BENCH_T}, "snapshot_times": [0.0, _BENCH_T]}
 
 # name -> (command, config, extra arguments)
 CASES = {
@@ -43,11 +47,8 @@ CASES = {
         for mode in ("zero", "constrained")
         for oracle in (False, True)
     },
-    "simulate_bench_dim3": (
-        "simulate",
-        {"dim": 3, "M": 0.875, "eps": 0.01, "grid": {"L": 2.56, "n": 16384, "t_max": _BENCH_T}, "snapshot_times": [0.0, _BENCH_T]},
-        [],
-    ),
+    "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
+    "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
     "sweep_blowup": (
         "sweep",
@@ -85,20 +86,26 @@ def checkout(rev: str, into: str) -> str:
     return into
 
 
-def run_cases(tree: str, run_dir: str) -> dict[str, int]:
-    """Run every case with `tree`'s package, from run_dir; exit codes."""
+def run_cases(tree: str, run_dir: str) -> dict[str, tuple[int, float, float]]:
+    """Run every case with `tree`'s package, from run_dir: its exit code,
+    wall time (s) and peak RSS (MB)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     os.makedirs(os.path.join(run_dir, "configs"))
-    codes = {}
+    runs = {}
     for name, (command, config, extra) in CASES.items():
         cfg = os.path.join("configs", f"{name}.json")
         with open(os.path.join(run_dir, cfg), "w") as fh:
             json.dump(config, fh)
         argv = [sys.executable, "-m", "maxdirac1d", command, "--config", cfg, "--out", os.path.join("out", name), *extra]
-        proc = subprocess.run(argv, cwd=run_dir, env=env, capture_output=True, text=True)
-        codes[name] = proc.returncode
-        print(f"  {name}: exit {proc.returncode}", file=sys.stderr)
-    return codes
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # the usage of this child alone: RUSAGE_CHILDREN keeps a maximum over all of them
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        runs[name] = (proc.returncode, wall, usage.ru_maxrss / 1024.0)  # ru_maxrss is in KiB on Linux
+        print(f"  {name}: exit {proc.returncode}, {wall:.2f} s, {runs[name][2]:.0f} MB", file=sys.stderr)
+    return runs
 
 
 def differences(left: str, right: str) -> list[str]:
@@ -123,16 +130,20 @@ def main(argv: list[str]) -> int:
         return 2
     revs = [argv[0], argv[1] if len(argv) > 1 else "HEAD"]
     with tempfile.TemporaryDirectory() as tmp:
-        codes, outs = [], []
+        runs, outs = [], []
         for k, rev in enumerate(revs):
             print(f"{rev}:", file=sys.stderr)
             tree = checkout(rev, os.path.join(tmp, f"tree{k}"))
             run_dir = os.path.join(tmp, f"run{k}")
-            codes.append(run_cases(tree, run_dir))
+            runs.append(run_cases(tree, run_dir))
             outs.append(os.path.join(run_dir, "out"))
-        problems = [f"{name}: exit {codes[0][name]} vs {codes[1][name]}" for name in CASES if codes[0][name] != codes[1][name]]
+        problems = [f"{name}: exit {runs[0][name][0]} vs {runs[1][name][0]}" for name in CASES if runs[0][name][0] != runs[1][name][0]]
         problems += differences(*outs)
         count = sum(len(files) for _, _, files in os.walk(outs[0]))
+    print(f"{'case':<32}{'wall s':>16}{'peak RSS MB':>18}   ({revs[0]}, {revs[1]})")
+    for name in CASES:
+        (_, wall0, rss0), (_, wall1, rss1) = runs[0][name], runs[1][name]
+        print(f"{name:<32}{wall0:>8.2f}{wall1:>8.2f}{rss0:>9.0f}{rss1:>9.0f}")
     for line in problems:
         print(line)
     print(f"{len(CASES)} runs, {count} files: {'identical' if not problems else f'{len(problems)} differences'}")
