@@ -21,13 +21,13 @@ samples = {}
 for eps in eps_list:
     vals = sample_midpoints(lambda x: chi(x) * f_eps(x, eps), grid)
     samples[eps] = vals
-    l1 = lp_norm(vals, 1, grid, staggered=True)
-    l2 = lp_norm(vals, 2, grid, staggered=True)
-    hm = hs_norm(vals, -0.5, grid, staggered=True)
-    charge = lp_norm(vals**2, 1, grid, staggered=True)
+    l1 = lp_norm(vals, 1, grid)
+    l2 = lp_norm(vals, 2, grid)
+    hm = hs_norm(vals, -0.5, grid)
+    charge = lp_norm(vals**2, 1, grid)
     print(f"{eps:>10.2e} {l1:>10.4f} {l2:>10.4f} {hm:>10.4f} {charge:>10.4f}")
 
-charges = [lp_norm(samples[e] ** 2, 1, grid, staggered=True) for e in eps_list]
+charges = [lp_norm(samples[e] ** 2, 1, grid) for e in eps_list]
 logs = [np.log(1.0 / e) for e in eps_list]
 slope = np.polyfit(logs, charges, 1)[0]
 print()
@@ -40,5 +40,5 @@ print()
 print("family differences (eps vs next smaller):")
 for hi, lo in zip(eps_list[:4], eps_list[1:5]):
     d = samples[lo] - samples[hi]
-    print(f"  {hi:.2e} -> {lo:.2e}: |d|_L2 = {lp_norm(d, 2, grid, staggered=True):.4f}, "
-          f"|d|_H^-1/2 = {hs_norm(d, -0.5, grid, staggered=True):.4f}")
+    print(f"  {hi:.2e} -> {lo:.2e}: |d|_L2 = {lp_norm(d, 2, grid):.4f}, "
+          f"|d|_H^-1/2 = {hs_norm(d, -0.5, grid):.4f}")

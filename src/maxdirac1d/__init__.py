@@ -13,9 +13,7 @@ from .gamma_algebra import (
     GammaSet,
     coupling,
     gamma_matrices,
-    interaction_term,
     marched_components,
-    modulus_rhs,
     modulus_sq,
     spinor_components,
     spinor_rhs,
@@ -40,7 +38,6 @@ from .cone_solver import (
     SolverAbort,
     Trajectory,
     charge,
-    dirac_solve,
     evolve,
     wave_solve,
 )
@@ -48,9 +45,6 @@ from .picard import PicardNonContraction, PicardResult, picard_solve
 from .estimates import (
     EstimateReport,
     bootstrap_threshold,
-    check_bootstrap_bound,
-    check_energy_inequality,
-    check_gronwall_l1,
     check_nullform,
     check_wave_estimates,
     nullform_refinement,

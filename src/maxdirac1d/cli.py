@@ -255,12 +255,8 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             ctx["fam"] = DataFamily(
                 raw["dim"], raw["eps"], raw["M"], cutoff=cutoff, **_given(raw, potential_mode="potential_mode")
             )
-            grid = _grid("grid/", raw["grid"], cutoff.outer)
-            for ts in raw.get("snapshot_times", []):
-                if ts < 0 or ts > grid.t_max:
-                    raise ValueError(f"snapshot time {ts} outside [0, {grid.t_max}]")
-            snapshot_levels(raw.get("snapshot_times", []), grid)
-            ctx["grid"] = grid
+            ctx["grid"] = _grid("grid/", raw["grid"], cutoff.outer)
+            snapshot_levels(raw.get("snapshot_times", []), ctx["grid"])
         elif command == "sweep":
             mode = PotentialMode(raw.get("potential_mode", "zero"))
             plan = SweepPlan(
@@ -301,11 +297,12 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             eps_list = raw["eps_list"]
             if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
                 raise ValueError("eps_list must be strictly decreasing")
+            ctx["cutoff"] = CutoffSpec(**raw.get("cutoff", {}))
             L = raw.get("L", 2.5)
             n = raw.get("n", 4096)
-            # one-step slab: only the spatial mesh matters for data norms
-            ctx["grid"] = _grid("", {"L": L, "n": n, "t_max": 2.0 * L / n})
-            ctx["cutoff"] = CutoffSpec(**raw.get("cutoff", {}))
+            # one-step slab: only the spatial mesh matters for data norms,
+            # and the cutoff's support must fit in it as in a run
+            ctx["grid"] = _grid("", {"L": L, "n": n, "t_max": 2.0 * L / n}, ctx["cutoff"].outer)
     except (ValueError, ArithmeticError) as exc:  # arithmetic on extreme finite numbers
         raise ConfigError(f"{path}: {exc}") from exc
     return ctx
@@ -547,13 +544,13 @@ def cmd_norms(ctx: dict, args) -> int:
     s_cols = [f"H{s:g}" for s in s_values]
 
     def l2_hs(vals) -> dict:
-        row = {"L2": lp_norm(vals, 2, grid, staggered=True)}
+        row = {"L2": lp_norm(vals, 2, grid)}
         for s, col in zip(s_values, s_cols):
-            row[col] = hs_norm(vals, s, grid, staggered=True)
+            row[col] = hs_norm(vals, s, grid)
         return row
 
     rows = [
-        {"eps": e, "L1": lp_norm(vals, 1, grid, staggered=True), **l2_hs(vals)}
+        {"eps": e, "L1": lp_norm(vals, 1, grid), **l2_hs(vals)}
         for e, vals in zip(eps_list, samples)
     ]
     diffs = [

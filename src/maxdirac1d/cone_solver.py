@@ -110,7 +110,6 @@ __all__ = [
     "evolve",
     "snapshot_levels",
     "wave_solve",
-    "dirac_solve",
     "dirac_levels",
     "l2_norm",
     "charge",
@@ -649,27 +648,6 @@ def l2_norm(fields, h: float) -> np.ndarray:
     over components and parts: one value per leading index."""
     dens = sum((np.abs(w) ** 2).sum(axis=-2) for w in fields)
     return np.sqrt(trapezoid(dens, h))
-
-
-def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
-    """Linear Dirac solve (zero potentials) with an external source F.
-
-    u0, v0 have shape (..., ncomp, n+1), with any leading batch axes, and M
-    is a scalar or broadcasts per instance, such as (K, 1, 1).  F is None or
-    the pair (F_1, F_2) of source level arrays (steps+1, ..., ncomp, n+1)
-    (see `dirac_levels`).  Returns (times, U, V, l2_psi, l2_F) with the full
-    level history on a leading level axis (meant for moderate grids).
-    """
-    h = grid.h
-    u = np.array(u0, dtype=complex, copy=True)
-    v = np.array(v0, dtype=complex, copy=True)
-    if F is not None:
-        F = tuple(np.asarray(Fc, dtype=complex) for Fc in F)
-    levels = list(dirac_levels(dim, M, h, u, v, F, grid.steps))
-    U = np.stack([u for u, _ in levels])
-    V = np.stack([v for _, v in levels])
-    l2_F = np.zeros(U.shape[:-2]) if F is None else l2_norm(F, h)
-    return h * np.arange(grid.steps + 1), U, V, l2_norm((U, V), h), l2_F
 
 
 def characteristic_integrals(G: np.ndarray, h: float, direction: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Numerical checks of the linear and bilinear estimates behind the solver.
 
 Each check turns one continuum inequality into a discrete comparison
-lhs <= slack * rhs evaluated on solver output or on synthetic systems:
+lhs <= slack * rhs evaluated on synthetic systems:
 
 * energy inequality for the sourced Dirac equation,
   ||psi(t)||_2 <= ||psi_0||_2 + int_0^t ||F(s)||_2 ds;
@@ -9,12 +9,13 @@ lhs <= slack * rhs evaluated on solver output or on synthetic systems:
   total-variation bound, L^1 bound on the time derivative, and their
   factor-3 combination in the AC norm (sup + variation);
 * the null-form bound for transversally transported waves,
-  iint_K |u v| <= (||f||_1 + int ||F||_1)(||g||_1 + int ||G||_1);
-* the Gronwall L^1 bound driven by the transverse potentials,
-  ||u(t)||_1 + ||v(t)||_1 <= (||u(0)||_1 + ||v(0)||_1)
-      exp(int_0^t (M + sup|A_2| [+ sup|A_3|]));
-* the off-origin modulus bound sup_{rho+t <= y <= 1-t} |psi|^2
-  <= 3 / sqrt(eps^2 + rho^2) in the smallness regime.
+  iint_K |u v| <= (||f||_1 + int ||F||_1)(||g||_1 + int ||G||_1).
+
+These are the systems `verify` runs.  The lemmas stated on solver runs (the
+Gronwall L^1 bound driven by the transverse potentials and the off-origin
+modulus bound of the bootstrap) are checked by the unit tests, in
+`tests/lemmas.py`; `bootstrap_threshold` gives the bootstrap's smallness
+constants.
 
 The slack factor is 1 + 10h throughout: the inequalities are continuum
 statements and the discretization perturbs both sides at O(h).  Randomized
@@ -37,7 +38,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone_solver import (
-    Trajectory,
     characteristic_integrals,
     cone_quadrature,
     cumulative_trapezoid,
@@ -47,17 +47,14 @@ from .cone_solver import (
     trapezoid,
     wave_solve,
 )
-from .gamma_algebra import gamma_matrices, interaction_term, modulus_sq, spinor_components
+from .gamma_algebra import spinor_components
 from .initial_data import CutoffSpec, GridSpec, chi
 
 __all__ = [
     "EstimateReport",
     "l1_exact",
-    "check_energy_inequality",
     "check_wave_estimates",
     "check_nullform",
-    "check_gronwall_l1",
-    "check_bootstrap_bound",
     "bootstrap_threshold",
     "transport_pair",
     "random_energy_instance",
@@ -243,37 +240,9 @@ def _energy_reports(l2_psi, l2_F, grid: GridSpec) -> list[EstimateReport]:
     return _worst_levels("energy", l2_psi, rhs, _slack(grid))
 
 
-def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport:
-    """Energy inequality for a Dirac run.
-
-    Accepts either a Trajectory with a snapshot at every level, in which
-    case the source is the full potential coupling A_mu gamma^mu psi
-    recomputed level by level, or the (times, U, V, l2_psi, l2_F) tuple of
-    an unbatched dirac_solve, in which case the grid must be passed
-    explicitly.
-    """
-    if isinstance(run, Trajectory):
-        hist = run.snapshots
-        if hist.times.size != run.times.size:
-            raise ValueError("energy check on a trajectory needs a snapshot at every level")
-        grid = run.grid
-        gs = gamma_matrices(run.fam.dim)
-        l2_F = np.zeros(run.times.size)
-        for m in range(run.times.size):
-            Fu, Fv = interaction_term(gs, hist.A[m], hist.u[m], hist.v[m])
-            dens = (np.abs(Fu) ** 2).sum(axis=0) + (np.abs(Fv) ** 2).sum(axis=0)
-            l2_F[m] = math.sqrt(float(trapezoid(dens, grid.h)))
-        l2_psi = np.sqrt(np.asarray(run.series["charge"], dtype=float))
-        return _energy_reports(l2_psi, l2_F, grid)[0]
-    if grid is None:
-        raise ValueError("synthetic runs need the grid passed alongside")
-    _, _, _, l2_psi, l2_F = run
-    return _energy_reports(np.asarray(l2_psi, dtype=float), np.asarray(l2_F, dtype=float), grid)[0]
-
-
 def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int, dim: int = 1):
-    """Random smooth data and source for the sourced Dirac equation, as
-    `dirac_solve` arguments with source levels 0..steps.
+    """Random smooth data and source for the sourced Dirac equation: dim,
+    M, data u0, v0 and the source F with levels 0..steps.
 
     Gaussian bumps confined well inside the slab so nothing reaches the
     boundary within t_max (outflow would only shrink the left-hand side).
@@ -645,53 +614,6 @@ def nullform_refinement(index: int, base: GridSpec | None = None, factors=(1, 2,
         rep = check_nullform(grid, **_fixed_nullform_instance(index, grid, base))
         out.append((grid.n, rep.ratio, rep.slack_factor))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gronwall L^1 bound and bootstrap bound on solver runs.
-# ---------------------------------------------------------------------------
-
-
-def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
-    """||u(t)||_1 + ||v(t)||_1 against the transverse-potential Gronwall rate."""
-    fam = traj.fam
-    if fam.dim < 2:
-        raise ValueError("gronwall check needs dim 2 or 3 (transverse potentials)")
-    if "l1_u" not in traj.series:
-        raise ValueError("gronwall check needs the whole-line series of a full-grid run")
-    grid = traj.grid
-    l1u = np.asarray(traj.series["l1_u"], dtype=float)
-    l1v = np.asarray(traj.series["l1_v"], dtype=float)
-    rate = fam.M
-    for j in range(2, fam.dim + 1):
-        rate = rate + np.asarray(traj.series[f"sup_A{j}"], dtype=float)
-    rhs = (l1u[0] + l1v[0]) * np.exp(cumulative_trapezoid(rate, grid.h))
-    return _worst_levels("gronwall_l1", l1u + l1v, rhs, _slack(grid))[0]
-
-
-def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
-    """Off-origin modulus bound sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 f_eps(rho)^2.
-
-    Valid in the smallness regime 2(M+1) t_max < 1 with rho in (0, 1 - 2 t_max).
-    """
-    fam = traj.fam
-    grid = traj.grid
-    T = grid.t_max
-    if 2.0 * (fam.M + 1.0) * T >= 1.0:
-        raise ValueError("bootstrap regime requires 2(M+1) t_max < 1")
-    if not 0.0 < rho < 1.0 - 2.0 * T:
-        raise ValueError("rho must lie in (0, 1 - 2 t_max)")
-    hist = traj.snapshots
-    if hist.times.size != traj.times.size:
-        raise ValueError("bootstrap check needs a snapshot at every level")
-    x = grid.nodes()
-    lhs = 0.0
-    for m, t in enumerate(traj.times):
-        sel = (x >= rho + t) & (x <= 1.0 - t)
-        dens = modulus_sq(fam.dim, hist.u[m], hist.v[m])
-        lhs = max(lhs, float(dens[sel].max()))
-    rhs = 3.0 / math.sqrt(fam.eps**2 + rho**2)
-    return EstimateReport("bootstrap", lhs, rhs, _slack(grid))
 
 
 def bootstrap_threshold(M: float, cutoff: CutoffSpec | None = None) -> tuple[float, float]:

@@ -548,20 +548,21 @@ def check_claim3(results: list[SweepRecord]) -> BlowupFit:
 # ---------------------------------------------------------------------------
 
 
-GAUSS_H_OVER_EPS = 16.0  # the pairing grid's resolution, in `check_gauss` and the CLI node cap
+GAUSS_H_OVER_EPS = 16.0  # the pairing grid's resolution, read only by `gauss_pairing_n`
 
 
-def gauss_pairing_n(eps: float, h_over_eps: float = GAUSS_H_OVER_EPS) -> int:
-    """Intervals n of the pairing grid on [-1, 1] with h <= eps/h_over_eps."""
-    return 2 * math.ceil(1.0 / (eps / h_over_eps))
+def gauss_pairing_n(eps: float) -> int:
+    """Intervals n of the pairing grid on [-1, 1] with h <= eps/GAUSS_H_OVER_EPS:
+    the grid `gauss_divergence` sums on, and the one the CLI node cap checks."""
+    return 2 * math.ceil(1.0 / (eps / GAUSS_H_OVER_EPS))
 
 
-def gauss_divergence(eps_list, phi, h_over_eps: float = GAUSS_H_OVER_EPS) -> dict:
+def gauss_divergence(eps_list, phi) -> dict:
     """Pairing <phi, |psi_0,eps|^2> per epsilon and its log-slope.
 
     phi must be smooth and supported in (-1, 1): there the datum density is
     exactly 1/sqrt(eps^2 + x^2) (cutoff identically 1).  The pairing is a
-    trapezoid sum on a dedicated grid with h <= eps/h_over_eps.  As
+    trapezoid sum on a dedicated grid with h <= eps/GAUSS_H_OVER_EPS.  As
     eps -> 0 it grows like 2 phi(0) log(1/eps); with phi(0) = 0 it
     converges instead.
     """
@@ -574,7 +575,7 @@ def gauss_divergence(eps_list, phi, h_over_eps: float = GAUSS_H_OVER_EPS) -> dic
         raise ValueError("test function must be supported inside (-1, 1)")
     pair = []
     for e in eps:
-        n = gauss_pairing_n(e, h_over_eps)
+        n = gauss_pairing_n(e)
         xs = np.linspace(-1.0, 1.0, n + 1)
         vals = np.asarray(phi(xs)) / np.sqrt(e * e + xs * xs)
         pair.append(float(trapezoid(vals, 2.0 / n)))

@@ -11,8 +11,8 @@ component for d = 1, 2 and two for d = 3.  Every half-spinor array has the
 shape (..., ncomp, n+1): optional batch axes, a component axis, then the
 nodes.  This module holds the concrete matrices, the Clifford-relation
 verifier, the wave sources, and `coupling`: the u-v coupling, written out
-per dim in this one place, which the transport and modulus sources and the
-solver apply.
+per dim in this one place, which the transport sources and the solver
+apply.
 
 It also owns the one rule that drops components: in dim 3 a datum whose
 second components u[1], v[1] and transverse data a_2, b_2 are zero keeps
@@ -37,9 +37,7 @@ __all__ = [
     "coupling",
     "spinor_rhs",
     "wave_sources",
-    "modulus_rhs",
     "modulus_sq",
-    "interaction_term",
 ]
 
 # 2x2 building blocks; entries are exact small Gaussian integers so that all
@@ -351,37 +349,3 @@ def wave_sources(dim: int, u, v, *, ncomp: int | None = None, out=None, densitie
     np.multiply(-2.0, np.real(np.conj(v0) * -u1 + np.conj(v1) * u0), out=out[2])
     np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0) + np.conj(v1) * (-1j * u1)), out=out[3])
     return tuple(out)
-
-
-def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sources for the modulus system (dt + dx)|u|^2 and (dt - dx)|v|^2.
-
-    su = 2 Re sum conj(u) C v, and sv = -su exactly because the coupling is
-    anti-hermitian: that is the discrete backbone of charge conservation.
-    The longitudinal potentials act by pure phase rotation and drop out.
-    """
-    C, _, _ = _coupling_maps(dim, A, M, None)
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
-    su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
-    return su, -su
-
-
-def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate F = (A_0 g^0 + ... + A_d g^d) psi, split back into (F_u, F_v).
-
-    Used by the energy-inequality verifier, which treats the whole potential
-    coupling as an external source.  The result has the shape of the inputs.
-    """
-    dim = gs.dim
-    if len(A) != dim + 1:
-        raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
-    psi = np.concatenate([u, v], axis=-2)
-    out = np.zeros_like(psi)
-    for mu in range(dim + 1):
-        gpsi = np.moveaxis(np.tensordot(gs.gammas[mu], psi, axes=(1, -2)), 0, -2)
-        out += np.asarray(A[mu]) * gpsi
-    ncomp = u.shape[-2]
-    return out[..., :ncomp, :], out[..., ncomp:, :]

@@ -239,34 +239,26 @@ def potential_data(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(values, p: float, grid: GridSpec, staggered: bool = False) -> float:
-    """L^p norm of nodal (trapezoid) or midpoint (rectangle) samples, p >= 1."""
+def lp_norm(values, p: float, grid: GridSpec) -> float:
+    """L^p norm of midpoint samples by the rectangle rule, p >= 1."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     vals = np.abs(np.asarray(values)) ** p
-    h = grid.h
-    if staggered:
-        total = h * vals.sum(axis=-1)
-    else:
-        total = h * (vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
-    return float(total ** (1.0 / p))
+    return float((grid.h * vals.sum(axis=-1)) ** (1.0 / p))
 
 
-def hs_norm(values, s: float, grid: GridSpec, staggered: bool = False) -> float:
-    """Negative-order Sobolev norm by periodization of [-L, L].
+def hs_norm(values, s: float, grid: GridSpec) -> float:
+    """Negative-order Sobolev norm of midpoint samples by periodization of
+    [-L, L].
 
-    Uses the DFT of the n independent samples with frequencies xi_k = pi k / L
-    and weight (1 + xi^2)^s.  Only s < 0 is meaningful for the singular
+    Uses the DFT of the n samples with frequencies xi_k = pi k / L and
+    weight (1 + xi^2)^s.  Only s < 0 is meaningful for the singular
     profiles handled here; s >= 0 is rejected.
     """
     if s >= 0:
         raise ValueError(f"hs_norm is restricted to s < 0, got s = {s}")
     vals = np.asarray(values, dtype=complex)
-    if not staggered:
-        if vals.shape[-1] != grid.n + 1:
-            raise ValueError("nodal samples must have n+1 entries")
-        vals = vals[..., : grid.n]
-    elif vals.shape[-1] != grid.n:
+    if vals.shape[-1] != grid.n:
         raise ValueError("midpoint samples must have n entries")
     coeff = np.fft.fft(vals)
     xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)

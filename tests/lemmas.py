@@ -1,0 +1,163 @@
+"""Lemma checks that only the unit tests call.
+
+The paper's claims are checked by the `sweep` and `verify` commands; the
+lemmas behind them are exercised here, on solver runs and on a linear
+Dirac solve that keeps its whole level history:
+
+* `dirac_solve`: the linear Dirac equation with an external source, every
+  level kept;
+* `modulus_rhs`: the sources of the modulus system, whose antisymmetry is
+  the discrete backbone of charge conservation;
+* `interaction_term`: the whole potential coupling A_mu g^mu psi as one
+  external source;
+* `check_energy_inequality`: the energy inequality of `estimates`, on a
+  solver run with the whole potential coupling as its source, or on a
+  `dirac_solve`;
+* `check_gronwall_l1`: the Gronwall L^1 bound driven by the transverse
+  potentials,
+  ||u(t)||_1 + ||v(t)||_1 <= (||u(0)||_1 + ||v(0)||_1)
+      exp(int_0^t (M + sup|A_2| [+ sup|A_3|]));
+* `check_bootstrap_bound`: the off-origin modulus bound
+  sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 / sqrt(eps^2 + rho^2) in the
+  smallness regime.
+
+Each compares at the slack 1 + 10h of `estimates`.
+
+Not a test module: pytest does not collect it, and the tests import it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from maxdirac1d.cone_solver import Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
+from maxdirac1d.estimates import EstimateReport, _energy_reports, _slack, _worst_levels
+from maxdirac1d.gamma_algebra import GammaSet, _as_spinor, _coupling_maps, gamma_matrices, modulus_sq
+from maxdirac1d.initial_data import GridSpec
+
+
+def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
+    """Linear Dirac solve (zero potentials) with an external source F.
+
+    u0, v0 have shape (..., ncomp, n+1), with any leading batch axes, and M
+    is a scalar or broadcasts per instance, such as (K, 1, 1).  F is None or
+    the pair (F_1, F_2) of source level arrays (steps+1, ..., ncomp, n+1)
+    (see `dirac_levels`).  Returns (times, U, V, l2_psi, l2_F) with the full
+    level history on a leading level axis (meant for moderate grids).
+    """
+    h = grid.h
+    u = np.array(u0, dtype=complex, copy=True)
+    v = np.array(v0, dtype=complex, copy=True)
+    if F is not None:
+        F = tuple(np.asarray(Fc, dtype=complex) for Fc in F)
+    levels = list(dirac_levels(dim, M, h, u, v, F, grid.steps))
+    U = np.stack([u for u, _ in levels])
+    V = np.stack([v for _, v in levels])
+    l2_F = np.zeros(U.shape[:-2]) if F is None else l2_norm(F, h)
+    return h * np.arange(grid.steps + 1), U, V, l2_norm((U, V), h), l2_F
+
+
+def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sources for the modulus system (dt + dx)|u|^2 and (dt - dx)|v|^2.
+
+    su = 2 Re sum conj(u) C v, and sv = -su exactly because the coupling is
+    anti-hermitian: that is the discrete backbone of charge conservation.
+    The longitudinal potentials act by pure phase rotation and drop out.
+    """
+    C, _, _ = _coupling_maps(dim, A, M, None)
+    u = _as_spinor(dim, u)
+    v = _as_spinor(dim, v)
+    su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
+    return su, -su
+
+
+def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate F = (A_0 g^0 + ... + A_d g^d) psi, split back into (F_u, F_v).
+
+    Used by the energy-inequality verifier, which treats the whole potential
+    coupling as an external source.  The result has the shape of the inputs.
+    """
+    dim = gs.dim
+    if len(A) != dim + 1:
+        raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
+    u = _as_spinor(dim, u)
+    v = _as_spinor(dim, v)
+    psi = np.concatenate([u, v], axis=-2)
+    out = np.zeros_like(psi)
+    for mu in range(dim + 1):
+        gpsi = np.moveaxis(np.tensordot(gs.gammas[mu], psi, axes=(1, -2)), 0, -2)
+        out += np.asarray(A[mu]) * gpsi
+    ncomp = u.shape[-2]
+    return out[..., :ncomp, :], out[..., ncomp:, :]
+
+
+def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport:
+    """Energy inequality for a Dirac run.
+
+    Accepts either a Trajectory with a snapshot at every level, in which
+    case the source is the full potential coupling A_mu gamma^mu psi
+    recomputed level by level, or the (times, U, V, l2_psi, l2_F) tuple of
+    an unbatched dirac_solve, in which case the grid must be passed
+    explicitly.
+    """
+    if isinstance(run, Trajectory):
+        hist = run.snapshots
+        if hist.times.size != run.times.size:
+            raise ValueError("energy check on a trajectory needs a snapshot at every level")
+        grid = run.grid
+        gs = gamma_matrices(run.fam.dim)
+        l2_F = np.zeros(run.times.size)
+        for m in range(run.times.size):
+            Fu, Fv = interaction_term(gs, hist.A[m], hist.u[m], hist.v[m])
+            dens = (np.abs(Fu) ** 2).sum(axis=0) + (np.abs(Fv) ** 2).sum(axis=0)
+            l2_F[m] = math.sqrt(float(trapezoid(dens, grid.h)))
+        l2_psi = np.sqrt(np.asarray(run.series["charge"], dtype=float))
+        return _energy_reports(l2_psi, l2_F, grid)[0]
+    if grid is None:
+        raise ValueError("synthetic runs need the grid passed alongside")
+    _, _, _, l2_psi, l2_F = run
+    return _energy_reports(np.asarray(l2_psi, dtype=float), np.asarray(l2_F, dtype=float), grid)[0]
+
+
+def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
+    """||u(t)||_1 + ||v(t)||_1 against the transverse-potential Gronwall rate."""
+    fam = traj.fam
+    if fam.dim < 2:
+        raise ValueError("gronwall check needs dim 2 or 3 (transverse potentials)")
+    if "l1_u" not in traj.series:
+        raise ValueError("gronwall check needs the whole-line series of a full-grid run")
+    grid = traj.grid
+    l1u = np.asarray(traj.series["l1_u"], dtype=float)
+    l1v = np.asarray(traj.series["l1_v"], dtype=float)
+    rate = fam.M
+    for j in range(2, fam.dim + 1):
+        rate = rate + np.asarray(traj.series[f"sup_A{j}"], dtype=float)
+    rhs = (l1u[0] + l1v[0]) * np.exp(cumulative_trapezoid(rate, grid.h))
+    return _worst_levels("gronwall_l1", l1u + l1v, rhs, _slack(grid))[0]
+
+
+def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
+    """Off-origin modulus bound sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 f_eps(rho)^2.
+
+    Valid in the smallness regime 2(M+1) t_max < 1 with rho in (0, 1 - 2 t_max).
+    """
+    fam = traj.fam
+    grid = traj.grid
+    T = grid.t_max
+    if 2.0 * (fam.M + 1.0) * T >= 1.0:
+        raise ValueError("bootstrap regime requires 2(M+1) t_max < 1")
+    if not 0.0 < rho < 1.0 - 2.0 * T:
+        raise ValueError("rho must lie in (0, 1 - 2 t_max)")
+    hist = traj.snapshots
+    if hist.times.size != traj.times.size:
+        raise ValueError("bootstrap check needs a snapshot at every level")
+    x = grid.nodes()
+    lhs = 0.0
+    for m, t in enumerate(traj.times):
+        sel = (x >= rho + t) & (x <= 1.0 - t)
+        dens = modulus_sq(fam.dim, hist.u[m], hist.v[m])
+        lhs = max(lhs, float(dens[sel].max()))
+    rhs = 3.0 / math.sqrt(fam.eps**2 + rho**2)
+    return EstimateReport("bootstrap", lhs, rhs, _slack(grid))

@@ -132,6 +132,17 @@ def test_simulate_rejects_snapshot_outside_slab(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_snapshot_times_within_half_a_step_of_the_slab_load(tmp_path, capsys):
+    # one rule, that of `snapshot_levels`: a time within h/2 of a level of the slab is that level
+    h, t_max = 0.02, SIM_CONFIG["grid"]["t_max"]
+    ok = write_config(tmp_path, dict(SIM_CONFIG, snapshot_times=[-h / 4, t_max + h / 4]), "ok.json")
+    assert cli.load_config(ok, "simulate")["grid"].steps == 8
+    assert cli.main(["simulate", "--config", ok, "--out", str(tmp_path / "ok")]) == 0
+    bad = write_config(tmp_path, dict(SIM_CONFIG, snapshot_times=[t_max + 0.6 * h]), "bad.json")
+    assert cli.main(["simulate", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+    assert "outside the computed slab" in capsys.readouterr().err
+
+
 def test_snapshot_times_sharing_a_level_name_the_key(tmp_path):
     bad = write_config(tmp_path, dict(SIM_CONFIG, snapshot_times=[0.0, 0.08, 0.0801]))
     with pytest.raises(cli.ConfigError, match="snapshot_times 0.08 and 0.0801 round to the same level 4"):
@@ -225,6 +236,8 @@ BAD_NUMBERS = [
         ("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2**16]}),
         # the gauss pairing grid (h = eps/16) is wider than the sweep's at h_over_eps = 1
         ("sweep", {"dim": 2, "M": 0, "eps_list": [1e-2, 1e-4, 3e-7], "T": 0.05, "h_over_eps": 1, "claims": ["gauss"]}),
+        # a cutoff wider than the default slab L = 2.5
+        ("norms", {"eps_list": [0.1, 0.01], "cutoff": {"inner": 1.0, "outer": 3.0}}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -252,6 +265,7 @@ def test_bad_numbers_name_the_key(tmp_path, command, payload, loc):
         ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 255, "t_max": 0.24}), "grid/n", "even integer"),
         ("norms", {"eps_list": [1e-2, 1e-3], "L": 1e308, "n": 4}, "L", "h = 2L/n = inf is not a finite positive step"),
         ("norms", {"eps_list": [1e-2, 1e-3], "L": 5e-324}, "L", "h = 2L/n = 0.0 is not a finite positive step"),
+        ("norms", {"eps_list": [0.1, 0.01], "cutoff": {"inner": 1.0, "outer": 3.0}}, "L", "grid too small"),
     ],
 )
 def test_grid_errors_name_the_key(tmp_path, command, payload, loc, message):

@@ -12,7 +12,6 @@ from maxdirac1d import (
     PotentialMode,
     SolverAbort,
     charge,
-    dirac_solve,
     evolve,
     wave_solve,
 )
@@ -23,8 +22,10 @@ from maxdirac1d.cone_solver import (
     _transport_step,
     characteristic_integrals,
     cone_quadrature,
+    dirac_levels,
     free_transport,
     GaugeMonitor,
+    l2_norm,
     shift,
     trajectory_to_csv,
     trapezoid,
@@ -176,12 +177,15 @@ def test_dirac_solve_free_conserves_l2():
     x = grid.nodes()
     u0 = hat(x, -0.2, 0.15)[None, :].astype(complex)
     v0 = hat(x, 0.3, 0.1)[None, :].astype(complex)
-    times, U, V, l2_psi, l2_F = dirac_solve(1, 0.0, grid, u0, v0)
+    F = (np.zeros((grid.steps + 1, *u0.shape), complex),) * 2
+    levels = list(dirac_levels(1, 0.0, grid.h, u0, v0, F, grid.steps))
+    l2_psi = np.array([l2_norm(uv, grid.h) for uv in levels])
+    l2_F = l2_norm(F, grid.h)
     assert np.abs(l2_psi - l2_psi[0]).max() < 1e-13
     assert np.array_equal(l2_F, np.zeros_like(l2_F))
     # left movers really move left
     m = grid.steps
-    assert np.abs(np.abs(V[m]) - hat(x + times[m], 0.3, 0.1)).max() < 1e-13
+    assert np.abs(np.abs(levels[m][1]) - hat(x + m * grid.h, 0.3, 0.1)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from maxdirac1d import DataFamily, EvolveOptions, GridSpec, evolve
-from maxdirac1d.cone_solver import dirac_solve
 from maxdirac1d.cone_solver import cone_quadrature, cumulative_trapezoid
 from maxdirac1d.estimates import (
     EstimateReport,
@@ -18,9 +17,6 @@ from maxdirac1d.estimates import (
     _hat,
     _pw_source,
     bootstrap_threshold,
-    check_bootstrap_bound,
-    check_energy_inequality,
-    check_gronwall_l1,
     check_nullform,
     check_suite_grid,
     check_wave_estimates,
@@ -36,6 +32,8 @@ from maxdirac1d.estimates import (
     transport_pair,
 )
 from maxdirac1d.initial_data import CutoffSpec, chi
+
+from lemmas import check_bootstrap_bound, check_energy_inequality, check_gronwall_l1, dirac_solve
 
 GRID = GridSpec(L=2.56, n=256, t_max=0.24)
 GRID_TALL = GridSpec(L=2.56, n=256, t_max=0.64)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from maxdirac1d import (
     coupling,
     gamma_matrices,
-    interaction_term,
     marched_components,
-    modulus_rhs,
     modulus_sq,
     spinor_components,
     spinor_rhs,
     verify_clifford,
     wave_sources,
 )
+
+from lemmas import interaction_term, modulus_rhs
 
 ETA = {0: 1.0, 1: -1.0, 2: -1.0, 3: -1.0}
 

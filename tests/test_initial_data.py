@@ -163,9 +163,8 @@ def test_sampling_helpers():
 
 def test_lp_norm_exact_on_hats():
     grid = GridSpec(L=2.56, n=512, t_max=0.0)
-    x = grid.nodes()
-    hat = np.clip(1.5 * (1.0 - np.abs(x - 0.2) / 0.25), 0.0, None)
-    # hat area = amp * width; trapezoid is exact for piecewise linear
+    hat = sample_midpoints(lambda x: np.clip(1.5 * (1.0 - np.abs(x - 0.2) / 0.25), 0.0, None), grid)
+    # hat area = amp * width; the kinks are nodes, so the midpoint rule is exact
     assert lp_norm(hat, 1, grid) == pytest.approx(1.5 * 0.25, abs=1e-14)
     with pytest.raises(ValueError):
         lp_norm(hat, 0.5, grid)
@@ -174,14 +173,14 @@ def test_lp_norm_exact_on_hats():
 def test_hs_norm_limits():
     grid = GridSpec(L=2.5, n=2048, t_max=0.0)
     vals = sample_midpoints(lambda x: np.exp(-8.0 * x * x), grid)
-    l2 = lp_norm(vals, 2, grid, staggered=True)
-    assert hs_norm(vals, -1e-4, grid, staggered=True) == pytest.approx(l2, rel=1e-3)
+    l2 = lp_norm(vals, 2, grid)
+    assert hs_norm(vals, -1e-4, grid) == pytest.approx(l2, rel=1e-3)
     # weight (1 + xi^2)^s decreases with |s|
-    assert hs_norm(vals, -0.5, grid, staggered=True) < hs_norm(vals, -0.25, grid, staggered=True)
+    assert hs_norm(vals, -0.5, grid) < hs_norm(vals, -0.25, grid)
     with pytest.raises(ValueError):
-        hs_norm(vals, 0.5, grid, staggered=True)
+        hs_norm(vals, 0.5, grid)
     with pytest.raises(ValueError):
-        hs_norm(vals[:-1], -0.5, grid, staggered=True)
+        hs_norm(vals[:-1], -0.5, grid)
 
 
 def test_singular_profile_differences_shrink():
@@ -191,10 +190,10 @@ def test_singular_profile_differences_shrink():
     eps_list = [1e-2, 1e-3, 1e-4]
     cutoff = CutoffSpec()
     samples = [sample_midpoints(lambda x: chi(x, cutoff) * f_eps(x, e), grid) for e in eps_list]
-    l2 = [lp_norm(s, 2, grid, staggered=True) for s in samples]
+    l2 = [lp_norm(s, 2, grid) for s in samples]
     assert l2[0] < l2[1] < l2[2]
-    d1 = hs_norm(samples[1] - samples[0], -0.5, grid, staggered=True)
-    d2 = hs_norm(samples[2] - samples[1], -0.5, grid, staggered=True)
+    d1 = hs_norm(samples[1] - samples[0], -0.5, grid)
+    d2 = hs_norm(samples[2] - samples[1], -0.5, grid)
     assert d2 < d1
 
 

@@ -1,14 +1,30 @@
-"""The package's public names: every module's `__all__` resolves."""
+"""The package's public names: every module's `__all__` resolves, and every
+name in it has a caller in the program itself."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import maxdirac1d
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # __main__ runs the command line on import
 MODULES = sorted(m.name for m in pkgutil.iter_modules(maxdirac1d.__path__) if m.name != "__main__")
+
+# public names whose only callers are tests, and why each stays public
+TEST_ONLY = {
+    "picard_solve": "release gate 11 checks the marching solver against it",
+    "GaugeMonitor": "the gauge gate and the README example attach it to evolve",
+    "default_plan": "the acceptance campaign runs it",
+    "check_wave_estimates": "the single-instance reference for the batched wave suite",
+}
+
+TRACER_TARGET = re.compile(r"[a-z_]+:([A-Za-z_][\w.]*)")  # "module:qualname", as bench/tracing.py names them
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,3 +36,33 @@ def test_star_import_gives_every_name_in_all(name):
     exec(f"from maxdirac1d.{name} import *", namespace)
     assert set(exported) <= namespace.keys()
 
+
+def _program_names() -> set[str]:
+    """Every name the program's code reads: each Name, Attribute and import
+    alias in the package modules (not `__init__`), the demos, the tools and
+    the benchmark, and each part of a tracer target's qualname."""
+    paths = [p for p in (ROOT / "src" / "maxdirac1d").glob("*.py") if p.name != "__init__.py"]
+    for folder in ("demos", "tools", "bench"):
+        paths += (ROOT / folder).rglob("*.py")
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                target = TRACER_TARGET.fullmatch(node.value)
+                if target:
+                    names.update(target.group(1).split("."))
+    return names
+
+
+def test_every_public_name_has_a_program_caller():
+    public = {n for name in MODULES for n in getattr(importlib.import_module(f"maxdirac1d.{name}"), "__all__", ())}
+    uncalled = public - _program_names()
+    assert sorted(uncalled - TEST_ONLY.keys()) == []
+    # an exception that gained a caller leaves the table
+    assert sorted(TEST_ONLY.keys() - uncalled) == []
