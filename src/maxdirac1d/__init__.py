@@ -37,7 +37,6 @@ from .cone_solver import (
     EvolveOptions,
     SolverAbort,
     Trajectory,
-    charge,
     evolve,
     wave_solve,
 )

@@ -332,10 +332,13 @@ class A0Oracle:
     Duhamel representation makes the two quantities equal up to quadrature
     error; the deviation is O(h^2).  As an observer it adds each level's
     cross-section of every vertex cone and reads A_0 at the vertices of that
-    level, in O(n) memory; it declares no `reads`, so its rows are full-width."""
+    level, in O(n) memory.  The vertex cones may reach past the marched
+    window, so each level's density is summed from a full-width row, zero
+    outside the window, as a full-grid run would sum it."""
 
     def __init__(self, dim: int, grid: GridSpec):
         self.dim, self.h = dim, grid.h
+        self.row = np.zeros(grid.n + 1)
         center = grid.n // 2
         levels = sorted(m for m in {max(1, grid.steps // 2), grid.steps} if m <= grid.steps)
         # vertex (level, node) -> the cross-section integrals of its cone so far
@@ -343,12 +346,12 @@ class A0Oracle:
         self.measured: dict[tuple[int, int], float] = {}  # A_0 at each vertex
 
     def on_level(self, lev, grid: GridSpec) -> None:
-        dens = modulus_sq(self.dim, lev.u, lev.v)
+        self.row[lev.first : lev.first + lev.x.size] = modulus_sq(self.dim, lev.u, lev.v)
         for (m, j), sections in self.sections.items():
             if lev.m <= m:
-                sections.append(cone_section(dens, grid.h, m - lev.m, j))
+                sections.append(cone_section(self.row, grid.h, m - lev.m, j))
             if lev.m == m:
-                self.measured[m, j] = float(lev.A[0][j])
+                self.measured[m, j] = float(lev.A[0][j - lev.first])
 
     def deviation(self) -> float:
         worst = 0.0

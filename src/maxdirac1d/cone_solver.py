@@ -28,8 +28,8 @@ therefore marches a static window of nodes, the intersection of two hulls:
 
   * what the observers read: the hull of the backward cones they declare
     (`reads`) at t = 0, widened by a stencil margin, up to the last level any
-    of them reads; or the whole line up to t_max when there are snapshots or
-    no observers;
+    of them reads; or the whole line up to t_max when there are snapshots,
+    no observers or an observer that declares no `reads`;
   * the support cone of the datum: its first and last nonzero nodes, widened
     by one node per side per level and one node for the extra wave level,
     plus the window edge node.
@@ -42,8 +42,7 @@ come back full-width.  At a read-hull edge the values go wrong, but
 the error travels inward one node per step, exactly like the cone shrinks:
 every node inside a declared cone is bitwise equal to the full-grid run.
 Runs with declared reads record no whole-line series, which have no meaning
-on such a window.  An observer that declares no `reads` (GaugeMonitor) sees
-full-width rows: that run marches every node.
+on such a window.
 
 Components are cut the same way.  The paper's datum puts chi f_eps in u[0]
 only and has a_2 = b_2 = 0.  In dim 3 the second components u[1], v[1] and
@@ -72,9 +71,11 @@ One level of `evolve` makes each pass over the window once:
 
   * one density evaluation: `wave_sources` writes |u|^2 and |v|^2 next to
     the sources, and the series `l1_u`, `l1_v` take their square roots;
-  * one |A| reduction: np.abs(A).max(axis=-1) gives every `sup_A<mu>` and,
-    being nan or inf exactly where A has a non-finite value, the finiteness
-    check of A on whole-line runs, made before the transport step reads A;
+  * one finiteness check: np.abs(A).max(axis=-1), nan or inf exactly where
+    A has a non-finite value, checks A before the transport step reads it and
+    gives every `sup_A<mu>`; a sum of S_0 = |u|^2 + |v|^2, the charge
+    trapezoid on whole-line runs and a plain sum over the window on the
+    others, checks u and v;
   * At only where it is read: `_leapfrog` yields a callable that forms the
     centered difference on its first call, which snapshots and observers
     (through `LevelState.At`) make; `wave_solve` reads it at every level;
@@ -112,7 +113,6 @@ __all__ = [
     "wave_solve",
     "dirac_levels",
     "l2_norm",
-    "charge",
     "cone_section",
     "cone_time_trapezoid",
     "cone_quadrature",
@@ -233,12 +233,6 @@ class Trajectory:
     snapshots: Levels
     meta: dict = field(default_factory=dict)
 
-    def level_of(self, t: float) -> int:
-        m = int(round(t / self.grid.h))
-        if m < 0 or m >= self.times.size or abs(self.times[m] - t) > 0.5 * self.grid.h:
-            raise ValueError(f"t = {t} is not a recorded level time")
-        return m
-
 
 @dataclass
 class EvolveOptions:
@@ -259,7 +253,6 @@ class GaugeMonitor:
     a dependence-cone cross-section, 0 where it holds no node.
 
     Pass it in `EvolveOptions.observers` and read `series()` after the run.
-    It declares no `reads`, so the run stays on the full grid.
     """
 
     def __init__(self, base: tuple[float, float] = BALL_BASE):
@@ -268,7 +261,10 @@ class GaugeMonitor:
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
         sl = self.region.node_slice(lev.t, grid)
-        lo, hi = (0, 0) if sl is None else (max(sl.start, 1), min(sl.stop, grid.n))
+        lo, hi = (0, 0) if sl is None else (sl.start - lev.first, sl.stop - lev.first)
+        # window nodes with both neighbours in the window: the residual is
+        # exactly zero at the others
+        lo, hi = max(lo, 1), min(hi, lev.x.size - 1)
         if lo >= hi:
             self.values.append(0.0)
             return
@@ -449,21 +445,18 @@ def _window(grid: GridSpec, opts: EvolveOptions, data) -> tuple[int, int, int, b
 
     The read hull is the hull of the cone bases that the observers declare
     with `reads(grid)`, as (ConeRegion, last level) pairs, widened by
-    STENCIL_MARGIN nodes per side.  Snapshots or no observers read the whole
-    line; an observer that declares nothing (GaugeMonitor) reads
-    full-width rows, which ends the search.  The support cone is the nonzero
-    nodes of the datum rows `data` (each (..., n+1)) widened by last + 2 per
-    side.  A read hull disjoint from it reads only zeros and is marched as
-    declared.
+    STENCIL_MARGIN nodes per side.  Snapshots, no observers or an observer
+    that declares nothing (GaugeMonitor) read the whole line.  The support
+    cone is the nonzero nodes of the datum rows `data` (each (..., n+1))
+    widened by last + 2 per side.  A read hull disjoint from it reads only
+    zeros and is marched as declared.
     """
     n1 = grid.n + 1
-    whole_line = not opts.observers or len(opts.snapshot_times) > 0
+    readers = [obs for obs in opts.observers if hasattr(obs, "reads")]
+    whole_line = len(opts.snapshot_times) > 0 or not readers or len(readers) < len(opts.observers)
     first, end, last = n1, 0, 0
-    for obs in opts.observers:
-        reads = getattr(obs, "reads", None)
-        if reads is None:
-            return 0, n1, grid.steps, True
-        for region, level in reads(grid):
+    for obs in () if whole_line else readers:
+        for region, level in obs.reads(grid):
             first = min(first, math.floor((region.base_lo + grid.L) / grid.h) - STENCIL_MARGIN)
             end = max(end, math.ceil((region.base_hi + grid.L) / grid.h) + STENCIL_MARGIN + 1)
             last = max(last, level)
@@ -501,11 +494,10 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     only up to the last level its observers read.
 
     The marched window is the read hull of the observers cut to the support
-    cone of the datum (`_window`, and the module docstring); an observer
-    that declares no `reads` keeps the run full-width.  Whole-line runs
-    record the series `charge`, `l1_u`, `l1_v` and `sup_A0` .. `sup_A{dim}`
-    per level, taken over full-width rows, and return snapshots as
-    full-width arrays (zero outside the window); runs with declared reads
+    cone of the datum (`_window`, and the module docstring).  Whole-line
+    runs record the series `charge`, `l1_u`, `l1_v` and `sup_A0` ..
+    `sup_A{dim}` per level, taken over full-width rows, and return snapshots
+    as full-width arrays (zero outside the window); runs with declared reads
     record no series.  `meta` records the marched `window` (first node, end
     node, last level), the `node_steps` computed and the spinor `components`
     marched (see the module docstring).
@@ -551,9 +543,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
 
     def sources(m, A_old, A_new):  # checks A^m, then leaves u, v at level m for the loop body
         nonlocal u, v, sup_A
-        if whole_line:
-            sup_A = np.abs(A_new).max(axis=-1)  # not finite where A is not
-        if not (np.isfinite(sup_A.max()) if whole_line else np.isfinite(A_new).all()):
+        sup_A = np.abs(A_new).max(axis=-1)  # not finite where A is not
+        if not np.isfinite(sup_A.max()):
             raise SolverAbort(f"non-finite field values at t = {m * h:.6g}")
         if m > 0:
             u, v = _transport_step(dim, M, h, u, v, A_old, A_new, ncomp=ncomp, work=work)
@@ -562,9 +553,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
 
     for m, A, at, S in _leapfrog(a, b, sources, h, steps):
         t = m * h
-        if whole_line:
-            q = full_trapezoid(S[0])  # not finite where u or v is not
-        if not (np.isfinite(q) if whole_line else np.isfinite(u).all() and np.isfinite(v).all()):
+        q = full_trapezoid(S[0]) if whole_line else S[0].sum()  # not finite where u or v is not
+        if not np.isfinite(q):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
@@ -676,13 +666,6 @@ def characteristic_integrals(G: np.ndarray, h: float, direction: int) -> np.ndar
 # ---------------------------------------------------------------------------
 # Derived quantities.
 # ---------------------------------------------------------------------------
-
-
-def charge(traj: Trajectory, t: float) -> float:
-    """Total charge (squared L^2 norm of the spinor) at a recorded level."""
-    if "charge" not in traj.series:
-        raise ValueError("the charge series is recorded only by full-grid runs")
-    return float(traj.series["charge"][traj.level_of(t)])
 
 
 def cone_section(row: np.ndarray, h: float, half: int, node: int):

@@ -243,7 +243,10 @@ def lp_norm(values, p: float, grid: GridSpec) -> float:
     """L^p norm of midpoint samples by the rectangle rule, p >= 1."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    vals = np.abs(np.asarray(values)) ** p
+    vals = np.asarray(values)
+    if vals.shape[-1] != grid.n:
+        raise ValueError("midpoint samples must have n entries")
+    vals = np.abs(vals) ** p
     return float((grid.h * vals.sum(axis=-1)) ** (1.0 / p))
 
 

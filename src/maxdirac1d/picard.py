@@ -19,6 +19,7 @@ from .cone_solver import (
     characteristic_integrals,
     cumulative_trapezoid,
     free_transport,
+    l2_norm,
     shift,
     trapezoid,
 )
@@ -130,8 +131,7 @@ def slab_distance(grid, dU, dV, dA, dAt) -> float:
     """Distance in the slab norm sup_t [ ||psi||_2 + sum_mu AC(A_mu) + sum_mu
     ||dt A_mu||_1 ]."""
     h = grid.h
-    dens = (np.abs(dU) ** 2).sum(axis=1) + (np.abs(dV) ** 2).sum(axis=1)
-    l2_psi = np.sqrt(trapezoid(dens, h))
+    l2_psi = l2_norm((dU, dV), h)
     sup_a = np.abs(dA).max(axis=-1).sum(axis=-1)
     tv_a = np.abs(np.diff(dA, axis=-1)).sum(axis=-1).sum(axis=-1)
     l1_at = trapezoid(np.abs(dAt), h).sum(axis=-1)

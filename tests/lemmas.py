@@ -21,7 +21,13 @@ Dirac solve that keeps its whole level history:
   sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 / sqrt(eps^2 + rho^2) in the
   smallness regime.
 
-Each compares at the slack 1 + 10h of `estimates`.
+Each compares at the slack 1 + 10h of `estimates`.  Two references go with
+them:
+
+* `a0_exact`: the closed form of A_0 in the massless run, against which
+  claim 3's probes are held;
+* `evolve_full_grid`: an `evolve` run that marches every node, against which
+  the light-cone windows are held bitwise.
 
 Not a test module: pytest does not collect it, and the tests import it.
 """
@@ -29,13 +35,42 @@ Not a test module: pytest does not collect it, and the tests import it.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _energy_reports, _slack, _worst_levels
 from maxdirac1d.gamma_algebra import GammaSet, _as_spinor, _coupling_maps, gamma_matrices, modulus_sq
-from maxdirac1d.initial_data import GridSpec
+from maxdirac1d.initial_data import CutoffSpec, GridSpec
+
+
+def evolve_full_grid(fam, grid: GridSpec, opts=None) -> Trajectory:
+    """`cone_solver.evolve` on the whole grid up to t_max, whatever its
+    observers read: a whole-line run with `meta["window"]` (0, n+1, steps)."""
+    with mock.patch.object(cone_solver, "_window", lambda grid, opts, data: (0, grid.n + 1, grid.steps, True)):
+        return cone_solver.evolve(fam, grid, opts)
+
+
+def a0_exact(t: float, x: float, eps: float, cutoff: CutoffSpec = CutoffSpec()) -> float:
+    """A_0(t, x) of the massless run, in either potential mode.
+
+    With M = 0 the transverse potentials and v stay zero, so |psi|^2 is the
+    datum's chi^2 f_eps^2 translated right at unit speed, and A_0, which
+    starts from zero data, is half its integral over the backward cone of
+    (t, x).  Where chi = 1 on the cone's base [x - t, x + t] that is
+        A_0 = 1/4 [Q(x + t) - Q(x - t)] - (t/2) R(x - t),
+    R(w) = asinh(w/eps) and Q(w) = w asinh(w/eps) - sqrt(w^2 + eps^2), the
+    antiderivatives of (w^2 + eps^2)^(-1/2) and of R.
+    """
+    if abs(x) + t > cutoff.inner:
+        raise ValueError(f"the cone of ({t}, {x}) leaves the plateau |x| <= {cutoff.inner} of the cutoff")
+
+    def Q(w):
+        return w * math.asinh(w / eps) - math.sqrt(w * w + eps * eps)
+
+    return 0.25 * (Q(x + t) - Q(x - t)) - 0.5 * t * math.asinh((x - t) / eps)
 
 
 def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
@@ -127,7 +162,7 @@ def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
     if fam.dim < 2:
         raise ValueError("gronwall check needs dim 2 or 3 (transverse potentials)")
     if "l1_u" not in traj.series:
-        raise ValueError("gronwall check needs the whole-line series of a full-grid run")
+        raise ValueError("gronwall check needs the series of a whole-line run")
     grid = traj.grid
     l1u = np.asarray(traj.series["l1_u"], dtype=float)
     l1v = np.asarray(traj.series["l1_v"], dtype=float)

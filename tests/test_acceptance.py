@@ -31,7 +31,25 @@ from maxdirac1d.experiments import (
 from maxdirac1d.gamma_algebra import gamma_matrices, verify_clifford
 from maxdirac1d.initial_data import chi, f_eps
 
+from lemmas import a0_exact
+
 CAMPAIGN_CELLS = ((2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0))
+
+# relative error of a massless run's probe A_0 against `a0_exact`.  It is
+# second order in h/eps (a quarter at h = eps/32 of that at eps/16) and falls
+# with eps, so the largest eps at h = eps/16 sets the bound.  The worst
+# measured errors, all at eps = 1e-2, are 8.1e-5 on the campaign probes and
+# 1.8e-5 and 4.4e-6 on criterion 09's (h = eps/16 and eps/32).
+A0_REL_TOL = 1e-4
+
+
+def assert_a0_exact(probes, eps_list, a0):
+    """a0[k, j], the probe A_0 of probe k in the run of eps_list[j], is
+    `a0_exact` to A0_REL_TOL."""
+    for k, (t, x) in enumerate(probes):
+        for j, eps in enumerate(eps_list):
+            exact = a0_exact(t, x, eps)
+            assert abs(a0[k, j] - exact) <= A0_REL_TOL * exact, (t, x, eps)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +193,12 @@ def test_criterion_08_modulus_floor_holds_for_every_eps(campaign):
             assert verdict["pass"]
 
 
+def test_claim3_probes_of_massless_runs_match_the_closed_form(campaign):
+    for (dim, M), (plan, results) in campaign.items():
+        if M == 0.0:
+            assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
+
+
 def _log_bound_coarse_tail(t, x, eps):
     # closed-form lower bound with the coarser eps/2 tail constant; the
     # library's a0_lower_bound keeps the self-consistent eps/8 version,
@@ -205,6 +229,8 @@ def test_criterion_09_a0_blowup_logarithmic_in_eps():
         )
         fits[h_over_eps] = check_claim3(run_sweep(plan, claims=("claim3",)))
 
+    for found in fits.values():
+        assert_a0_exact((probe,), found.eps, found.a0)
     fit = fits[16.0]
     assert fit.lower_ok.all()
     for j, eps in enumerate(fit.eps):

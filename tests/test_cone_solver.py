@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from maxdirac1d import cone_solver
+from maxdirac1d import cli, cone_solver
 from maxdirac1d import (
     ConeRegion,
+    CutoffSpec,
     DataFamily,
     EvolveOptions,
     GridSpec,
     PotentialMode,
     SolverAbort,
-    charge,
     evolve,
     wave_solve,
 )
@@ -30,6 +30,8 @@ from maxdirac1d.cone_solver import (
     trajectory_to_csv,
     trapezoid,
 )
+
+from lemmas import evolve_full_grid
 
 
 def every_level(grid):
@@ -217,16 +219,6 @@ def test_characteristic_integrals_constant():
         assert T[20, j] == pytest.approx(20 * h, abs=1e-14)
 
 
-def test_level_of_and_charge_accessor():
-    grid = GridSpec(L=2.56, n=256, t_max=0.24)
-    traj = evolve(DataFamily(dim=1, eps=0.1), grid)
-    assert traj.level_of(0.0) == 0
-    assert traj.level_of(grid.t_max) == grid.steps
-    with pytest.raises(ValueError):
-        traj.level_of(grid.t_max + 1.0)
-    assert charge(traj, 0.0) == traj.series["charge"][0]
-
-
 # ---------------------------------------------------------------------------
 # Gauge residual.
 # ---------------------------------------------------------------------------
@@ -266,7 +258,7 @@ def test_abort_on_nonfinite_datum(monkeypatch):
     u0 = np.zeros((1, 65), dtype=complex)
     u0[0, 32] = np.nan
     _inject_datum(monkeypatch, u0)
-    with pytest.raises(SolverAbort, match="non-finite"):
+    with pytest.raises(SolverAbort, match="non-finite field values at t = 0$"):
         evolve(fam, grid)
 
 
@@ -445,9 +437,12 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
 def test_meta_records_window_and_node_steps():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=2, eps=0.1)
-    full = evolve(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
+    # the datum lives on nodes 29..227 (|x| < 2), widened by steps + 2 per side
+    line = evolve(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
+    assert line.meta == {"window": (17, 240, grid.steps), "node_steps": 223 * grid.steps, "components": 1}
+    assert "charge" in line.series
+    full = evolve_full_grid(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
     assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps, "components": 1}
-    assert "charge" in full.series
 
     # base [-0.205, 0.205] spans nodes 117.75..138.25: nodes 117..139 plus
     # one margin node per side
@@ -456,35 +451,22 @@ def test_meta_records_window_and_node_steps():
     assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6, "components": 1}
     assert win.series == {}
     assert win.times.size == 7
-    with pytest.raises(ValueError, match="full-grid"):
-        charge(win, 0.0)
 
 
-def test_window_falls_back_to_full_grid():
+def test_whole_line_runs_march_the_support_cone():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=1, eps=0.1)
     cone = [(ConeRegion(-0.2, 0.2), 3)]
-    # an observer that declares no reads sees full-width rows
+    # an observer that declares no reads, and snapshots, every level's or
+    # one, read the whole line up to t_max, cut to the support cone: the
+    # datum lives on nodes 15..113 (|x| < 2), widened by steps + 2 per side
     for opts in (
         EvolveOptions(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
         EvolveOptions(observers=(_ConeRecorder(cone), _LevelCounter())),
-    ):
-        assert evolve(fam, grid, opts).meta["window"] == (0, 129, grid.steps)
-    # snapshots, every level's or one, read the whole line up to t_max, cut
-    # to the support cone: the datum lives on nodes 15..113 (|x| < 2),
-    # widened by steps + 2 per side
-    for opts in (
         EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=every_level(grid)),
         EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
     ):
         assert evolve(fam, grid, opts).meta["window"] == (8, 121, grid.steps)
-
-
-class _Blind:
-    """A no-op observer that declares no reads, which keeps a run full-width."""
-
-    def on_level(self, lev, grid):
-        pass
 
 
 def _same_bits(a, b):
@@ -500,8 +482,7 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
     for times in ((0.0, 0.1, 0.2), every_level(grid)):
         win = evolve(fam, grid, EvolveOptions(snapshot_times=times))
-        full = evolve(fam, grid, EvolveOptions(snapshot_times=times, observers=(_Blind(),)))
-        assert full.meta["window"] == (0, grid.n + 1, grid.steps)
+        full = evolve_full_grid(fam, grid, EvolveOptions(snapshot_times=times))
         first, end, last = win.meta["window"]
         assert 0 < first and end < grid.n + 1 and last == grid.steps
         assert win.series.keys() == full.series.keys()
@@ -510,6 +491,48 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
         assert win.snapshots.times.size == len(times)
         for name in ("times", "u", "v", "A", "At"):
             assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", list(PotentialMode))
+@pytest.mark.parametrize("M", [0.0, 1.0])
+@pytest.mark.parametrize("narrow", [False, True])
+def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M, narrow):
+    # GaugeMonitor and A0Oracle declare no reads: they march the support cone
+    # of a plain run.  A cutoff narrower than K_T puts the gauge cross-section
+    # and the oracle's vertex cones past that window, where the full-grid
+    # fields are zero.
+    if narrow:
+        cutoff, grid = CutoffSpec(inner=0.1, outer=0.2), GridSpec(L=1.6, n=512, t_max=0.6)
+    else:
+        cutoff, grid = CutoffSpec(), GridSpec(L=2.56, n=256, t_max=0.2)
+    fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode, cutoff=cutoff)
+    times = (0.0, 0.5 * grid.t_max, grid.t_max)
+    gauge, full_gauge = GaugeMonitor(), GaugeMonitor()
+    oracle, full_oracle = cli.A0Oracle(dim, grid), cli.A0Oracle(dim, grid)
+    runs = [
+        evolve(fam, grid, opts)
+        for opts in (None, EvolveOptions(observers=(gauge,)), EvolveOptions(observers=(oracle,)), EvolveOptions(snapshot_times=times))
+    ]
+    full = evolve_full_grid(fam, grid, EvolveOptions(snapshot_times=times, observers=(full_gauge, full_oracle)))
+    first, end, last = runs[0].meta["window"]
+    assert 0 < first and end < grid.n + 1 and last == grid.steps
+    for traj in runs:
+        assert traj.meta["window"] == runs[0].meta["window"]
+        assert traj.series.keys() == full.series.keys()
+        for key in full.series:
+            assert _same_bits(traj.series[key], full.series[key]), key
+    for name in ("times", "u", "v", "A", "At"):
+        assert _same_bits(getattr(runs[3].snapshots, name), getattr(full.snapshots, name)), name
+    assert full_gauge.series().max() > 0.0 and full_oracle.deviation() > 0.0
+    assert _same_bits(gauge.series(), full_gauge.series())
+    assert _same_bits(oracle.deviation(), full_oracle.deviation())
+    if narrow:
+        # the window is nodes 127..385; the vertex cones span nodes 112..400
+        # and the gauge cross-section at t = 0 nodes 96..415
+        assert (first, end) == (127, 386)
+        assert min(j - m for m, j in oracle.sections) == 112 and max(j + m for m, j in oracle.sections) == 400
+        assert GaugeMonitor().region.node_slice(0.0, grid) == slice(96, 416)
 
 
 def test_support_window_bitwise_with_potential_datum(monkeypatch):
@@ -526,7 +549,7 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
     monkeypatch.setattr(cone_solver, "potential_data", with_a)
     opts = dict(snapshot_times=every_level(grid))
     win = evolve(fam, grid, EvolveOptions(**opts))
-    full = evolve(fam, grid, EvolveOptions(**opts, observers=(_Blind(),)))
+    full = evolve_full_grid(fam, grid, EvolveOptions(**opts))
     assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
     for name in ("u", "v", "A", "At"):
         assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
@@ -563,15 +586,16 @@ def test_abort_on_nonfinite_inside_window(monkeypatch):
     u0[0, 30] = np.nan
     rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 2)])
     _inject_datum(monkeypatch, u0)
-    with pytest.raises(SolverAbort, match="non-finite"):
+    with pytest.raises(SolverAbort, match="non-finite field values at t = 0$"):
         evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    assert rec.levels == []
 
 
 @pytest.mark.parametrize("field, level", [("a", 0), ("b", 1)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
-    # a reaches A at level 0 and b at level 1 (the first step); the whole-line
-    # check (one |A| max per level) and the windowed one stop at the same t
+    # a reaches A at level 0 and b at level 1 (the first step); the one |A|
+    # max per level stops whole-line and windowed runs at the same t
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=2, eps=0.1, M=1.0)
 
@@ -615,6 +639,21 @@ def test_transport_step_batches_bitwise(dim):
         )
         assert np.array_equal(ub[k], uk)
         assert np.array_equal(vb[k], vk)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
+    # with M = 0 and zero potential data, v, the transverse potentials and
+    # A_0 + A_1 stay zero, so u is the datum translated one node per level
+    grid = GridSpec(L=2.56, n=2048, t_max=0.1)
+    fam = DataFamily(dim=dim, eps=0.01, M=0.0, potential_mode="zero")
+    hist = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid))).snapshots
+    u0, _ = spinor_datum(fam, grid)
+    assert not hist.v.any()
+    assert not hist.A[:, 2:].any()
+    assert not (hist.A[:, 0] + hist.A[:, 1]).any() and hist.A[:, 0].any()
+    for m in range(grid.steps + 1):
+        assert _same_bits(hist.u[m], shift(u0, m)), m
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +705,8 @@ def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode
     _two_components(monkeypatch)
     two, two_gauge, two_states = run()
     assert one.meta["components"] == 1 and two.meta["components"] == 2
-    assert one.meta["window"] == two.meta["window"] == (0, grid.n + 1, grid.steps)
+    assert one.meta["window"] == two.meta["window"]
+    assert one.meta["window"][0] > 0  # the support cone, with GaugeMonitor too
     assert one.series.keys() == two.series.keys()
     for key in two.series:
         assert _same_bits(one.series[key], two.series[key]), key

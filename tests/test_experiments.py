@@ -32,6 +32,8 @@ from maxdirac1d.experiments import (
 )
 from maxdirac1d.initial_data import CutoffSpec, DataFamily, PotentialMode
 
+from lemmas import evolve_full_grid
+
 COARSE = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07), T=0.05, h_over_eps=4.0)
 
 
@@ -299,13 +301,6 @@ def test_probe_monitor_window_matches_full_grid():
     assert np.array_equal(windowed.result(), full.result())
 
 
-class _Blind:
-    """Declares no reads, which keeps a run full-width."""
-
-    def on_level(self, lev, grid):
-        pass
-
-
 def test_monitors_on_a_support_cut_window_match_full_width():
     # a cutoff narrower than the ball: the support cone cuts the K_T hull the
     # claim 1 and 2 monitors read, and the fields past the cut are zero
@@ -317,13 +312,13 @@ def test_monitors_on_a_support_cut_window_match_full_width():
     grid = grid_for_eps(plan, 0.02)
     fam = DataFamily(dim=2, eps=0.02, M=1.0, cutoff=cutoff)
 
-    def run(*extra):
+    def run(evolve):
         mons = (TransverseMonitor(), FloorMonitor(0.02), ProbeMonitor(plan.probes, grid))
-        traj = evolve(fam, grid, EvolveOptions(observers=(*mons, *extra)))
+        traj = evolve(fam, grid, EvolveOptions(observers=mons))
         return traj, [m.series() for m in mons[:2]] + [mons[2].result()]
 
-    cut, cut_out = run()
-    full, full_out = run(_Blind())
+    cut, cut_out = run(evolve)
+    full, full_out = run(evolve_full_grid)
     first, end, _ = cut.meta["window"]
     x_end = -grid.L + (end - 1) * grid.h
     assert x_end < 1.0 - grid.t_max  # the floor cross-section reaches past the window

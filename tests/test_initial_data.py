@@ -170,6 +170,15 @@ def test_lp_norm_exact_on_hats():
         lp_norm(hat, 0.5, grid)
 
 
+def test_lp_norm_rejects_nodal_samples():
+    # the n + 1 nodes would add a cell: the L1 norm of ones would read 2.25
+    grid = GridSpec(L=1.0, n=8, t_max=0.0)
+    assert lp_norm(np.ones(8), 1, grid) == 2.0
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="midpoint samples must have n entries"):
+            lp_norm(np.ones(9), p, grid)
+
+
 def test_hs_norm_limits():
     grid = GridSpec(L=2.5, n=2048, t_max=0.0)
     vals = sample_midpoints(lambda x: np.exp(-8.0 * x * x), grid)

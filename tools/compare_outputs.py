@@ -9,9 +9,10 @@ included).  Each revision is exported with `git archive` into a temporary
 directory and runs the same configs from the same relative paths, in one
 process at a time.  The configs cover `simulate` in dims 1-3 with both
 potential modes, with and without `--oracle`; the benchmark's dim-3
-n = 16384 simulate run, with and without `--oracle`; default-claims sweeps
-in dims 1-3; the benchmark's blow-up ladder; `verify` with seed 0; and
-`norms`.  Each run's wall time and peak RSS (the child's own maximum
+n = 16384 simulate run, with and without `--oracle`; a `--oracle` run whose
+cutoff is so narrow that the oracle's vertex cones reach past the marched
+support cone; default-claims sweeps in dims 1-3; the benchmark's blow-up
+ladder; `verify` with seed 0; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
 resident set, from `os.wait4`) are printed side by side for the two
 revisions.  The exit status is 0 when every run exits alike and writes the
 same files with the same bytes, and 1 otherwise.
@@ -35,6 +36,9 @@ _LADDER = {"M": 0.0, "eps_list": [0.1, 0.07, 0.05], "T": 0.05, "h_over_eps": 4.0
 _BENCH_T = 160 * 2.0 * 2.56 / 16384
 _BENCH_DIM3 = {"dim": 3, "M": 0.875, "eps": 0.01, "grid": {"L": 2.56, "n": 16384, "t_max": _BENCH_T}, "snapshot_times": [0.0, _BENCH_T]}
 
+# nodes 63..449 are marched; the oracle's vertex cones span nodes 16..496
+_NARROW = {"dim": 2, "M": 1.0, "eps": 0.05, "cutoff": {"inner": 0.1, "outer": 0.2}, "grid": {"L": 1.6, "n": 512, "t_max": 1.0}}
+
 # name -> (command, config, extra arguments)
 CASES = {
     **{
@@ -49,6 +53,7 @@ CASES = {
     },
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
     "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
+    "simulate_narrow_cutoff_oracle": ("simulate", _NARROW, ["--oracle"]),
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
     "sweep_blowup": (
         "sweep",
