@@ -281,8 +281,12 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
                     _cap_nodes(f"eps_list/{i}", gauss_pairing_n(eps), f"the gauss pairing at eps = {eps!r} needs ")
         elif command == "verify":
             suites = raw.get("suites", [s for s in _SUITES if s != "recompute"])
-            if "recompute" in suites and "recompute_dir" not in raw:
-                raise ValueError("suite 'recompute' selected but recompute_dir missing")
+            if "recompute" in suites:
+                if "recompute_dir" not in raw:
+                    raise ValueError("suite 'recompute' selected but recompute_dir missing")
+                for name in ("summary.json", "verdicts.json"):  # what the recompute suite reads
+                    if not os.path.isfile(os.path.join(raw["recompute_dir"], name)):
+                        raise ValueError(f"recompute_dir: {raw['recompute_dir']!r} holds no {name}")
             ctx["suite_grid"] = _grid("grid/", raw["grid"]) if "grid" in raw else None
             base = suite_grid("nullform")  # the refinement study's own base grid
             for i, factor in enumerate(raw.get("refinement_factors", ())):
@@ -334,7 +338,8 @@ class A0Oracle:
     cross-section of every vertex cone and reads A_0 at the vertices of that
     level, in O(n) memory.  The vertex cones may reach past the marched
     window, so each level's density is summed from a full-width row, zero
-    outside the window, as a full-grid run would sum it."""
+    outside the window, as a full-grid run would sum it.  Raises ValueError
+    for a grid whose t_max puts a vertex cone past its edge nodes."""
 
     def __init__(self, dim: int, grid: GridSpec):
         self.dim, self.h = dim, grid.h
@@ -343,6 +348,8 @@ class A0Oracle:
         levels = sorted(m for m in {max(1, grid.steps // 2), grid.steps} if m <= grid.steps)
         # vertex (level, node) -> the cross-section integrals of its cone so far
         self.sections = {(m, j): [] for m in levels for j in (center - m // 2, center, center + m // 2)}
+        if any(j - m < 0 or j + m > grid.n for m, j in self.sections):
+            raise ValueError(f"the oracle's vertex cones at t = {levels[-1] * grid.h:g} leave the grid")
         self.measured: dict[tuple[int, int], float] = {}  # A_0 at each vertex
 
     def on_level(self, lev, grid: GridSpec) -> None:
@@ -362,9 +369,12 @@ class A0Oracle:
 
 def cmd_simulate(ctx: dict, args) -> int:
     raw, fam, grid = ctx["raw"], ctx["fam"], ctx["grid"]
+    try:
+        oracle = A0Oracle(fam.dim, grid) if args.oracle else None
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: grid/t_max: {exc}") from exc
     out = _out_dir(raw, args, "simulate")
     chash = config_hash({"command": "simulate", **raw})
-    oracle = A0Oracle(fam.dim, grid) if args.oracle else None
     opts = EvolveOptions(snapshot_times=tuple(raw.get("snapshot_times", ())), observers=(oracle,) if oracle else ())
     traj = evolve(fam, grid, opts)
     paths = trajectory_to_csv(traj, out, config_hash=chash)
@@ -635,12 +645,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: v for k in ("seed", "jobs") if (v := getattr(args, k, None)) is not None}
     try:
-        ctx = load_config(args.config, args.command, flags)
+        return _DISPATCH[args.command](load_config(args.config, args.command, flags), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _DISPATCH[args.command](ctx, args)
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_ABORT

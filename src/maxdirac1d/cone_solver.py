@@ -55,11 +55,12 @@ Sums of zeros stay +0.0, since a sum is -0.0 only when both terms are, and
 A_2 is built from +0.0 data by such sums.  A non-finite first component
 aborts the run at its level either way.  The one-component coupling and
 sources round the first components exactly as the two-component ones do,
-so the series, snapshots and observed levels are bitwise those of
-a two-component run.  The second components come back as zero rows in the
-full-width arrays and in what observers see; only the sign of S_2's zeros
-may differ, and it reaches no field.  A datum with any other value there,
--0.0 included, marches both components.
+so the series, snapshots and the first components observers see are
+bitwise those of a two-component run.  The marched u and v have one
+component row, the kernels read that count from them, and observers see
+them as they are; snapshots come back with the second components as zero
+rows.  Only the sign of S_2's zeros may differ, and it reaches no field.  A
+datum with any other value there, -0.0 included, marches both components.
 
 The grid contract (`GridSpec.ensure_support`) keeps every support clear of a
 two-node band at each boundary; a guard aborts the run if the fields there
@@ -192,8 +193,8 @@ class LevelState:
     """What observers see at each accepted time level.  The arrays cover the
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
-    window keeps at least one such zero node at that edge.  u and v hold
-    every component, the ones not marched as zero rows.  The arrays are the
+    window keeps at least one such zero node at that edge.  u and v hold the
+    marched components (`meta["components"]` of the run).  The arrays are the
     run's working arrays: they hold their values during `on_level` only, so
     an observer copies what it keeps.  At is computed when first read."""
 
@@ -340,33 +341,31 @@ class _Scaled:
         return self.c * self.A[k]
 
 
-def _transport_step(dim, M, h, u, v, A_old, A_new, ext_old=None, ext_new=None, ncomp=None, work=None):
+def _transport_step(dim, M, h, u, v, A_old, A_new, work, ext_old=None, ext_new=None):
     """One implicit-trapezoid step along the two characteristic families.
 
     u flows from node j-1 at the old level to node j at the new level, v the
     mirror image.  The implicit couplings at the new node form an
     anti-hermitian system whose Schur complement is scalar (DC = -k2), so the
-    solve is closed-form and vectorised over nodes.  ncomp is the marched
-    component count (`gamma_algebra.marched_components`).  `work` is a
-    `_StepWork` for a run of steps, each from the level the last one reached.
+    solve is closed-form and vectorised over nodes, on the components u and
+    v have.  `work` is the `_StepWork` of a run of steps, each from the level
+    the last one reached.
     """
     half = 0.5 * h
-    du, dv = spinor_rhs(dim, A_old, u, v, M, ncomp=ncomp, sums=None if work is None else work.sums)
+    du, dv = spinor_rhs(dim, A_old, u, v, M, sums=work.sums)
     if ext_old is not None:
         du = du + ext_old[0]
         dv = dv + ext_old[1]
-    P = shift(u + half * du, 1, out=None if work is None else work.P)
-    Q = shift(v + half * dv, -1, out=None if work is None else work.Q)
+    P = shift(u + half * du, 1, out=work.P)
+    Q = shift(v + half * dv, -1, out=work.Q)
     if ext_new is not None:
         P = P + half * ext_new[0]
         Q = Q + half * ext_new[1]
 
-    sums = A_new[0] + A_new[1], A_new[0] - A_new[1]
-    if work is not None:
-        work.sums = sums
+    sums = work.sums = A_new[0] + A_new[1], A_new[0] - A_new[1]
     den_u = 1.0 - 0.5j * h * sums[0]
     den_v = 1.0 - 0.5j * h * sums[1]
-    C, D, k2 = coupling(dim, _Scaled(A_new, half), half * M, ncomp=ncomp)  # h/2 times the coupling
+    C, D, k2 = coupling(dim, _Scaled(A_new, half), half * M, u.shape[-2])  # h/2 times the coupling
     # v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u) and
     # u_new = (P + C(v_new)) / den_u, the sums and quotients written in place
     v_new = D(P / den_u)
@@ -388,11 +387,9 @@ def _wave_first_step(a, b, S0, h):
     return out
 
 
-def _wave_diamond(A_curr, A_prev, S, h, out=None):
-    """The diamond step to the next level.  `out`, when given, is an array
-    with zero boundary nodes that receives it: the level before A_prev."""
-    if out is None:
-        out = np.zeros_like(A_curr)
+def _wave_diamond(A_curr, A_prev, S, h, out):
+    """The diamond step to the next level, into `out`, an array with zero
+    boundary nodes: the level before A_prev."""
     inner = out[..., 1:-1]
     np.add(A_curr[..., :-2], A_curr[..., 2:], out=inner)
     inner -= A_prev[..., 1:-1]
@@ -526,10 +523,6 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
 
     # zero-filled full-width arrays; spinor rows past ncomp stay zero
     snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
-    unmarched = np.zeros((nc - ncomp, end - first), complex)
-
-    def all_components(w):
-        return np.concatenate((w, unmarched)) if unmarched.size else w
 
     def full_trapezoid(w):
         row[first:end] = w
@@ -547,8 +540,8 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
         if not np.isfinite(sup_A.max()):
             raise SolverAbort(f"non-finite field values at t = {m * h:.6g}")
         if m > 0:
-            u, v = _transport_step(dim, M, h, u, v, A_old, A_new, ncomp=ncomp, work=work)
-        wave_sources(dim, u, v, ncomp=ncomp, out=level_sources, densities=dens)
+            u, v = _transport_step(dim, M, h, u, v, A_old, A_new, work)
+        wave_sources(dim, u, v, out=level_sources, densities=dens)
         return level_sources
 
     for m, A, at, S in _leapfrog(a, b, sources, h, steps):
@@ -565,7 +558,7 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             for mu, sup in enumerate(sup_A.tolist()):
                 series[f"sup_A{mu}"].append(sup)
         if opts.observers:
-            lev = LevelState(m, t, x, all_components(u), all_components(v), A, at, S, first)
+            lev = LevelState(m, t, x, u, v, A, at, S, first)
             for obs in opts.observers:
                 obs.on_level(lev, grid)
         k = snap_at.get(m)
@@ -623,13 +616,14 @@ def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
     (F_1, F_2) of complex source level arrays (steps+1, ..., ncomp, n+1), in
     the spinor basis; the induced transport sources are (i F_2, i F_1)."""
     A = np.zeros(dim + 1)  # zero potentials, as scalars: no per-node work
+    work = _StepWork(u.shape)
 
     def ext(m):
         return None if F is None else (1j * F[1][m], 1j * F[0][m])
 
     yield u, v
     for m in range(1, steps + 1):
-        u, v = _transport_step(dim, M, h, u, v, A, A, ext(m - 1), ext(m))
+        u, v = _transport_step(dim, M, h, u, v, A, A, work, ext(m - 1), ext(m))
         yield u, v
 
 

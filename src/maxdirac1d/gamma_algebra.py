@@ -17,8 +17,9 @@ apply.
 It also owns the one rule that drops components: in dim 3 a datum whose
 second components u[1], v[1] and transverse data a_2, b_2 are zero keeps
 them zero for the whole run (`marched_components`).  The solver then marches
-the first components only, and passes `ncomp=1` to `coupling`, `spinor_rhs`
-and `wave_sources`; every other caller keeps the strict shape contract.
+the first components only.  The functions here read the count from the
+component axis, u.shape[-2], which one check allows (`_spinors`);
+`coupling`, which is handed no spinor, takes its caller's count.
 """
 
 from __future__ import annotations
@@ -155,22 +156,20 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # Componentwise right-hand sides.
 #
 # u and v are arrays of shape (..., ncomp, n+1) in every dim: optional batch
-# axes, a component axis of length spinor_components(dim), then the nodes.
-# The bilinears reduce the component axis and return (..., n+1) rows.
+# axes, a component axis of length spinor_components(dim), or 1 in dim 3 (see
+# `marched_components`), then the nodes.  The bilinears reduce the component
+# axis and return (..., n+1) rows.
 # Potentials and the mass broadcast against (..., 1, n+1): scalars, node rows,
 # or per-instance arrays such as a mass of shape (K, 1, 1).
 # ---------------------------------------------------------------------------
 
 
-def _marched(dim: int, ncomp: int | None) -> int:
-    """The component count a call works on: spinor_components(dim), or 1 in
-    dim 3 for a state from `marched_components`."""
-    full = spinor_components(dim)
-    if ncomp is None or ncomp == full:
-        return full
-    if ncomp != 1:
-        raise ValueError(f"dim-{dim} runs march {full} or 1 components, got {ncomp!r}")
-    return 1
+def _check_count(dim: int, ncomp) -> None:
+    """Raise ValueError unless a dim-`dim` half-spinor may have `ncomp`
+    components: spinor_components(dim), or 1 (`marched_components`)."""
+    allowed = sorted({1, spinor_components(dim)})
+    if ncomp not in allowed:
+        raise ValueError(f"dim-{dim} half-spinors have a component count in {allowed}, got {ncomp!r}")
 
 
 def _plus_zero(w) -> bool:
@@ -195,17 +194,17 @@ def marched_components(dim: int, u, v, a, b) -> int:
     return spinor_components(dim)
 
 
-def _as_spinor(dim: int, w, ncomp: int | None = None) -> np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    ncomp = _marched(dim, ncomp)
-    if w.ndim < 2 or w.shape[-2] != ncomp:
-        raise ValueError(
-            f"dim-{dim} half-spinors have shape (..., {ncomp}, nodes), got {w.shape}"
-        )
-    return w
+def _spinors(dim: int, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as complex arrays, after the one shape check: each has a
+    component axis, both have the same count and the dim allows it."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != v.shape[-2]:
+        raise ValueError(f"half-spinors u and v have shape (..., ncomp, nodes) with one ncomp, got {u.shape} and {v.shape}")
+    _check_count(dim, u.shape[-2])
+    return u, v
 
 
-def coupling(dim: int, A, M: float, *, ncomp: int | None = None):
+def coupling(dim: int, A, M: float, ncomp: int):
     """The u-v coupling (C, D, k2) of the transport equations
 
         (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u.
@@ -216,12 +215,14 @@ def coupling(dim: int, A, M: float, *, ncomp: int | None = None):
     coupling is anti-hermitian.  The operators are linear in (A, M): scaled
     inputs give scaled operators and k2 scales quadratically.
 
-    ncomp=1 in dim 3 is the coupling on first components, for a state whose
-    second components and A_2 are +0.0 (`marched_components`): C = p w and
-    D = q w with p = A_3 - iM, q = -A_3 - iM, and k2 = A_3^2 + M^2.  Each
-    gives the bits of the first components of the two-component coupling;
-    A_2 is not read.
+    ncomp is the component count of the spinors C and D act on, read from
+    their shape.  ncomp=1 in dim 3 is the coupling on first components, for a
+    state whose second components and A_2 are +0.0 (`marched_components`):
+    C = p w and D = q w with p = A_3 - iM, q = -A_3 - iM, and
+    k2 = A_3^2 + M^2.  Each gives the bits of the first components of the
+    two-component coupling; A_2 is not read.
     """
+    _check_count(dim, ncomp)
     C, D, rows = _coupling_maps(dim, A, M, ncomp)
     k2 = rows[0] * rows[0]
     for r in rows[1:]:
@@ -229,11 +230,11 @@ def coupling(dim: int, A, M: float, *, ncomp: int | None = None):
     return C, D, k2 + M * M
 
 
-def _coupling_maps(dim: int, A, M, ncomp: int | None):
-    """C and D of `coupling`, and the transverse rows that k2 sums the
-    squares of.  A is indexed once per row it reads: A_2 in dim 2, A_3 in
-    dim 3 on first components, A_2 and A_3 in dim 3, nothing in dim 1."""
-    ncomp = _marched(dim, ncomp)
+def _coupling_maps(dim: int, A, M, ncomp: int):
+    """C and D of `coupling` on ncomp components, and the transverse rows
+    that k2 sums the squares of.  A is indexed once per row it reads: A_2 in
+    dim 2, A_3 in dim 3 on first components, A_2 and A_3 in dim 3, nothing
+    in dim 1."""
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
     if dim < 3:  # dim 1 is dim 2 with A_2 = 0
@@ -276,26 +277,23 @@ def _coupling_maps(dim: int, A, M, ncomp: int | None):
     return C, D, (A2, A3)
 
 
-def spinor_rhs(dim: int, A, u, v, M: float, *, ncomp: int | None = None, sums=None):
+def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):
     """Transport sources (du, dv) with (dt + dx) u = du, (dt - dx) v = dv.
 
     A is the sequence (A_0, ..., A_dim) of real potentials (scalars or node
     arrays).  The longitudinal potentials rotate phases; the mass and the
-    transverse potentials couple u and v through `coupling`.  ncomp is the
-    marched component count, as in `coupling`.  `sums`, when given, is the
-    pair (A_0 + A_1, A_0 - A_1) already formed from these A.
+    transverse potentials couple u and v through `coupling`.  `sums`, when
+    given, is the pair (A_0 + A_1, A_0 - A_1) already formed from these A.
     """
-    C, D, _ = _coupling_maps(dim, A, M, ncomp)
-    u = _as_spinor(dim, u, ncomp)
-    v = _as_spinor(dim, v, ncomp)
+    u, v = _spinors(dim, u, v)
+    C, D, _ = _coupling_maps(dim, A, M, u.shape[-2])
     plus, minus = (A[0] + A[1], A[0] - A[1]) if sums is None else sums
     return 1j * plus * u + C(v), 1j * minus * v + D(u)
 
 
 def modulus_sq(dim: int, u, v) -> np.ndarray:
     """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components."""
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
+    u, v = _spinors(dim, u, v)
     return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
@@ -306,23 +304,22 @@ def _density(w, out=None) -> np.ndarray:
     return np.sum(squares, axis=-2, out=out)
 
 
-def wave_sources(dim: int, u, v, *, ncomp: int | None = None, out=None, densities=None) -> tuple[np.ndarray, ...]:
+def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarray, ...]:
     """Sources (S_0, ..., S_dim) with box A_mu = S_mu.
 
     S_0 = |u|^2 + |v|^2 is the charge density; S_1 = -|u|^2 + |v|^2 is minus
     the current.  The transverse sources are the null bilinears that make the
     A_j fields bounded: -2 Im(u conj(v)) for dim = 2 and -2 Re(v* rho u),
-    -2 Re(v* kappa u) for dim = 3.  With ncomp=1 in dim 3 (second components
-    zero, `marched_components`) S_2 = 0 and S_3 = -2 Re(conj(v_0) i u_0).
+    -2 Re(v* kappa u) for dim = 3.  On one-component dim-3 spinors (second
+    components zero, `marched_components`) S_2 = 0 and
+    S_3 = -2 Re(conj(v_0) i u_0).
 
     The sources are the rows of one (dim+1, ..., n+1) array: `out` when
     given, which a caller stepping many levels keeps from one to the next.
     `densities`, when given, is a (2, ..., n+1) array that receives the
     rows |u|^2 and |v|^2 that S_0 and S_1 are made of.
     """
-    _check_dim(dim)
-    u = _as_spinor(dim, u, ncomp)
-    v = _as_spinor(dim, v, ncomp)
+    u, v = _spinors(dim, u, v)
     rows = (None, None) if densities is None else densities
     mu, mv = _density(u, rows[0]), _density(v, rows[1])
     if out is None:

@@ -42,7 +42,7 @@ import numpy as np
 from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _energy_reports, _slack, _worst_levels
-from maxdirac1d.gamma_algebra import GammaSet, _as_spinor, _coupling_maps, gamma_matrices, modulus_sq
+from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _spinors, gamma_matrices, modulus_sq
 from maxdirac1d.initial_data import CutoffSpec, GridSpec
 
 
@@ -101,9 +101,8 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     anti-hermitian: that is the discrete backbone of charge conservation.
     The longitudinal potentials act by pure phase rotation and drop out.
     """
-    C, _, _ = _coupling_maps(dim, A, M, None)
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
+    u, v = _spinors(dim, u, v)
+    C, _, _ = _coupling_maps(dim, A, M, u.shape[-2])
     su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
     return su, -su
 
@@ -117,8 +116,9 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     dim = gs.dim
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    u = _as_spinor(dim, u)
-    v = _as_spinor(dim, v)
+    u, v = _spinors(dim, u, v)
+    if 2 * u.shape[-2] != gs.size:
+        raise ValueError(f"the dim-{dim} gamma matrices act on half-spinors of {gs.size // 2} components, got {u.shape}")
     psi = np.concatenate([u, v], axis=-2)
     out = np.zeros_like(psi)
     for mu in range(dim + 1):

@@ -127,6 +127,24 @@ def test_simulate_oracle_with_no_steps(tmp_path):
     assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["oracle_A0_max_deviation"] == 0.0
 
 
+def test_simulate_oracle_cones_must_fit_the_grid(tmp_path, capsys, monkeypatch):
+    # the vertex cones reach steps + steps // 2 nodes from the centre node n // 2
+    narrow = dict(SIM_CONFIG, dim=2, eps=0.05, cutoff={"inner": 0.1, "outer": 0.2}, snapshot_times=[])
+    evolved = []
+    monkeypatch.setattr(cli, "evolve", lambda *args: evolved.append(args) or evolve(*args))
+    out = tmp_path / "long"
+    long = write_config(tmp_path, dict(narrow, grid={"L": 1.6, "n": 512, "t_max": 1.3}), name="long.json")
+    assert cli.main(["simulate", "--config", long, "--out", str(out), "--oracle"]) == 2  # 208 + 104 > 256
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid/t_max" in err
+    assert evolved == [] and not out.exists()
+    # without --oracle the same config runs
+    assert cli.main(["simulate", "--config", long, "--out", str(out)]) == 0
+    fits = write_config(tmp_path, dict(narrow, grid={"L": 1.6, "n": 512, "t_max": 1.0}), name="fits.json")
+    assert cli.main(["simulate", "--config", fits, "--out", str(tmp_path / "fits"), "--oracle"]) == 0  # 160 + 80 <= 256
+    capsys.readouterr()
+
+
 def test_simulate_rejects_snapshot_outside_slab(tmp_path, capsys):
     bad = dict(SIM_CONFIG, snapshot_times=[0.3])
     rc = cli.main(["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")])
@@ -360,9 +378,28 @@ FULL_CONFIGS = {
 }
 
 
+@pytest.fixture(scope="session")
+def campaign_dir(tmp_path_factory):
+    """A directory holding the two files the recompute suite reads; load_config
+    checks only that they are there."""
+    path = tmp_path_factory.mktemp("campaign")
+    for name in ("summary.json", "verdicts.json"):
+        (path / name).write_text("{}")
+    return str(path)
+
+
+def full_config(command, campaign_dir):
+    """FULL_CONFIGS[command], with its recompute_dir at `campaign_dir`."""
+    cfg = copy.deepcopy(FULL_CONFIGS[command])
+    if "recompute_dir" in cfg:
+        cfg["recompute_dir"] = campaign_dir
+    return cfg
+
+
 @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
-def test_full_configs_load(tmp_path, command):
-    assert cli.load_config(write_config(tmp_path, FULL_CONFIGS[command]), command)["raw"] == FULL_CONFIGS[command]
+def test_full_configs_load(tmp_path, command, campaign_dir):
+    cfg = full_config(command, campaign_dir)
+    assert cli.load_config(write_config(tmp_path, cfg), command)["raw"] == cfg
 
 
 # the integer-typed keys of each command, as paths ("*": every list item)
@@ -429,8 +466,8 @@ def _values_at(node, path):
 @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(data=st.data())
-def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, command, data):
-    cfg = data.draw(mutated(FULL_CONFIGS[command]))
+def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, campaign_dir, command, data):
+    cfg = data.draw(mutated(full_config(command, campaign_dir)))
     path = write_config(tmp_path_factory.getbasetemp(), cfg, name=f"mutated_{command}.json")
     try:
         ctx = cli.load_config(path, command)
@@ -614,6 +651,26 @@ def test_verify_recompute_round_trip_and_tamper(tmp_path, capsys):
     rep2 = json.loads((tmp_path / "v2" / "verify_report.json").read_text())
     assert rep2["reports"][0]["identical"] is False
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("make", [None, "empty", "summary only"])
+def test_verify_recompute_dir_without_campaign_files_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, make):
+    campaign = tmp_path / "campaign"
+    if make is not None:
+        campaign.mkdir()
+    if make == "summary only":
+        (campaign / "summary.json").write_text("{}")
+    ran = []
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "energy", lambda *args: ran.append(args))
+    cfg = write_config(
+        tmp_path,
+        {"seed": 0, "suites": ["energy", "recompute"], "counts": {"energy": 2}, "recompute_dir": str(campaign)},
+    )
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    missing = "verdicts.json" if make == "summary only" else "summary.json"
+    assert err.startswith("config error:") and "recompute_dir" in err and missing in err
+    assert ran == [] and not (tmp_path / "v").exists()
 
 
 def test_replay_info_parses_seeded_names():

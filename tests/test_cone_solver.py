@@ -19,6 +19,7 @@ from maxdirac1d.experiments import SweepPlan, run_sweep
 from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs
 from maxdirac1d.initial_data import chi, f_eps, spinor_datum, write_csv
 from maxdirac1d.cone_solver import (
+    _StepWork,
     _transport_step,
     characteristic_integrals,
     cone_quadrature,
@@ -147,7 +148,7 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
     A_old, A_new = rng.normal(size=(2, dim + 1, n1))
     ext_old = (spinor(), spinor()) if with_ext else None
     ext_new = (spinor(), spinor()) if with_ext else None
-    u1, v1 = _transport_step(dim, M, h, u, v, A_old, A_new, ext_old, ext_new)
+    u1, v1 = _transport_step(dim, M, h, u, v, A_old, A_new, _StepWork(u.shape), ext_old, ext_new)
     du0, dv0 = spinor_rhs(dim, A_old, u, v, M)
     du1, dv1 = spinor_rhs(dim, A_new, u1, v1, M)
     if with_ext:
@@ -427,8 +428,11 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
                 lo, hi = region.cross_section(m * grid.h)
                 nodes = np.nonzero((x >= lo - 1e-9) & (x <= hi + 1e-9))[0]
                 local = nodes - first
-                assert np.array_equal(u[:, local], hist.u[m][:, nodes])
-                assert np.array_equal(v[:, local], hist.v[m][:, nodes])
+                # the marched components; snapshots hold the others as zero rows
+                nc = u.shape[0]
+                assert np.array_equal(u[:, local], hist.u[m][:nc, nodes])
+                assert np.array_equal(v[:, local], hist.v[m][:nc, nodes])
+                assert not hist.u[m][nc:].any() and not hist.v[m][nc:].any()
                 assert np.array_equal(A[:, local], hist.A[m][:, nodes])
                 compared += nodes.size
         assert compared > 0
@@ -631,10 +635,10 @@ def test_transport_step_batches_bitwise(dim):
     A_old, A_new = rng.normal(size=(2, dim + 1, K, 1, n1))
     ext_old, ext_new = (spinors(), spinors()), (spinors(), spinors())
     masses = rng.uniform(0.0, 2.0, size=K)
-    ub, vb = _transport_step(dim, masses[:, None, None], h, u, v, A_old, A_new, ext_old, ext_new)
+    ub, vb = _transport_step(dim, masses[:, None, None], h, u, v, A_old, A_new, _StepWork(u.shape), ext_old, ext_new)
     for k in range(K):
         uk, vk = _transport_step(
-            dim, masses[k], h, u[k], v[k], A_old[:, k], A_new[:, k],
+            dim, masses[k], h, u[k], v[k], A_old[:, k], A_new[:, k], _StepWork(u[k].shape),
             (ext_old[0][k], ext_old[1][k]), (ext_new[0][k], ext_new[1][k]),
         )
         assert np.array_equal(ub[k], uk)
@@ -680,11 +684,17 @@ def _two_components(monkeypatch):
 
 
 def _same_states(got, want):
+    """`got` from a one-component run, `want` from a two-component run: the
+    same first components, whose second components are +0.0."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         m, first, u, v, A, At, S = g
         assert (m, first) == w[:2]
-        for name, a, b in zip(("u", "v", "A", "At"), (u, v, A, At), w[2:6]):
+        for name, a, b in zip(("u", "v"), (u, v), w[2:4]):
+            assert a.shape[0] == 1 and b.shape[0] == 2, (m, name)
+            assert _same_bits(a, b[:1]), (m, name)
+            assert _same_bits(b[1], np.zeros_like(b[1])), (m, name)
+        for name, a, b in zip(("A", "At"), (A, At), w[4:6]):
             assert _same_bits(a, b), (m, name)
         assert _same_bits(S[[0, 1, 3]], w[6][[0, 1, 3]]), m
         assert np.array_equal(S[2], w[6][2]) and not S[2].any(), m  # zeros of either sign
@@ -748,6 +758,21 @@ def test_dim3_first_components_in_windowed_runs(monkeypatch):
         assert r1.series.keys() == r2.series.keys()
         for key in r2.series:
             assert _same_bits(r1.series[key], r2.series[key]), (r1.eps, key)
+
+
+@pytest.mark.parametrize("two", [False, True])
+def test_observers_see_the_marched_components(monkeypatch, two):
+    grid = GridSpec(L=2.56, n=256, t_max=0.1)
+    fam = DataFamily(dim=3, eps=0.05, M=1.0)
+    if two:
+        _two_components(monkeypatch)
+    for rec, whole_line in ((_StateRecorder(), True), (_StateRecorder([(ConeRegion(-0.3, 0.2), 8)]), False)):
+        traj = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        assert traj.meta["components"] == (2 if two else 1)
+        assert bool(traj.series) == whole_line  # only whole-line runs record series
+        assert len(rec.states) == traj.meta["window"][2] + 1
+        for m, first, u, v, *_ in rec.states:
+            assert u.shape[-2] == v.shape[-2] == traj.meta["components"], m
 
 
 @pytest.mark.parametrize("field, row", [("u", 1), ("v", 1), ("a", 2), ("b", 2)])

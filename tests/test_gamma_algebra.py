@@ -118,7 +118,7 @@ def test_coupling_is_antihermitian_with_scalar_schur_complement(dim):
     rng = np.random.default_rng(19)
     w1, w2, A = _random_fields(rng, dim)
     M = 0.6
-    C, D, k2 = coupling(dim, A, M)
+    C, D, k2 = coupling(dim, A, M, w1.shape[-2])
     assert np.allclose(k2, (A[2:] ** 2).sum(axis=0) + M * M, rtol=0.0, atol=1e-12)
     assert np.allclose(D(C(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
     assert np.allclose(C(D(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
@@ -205,7 +205,7 @@ def test_bilinears_take_component_axis_and_return_node_rows(dim):
         lambda uu, vv: interaction_term(gs, A, uu, vv),
         lambda uu, vv: spinor_rhs(dim, A, uu, vv, 0.5),
     )
-    wrong = np.ones((3 - spinor_components(dim), u.shape[1]), dtype=complex)
+    wrong = np.ones((spinor_components(dim) + 1, u.shape[1]), dtype=complex)
     for call in calls:
         with pytest.raises(ValueError, match="half-spinors"):
             call(u[0], v[0])  # bare (n,) rows
@@ -246,7 +246,7 @@ def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
     A = np.stack([inst[2] for inst in insts], axis=1)[:, :, None, :]
     M = masses[:, None, None]
     gs = gamma_matrices(dim)
-    C, D, k2 = coupling(dim, A, M)
+    C, D, k2 = coupling(dim, A, M, u.shape[-2])
     batched = {
         "spinor_rhs": spinor_rhs(dim, A, u, v, M),
         "modulus_rhs": modulus_rhs(dim, A, u, v, M),
@@ -256,7 +256,7 @@ def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
         "coupling": (C(v), D(u), np.broadcast_to(k2, (K, 1, n))),
     }
     for k, (uk, vk, Ak) in enumerate(insts):
-        Ck, Dk, k2k = coupling(dim, Ak, masses[k])
+        Ck, Dk, k2k = coupling(dim, Ak, masses[k], uk.shape[-2])
         single = {
             "spinor_rhs": spinor_rhs(dim, Ak, uk, vk, masses[k]),
             "modulus_rhs": modulus_rhs(dim, Ak, uk, vk, masses[k]),
@@ -274,7 +274,7 @@ def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
 
 
 # ---------------------------------------------------------------------------
-# The one-component dim-3 route (marched_components, ncomp=1).
+# One-component dim-3 spinors (marched_components).
 # ---------------------------------------------------------------------------
 
 
@@ -292,6 +292,21 @@ def _first_component_state(rng, n=64):
     u[0, ::7] = 0.0
     v[0, 3::5] = 0.0
     return u, v, A
+
+
+class _WithoutA2:
+    """The potential rows A[k], save A_2, which raises when it is read."""
+
+    def __init__(self, A):
+        self.A = A
+
+    def __len__(self):
+        return len(self.A)
+
+    def __getitem__(self, k):
+        if k == 2:
+            raise AssertionError("A_2 was read")
+        return self.A[k]
 
 
 def test_marched_components_rule():
@@ -318,51 +333,63 @@ def test_one_component_sources_and_coupling_bitwise(M):
     u, v, A = _first_component_state(rng)
     u1, v1 = u[:1], v[:1]
     full = wave_sources(3, u, v)
-    reduced = wave_sources(3, u1, v1, ncomp=1)
+    reduced = wave_sources(3, u1, v1)
     for mu in (0, 1, 3):
         assert _same_bits(reduced[mu], full[mu]), mu
     # S_2 is zero either way; only the sign of its zeros may differ
     assert np.array_equal(reduced[2], full[2]) and not reduced[2].any()
-    C, D, k2 = coupling(3, A, M)
-    C1, D1, k21 = coupling(3, A, M, ncomp=1)
+    assert _same_bits(modulus_sq(3, u1, v1), modulus_sq(3, u, v))
+    C, D, k2 = coupling(3, A, M, 2)
+    C1, D1, k21 = coupling(3, _WithoutA2(A), M, 1)
     assert _same_bits(k21, k2)
     assert _same_bits(C1(v1), C(v)[:1])
     assert _same_bits(D1(u1), D(u)[:1])
     du, dv = spinor_rhs(3, A, u, v, M)
-    du1, dv1 = spinor_rhs(3, A, u1, v1, M, ncomp=1)
+    du1, dv1 = spinor_rhs(3, _WithoutA2(A), u1, v1, M)
     assert _same_bits(du1, du[:1]) and _same_bits(dv1, dv[:1])
     assert not du[1].any() and not dv[1].any()
 
 
 @pytest.mark.parametrize("M", [0.0, 1.0])
 def test_one_component_transport_step_bitwise(M):
-    from maxdirac1d.cone_solver import _transport_step
+    from maxdirac1d.cone_solver import _StepWork, _transport_step
 
     rng = np.random.default_rng(43)
     u, v, A_old = _first_component_state(rng)
     A_new = rng.normal(size=A_old.shape)
     A_new[2] = 0.0
     h = 0.05
-    uf, vf = _transport_step(3, M, h, u, v, A_old, A_new)
-    ur, vr = _transport_step(3, M, h, u[:1], v[:1], A_old, A_new, ncomp=1)
+    uf, vf = _transport_step(3, M, h, u, v, A_old, A_new, _StepWork(u.shape))
+    ur, vr = _transport_step(3, M, h, u[:1], v[:1], _WithoutA2(A_old), _WithoutA2(A_new), _StepWork(u[:1].shape))
     assert _same_bits(ur, uf[:1]) and _same_bits(vr, vf[:1])
     zero = np.zeros_like(uf[1])
     assert _same_bits(uf[1], zero) and _same_bits(vf[1], zero)  # the second components stay +0.0
 
 
-def test_one_component_route_is_private_to_dim3():
+def test_one_shape_check_for_half_spinors():
     rng = np.random.default_rng(47)
     u, v, A = _first_component_state(rng, 8)
-    # the public contract: a dim-3 half-spinor has two components
-    for call in (
-        lambda: wave_sources(3, u[:1], v[:1]),
-        lambda: spinor_rhs(3, A, u[:1], v[:1], 1.0),
-        lambda: wave_sources(3, u, v, ncomp=1),
-    ):
-        with pytest.raises(ValueError, match="half-spinors"):
-            call()
-    for dim, ncomp in ((3, 3), (2, 2), (1, 0)):
-        with pytest.raises(ValueError, match="components"):
-            coupling(dim, A[: dim + 1], 1.0, ncomp=ncomp)
-    # ncomp = spinor_components(dim) is the default
-    assert all(_same_bits(a, b) for a, b in zip(wave_sources(3, u, v, ncomp=2), wave_sources(3, u, v)))
+    three = np.ones((3, 8), dtype=complex)
+    cases = (
+        (3, u[0], v[0]),  # no component axis
+        (2, u[:1], v[0]),
+        (3, three, three),  # 3 components in dim 3
+        (2, u, v),  # 2 components in dims 1 and 2
+        (1, u, v),
+        (3, u, v[:1]),  # u and v with different counts
+        (3, u[:1], v),
+    )
+    for dim, uu, vv in cases:
+        for call in (
+            lambda: wave_sources(dim, uu, vv),
+            lambda: spinor_rhs(dim, A[: dim + 1], uu, vv, 1.0),
+            lambda: modulus_sq(dim, uu, vv),
+        ):
+            with pytest.raises(ValueError, match="half-spinors"):
+                call()
+    for dim, ncomp in ((3, 3), (3, 0), (2, 2), (1, 2), (1, 0)):
+        with pytest.raises(ValueError, match="half-spinors have a component count"):
+            coupling(dim, A[: dim + 1], 1.0, ncomp)
+    # the count is read from the arrays: both dim-3 counts pass the check
+    for w in (u, u[:1]):
+        assert modulus_sq(3, w, w).shape == (8,)

@@ -9,9 +9,9 @@ included).  Each revision is exported with `git archive` into a temporary
 directory and runs the same configs from the same relative paths, in one
 process at a time.  The configs cover `simulate` in dims 1-3 with both
 potential modes, with and without `--oracle`; the benchmark's dim-3
-n = 16384 simulate run, with and without `--oracle`; a `--oracle` run whose
-cutoff is so narrow that the oracle's vertex cones reach past the marched
-support cone; default-claims sweeps in dims 1-3; the benchmark's blow-up
+n = 16384 simulate run, with and without `--oracle`; `--oracle` runs in
+dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
+past the marched support cone; default-claims sweeps in dims 1-3; the benchmark's blow-up
 ladder; `verify` with seed 0; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
 resident set, from `os.wait4`) are printed side by side for the two
 revisions.  The exit status is 0 when every run exits alike and writes the
@@ -54,6 +54,8 @@ CASES = {
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
     "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
     "simulate_narrow_cutoff_oracle": ("simulate", _NARROW, ["--oracle"]),
+    # the oracle reads one-component u and v on a window narrower than its cones
+    "simulate_dim3_narrow_cutoff_oracle": ("simulate", dict(_NARROW, dim=3), ["--oracle"]),
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
     "sweep_blowup": (
         "sweep",
