@@ -34,18 +34,15 @@ from .initial_data import (
 )
 from .cone_solver import (
     ConeRegion,
-    EvolveOptions,
     SolverAbort,
     Trajectory,
     evolve,
     wave_solve,
 )
-from .picard import PicardNonContraction, PicardResult, picard_solve
 from .estimates import (
     EstimateReport,
     bootstrap_threshold,
     check_nullform,
-    check_wave_estimates,
     nullform_refinement,
     run_energy_suite,
     run_nullform_suite,
@@ -58,7 +55,6 @@ from .experiments import (
     check_claim1,
     check_claim2,
     check_claim3,
-    default_plan,
     gauss_divergence,
     grid_for_eps,
     run_sweep,

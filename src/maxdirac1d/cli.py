@@ -26,8 +26,9 @@ the physically meaningful fields (dim, M, eps or eps_list, T or t_max) have
 no defaults.  The --seed and --jobs flags are checked against the same table
 entries as the keys they override.  Cross-field constraints (grid
 divisibility, support margins, the MAX_NODES cap on every grid a run would
-build, and the claim preconditions of `experiments.sweep_claims`) are
-checked at load time so that a bad config never reaches the solver.  The
+build, the claim preconditions of `experiments.sweep_claims`, and the
+campaign files the recompute suite reads) are checked at load time so that
+a bad config never reaches the solver.  The
 claims, their verdicts and the suite defaults live in `experiments` and
 `estimates`; this module only reads configs, calls them and writes their
 results.
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone_solver import EvolveOptions, SolverAbort, cone_section, cone_time_trapezoid, evolve, snapshot_levels, trajectory_to_csv
+from .cone_solver import SolverAbort, cone_section, cone_time_trapezoid, evolve, snapshot_levels, trajectory_to_csv
 from .estimates import (
     bootstrap_threshold,
     check_suite_grid,
@@ -227,6 +228,27 @@ def _given(raw: dict, **params) -> dict:
     return {param: raw[key] for param, key in params.items() if key in raw}
 
 
+def _load_campaign(directory: str) -> tuple[list, SweepPlan, dict]:
+    """The records, plan and stored verdicts of the persisted campaign that
+    the recompute suite re-verifies.  Raises ValueError naming recompute_dir
+    when a file is missing, `load_sweep` rejects the summary or a diagnostics
+    CSV, or verdicts.json lacks its `verdicts` or its list of known `claims`."""
+    for name in ("summary.json", "verdicts.json"):
+        if not os.path.isfile(os.path.join(directory, name)):
+            raise ValueError(f"recompute_dir: {directory!r} holds no {name}")
+    try:
+        records, summary = load_sweep(directory)
+        plan = SweepPlan.from_dict(summary["config"]["plan"])
+        with open(os.path.join(directory, "verdicts.json")) as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError, LookupError, TypeError) as exc:  # whatever a malformed file raises
+        raise ValueError(f"recompute_dir: {directory!r} holds no campaign that loads: {type(exc).__name__}: {exc}") from exc
+    claims = stored.get("claims") if isinstance(stored, dict) else None
+    if not (isinstance(claims, list) and all(name in CLAIMS for name in claims) and "verdicts" in stored):
+        raise ValueError(f"recompute_dir: {directory!r}: verdicts.json needs 'verdicts' and 'claims' from {list(CLAIMS)}")
+    return records, plan, stored
+
+
 def load_config(path: str, command: str, flags: dict | None = None) -> dict:
     """Read, check against the command's table, and cross-check a config
     file.  `flags` (command-line overrides such as seed or jobs) are checked
@@ -284,9 +306,7 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             if "recompute" in suites:
                 if "recompute_dir" not in raw:
                     raise ValueError("suite 'recompute' selected but recompute_dir missing")
-                for name in ("summary.json", "verdicts.json"):  # what the recompute suite reads
-                    if not os.path.isfile(os.path.join(raw["recompute_dir"], name)):
-                        raise ValueError(f"recompute_dir: {raw['recompute_dir']!r} holds no {name}")
+                ctx["campaign"] = _load_campaign(raw["recompute_dir"])
             ctx["suite_grid"] = _grid("grid/", raw["grid"]) if "grid" in raw else None
             base = suite_grid("nullform")  # the refinement study's own base grid
             for i, factor in enumerate(raw.get("refinement_factors", ())):
@@ -375,8 +395,7 @@ def cmd_simulate(ctx: dict, args) -> int:
         raise ConfigError(f"{args.config}: grid/t_max: {exc}") from exc
     out = _out_dir(raw, args, "simulate")
     chash = config_hash({"command": "simulate", **raw})
-    opts = EvolveOptions(snapshot_times=tuple(raw.get("snapshot_times", ())), observers=(oracle,) if oracle else ())
-    traj = evolve(fam, grid, opts)
+    traj = evolve(fam, grid, snapshot_times=tuple(raw.get("snapshot_times", ())), observers=(oracle,) if oracle else ())
     paths = trajectory_to_csv(traj, out, config_hash=chash)
     q = traj.series["charge"]
     drift = float(np.max(np.abs(q - q[0])) / q[0]) if q[0] > 0 else 0.0
@@ -449,11 +468,8 @@ def _replay_info(suite: str, report_name: str, grid: GridSpec) -> dict:
     return info
 
 
-def _recompute_entry(directory: str) -> dict:
-    records, summary = load_sweep(directory)
-    with open(os.path.join(directory, "verdicts.json")) as fh:
-        stored = json.load(fh)
-    plan = SweepPlan.from_dict(summary["config"]["plan"])
+def _recompute_entry(directory: str, campaign: tuple[list, SweepPlan, dict]) -> dict:
+    records, plan, stored = campaign
     fresh = verdicts(records, plan, stored["claims"])
     identical = json.loads(json.dumps(fresh)) == stored["verdicts"]
     return {
@@ -521,7 +537,7 @@ def cmd_verify(ctx: dict, args) -> int:
             print(f"verify: bootstrap M={M:g}: C={C:.6f}, delta={delta:.6f}")
 
     if "recompute" in suites:
-        entry = _recompute_entry(raw["recompute_dir"])
+        entry = _recompute_entry(raw["recompute_dir"], ctx["campaign"])
         failures += 0 if entry["pass"] else 1
         reports.append(entry)
         print(f"verify: recompute[{raw['recompute_dir']}] {'pass' if entry['pass'] else 'FAIL'}")

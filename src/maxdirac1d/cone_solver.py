@@ -107,8 +107,6 @@ __all__ = [
     "ConeRegion",
     "Levels",
     "Trajectory",
-    "EvolveOptions",
-    "GaugeMonitor",
     "evolve",
     "snapshot_levels",
     "wave_solve",
@@ -123,9 +121,6 @@ __all__ = [
     "trapezoid",
     "cumulative_trapezoid",
 ]
-
-BALL_BASE = (-1.0, 1.0)
-
 
 class SolverAbort(RuntimeError):
     """Raised when a run leaves its validity envelope (NaN/Inf, support
@@ -157,8 +152,7 @@ class ConeRegion:
     """Cone over a base interval: cross-section [lo + s, hi - s] at time s.
 
     The backward cone with vertex (t, x) is the same object with base
-    (x - t, x + t).  Strict inequalities are resolved on nodes with the
-    half-open convention: the left edge is included, the right edge excluded.
+    (x - t, x + t).
     """
 
     base_lo: float
@@ -167,20 +161,6 @@ class ConeRegion:
     def __post_init__(self):
         if not self.base_lo < self.base_hi:
             raise ValueError(f"empty cone base ({self.base_lo}, {self.base_hi})")
-
-    def cross_section(self, s: float) -> tuple[float, float]:
-        return self.base_lo + s, self.base_hi - s
-
-    def node_slice(self, s: float, grid: GridSpec) -> slice | None:
-        """Half-open node index range of the cross-section at time s."""
-        lo, hi = self.cross_section(s)
-        if lo >= hi:
-            return None
-        j_lo = max(0, math.ceil((lo + grid.L) / grid.h - 1e-9))
-        j_hi = min(grid.n + 1, math.ceil((hi + grid.L) / grid.h - 1e-9))
-        if j_lo >= j_hi:
-            return None
-        return slice(j_lo, j_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -233,48 +213,6 @@ class Trajectory:
     series: dict[str, np.ndarray]
     snapshots: Levels
     meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class EvolveOptions:
-    """What `evolve` records besides the per-level series.
-
-    snapshot_times: times at which to keep full (u, v, A, At) snapshots;
-        h * arange(steps + 1) keeps every level (memory grows as steps x n).
-    observers: objects with `on_level(lev, grid)` and optionally
-        `reads(grid)` (see `_window`).
-    """
-
-    snapshot_times: tuple[float, ...] = ()
-    observers: tuple = ()
-
-
-class GaugeMonitor:
-    """Records sup |dt A_0 - dx A_1| (centered dx, interior nodes only) over
-    a dependence-cone cross-section, 0 where it holds no node.
-
-    Pass it in `EvolveOptions.observers` and read `series()` after the run.
-    """
-
-    def __init__(self, base: tuple[float, float] = BALL_BASE):
-        self.region = ConeRegion(*base)
-        self.values: list[float] = []
-
-    def on_level(self, lev: LevelState, grid: GridSpec) -> None:
-        sl = self.region.node_slice(lev.t, grid)
-        lo, hi = (0, 0) if sl is None else (sl.start - lev.first, sl.stop - lev.first)
-        # window nodes with both neighbours in the window: the residual is
-        # exactly zero at the others
-        lo, hi = max(lo, 1), min(hi, lev.x.size - 1)
-        if lo >= hi:
-            self.values.append(0.0)
-            return
-        A1 = lev.A[1]
-        res = lev.At[0][lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
-        self.values.append(float(np.abs(res).max()))
-
-    def series(self) -> np.ndarray:
-        return np.asarray(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +374,21 @@ def _leapfrog(a, b, sources, h, steps):
 STENCIL_MARGIN = 1  # nodes added to each side of a window, for round-off in the cone bases
 
 
-def _window(grid: GridSpec, opts: EvolveOptions, data) -> tuple[int, int, int, bool]:
+def _window(grid: GridSpec, snapshot_times, observers, data) -> tuple[int, int, int, bool]:
     """(first node, end node, last level) that `evolve` marches, and whether
     the observers read the whole line (see the module docstring).
 
     The read hull is the hull of the cone bases that the observers declare
     with `reads(grid)`, as (ConeRegion, last level) pairs, widened by
     STENCIL_MARGIN nodes per side.  Snapshots, no observers or an observer
-    that declares nothing (GaugeMonitor) read the whole line.  The support
+    that declares nothing (`cli.A0Oracle`) read the whole line.  The support
     cone is the nonzero nodes of the datum rows `data` (each (..., n+1))
     widened by last + 2 per side.  A read hull disjoint from it reads only
     zeros and is marched as declared.
     """
     n1 = grid.n + 1
-    readers = [obs for obs in opts.observers if hasattr(obs, "reads")]
-    whole_line = len(opts.snapshot_times) > 0 or not readers or len(readers) < len(opts.observers)
+    readers = [obs for obs in observers if hasattr(obs, "reads")]
+    whole_line = len(snapshot_times) > 0 or not readers or len(readers) < len(observers)
     first, end, last = n1, 0, 0
     for obs in () if whole_line else readers:
         for region, level in obs.reads(grid):
@@ -486,9 +424,14 @@ def snapshot_levels(times, grid: GridSpec) -> dict[int, float]:
     return levels
 
 
-def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -> Trajectory:
+def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) -> Trajectory:
     """Run the coupled system from the family datum up to grid.t_max, or
     only up to the last level its observers read.
+
+    snapshot_times: times at which to keep full (u, v, A, At) snapshots;
+        h * arange(steps + 1) keeps every level (memory grows as steps x n).
+    observers: objects with `on_level(lev, grid)`, which gets the
+        `LevelState` of each marched level, and optionally `reads(grid)`.
 
     The marched window is the read hull of the observers cut to the support
     cone of the datum (`_window`, and the module docstring).  Whole-line
@@ -499,13 +442,12 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
     node, last level), the `node_steps` computed and the spinor `components`
     marched (see the module docstring).
     """
-    opts = opts or EvolveOptions()
     grid.ensure_support(fam.cutoff.outer)
-    snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(opts.snapshot_times, grid)))}
+    snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(snapshot_times, grid)))}
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
     u, v = spinor_datum(fam, grid)
     a, b = potential_data(fam, grid)
-    first, end, steps, whole_line = _window(grid, opts, (u, v, a, b))
+    first, end, steps, whole_line = _window(grid, snapshot_times, observers, (u, v, a, b))
     ncomp, nc = marched_components(dim, u, v, a, b), spinor_components(dim)
     # slices of the full-grid samples, so every value is the same float
     x = grid.nodes()[first:end]
@@ -557,9 +499,9 @@ def evolve(fam: DataFamily, grid: GridSpec, opts: EvolveOptions | None = None) -
             series["l1_v"].append(full_trapezoid(np.sqrt(dens[1])))
             for mu, sup in enumerate(sup_A.tolist()):
                 series[f"sup_A{mu}"].append(sup)
-        if opts.observers:
+        if observers:
             lev = LevelState(m, t, x, u, v, A, at, S, first)
-            for obs in opts.observers:
+            for obs in observers:
                 obs.on_level(lev, grid)
         k = snap_at.get(m)
         if k is not None:

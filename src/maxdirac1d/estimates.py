@@ -53,7 +53,6 @@ from .initial_data import CutoffSpec, GridSpec, chi
 __all__ = [
     "EstimateReport",
     "l1_exact",
-    "check_wave_estimates",
     "check_nullform",
     "bootstrap_threshold",
     "transport_pair",
@@ -296,15 +295,18 @@ def run_energy_suite(count: int, seed: int, grid: GridSpec | None = None) -> lis
 
 
 def _wave_reports(grid: GridSpec, f, g, source) -> list[list[EstimateReport]]:
-    """The four wave reports of each of the stacked instances: f, g of shape
-    (K, n+1), source a level array (steps+1, K, n+1) or None."""
+    """The d'Alembert bounds of each of the stacked instances: sup,
+    variation, time derivative, AC combination.
+
+    f, g of shape (K, n+1) are real nodal data of box W = S, and source is
+    the level array (steps+1, K, n+1) of S.  All right-hand side norms are
+    exact for piecewise-linear input; each report compares at its worst time
+    level.  Returns four reports per instance: wave_sup, wave_tv, wave_dt
+    and the factor-3 wave_combined in sup + variation.
+    """
     h = grid.h
-    times, W, Wt = wave_solve(grid, f, g, source)
-    if source is None:
-        src_l1 = np.zeros(f.shape[:-1] + times.shape)
-    else:
-        src_l1 = l1_exact(source, h).T
-    cum_src = cumulative_trapezoid(src_l1, h)
+    _, W, Wt = wave_solve(grid, f, g, source)
+    cum_src = cumulative_trapezoid(l1_exact(source, h).T, h)
 
     sup_f = np.abs(f).max(axis=-1)[:, None]
     tv_f = _tv(f)[:, None]
@@ -327,22 +329,6 @@ def _wave_reports(grid: GridSpec, f, g, source) -> list[list[EstimateReport]]:
         ),
     ]
     return [list(reps) for reps in zip(*per_name)]
-
-
-def check_wave_estimates(grid: GridSpec, f, g, source=None) -> list[EstimateReport]:
-    """The d'Alembert bounds: sup, variation, time derivative, AC combination.
-
-    f, g are real nodal arrays (data of box W = S); source is the source
-    level array (steps+1, n+1) of S, or None.  All right-hand side norms are
-    exact for piecewise-linear input; each report compares at its worst
-    time level.  Returns four reports: wave_sup, wave_tv, wave_dt and the
-    factor-3 wave_combined in sup + variation.
-    """
-    f = np.asarray(f, dtype=float)[None]
-    g = np.asarray(g, dtype=float)[None]
-    if source is not None:
-        source = np.asarray(source, dtype=float)[:, None]
-    return _wave_reports(grid, f, g, source)[0]
 
 
 def _pw_profile(rng: np.random.Generator, grid: GridSpec):
@@ -384,8 +370,8 @@ def _pw_source(prof: np.ndarray, env: np.ndarray, phase: complex, h_base: float,
 
 
 def random_wave_instance(rng: np.random.Generator, grid: GridSpec, steps: int):
-    """Random pw-linear data and source, as `check_wave_estimates` arguments
-    with source levels 0..steps."""
+    """Random pw-linear data "f", "g" and "source", the source with levels
+    0..steps."""
     f = _pw_profile(rng, grid)
     g = _pw_profile(rng, grid)
     prof = _pw_profile(rng, grid)

@@ -34,22 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import (
-    BALL_BASE,
-    ConeRegion,
-    EvolveOptions,
-    LevelState,
-    SolverAbort,
-    evolve,
-    trapezoid,
-)
+from .cone_solver import ConeRegion, LevelState, SolverAbort, evolve, trapezoid
 from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv, write_json
 
 __all__ = [
     "SweepPlan",
     "SweepRecord",
     "BlowupFit",
-    "default_plan",
     "default_probes",
     "grid_for_eps",
     "pool_size",
@@ -147,12 +138,6 @@ class SweepPlan:
         )
 
 
-def default_plan(dim: int = 2, M: float = 0.0) -> SweepPlan:
-    """The documented campaign: T = 0.05 (inside every smallness guard),
-    eps ladder 1e-2, 1e-2.5, 1e-3."""
-    return SweepPlan(dim=dim, M=M, eps_list=(1e-2, 10 ** -2.5, 1e-3), T=0.05)
-
-
 def grid_for_eps(plan: SweepPlan, eps: float) -> GridSpec:
     """Resolution policy: h <= eps / h_over_eps, slab wide enough that no
     support reaches the boundary band, t_max the first whole level >= T."""
@@ -171,7 +156,7 @@ def grid_for_eps(plan: SweepPlan, eps: float) -> GridSpec:
 
 def _reads_kt(self, grid: GridSpec):
     """The cone K_T over [-1, 1], read up to T."""
-    return [(ConeRegion(*BALL_BASE), grid.steps)]
+    return [(ConeRegion(-1.0, 1.0), grid.steps)]
 
 
 class TransverseMonitor:
@@ -293,7 +278,7 @@ def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float, claims) -> SweepR
     if "claim2" in claims:
         monitors["claim2_min_ratio"] = FloorMonitor(eps)
     try:
-        traj = evolve(fam, grid, EvolveOptions(observers=(*monitors.values(), pmon)))
+        traj = evolve(fam, grid, observers=(*monitors.values(), pmon))
     except SolverAbort as exc:
         raise SolverAbort(f"sweep run aborted at eps = {eps:g}: {exc}") from exc
     series = dict(traj.series)
@@ -716,9 +701,8 @@ def load_sweep(directory) -> tuple[list[SweepRecord], dict]:
         path = os.path.join(directory, run["diagnostics"])
         with open(path) as fh:
             rows = [line for line in fh if not line.startswith("#")]
-        reader = csv.reader(rows)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
+        header, *body = csv.reader(rows)  # ValueError for a file with no header
+        data = np.array([[float(v) for v in row] for row in body])
         series = {name: data[:, i] for i, name in enumerate(header) if i > 0}
         records.append(
             SweepRecord(

@@ -29,6 +29,9 @@ them:
 * `evolve_full_grid`: an `evolve` run that marches every node, against which
   the light-cone windows are held bitwise.
 
+One observer goes with them: `GaugeMonitor`, the Lorenz-gauge residual over
+a cone's cross-sections (`node_slice`), which criterion 05 reads.
+
 Not a test module: pytest does not collect it, and the tests import it.
 """
 
@@ -40,17 +43,65 @@ from unittest import mock
 import numpy as np
 
 from maxdirac1d import cone_solver
-from maxdirac1d.cone_solver import Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
+from maxdirac1d.cone_solver import ConeRegion, LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _energy_reports, _slack, _worst_levels
 from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _spinors, gamma_matrices, modulus_sq
 from maxdirac1d.initial_data import CutoffSpec, GridSpec
 
 
-def evolve_full_grid(fam, grid: GridSpec, opts=None) -> Trajectory:
+def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
     """`cone_solver.evolve` on the whole grid up to t_max, whatever its
     observers read: a whole-line run with `meta["window"]` (0, n+1, steps)."""
-    with mock.patch.object(cone_solver, "_window", lambda grid, opts, data: (0, grid.n + 1, grid.steps, True)):
-        return cone_solver.evolve(fam, grid, opts)
+    with mock.patch.object(cone_solver, "_window", lambda grid, *_: (0, grid.n + 1, grid.steps, True)):
+        return cone_solver.evolve(fam, grid, **kw)
+
+
+def cross_section(region: ConeRegion, s: float) -> tuple[float, float]:
+    """The interval [lo + s, hi - s] of the cone over [lo, hi] at time s."""
+    return region.base_lo + s, region.base_hi - s
+
+
+def node_slice(region: ConeRegion, s: float, grid: GridSpec) -> slice | None:
+    """Half-open node index range of the cross-section at time s.  Strict
+    inequalities are resolved on nodes with the half-open convention: the
+    left edge is included, the right edge excluded."""
+    lo, hi = cross_section(region, s)
+    if lo >= hi:
+        return None
+    j_lo = max(0, math.ceil((lo + grid.L) / grid.h - 1e-9))
+    j_hi = min(grid.n + 1, math.ceil((hi + grid.L) / grid.h - 1e-9))
+    if j_lo >= j_hi:
+        return None
+    return slice(j_lo, j_hi)
+
+
+class GaugeMonitor:
+    """Records sup |dt A_0 - dx A_1| (centered dx, interior nodes only) over
+    a dependence-cone cross-section, 0 where it holds no node.
+
+    Pass it in `evolve`'s observers and read `series()` after the run.  It
+    declares no `reads`, so its run marches the whole line.
+    """
+
+    def __init__(self, base: tuple[float, float] = (-1.0, 1.0)):
+        self.region = ConeRegion(*base)
+        self.values: list[float] = []
+
+    def on_level(self, lev: LevelState, grid: GridSpec) -> None:
+        sl = node_slice(self.region, lev.t, grid)
+        lo, hi = (0, 0) if sl is None else (sl.start - lev.first, sl.stop - lev.first)
+        # window nodes with both neighbours in the window: the residual is
+        # exactly zero at the others
+        lo, hi = max(lo, 1), min(hi, lev.x.size - 1)
+        if lo >= hi:
+            self.values.append(0.0)
+            return
+        A1 = lev.A[1]
+        res = lev.At[0][lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
+        self.values.append(float(np.abs(res).max()))
+
+    def series(self) -> np.ndarray:
+        return np.asarray(self.values)
 
 
 def a0_exact(t: float, x: float, eps: float, cutoff: CutoffSpec = CutoffSpec()) -> float:

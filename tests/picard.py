@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import (
+from maxdirac1d.cone_solver import (
     characteristic_integrals,
     cumulative_trapezoid,
     free_transport,
@@ -23,8 +23,8 @@ from .cone_solver import (
     shift,
     trapezoid,
 )
-from .gamma_algebra import spinor_rhs, wave_sources
-from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum
+from maxdirac1d.gamma_algebra import spinor_rhs, wave_sources
+from maxdirac1d.initial_data import DataFamily, GridSpec, potential_data, spinor_datum
 
 __all__ = ["PicardResult", "PicardNonContraction", "picard_solve", "slab_distance"]
 

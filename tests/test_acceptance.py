@@ -16,22 +16,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from maxdirac1d import DataFamily, GridSpec, evolve, EvolveOptions, picard_solve
-from maxdirac1d.cone_solver import GaugeMonitor, wave_solve
+from maxdirac1d import DataFamily, GridSpec, evolve
+from maxdirac1d.cone_solver import wave_solve
 from maxdirac1d.estimates import nullform_refinement, run_nullform_suite
 from maxdirac1d.experiments import (
     SweepPlan,
     check_claim1,
     check_claim2,
     check_claim3,
-    default_plan,
     gauss_divergence,
     run_sweep,
 )
 from maxdirac1d.gamma_algebra import gamma_matrices, verify_clifford
 from maxdirac1d.initial_data import chi, f_eps
 
-from lemmas import a0_exact
+from lemmas import GaugeMonitor, a0_exact
+from picard import picard_solve
 
 CAMPAIGN_CELLS = ((2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0))
 
@@ -54,10 +54,11 @@ def assert_a0_exact(probes, eps_list, a0):
 
 @pytest.fixture(scope="module")
 def campaign():
-    """Default sweep campaign in every supported (dim, mass) cell."""
+    """The campaign at T = 0.05 (inside every smallness guard) on the eps
+    ladder 1e-2, 1e-2.5, 1e-3, in every supported (dim, mass) cell."""
     out = {}
     for dim, M in CAMPAIGN_CELLS:
-        plan = default_plan(dim, M)
+        plan = SweepPlan(dim, M, eps_list=(1e-2, 10**-2.5, 1e-3), T=0.05)
         out[(dim, M)] = (plan, run_sweep(plan))
     return out
 
@@ -95,7 +96,7 @@ def test_criterion_02_wave_solver_manufactured_and_second_order():
     for n in (512, 1024, 2048):
         gr = GridSpec(L=2.56, n=n, t_max=0.1)
         fam = DataFamily(dim=2, eps=0.1, M=1.0)
-        hist = evolve(fam, gr, EvolveOptions(snapshot_times=gr.h * np.arange(gr.steps + 1))).snapshots
+        hist = evolve(fam, gr, snapshot_times=gr.h * np.arange(gr.steps + 1)).snapshots
         sols[n] = (np.asarray(hist.u[-1]), np.asarray(hist.v[-1]), np.asarray(hist.A[-1]))
 
     def supdiff(coarse, fine):
@@ -125,7 +126,7 @@ def test_criterion_04_free_transport_modulus_tracks_profile():
     for n in (512, 1024):
         grid = GridSpec(L=2.56, n=n, t_max=0.16)
         fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-        traj = evolve(fam, grid, EvolveOptions(snapshot_times=grid.h * np.arange(grid.steps + 1)))
+        traj = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1))
         hist = traj.snapshots
         x = grid.nodes()
         dev_u = dev_v = 0.0
@@ -146,7 +147,7 @@ def test_criterion_05_gauge_residual_constrained_decays_zero_does_not():
             grid = GridSpec(L=3.2, n=n, t_max=0.2)
             fam = DataFamily(dim=1, eps=0.1, potential_mode=mode)
             mon = GaugeMonitor((-1.0, 1.0))
-            evolve(fam, grid, EvolveOptions(observers=(mon,)))
+            evolve(fam, grid, observers=(mon,))
             per_n.append(float(mon.series().max()))
         residual[mode] = per_n
     con = residual["constrained"]
@@ -279,7 +280,7 @@ def test_criterion_11_picard_matches_marching_solver():
     fam = DataFamily(dim=2, eps=0.1, M=0.0)
     tol = 1e-10
     res = picard_solve(fam, grid, 0.1, tol=tol)
-    hist = evolve(fam, grid, EvolveOptions(snapshot_times=grid.h * np.arange(grid.steps + 1))).snapshots
+    hist = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1)).snapshots
 
     bound = max(5.0 * grid.h**2, 10.0 * tol)
     levels = range(grid.steps + 1)

@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import maxdirac1d
 from maxdirac1d import cli
-from maxdirac1d.cone_solver import EvolveOptions, SolverAbort, cone_quadrature, evolve
+from maxdirac1d.cone_solver import SolverAbort, cone_quadrature, evolve
 from maxdirac1d.experiments import SweepPlan, gauss_pairing_n, grid_for_eps
 from maxdirac1d.gamma_algebra import modulus_sq
 from maxdirac1d.initial_data import DataFamily, GridSpec
@@ -96,8 +97,8 @@ def test_streamed_oracle_equals_every_level_quadrature(dim, mode):
     grid = GridSpec(L=2.56, n=256, t_max=0.16)
     fam = DataFamily(dim=dim, eps=0.1, M=1.0, potential_mode=mode)
     oracle = cli.A0Oracle(dim, grid)
-    streamed = evolve(fam, grid, EvolveOptions(observers=(oracle,)))
-    every_level = evolve(fam, grid, EvolveOptions(snapshot_times=grid.h * np.arange(grid.steps + 1)))
+    streamed = evolve(fam, grid, observers=(oracle,))
+    every_level = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1))
     assert streamed.meta["window"] == every_level.meta["window"]
     assert streamed.meta["window"][0] > 0  # the support cone
     want = _a0_oracle_from_every_level(every_level)
@@ -131,7 +132,7 @@ def test_simulate_oracle_cones_must_fit_the_grid(tmp_path, capsys, monkeypatch):
     # the vertex cones reach steps + steps // 2 nodes from the centre node n // 2
     narrow = dict(SIM_CONFIG, dim=2, eps=0.05, cutoff={"inner": 0.1, "outer": 0.2}, snapshot_times=[])
     evolved = []
-    monkeypatch.setattr(cli, "evolve", lambda *args: evolved.append(args) or evolve(*args))
+    monkeypatch.setattr(cli, "evolve", lambda *args, **kw: evolved.append(args) or evolve(*args, **kw))
     out = tmp_path / "long"
     long = write_config(tmp_path, dict(narrow, grid={"L": 1.6, "n": 512, "t_max": 1.3}), name="long.json")
     assert cli.main(["simulate", "--config", long, "--out", str(out), "--oracle"]) == 2  # 208 + 104 > 256
@@ -380,12 +381,11 @@ FULL_CONFIGS = {
 
 @pytest.fixture(scope="session")
 def campaign_dir(tmp_path_factory):
-    """A directory holding the two files the recompute suite reads; load_config
-    checks only that they are there."""
+    """The campaign of SWEEP_CONFIG, which load_config loads for the recompute suite."""
     path = tmp_path_factory.mktemp("campaign")
-    for name in ("summary.json", "verdicts.json"):
-        (path / name).write_text("{}")
-    return str(path)
+    cfg = write_config(path, SWEEP_CONFIG, name="sweep.json")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(path / "out")]) == 0
+    return str(path / "out")
 
 
 def full_config(command, campaign_dir):
@@ -653,13 +653,38 @@ def test_verify_recompute_round_trip_and_tamper(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("make", [None, "empty", "summary only"])
-def test_verify_recompute_dir_without_campaign_files_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, make):
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (None, "summary.json"),
+        ("empty", "summary.json"),
+        ("summary only", "verdicts.json"),
+        ("both {}", "KeyError: 'config'"),
+        ("plan edited", "summary config hash mismatch"),
+        ("diagnostics missing", "diagnostics_"),
+        ("unknown claim", "'claims'"),
+    ],
+)
+def test_verify_recompute_dir_without_campaign_files_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, campaign_dir, make, named):
     campaign = tmp_path / "campaign"
-    if make is not None:
+    if make in ("plan edited", "diagnostics missing", "unknown claim"):
+        shutil.copytree(campaign_dir, campaign)
+    elif make is not None:
         campaign.mkdir()
-    if make == "summary only":
+    if make in ("summary only", "both {}"):
         (campaign / "summary.json").write_text("{}")
+    if make == "both {}":
+        (campaign / "verdicts.json").write_text("{}")
+    if make == "plan edited":
+        doc = json.loads((campaign / "summary.json").read_text())
+        doc["config"]["plan"]["T"] = 0.06
+        (campaign / "summary.json").write_text(json.dumps(doc))
+    if make == "unknown claim":
+        doc = json.loads((campaign / "verdicts.json").read_text())
+        doc["claims"] = ["claim9"]
+        (campaign / "verdicts.json").write_text(json.dumps(doc))
+    if make == "diagnostics missing":
+        next(campaign.glob("diagnostics_*.csv")).unlink()
     ran = []
     monkeypatch.setitem(cli._SUITE_RUNNERS, "energy", lambda *args: ran.append(args))
     cfg = write_config(
@@ -668,8 +693,7 @@ def test_verify_recompute_dir_without_campaign_files_exits_2_before_any_suite(tm
     )
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
-    missing = "verdicts.json" if make == "summary only" else "summary.json"
-    assert err.startswith("config error:") and "recompute_dir" in err and missing in err
+    assert err.startswith("config error:") and "recompute_dir" in err and named in err
     assert ran == [] and not (tmp_path / "v").exists()
 
 

@@ -8,7 +8,6 @@ from maxdirac1d import (
     ConeRegion,
     CutoffSpec,
     DataFamily,
-    EvolveOptions,
     GridSpec,
     PotentialMode,
     SolverAbort,
@@ -25,14 +24,13 @@ from maxdirac1d.cone_solver import (
     cone_quadrature,
     dirac_levels,
     free_transport,
-    GaugeMonitor,
     l2_norm,
     shift,
     trajectory_to_csv,
     trapezoid,
 )
 
-from lemmas import evolve_full_grid
+from lemmas import GaugeMonitor, cross_section, evolve_full_grid, node_slice
 
 
 def every_level(grid):
@@ -99,7 +97,7 @@ def test_wave_nonfinite_aborts():
 def test_transport_exact_d1_massless():
     grid = GridSpec(L=2.56, n=512, t_max=0.25)
     fam = DataFamily(dim=1, eps=0.1, M=0.0)
-    traj = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid)))
+    traj = evolve(fam, grid, snapshot_times=every_level(grid))
     x = grid.nodes()
     t = grid.t_max
     exact = chi(x - t, fam.cutoff) * f_eps(x - t, 0.1)
@@ -233,7 +231,7 @@ def test_gauge_residual_constrained_vs_zero():
             grid = GridSpec(L=3.2, n=n, t_max=0.2)
             fam = DataFamily(dim=1, eps=0.1, potential_mode=mode)
             mon = GaugeMonitor((-1.0, 1.0))
-            evolve(fam, grid, EvolveOptions(observers=(mon,)))
+            evolve(fam, grid, observers=(mon,))
             per_n.append(mon.series().max())
         results[mode] = per_n
     coarse, fine = results["constrained"]
@@ -294,15 +292,14 @@ class _LevelCounter:
 def test_observer_sees_every_level():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     obs = _LevelCounter()
-    traj = evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(observers=(obs,)))
+    traj = evolve(DataFamily(dim=1, eps=0.1), grid, observers=(obs,))
     assert obs.times == [m * grid.h for m in range(grid.steps + 1)]
     assert traj.times.size == grid.steps + 1
 
 
 def test_snapshots_and_csv_export(tmp_path):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
-    opts = EvolveOptions(snapshot_times=(0.0, 0.1, 0.2))
-    traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, opts)
+    traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, snapshot_times=(0.0, 0.1, 0.2))
     assert traj.snapshots.times.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
     paths = trajectory_to_csv(traj, tmp_path, config_hash="cafe")
     names = sorted(p.name for p in tmp_path.iterdir())
@@ -316,8 +313,8 @@ def test_snapshots_and_csv_export(tmp_path):
 def test_snapshots_are_the_history_rows_at_their_levels():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)  # h = 0.02
     fam = DataFamily(dim=3, eps=0.05, M=1.0)
-    traj = evolve(fam, grid, EvolveOptions(snapshot_times=(0.2, 0.0, 0.1)))
-    hist = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid))).snapshots
+    traj = evolve(fam, grid, snapshot_times=(0.2, 0.0, 0.1))
+    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
     assert traj.meta["window"][0] > 0  # padded from a support-cut window
     for name in ("times", "u", "v", "A", "At"):
         assert _same_bits(getattr(traj.snapshots, name), getattr(hist, name)[[0, 5, 10]]), name
@@ -333,8 +330,8 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     # the same
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
-    traj = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid)))
-    snaps = evolve(fam, grid, EvolveOptions(snapshot_times=(0.0, 0.1, 0.2))).snapshots
+    traj = evolve(fam, grid, snapshot_times=every_level(grid))
+    snaps = evolve(fam, grid, snapshot_times=(0.0, 0.1, 0.2)).snapshots
     hist, h = traj.snapshots, grid.h
     assert traj.meta["window"][0] > 0  # the series sum zero-padded rows
     dens_u = (np.abs(hist.u) ** 2).sum(axis=-2)
@@ -358,14 +355,14 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
 def test_snapshot_time_outside_slab():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     with pytest.raises(ValueError, match="snapshot"):
-        evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(snapshot_times=(0.5,)))
+        evolve(DataFamily(dim=1, eps=0.1), grid, snapshot_times=(0.5,))
 
 
 def test_snapshot_times_sharing_a_level_rejected():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)  # h = 0.04
     for times in ((0.08, 0.08), (0.08, 0.0801)):
         with pytest.raises(ValueError, match="round to the same level 2"):
-            evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(snapshot_times=times))
+            evolve(DataFamily(dim=1, eps=0.1), grid, snapshot_times=times)
 
 
 def test_trapezoid_matches_numpy():
@@ -410,11 +407,11 @@ def _cone_sets(grid):
 def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
     grid = GridSpec(L=2.56, n=512, t_max=0.3)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
-    hist = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid))).snapshots
+    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
     x = grid.nodes()
     for cones in _cone_sets(grid):
         rec = _ConeRecorder(cones)
-        traj = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        traj = evolve(fam, grid, observers=(rec,))
         first, end, last = traj.meta["window"]
         assert end - first < grid.n + 1
         assert last == max(level for _, level in cones)
@@ -425,7 +422,7 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
             for region, top in cones:
                 if m > top:
                     continue
-                lo, hi = region.cross_section(m * grid.h)
+                lo, hi = cross_section(region, m * grid.h)
                 nodes = np.nonzero((x >= lo - 1e-9) & (x <= hi + 1e-9))[0]
                 local = nodes - first
                 # the marched components; snapshots hold the others as zero rows
@@ -442,16 +439,16 @@ def test_meta_records_window_and_node_steps():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=2, eps=0.1)
     # the datum lives on nodes 29..227 (|x| < 2), widened by steps + 2 per side
-    line = evolve(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
+    line = evolve(fam, grid, observers=(_LevelCounter(),))
     assert line.meta == {"window": (17, 240, grid.steps), "node_steps": 223 * grid.steps, "components": 1}
     assert "charge" in line.series
-    full = evolve_full_grid(fam, grid, EvolveOptions(observers=(_LevelCounter(),)))
+    full = evolve_full_grid(fam, grid, observers=(_LevelCounter(),))
     assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps, "components": 1}
 
     # base [-0.205, 0.205] spans nodes 117.75..138.25: nodes 117..139 plus
     # one margin node per side
     rec = _ConeRecorder([(ConeRegion(-0.205, 0.205), 6)])
-    win = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    win = evolve(fam, grid, observers=(rec,))
     assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6, "components": 1}
     assert win.series == {}
     assert win.times.size == 7
@@ -464,13 +461,13 @@ def test_whole_line_runs_march_the_support_cone():
     # an observer that declares no reads, and snapshots, every level's or
     # one, read the whole line up to t_max, cut to the support cone: the
     # datum lives on nodes 15..113 (|x| < 2), widened by steps + 2 per side
-    for opts in (
-        EvolveOptions(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
-        EvolveOptions(observers=(_ConeRecorder(cone), _LevelCounter())),
-        EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=every_level(grid)),
-        EvolveOptions(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
+    for kw in (
+        dict(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
+        dict(observers=(_ConeRecorder(cone), _LevelCounter())),
+        dict(observers=(_ConeRecorder(cone),), snapshot_times=every_level(grid)),
+        dict(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
     ):
-        assert evolve(fam, grid, opts).meta["window"] == (8, 121, grid.steps)
+        assert evolve(fam, grid, **kw).meta["window"] == (8, 121, grid.steps)
 
 
 def _same_bits(a, b):
@@ -485,8 +482,8 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
     for times in ((0.0, 0.1, 0.2), every_level(grid)):
-        win = evolve(fam, grid, EvolveOptions(snapshot_times=times))
-        full = evolve_full_grid(fam, grid, EvolveOptions(snapshot_times=times))
+        win = evolve(fam, grid, snapshot_times=times)
+        full = evolve_full_grid(fam, grid, snapshot_times=times)
         first, end, last = win.meta["window"]
         assert 0 < first and end < grid.n + 1 and last == grid.steps
         assert win.series.keys() == full.series.keys()
@@ -515,10 +512,10 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
     gauge, full_gauge = GaugeMonitor(), GaugeMonitor()
     oracle, full_oracle = cli.A0Oracle(dim, grid), cli.A0Oracle(dim, grid)
     runs = [
-        evolve(fam, grid, opts)
-        for opts in (None, EvolveOptions(observers=(gauge,)), EvolveOptions(observers=(oracle,)), EvolveOptions(snapshot_times=times))
+        evolve(fam, grid, **kw)
+        for kw in ({}, dict(observers=(gauge,)), dict(observers=(oracle,)), dict(snapshot_times=times))
     ]
-    full = evolve_full_grid(fam, grid, EvolveOptions(snapshot_times=times, observers=(full_gauge, full_oracle)))
+    full = evolve_full_grid(fam, grid, snapshot_times=times, observers=(full_gauge, full_oracle))
     first, end, last = runs[0].meta["window"]
     assert 0 < first and end < grid.n + 1 and last == grid.steps
     for traj in runs:
@@ -536,7 +533,7 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
         # and the gauge cross-section at t = 0 nodes 96..415
         assert (first, end) == (127, 386)
         assert min(j - m for m, j in oracle.sections) == 112 and max(j + m for m, j in oracle.sections) == 400
-        assert GaugeMonitor().region.node_slice(0.0, grid) == slice(96, 416)
+        assert node_slice(GaugeMonitor().region, 0.0, grid) == slice(96, 416)
 
 
 def test_support_window_bitwise_with_potential_datum(monkeypatch):
@@ -551,9 +548,8 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
         return a, b
 
     monkeypatch.setattr(cone_solver, "potential_data", with_a)
-    opts = dict(snapshot_times=every_level(grid))
-    win = evolve(fam, grid, EvolveOptions(**opts))
-    full = evolve_full_grid(fam, grid, EvolveOptions(**opts))
+    win = evolve(fam, grid, snapshot_times=every_level(grid))
+    full = evolve_full_grid(fam, grid, snapshot_times=every_level(grid))
     assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
     for name in ("u", "v", "A", "At"):
         assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
@@ -566,10 +562,10 @@ def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
     u0[0, [2, 62]] = 1.0  # clear of the band at t = 0; u moves into it at t = h
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="boundary band"):
-        evolve(fam, grid, EvolveOptions(snapshot_times=(0.0,)))
+        evolve(fam, grid, snapshot_times=(0.0,))
     rec = _ConeRecorder([(ConeRegion(-grid.L, grid.L), grid.steps)])
     with pytest.raises(SolverAbort, match="boundary band at t = 0.08"):
-        evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        evolve(fam, grid, observers=(rec,))
     assert [(m, first, u.shape[-1]) for m, first, u, *_ in rec.levels] == [(0, 0, 65)]
 
 
@@ -578,7 +574,7 @@ def test_read_hull_disjoint_from_support_is_marched_as_declared():
     # over [2.3, 2.5] reads only zeros
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     rec = _ConeRecorder([(ConeRegion(2.3, 2.5), 3)])
-    traj = evolve(DataFamily(dim=1, eps=0.1), grid, EvolveOptions(observers=(rec,)))
+    traj = evolve(DataFamily(dim=1, eps=0.1), grid, observers=(rec,))
     assert traj.meta["window"] == (120, 129, 3)
     assert all(not u.any() and not A.any() for _, _, u, _, A in rec.levels)
 
@@ -591,7 +587,7 @@ def test_abort_on_nonfinite_inside_window(monkeypatch):
     rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 2)])
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite field values at t = 0$"):
-        evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        evolve(fam, grid, observers=(rec,))
     assert rec.levels == []
 
 
@@ -614,9 +610,9 @@ def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
     # A^m is checked before the transport step to level m reads it, so no
     # arithmetic on the bad value warns (warnings are errors under pytest)
     with pytest.raises(SolverAbort, match=message):
-        evolve(fam, grid, EvolveOptions(snapshot_times=(0.0,)))
+        evolve(fam, grid, snapshot_times=(0.0,))
     with pytest.raises(SolverAbort, match=message):
-        evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        evolve(fam, grid, observers=(rec,))
     assert [m for m, *_ in rec.levels] == list(range(level))
     assert all(u.shape[-1] < grid.n + 1 for _, _, u, *_ in rec.levels)  # a windowed run
 
@@ -651,7 +647,7 @@ def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
     # A_0 + A_1 stay zero, so u is the datum translated one node per level
     grid = GridSpec(L=2.56, n=2048, t_max=0.1)
     fam = DataFamily(dim=dim, eps=0.01, M=0.0, potential_mode="zero")
-    hist = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid))).snapshots
+    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
     u0, _ = spinor_datum(fam, grid)
     assert not hist.v.any()
     assert not hist.A[:, 2:].any()
@@ -708,8 +704,7 @@ def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode
 
     def run():
         gauge, rec = GaugeMonitor(), _StateRecorder()
-        opts = EvolveOptions(snapshot_times=every_level(grid), observers=(gauge, rec))
-        return evolve(fam, grid, opts), gauge.series(), rec.states
+        return evolve(fam, grid, snapshot_times=every_level(grid), observers=(gauge, rec)), gauge.series(), rec.states
 
     one, one_gauge, one_states = run()
     _two_components(monkeypatch)
@@ -743,12 +738,12 @@ def test_dim3_first_components_in_windowed_runs(monkeypatch):
     real = cone_solver.marched_components
     monkeypatch.setattr(cone_solver, "marched_components", spy)
     rec = _StateRecorder(cones)
-    one = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+    one = evolve(fam, grid, observers=(rec,))
     one_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
     assert marched == [1, 1, 1]
     _two_components(monkeypatch)
     rec2 = _StateRecorder(cones)
-    two = evolve(fam, grid, EvolveOptions(observers=(rec2,)))
+    two = evolve(fam, grid, observers=(rec2,))
     two_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
     assert one.meta["window"] == two.meta["window"]
     assert one.meta["window"][1] - one.meta["window"][0] < grid.n + 1
@@ -767,7 +762,7 @@ def test_observers_see_the_marched_components(monkeypatch, two):
     if two:
         _two_components(monkeypatch)
     for rec, whole_line in ((_StateRecorder(), True), (_StateRecorder([(ConeRegion(-0.3, 0.2), 8)]), False)):
-        traj = evolve(fam, grid, EvolveOptions(observers=(rec,)))
+        traj = evolve(fam, grid, observers=(rec,))
         assert traj.meta["components"] == (2 if two else 1)
         assert bool(traj.series) == whole_line  # only whole-line runs record series
         assert len(rec.states) == traj.meta["window"][2] + 1
@@ -785,14 +780,14 @@ def test_dim3_nonzero_second_component_datum_marches_both(monkeypatch, field, ro
     datum[field][row, 60:66] = 0.25
     monkeypatch.setattr(cone_solver, "spinor_datum", lambda fam, grid: (datum["u"], datum["v"]))
     monkeypatch.setattr(cone_solver, "potential_data", lambda fam, grid: (datum["a"], datum["b"]))
-    traj = evolve(fam, grid, EvolveOptions(snapshot_times=every_level(grid)))
+    traj = evolve(fam, grid, snapshot_times=every_level(grid))
     assert traj.meta["components"] == 2
     assert traj.snapshots.u[-1, 1].any() or traj.snapshots.v[-1, 1].any()
 
 
 def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
     grid = GridSpec(L=2.56, n=128, t_max=0.12)
-    traj = evolve(DataFamily(dim=3, eps=0.1, M=1.0), grid, EvolveOptions(snapshot_times=(0.0, 0.12)))
+    traj = evolve(DataFamily(dim=3, eps=0.1, M=1.0), grid, snapshot_times=(0.0, 0.12))
     paths = trajectory_to_csv(traj, tmp_path / "run", config_hash="cafe")
     snaps = traj.snapshots
     for k, t in enumerate(snaps.times.tolist()):

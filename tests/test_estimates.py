@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
-from maxdirac1d import DataFamily, EvolveOptions, GridSpec, evolve
+from maxdirac1d import DataFamily, GridSpec, evolve
 from maxdirac1d.cone_solver import cone_quadrature, cumulative_trapezoid
 from maxdirac1d.estimates import (
     EstimateReport,
     _cone_height,
     _hat,
     _pw_source,
+    _wave_reports,
     bootstrap_threshold,
     check_nullform,
     check_suite_grid,
-    check_wave_estimates,
     l1_exact,
     nullform_refinement,
     random_energy_instance,
@@ -43,7 +43,7 @@ EVERY_LEVEL = GRID.h * np.arange(GRID.steps + 1)  # snapshot_times of every leve
 @pytest.fixture(scope="module")
 def massless_run():
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
-    return evolve(fam, GRID, EvolveOptions(snapshot_times=EVERY_LEVEL))
+    return evolve(fam, GRID, snapshot_times=EVERY_LEVEL)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +163,15 @@ def test_energy_suite_passes():
 # ---------------------------------------------------------------------------
 
 
+def wave_reports(grid, f, g, source):
+    """The four wave reports of one instance: `_wave_reports` on a stack of one."""
+    return _wave_reports(grid, f[None], g[None], source[:, None])[0]
+
+
 def test_wave_bounds_on_splitting_hat():
     f = _hat(GRID, 0.0, 0.4, 1.5)
-    reps = {r.name: r for r in check_wave_estimates(GRID, f, np.zeros_like(f))}
+    zero = np.zeros((GRID.steps + 1, f.size))
+    reps = {r.name: r for r in wave_reports(GRID, f, np.zeros_like(f), zero)}
     assert set(reps) == {"wave_sup", "wave_tv", "wave_dt", "wave_combined"}
     assert all(r.passed for r in reps.values())
     # the split halves lose exactly f(h)/f(0) of the peak by the first level
@@ -179,7 +185,8 @@ def test_wave_bounds_sharp_for_velocity_data():
     # W_t = (g(x+t) + g(x-t))/2 with g >= 0 keeps ||W_t||_1 = ||g||_1 exactly,
     # and TV(W) climbs to TV-sharpness once the halves separate
     g = _hat(GRID_TALL, 0.0, 0.2, 1.0)
-    reps = {r.name: r for r in check_wave_estimates(GRID_TALL, np.zeros_like(g), g)}
+    zero = np.zeros((GRID_TALL.steps + 1, g.size))
+    reps = {r.name: r for r in wave_reports(GRID_TALL, np.zeros_like(g), g, zero)}
     assert reps["wave_sup"].ratio == pytest.approx(0.5, abs=1e-12)
     assert reps["wave_tv"].ratio == pytest.approx(1.0, abs=1e-12)
     assert reps["wave_dt"].ratio == pytest.approx(1.0, abs=1e-12)
@@ -288,7 +295,7 @@ def test_gronwall_saturates_for_longitudinal_flow(massless_run):
 
 def test_gronwall_needs_transverse_potentials():
     fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-    traj = evolve(fam, GRID, EvolveOptions(snapshot_times=EVERY_LEVEL))
+    traj = evolve(fam, GRID, snapshot_times=EVERY_LEVEL)
     with pytest.raises(ValueError, match="dim 2 or 3"):
         check_gronwall_l1(traj)
 
@@ -304,7 +311,7 @@ def test_bootstrap_bound_ratio_one_third(massless_run):
 def test_bootstrap_bound_guards(massless_run):
     tall = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     wide = GridSpec(L=2.72, n=272, t_max=0.64)
-    traj_tall = evolve(tall, wide, EvolveOptions(snapshot_times=wide.h * np.arange(wide.steps + 1)))
+    traj_tall = evolve(tall, wide, snapshot_times=wide.h * np.arange(wide.steps + 1))
     with pytest.raises(ValueError, match="2\\(M\\+1\\) t_max < 1"):
         check_bootstrap_bound(traj_tall, 0.1)
     with pytest.raises(ValueError, match="rho"):
@@ -412,7 +419,7 @@ def test_batched_suites_equal_single_instance_checks(suite):
             inst = random_energy_instance(rng, grid, grid.steps)
             reps = [check_energy_inequality(dirac_solve(grid=grid, **inst), grid)]
         elif suite == "wave":
-            reps = check_wave_estimates(grid, **random_wave_instance(rng, grid, grid.steps))
+            reps = wave_reports(grid, **random_wave_instance(rng, grid, grid.steps))
         else:
             mt = _cone_height(rng, grid)
             reps = [_nullform_check_of(random_nullform_instance(rng, grid, mt), grid, mt)]

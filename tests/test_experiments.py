@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from maxdirac1d.cone_solver import EvolveOptions, evolve
+from maxdirac1d.cone_solver import evolve
 from maxdirac1d.experiments import (
     FloorMonitor,
     ProbeMonitor,
@@ -20,7 +20,6 @@ from maxdirac1d.experiments import (
     check_claim2,
     check_claim3,
     config_hash,
-    default_plan,
     default_probes,
     gauss_divergence,
     grid_for_eps,
@@ -56,11 +55,10 @@ def test_default_probes_interior():
     assert probes[1] == pytest.approx((0.025, 0.0125))
 
 
-def test_default_plan_ladder():
-    plan = default_plan()
+def test_plan_without_probes_takes_the_default_probes():
+    plan = SweepPlan(dim=2, M=0.0, eps_list=(1e-2, 10**-2.5, 1e-3), T=0.05)
     assert plan.eps_list == pytest.approx((1e-2, 10**-2.5, 1e-3))
-    assert plan.T == 0.05
-    assert len(plan.probes) == 6
+    assert plan.probes == default_probes(0.05)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +113,7 @@ def test_sweep_claims_preconditions_at_their_boundaries():
 
 
 def test_plan_to_dict_round_trip():
-    plan = default_plan(dim=3, M=1.0)
+    plan = SweepPlan(dim=3, M=1.0, eps_list=(1e-2, 10**-2.5, 1e-3), T=0.05)
     d = plan.to_dict()
     again = SweepPlan(
         dim=d["dim"],
@@ -129,7 +127,7 @@ def test_plan_to_dict_round_trip():
 
 
 def test_grid_policy_tracks_eps():
-    plan = default_plan()
+    plan = SweepPlan(dim=2, M=0.0, eps_list=(1e-2, 10**-2.5, 1e-3), T=0.05)
     for eps in (1e-2, 1e-3):
         g = grid_for_eps(plan, eps)
         assert g.h <= eps / plan.h_over_eps + 1e-18
@@ -293,8 +291,8 @@ def test_probe_monitor_window_matches_full_grid():
     fam = DataFamily(dim=2, eps=0.02)
     windowed = ProbeMonitor(plan.probes, grid)
     full = ProbeMonitor(plan.probes, grid)
-    traj = evolve(fam, grid, EvolveOptions(observers=(windowed,)))
-    evolve(fam, grid, EvolveOptions(observers=(full,), snapshot_times=grid.h * np.arange(grid.steps + 1)))
+    traj = evolve(fam, grid, observers=(windowed,))
+    evolve(fam, grid, observers=(full,), snapshot_times=grid.h * np.arange(grid.steps + 1))
     first, end, last = traj.meta["window"]
     assert end - first < (grid.n + 1) // 10
     assert last < grid.steps
@@ -314,7 +312,7 @@ def test_monitors_on_a_support_cut_window_match_full_width():
 
     def run(evolve):
         mons = (TransverseMonitor(), FloorMonitor(0.02), ProbeMonitor(plan.probes, grid))
-        traj = evolve(fam, grid, EvolveOptions(observers=mons))
+        traj = evolve(fam, grid, observers=mons)
         return traj, [m.series() for m in mons[:2]] + [mons[2].result()]
 
     cut, cut_out = run(evolve)

@@ -16,14 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # __main__ runs the command line on import
 MODULES = sorted(m.name for m in pkgutil.iter_modules(maxdirac1d.__path__) if m.name != "__main__")
 
-# public names whose only callers are tests, and why each stays public
-TEST_ONLY = {
-    "picard_solve": "release gate 11 checks the marching solver against it",
-    "GaugeMonitor": "the gauge gate and the README example attach it to evolve",
-    "default_plan": "the acceptance campaign runs it",
-    "check_wave_estimates": "the single-instance reference for the batched wave suite",
-}
-
 TRACER_TARGET = re.compile(r"[a-z_]+:([A-Za-z_][\w.]*)")  # "module:qualname", as bench/tracing.py names them
 
 
@@ -62,7 +54,4 @@ def _program_names() -> set[str]:
 
 def test_every_public_name_has_a_program_caller():
     public = {n for name in MODULES for n in getattr(importlib.import_module(f"maxdirac1d.{name}"), "__all__", ())}
-    uncalled = public - _program_names()
-    assert sorted(uncalled - TEST_ONLY.keys()) == []
-    # an exception that gained a caller leaves the table
-    assert sorted(TEST_ONLY.keys() - uncalled) == []
+    assert sorted(public - _program_names()) == []

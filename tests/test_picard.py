@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from maxdirac1d import DataFamily, EvolveOptions, GridSpec, evolve, picard_solve
-from maxdirac1d.picard import PicardNonContraction, slab_distance
+from maxdirac1d import DataFamily, GridSpec, evolve
+
+from picard import PicardNonContraction, picard_solve, slab_distance
 
 GRID = GridSpec(L=2.56, n=512, t_max=0.1)
 
@@ -14,7 +15,7 @@ def test_agrees_with_marching_solver():
     # one pass and the spinors coincide with the marching solution bitwise
     fam = DataFamily(dim=2, eps=0.1, M=0.0)
     res = picard_solve(fam, GRID, 0.1, tol=1e-10)
-    traj = evolve(fam, GRID, EvolveOptions(snapshot_times=GRID.h * np.arange(GRID.steps + 1)))
+    traj = evolve(fam, GRID, snapshot_times=GRID.h * np.arange(GRID.steps + 1))
     hist = traj.snapshots
     mt = GRID.steps
 

@@ -12,7 +12,8 @@ potential modes, with and without `--oracle`; the benchmark's dim-3
 n = 16384 simulate run, with and without `--oracle`; `--oracle` runs in
 dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
 past the marched support cone; default-claims sweeps in dims 1-3; the benchmark's blow-up
-ladder; `verify` with seed 0; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
+ladder; `verify` with seed 0; `verify` recomputing the dim-2 sweep's
+verdicts from its files; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
 resident set, from `os.wait4`) are printed side by side for the two
 revisions.  The exit status is 0 when every run exits alike and writes the
 same files with the same bytes, and 1 otherwise.
@@ -71,6 +72,8 @@ CASES = {
         },
         [],
     ),
+    # the campaign that sweep_dim2 wrote, loaded by `cli.load_config`
+    "verify_recompute": ("verify", {"seed": 0, "suites": ["recompute"], "recompute_dir": "out/sweep_dim2"}, []),
     "verify_seed0": (
         "verify",
         {"seed": 0, "suites": ["energy", "wave", "nullform", "refinement"], "counts": {"energy": 200, "wave": 100, "nullform": 800}},
