@@ -32,7 +32,7 @@ plan = SweepPlan(
 print("running sweep:", ", ".join(f"{e:.3e}" for e in plan.eps_list))
 results = run_sweep(plan)
 
-fit = check_claim3(results)
+fit = check_claim3(results, plan)
 print()
 print(f"A_0 at probe (t, x) = {probe}:")
 print(f"{'eps':>10} {'measured':>10} {'closed form':>12}")
@@ -45,7 +45,7 @@ print(f"implied constant A_0 / |log eps| at the finest eps: {fit.implied_c:.5f}"
 
 print()
 print("meanwhile, per eps:")
-for v1, v2 in zip(check_claim1(results, plan.T), check_claim2(results, plan.T)):
+for v1, v2 in zip(check_claim1(results, plan), check_claim2(results, plan)):
     print(f"  eps = {v1['eps']:.3e}: sup |A_2| = {v1['sup']:.4f} (bound 1), "
           f"modulus floor ratio = {v2['min_ratio']:.4f} (needs {v2['floor_factor']:.4f})")
 

@@ -71,8 +71,7 @@ from .experiments import (
     verdicts,
     write_sweep,
 )
-from .gamma_algebra import modulus_sq
-from .initial_data import CutoffSpec, DataFamily, GridError, GridSpec, PotentialMode, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv, write_json
+from .initial_data import CutoffSpec, DataFamily, GridError, GridSpec, chi, f_eps, hs_norm, lp_norm, sample_midpoints, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,25 +227,27 @@ def _given(raw: dict, **params) -> dict:
     return {param: raw[key] for param, key in params.items() if key in raw}
 
 
-def _load_campaign(directory: str) -> tuple[list, SweepPlan, dict]:
-    """The records, plan and stored verdicts of the persisted campaign that
-    the recompute suite re-verifies.  Raises ValueError naming recompute_dir
-    when a file is missing, `load_sweep` rejects the summary or a diagnostics
-    CSV, or verdicts.json lacks its `verdicts` or its list of known `claims`."""
+def _load_campaign(directory: str) -> tuple[dict, dict]:
+    """The verdicts recomputed from the files of the persisted campaign that
+    the recompute suite re-verifies, and the verdicts stored with them.
+    Raises ValueError naming recompute_dir when a file is missing,
+    `load_sweep` rejects the summary or a diagnostics CSV, verdicts.json
+    lacks its `verdicts` or its list of known `claims`, or the records lack
+    what a listed claim reads."""
     for name in ("summary.json", "verdicts.json"):
         if not os.path.isfile(os.path.join(directory, name)):
             raise ValueError(f"recompute_dir: {directory!r} holds no {name}")
     try:
-        records, summary = load_sweep(directory)
-        plan = SweepPlan.from_dict(summary["config"]["plan"])
+        records, plan = load_sweep(directory)
         with open(os.path.join(directory, "verdicts.json")) as fh:
             stored = json.load(fh)
+        claims = stored.get("claims") if isinstance(stored, dict) else None
+        if not (isinstance(claims, list) and all(name in CLAIMS for name in claims) and "verdicts" in stored):
+            raise ValueError(f"verdicts.json needs 'verdicts' and 'claims' from {list(CLAIMS)}")
+        fresh = verdicts(records, plan, claims)
     except (OSError, ValueError, LookupError, TypeError) as exc:  # whatever a malformed file raises
         raise ValueError(f"recompute_dir: {directory!r} holds no campaign that loads: {type(exc).__name__}: {exc}") from exc
-    claims = stored.get("claims") if isinstance(stored, dict) else None
-    if not (isinstance(claims, list) and all(name in CLAIMS for name in claims) and "verdicts" in stored):
-        raise ValueError(f"recompute_dir: {directory!r}: verdicts.json needs 'verdicts' and 'claims' from {list(CLAIMS)}")
-    return records, plan, stored
+    return fresh, stored["verdicts"]
 
 
 def load_config(path: str, command: str, flags: dict | None = None) -> dict:
@@ -280,7 +281,6 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             ctx["grid"] = _grid("grid/", raw["grid"], cutoff.outer)
             snapshot_levels(raw.get("snapshot_times", []), ctx["grid"])
         elif command == "sweep":
-            mode = PotentialMode(raw.get("potential_mode", "zero"))
             plan = SweepPlan(
                 dim=raw["dim"],
                 M=raw["M"],
@@ -288,7 +288,7 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
                 T=raw["T"],
                 probes=tuple(tuple(p) for p in raw.get("probes", [])),
                 cutoff=CutoffSpec(**raw.get("cutoff", {})),
-                **_given(raw, h_over_eps="h_over_eps"),
+                **_given(raw, h_over_eps="h_over_eps", potential_mode="potential_mode"),
             )
             for i, eps in enumerate(plan.eps_list):
                 try:
@@ -296,8 +296,9 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
                 except (ValueError, ArithmeticError) as exc:
                     raise ValueError(f"eps_list/{i}: no grid for eps = {eps!r}: {exc}") from exc
                 _cap_nodes(f"eps_list/{i}", n, f"eps = {eps!r} at h_over_eps = {plan.h_over_eps!r} needs ")
-            ctx["plan"], ctx["mode"] = plan, mode
-            ctx["claims"] = sweep_claims(plan, mode, raw.get("claims"))
+            # bench/setup_probe.py builds each run's data family from ctx["mode"]
+            ctx["plan"], ctx["mode"] = plan, plan.potential_mode
+            ctx["claims"] = sweep_claims(plan, raw.get("claims"))
             if "gauss" in ctx["claims"]:
                 for i, eps in enumerate(plan.eps_list):
                     _cap_nodes(f"eps_list/{i}", gauss_pairing_n(eps), f"the gauss pairing at eps = {eps!r} needs ")
@@ -356,13 +357,14 @@ class A0Oracle:
     Duhamel representation makes the two quantities equal up to quadrature
     error; the deviation is O(h^2).  As an observer it adds each level's
     cross-section of every vertex cone and reads A_0 at the vertices of that
-    level, in O(n) memory.  The vertex cones may reach past the marched
+    level, in O(n) memory.  The density is the level's S_0 = |u|^2 + |v|^2,
+    which `evolve` has formed.  The vertex cones may reach past the marched
     window, so each level's density is summed from a full-width row, zero
     outside the window, as a full-grid run would sum it.  Raises ValueError
     for a grid whose t_max puts a vertex cone past its edge nodes."""
 
-    def __init__(self, dim: int, grid: GridSpec):
-        self.dim, self.h = dim, grid.h
+    def __init__(self, grid: GridSpec):
+        self.h = grid.h
         self.row = np.zeros(grid.n + 1)
         center = grid.n // 2
         levels = sorted(m for m in {max(1, grid.steps // 2), grid.steps} if m <= grid.steps)
@@ -373,7 +375,7 @@ class A0Oracle:
         self.measured: dict[tuple[int, int], float] = {}  # A_0 at each vertex
 
     def on_level(self, lev, grid: GridSpec) -> None:
-        self.row[lev.first : lev.first + lev.x.size] = modulus_sq(self.dim, lev.u, lev.v)
+        self.row[lev.first : lev.first + lev.x.size] = lev.S[0]
         for (m, j), sections in self.sections.items():
             if lev.m <= m:
                 sections.append(cone_section(self.row, grid.h, m - lev.m, j))
@@ -390,7 +392,7 @@ class A0Oracle:
 def cmd_simulate(ctx: dict, args) -> int:
     raw, fam, grid = ctx["raw"], ctx["fam"], ctx["grid"]
     try:
-        oracle = A0Oracle(fam.dim, grid) if args.oracle else None
+        oracle = A0Oracle(grid) if args.oracle else None
     except ValueError as exc:
         raise ConfigError(f"{args.config}: grid/t_max: {exc}") from exc
     out = _out_dir(raw, args, "simulate")
@@ -428,10 +430,10 @@ def cmd_simulate(ctx: dict, args) -> int:
 
 
 def cmd_sweep(ctx: dict, args) -> int:
-    raw, plan, mode, claims = ctx["raw"], ctx["plan"], ctx["mode"], ctx["claims"]
+    raw, plan, claims = ctx["raw"], ctx["plan"], ctx["claims"]
     out = _out_dir(raw, args, "sweep")
-    results = run_sweep(plan, mode=mode, claims=claims, **_given(raw, jobs="jobs"))
-    summary = write_sweep(results, plan, mode, out)
+    results = run_sweep(plan, claims=claims, **_given(raw, jobs="jobs"))
+    summary = write_sweep(results, plan, out)
     found = verdicts(results, plan, claims)
     failed = [name for name in claims if not verdict_passed(found[name])]
     write_json(
@@ -468,10 +470,9 @@ def _replay_info(suite: str, report_name: str, grid: GridSpec) -> dict:
     return info
 
 
-def _recompute_entry(directory: str, campaign: tuple[list, SweepPlan, dict]) -> dict:
-    records, plan, stored = campaign
-    fresh = verdicts(records, plan, stored["claims"])
-    identical = json.loads(json.dumps(fresh)) == stored["verdicts"]
+def _recompute_entry(directory: str, campaign: tuple[dict, dict]) -> dict:
+    fresh, stored = campaign
+    identical = json.loads(json.dumps(fresh)) == stored
     return {
         "name": "recompute",
         "directory": str(directory),

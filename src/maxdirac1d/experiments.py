@@ -1,8 +1,11 @@
 """Epsilon-sweep campaigns over the mollified data family.
 
-A sweep runs the evolution once per epsilon at a resolution tied to
-epsilon (h <= eps/16 by default), recording cheap observers instead of field
-history, only those the selected claims read:
+A campaign is its `SweepPlan`: the epsilon ladder, the horizon T, the probes,
+the grid policy and the data family's dim, M, cutoff and potential mode.  A
+sweep runs the evolution once per epsilon at a resolution tied to epsilon
+(h <= eps/16 by default) and keeps each run's results in a `SweepRecord`,
+recording cheap observers instead of field history, only those the selected
+claims read:
 
 * the sup of the transverse potentials over the shrinking slab
   K_T = {|x| <= 1 - t}, which stays below 1 (their sources are null forms);
@@ -16,10 +19,11 @@ history, only those the selected claims read:
 Each observer declares the backward cones it reads, so a run marches only
 their hull (see `cone_solver`); the whole-line series stay empty.
 
-The checkers turn those series into per-epsilon verdicts, a least-squares
-blow-up fit, and the Gauss-law pairing's divergence; `sweep_claims` holds
-each claim's preconditions.  Artifacts embed a hash of the generating
-configuration so persisted campaigns can be re-verified bit for bit.
+The checkers read the records with their plan and turn them into
+per-epsilon verdicts, a least-squares blow-up fit, and the Gauss-law
+pairing's divergence; `sweep_claims` holds each claim's preconditions.
+Artifacts embed a hash of the plan, so persisted campaigns can be
+re-verified bit for bit.
 """
 
 from __future__ import annotations
@@ -77,7 +81,9 @@ def default_probes(T: float) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One campaign: a decreasing epsilon ladder observed over [0, T].
+    """One campaign: a decreasing epsilon ladder observed over [0, T], with
+    everything its runs share (the data family's dim, M, cutoff and
+    potential mode) and everything its checkers read.
 
     h_over_eps fixes the grid policy (h <= eps / h_over_eps per run).  The
     probe set doubles as the compact set Q of the blow-up claim: the
@@ -91,6 +97,7 @@ class SweepPlan:
     probes: tuple[tuple[float, float], ...] = ()
     h_over_eps: float = 16.0
     cutoff: CutoffSpec = field(default_factory=CutoffSpec)
+    potential_mode: PotentialMode = PotentialMode.ZERO
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -112,9 +119,11 @@ class SweepPlan:
             if not abs(x) < t < self.T:
                 raise ValueError(f"probe (t={t}, x={x}) must satisfy |x| < t < T")
         object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "potential_mode", PotentialMode(self.potential_mode))
 
     def to_dict(self) -> dict:
-        return {
+        """The campaign config that summary.json holds and hashes."""
+        plan = {
             "dim": self.dim,
             "M": self.M,
             "eps_list": list(self.eps_list),
@@ -123,18 +132,21 @@ class SweepPlan:
             "h_over_eps": self.h_over_eps,
             "cutoff": [self.cutoff.inner, self.cutoff.outer],
         }
+        return {"plan": plan, "mode": self.potential_mode.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
         """Inverse of to_dict."""
+        p = d["plan"]
         return cls(
-            dim=d["dim"],
-            M=d["M"],
-            eps_list=tuple(d["eps_list"]),
-            T=d["T"],
-            probes=tuple(tuple(p) for p in d["probes"]),
-            h_over_eps=d["h_over_eps"],
-            cutoff=CutoffSpec(*d["cutoff"]),
+            dim=p["dim"],
+            M=p["M"],
+            eps_list=tuple(p["eps_list"]),
+            T=p["T"],
+            probes=tuple(tuple(q) for q in p["probes"]),
+            h_over_eps=p["h_over_eps"],
+            cutoff=CutoffSpec(*p["cutoff"]),
+            potential_mode=d["mode"],
         )
 
 
@@ -252,24 +264,21 @@ class ProbeMonitor:
 
 @dataclass
 class SweepRecord:
-    """Diagnostics of one epsilon run, sufficient to recompute all verdicts."""
+    """The results of one epsilon run: with its plan, enough to recompute
+    every verdict.  probe_A0 holds A_0 at each of the plan's probes."""
 
     eps: float
-    dim: int
-    M: float
-    mode: str
     n: int
     h: float
     t_max: float
     times: np.ndarray
     series: dict[str, np.ndarray]
-    probes: tuple[tuple[float, float], ...]
     probe_A0: np.ndarray
 
 
-def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float, claims) -> SweepRecord:
+def _run_one(plan: SweepPlan, eps: float, claims) -> SweepRecord:
     grid = grid_for_eps(plan, eps)
-    fam = DataFamily(dim=plan.dim, eps=eps, M=plan.M, potential_mode=mode, cutoff=plan.cutoff)
+    fam = DataFamily(dim=plan.dim, eps=eps, M=plan.M, potential_mode=plan.potential_mode, cutoff=plan.cutoff)
     # the probe monitor always runs: the summary carries probe_A0
     pmon = ProbeMonitor(plan.probes, grid)
     monitors = {}
@@ -281,20 +290,13 @@ def _run_one(plan: SweepPlan, mode: PotentialMode, eps: float, claims) -> SweepR
         traj = evolve(fam, grid, observers=(*monitors.values(), pmon))
     except SolverAbort as exc:
         raise SolverAbort(f"sweep run aborted at eps = {eps:g}: {exc}") from exc
-    series = dict(traj.series)
-    for name, mon in monitors.items():
-        series[name] = mon.series()
     return SweepRecord(
         eps=eps,
-        dim=plan.dim,
-        M=plan.M,
-        mode=mode.value,
         n=grid.n,
         h=grid.h,
         t_max=grid.t_max,
         times=traj.times,
-        series=series,
-        probes=plan.probes,
+        series={name: mon.series() for name, mon in monitors.items()},
         probe_A0=pmon.result(),
     )
 
@@ -307,9 +309,7 @@ def pool_size(jobs: int, runs: int, cpus: int | None = None) -> int:
     return max(1, min(jobs, runs, cpus))
 
 
-def run_sweep(
-    plan: SweepPlan, mode=PotentialMode.ZERO, jobs: int = 1, claims=CLAIMS
-) -> list[SweepRecord]:
+def run_sweep(plan: SweepPlan, jobs: int = 1, claims=CLAIMS) -> list[SweepRecord]:
     """One evolve run per epsilon, merged in eps_list order.
 
     Only the observers the selected claims read are attached: the record
@@ -319,13 +319,12 @@ def run_sweep(
     result is identical either way.  A solver abort in any run fails the
     whole sweep, naming the offending epsilon.
     """
-    mode = PotentialMode(mode)
     claims = tuple(claims)
     workers = pool_size(jobs, len(plan.eps_list))
     if workers == 1:
-        return [_run_one(plan, mode, e, claims) for e in plan.eps_list]
+        return [_run_one(plan, e, claims) for e in plan.eps_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_run_one, plan, mode, e, claims) for e in plan.eps_list]
+        futs = [pool.submit(_run_one, plan, e, claims) for e in plan.eps_list]
         return [f.result() for f in futs]
 
 
@@ -339,8 +338,8 @@ def _require_claim2_regime(M: float, T: float) -> None:
         raise ValueError(f"claim2 regime requires 6(M+1)T < 1, got 6*{M + 1}*{T} = {regime:g}")
 
 
-def _require_claim3_ladder(modes, count: int) -> None:
-    if any(PotentialMode(m) is not PotentialMode.ZERO for m in modes):
+def _require_claim3_ladder(mode: PotentialMode, count: int) -> None:
+    if mode is not PotentialMode.ZERO:
         raise ValueError("claim3 needs the zero potential mode (vanishing A_0 data)")
     if count < 2:
         raise ValueError("claim3 needs at least 2 epsilons for the log-slope fit")
@@ -351,17 +350,16 @@ def _require_gauss_ladder(count: int) -> None:
         raise ValueError("gauss verdict needs at least 3 epsilons for slope and diffs")
 
 
-def sweep_claims(plan: SweepPlan, mode, claims=None) -> list[str]:
+def sweep_claims(plan: SweepPlan, claims=None) -> list[str]:
     """The sorted claims a sweep of `plan` checks: `claims`, or by default
     all in the zero potential mode and claims 1 and 2 otherwise.  Raises
     ValueError when the plan misses a precondition of a selected claim."""
-    mode = PotentialMode(mode)
     if claims is None:
-        claims = CLAIMS if mode is PotentialMode.ZERO else ("claim1", "claim2")
+        claims = CLAIMS if plan.potential_mode is PotentialMode.ZERO else ("claim1", "claim2")
     if "claim2" in claims:
         _require_claim2_regime(plan.M, plan.T)
     if "claim3" in claims:
-        _require_claim3_ladder((mode,), len(plan.eps_list))
+        _require_claim3_ladder(plan.potential_mode, len(plan.eps_list))
     if "gauss" in claims:
         _require_gauss_ladder(len(plan.eps_list))
     return sorted(claims)
@@ -377,16 +375,15 @@ def _largest_passing_t(times, running_series, bound) -> float:
     return float(times[bad[0] - 1])
 
 
-def check_claim1(results: list[SweepRecord], T: float) -> list[dict]:
+def check_claim1(results: list[SweepRecord], plan: SweepPlan) -> list[dict]:
     """Transverse-potential boundedness: sup over K_T of |A_2| (plus |A_3|
     for dim 3) compared to 1, per epsilon.  dim 1 has no transverse
     potentials and gets a not-applicable verdict."""
+    if plan.dim < 2:
+        return [{"eps": rec.eps, "applicable": False, "pass": True} for rec in results]
     out = []
     for rec in results:
-        if rec.dim < 2:
-            out.append({"eps": rec.eps, "applicable": False, "pass": True})
-            continue
-        sel = rec.times <= T + 1e-12
+        sel = rec.times <= plan.T + 1e-12
         sup = float(rec.series["sup_KT_transverse"][sel].max())
         out.append(
             {
@@ -406,7 +403,7 @@ def check_claim1(results: list[SweepRecord], T: float) -> list[dict]:
 CLAIM2_TOL_CONSTANT = 50.0  # relative floor tolerance is 50 h^2 / eps^2
 
 
-def check_claim2(results: list[SweepRecord], T: float) -> list[dict]:
+def check_claim2(results: list[SweepRecord], plan: SweepPlan) -> list[dict]:
     """Modulus persistence: |psi|^2 >= 0.5 f_eps(x-t)^2 (1 - 50 h^2/eps^2)
     at every node with 0 < t < x < 1 - t, t < T, per epsilon.
 
@@ -414,10 +411,10 @@ def check_claim2(results: list[SweepRecord], T: float) -> list[dict]:
     of magnitude across the slab.  Requires the smallness regime
     6(M+1)T < 1.
     """
+    _require_claim2_regime(plan.M, plan.T)
     out = []
     for rec in results:
-        _require_claim2_regime(rec.M, T)
-        sel = (rec.times > 0.0) & (rec.times < T - 1e-12)
+        sel = (rec.times > 0.0) & (rec.times < plan.T - 1e-12)
         ratios = rec.series["claim2_min_ratio"][sel]
         ratios = ratios[np.isfinite(ratios)]
         min_ratio = float(ratios.min()) if ratios.size else math.inf
@@ -488,20 +485,17 @@ class BlowupFit:
         }
 
 
-def check_claim3(results: list[SweepRecord]) -> BlowupFit:
-    """Logarithmic blow-up of A_0 at interior probes of {|x| < t}.
+def check_claim3(results: list[SweepRecord], plan: SweepPlan) -> BlowupFit:
+    """Logarithmic blow-up of A_0 at the plan's probes, interior points of
+    {|x| < t}.
 
     Verifies the measured A_0 against the closed-form lower bound per
     epsilon, fits the slope against log(1/eps), and requires
     slope >= (x+t)/8 per probe.  The zero potential mode is
     required: the closed form assumes vanishing A_0 data.
     """
-    if not results:
-        raise ValueError("empty sweep results")
-    _require_claim3_ladder([rec.mode for rec in results], len(results))
-    probes = tuple(results[0].probes)
-    if any(tuple(rec.probes) != probes for rec in results):
-        raise ValueError("records disagree on the probe set")
+    _require_claim3_ladder(plan.potential_mode, len(results))
+    probes = plan.probes
     eps = np.array([rec.eps for rec in results])
     a0 = np.stack([rec.probe_A0 for rec in results], axis=1)  # (probes, eps)
     logs = np.log(1.0 / eps)
@@ -618,9 +612,9 @@ def verdicts(records: list[SweepRecord], plan: SweepPlan, claims) -> dict:
     """The verdict of each selected claim on a campaign's records, as plain
     JSON (what verdicts.json holds)."""
     checks = {
-        "claim1": lambda: check_claim1(records, plan.T),
-        "claim2": lambda: check_claim2(records, plan.T),
-        "claim3": lambda: check_claim3(records).to_dict(),
+        "claim1": lambda: check_claim1(records, plan),
+        "claim2": lambda: check_claim2(records, plan),
+        "claim3": lambda: check_claim3(records, plan).to_dict(),
         "gauss": lambda: check_gauss(plan.eps_list),
     }
     return {name: checks[name]() for name in claims}
@@ -648,13 +642,12 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:.6e}"
 
 
-def write_sweep(results: list[SweepRecord], plan: SweepPlan, mode, directory) -> dict:
+def write_sweep(results: list[SweepRecord], plan: SweepPlan, directory) -> dict:
     """Persist a campaign: per-epsilon diagnostics CSV, two-column plot data
     (log(1/eps), A_0) per probe, and a summary manifest.  Returns the
     summary dict (also written as summary.json)."""
-    mode = PotentialMode(mode)
     os.makedirs(directory, exist_ok=True)
-    cfg = {"plan": plan.to_dict(), "mode": mode.value}
+    cfg = plan.to_dict()
     chash = config_hash(cfg)
     runs = []
     for rec in results:
@@ -688,12 +681,12 @@ def write_sweep(results: list[SweepRecord], plan: SweepPlan, mode, directory) ->
     return summary
 
 
-def load_sweep(directory) -> tuple[list[SweepRecord], dict]:
-    """Rebuild sweep records from a persisted campaign directory."""
+def load_sweep(directory) -> tuple[list[SweepRecord], SweepPlan]:
+    """Rebuild the records and plan of a persisted campaign directory."""
     with open(os.path.join(directory, "summary.json")) as fh:
         summary = json.load(fh)
     cfg = summary["config"]
-    plan = SweepPlan.from_dict(cfg["plan"])
+    plan = SweepPlan.from_dict(cfg)
     if config_hash(cfg) != summary["config_hash"]:
         raise ValueError("summary config hash mismatch")
     records = []
@@ -707,16 +700,12 @@ def load_sweep(directory) -> tuple[list[SweepRecord], dict]:
         records.append(
             SweepRecord(
                 eps=run["eps"],
-                dim=plan.dim,
-                M=plan.M,
-                mode=cfg["mode"],
                 n=run["n"],
                 h=run["h"],
                 t_max=run["t_max"],
                 times=data[:, 0],
                 series=series,
-                probes=plan.probes,
                 probe_A0=np.asarray(run["probe_A0"]),
             )
         )
-    return records, summary
+    return records, plan

@@ -178,7 +178,7 @@ def test_criterion_06_nullform_suite_and_refinement_ladder():
 def test_criterion_07_transverse_potentials_stay_bounded(campaign):
     """sup over the slab of |A_2| (+ |A_3| in dim 3) never exceeds 1."""
     for (dim, M), (plan, results) in campaign.items():
-        for verdict in check_claim1(results, plan.T):
+        for verdict in check_claim1(results, plan):
             assert verdict["applicable"]
             assert verdict["pass"]
             assert verdict["sup"] <= 1.0
@@ -188,7 +188,7 @@ def test_criterion_07_transverse_potentials_stay_bounded(campaign):
 
 def test_criterion_08_modulus_floor_holds_for_every_eps(campaign):
     for (dim, M), (plan, results) in campaign.items():
-        for verdict in check_claim2(results, plan.T):
+        for verdict in check_claim2(results, plan):
             assert verdict["floor_factor"] > 0.0  # resolved regime, h << eps
             assert verdict["min_ratio"] >= verdict["floor_factor"]
             assert verdict["pass"]
@@ -228,7 +228,7 @@ def test_criterion_09_a0_blowup_logarithmic_in_eps():
             h_over_eps=h_over_eps,
             probes=(probe,),
         )
-        fits[h_over_eps] = check_claim3(run_sweep(plan, claims=("claim3",)))
+        fits[h_over_eps] = check_claim3(run_sweep(plan, claims=("claim3",)), plan)
 
     for found in fits.values():
         assert_a0_exact((probe,), found.eps, found.a0)

@@ -96,7 +96,7 @@ def _a0_oracle_from_every_level(traj):
 def test_streamed_oracle_equals_every_level_quadrature(dim, mode):
     grid = GridSpec(L=2.56, n=256, t_max=0.16)
     fam = DataFamily(dim=dim, eps=0.1, M=1.0, potential_mode=mode)
-    oracle = cli.A0Oracle(dim, grid)
+    oracle = cli.A0Oracle(grid)
     streamed = evolve(fam, grid, observers=(oracle,))
     every_level = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1))
     assert streamed.meta["window"] == every_level.meta["window"]
@@ -663,6 +663,8 @@ def test_verify_recompute_round_trip_and_tamper(tmp_path, capsys):
         ("plan edited", "summary config hash mismatch"),
         ("diagnostics missing", "diagnostics_"),
         ("unknown claim", "'claims'"),
+        # a claim3-only campaign whose verdicts.json lists a claim its records cannot answer
+        ("claim not recorded", "KeyError: 'sup_KT_transverse'"),
     ],
 )
 def test_verify_recompute_dir_without_campaign_files_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, campaign_dir, make, named):
@@ -685,6 +687,13 @@ def test_verify_recompute_dir_without_campaign_files_exits_2_before_any_suite(tm
         (campaign / "verdicts.json").write_text(json.dumps(doc))
     if make == "diagnostics missing":
         next(campaign.glob("diagnostics_*.csv")).unlink()
+    if make == "claim not recorded":
+        sweep_cfg = write_config(tmp_path, dict(SWEEP_CONFIG, claims=["claim3"]), name="sweep.json")
+        assert cli.main(["sweep", "--config", sweep_cfg, "--out", str(campaign)]) == 0
+        doc = json.loads((campaign / "verdicts.json").read_text())
+        doc["claims"] = ["claim1"]
+        (campaign / "verdicts.json").write_text(json.dumps(doc))
+        capsys.readouterr()
     ran = []
     monkeypatch.setitem(cli._SUITE_RUNNERS, "energy", lambda *args: ran.append(args))
     cfg = write_config(

@@ -510,7 +510,7 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode, cutoff=cutoff)
     times = (0.0, 0.5 * grid.t_max, grid.t_max)
     gauge, full_gauge = GaugeMonitor(), GaugeMonitor()
-    oracle, full_oracle = cli.A0Oracle(dim, grid), cli.A0Oracle(dim, grid)
+    oracle, full_oracle = cli.A0Oracle(grid), cli.A0Oracle(grid)
     runs = [
         evolve(fam, grid, **kw)
         for kw in ({}, dict(observers=(gauge,)), dict(observers=(oracle,)), dict(snapshot_times=times))

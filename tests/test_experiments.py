@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ def test_plan_without_probes_takes_the_default_probes():
         (dict(eps_list=(0.1,), h_over_eps=0.5), "h_over_eps"),
         (dict(eps_list=(0.1,), probes=((0.06, 0.0),)), "probe"),
         (dict(eps_list=(0.1,), probes=((0.02, 0.03),)), "probe"),
+        (dict(eps_list=(0.1,), potential_mode="bogus"), "PotentialMode"),
     ],
 )
 def test_plan_validation(kwargs, match):
@@ -82,9 +84,10 @@ def test_plan_validation(kwargs, match):
 
 def test_sweep_claims_defaults_per_mode():
     plan = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07, 0.05), T=0.05)
-    assert sweep_claims(plan, "zero") == ["claim1", "claim2", "claim3", "gauss"]
-    assert sweep_claims(plan, PotentialMode.CONSTRAINED) == ["claim1", "claim2"]
-    assert sweep_claims(plan, "zero", ("gauss", "claim1")) == ["claim1", "gauss"]
+    assert plan.potential_mode is PotentialMode.ZERO
+    assert sweep_claims(plan) == ["claim1", "claim2", "claim3", "gauss"]
+    assert sweep_claims(replace(plan, potential_mode="constrained")) == ["claim1", "claim2"]
+    assert sweep_claims(plan, ("gauss", "claim1")) == ["claim1", "gauss"]
 
 
 def test_sweep_claims_preconditions_at_their_boundaries():
@@ -92,38 +95,43 @@ def test_sweep_claims_preconditions_at_their_boundaries():
     T_edge = 1.0 / 12.0
     assert 6.0 * 2.0 * T_edge == 1.0
     below = SweepPlan(dim=2, M=1.0, eps_list=(0.1,), T=float(np.nextafter(T_edge, 0.0)))
-    assert sweep_claims(below, "zero", ["claim2"]) == ["claim2"]
+    assert sweep_claims(below, ["claim2"]) == ["claim2"]
     at = SweepPlan(dim=2, M=1.0, eps_list=(0.1,), T=T_edge)
     with pytest.raises(ValueError, match="6\\(M\\+1\\)T < 1"):
-        sweep_claims(at, "zero", ["claim2"])
+        sweep_claims(at, ["claim2"])
     # claim 3: at least 2 epsilons, zero potential mode
     one, two, three = (
         SweepPlan(dim=2, M=0.0, eps_list=eps, T=0.05)
         for eps in ((0.1,), (0.1, 0.07), (0.1, 0.07, 0.05))
     )
     with pytest.raises(ValueError, match="at least 2 epsilons"):
-        sweep_claims(one, "zero", ["claim3"])
-    assert sweep_claims(two, "zero", ["claim3"]) == ["claim3"]
+        sweep_claims(one, ["claim3"])
+    assert sweep_claims(two, ["claim3"]) == ["claim3"]
     with pytest.raises(ValueError, match="zero potential mode"):
-        sweep_claims(two, "constrained", ["claim3"])
+        sweep_claims(replace(two, potential_mode=PotentialMode.CONSTRAINED), ["claim3"])
     # gauss: at least 3 epsilons
     with pytest.raises(ValueError, match="at least 3 epsilons"):
-        sweep_claims(two, "zero", ["gauss"])
-    assert sweep_claims(three, "zero", ["gauss"]) == ["gauss"]
+        sweep_claims(two, ["gauss"])
+    assert sweep_claims(three, ["gauss"]) == ["gauss"]
 
 
 def test_plan_to_dict_round_trip():
-    plan = SweepPlan(dim=3, M=1.0, eps_list=(1e-2, 10**-2.5, 1e-3), T=0.05)
-    d = plan.to_dict()
-    again = SweepPlan(
-        dim=d["dim"],
-        M=d["M"],
-        eps_list=tuple(d["eps_list"]),
-        T=d["T"],
-        probes=tuple(tuple(p) for p in d["probes"]),
-        h_over_eps=d["h_over_eps"],
-    )
-    assert again == plan
+    for mode in PotentialMode:
+        plan = SweepPlan(dim=3, M=1.0, eps_list=(1e-2, 10**-2.5, 1e-3), T=0.05, potential_mode=mode.value)
+        d = plan.to_dict()
+        assert d["mode"] == mode.value
+        p = d["plan"]
+        again = SweepPlan(
+            dim=p["dim"],
+            M=p["M"],
+            eps_list=tuple(p["eps_list"]),
+            T=p["T"],
+            probes=tuple(tuple(q) for q in p["probes"]),
+            h_over_eps=p["h_over_eps"],
+            potential_mode=mode,
+        )
+        assert again == plan
+        assert SweepPlan.from_dict(json.loads(json.dumps(d))) == plan
 
 
 def test_grid_policy_tracks_eps():
@@ -172,60 +180,61 @@ def test_a0_lower_bound_degenerates_at_cone_edge():
 def _record(**over):
     base = dict(
         eps=0.1,
-        dim=2,
-        M=0.0,
-        mode="zero",
         n=100,
         h=0.01,
         t_max=0.02,
         times=np.array([0.0, 0.01, 0.02]),
         series={},
-        probes=((0.04, 0.0),),
         probe_A0=np.array([0.0]),
     )
     base.update(over)
     return SweepRecord(**base)
 
 
+def _plan(**over):
+    base = dict(dim=2, M=0.0, eps_list=(0.1,), T=0.05)
+    base.update(over)
+    return SweepPlan(**base)
+
+
 def test_claim1_verdicts():
     ok = _record(series={"sup_KT_transverse": np.array([0.0, 0.5, 0.9])})
     bad = _record(series={"sup_KT_transverse": np.array([0.0, 0.5, 1.5])})
-    flat = _record(dim=1, series={})
-    out = check_claim1([ok, bad, flat], 0.02)
+    out = check_claim1([ok, bad], _plan(T=0.02))
     assert out[0]["pass"] and out[0]["sup"] == 0.9
     assert out[0]["largest_T_ok"] == 0.02
     assert not out[1]["pass"] and out[1]["sup"] == 1.5
     # the prefix up to t = 0.01 still satisfies the bound
     assert out[1]["largest_T_ok"] == 0.01
-    assert out[2] == {"eps": 0.1, "applicable": False, "pass": True}
+    flat = _record(series={})
+    assert check_claim1([flat], _plan(dim=1, T=0.02)) == [{"eps": 0.1, "applicable": False, "pass": True}]
 
 
 def test_claim2_verdicts_and_guard():
     # tol = 1 - 50 h^2 / eps^2 = 0.5 at h = 0.01, eps = 0.1
     ok = _record(series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.7])})
     bad = _record(series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.4])})
-    out = check_claim2([ok, bad], 0.03)
+    out = check_claim2([ok, bad], _plan(T=0.03))
     assert out[0]["floor_factor"] == pytest.approx(0.5)
     assert out[0]["min_ratio"] == 0.7 and out[0]["pass"]
     assert out[1]["min_ratio"] == 0.4 and not out[1]["pass"]
     with pytest.raises(ValueError, match="6\\(M\\+1\\)T < 1"):
-        check_claim2([_record(M=2.0, series={"claim2_min_ratio": np.array([1.0])})], 0.1)
+        check_claim2([_record(series={"claim2_min_ratio": np.array([1.0])})], _plan(M=2.0, T=0.1))
 
 
-def _synthetic_ladder(a0_fn, eps=(1e-2, 1e-3, 1e-4), probes=((0.04, 0.0),)):
+LADDER = _plan(eps_list=(1e-2, 1e-3, 1e-4), probes=((0.04, 0.0),))
+
+
+def _synthetic_ladder(a0_fn):
     return [
-        _record(
-            eps=e,
-            probes=probes,
-            probe_A0=np.array([a0_fn(t, x, e) for t, x in probes]),
-        )
-        for e in eps
+        _record(eps=e, probe_A0=np.array([a0_fn(t, x, e) for t, x in LADDER.probes]))
+        for e in LADDER.eps_list
     ]
 
 
 def test_claim3_recovers_linear_slope():
     recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e) + 0.001)
-    fit = check_claim3(recs)
+    fit = check_claim3(recs, LADDER)
     assert fit.slopes[0] == pytest.approx(0.01, abs=1e-12)
     assert fit.slope_bounds[0] == pytest.approx(0.04 / 8.0)
     assert fit.lower_ok.all()
@@ -239,34 +248,31 @@ def test_claim3_recovers_linear_slope():
 
 
 def test_claim3_fails_without_growth():
-    fit = check_claim3(_synthetic_ladder(lambda t, x, e: 0.05))
+    fit = check_claim3(_synthetic_ladder(lambda t, x, e: 0.05), LADDER)
     assert fit.slopes[0] == pytest.approx(0.0, abs=1e-12)
     assert not fit.monotone.all()
     assert not fit.passed
 
 
 def test_claim3_fails_below_closed_form():
-    fit = check_claim3(_synthetic_ladder(lambda t, x, e: 0.5 * a0_lower_bound(t, x, e)))
+    fit = check_claim3(_synthetic_ladder(lambda t, x, e: 0.5 * a0_lower_bound(t, x, e)), LADDER)
     assert not fit.lower_ok.all()
     assert not fit.passed
 
 
 def test_claim3_input_guards():
-    with pytest.raises(ValueError, match="empty"):
-        check_claim3([])
+    with pytest.raises(ValueError, match="at least 2 epsilons"):
+        check_claim3([], LADDER)
+    recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e))
     with pytest.raises(ValueError, match="zero potential mode"):
-        check_claim3([_record(mode="constrained")])
-    recs = _synthetic_ladder(lambda t, x, e: 1.0)
-    recs[1] = _record(eps=1e-3, probes=((0.03, 0.0),), probe_A0=np.array([1.0]))
-    with pytest.raises(ValueError, match="probe set"):
-        check_claim3(recs)
+        check_claim3(recs, replace(LADDER, potential_mode="constrained"))
 
 
 def test_claim3_needs_two_eps():
     recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e))
     with pytest.raises(ValueError, match="at least 2 epsilons"):
-        check_claim3(recs[:1])
-    assert check_claim3(recs[:2]).slopes[0] == pytest.approx(0.01, abs=1e-12)
+        check_claim3(recs[:1], LADDER)
+    assert check_claim3(recs[:2], LADDER).slopes[0] == pytest.approx(0.01, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -335,51 +341,67 @@ def test_sweep_claims_select_monitors(coarse_sweep):
     assert set(run_sweep(COARSE, claims=("claim1",))[0].series) == {"sup_KT_transverse"}
 
 
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def assert_same_records(left, right):
+    """Every field of every record, bit for bit."""
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        for f in fields(SweepRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "series":
+                assert list(x) == list(y)
+                for key in x:
+                    assert _bits(x[key]) == _bits(y[key]), (a.eps, key)
+            else:
+                assert _bits(x) == _bits(y), (a.eps, f.name)
+
+
 def test_sweep_is_deterministic(coarse_sweep):
-    again = run_sweep(COARSE)
-    for a, b in zip(coarse_sweep, again):
-        assert np.array_equal(a.probe_A0, b.probe_A0)
-        for key in a.series:
-            assert np.array_equal(a.series[key], b.series[key])
+    assert_same_records(coarse_sweep, run_sweep(COARSE))
 
 
 def test_sweep_jobs_do_not_change_results(coarse_sweep):
-    par = run_sweep(COARSE, jobs=2)
-    for a, b in zip(coarse_sweep, par):
-        assert np.array_equal(a.probe_A0, b.probe_A0)
+    # with jobs > 1 the records come back from worker processes
+    assert_same_records(coarse_sweep, run_sweep(COARSE, jobs=2))
 
 
 def test_massless_longitudinal_sweep_passes_claims_1_2(coarse_sweep):
-    for v in check_claim1(coarse_sweep, COARSE.T):
+    for v in check_claim1(coarse_sweep, COARSE):
         assert v["pass"] and v["sup"] == 0.0
-    for v in check_claim2(coarse_sweep, COARSE.T):
+    for v in check_claim2(coarse_sweep, COARSE):
         # the cutoff is identically 1 on the floor window, so the measured
         # ratio |psi|^2 / (0.5 f^2) sits exactly at 2
         assert v["pass"] and v["min_ratio"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_write_load_round_trip(coarse_sweep, tmp_path):
-    summary = write_sweep(coarse_sweep, COARSE, PotentialMode.ZERO, tmp_path)
+    summary = write_sweep(coarse_sweep, COARSE, tmp_path)
     names = sorted(os.listdir(tmp_path))
     assert "summary.json" in names
     assert sum(n.startswith("diagnostics_") for n in names) == 2
     assert sum(n.startswith("blowup_probe") for n in names) == 6
     assert summary["config_hash"] == config_hash(summary["config"])
 
-    back, summary2 = load_sweep(tmp_path)
-    assert summary2 == summary
+    assert summary["config"] == COARSE.to_dict()
+
+    back, plan = load_sweep(tmp_path)
+    assert plan == COARSE
     for a, b in zip(coarse_sweep, back):
         assert np.array_equal(a.probe_A0, b.probe_A0)
         for key in a.series:
             # repr round trip keeps every float bit
             assert np.array_equal(a.series[key], b.series[key])
-    assert json.dumps(check_claim2(back, COARSE.T)) == json.dumps(
-        check_claim2(coarse_sweep, COARSE.T)
+    assert json.dumps(check_claim2(back, plan)) == json.dumps(
+        check_claim2(coarse_sweep, COARSE)
     )
 
 
 def test_load_sweep_detects_tampering(coarse_sweep, tmp_path):
-    write_sweep(coarse_sweep, COARSE, PotentialMode.ZERO, tmp_path)
+    write_sweep(coarse_sweep, COARSE, tmp_path)
     p = tmp_path / "summary.json"
     doc = json.loads(p.read_text())
     doc["config"]["plan"]["T"] = 0.06

@@ -11,9 +11,10 @@ process at a time.  The configs cover `simulate` in dims 1-3 with both
 potential modes, with and without `--oracle`; the benchmark's dim-3
 n = 16384 simulate run, with and without `--oracle`; `--oracle` runs in
 dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
-past the marched support cone; default-claims sweeps in dims 1-3; the benchmark's blow-up
-ladder; `verify` with seed 0; `verify` recomputing the dim-2 sweep's
-verdicts from its files; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
+past the marched support cone; default-claims sweeps in dims 1-3 in the
+zero potential mode and in dim 2 in the constrained mode; the benchmark's
+blow-up ladder; `verify` with seed 0; `verify` recomputing each dim-2
+sweep's verdicts from its files; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
 resident set, from `os.wait4`) are printed side by side for the two
 revisions.  The exit status is 0 when every run exits alike and writes the
 same files with the same bytes, and 1 otherwise.
@@ -58,6 +59,8 @@ CASES = {
     # the oracle reads one-component u and v on a window narrower than its cones
     "simulate_dim3_narrow_cutoff_oracle": ("simulate", dict(_NARROW, dim=3), ["--oracle"]),
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
+    # default claims 1 and 2
+    "sweep_dim2_constrained": ("sweep", {"dim": 2, **_LADDER, "potential_mode": "constrained"}, []),
     "sweep_blowup": (
         "sweep",
         {
@@ -72,8 +75,11 @@ CASES = {
         },
         [],
     ),
-    # the campaign that sweep_dim2 wrote, loaded by `cli.load_config`
-    "verify_recompute": ("verify", {"seed": 0, "suites": ["recompute"], "recompute_dir": "out/sweep_dim2"}, []),
+    # the campaigns that the dim-2 sweeps wrote, loaded by `cli.load_config`
+    **{
+        f"verify_recompute{tag}": ("verify", {"seed": 0, "suites": ["recompute"], "recompute_dir": f"out/sweep_dim2{tag}"}, [])
+        for tag in ("", "_constrained")
+    },
     "verify_seed0": (
         "verify",
         {"seed": 0, "suites": ["energy", "wave", "nullform", "refinement"], "counts": {"energy": 200, "wave": 100, "nullform": 800}},
