@@ -322,6 +322,12 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             eps_list = raw["eps_list"]
             if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
                 raise ValueError("eps_list must be strictly decreasing")
+            # the norms tables' H^s column label of each s, which must be unique
+            ctx["hs_columns"] = columns = {}
+            for i, s in enumerate(raw.get("s_values", [-0.75, -0.5, -0.25, -0.1])):
+                if (label := f"H{s:g}") in columns:
+                    raise ValueError(f"s_values/{i}: {s!r} has the column label {label} of {columns[label]!r}")
+                columns[label] = s
             ctx["cutoff"] = CutoffSpec(**raw.get("cutoff", {}))
             L = raw.get("L", 2.5)
             n = raw.get("n", 4096)
@@ -564,18 +570,17 @@ def cmd_norms(ctx: dict, args) -> int:
     raw, grid, cutoff = ctx["raw"], ctx["grid"], ctx["cutoff"]
     out = _out_dir(raw, args, "norms")
     eps_list = raw["eps_list"]
-    s_values = raw.get("s_values", [-0.75, -0.5, -0.25, -0.1])
     chash = config_hash({"command": "norms", **raw})
 
     # midpoint samples dodge the node x = 0, so eps = 0 is allowed
     samples = [
         sample_midpoints(lambda x: chi(x, cutoff) * f_eps(x, e), grid) for e in eps_list
     ]
-    s_cols = [f"H{s:g}" for s in s_values]
+    s_cols = ctx["hs_columns"]  # label -> s
 
     def l2_hs(vals) -> dict:
         row = {"L2": lp_norm(vals, 2, grid)}
-        for s, col in zip(s_values, s_cols):
+        for col, s in s_cols.items():
             row[col] = hs_norm(vals, s, grid)
         return row
 

@@ -68,7 +68,9 @@ ever turn nonzero.  It checks the band nodes inside the window, so a datum
 whose support cone reaches the band runs on a window that holds them, and
 aborts as a full-grid run would.
 
-One level of `evolve` makes each pass over the window once:
+One level m of `evolve` checks A^m, takes step 3 to level m and steps 1
+and 2 to A^{m+1} (the d'Alembert step at m = 0), then runs the checks,
+series, observers and snapshots.  It makes each pass over the window once:
 
   * one density evaluation: `wave_sources` writes |u|^2 and |v|^2 next to
     the sources, and the series `l1_u`, `l1_v` take their square roots;
@@ -77,9 +79,9 @@ One level of `evolve` makes each pass over the window once:
     gives every `sup_A<mu>`; a sum of S_0 = |u|^2 + |v|^2, the charge
     trapezoid on whole-line runs and a plain sum over the window on the
     others, checks u and v;
-  * At only where it is read: `_leapfrog` yields a callable that forms the
+  * At only where it is read: each level gets a callable that forms the
     centered difference on its first call, which snapshots and observers
-    (through `LevelState.At`) make; `wave_solve` reads it at every level;
+    (through `LevelState.At`) make;
   * per-run arrays in place of per-level temporaries: the transport's
     shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
     just reached to the next step), the diamond's three potential levels,
@@ -335,35 +337,12 @@ def _wave_diamond(A_curr, A_prev, S, h, out):
     return out
 
 
-def _centered(A_next, A_prev, h):
-    """At of the level between A_prev and A_next, computed on the first call."""
+def _level_at(m, b, A_next, A_prev, h):
+    """At^m as a callable: the datum b at level 0, which is exact, then the
+    centered difference of the levels around m, formed on the first call."""
+    if m == 0:
+        return lambda: b
     return functools.cache(lambda: (A_next - A_prev) / (2.0 * h))
-
-
-def _leapfrog(a, b, sources, h, steps):
-    """March potentials with data (a, b) through levels 0..steps.
-
-    `sources(m, A_old, A_new)` returns the level-m source S^m; for m >= 1 it
-    is called once A^{m-1} (A_old) and A^m (A_new) are known, which is what a
-    spinor transport step to level m reads.  Yields (m, A^m, at, S^m), where
-    `at()` returns At^m.  Level 1 comes from the d'Alembert first step and
-    later levels from the diamond.  At is the centered difference, so every
-    level, the last one included, takes the diamond step past it; level 0
-    yields the b datum.  The diamonds cycle through three arrays, so A^m and
-    `at` hold only until the generator is resumed.
-    """
-    S = sources(0, None, a)
-    yield 0, a, (lambda: b), S
-    if steps == 0:
-        return
-    A_prev, A_curr = a, _wave_first_step(a, b, S, h)
-    spare = np.zeros_like(A_curr)
-    for m in range(1, steps + 1):
-        S = sources(m, A_prev, A_curr)
-        A_next = _wave_diamond(A_curr, A_prev, S, h, out=spare)
-        yield m, A_curr, _centered(A_next, A_prev, h), S
-        spare = A_prev if m > 1 else np.zeros_like(A_curr)  # the datum a is not ours to write
-        A_prev, A_curr = A_curr, A_next
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +404,8 @@ def snapshot_levels(times, grid: GridSpec) -> dict[int, float]:
 
 
 def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) -> Trajectory:
-    """Run the coupled system from the family datum up to grid.t_max, or
-    only up to the last level its observers read.
+    """Run the coupled system from the family datum, one level per pass in
+    step order, up to grid.t_max or only to the last level its observers read.
 
     snapshot_times: times at which to keep full (u, v, A, At) snapshots;
         h * arange(steps + 1) keeps every level (memory grows as steps x n).
@@ -454,49 +433,43 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     u, v, a, b = (w[..., first:end].copy() for w in (u[:ncomp], v[:ncomp], a, b))
 
     times = h * np.arange(steps + 1)
-    series: dict[str, list[float]] = {}
-    if whole_line:
-        series.update(charge=[], l1_u=[], l1_v=[])
-        for mu in range(dim + 1):
-            series[f"sup_A{mu}"] = []
-    row = np.zeros(n1)  # full-width row for the series sums, zero outside the window
+    names = ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1))) if whole_line else ()
+    series: dict[str, list[float]] = {name: [] for name in names}
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
     rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At
 
     # zero-filled full-width arrays; spinor rows past ncomp stay zero
     snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
 
-    def full_trapezoid(w):
-        row[first:end] = w
-        return float(trapezoid(row, h))
-
-    # per-run arrays written in place at every level
+    # per-run arrays written in place at every level; the sources and the
+    # densities |u|^2, |v|^2 fill the window of full-width rows, zero outside
+    # it, which the whole-line series sum
     work = _StepWork(u.shape)
-    level_sources = np.empty((dim + 1, end - first))
-    dens = np.empty((2, end - first))  # |u|^2, |v|^2 summed over components
-    sup_A = None  # |A| max per potential of the level that `sources` checked last
+    S_rows, dens_rows = np.zeros((dim + 1, n1)), np.zeros((2, n1))
+    S, dens = S_rows[:, first:end], dens_rows[:, first:end]
+    A_prev, A = None, a
 
-    def sources(m, A_old, A_new):  # checks A^m, then leaves u, v at level m for the loop body
-        nonlocal u, v, sup_A
-        sup_A = np.abs(A_new).max(axis=-1)  # not finite where A is not
-        if not np.isfinite(sup_A.max()):
-            raise SolverAbort(f"non-finite field values at t = {m * h:.6g}")
-        if m > 0:
-            u, v = _transport_step(dim, M, h, u, v, A_old, A_new, work)
-        wave_sources(dim, u, v, out=level_sources, densities=dens)
-        return level_sources
-
-    for m, A, at, S in _leapfrog(a, b, sources, h, steps):
+    for m in range(steps + 1):
         t = m * h
-        q = full_trapezoid(S[0]) if whole_line else S[0].sum()  # not finite where u or v is not
+        sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
+        if not np.isfinite(sup_A.max()):
+            raise SolverAbort(f"non-finite field values at t = {t:.6g}")
+        if m > 0:
+            u, v = _transport_step(dim, M, h, u, v, A_prev, A, work)
+        wave_sources(dim, u, v, out=S, densities=dens)
+        # every level, the last one included, takes the wave step past it for At
+        A_next = _wave_first_step(a, b, S, h) if m == 0 else _wave_diamond(A, A_prev, S, h, out=spare)
+        at = _level_at(m, b, A_next, A_prev, h)
+
+        q = float(trapezoid(S_rows[0], h)) if whole_line else S[0].sum()  # not finite where u or v is not
         if not np.isfinite(q):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
         if whole_line:
             series["charge"].append(q)
-            series["l1_u"].append(full_trapezoid(np.sqrt(dens[0])))
-            series["l1_v"].append(full_trapezoid(np.sqrt(dens[1])))
+            series["l1_u"].append(float(trapezoid(np.sqrt(dens_rows[0]), h)))
+            series["l1_v"].append(float(trapezoid(np.sqrt(dens_rows[1]), h)))
             for mu, sup in enumerate(sup_A.tolist()):
                 series[f"sup_A{mu}"].append(sup)
         if observers:
@@ -507,6 +480,10 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         if k is not None:
             for level_rows, w in zip((snapshots.u, snapshots.v, snapshots.A, snapshots.At), (u, v, A, at())):
                 level_rows[k, : len(w), first:end] = w
+        # the diamonds cycle through three arrays with zero boundary nodes;
+        # the datum a may have nonzero edge nodes, and it is not ours to write
+        spare = A_prev if m > 1 else np.zeros_like(a)
+        A_prev, A = A, A_next
 
     return Trajectory(
         fam=fam,
@@ -523,30 +500,24 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
 # ---------------------------------------------------------------------------
 
 
-def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source=None):
+def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source: np.ndarray):
     """Scalar wave solve with the diamond scheme.
 
-    f, g are nodal data of shape (..., n+1), with any leading batch axes;
-    source (optional) is the level array (steps+1, ..., n+1) of box W.
-    Returns (times, W, Wt), W and Wt with a leading level axis up to t_max;
-    boundary nodes are held at zero, so comparisons should stay inside the
-    domain of determinacy of the interior.
+    f, g are nodal data of shape (..., n+1), with any leading batch axes, and
+    source is the level array (steps+1, ..., n+1) of box W.  Returns
+    (times, W, Wt), W and Wt with a leading level axis up to t_max.  Wt is
+    g at level 0 and the centered difference after that, so the march takes
+    one wave step past t_max.  Boundary nodes are held at zero, so
+    comparisons should stay inside the domain of determinacy of the interior.
     """
-    h = grid.h
-    steps = grid.steps
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    zero = np.zeros(f.shape)
-    if source is not None:
-        source = np.asarray(source, dtype=float)
-
-    def src(m, *_):
-        return zero if source is None else source[m]
-
-    W = np.zeros((steps + 1,) + f.shape)
-    Wt = np.zeros_like(W)
-    for m, Wm, at, _ in _leapfrog(f, g, src, h, steps):
-        W[m], Wt[m] = Wm, at()
+    h, steps = grid.h, grid.steps
+    f, g, source = (np.asarray(w, dtype=float) for w in (f, g, source))
+    W = np.zeros((steps + 2,) + f.shape)
+    W[0], W[1] = f, _wave_first_step(f, g, source[0], h)
+    for m in range(1, steps + 1):
+        _wave_diamond(W[m], W[m - 1], source[m], h, out=W[m + 1])
+    Wt = np.concatenate([g[None], (W[2:] - W[:-2]) / (2.0 * h)])
+    W = W[: steps + 1]
     if not np.isfinite(W).all():
         raise SolverAbort("non-finite wave field")
     return h * np.arange(steps + 1), W, Wt

@@ -121,6 +121,8 @@ class DataFamily:
         spinor_components(self.dim)  # validates dim
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if self.eps > 0 and self.eps * self.eps == 0.0:  # the datum peak (eps^2)^(-1/4) would be inf
+            raise ValueError(f"eps = {self.eps!r} is so small that eps^2 underflows to 0")
         if self.M < 0:
             raise ValueError(f"mass must be nonnegative, got {self.M}")
         mode = PotentialMode(self.potential_mode)

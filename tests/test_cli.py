@@ -259,6 +259,11 @@ BAD_NUMBERS = [
         ("sweep", {"dim": 2, "M": 0, "eps_list": [1e-2, 1e-4, 3e-7], "T": 0.05, "h_over_eps": 1, "claims": ["gauss"]}),
         # a cutoff wider than the default slab L = 2.5
         ("norms", {"eps_list": [0.1, 0.01], "cutoff": {"inner": 1.0, "outer": 3.0}}),
+        # eps^2 underflows to 0: the datum peak (eps^2)^(-1/4) at x = 0 is inf
+        ("simulate", dict(SIM_CONFIG, eps=1e-200)),
+        # two s_values that share the column label H-0.1, or are equal
+        ("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.1, -0.100000001], "n": 256}),
+        ("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.5, -0.25, -0.5], "n": 256}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -292,6 +297,14 @@ def test_bad_numbers_name_the_key(tmp_path, command, payload, loc):
 def test_grid_errors_name_the_key(tmp_path, command, payload, loc, message):
     with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: .*{re.escape(message)}"):
         cli.load_config(write_config(tmp_path, payload), command)
+
+
+def test_s_values_sharing_a_column_label_name_the_later_one(tmp_path):
+    # norms.csv, norm_diffs.csv and norms.json key each H^s column by its label
+    for s_values, i, label in (([-0.1, -0.100000001], 1, "H-0.1"), ([-0.5, -0.25, -0.5], 2, "H-0.5")):
+        cfg = write_config(tmp_path, {"eps_list": [0.1, 0.01], "s_values": s_values, "n": 256})
+        with pytest.raises(cli.ConfigError, match=f": s_values/{i}: .* column label {label} "):
+            cli.load_config(cfg, "norms")
 
 
 def test_node_cap_at_its_boundary(tmp_path, monkeypatch):

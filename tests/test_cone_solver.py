@@ -61,7 +61,7 @@ def test_wave_free_hat_exact():
     grid = GridSpec(L=2.56, n=256, t_max=0.5)
     x = grid.nodes()
     f = hat(x, -0.3, 0.2)
-    times, W, _ = wave_solve(grid, f, np.zeros_like(f))
+    times, W, _ = wave_solve(grid, f, np.zeros_like(f), np.zeros((grid.steps + 1, grid.n + 1)))
     m = grid.steps
     t = times[m]
     exact = 0.5 * (np.interp(x - t, x, f) + np.interp(x + t, x, f))
@@ -72,9 +72,9 @@ def test_wave_domain_of_dependence():
     grid = GridSpec(L=2.56, n=256, t_max=0.5)
     x = grid.nodes()
     f = hat(x, -0.3, 0.2)
-    _, W, _ = wave_solve(grid, f, np.zeros_like(f))
+    _, W, _ = wave_solve(grid, f, np.zeros_like(f), np.zeros((grid.steps + 1, grid.n + 1)))
     far = f + hat(x, 2.0, 0.1)
-    _, W2, _ = wave_solve(grid, far, np.zeros_like(f))
+    _, W2, _ = wave_solve(grid, far, np.zeros_like(f), np.zeros((grid.steps + 1, grid.n + 1)))
     j = int(np.argmin(np.abs(x + 0.3)))
     m = grid.steps
     # the far bump is more than t_max away from the probe
@@ -86,7 +86,7 @@ def test_wave_nonfinite_aborts():
     f = np.zeros(65)
     f[32] = np.nan
     with pytest.raises(SolverAbort):
-        wave_solve(grid, f, np.zeros(65))
+        wave_solve(grid, f, np.zeros(65), np.zeros((grid.steps + 1, 65)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,26 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     assert _same_bits(snaps.At, hist.At[[0, 5, 10]])
     assert _same_bits(hist.At[0], np.stack(cone_solver.potential_data(fam, grid))[1])
     assert _same_bits(hist.At[1:-1], (hist.A[2:] - hist.A[:-2]) / (2.0 * h))
+
+
+def test_the_level_past_t_max_is_marched():
+    # At of the last level is a centered difference, so every march takes one
+    # wave step past t_max: a run stopping at level N keeps the At that a run
+    # one level longer has there, and wave_solve's last Wt is exact
+    N, h = 8, 0.02
+    for dim in (1, 2, 3):
+        for mode in PotentialMode:
+            fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
+            short, longer = (
+                evolve(fam, GridSpec(L=2.56, n=256, t_max=k * h), snapshot_times=(N * h,)).snapshots.At
+                for k in (N, N + 1)
+            )
+            assert short.shape == (1, dim + 1, 257) and _same_bits(short, longer), (dim, mode)
+    # box W = 1 from zero data: W = t^2/2 and Wt = t, exact inside the
+    # domain of determinacy of the level past t_max
+    grid = GridSpec(L=2.56, n=256, t_max=0.5)
+    times, _, Wt = wave_solve(grid, np.zeros(257), np.zeros(257), np.ones((grid.steps + 1, 257)))
+    assert np.abs(Wt[-1, grid.steps + 1 : grid.n - grid.steps] - times[-1]).max() < 1e-13
 
 
 def test_snapshot_time_outside_slab():

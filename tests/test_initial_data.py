@@ -98,6 +98,8 @@ def test_data_family_validation():
         DataFamily(dim=2, eps=0.1, M=-1.0)
     with pytest.raises(ValueError):
         DataFamily(dim=2, eps=0.0, potential_mode=PotentialMode.CONSTRAINED)
+    with pytest.raises(ValueError, match="underflows"):
+        DataFamily(dim=2, eps=1e-200)  # its datum peak at x = 0 is inf
     fam = DataFamily(dim=2, eps=0.1, potential_mode="constrained")
     assert fam.potential_mode is PotentialMode.CONSTRAINED
 

@@ -9,7 +9,8 @@ included).  Each revision is exported with `git archive` into a temporary
 directory and runs the same configs from the same relative paths, in one
 process at a time.  The configs cover `simulate` in dims 1-3 with both
 potential modes, with and without `--oracle`; the benchmark's dim-3
-n = 16384 simulate run, with and without `--oracle`; `--oracle` runs in
+n = 16384 simulate run, with and without `--oracle`; a dim-2 `--oracle`
+run with t_max = 0, which computes one level only; `--oracle` runs in
 dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
 past the marched support cone; default-claims sweeps in dims 1-3 in the
 zero potential mode and in dim 2 in the constrained mode; the benchmark's
@@ -55,6 +56,12 @@ CASES = {
     },
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
     "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
+    # one level, whose At is the datum b: the first wave step is taken and never read
+    "simulate_t_max_zero_oracle": (
+        "simulate",
+        {"dim": 2, **_SIM, "grid": dict(_SIM["grid"], t_max=0.0), "snapshot_times": [0.0]},
+        ["--oracle"],
+    ),
     "simulate_narrow_cutoff_oracle": ("simulate", _NARROW, ["--oracle"]),
     # the oracle reads one-component u and v on a window narrower than its cones
     "simulate_dim3_narrow_cutoff_oracle": ("simulate", dict(_NARROW, dim=3), ["--oracle"]),
