@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone_solver import SolverAbort, cone_section, cone_time_trapezoid, evolve, snapshot_levels, trajectory_to_csv
+from .cone_solver import SolverAbort, cumulative_trapezoid, evolve, snapshot_levels, trajectory_to_csv, trapezoid
 from .estimates import (
     bootstrap_threshold,
     check_suite_grid,
@@ -165,7 +165,7 @@ CONFIG_TABLES = {
         "out": Key("string"),
     },
 }
-_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool, "array": list, "object": dict}
+_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list, "object": dict}
 _BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "==": operator.eq}
 
 
@@ -173,7 +173,7 @@ def _check(value, key: Key, loc: str) -> None:
     """Raise ValueError('loc: message') where `value` breaks `key`; loc is
     the slash path of the offending key (e.g. grid/n), or <root>."""
     shown = reprlib.repr(value)
-    if not isinstance(value, _TYPES[key.kind]) or isinstance(value, bool) != (key.kind == "boolean"):
+    if not isinstance(value, _TYPES[key.kind]) or isinstance(value, bool):  # no key takes a JSON true or false
         raise ValueError(f"{loc}: {shown} is not of type '{key.kind}'")
     if key.kind in ("integer", "number") and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{loc}: {shown} is not finite as a float")
@@ -384,14 +384,14 @@ class A0Oracle:
         self.row[lev.first : lev.first + lev.x.size] = lev.S[0]
         for (m, j), sections in self.sections.items():
             if lev.m <= m:
-                sections.append(cone_section(self.row, grid.h, m - lev.m, j))
+                sections.append(trapezoid(self.row[j - m + lev.m : j + m - lev.m + 1], grid.h))
             if lev.m == m:
                 self.measured[m, j] = float(lev.A[0][j - lev.first])
 
     def deviation(self) -> float:
         worst = 0.0
         for v, sections in self.sections.items():
-            worst = max(worst, abs(self.measured[v] - 0.5 * cone_time_trapezoid(sections, self.h)))
+            worst = max(worst, abs(self.measured[v] - 0.5 * cumulative_trapezoid(sections, self.h)[-1]))
         return worst
 
 

@@ -114,12 +114,9 @@ __all__ = [
     "wave_solve",
     "dirac_levels",
     "l2_norm",
-    "cone_section",
-    "cone_time_trapezoid",
     "cone_quadrature",
     "characteristic_integrals",
     "shift",
-    "free_transport",
     "trapezoid",
     "cumulative_trapezoid",
 ]
@@ -239,20 +236,6 @@ def shift(rows: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray
     else:
         out[..., :k] = rows[..., -k:]
     return out
-
-
-def free_transport(f, g, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Free transport of right-moving data f and left-moving data g through
-    levels 0..levels: U[m] is f shifted m nodes right, V[m] is g shifted m
-    nodes left, with zero inflow.  The result has a leading level axis."""
-    f, g = np.asarray(f), np.asarray(g)
-    n1 = f.shape[-1]
-    U = np.zeros((levels + 1,) + f.shape, dtype=f.dtype)
-    V = np.zeros((levels + 1,) + g.shape, dtype=g.dtype)
-    for m in range(levels + 1):
-        U[m, ..., m:] = f[..., : n1 - m]
-        V[m, ..., : n1 - m] = g[..., m:]
-    return U, V
 
 
 class _StepWork:
@@ -575,36 +558,20 @@ def characteristic_integrals(G: np.ndarray, h: float, direction: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def cone_section(row: np.ndarray, h: float, half: int, node: int):
-    """Trapezoid of the nodal rows `row` (..., nodes) over nodes
-    node - half .. node + half: the cross-section of a backward cone with
-    vertex node `node`, `half` levels below the vertex (0 at the vertex)."""
-    j_lo, j_hi = node - half, node + half
-    if j_lo < 0 or j_hi >= row.shape[-1]:
-        raise ValueError("cone sticks out of the grid")
-    return trapezoid(row[..., j_lo : j_hi + 1], h) if half > 0 else 0.0
-
-
-def cone_time_trapezoid(sections, h: float):
-    """Composite trapezoid in time of the cross-section integrals of
-    consecutive levels, in level order."""
-    total = 0.0
-    for prev, cur in zip(sections, sections[1:]):
-        total = total + 0.5 * h * (prev + cur)
-    return total
-
-
 def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int):
     """Space-time quadrature over the backward cone from (level, node).
 
-    Trapezoid in space over the exactly node-aligned cross-sections
-    (`cone_section`), composite trapezoid in time (`cone_time_trapezoid`;
-    equivalently, midpoint in time after averaging adjacent cross-sections).
-    level_values[l] holds the nodal rows at level l, with any leading batch
-    axes (..., nodes); the result has those batch axes.
+    Trapezoid in space over the exactly node-aligned cross-sections (nodes
+    node - k .. node + k, k levels below the vertex), then trapezoid in
+    time.  level_values[l] holds the real nodal rows at level l, with any
+    leading batch axes (..., nodes); the result has those batch axes.
+    Raises ValueError when the cone sticks out of the grid.
     """
-    levels = range(vertex_level + 1)
-    return cone_time_trapezoid([cone_section(np.asarray(level_values[l]), h, vertex_level - l, vertex_node) for l in levels], h)
+    j_lo, j_hi = vertex_node - vertex_level, vertex_node + vertex_level
+    if j_lo < 0 or j_hi >= np.shape(level_values[0])[-1]:
+        raise ValueError("cone sticks out of the grid")
+    sections = [trapezoid(np.asarray(level_values[l])[..., j_lo + l : j_hi - l + 1], h) for l in range(vertex_level + 1)]
+    return cumulative_trapezoid(np.stack(sections, axis=-1), h)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +579,11 @@ def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int)
 # ---------------------------------------------------------------------------
 
 
-def trajectory_to_csv(traj: Trajectory, directory, config_hash: str | None = None):
+def trajectory_to_csv(traj: Trajectory, directory, config_hash: str):
     """One CSV per snapshot (x, Re/Im spinor components, potentials) plus a
-    diagnostics series CSV.  Returns the list of written paths."""
+    diagnostics series CSV, headed by config_hash.  Returns the written paths."""
     os.makedirs(directory, exist_ok=True)
-    comments = () if config_hash is None else (f"config_hash={config_hash}",)
+    comments = (f"config_hash={config_hash}",)
     paths = []
     snaps = traj.snapshots
     # every snapshot has the same x column: format it once, as write_csv would

@@ -3,7 +3,7 @@
 Each check turns one continuum inequality into a discrete comparison
 lhs <= slack * rhs evaluated on synthetic systems:
 
-* energy inequality for the sourced Dirac equation,
+* energy inequality for the sourced Dirac equation in dim 1,
   ||psi(t)||_2 <= ||psi_0||_2 + int_0^t ||F(s)||_2 ds;
 * the d'Alembert bounds for box W = S with data (f, g): sup bound,
   total-variation bound, L^1 bound on the time derivative, and their
@@ -42,12 +42,11 @@ from .cone_solver import (
     cone_quadrature,
     cumulative_trapezoid,
     dirac_levels,
-    free_transport,
     l2_norm,
+    shift,
     trapezoid,
     wave_solve,
 )
-from .gamma_algebra import spinor_components
 from .initial_data import CutoffSpec, GridSpec, chi
 
 __all__ = [
@@ -239,8 +238,8 @@ def _energy_reports(l2_psi, l2_F, grid: GridSpec) -> list[EstimateReport]:
     return _worst_levels("energy", l2_psi, rhs, _slack(grid))
 
 
-def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int, dim: int = 1):
-    """Random smooth data and source for the sourced Dirac equation: dim,
+def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int):
+    """Random smooth dim-1 data and source for the sourced Dirac equation:
     M, data u0, v0 and the source F with levels 0..steps.
 
     Gaussian bumps confined well inside the slab so nothing reaches the
@@ -256,16 +255,12 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int,
         amp = rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.uniform())
         return amp * np.exp(-(((x - c) / w) ** 2))
 
-    ncomp = spinor_components(dim)
-    u0 = np.stack([bump() for _ in range(ncomp)])
-    v0 = np.stack([bump() for _ in range(ncomp)])
-    fb1 = np.stack([bump() for _ in range(ncomp)])
-    fb2 = np.stack([bump() for _ in range(ncomp)])
+    u0, v0, fb1, fb2 = (bump()[None] for _ in range(4))
     om1, om2 = rng.uniform(-3.0, 3.0, size=2)
     t = grid.h * np.arange(steps + 1)
     F = (fb1 * np.exp(1j * om1 * t)[:, None, None], fb2 * np.exp(1j * om2 * t)[:, None, None])
     M = rng.uniform(0.0, 2.0)
-    return dict(dim=dim, M=M, u0=u0, v0=v0, F=F)
+    return dict(M=M, u0=u0, v0=v0, F=F)
 
 
 def _solve_energy(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport]]:
@@ -276,7 +271,7 @@ def _solve_energy(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport
     v0 = np.stack([inst["v0"] for inst in insts])
     M = np.array([inst["M"] for inst in insts])[:, None, None]
     F = tuple(np.stack([inst["F"][c] for inst in insts], axis=1) for c in (0, 1))
-    march = dirac_levels(insts[0]["dim"], M, h, u0, v0, F, steps)
+    march = dirac_levels(1, M, h, u0, v0, F, steps)
     l2_psi = np.stack([l2_norm(uv, h) for uv in march], axis=-1)
     return [[rep] for rep in _energy_reports(l2_psi, l2_norm(F, h).T, grid)]
 
@@ -314,7 +309,7 @@ def _wave_reports(grid: GridSpec, f, g, source) -> list[list[EstimateReport]]:
     slack = _slack(grid)
 
     sup_series = np.abs(W).max(axis=-1).T
-    tv_series = np.abs(np.diff(W, axis=-1)).sum(axis=-1).T
+    tv_series = _tv(W).T
     dt_series = l1_exact(Wt, h).T
 
     per_name = [
@@ -400,7 +395,7 @@ def run_wave_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[
 # ---------------------------------------------------------------------------
 
 
-def transport_pair(grid: GridSpec, f, g, F=None, G=None, levels: int | None = None):
+def transport_pair(grid: GridSpec, f, g, F=None, G=None, *, levels: int):
     """Solve (d_t + d_x) u = F, (d_t - d_x) v = G by exact characteristics.
 
     f, g are nodal rows (..., nodes), with any leading batch axes; F, G are
@@ -410,12 +405,15 @@ def transport_pair(grid: GridSpec, f, g, F=None, G=None, levels: int | None = No
     (exact, zero inflow at the row ends); the Duhamel parts are
     product-trapezoid integrals along characteristics.
     """
-    mt = grid.steps if levels is None else levels
-    U, V = free_transport(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), mt)
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    U, V = np.empty((levels + 1,) + f.shape, complex), np.empty((levels + 1,) + g.shape, complex)
+    for m in range(levels + 1):
+        shift(f, m, out=U[m])
+        shift(g, -m, out=V[m])
     if F is not None:
-        U += characteristic_integrals(np.asarray(F[: mt + 1], dtype=complex), grid.h, +1)
+        U += characteristic_integrals(np.asarray(F[: levels + 1], dtype=complex), grid.h, +1)
     if G is not None:
-        V += characteristic_integrals(np.asarray(G[: mt + 1], dtype=complex), grid.h, -1)
+        V += characteristic_integrals(np.asarray(G[: levels + 1], dtype=complex), grid.h, -1)
     return U, V
 
 
@@ -586,14 +584,14 @@ def _fixed_nullform_instance(index: int, grid: GridSpec, base: GridSpec):
     )
 
 
-def nullform_refinement(index: int, base: GridSpec | None = None, factors=(1, 2, 4)):
+def nullform_refinement(index: int, factors=(1, 2, 4)):
     """Re-check one fixed continuum instance at refined resolutions.
 
     index selects one of three hand-built crossing instances.  Returns a
     list of (n, measured ratio, allowed slack); the allowed slack falls to
     1 while the measured ratio converges and stays below it.
     """
-    base = base or suite_grid("nullform")
+    base = suite_grid("nullform")
     out = []
     for fac in factors:
         grid = GridSpec(L=base.L, n=fac * base.n, t_max=base.t_max)
@@ -602,7 +600,7 @@ def nullform_refinement(index: int, base: GridSpec | None = None, factors=(1, 2,
     return out
 
 
-def bootstrap_threshold(M: float, cutoff: CutoffSpec | None = None) -> tuple[float, float]:
+def bootstrap_threshold(M: float) -> tuple[float, float]:
     """Concrete smallness constants (C, delta) for the transverse bootstrap.
 
     C = int |chi(x)| |x|^{-1/2} dx for the package cutoff, computed after the
@@ -613,9 +611,8 @@ def bootstrap_threshold(M: float, cutoff: CutoffSpec | None = None) -> tuple[flo
     z = t(M+1) e^{t(M+1)}: the quadratic gives z, and Newton's method on
     w e^w = z gives w = delta (M+1).
     """
-    cutoff = cutoff or CutoffSpec()
-    y = np.linspace(0.0, math.sqrt(cutoff.outer), 513)
-    C = 4.0 * float(trapezoid(chi(y * y, cutoff), y[1]))
+    y = np.linspace(0.0, math.sqrt(CutoffSpec().outer), 513)
+    C = 4.0 * float(trapezoid(chi(y * y), y[1]))
 
     target = 0.5 / (C * C)
     z = 2.0 * target / (1.0 + math.sqrt(1.0 + 4.0 * target))  # (1 + z) z = target

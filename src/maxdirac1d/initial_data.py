@@ -121,8 +121,8 @@ class DataFamily:
         spinor_components(self.dim)  # validates dim
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.eps > 0 and self.eps * self.eps == 0.0:  # the datum peak (eps^2)^(-1/4) would be inf
-            raise ValueError(f"eps = {self.eps!r} is so small that eps^2 underflows to 0")
+        if self.eps > 0 and self.eps * self.eps < np.finfo(float).tiny:  # a subnormal eps^2 has lost digits
+            raise ValueError(f"eps = {self.eps!r} is so small that eps^2 underflows to a subnormal float or 0")
         if self.M < 0:
             raise ValueError(f"mass must be nonnegative, got {self.M}")
         mode = PotentialMode(self.potential_mode)
@@ -232,7 +232,10 @@ def potential_data(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndar
         e = fam.eps
         c = chi(x, fam.cutoff)
         on = c > 0  # off the support, 0 * log(...) < 0 would leave -0.0
+        # for x < 0 the sum x + sqrt(eps^2 + x^2) cancels; there it is eps^2 / (sqrt(eps^2 + x^2) - x)
+        left, on = on & (x < 0), on & (x >= 0)
         b[1, on] = c[on] * np.log(x[on] + np.sqrt(e * e + x[on] * x[on]))
+        b[1, left] = c[left] * np.log(e * e / (np.sqrt(e * e + x[left] * x[left]) - x[left]))
     return a, b
 
 

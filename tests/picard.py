@@ -18,11 +18,11 @@ import numpy as np
 from maxdirac1d.cone_solver import (
     characteristic_integrals,
     cumulative_trapezoid,
-    free_transport,
     l2_norm,
     shift,
     trapezoid,
 )
+from maxdirac1d.estimates import transport_pair
 from maxdirac1d.gamma_algebra import spinor_rhs, wave_sources
 from maxdirac1d.initial_data import DataFamily, GridSpec, potential_data, spinor_datum
 
@@ -167,7 +167,7 @@ def picard_solve(
 
     inner_tol = min(1e-12, 0.01 * tol)
     A, At = A_free, At_free
-    U_free, V_free = free_transport(u0, v0, mt)
+    U_free, V_free = transport_pair(grid, u0, v0, levels=mt)
     U, V = U_free, V_free
 
     distances: list[float] = []

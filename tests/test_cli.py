@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ def test_simulate_oracle_cones_must_fit_the_grid(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_constrained_simulate_at_tiny_eps_runs_without_warnings(tmp_path):
+    # b_1 left of the origin is finite at eps = 1e-8 (the cancelling form gave log(0) = -inf there)
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, eps=1e-8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+
+
 def test_simulate_rejects_snapshot_outside_slab(tmp_path, capsys):
     bad = dict(SIM_CONFIG, snapshot_times=[0.3])
     rc = cli.main(["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")])
@@ -261,6 +270,9 @@ BAD_NUMBERS = [
         ("norms", {"eps_list": [0.1, 0.01], "cutoff": {"inner": 1.0, "outer": 3.0}}),
         # eps^2 underflows to 0: the datum peak (eps^2)^(-1/4) at x = 0 is inf
         ("simulate", dict(SIM_CONFIG, eps=1e-200)),
+        # eps^2 is subnormal: the run would overflow in the solver and exit 3
+        ("simulate", dict(SIM_CONFIG, eps=1e-161)),
+        ("simulate", dict(SIM_CONFIG, eps=1e-155)),
         # two s_values that share the column label H-0.1, or are equal
         ("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.1, -0.100000001], "n": 256}),
         ("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.5, -0.25, -0.5], "n": 256}),

@@ -23,7 +23,6 @@ from maxdirac1d.cone_solver import (
     characteristic_integrals,
     cone_quadrature,
     dirac_levels,
-    free_transport,
     l2_norm,
     shift,
     trajectory_to_csv,
@@ -159,20 +158,6 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
     assert np.abs(res_v).max() <= 1e-13 * scale
 
 
-def test_free_transport_equals_shifted_data():
-    rng = np.random.default_rng(31)
-    f = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
-    g = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
-    U, V = free_transport(f, g, 11)
-    assert U.shape == V.shape == (12, 2, 12)
-    for m in range(12):
-        assert np.array_equal(U[m], shift(f, m))
-        assert np.array_equal(V[m], shift(g, -m))
-        # into a reused array, whatever it held
-        assert np.array_equal(U[m], shift(f, m, out=np.full_like(f, np.nan)))
-        assert np.array_equal(V[m], shift(g, -m, out=np.full_like(g, np.nan)))
-
-
 def test_dirac_solve_free_conserves_l2():
     grid = GridSpec(L=2.56, n=256, t_max=0.24)
     x = grid.nodes()
@@ -199,6 +184,25 @@ def test_cone_quadrature_of_ones_is_cone_area():
     rows = np.ones((grid.steps + 1, grid.n + 1))
     area = cone_quadrature(rows, grid.h, grid.steps, grid.n // 2)
     assert area == pytest.approx(grid.t_max**2, abs=1e-14)
+
+
+def test_cone_quadrature_is_the_level_by_level_time_trapezoid():
+    # batch axes, both grid edges reached, and vertex levels from 0 up
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(0.0, 2.0, size=(9, 2, 3, 17))
+    h = 0.125
+    for level, node in ((8, 8), (4, 4), (4, 12), (1, 1), (0, 0), (0, 16)):
+        sections = [trapezoid(rows[l, ..., node - (level - l) : node + level - l + 1], h) for l in range(level + 1)]
+        total = 0.0
+        for prev, cur in zip(sections, sections[1:]):
+            total = total + 0.5 * h * (prev + cur)
+        got = cone_quadrature(rows, h, level, node)
+        assert got.shape == (2, 3)
+        if level == 0:
+            # a vertex at level 0 is one node: batch-shaped zeros, not the scalar 0.0
+            assert np.array_equal(got, np.zeros((2, 3)))
+        else:
+            assert np.array_equal(got, total)
 
 
 def test_cone_quadrature_out_of_grid():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from maxdirac1d import DataFamily, GridSpec, evolve
-from maxdirac1d.cone_solver import cone_quadrature, cumulative_trapezoid
+from maxdirac1d.cone_solver import cone_quadrature, cumulative_trapezoid, shift
 from maxdirac1d.estimates import (
     EstimateReport,
     _cone_height,
@@ -211,6 +211,19 @@ def test_transport_pair_translates_data():
     U, V = transport_pair(GRID, f, g, levels=4)
     assert np.array_equal(U[3, 3:], f[:-3] + 0j)
     assert np.array_equal(V[3, :-3], g[3:] + 0j)
+    # batch axes, and levels past the row width, which leave all-zero rows
+    rng = np.random.default_rng(31)
+    f = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+    g = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+    U, V = transport_pair(GRID, f, g, levels=14)
+    assert U.shape == V.shape == (15, 2, 12)
+    for m in range(15):
+        assert np.array_equal(U[m], shift(f, m))
+        assert np.array_equal(V[m], shift(g, -m))
+        # into a reused array, whatever it held
+        assert np.array_equal(U[m], shift(f, m, out=np.full_like(f, np.nan)))
+        assert np.array_equal(V[m], shift(g, -m, out=np.full_like(g, np.nan)))
+    assert not U[12:].any() and not V[12:].any()
 
 
 def test_nullform_crossing_hats_closed_form():
@@ -417,7 +430,7 @@ def test_batched_suites_equal_single_instance_checks(suite):
         rng = np.random.default_rng([seed, k])
         if suite == "energy":
             inst = random_energy_instance(rng, grid, grid.steps)
-            reps = [check_energy_inequality(dirac_solve(grid=grid, **inst), grid)]
+            reps = [check_energy_inequality(dirac_solve(grid=grid, dim=1, **inst), grid)]
         elif suite == "wave":
             reps = wave_reports(grid, **random_wave_instance(rng, grid, grid.steps))
         else:

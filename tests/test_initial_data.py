@@ -100,6 +100,11 @@ def test_data_family_validation():
         DataFamily(dim=2, eps=0.0, potential_mode=PotentialMode.CONSTRAINED)
     with pytest.raises(ValueError, match="underflows"):
         DataFamily(dim=2, eps=1e-200)  # its datum peak at x = 0 is inf
+    # eps^2 subnormal: the datum peak (eps^2)^(-1/4) has lost digits and overflows the solver
+    for eps in (1e-161, 1e-155):
+        with pytest.raises(ValueError, match=f"eps = {eps!r} .* underflows"):
+            DataFamily(dim=2, eps=eps)
+    assert DataFamily(dim=2, eps=2e-154).eps == 2e-154  # eps^2 = 4e-308 is a normal float
     fam = DataFamily(dim=2, eps=0.1, potential_mode="constrained")
     assert fam.potential_mode is PotentialMode.CONSTRAINED
 
@@ -123,6 +128,20 @@ def test_potential_data_zero_mode():
     a, b = potential_data(DataFamily(dim=2, eps=0.1), grid)
     assert a.shape == (3, 257) and b.shape == (3, 257)
     assert not a.any() and not b.any()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])
+def test_constrained_b1_keeps_its_digits_left_of_the_origin(eps):
+    # x + sqrt(eps^2 + x^2) cancels for x < 0 and |x| >> eps; asinh(x/eps) + log(eps) does not
+    grid = GridSpec(L=2.56, n=256, t_max=0.0)
+    fam = DataFamily(dim=1, eps=eps, potential_mode=PotentialMode.CONSTRAINED)
+    _, b = potential_data(fam, grid)
+    x, c = grid.nodes(), chi(grid.nodes(), fam.cutoff)
+    assert np.isfinite(b[1]).all()
+    assert np.abs(b[1] - c * (np.arcsinh(x / eps) + np.log(eps))).max() <= 1e-13
+    # the nodes x >= 0 keep the plain expression, bit for bit
+    on = (x >= 0.0) & (c > 0.0)
+    assert np.array_equal(b[1][on], c[on] * np.log(x[on] + np.sqrt(eps * eps + x[on] * x[on])))
 
 
 @pytest.mark.parametrize("n", [512, 1024])

@@ -14,11 +14,14 @@ run with t_max = 0, which computes one level only; `--oracle` runs in
 dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
 past the marched support cone; default-claims sweeps in dims 1-3 in the
 zero potential mode and in dim 2 in the constrained mode; the benchmark's
-blow-up ladder; `verify` with seed 0; `verify` recomputing each dim-2
-sweep's verdicts from its files; and `norms`.  Each run's wall time and peak RSS (the child's own maximum
-resident set, from `os.wait4`) are printed side by side for the two
-revisions.  The exit status is 0 when every run exits alike and writes the
-same files with the same bytes, and 1 otherwise.
+blow-up ladder; `verify` with seed 0; `verify` with no `suites` key, so
+every default suite runs, the refinement study at factors 1 and 2 and the
+bootstrap thresholds at three masses included; `verify` recomputing each
+dim-2 sweep's verdicts from its files; and `norms`.  Each run's wall time
+and peak RSS (the child's own maximum resident set, from `os.wait4`) are
+printed side by side for the two revisions.  The exit status is 0 when
+every run exits alike and writes the same files with the same bytes, and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -90,6 +93,12 @@ CASES = {
     "verify_seed0": (
         "verify",
         {"seed": 0, "suites": ["energy", "wave", "nullform", "refinement"], "counts": {"energy": 200, "wave": 100, "nullform": 800}},
+        [],
+    ),
+    # every suite but recompute: the refinement study and the bootstrap thresholds too
+    "verify_default_suites": (
+        "verify",
+        {"seed": 0, "counts": {"energy": 50, "wave": 50, "nullform": 200}, "bootstrap_masses": [0, 1, 3], "refinement_factors": [1, 2]},
         [],
     ),
     "norms": ("norms", {"eps_list": [1e-2, 1e-3, 0.0], "s_values": [-0.5, -0.25], "n": 1024}, []),
