@@ -44,23 +44,12 @@ every node inside a declared cone is bitwise equal to the full-grid run.
 Runs with declared reads record no whole-line series, which have no meaning
 on such a window.
 
-Components are cut the same way.  The paper's datum puts chi f_eps in u[0]
-only and has a_2 = b_2 = 0.  In dim 3 the second components u[1], v[1] and
-A_2 then stay +0.0 for the whole run, so `evolve` marches the first
-components only (`gamma_algebra.marched_components`, `meta["components"]`).
-That holds in floating point, not only in exact arithmetic.  Every term
-that feeds a second component, or the source S_2 of A_2, is a product of a
-finite number with one of those zeros or with s = i A_2, so it is a zero.
-Sums of zeros stay +0.0, since a sum is -0.0 only when both terms are, and
-A_2 is built from +0.0 data by such sums.  A non-finite first component
-aborts the run at its level either way.  The one-component coupling and
-sources round the first components exactly as the two-component ones do,
-so the series, snapshots and the first components observers see are
-bitwise those of a two-component run.  The marched u and v have one
-component row, the kernels read that count from them, and observers see
-them as they are; snapshots come back with the second components as zero
-rows.  Only the sign of S_2's zeros may differ, and it reaches no field.  A
-datum with any other value there, -0.0 included, marches both components.
+Components are cut too.  The paper's datum puts chi f_eps in u[0] only and
+has a_2 = b_2 = 0, so in dim 3 the second components u[1], v[1] and A_2
+stay +0.0 for the whole run, bitwise (`gamma_algebra` says why).  `evolve`
+marches the one row of `spinor_datum` in every dim, and observers see it as
+it is; snapshots come back with spinor_components(dim) rows, the second
+ones zero in dim 3.
 
 The grid contract (`GridSpec.ensure_support`) keeps every support clear of a
 two-node band at each boundary; a guard aborts the run if the fields there
@@ -101,7 +90,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gamma_algebra import coupling, marched_components, spinor_components, spinor_rhs, wave_sources
+from .gamma_algebra import coupling, spinor_components, spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
@@ -173,9 +162,9 @@ class LevelState:
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
     window keeps at least one such zero node at that edge.  u and v hold the
-    marched components (`meta["components"]` of the run).  The arrays are the
-    run's working arrays: they hold their values during `on_level` only, so
-    an observer copies what it keeps.  At is computed when first read."""
+    marched component row.  The arrays are the run's working arrays: they
+    hold their values during `on_level` only, so an observer copies what it
+    keeps.  At is computed when first read."""
 
     m: int
     t: float
@@ -195,7 +184,8 @@ class LevelState:
 @dataclass
 class Levels:
     """Full-width fields at a set of time levels, in level order: `times` and
-    u, v (levels, ncomp, n+1) complex, A, At (levels, dim+1, n+1) real."""
+    u, v (levels, spinor_components(dim), n+1) complex, A, At
+    (levels, dim+1, n+1) real."""
 
     times: np.ndarray
     u: np.ndarray
@@ -270,9 +260,8 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, work, ext_old=None, ext_new=N
     u flows from node j-1 at the old level to node j at the new level, v the
     mirror image.  The implicit couplings at the new node form an
     anti-hermitian system whose Schur complement is scalar (DC = -k2), so the
-    solve is closed-form and vectorised over nodes, on the components u and
-    v have.  `work` is the `_StepWork` of a run of steps, each from the level
-    the last one reached.
+    solve is closed-form and vectorised over nodes.  `work` is the
+    `_StepWork` of a run of steps, each from the level the last one reached.
     """
     half = 0.5 * h
     du, dv = spinor_rhs(dim, A_old, u, v, M, sums=work.sums)
@@ -288,7 +277,7 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, work, ext_old=None, ext_new=N
     sums = work.sums = A_new[0] + A_new[1], A_new[0] - A_new[1]
     den_u = 1.0 - 0.5j * h * sums[0]
     den_v = 1.0 - 0.5j * h * sums[1]
-    C, D, k2 = coupling(dim, _Scaled(A_new, half), half * M, u.shape[-2])  # h/2 times the coupling
+    C, D, k2 = coupling(dim, _Scaled(A_new, half), half * M)  # h/2 times the coupling
     # v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u) and
     # u_new = (P + C(v_new)) / den_u, the sums and quotients written in place
     v_new = D(P / den_u)
@@ -401,8 +390,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     `sup_A{dim}` per level, taken over full-width rows, and return snapshots
     as full-width arrays (zero outside the window); runs with declared reads
     record no series.  `meta` records the marched `window` (first node, end
-    node, last level), the `node_steps` computed and the spinor `components`
-    marched (see the module docstring).
+    node, last level) and the `node_steps` computed.
     """
     grid.ensure_support(fam.cutoff.outer)
     snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(snapshot_times, grid)))}
@@ -410,18 +398,18 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     u, v = spinor_datum(fam, grid)
     a, b = potential_data(fam, grid)
     first, end, steps, whole_line = _window(grid, snapshot_times, observers, (u, v, a, b))
-    ncomp, nc = marched_components(dim, u, v, a, b), spinor_components(dim)
     # slices of the full-grid samples, so every value is the same float
     x = grid.nodes()[first:end]
-    u, v, a, b = (w[..., first:end].copy() for w in (u[:ncomp], v[:ncomp], a, b))
+    u, v, a, b = (w[..., first:end].copy() for w in (u, v, a, b))
 
     times = h * np.arange(steps + 1)
     names = ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1))) if whole_line else ()
     series: dict[str, list[float]] = {name: [] for name in names}
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
+    nc = spinor_components(dim)
     rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At
 
-    # zero-filled full-width arrays; spinor rows past ncomp stay zero
+    # zero-filled full-width arrays; spinor rows past the marched one stay zero
     snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
 
     # per-run arrays written in place at every level; the sources and the
@@ -474,7 +462,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         times=times,
         series={k: np.asarray(vs) for k, vs in series.items()},
         snapshots=snapshots,
-        meta={"window": (first, end, steps), "node_steps": (end - first) * steps, "components": ncomp},
+        meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
     )
 
 
@@ -508,8 +496,8 @@ def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source: np.ndarray)
 
 def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
     """Yield (u, v) at levels 0..steps of the linear Dirac equation with zero
-    potentials, from u, v of shape (..., ncomp, n+1).  F is None or the pair
-    (F_1, F_2) of complex source level arrays (steps+1, ..., ncomp, n+1), in
+    potentials, from u, v of shape (..., 1, n+1).  F is None or the pair
+    (F_1, F_2) of complex source level arrays (steps+1, ..., 1, n+1), in
     the spinor basis; the induced transport sources are (i F_2, i F_1)."""
     A = np.zeros(dim + 1)  # zero potentials, as scalars: no per-node work
     work = _StepWork(u.shape)

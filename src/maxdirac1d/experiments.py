@@ -338,9 +338,7 @@ def _require_claim2_regime(M: float, T: float) -> None:
         raise ValueError(f"claim2 regime requires 6(M+1)T < 1, got 6*{M + 1}*{T} = {regime:g}")
 
 
-def _require_claim3_ladder(mode: PotentialMode, count: int) -> None:
-    if mode is not PotentialMode.ZERO:
-        raise ValueError("claim3 needs the zero potential mode (vanishing A_0 data)")
+def _require_claim3_ladder(count: int) -> None:
     if count < 2:
         raise ValueError("claim3 needs at least 2 epsilons for the log-slope fit")
 
@@ -352,14 +350,16 @@ def _require_gauss_ladder(count: int) -> None:
 
 def sweep_claims(plan: SweepPlan, claims=None) -> list[str]:
     """The sorted claims a sweep of `plan` checks: `claims`, or by default
-    all in the zero potential mode and claims 1 and 2 otherwise.  Raises
-    ValueError when the plan misses a precondition of a selected claim."""
+    all in the zero potential mode and claims 1 and 2 otherwise.  Claim 3
+    may be selected in either mode, since both start from a_0 = b_0 = 0.
+    Raises ValueError when the plan misses a precondition of a selected
+    claim."""
     if claims is None:
         claims = CLAIMS if plan.potential_mode is PotentialMode.ZERO else ("claim1", "claim2")
     if "claim2" in claims:
         _require_claim2_regime(plan.M, plan.T)
     if "claim3" in claims:
-        _require_claim3_ladder(plan.potential_mode, len(plan.eps_list))
+        _require_claim3_ladder(len(plan.eps_list))
     if "gauss" in claims:
         _require_gauss_ladder(len(plan.eps_list))
     return sorted(claims)
@@ -491,10 +491,10 @@ def check_claim3(results: list[SweepRecord], plan: SweepPlan) -> BlowupFit:
 
     Verifies the measured A_0 against the closed-form lower bound per
     epsilon, fits the slope against log(1/eps), and requires
-    slope >= (x+t)/8 per probe.  The zero potential mode is
-    required: the closed form assumes vanishing A_0 data.
+    slope >= (x+t)/8 per probe.  Either potential mode will do: the closed
+    form assumes vanishing A_0 data, a_0 = b_0 = 0, which both modes have.
     """
-    _require_claim3_ladder(plan.potential_mode, len(results))
+    _require_claim3_ladder(len(results))
     probes = plan.probes
     eps = np.array([rec.eps for rec in results])
     a0 = np.stack([rec.probe_A0 for rec in results], axis=1)  # (probes, eps)

@@ -7,19 +7,22 @@ The system couples a spinor psi = (u, v) to potentials A_0..A_d through
 
 with metric signature (+, -, ..., -).  After diagonalising g0 g1 the spinor
 splits into a right-mover u and a left-mover v, each with one complex
-component for d = 1, 2 and two for d = 3.  Every half-spinor array has the
-shape (..., ncomp, n+1): optional batch axes, a component axis, then the
-nodes.  This module holds the concrete matrices, the Clifford-relation
-verifier, the wave sources, and `coupling`: the u-v coupling, written out
-per dim in this one place, which the transport sources and the solver
-apply.
+component for d = 1, 2 and two for d = 3.  This module holds the concrete
+matrices, the Clifford-relation verifier, the wave sources, and `coupling`:
+the u-v coupling, written out per dim in this one place, which the
+transport sources and the solver apply.
 
-It also owns the one rule that drops components: in dim 3 a datum whose
-second components u[1], v[1] and transverse data a_2, b_2 are zero keeps
-them zero for the whole run (`marched_components`).  The solver then marches
-the first components only.  The functions here read the count from the
-component axis, u.shape[-2], which one check allows (`_spinors`);
-`coupling`, which is handed no spinor, takes its caller's count.
+The kernels march one component row in every dim.  In dim 3 that row is the
+first component: the paper's datum puts chi f_eps in u[0] only and has
+a_2 = b_2 = 0, and then u[1], v[1] and A_2 stay +0.0 for the whole run, in
+floating point as in exact arithmetic.  Every term that feeds a second
+component, or the source S_2 of A_2, is a product of a finite number with
+one of those zeros or with s = i A_2, so it is a zero.  Sums of zeros stay
++0.0, since a sum is -0.0 only when both terms are, and A_2 is built from
++0.0 data by such sums.  The dim-3 `coupling` and `wave_sources` are the
+two-component ones with those zeros put in: they round the first components
+bit for bit as the two-component ones do, and only the sign of S_2's zeros
+may differ, which reaches no field.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "gamma_matrices",
     "verify_clifford",
     "spinor_components",
-    "marched_components",
     "coupling",
     "spinor_rhs",
     "wave_sources",
@@ -155,126 +157,65 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # ---------------------------------------------------------------------------
 # Componentwise right-hand sides.
 #
-# u and v are arrays of shape (..., ncomp, n+1) in every dim: optional batch
-# axes, a component axis of length spinor_components(dim), or 1 in dim 3 (see
-# `marched_components`), then the nodes.  The bilinears reduce the component
-# axis and return (..., n+1) rows.
+# u and v are arrays of shape (..., 1, n+1) in every dim: optional batch axes,
+# a component axis holding the marched row, then the nodes.  The bilinears
+# reduce the component axis and return (..., n+1) rows.
 # Potentials and the mass broadcast against (..., 1, n+1): scalars, node rows,
 # or per-instance arrays such as a mass of shape (K, 1, 1).
 # ---------------------------------------------------------------------------
 
 
-def _check_count(dim: int, ncomp) -> None:
-    """Raise ValueError unless a dim-`dim` half-spinor may have `ncomp`
-    components: spinor_components(dim), or 1 (`marched_components`)."""
-    allowed = sorted({1, spinor_components(dim)})
-    if ncomp not in allowed:
-        raise ValueError(f"dim-{dim} half-spinors have a component count in {allowed}, got {ncomp!r}")
-
-
-def _plus_zero(w) -> bool:
-    """Every entry is +0.0; a -0.0 would print differently from the zeros
-    that stand in for the components not marched."""
-    return not np.ascontiguousarray(w).view(np.uint8).any()
-
-
-def marched_components(dim: int, u, v, a, b) -> int:
-    """Half-spinor components a run from the datum (u, v, a, b) must march.
-
-    In dim 3, if u[1], v[1], a_2 and b_2 are all +0.0, then A_2 stays zero:
-    its source S_2 = -2 Re(conj(v_0)(-u_1) + conj(v_1) u_0) vanishes with the
-    second components, and they in turn see only s = i A_2 = 0 and their own
-    zero values, since the coupling with s = 0 is diagonal.  Every product
-    that would carry them is an exact zero, so they stay exactly zero, and
-    the run needs the first components only: 1.  Otherwise, and in dims 1
-    and 2, spinor_components(dim).
-    """
-    if dim == 3 and all(_plus_zero(w) for w in (u[..., 1, :], v[..., 1, :], a[2], b[2])):
-        return 1
-    return spinor_components(dim)
-
-
-def _spinors(dim: int, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as complex arrays, after the one shape check: each has a
-    component axis, both have the same count and the dim allows it."""
+def _spinors(dim: int, u, v, counts=(1,)) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as complex arrays, after the one shape check: the dim is
+    known, each has a component axis and both have one count in `counts`."""
+    _check_dim(dim)
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != v.shape[-2]:
-        raise ValueError(f"half-spinors u and v have shape (..., ncomp, nodes) with one ncomp, got {u.shape} and {v.shape}")
-    _check_count(dim, u.shape[-2])
+    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != v.shape[-2] or u.shape[-2] not in counts:
+        raise ValueError(f"half-spinors u and v have shape (..., ncomp, nodes) with one ncomp in {counts}, got {u.shape} and {v.shape}")
     return u, v
 
 
-def coupling(dim: int, A, M: float, ncomp: int):
+def coupling(dim: int, A, M: float):
     """The u-v coupling (C, D, k2) of the transport equations
 
         (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u.
 
-    C and D map (..., ncomp, n) half-spinors to half-spinors; they come from the
-    mass and the transverse potentials A_2 (and A_3) only.  They satisfy
-    D = -C^dagger and DC = CD = -k2 with k2 = A_2^2 [+ A_3^2] + M^2, so the
-    coupling is anti-hermitian.  The operators are linear in (A, M): scaled
-    inputs give scaled operators and k2 scales quadratically.
-
-    ncomp is the component count of the spinors C and D act on, read from
-    their shape.  ncomp=1 in dim 3 is the coupling on first components, for a
-    state whose second components and A_2 are +0.0 (`marched_components`):
-    C = p w and D = q w with p = A_3 - iM, q = -A_3 - iM, and
-    k2 = A_3^2 + M^2.  Each gives the bits of the first components of the
-    two-component coupling; A_2 is not read.
+    C and D map (..., 1, n) half-spinors to half-spinors; they come from the
+    mass and the transverse potentials only.  They satisfy D = -C^dagger and
+    DC = CD = -k2, so the coupling is anti-hermitian.  In dims 1 and 2,
+    C = c w and D = d w with c = A_2 - iM, d = -A_2 - iM (A_2 = 0 in dim 1)
+    and k2 = A_2^2 + M^2.  In dim 3, on the first components (module
+    docstring), C = p w and D = q w with p = A_3 - iM, q = -A_3 - iM and
+    k2 = A_3^2 + M^2; A_2 is not read.  The operators are linear in (A, M):
+    scaled inputs give scaled operators and k2 scales quadratically.
     """
-    _check_count(dim, ncomp)
-    C, D, rows = _coupling_maps(dim, A, M, ncomp)
-    k2 = rows[0] * rows[0]
-    for r in rows[1:]:
-        k2 = k2 + r * r
-    return C, D, k2 + M * M
+    _check_dim(dim)
+    C, D, row = _coupling_maps(dim, A, M)
+    return C, D, row * row + M * M
 
 
-def _coupling_maps(dim: int, A, M, ncomp: int):
-    """C and D of `coupling` on ncomp components, and the transverse rows
-    that k2 sums the squares of.  A is indexed once per row it reads: A_2 in
-    dim 2, A_3 in dim 3 on first components, A_2 and A_3 in dim 3, nothing
+def _coupling_maps(dim: int, A, M):
+    """C and D of `coupling`, and the transverse row whose square k2 holds.
+    A is indexed once per row it reads: A_2 in dim 2, A_3 in dim 3, nothing
     in dim 1."""
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
     if dim < 3:  # dim 1 is dim 2 with A_2 = 0
         A2 = A[2] if dim == 2 else 0.0
         c, d = A2 - 1j * M, -A2 - 1j * M
-        return (lambda w: c * w), (lambda w: d * w), (A2,)
+        return (lambda w: c * w), (lambda w: d * w), A2
     A3 = A[3]
     p, q = A3 - 1j * M, -A3 - 1j * M
-    if ncomp == 1:
 
-        def C1(w):
-            # s = i A_2 and s w_1 are +0: the "+ 0.0" stands for "+ s w_1",
-            # which turns a -0.0 part into +0.0; "- s w_1" and 0 + A_3^2
-            # change no bits
-            out = p * w
-            out += 0.0
-            return out
-
-        return C1, (lambda w: q * w), (A3,)
-    A2 = A[2]
-    s = 1j * A2
-
-    # both halves written into one array: each is its first product, then
-    # the s term added in place; components sliced with their axis kept, so
-    # (K, 1, 1) masses broadcast
-    def halves(w, first, second, top_op, bottom_op):
-        w0, w1 = w[..., :1, :], w[..., 1:, :]
-        out = np.empty(np.broadcast(p, s, w).shape, complex)
-        top, bottom = out[..., :1, :], out[..., 1:, :]
-        top_op(np.multiply(first, w0, out=top), s * w1, out=top)
-        bottom_op(np.multiply(second, w1, out=bottom), s * w0, out=bottom)
+    def C(w):
+        # s = i A_2 and s w_1 are +0: the "+ 0.0" stands for "+ s w_1",
+        # which turns a -0.0 part into +0.0; "- s w_1" and 0 + A_3^2
+        # change no bits
+        out = p * w
+        out += 0.0
         return out
 
-    def C(w):  # (p w0 + s w1, q w1 - s w0)
-        return halves(w, p, q, np.add, np.subtract)
-
-    def D(w):  # (q w0 - s w1, p w1 + s w0)
-        return halves(w, q, p, np.subtract, np.add)
-
-    return C, D, (A2, A3)
+    return C, (lambda w: q * w), A3
 
 
 def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):
@@ -286,14 +227,15 @@ def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):
     given, is the pair (A_0 + A_1, A_0 - A_1) already formed from these A.
     """
     u, v = _spinors(dim, u, v)
-    C, D, _ = _coupling_maps(dim, A, M, u.shape[-2])
+    C, D, _ = _coupling_maps(dim, A, M)
     plus, minus = (A[0] + A[1], A[0] - A[1]) if sums is None else sums
     return 1j * plus * u + C(v), 1j * minus * v + D(u)
 
 
 def modulus_sq(dim: int, u, v) -> np.ndarray:
-    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components."""
-    u, v = _spinors(dim, u, v)
+    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components: the
+    marched row, or the spinor_components(dim) rows of a snapshot."""
+    u, v = _spinors(dim, u, v, (1, spinor_components(dim)))
     return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
@@ -310,9 +252,8 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     S_0 = |u|^2 + |v|^2 is the charge density; S_1 = -|u|^2 + |v|^2 is minus
     the current.  The transverse sources are the null bilinears that make the
     A_j fields bounded: -2 Im(u conj(v)) for dim = 2 and -2 Re(v* rho u),
-    -2 Re(v* kappa u) for dim = 3.  On one-component dim-3 spinors (second
-    components zero, `marched_components`) S_2 = 0 and
-    S_3 = -2 Re(conj(v_0) i u_0).
+    -2 Re(v* kappa u) for dim = 3, which on the first components (module
+    docstring) are S_2 = 0 and S_3 = -2 Re(conj(v_0) i u_0).
 
     The sources are the rows of one (dim+1, ..., n+1) array: `out` when
     given, which a caller stepping many levels keeps from one to the next.
@@ -332,17 +273,11 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     if dim == 2:
         np.multiply(-2.0, np.imag(u0 * np.conj(v0)), out=out[2])
         return tuple(out)
-    if u.shape[-2] == 1:
-        # u_1 = v_1 = +0.0, so the dropped products are zeros.  The one in S_3
-        # has real part +0.0; "+ 0.0" does what adding it does to a -0.0.
-        # S_2's sum is +0.0 unless both its products have real part -0.0
-        # (u_0 signs -,-; v_0 signs +,+), so S_2 = -2 (+0.0) = -0.0 nearly
-        # everywhere; A_2 stays +0.0 under either sign.
-        out[2] = -0.0
-        np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[3])
-        return tuple(out)
-    u1, v1 = u[..., 1, :], v[..., 1, :]
-    # rho u = (-u1, u0) and kappa u = (i u0, -i u1)
-    np.multiply(-2.0, np.real(np.conj(v0) * -u1 + np.conj(v1) * u0), out=out[2])
-    np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0) + np.conj(v1) * (-1j * u1)), out=out[3])
+    # u_1 = v_1 = +0.0, so the dropped products are zeros.  The one in S_3
+    # has real part +0.0; "+ 0.0" does what adding it does to a -0.0.
+    # S_2's sum is +0.0 unless both its products have real part -0.0
+    # (u_0 signs -,-; v_0 signs +,+), so S_2 = -2 (+0.0) = -0.0 nearly
+    # everywhere; A_2 stays +0.0 under either sign.
+    out[2] = -0.0
+    np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[3])
     return tuple(out)

@@ -199,15 +199,16 @@ def spinor_datum(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
     """Nodal samples of the spinor datum: u_1 = chi * f_eps, all else 0.
 
     Needs eps > 0; the node x = 0 carries the exact value eps^(-1/2).
-    Returns (u, v) with shape (ncomp, n+1) each.
+    Returns (u, v) with shape (1, n+1) each: the first component, the one
+    row that `cone_solver.evolve` marches in every dim (the second
+    components of dim 3 are zero and stay so; see `gamma_algebra`).
     """
     if fam.eps <= 0:
         raise ValueError("spinor datum needs eps > 0; the eps = 0 profile is norms-only")
     grid.ensure_support(fam.cutoff.outer)
     x = grid.nodes()
-    c = spinor_components(fam.dim)
-    u = np.zeros((c, x.size), dtype=complex)
-    v = np.zeros((c, x.size), dtype=complex)
+    u = np.zeros((1, x.size), dtype=complex)
+    v = np.zeros((1, x.size), dtype=complex)
     u[0] = chi(x, fam.cutoff) * f_eps(x, fam.eps)
     return u, v
 

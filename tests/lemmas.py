@@ -21,13 +21,17 @@ Dirac solve that keeps its whole level history:
   sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 / sqrt(eps^2 + rho^2) in the
   smallness regime.
 
-Each compares at the slack 1 + 10h of `estimates`.  Two references go with
-them:
+Each compares at the slack 1 + 10h of `estimates`.  Three references go
+with them:
 
 * `a0_exact`: the closed form of A_0 in the massless run, against which
   claim 3's probes are held;
 * `evolve_full_grid`: an `evolve` run that marches every node, against which
-  the light-cone windows are held bitwise.
+  the light-cone windows are held bitwise;
+* `two_component_coupling`, `two_component_rhs` and `two_component_sources`:
+  the dim-3 kernels on both half-spinor components, which read A_2, against
+  which the one-row march of `gamma_algebra` is held bitwise;
+  `march_two_components` makes `evolve` march them.
 
 One observer goes with them: `GaugeMonitor`, the Lorenz-gauge residual over
 a cone's cross-sections (`node_slice`), which criterion 05 reads.
@@ -45,8 +49,16 @@ import numpy as np
 from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import ConeRegion, LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _energy_reports, _slack, _worst_levels
-from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _spinors, gamma_matrices, modulus_sq
-from maxdirac1d.initial_data import CutoffSpec, GridSpec
+from maxdirac1d.gamma_algebra import (
+    GammaSet,
+    _coupling_maps,
+    _density,
+    _spinors,
+    gamma_matrices,
+    modulus_sq,
+    spinor_components,
+)
+from maxdirac1d.initial_data import CutoffSpec, GridSpec, spinor_datum
 
 
 def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
@@ -127,9 +139,9 @@ def a0_exact(t: float, x: float, eps: float, cutoff: CutoffSpec = CutoffSpec()) 
 def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
     """Linear Dirac solve (zero potentials) with an external source F.
 
-    u0, v0 have shape (..., ncomp, n+1), with any leading batch axes, and M
-    is a scalar or broadcasts per instance, such as (K, 1, 1).  F is None or
-    the pair (F_1, F_2) of source level arrays (steps+1, ..., ncomp, n+1)
+    u0, v0 have shape (..., 1, n+1), with any leading batch axes, and M is
+    a scalar or broadcasts per instance, such as (K, 1, 1).  F is None or
+    the pair (F_1, F_2) of source level arrays (steps+1, ..., 1, n+1)
     (see `dirac_levels`).  Returns (times, U, V, l2_psi, l2_F) with the full
     level history on a leading level axis (meant for moderate grids).
     """
@@ -145,15 +157,103 @@ def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
     return h * np.arange(grid.steps + 1), U, V, l2_norm((U, V), h), l2_F
 
 
+def _two_rows(dim: int, u, v):
+    """u and v as the two-component reference takes them: dim 3, both rows."""
+    if dim != 3:
+        raise ValueError(f"the two-component reference is the dim-3 march, got dim={dim}")
+    return _spinors(dim, u, v, (2,))
+
+
+def two_component_maps(dim: int, A, M):
+    """C and D of `two_component_coupling`, on both dim-3 components, and
+    the transverse rows A_2, A_3 that k2 sums the squares of."""
+    if dim != 3 or len(A) != 4:
+        raise ValueError(f"the two-component reference is the dim-3 march with 4 potentials, got dim={dim}, {len(A)}")
+    A2, A3 = A[2], A[3]
+    p, q = A3 - 1j * M, -A3 - 1j * M
+    s = 1j * A2
+
+    # both halves written into one array: each is its first product, then
+    # the s term added in place; components sliced with their axis kept, so
+    # (K, 1, 1) masses broadcast
+    def halves(w, first, second, top_op, bottom_op):
+        w0, w1 = w[..., :1, :], w[..., 1:, :]
+        out = np.empty(np.broadcast(p, s, w).shape, complex)
+        top, bottom = out[..., :1, :], out[..., 1:, :]
+        top_op(np.multiply(first, w0, out=top), s * w1, out=top)
+        bottom_op(np.multiply(second, w1, out=bottom), s * w0, out=bottom)
+        return out
+
+    def C(w):  # (p w0 + s w1, q w1 - s w0)
+        return halves(w, p, q, np.add, np.subtract)
+
+    def D(w):  # (q w0 - s w1, p w1 + s w0)
+        return halves(w, q, p, np.subtract, np.add)
+
+    return C, D, (A2, A3)
+
+
+def two_component_coupling(dim: int, A, M):
+    """`gamma_algebra.coupling` on both dim-3 components:
+    C = [[p, s], [-s, q]] and D = [[q, -s], [s, p]] with s = i A_2, and
+    k2 = A_2^2 + A_3^2 + M^2."""
+    C, D, (A2, A3) = two_component_maps(dim, A, M)
+    return C, D, A2 * A2 + A3 * A3 + M * M
+
+
+def two_component_rhs(dim: int, A, u, v, M, *, sums=None):
+    """`gamma_algebra.spinor_rhs` on both dim-3 components."""
+    u, v = _two_rows(dim, u, v)
+    C, D, _ = two_component_maps(dim, A, M)
+    plus, minus = (A[0] + A[1], A[0] - A[1]) if sums is None else sums
+    return 1j * plus * u + C(v), 1j * minus * v + D(u)
+
+
+def two_component_sources(dim: int, u, v, *, out=None, densities=None):
+    """`gamma_algebra.wave_sources` on both dim-3 components:
+    S_2 = -2 Re(v* rho u) and S_3 = -2 Re(v* kappa u)."""
+    u, v = _two_rows(dim, u, v)
+    rows = (None, None) if densities is None else densities
+    mu, mv = _density(u, rows[0]), _density(v, rows[1])
+    if out is None:
+        out = np.empty((dim + 1, *np.broadcast(mu, mv).shape))
+    np.add(mu, mv, out=out[0])
+    np.add(np.negative(mu, out=out[1]), mv, out=out[1])  # -mu + mv
+    u0, v0, u1, v1 = u[..., 0, :], v[..., 0, :], u[..., 1, :], v[..., 1, :]
+    # rho u = (-u1, u0) and kappa u = (i u0, -i u1)
+    np.multiply(-2.0, np.real(np.conj(v0) * -u1 + np.conj(v1) * u0), out=out[2])
+    np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0) + np.conj(v1) * (-1j * u1)), out=out[3])
+    return tuple(out)
+
+
+def march_two_components():
+    """A context in which `cone_solver` marches both dim-3 components: the
+    datum gets its zero second rows back, and the kernels are the
+    two-component references."""
+
+    def datum(fam, grid):
+        u, v = spinor_datum(fam, grid)
+        return np.concatenate([u, np.zeros_like(u)]), np.concatenate([v, np.zeros_like(v)])
+
+    return mock.patch.multiple(
+        cone_solver,
+        spinor_datum=datum,
+        coupling=two_component_coupling,
+        spinor_rhs=two_component_rhs,
+        wave_sources=two_component_sources,
+    )
+
+
 def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     """Sources for the modulus system (dt + dx)|u|^2 and (dt - dx)|v|^2.
 
     su = 2 Re sum conj(u) C v, and sv = -su exactly because the coupling is
     anti-hermitian: that is the discrete backbone of charge conservation.
     The longitudinal potentials act by pure phase rotation and drop out.
+    u and v have the marched row or all spinor_components(dim) rows.
     """
-    u, v = _spinors(dim, u, v)
-    C, _, _ = _coupling_maps(dim, A, M, u.shape[-2])
+    u, v = _spinors(dim, u, v, (1, spinor_components(dim)))
+    C = (_coupling_maps if u.shape[-2] == 1 else two_component_maps)(dim, A, M)[0]
     su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
     return su, -su
 
@@ -162,14 +262,13 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate F = (A_0 g^0 + ... + A_d g^d) psi, split back into (F_u, F_v).
 
     Used by the energy-inequality verifier, which treats the whole potential
-    coupling as an external source.  The result has the shape of the inputs.
+    coupling as an external source.  u and v have all spinor_components(dim)
+    rows, as snapshots do; the result has the shape of the inputs.
     """
     dim = gs.dim
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    u, v = _spinors(dim, u, v)
-    if 2 * u.shape[-2] != gs.size:
-        raise ValueError(f"the dim-{dim} gamma matrices act on half-spinors of {gs.size // 2} components, got {u.shape}")
+    u, v = _spinors(dim, u, v, (spinor_components(dim),))
     psi = np.concatenate([u, v], axis=-2)
     out = np.zeros_like(psi)
     for mu in range(dim + 1):

@@ -200,6 +200,16 @@ def test_claim3_probes_of_massless_runs_match_the_closed_form(campaign):
             assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
 
 
+def test_claim3_in_the_constrained_mode_matches_the_closed_form():
+    """The constrained datum also starts from a_0 = b_0 = 0: probe-only
+    claim-3 sweeps hold its probes to `a0_exact` and pass the verdict."""
+    for dim in (1, 2, 3):
+        plan = SweepPlan(dim, 0.0, eps_list=(1e-2, 10**-2.5), T=0.05, potential_mode="constrained")
+        results = run_sweep(plan, claims=("claim3",))
+        assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
+        assert check_claim3(results, plan).passed, dim
+
+
 def _log_bound_coarse_tail(t, x, eps):
     # closed-form lower bound with the coarser eps/2 tail constant; the
     # library's a0_lower_bound keeps the self-consistent eps/8 version,

@@ -235,7 +235,8 @@ BAD_NUMBERS = [
         ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 0.205})),
         ("simulate", dict(SIM_CONFIG, grid={"L": 2.0, "n": 200, "t_max": 0.5})),
         ("sweep", dict(SWEEP_CONFIG, M=2.0, T=0.4, claims=["claim2"])),
-        ("sweep", dict(SWEEP_CONFIG, potential_mode="constrained", claims=["claim3"])),
+        # claim 3 takes either potential mode, but always 2 epsilons
+        ("sweep", dict(SWEEP_CONFIG, potential_mode="constrained", eps_list=[0.1], claims=["claim3"])),
         ("sweep", dict(SWEEP_CONFIG, claims=["gauss"])),
         ("sweep", dict(SWEEP_CONFIG, eps_list=[0.07, 0.1])),
         ("verify", {"seed": 1, "suites": ["energy"]}),
@@ -509,6 +510,12 @@ def test_claim3_needs_two_eps_at_load(tmp_path):
         cli.load_config(one, "sweep")
     two = write_config(tmp_path, dict(SWEEP_CONFIG, eps_list=[0.03, 0.02], claims=["claim3"]))
     assert cli.load_config(two, "sweep")["claims"] == ["claim3"]
+
+
+def test_claim3_loads_in_either_potential_mode(tmp_path):
+    for mode in ("zero", "constrained"):
+        cfg = write_config(tmp_path, dict(SWEEP_CONFIG, potential_mode=mode, claims=["claim3"]), name=f"{mode}.json")
+        assert cli.load_config(cfg, "sweep")["claims"] == ["claim3"]
 
 
 def test_cli_import_leaves_scipy_out():

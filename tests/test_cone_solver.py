@@ -1,5 +1,8 @@
 """Characteristic solver: exactness properties, conservation, aborts, export."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,7 @@ from maxdirac1d.cone_solver import (
     trapezoid,
 )
 
-from lemmas import GaugeMonitor, cross_section, evolve_full_grid, node_slice
+from lemmas import GaugeMonitor, cross_section, evolve_full_grid, march_two_components, node_slice
 
 
 def every_level(grid):
@@ -136,7 +139,7 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
     # u_new[j] - u[j-1] = h/2 (du_old[j-1] + du_new[j]), and the mirror
     # image for v, wherever the stencil has both nodes
     rng = np.random.default_rng(29)
-    nc, n1, h, M = spinor_components(dim), 40, 0.05, 0.7
+    nc, n1, h, M = 1, 40, 0.05, 0.7  # the marched row
 
     def spinor():
         return rng.normal(size=(nc, n1)) + 1j * rng.normal(size=(nc, n1))
@@ -464,16 +467,16 @@ def test_meta_records_window_and_node_steps():
     fam = DataFamily(dim=2, eps=0.1)
     # the datum lives on nodes 29..227 (|x| < 2), widened by steps + 2 per side
     line = evolve(fam, grid, observers=(_LevelCounter(),))
-    assert line.meta == {"window": (17, 240, grid.steps), "node_steps": 223 * grid.steps, "components": 1}
+    assert line.meta == {"window": (17, 240, grid.steps), "node_steps": 223 * grid.steps}
     assert "charge" in line.series
     full = evolve_full_grid(fam, grid, observers=(_LevelCounter(),))
-    assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps, "components": 1}
+    assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps}
 
     # base [-0.205, 0.205] spans nodes 117.75..138.25: nodes 117..139 plus
     # one margin node per side
     rec = _ConeRecorder([(ConeRegion(-0.205, 0.205), 6)])
     win = evolve(fam, grid, observers=(rec,))
-    assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6, "components": 1}
+    assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6}
     assert win.series == {}
     assert win.times.size == 7
 
@@ -646,7 +649,7 @@ def test_transport_step_batches_bitwise(dim):
     # stacked instances with their own potentials (dim+1, K, 1, n), masses
     # (K, 1, 1) and sources step exactly like one at a time
     rng = np.random.default_rng(37)
-    K, nc, n1, h = 3, spinor_components(dim), 24, 0.05
+    K, nc, n1, h = 3, 1, 24, 0.05  # the marched row
 
     def spinors():
         return rng.normal(size=(K, nc, n1)) + 1j * rng.normal(size=(K, nc, n1))
@@ -673,6 +676,7 @@ def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
     fam = DataFamily(dim=dim, eps=0.01, M=0.0, potential_mode="zero")
     hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
     u0, _ = spinor_datum(fam, grid)
+    u0 = np.concatenate([u0, np.zeros((spinor_components(dim) - 1, grid.n + 1), complex)])  # the snapshot rows
     assert not hist.v.any()
     assert not hist.A[:, 2:].any()
     assert not (hist.A[:, 0] + hist.A[:, 1]).any() and hist.A[:, 0].any()
@@ -681,7 +685,7 @@ def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
 
 
 # ---------------------------------------------------------------------------
-# Dim 3 on first components (gamma_algebra.marched_components).
+# Dim 3 on first components, held to the two-component march of `lemmas`.
 # ---------------------------------------------------------------------------
 
 
@@ -696,11 +700,6 @@ class _StateRecorder:
 
     def on_level(self, lev, grid):
         self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.At, lev.S))))
-
-
-def _two_components(monkeypatch):
-    """Make evolve march both dim-3 components whatever the datum."""
-    monkeypatch.setattr(cone_solver, "marched_components", lambda dim, *datum: spinor_components(dim))
 
 
 def _same_states(got, want):
@@ -722,7 +721,7 @@ def _same_states(got, want):
 
 @pytest.mark.parametrize("mode", list(PotentialMode))
 @pytest.mark.parametrize("M", [0.0, 1.0])
-def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode, M):
+def test_dim3_first_components_bitwise_equal_to_two_components(mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=3, eps=0.05, M=M, potential_mode=mode)
 
@@ -731,9 +730,9 @@ def test_dim3_first_components_bitwise_equal_to_two_components(monkeypatch, mode
         return evolve(fam, grid, snapshot_times=every_level(grid), observers=(gauge, rec)), gauge.series(), rec.states
 
     one, one_gauge, one_states = run()
-    _two_components(monkeypatch)
-    two, two_gauge, two_states = run()
-    assert one.meta["components"] == 1 and two.meta["components"] == 2
+    with march_two_components():
+        two, two_gauge, two_states = run()
+    assert one_states[0][2].shape[0] == 1 and two_states[0][2].shape[0] == 2
     assert one.meta["window"] == two.meta["window"]
     assert one.meta["window"][0] > 0  # the support cone, with GaugeMonitor too
     assert one.series.keys() == two.series.keys()
@@ -756,19 +755,21 @@ def test_dim3_first_components_in_windowed_runs(monkeypatch):
     marched = []
 
     def spy(*args):
-        marched.append(real(*args))
-        return marched[-1]
+        u, v = real(*args)
+        marched.append(u.shape[-2])
+        return u, v
 
-    real = cone_solver.marched_components
-    monkeypatch.setattr(cone_solver, "marched_components", spy)
+    real = cone_solver.spinor_datum
+    monkeypatch.setattr(cone_solver, "spinor_datum", spy)
     rec = _StateRecorder(cones)
     one = evolve(fam, grid, observers=(rec,))
     one_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
     assert marched == [1, 1, 1]
-    _two_components(monkeypatch)
-    rec2 = _StateRecorder(cones)
-    two = evolve(fam, grid, observers=(rec2,))
-    two_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
+    monkeypatch.undo()
+    with march_two_components():
+        rec2 = _StateRecorder(cones)
+        two = evolve(fam, grid, observers=(rec2,))
+        two_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
     assert one.meta["window"] == two.meta["window"]
     assert one.meta["window"][1] - one.meta["window"][0] < grid.n + 1
     _same_states(rec.states, rec2.states)
@@ -780,32 +781,35 @@ def test_dim3_first_components_in_windowed_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("two", [False, True])
-def test_observers_see_the_marched_components(monkeypatch, two):
+def test_observers_see_the_marched_components(two):
     grid = GridSpec(L=2.56, n=256, t_max=0.1)
     fam = DataFamily(dim=3, eps=0.05, M=1.0)
-    if two:
-        _two_components(monkeypatch)
-    for rec, whole_line in ((_StateRecorder(), True), (_StateRecorder([(ConeRegion(-0.3, 0.2), 8)]), False)):
-        traj = evolve(fam, grid, observers=(rec,))
-        assert traj.meta["components"] == (2 if two else 1)
-        assert bool(traj.series) == whole_line  # only whole-line runs record series
-        assert len(rec.states) == traj.meta["window"][2] + 1
-        for m, first, u, v, *_ in rec.states:
-            assert u.shape[-2] == v.shape[-2] == traj.meta["components"], m
+    with march_two_components() if two else contextlib.nullcontext():
+        for rec, whole_line in ((_StateRecorder(), True), (_StateRecorder([(ConeRegion(-0.3, 0.2), 8)]), False)):
+            traj = evolve(fam, grid, observers=(rec,))
+            assert bool(traj.series) == whole_line  # only whole-line runs record series
+            assert len(rec.states) == traj.meta["window"][2] + 1
+            for m, first, u, v, *_ in rec.states:
+                assert u.shape[-2] == v.shape[-2] == (2 if two else 1), m
 
 
 @pytest.mark.parametrize("field, row", [("u", 1), ("v", 1), ("a", 2), ("b", 2)])
-def test_dim3_nonzero_second_component_datum_marches_both(monkeypatch, field, row):
+def test_dim3_nonzero_second_component_datum_marches_both(field, row):
+    # the reference is no one-row march in disguise: a datum with anything
+    # in a second row moves the second components
     grid = GridSpec(L=2.56, n=128, t_max=0.12)
     fam = DataFamily(dim=3, eps=0.1, M=1.0)
     u0, v0 = spinor_datum(fam, grid)
+    pad = np.zeros_like(u0)
     a0, b0 = np.zeros((2, 4, grid.n + 1))
-    datum = {"u": u0, "v": v0, "a": a0, "b": b0}
+    datum = {"u": np.concatenate([u0, pad]), "v": np.concatenate([v0, pad]), "a": a0, "b": b0}
     datum[field][row, 60:66] = 0.25
-    monkeypatch.setattr(cone_solver, "spinor_datum", lambda fam, grid: (datum["u"], datum["v"]))
-    monkeypatch.setattr(cone_solver, "potential_data", lambda fam, grid: (datum["a"], datum["b"]))
-    traj = evolve(fam, grid, snapshot_times=every_level(grid))
-    assert traj.meta["components"] == 2
+    with march_two_components(), mock.patch.multiple(
+        cone_solver,
+        spinor_datum=lambda fam, grid: (datum["u"], datum["v"]),
+        potential_data=lambda fam, grid: (datum["a"], datum["b"]),
+    ):
+        traj = evolve(fam, grid, snapshot_times=every_level(grid))
     assert traj.snapshots.u[-1, 1].any() or traj.snapshots.v[-1, 1].any()
 
 

@@ -99,7 +99,8 @@ def test_sweep_claims_preconditions_at_their_boundaries():
     at = SweepPlan(dim=2, M=1.0, eps_list=(0.1,), T=T_edge)
     with pytest.raises(ValueError, match="6\\(M\\+1\\)T < 1"):
         sweep_claims(at, ["claim2"])
-    # claim 3: at least 2 epsilons, zero potential mode
+    # claim 3: at least 2 epsilons, in either potential mode; by default only
+    # the zero mode checks it
     one, two, three = (
         SweepPlan(dim=2, M=0.0, eps_list=eps, T=0.05)
         for eps in ((0.1,), (0.1, 0.07), (0.1, 0.07, 0.05))
@@ -107,8 +108,11 @@ def test_sweep_claims_preconditions_at_their_boundaries():
     with pytest.raises(ValueError, match="at least 2 epsilons"):
         sweep_claims(one, ["claim3"])
     assert sweep_claims(two, ["claim3"]) == ["claim3"]
-    with pytest.raises(ValueError, match="zero potential mode"):
-        sweep_claims(replace(two, potential_mode=PotentialMode.CONSTRAINED), ["claim3"])
+    constrained = replace(two, potential_mode=PotentialMode.CONSTRAINED)
+    assert sweep_claims(constrained, ["claim3"]) == ["claim3"]
+    with pytest.raises(ValueError, match="at least 2 epsilons"):
+        sweep_claims(replace(one, potential_mode=PotentialMode.CONSTRAINED), ["claim3"])
+    assert sweep_claims(constrained) == ["claim1", "claim2"]
     # gauss: at least 3 epsilons
     with pytest.raises(ValueError, match="at least 3 epsilons"):
         sweep_claims(two, ["gauss"])
@@ -263,9 +267,10 @@ def test_claim3_fails_below_closed_form():
 def test_claim3_input_guards():
     with pytest.raises(ValueError, match="at least 2 epsilons"):
         check_claim3([], LADDER)
+    # both potential modes start from a_0 = b_0 = 0: the mode does not enter
     recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e))
-    with pytest.raises(ValueError, match="zero potential mode"):
-        check_claim3(recs, replace(LADDER, potential_mode="constrained"))
+    constrained = check_claim3(recs, replace(LADDER, potential_mode="constrained"))
+    assert constrained.to_dict() == check_claim3(recs, LADDER).to_dict()
 
 
 def test_claim3_needs_two_eps():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxdirac1d import (
     coupling,
     gamma_matrices,
-    marched_components,
     modulus_sq,
     spinor_components,
     spinor_rhs,
@@ -16,7 +15,14 @@ from maxdirac1d import (
     wave_sources,
 )
 
-from lemmas import interaction_term, modulus_rhs
+from lemmas import (
+    interaction_term,
+    march_two_components,
+    modulus_rhs,
+    two_component_coupling,
+    two_component_rhs,
+    two_component_sources,
+)
 
 ETA = {0: 1.0, 1: -1.0, 2: -1.0, 3: -1.0}
 
@@ -80,52 +86,86 @@ def _random_fields(rng, dim, n=11):
     return u, v, A
 
 
+# each marching kernel and its two-component reference
+_REFERENCE = {coupling: two_component_coupling, spinor_rhs: two_component_rhs, wave_sources: two_component_sources}
+
+
+def _full(dim):
+    """(coupling, spinor_rhs, wave_sources) on all spinor_components(dim)
+    rows: those of `gamma_algebra` in dims 1 and 2, the two-component
+    reference in dim 3."""
+    return tuple(_REFERENCE[k] if dim == 3 else k for k in (coupling, spinor_rhs, wave_sources))
+
+
+def _on_subspace(u, v, A):
+    """A dim-3 state moved to the datum's subspace, u[1], v[1] and A_2 set to
+    +0.0: (u, v, A) and the marched rows u[:1], v[:1]."""
+    u, v, A = u.copy(), v.copy(), A.copy()
+    u[1] = v[1] = 0.0
+    A[2] = 0.0
+    return u, v, A, u[:1], v[:1]
+
+
+def _cases(dim, u, v, A, kernel):
+    """(u, v, A, the rows the kernel takes, the kernel) to check: all rows
+    with `kernel` or, in dim 3, its reference; and in dim 3 also `kernel`
+    on the marched rows of the state moved to the subspace."""
+    if dim < 3:
+        return [(u, v, A, u, v, kernel)]
+    return [(u, v, A, u, v, _REFERENCE[kernel]), (*_on_subspace(u, v, A), kernel)]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_modulus_rhs_matches_spinor_rhs(dim):
     """The modulus sources are 2 Re(rhs conj(field)): the longitudinal
     potentials act by phase rotation and cancel exactly."""
     rng = np.random.default_rng(7)
-    u, v, A = _random_fields(rng, dim)
     M = 0.7
-    du, dv = spinor_rhs(dim, A, u, v, M)
-    su, sv = modulus_rhs(dim, A, u, v, M)
-    from_u = 2.0 * np.real(du * np.conj(u)).sum(axis=0)
-    from_v = 2.0 * np.real(dv * np.conj(v)).sum(axis=0)
-    assert np.allclose(su, from_u, atol=1e-12)
-    assert np.allclose(sv, from_v, atol=1e-12)
-    assert np.array_equal(su, -sv)
+    for _, _, A, u, v, rhs in _cases(dim, *_random_fields(rng, dim), spinor_rhs):
+        du, dv = rhs(dim, A, u, v, M)
+        su, sv = modulus_rhs(dim, A, u, v, M)
+        from_u = 2.0 * np.real(du * np.conj(u)).sum(axis=0)
+        from_v = 2.0 * np.real(dv * np.conj(v)).sum(axis=0)
+        assert np.allclose(su, from_u, atol=1e-12)
+        assert np.allclose(sv, from_v, atol=1e-12)
+        assert np.array_equal(su, -sv)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_spinor_rhs_is_the_dirac_operator(dim):
     """(du, dv) is i g0 (A_mu g^mu - M) psi, split at ncomp: the Dirac
-    equation multiplied by i g0, where g0 g1 = diag(1, -1) on (u, v)."""
+    equation multiplied by i g0, where g0 g1 = diag(1, -1) on (u, v).  On
+    the subspace the marched rows are the first components of u and v, and
+    the second components of the operator vanish."""
     rng = np.random.default_rng(17)
-    u, v, A = _random_fields(rng, dim)
     M = 0.9
     gs = gamma_matrices(dim)
-    psi = np.concatenate([u, v])
-    F = np.concatenate(interaction_term(gs, A, u, v))
-    want = 1j * np.tensordot(gs.gammas[0], F - M * psi, axes=(1, 0))
-    du, dv = spinor_rhs(dim, A, u, v, M)
     nc = spinor_components(dim)
-    assert np.allclose(du, want[:nc], rtol=0.0, atol=1e-12)
-    assert np.allclose(dv, want[nc:], rtol=0.0, atol=1e-12)
+    for u_all, v_all, A, u, v, rhs in _cases(dim, *_random_fields(rng, dim), spinor_rhs):
+        psi = np.concatenate([u_all, v_all])
+        F = np.concatenate(interaction_term(gs, A, u_all, v_all))
+        want = 1j * np.tensordot(gs.gammas[0], F - M * psi, axes=(1, 0))
+        du, dv = rhs(dim, A, u, v, M)
+        k = u.shape[0]
+        assert np.allclose(du, want[:k], rtol=0.0, atol=1e-12)
+        assert np.allclose(dv, want[nc : nc + k], rtol=0.0, atol=1e-12)
+        assert np.allclose(want[k:nc], 0.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(want[nc + k :], 0.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_coupling_is_antihermitian_with_scalar_schur_complement(dim):
     rng = np.random.default_rng(19)
-    w1, w2, A = _random_fields(rng, dim)
     M = 0.6
-    C, D, k2 = coupling(dim, A, M, w1.shape[-2])
-    assert np.allclose(k2, (A[2:] ** 2).sum(axis=0) + M * M, rtol=0.0, atol=1e-12)
-    assert np.allclose(D(C(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
-    assert np.allclose(C(D(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
-    # D = -C^dagger, node by node
-    lhs = (np.conj(w1) * C(w2)).sum(axis=0)
-    rhs = -np.conj((np.conj(w2) * D(w1)).sum(axis=0))
-    assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
+    for _, _, A, w1, w2, maps in _cases(dim, *_random_fields(rng, dim), coupling):
+        C, D, k2 = maps(dim, A, M)
+        assert np.allclose(k2, (A[2:] ** 2).sum(axis=0) + M * M, rtol=0.0, atol=1e-12)
+        assert np.allclose(D(C(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
+        assert np.allclose(C(D(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
+        # D = -C^dagger, node by node
+        lhs = (np.conj(w1) * C(w2)).sum(axis=0)
+        rhs = -np.conj((np.conj(w2) * D(w1)).sum(axis=0))
+        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -172,11 +212,11 @@ def test_wave_sources_d3_real():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
     v = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
-    sources = wave_sources(3, u, v)
-    assert len(sources) == 4
-    for s in sources:
-        assert np.isrealobj(s)
-        assert s.shape == (9,)
+    for sources in (two_component_sources(3, u, v), wave_sources(3, u[:1], v[:1])):
+        assert len(sources) == 4
+        for s in sources:
+            assert np.isrealobj(s)
+            assert s.shape == (9,)
 
 
 def test_modulus_sq_shapes():
@@ -195,29 +235,38 @@ def test_modulus_sq_shapes():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_bilinears_take_component_axis_and_return_node_rows(dim):
+    """Each kernel on its half-spinors: all rows for the reference and the
+    lemmas, the marched row for `gamma_algebra`'s (both for modulus_sq)."""
     rng = np.random.default_rng(13)
     u, v, A = _random_fields(rng, dim)
     gs = gamma_matrices(dim)
+    _, full_rhs, full_sources = _full(dim)
     calls = (
-        lambda uu, vv: modulus_sq(dim, uu, vv),
-        lambda uu, vv: wave_sources(dim, uu, vv),
-        lambda uu, vv: modulus_rhs(dim, A, uu, vv, 0.5),
-        lambda uu, vv: interaction_term(gs, A, uu, vv),
-        lambda uu, vv: spinor_rhs(dim, A, uu, vv, 0.5),
+        (u, lambda uu, vv: modulus_sq(dim, uu, vv)),
+        (u, lambda uu, vv: full_sources(dim, uu, vv)),
+        (u, lambda uu, vv: modulus_rhs(dim, A, uu, vv, 0.5)),
+        (u, lambda uu, vv: interaction_term(gs, A, uu, vv)),
+        (u, lambda uu, vv: full_rhs(dim, A, uu, vv, 0.5)),
+        (u[:1], lambda uu, vv: modulus_sq(dim, uu, vv)),
+        (u[:1], lambda uu, vv: wave_sources(dim, uu, vv)),
+        (u[:1], lambda uu, vv: spinor_rhs(dim, A, uu, vv, 0.5)),
     )
     wrong = np.ones((spinor_components(dim) + 1, u.shape[1]), dtype=complex)
-    for call in calls:
+    for w, call in calls:
         with pytest.raises(ValueError, match="half-spinors"):
-            call(u[0], v[0])  # bare (n,) rows
+            call(w[0], w[0])  # bare (n,) rows
         with pytest.raises(ValueError, match="half-spinors"):
             call(wrong, wrong)
-    assert modulus_sq(dim, u, v).shape == (u.shape[1],)
-    for s in wave_sources(dim, u, v):
+    for w in (u, u[:1]):
+        assert modulus_sq(dim, w, w).shape == (u.shape[1],)
+    for s in (*full_sources(dim, u, v), *wave_sources(dim, u[:1], v[:1])):
         assert s.shape == (u.shape[1],)
     for s in modulus_rhs(dim, A, u, v, 0.5):
         assert s.shape == (u.shape[1],)
-    for w in (*interaction_term(gs, A, u, v), *spinor_rhs(dim, A, u, v, 0.5)):
+    for w in (*interaction_term(gs, A, u, v), *full_rhs(dim, A, u, v, 0.5)):
         assert w.shape == u.shape
+    for w in spinor_rhs(dim, A, u[:1], v[:1], 0.5):
+        assert w.shape == u[:1].shape
 
 
 def test_interaction_term_is_linear_in_A():
@@ -236,45 +285,52 @@ def test_interaction_term_is_linear_in_A():
 def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
     """Stacked (K, ncomp, n) spinors with per-instance potentials
     (dim+1, K, 1, n) and masses (K, 1, 1) give each instance's own result,
-    bitwise."""
+    bitwise: on all rows with the kernels of `_full`, and in dim 3 also on
+    the marched row with those of `gamma_algebra`."""
     rng = np.random.default_rng(23)
     K, n = 4, 11
     insts = [_random_fields(rng, dim, n) for _ in range(K)]
     masses = rng.uniform(0.0, 2.0, size=K)
-    u = np.stack([inst[0] for inst in insts])
-    v = np.stack([inst[1] for inst in insts])
-    A = np.stack([inst[2] for inst in insts], axis=1)[:, :, None, :]
-    M = masses[:, None, None]
     gs = gamma_matrices(dim)
-    C, D, k2 = coupling(dim, A, M, u.shape[-2])
-    batched = {
-        "spinor_rhs": spinor_rhs(dim, A, u, v, M),
-        "modulus_rhs": modulus_rhs(dim, A, u, v, M),
-        "interaction_term": interaction_term(gs, A, u, v),
-        "wave_sources": wave_sources(dim, u, v),
-        "modulus_sq": (modulus_sq(dim, u, v),),
-        "coupling": (C(v), D(u), np.broadcast_to(k2, (K, 1, n))),
-    }
-    for k, (uk, vk, Ak) in enumerate(insts):
-        Ck, Dk, k2k = coupling(dim, Ak, masses[k], uk.shape[-2])
-        single = {
-            "spinor_rhs": spinor_rhs(dim, Ak, uk, vk, masses[k]),
-            "modulus_rhs": modulus_rhs(dim, Ak, uk, vk, masses[k]),
-            "interaction_term": interaction_term(gs, Ak, uk, vk),
-            "wave_sources": wave_sources(dim, uk, vk),
-            "modulus_sq": (modulus_sq(dim, uk, vk),),
-            "coupling": (Ck(vk), Dk(uk), np.broadcast_to(k2k, (1, n))),
+    kernel_sets = [(spinor_components(dim), _full(dim))]
+    if dim == 3:
+        kernel_sets.append((1, (coupling, spinor_rhs, wave_sources)))
+    for rows, (cpl, rhs, sources) in kernel_sets:
+        u = np.stack([inst[0][:rows] for inst in insts])
+        v = np.stack([inst[1][:rows] for inst in insts])
+        A = np.stack([inst[2] for inst in insts], axis=1)[:, :, None, :]
+        M = masses[:, None, None]
+        full = rows == spinor_components(dim)  # interaction_term takes all rows
+        C, D, k2 = cpl(dim, A, M)
+        batched = {
+            "spinor_rhs": rhs(dim, A, u, v, M),
+            "modulus_rhs": modulus_rhs(dim, A, u, v, M),
+            "interaction_term": interaction_term(gs, A, u, v) if full else (),
+            "wave_sources": sources(dim, u, v),
+            "modulus_sq": (modulus_sq(dim, u, v),),
+            "coupling": (C(v), D(u), np.broadcast_to(k2, (K, 1, n))),
         }
-        for name, outs in single.items():
-            assert len(outs) == len(batched[name])
-            for got, want in zip(batched[name], outs):
-                assert np.array_equal(got[k], want), name
-    with pytest.raises(ValueError, match="half-spinors"):
-        wave_sources(dim, u[:, 0, :], v[:, 0, :])  # (K, n): no component axis
+        for k, (uk, vk, Ak) in enumerate(insts):
+            uk, vk = uk[:rows], vk[:rows]
+            Ck, Dk, k2k = cpl(dim, Ak, masses[k])
+            single = {
+                "spinor_rhs": rhs(dim, Ak, uk, vk, masses[k]),
+                "modulus_rhs": modulus_rhs(dim, Ak, uk, vk, masses[k]),
+                "interaction_term": interaction_term(gs, Ak, uk, vk) if full else (),
+                "wave_sources": sources(dim, uk, vk),
+                "modulus_sq": (modulus_sq(dim, uk, vk),),
+                "coupling": (Ck(vk), Dk(uk), np.broadcast_to(k2k, (1, n))),
+            }
+            for name, outs in single.items():
+                assert len(outs) == len(batched[name])
+                for got, want in zip(batched[name], outs):
+                    assert np.array_equal(got[k], want), name
+        with pytest.raises(ValueError, match="half-spinors"):
+            sources(dim, u[:, 0, :], v[:, 0, :])  # (K, n): no component axis
 
 
 # ---------------------------------------------------------------------------
-# One-component dim-3 spinors (marched_components).
+# One-component dim-3 spinors, held to the two-component reference.
 # ---------------------------------------------------------------------------
 
 
@@ -309,42 +365,24 @@ class _WithoutA2:
         return self.A[k]
 
 
-def test_marched_components_rule():
-    n = 9
-    u, v = np.zeros((2, 2, n), dtype=complex)
-    a, b = np.zeros((2, 4, n))
-    u[0] = 1.0
-    assert marched_components(3, u, v, a, b) == 1
-    for field, row in ((u, 1), (v, 1), (a, 2), (b, 2)):
-        for value in (1e-300, -0.0, np.nan):
-            field[row, 4] = value
-            assert marched_components(3, u, v, a, b) == 2, (row, value)
-            field[row, 4] = 0.0
-    # the first components and the other potentials do not enter
-    v[0], a[3], b[1] = 2.0, 0.5, -0.5
-    assert marched_components(3, u, v, a, b) == 1
-    for dim in (1, 2):
-        assert marched_components(dim, u[:1], v[:1], a[: dim + 1], b[: dim + 1]) == 1
-
-
 @pytest.mark.parametrize("M", [0.0, 1.0, 0.37])
 def test_one_component_sources_and_coupling_bitwise(M):
     rng = np.random.default_rng(41)
     u, v, A = _first_component_state(rng)
     u1, v1 = u[:1], v[:1]
-    full = wave_sources(3, u, v)
+    full = two_component_sources(3, u, v)
     reduced = wave_sources(3, u1, v1)
     for mu in (0, 1, 3):
         assert _same_bits(reduced[mu], full[mu]), mu
     # S_2 is zero either way; only the sign of its zeros may differ
     assert np.array_equal(reduced[2], full[2]) and not reduced[2].any()
     assert _same_bits(modulus_sq(3, u1, v1), modulus_sq(3, u, v))
-    C, D, k2 = coupling(3, A, M, 2)
-    C1, D1, k21 = coupling(3, _WithoutA2(A), M, 1)
+    C, D, k2 = two_component_coupling(3, A, M)
+    C1, D1, k21 = coupling(3, _WithoutA2(A), M)
     assert _same_bits(k21, k2)
     assert _same_bits(C1(v1), C(v)[:1])
     assert _same_bits(D1(u1), D(u)[:1])
-    du, dv = spinor_rhs(3, A, u, v, M)
+    du, dv = two_component_rhs(3, A, u, v, M)
     du1, dv1 = spinor_rhs(3, _WithoutA2(A), u1, v1, M)
     assert _same_bits(du1, du[:1]) and _same_bits(dv1, dv[:1])
     assert not du[1].any() and not dv[1].any()
@@ -359,8 +397,9 @@ def test_one_component_transport_step_bitwise(M):
     A_new = rng.normal(size=A_old.shape)
     A_new[2] = 0.0
     h = 0.05
-    uf, vf = _transport_step(3, M, h, u, v, A_old, A_new, _StepWork(u.shape))
     ur, vr = _transport_step(3, M, h, u[:1], v[:1], _WithoutA2(A_old), _WithoutA2(A_new), _StepWork(u[:1].shape))
+    with march_two_components():
+        uf, vf = _transport_step(3, M, h, u, v, A_old, A_new, _StepWork(u.shape))
     assert _same_bits(ur, uf[:1]) and _same_bits(vr, vf[:1])
     zero = np.zeros_like(uf[1])
     assert _same_bits(uf[1], zero) and _same_bits(vf[1], zero)  # the second components stay +0.0
@@ -387,9 +426,13 @@ def test_one_shape_check_for_half_spinors():
         ):
             with pytest.raises(ValueError, match="half-spinors"):
                 call()
-    for dim, ncomp in ((3, 3), (3, 0), (2, 2), (1, 2), (1, 0)):
-        with pytest.raises(ValueError, match="half-spinors have a component count"):
-            coupling(dim, A[: dim + 1], 1.0, ncomp)
-    # the count is read from the arrays: both dim-3 counts pass the check
+    # the marching kernels take the one marched row in dim 3 too
+    for call in (lambda: wave_sources(3, u, v), lambda: spinor_rhs(3, A, u, v, 1.0)):
+        with pytest.raises(ValueError, match="half-spinors"):
+            call()
+    for dim in (0, 4):
+        with pytest.raises(ValueError, match="spatial dimension"):
+            coupling(dim, A[: dim + 1], 1.0)
+    # modulus_sq also sums a snapshot's rows: both dim-3 counts pass the check
     for w in (u, u[:1]):
         assert modulus_sq(3, w, w).shape == (8,)

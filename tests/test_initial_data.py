@@ -118,9 +118,28 @@ def test_spinor_datum_shape_and_value():
     assert np.array_equal(v, np.zeros_like(v))
     assert np.allclose(u[0], chi(x, fam.cutoff) * f_eps(x, 0.1))
     u3, v3 = spinor_datum(DataFamily(dim=3, eps=0.1), grid)
-    assert u3.shape == (2, 257)
-    assert np.array_equal(u3[1], np.zeros(257))
+    assert u3.shape == (1, 257)  # the marched row: dim 3's second components are zero
+    assert np.array_equal(u3, u)
     assert np.array_equal(v3, np.zeros_like(v3))
+
+
+@pytest.mark.parametrize("mode", list(PotentialMode))
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])
+@pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(inner=0.3, outer=0.6)], ids=["default", "narrow"])
+def test_dim3_datum_leaves_the_second_components_plus_zero(mode, eps, cutoff):
+    # the one-row march of dim 3 rests on this: a_2 and b_2 are +0.0 in
+    # every byte (a -0.0 has its sign bit set), and the spinor datum is the
+    # first component alone, with the bits of chi * f_eps
+    grid = GridSpec(L=2.56, n=256, t_max=0.0)
+    fam = DataFamily(dim=3, eps=eps, potential_mode=mode, cutoff=cutoff)
+    a, b = potential_data(fam, grid)
+    for w in (a[2], b[2]):
+        assert w.dtype == np.float64 and not w.view(np.uint8).any()
+    u, v = spinor_datum(fam, grid)
+    want = np.zeros((1, grid.n + 1), dtype=complex)
+    want[0] = chi(grid.nodes(), cutoff) * f_eps(grid.nodes(), eps)
+    assert u.dtype == want.dtype and u.shape == want.shape and u.tobytes() == want.tobytes()
+    assert v.shape == want.shape and not v.view(np.uint8).any()
 
 
 def test_potential_data_zero_mode():

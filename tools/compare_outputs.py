@@ -13,8 +13,10 @@ n = 16384 simulate run, with and without `--oracle`; a dim-2 `--oracle`
 run with t_max = 0, which computes one level only; `--oracle` runs in
 dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
 past the marched support cone; default-claims sweeps in dims 1-3 in the
-zero potential mode and in dim 2 in the constrained mode; the benchmark's
-blow-up ladder; `verify` with seed 0; `verify` with no `suites` key, so
+zero potential mode and in dim 2 in the constrained mode; a probe-only
+claim-3 sweep in dim 3 in the constrained mode (revisions that took claim 3
+in the zero mode only exit 2 on it, so against them it is the one case
+that differs); the benchmark's blow-up ladder; `verify` with seed 0; `verify` with no `suites` key, so
 every default suite runs, the refinement study at factors 1 and 2 and the
 bootstrap thresholds at three masses included; `verify` recomputing each
 dim-2 sweep's verdicts from its files; and `norms`.  Each run's wall time
@@ -71,6 +73,12 @@ CASES = {
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
     # default claims 1 and 2
     "sweep_dim2_constrained": ("sweep", {"dim": 2, **_LADDER, "potential_mode": "constrained"}, []),
+    # default probes, at the default h = eps/16
+    "sweep_claim3_constrained": (
+        "sweep",
+        {"dim": 3, "M": 0.0, "eps_list": [1e-2, 10**-2.5], "T": 0.05, "potential_mode": "constrained", "claims": ["claim3"]},
+        [],
+    ),
     "sweep_blowup": (
         "sweep",
         {
