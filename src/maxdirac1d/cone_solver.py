@@ -51,6 +51,32 @@ marches the one row of `spinor_datum` in every dim, and observers see it as
 it is; snapshots come back with spinor_components(dim) rows, the second
 ones zero in dim 3.
 
+Massless zero-mode runs are free transport.  At M = 0 with zero potential
+data the system decouples: v, A_2 .. A_dim and A_0 + A_1 stay zero, and u
+is the datum moved one node per level.  `evolve` takes this path when its
+input has M == 0, v, a and b zero, and no sign bit set in u or v (the datum
+chi f_eps is real and nonnegative, with +0.0 zeros).  It then replaces the
+transport step by `shift(u, 1)` into a spare row, keeps v as the +0.0
+datum, and replaces `wave_sources` by `gamma_algebra.free_sources`, which
+updates |u|^2, S_0 and S_1 only (`gamma_algebra` says why the rows it skips
+keep their bits).  Everything else in a level is the same.  Each skipped
+computation is bitwise what the general step computes, by induction over
+the levels: while v is +0.0, u has no sign bit set, M is a zero and
+A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
+
+  * every coupling term of `_transport_step` (i (A_0 +- A_1) u, C v, D u)
+    is a product with a zero, so du and dv are zeros; u + (h/2) du = u and
+    v + (h/2) dv = +0.0, since adding a zero changes only a -0.0, so P is
+    shift(u, 1) and Q is +0.0;
+  * den_u and den_v are 1 +- 0i and k2 is a zero, and complex division by
+    1 +- 0i (ratio +-0, scale 1) returns a dividend with no sign bit set
+    unchanged, so v_new = (+0.0 + zeros) / (1 +- 0i) = +0.0 and
+    u_new = (P + zeros) / den_u = P;
+  * S_1 = -|u|^2 + (+0.0) is -S_0 up to the signs of zeros, and rounding
+    is symmetric, so from zero data A_1 is -A_0 up to the signs of zeros
+    and A_0 + A_1 stays a zero; the transverse sources are zeros, so
+    A_2 .. A_dim stay zeros.
+
 The grid contract (`GridSpec.ensure_support`) keeps every support clear of a
 two-node band at each boundary; a guard aborts the run if the fields there
 ever turn nonzero.  It checks the band nodes inside the window, so a datum
@@ -90,7 +116,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gamma_algebra import coupling, spinor_components, spinor_rhs, wave_sources
+from .gamma_algebra import coupling, free_sources, spinor_components, spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
@@ -361,6 +387,15 @@ def _window(grid: GridSpec, snapshot_times, observers, data) -> tuple[int, int, 
     return first, end, last, whole_line
 
 
+def _free_transport(M, u, v, a, b) -> bool:
+    """Whether the run from the datum (u, v, a, b) at mass M is massless free
+    transport (module docstring): M == 0, v, a and b zero, and no sign bit
+    set in u or v."""
+    if M != 0 or v.any() or a.any() or b.any():
+        return False
+    return not np.signbit(np.stack((u, v)).view(float)).any()
+
+
 def snapshot_levels(times, grid: GridSpec) -> dict[int, float]:
     """Map each snapshot time to its level.  Raises ValueError for a time
     off the slab or for two times that round to the same level."""
@@ -390,7 +425,8 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     `sup_A{dim}` per level, taken over full-width rows, and return snapshots
     as full-width arrays (zero outside the window); runs with declared reads
     record no series.  `meta` records the marched `window` (first node, end
-    node, last level) and the `node_steps` computed.
+    node, last level) and the `node_steps` computed.  A massless zero-mode
+    run marches free transport, bitwise the same (module docstring).
     """
     grid.ensure_support(fam.cutoff.outer)
     snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(snapshot_times, grid)))}
@@ -401,6 +437,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     # slices of the full-grid samples, so every value is the same float
     x = grid.nodes()[first:end]
     u, v, a, b = (w[..., first:end].copy() for w in (u, v, a, b))
+    free = _free_transport(M, u, v, a, b)
 
     times = h * np.arange(steps + 1)
     names = ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1))) if whole_line else ()
@@ -416,6 +453,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     # densities |u|^2, |v|^2 fill the window of full-width rows, zero outside
     # it, which the whole-line series sum
     work = _StepWork(u.shape)
+    spare_u = np.empty_like(u) if free else None  # the row free transport shifts u into
     S_rows, dens_rows = np.zeros((dim + 1, n1)), np.zeros((2, n1))
     S, dens = S_rows[:, first:end], dens_rows[:, first:end]
     A_prev, A = None, a
@@ -425,9 +463,14 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
         if not np.isfinite(sup_A.max()):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
-        if m > 0:
+        if m == 0:
+            wave_sources(dim, u, v, out=S, densities=dens)
+        elif free:
+            u, spare_u = shift(u, 1, out=spare_u), u
+            free_sources(u, out=S, densities=dens)
+        else:
             u, v = _transport_step(dim, M, h, u, v, A_prev, A, work)
-        wave_sources(dim, u, v, out=S, densities=dens)
+            wave_sources(dim, u, v, out=S, densities=dens)
         # every level, the last one included, takes the wave step past it for At
         A_next = _wave_first_step(a, b, S, h) if m == 0 else _wave_diamond(A, A_prev, S, h, out=spare)
         at = _level_at(m, b, A_next, A_prev, h)

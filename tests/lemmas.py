@@ -229,7 +229,8 @@ def two_component_sources(dim: int, u, v, *, out=None, densities=None):
 def march_two_components():
     """A context in which `cone_solver` marches both dim-3 components: the
     datum gets its zero second rows back, and the kernels are the
-    two-component references."""
+    two-component references, which every run steps (massless zero-mode
+    runs too, which would otherwise march free transport)."""
 
     def datum(fam, grid):
         u, v = spinor_datum(fam, grid)
@@ -241,6 +242,7 @@ def march_two_components():
         coupling=two_component_coupling,
         spinor_rhs=two_component_rhs,
         wave_sources=two_component_sources,
+        _free_transport=lambda *_: False,
     )
 
 

@@ -209,74 +209,74 @@ def with_literal(cfg, key, literal):
 
 
 # integer keys given floats, and numbers that are not finite as floats:
-# (command, payload, the key the error must name)
+# (command, payload, the key the error must name), each with a stable id
 BAD_NUMBERS = [
-    ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256.0, "t_max": 0.16}), "grid/n"),
-    ("verify", dict(VERIFY_GRID, seed=3.0), "seed"),
-    ("verify", {"seed": 0, "suites": ["energy"], "counts": {"energy": 2.0}}, "counts/energy"),
-    ("sweep", dict(SWEEP_CONFIG, jobs=2.0), "jobs"),
-    ("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2.0]}, "refinement_factors/1"),
-    ("norms", {"eps_list": [1e-2, 1e-3], "n": 512.0}, "n"),
-    ("simulate", dict(SIM_CONFIG, M=float("nan")), "M"),
-    ("simulate", dict(SIM_CONFIG, eps=float("nan")), "eps"),
-    ("simulate", dict(SIM_CONFIG, grid={"L": float("inf"), "n": 256, "t_max": 0.16}, snapshot_times=[]), "grid/L"),
-    ("sweep", with_literal(dict(SWEEP_CONFIG, claims=["claim1"]), "T", "1e400"), "T"),
-    ("verify", with_literal({"seed": 0, "suites": ["bootstrap"]}, "bootstrap_masses", "[1e400]"), "bootstrap_masses/0"),
-    ("norms", {"eps_list": [1e-2, 1e-3], "n": 10**400}, "n"),
+    pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256.0, "t_max": 0.16}), "grid/n", id="simulate:grid/n"),
+    pytest.param("verify", dict(VERIFY_GRID, seed=3.0), "seed", id="verify:seed"),
+    pytest.param("verify", {"seed": 0, "suites": ["energy"], "counts": {"energy": 2.0}}, "counts/energy", id="verify:counts/energy"),
+    pytest.param("sweep", dict(SWEEP_CONFIG, jobs=2.0), "jobs", id="sweep:jobs"),
+    pytest.param("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2.0]}, "refinement_factors/1", id="verify:refinement_factors/1"),
+    pytest.param("norms", {"eps_list": [1e-2, 1e-3], "n": 512.0}, "n", id="norms:n-float"),
+    pytest.param("simulate", dict(SIM_CONFIG, M=float("nan")), "M", id="simulate:M"),
+    pytest.param("simulate", dict(SIM_CONFIG, eps=float("nan")), "eps", id="simulate:eps"),
+    pytest.param("simulate", dict(SIM_CONFIG, grid={"L": float("inf"), "n": 256, "t_max": 0.16}, snapshot_times=[]), "grid/L", id="simulate:grid/L"),
+    pytest.param("sweep", with_literal(dict(SWEEP_CONFIG, claims=["claim1"]), "T", "1e400"), "T", id="sweep:T"),
+    pytest.param("verify", with_literal({"seed": 0, "suites": ["bootstrap"]}, "bootstrap_masses", "[1e400]"), "bootstrap_masses/0", id="verify:bootstrap_masses/0"),
+    pytest.param("norms", {"eps_list": [1e-2, 1e-3], "n": 10**400}, "n", id="norms:n-huge"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, payload",
     [
-        ("simulate", "{not json"),
-        ("simulate", dict(SIM_CONFIG, bogus=1)),
-        ("simulate", {k: v for k, v in SIM_CONFIG.items() if k != "dim"}),
-        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 0.205})),
-        ("simulate", dict(SIM_CONFIG, grid={"L": 2.0, "n": 200, "t_max": 0.5})),
-        ("sweep", dict(SWEEP_CONFIG, M=2.0, T=0.4, claims=["claim2"])),
+        pytest.param("simulate", "{not json", id="simulate-not-json"),
+        pytest.param("simulate", dict(SIM_CONFIG, bogus=1), id="simulate-unknown-key"),
+        pytest.param("simulate", {k: v for k, v in SIM_CONFIG.items() if k != "dim"}, id="simulate-missing-dim"),
+        pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 0.205}), id="simulate-t_max-not-a-level"),
+        pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.0, "n": 200, "t_max": 0.5}), id="simulate-grid-too-small"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, M=2.0, T=0.4, claims=["claim2"]), id="sweep-claim2-regime"),
         # claim 3 takes either potential mode, but always 2 epsilons
-        ("sweep", dict(SWEEP_CONFIG, potential_mode="constrained", eps_list=[0.1], claims=["claim3"])),
-        ("sweep", dict(SWEEP_CONFIG, claims=["gauss"])),
-        ("sweep", dict(SWEEP_CONFIG, eps_list=[0.07, 0.1])),
-        ("verify", {"seed": 1, "suites": ["energy"]}),
-        ("verify", {"seed": 1, "suites": ["recompute"]}),
-        ("norms", {"eps_list": [1e-3, 1e-2]}),
-        ("sweep", dict(SWEEP_CONFIG, eps_list=[0.03], claims=["claim3"])),
+        pytest.param("sweep", dict(SWEEP_CONFIG, potential_mode="constrained", eps_list=[0.1], claims=["claim3"]), id="sweep-claim3-constrained-one-eps"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, claims=["gauss"]), id="sweep-gauss-two-eps"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, eps_list=[0.07, 0.1]), id="sweep-eps-increasing"),
+        pytest.param("verify", {"seed": 1, "suites": ["energy"]}, id="verify-energy-without-count"),
+        pytest.param("verify", {"seed": 1, "suites": ["recompute"]}, id="verify-recompute-without-dir"),
+        pytest.param("norms", {"eps_list": [1e-3, 1e-2]}, id="norms-eps-increasing"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, eps_list=[0.03], claims=["claim3"]), id="sweep-claim3-one-eps"),
         # grids the suites' instance generators cannot draw on, whatever the seed
-        ("verify", dict(VERIFY_GRID, suites=["wave"], grid={"L": 2.56, "n": 80, "t_max": 0.064})),
-        ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 80, "t_max": 0.064})),
-        ("verify", dict(VERIFY_GRID, suites=["wave"], grid={"L": 2.56, "n": 16, "t_max": 0.64})),
-        ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 16, "t_max": 0.64})),
-        ("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 256, "t_max": 3.0})),
-        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 1.28, "n": 128, "t_max": 0.24})),
-        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 128, "t_max": 2.56})),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["wave"], grid={"L": 2.56, "n": 80, "t_max": 0.064}), id="verify-wave-n80"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 80, "t_max": 0.064}), id="verify-nullform-n80"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["wave"], grid={"L": 2.56, "n": 16, "t_max": 0.64}), id="verify-wave-n16"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 16, "t_max": 0.64}), id="verify-nullform-n16"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["nullform"], grid={"L": 2.56, "n": 256, "t_max": 3.0}), id="verify-nullform-long-cones"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 1.28, "n": 128, "t_max": 0.24}), id="verify-energy-small-L"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 128, "t_max": 2.56}), id="verify-energy-long-t_max"),
         # snapshot times that round to one level (h = 0.02)
-        ("simulate", dict(SIM_CONFIG, snapshot_times=[0.08, 0.08, 0.0801])),
-        *[(command, payload) for command, payload, _ in BAD_NUMBERS],
+        pytest.param("simulate", dict(SIM_CONFIG, snapshot_times=[0.08, 0.08, 0.0801]), id="simulate-snapshots-share-a-level"),
+        *[pytest.param(*case.values[:2], id=f"number-{case.id}") for case in BAD_NUMBERS],
         # finite numbers whose step count t_max / h overflows, or whose h underflows
-        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 1e307}, snapshot_times=[])),
-        ("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 256, "t_max": 1e307})),
-        ("norms", {"eps_list": [1e-2, 1e-3], "L": 5e-324}),
+        pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 256, "t_max": 1e307}, snapshot_times=[]), id="simulate-t_max-step-overflow"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["energy"], grid={"L": 2.56, "n": 256, "t_max": 1e307}), id="verify-t_max-step-overflow"),
+        pytest.param("norms", {"eps_list": [1e-2, 1e-3], "L": 5e-324}, id="norms-h-underflow"),
         # h = 2L/n overflows to inf
-        ("norms", {"eps_list": [1e-2, 1e-3], "L": 1e308, "n": 4}),
+        pytest.param("norms", {"eps_list": [1e-2, 1e-3], "L": 1e308, "n": 4}, id="norms-h-overflow"),
         # grids past MAX_NODES, given or implied
-        ("norms", {"eps_list": [1e-2, 1e-3], "n": 10**12}),
-        ("sweep", dict(SWEEP_CONFIG, eps_list=[1e-12])),
-        ("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 2**24, "t_max": 0.0}, snapshot_times=[])),
-        ("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2**16]}),
+        pytest.param("norms", {"eps_list": [1e-2, 1e-3], "n": 10**12}, id="norms-n-past-max-nodes"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, eps_list=[1e-12]), id="sweep-eps-past-max-nodes"),
+        pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 2**24, "t_max": 0.0}, snapshot_times=[]), id="simulate-n-past-max-nodes"),
+        pytest.param("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2**16]}, id="verify-refinement-past-max-nodes"),
         # the gauss pairing grid (h = eps/16) is wider than the sweep's at h_over_eps = 1
-        ("sweep", {"dim": 2, "M": 0, "eps_list": [1e-2, 1e-4, 3e-7], "T": 0.05, "h_over_eps": 1, "claims": ["gauss"]}),
+        pytest.param("sweep", {"dim": 2, "M": 0, "eps_list": [1e-2, 1e-4, 3e-7], "T": 0.05, "h_over_eps": 1, "claims": ["gauss"]}, id="sweep-gauss-grid-past-max-nodes"),
         # a cutoff wider than the default slab L = 2.5
-        ("norms", {"eps_list": [0.1, 0.01], "cutoff": {"inner": 1.0, "outer": 3.0}}),
+        pytest.param("norms", {"eps_list": [0.1, 0.01], "cutoff": {"inner": 1.0, "outer": 3.0}}, id="norms-cutoff-wider-than-slab"),
         # eps^2 underflows to 0: the datum peak (eps^2)^(-1/4) at x = 0 is inf
-        ("simulate", dict(SIM_CONFIG, eps=1e-200)),
+        pytest.param("simulate", dict(SIM_CONFIG, eps=1e-200), id="simulate-eps-square-underflows"),
         # eps^2 is subnormal: the run would overflow in the solver and exit 3
-        ("simulate", dict(SIM_CONFIG, eps=1e-161)),
-        ("simulate", dict(SIM_CONFIG, eps=1e-155)),
+        pytest.param("simulate", dict(SIM_CONFIG, eps=1e-161), id="simulate-eps-square-subnormal-1e-161"),
+        pytest.param("simulate", dict(SIM_CONFIG, eps=1e-155), id="simulate-eps-square-subnormal-1e-155"),
         # two s_values that share the column label H-0.1, or are equal
-        ("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.1, -0.100000001], "n": 256}),
-        ("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.5, -0.25, -0.5], "n": 256}),
+        pytest.param("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.1, -0.100000001], "n": 256}, id="norms-s-values-share-a-label"),
+        pytest.param("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.5, -0.25, -0.5], "n": 256}, id="norms-s-values-repeat"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -289,7 +289,7 @@ def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.parametrize("command, payload, loc", BAD_NUMBERS, ids=[f"{c}:{loc}" for c, _, loc in BAD_NUMBERS])
+@pytest.mark.parametrize("command, payload, loc", BAD_NUMBERS)
 def test_bad_numbers_name_the_key(tmp_path, command, payload, loc):
     with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: "):
         cli.load_config(write_config(tmp_path, payload), command)

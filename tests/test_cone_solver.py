@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from maxdirac1d import cli, cone_solver
+from maxdirac1d import cli, cone_solver, experiments
 from maxdirac1d import (
     ConeRegion,
     CutoffSpec,
@@ -18,11 +18,13 @@ from maxdirac1d import (
     wave_solve,
 )
 from maxdirac1d.experiments import SweepPlan, run_sweep
-from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs
-from maxdirac1d.initial_data import chi, f_eps, spinor_datum, write_csv
+from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs, wave_sources
+from maxdirac1d.initial_data import chi, f_eps, potential_data, spinor_datum, write_csv
 from maxdirac1d.cone_solver import (
     _StepWork,
     _transport_step,
+    _wave_diamond,
+    _wave_first_step,
     characteristic_integrals,
     cone_quadrature,
     dirac_levels,
@@ -682,6 +684,149 @@ def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
     assert not (hist.A[:, 0] + hist.A[:, 1]).any() and hist.A[:, 0].any()
     for m in range(grid.steps + 1):
         assert _same_bits(hist.u[m], shift(u0, m)), m
+
+
+# ---------------------------------------------------------------------------
+# Massless zero-mode runs march free transport, held to the general kernels.
+# ---------------------------------------------------------------------------
+
+
+def _general_path():
+    """A context in which every `evolve` run takes the general step."""
+    return mock.patch.object(cone_solver, "_free_transport", lambda *_: False)
+
+
+@contextlib.contextmanager
+def _transport_calls():
+    """A context counting the `_transport_step` calls `evolve` makes, as a
+    one-item list."""
+    calls = [0]
+    real = cone_solver._transport_step
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    with mock.patch.object(cone_solver, "_transport_step", spy):
+        yield calls
+
+
+def _hand_march(fam, grid, window):
+    """Every level's (m, first, u, v, A, At, S) of a run on `window` (first
+    node, end node, last level), from the general kernels called in step
+    order: `wave_sources`, `_wave_first_step`, then `_transport_step`,
+    `wave_sources` and `_wave_diamond` per level."""
+    first, end, steps = window
+    dim, M, h = fam.dim, fam.M, grid.h
+    u, v, a, b = (w[..., first:end].copy() for w in (*spinor_datum(fam, grid), *potential_data(fam, grid)))
+    work = _StepWork(u.shape)
+    spinors, S = [(u, v)], [np.stack(wave_sources(dim, u, v))]
+    A = [a, _wave_first_step(a, b, S[0], h)]
+    for m in range(1, steps + 1):
+        u, v = _transport_step(dim, M, h, u, v, A[m - 1], A[m], work)
+        spinors.append((u, v))
+        S.append(np.stack(wave_sources(dim, u, v)))
+        A.append(_wave_diamond(A[m], A[m - 1], S[m], h, out=np.zeros_like(a)))
+    At = [b] + [(A[m + 1] - A[m - 1]) / (2.0 * h) for m in range(1, steps + 1)]
+    return [(m, first, *spinors[m], A[m], At[m], S[m]) for m in range(steps + 1)]
+
+
+def _same_level_states(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:2] == w[:2]
+        for name, a, b in zip(("u", "v", "A", "At", "S"), g[2:], w[2:]):
+            assert _same_bits(a, b), (g[0], name)
+
+
+def _sweep_with_states(plan):
+    """A claim 1-3 `run_sweep` of `plan`, with (fam, grid, window, states) of
+    each run: a recorder that declares the reads of the sweep's observers
+    joins them, so the window stays the sweep's own."""
+    runs = []
+
+    def evolve_recorded(fam, grid, *, observers):
+        rec = _StateRecorder([cone for obs in observers for cone in obs.reads(grid)])
+        traj = evolve(fam, grid, observers=(*observers, rec))
+        runs.append((fam, grid, traj.meta["window"], rec.states))
+        return traj
+
+    with mock.patch.object(experiments, "evolve", evolve_recorded):
+        return run_sweep(plan, claims=("claim1", "claim2", "claim3")), runs
+
+
+@pytest.mark.parametrize("kind", ["whole_line", "windowed", "sweep"])
+@pytest.mark.parametrize("M", [0.0, -0.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
+    # the free path's every level, series, snapshots and meta are those of
+    # the general step, both as `evolve` takes it and stepped by hand
+    if kind == "sweep":
+        plan = SweepPlan(dim=dim, M=M, eps_list=(0.1, 0.07), T=0.05, probes=((0.04, 0.0), (0.03, -0.01)), h_over_eps=4.0)
+        with _transport_calls() as calls:
+            free, free_runs = _sweep_with_states(plan)
+        assert calls == [0]
+        with _general_path(), _transport_calls() as calls:
+            general, general_runs = _sweep_with_states(plan)
+        assert calls[0] > 0
+        assert len(free) == len(general) == len(free_runs) == len(general_runs) == 2
+        for r1, r2 in zip(free, general):
+            assert _same_bits(r1.times, r2.times) and _same_bits(r1.probe_A0, r2.probe_A0)
+            assert r1.series.keys() == r2.series.keys() == {"sup_KT_transverse", "claim2_min_ratio"}
+            for key in r2.series:
+                assert _same_bits(r1.series[key], r2.series[key]), (r1.eps, key)
+        for (fam, grid, window, states), (_, _, window2, states2) in zip(free_runs, general_runs):
+            assert window == window2 and window[1] - window[0] < grid.n + 1
+            _same_level_states(states, _hand_march(fam, grid, window))
+            _same_level_states(states2, states)
+        return
+
+    grid = GridSpec(L=2.56, n=256, t_max=0.2)
+    fam = DataFamily(dim=dim, eps=0.05, M=M)
+    if kind == "whole_line":
+        cones, snapshot_times = None, every_level(grid)
+    else:
+        cones, snapshot_times = [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)], ()
+
+    def run():
+        rec = _StateRecorder(cones)
+        return evolve(fam, grid, snapshot_times=snapshot_times, observers=(rec,)), rec.states
+
+    with _transport_calls() as calls:
+        free, free_states = run()
+    assert calls == [0]
+    with _general_path(), _transport_calls() as calls:
+        general, general_states = run()
+    assert calls[0] == grid.steps if kind == "whole_line" else calls[0] > 0
+    assert free.meta == general.meta
+    assert free.series.keys() == general.series.keys()
+    assert bool(free.series) == (kind == "whole_line")
+    for key in general.series:
+        assert _same_bits(free.series[key], general.series[key]), key
+    for name in ("times", "u", "v", "A", "At"):
+        assert _same_bits(getattr(free.snapshots, name), getattr(general.snapshots, name)), name
+    _same_level_states(free_states, _hand_march(fam, grid, free.meta["window"]))
+    _same_level_states(general_states, free_states)
+
+
+@pytest.mark.parametrize("case", ["massive", "constrained", "v_datum", "u_sign_bit"])
+def test_transport_step_runs_off_the_free_path(case):
+    # the general step runs unless M == 0, v, a and b are zero and u and v
+    # have no sign bit set: u = -0.0 + i (+0.0) or u < 0 would step otherwise
+    grid = GridSpec(L=2.56, n=128, t_max=0.12)
+    fam = DataFamily(dim=2, eps=0.1, M=0.5 if case == "massive" else 0.0, potential_mode="constrained" if case == "constrained" else "zero")
+
+    def datum(fam, grid):
+        u, v = spinor_datum(fam, grid)
+        if case == "v_datum":
+            v[0, 60:66] = 0.25
+        elif case == "u_sign_bit":
+            u[0, 64] = -0.0  # the only change: one zero's sign
+        return u, v
+
+    with mock.patch.object(cone_solver, "spinor_datum", datum), _transport_calls() as calls:
+        evolve(fam, grid, snapshot_times=(0.0,))
+    assert calls == [grid.steps]
 
 
 # ---------------------------------------------------------------------------

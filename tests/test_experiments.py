@@ -280,6 +280,27 @@ def test_claim3_needs_two_eps():
     assert check_claim3(recs[:2], LADDER).slopes[0] == pytest.approx(0.01, abs=1e-12)
 
 
+def test_probe_a0_mass_correction_is_quadratic_in_M():
+    # A_0(M) - A_0(0) = c M^2 + O(M^4) at eps = 1e-2: with M = 0.25 the
+    # difference ratio at 2M and M is 4 up to the M^4 term.  Measured at
+    # the six default probes (dim 2, h/eps 16, T 0.05): |ratio - 4| is
+    # 3.7e-5 .. 1.25e-4, and at M = 0.5 it is 1.5e-4 .. 5.0e-4, 4x as
+    # large, so the gap is the law's next order, not noise.  The bound is
+    # twice the largest measured gap; a term linear or cubic in M would
+    # give a ratio of 2 or 8.  A_0(0) is a free-transport run, A_0(M) and
+    # A_0(2M) general ones.
+    M = 0.25
+
+    def probe_a0(mass):
+        plan = SweepPlan(dim=2, M=mass, eps_list=(1e-2,), T=0.05, h_over_eps=16.0)
+        return run_sweep(plan, claims=("claim3",))[0].probe_A0
+
+    base = probe_a0(0.0)
+    ratio = (probe_a0(2 * M) - base) / (probe_a0(M) - base)
+    assert ratio.shape == (6,)
+    assert np.abs(ratio - 4.0).max() < 2.5e-4, ratio
+
+
 # ---------------------------------------------------------------------------
 # A real coarse sweep: determinism, verdicts, persistence.
 # ---------------------------------------------------------------------------

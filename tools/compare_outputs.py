@@ -8,7 +8,9 @@ a directory holding a checkout (`.` for the working tree, uncommitted edits
 included).  Each revision is exported with `git archive` into a temporary
 directory and runs the same configs from the same relative paths, in one
 process at a time.  The configs cover `simulate` in dims 1-3 with both
-potential modes, with and without `--oracle`; the benchmark's dim-3
+potential modes, with and without `--oracle`; a massless zero-mode
+`simulate` in dim 3, which marches free transport, with and without
+`--oracle`; the benchmark's dim-3
 n = 16384 simulate run, with and without `--oracle`; a dim-2 `--oracle`
 run with t_max = 0, which computes one level only; `--oracle` runs in
 dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
@@ -21,7 +23,9 @@ every default suite runs, the refinement study at factors 1 and 2 and the
 bootstrap thresholds at three masses included; `verify` recomputing each
 dim-2 sweep's verdicts from its files; and `norms`.  Each run's wall time
 and peak RSS (the child's own maximum resident set, from `os.wait4`) are
-printed side by side for the two revisions.  The exit status is 0 when
+printed side by side for the two revisions, then every difference (a file
+that only one revision wrote is named with it) and the count of files the
+two wrote between them.  The exit status is 0 when
 every run exits alike and writes the same files with the same bytes, and 1
 otherwise.
 """
@@ -57,6 +61,11 @@ CASES = {
         )
         for d in (1, 2, 3)
         for mode in ("zero", "constrained")
+        for oracle in (False, True)
+    },
+    # M = 0 in the zero mode: free transport, snapshots at 0, t_max/2 and t_max
+    **{
+        f"simulate_dim3_massless{'_oracle' if oracle else ''}": ("simulate", {"dim": 3, **_SIM, "M": 0.0}, ["--oracle"] if oracle else [])
         for oracle in (False, True)
     },
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
@@ -148,20 +157,22 @@ def run_cases(tree: str, run_dir: str) -> dict[str, tuple[int, float, float]]:
     return runs
 
 
-def differences(left: str, right: str) -> list[str]:
-    """Files present on one side only or with different bytes, as relative paths."""
-    problems = []
+def differences(outs: list[str], revs: list[str]) -> tuple[list[str], int]:
+    """Files that one revision's output directory holds and the other's does
+    not, or that differ in bytes, as relative paths; and the number of files
+    the two wrote between them."""
     names = set()
-    for side in (left, right):
+    for side in outs:
         for root, _, files in os.walk(side):
             names.update(os.path.relpath(os.path.join(root, f), side) for f in files)
+    problems = []
     for name in sorted(names):
-        a, b = os.path.join(left, name), os.path.join(right, name)
+        a, b = (os.path.join(side, name) for side in outs)
         if not (os.path.isfile(a) and os.path.isfile(b)):
-            problems.append(f"{name}: only in {'the first' if os.path.isfile(a) else 'the second'} run")
+            problems.append(f"{name}: only written by {revs[0] if os.path.isfile(a) else revs[1]}")
         elif not filecmp.cmp(a, b, shallow=False):
             problems.append(f"{name}: bytes differ")
-    return problems
+    return problems, len(names)
 
 
 def main(argv: list[str]) -> int:
@@ -178,8 +189,8 @@ def main(argv: list[str]) -> int:
             runs.append(run_cases(tree, run_dir))
             outs.append(os.path.join(run_dir, "out"))
         problems = [f"{name}: exit {runs[0][name][0]} vs {runs[1][name][0]}" for name in CASES if runs[0][name][0] != runs[1][name][0]]
-        problems += differences(*outs)
-        count = sum(len(files) for _, _, files in os.walk(outs[0]))
+        files, count = differences(outs, revs)
+        problems += files
     print(f"{'case':<32}{'wall s':>16}{'peak RSS MB':>18}   ({revs[0]}, {revs[1]})")
     for name in CASES:
         (_, wall0, rss0), (_, wall1, rss1) = runs[0][name], runs[1][name]
