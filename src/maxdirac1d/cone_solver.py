@@ -30,9 +30,9 @@ therefore marches a static window of nodes, the intersection of two hulls:
     (`reads`) at t = 0, widened by a stencil margin, up to the last level any
     of them reads; or the whole line up to t_max when there are snapshots,
     no observers or an observer that declares no `reads`;
-  * the support cone of the datum: its first and last nonzero nodes, widened
-    by one node per side per level and one node for the extra wave level,
-    plus the window edge node.
+  * the support cone of the datum: its first and last nonzero nodes within
+    the datum's reach (below), widened by one node per side per level and
+    one node for the extra wave level, plus the window edge node.
 
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
@@ -42,7 +42,18 @@ come back full-width.  At a read-hull edge the values go wrong, but
 the error travels inward one node per step, exactly like the cone shrinks:
 every node inside a declared cone is bitwise equal to the full-grid run.
 Runs with declared reads record no whole-line series, which have no meaning
-on such a window.
+on such a window, and keep their per-run rows at window width.
+
+The datum is sampled only where it can matter.  The read hull up to level
+`last` depends on the data at most last + 1 nodes past its edges (one more
+for the extra wave level), so `evolve` samples u, v, a and b on the hull
+widened by last + 2 nodes per side, clipped to the grid: the whole grid on
+whole-line runs.  `spinor_datum` and `potential_data` take that node range
+and sample at the floats grid.nodes()[lo:hi], so every value is the one a
+full-grid sample holds.  For a contiguous support the nonzero nodes found
+there give the same window as the full-grid samples.  A datum nonzero only
+out of that reach cannot touch the read cones within `last` levels, nor the
+window edge at a support-cone cut, so leaving it out changes no value.
 
 Components are cut too.  The paper's datum puts chi f_eps in u[0] only and
 has a_2 = b_2 = 0, so in dim 3 the second components u[1], v[1] and A_2
@@ -55,14 +66,16 @@ Massless zero-mode runs are free transport.  At M = 0 with zero potential
 data the system decouples: v, A_2 .. A_dim and A_0 + A_1 stay zero, and u
 is the datum moved one node per level.  `evolve` takes this path when its
 input has M == 0, v, a and b zero, and no sign bit set in u or v (the datum
-chi f_eps is real and nonnegative, with +0.0 zeros).  It then replaces the
-transport step by `shift(u, 1)` into a spare row, keeps v as the +0.0
-datum, and replaces `wave_sources` by `gamma_algebra.free_sources`, which
-updates |u|^2, S_0 and S_1 only (`gamma_algebra` says why the rows it skips
-keep their bits).  Everything else in a level is the same.  Each skipped
-computation is bitwise what the general step computes, by induction over
-the levels: while v is +0.0, u has no sign bit set, M is a zero and
-A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
+chi f_eps is real and nonnegative, with +0.0 zeros).  At level 0 it copies
+u, S_0, S_1 and |u|^2 into rows that hold `steps` zeros (+0.0) followed by
+the window; level m is then the slice [steps - m, steps - m + width) of
+those rows, which is the level-0 row moved m nodes to the right with +0.0
+fill.  u is that slice, S_0 and S_1 are copied from it, and so is |u|^2 on
+whole-line runs, whose series read it.  v stays the +0.0 datum, and |v|^2
+and S_2 .. S_dim keep their level-0 bits.  Everything else in a level is
+the same.  Each of these is bitwise what the general step computes, by
+induction over the levels: while v is +0.0, u has no sign bit set, M is a
+zero and A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
 
   * every coupling term of `_transport_step` (i (A_0 +- A_1) u, C v, D u)
     is a product with a zero, so du and dv are zeros; u + (h/2) du = u and
@@ -71,7 +84,17 @@ A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
   * den_u and den_v are 1 +- 0i and k2 is a zero, and complex division by
     1 +- 0i (ratio +-0, scale 1) returns a dividend with no sign bit set
     unchanged, so v_new = (+0.0 + zeros) / (1 +- 0i) = +0.0 and
-    u_new = (P + zeros) / den_u = P;
+    u_new = (P + zeros) / den_u = P, the level-m slice moved one node;
+  * each node's |u|^2, S_0 = |u|^2 + (+0.0) and S_1 = -|u|^2 + (+0.0) come
+    from that node's u alone, so those of a shifted row are the shifted
+    rows; at a filled node u is +0.0, and |u|^2 = +0.0,
+    S_0 = +0.0 + (+0.0) = +0.0 and S_1 = -(+0.0) + (+0.0) = +0.0 are the
+    zero fill;
+  * |v|^2 = +0.0, and the transverse sources are products with v's +0.0
+    parts whose signs are fixed because u has no sign bit set, -0.0 at
+    every node: in dim 2, -2 Im(u conj(v)) = -2 (Re u (-0.0) + Im u (+0.0))
+    = -2 (+0.0) = -0.0; in dim 3, S_2 = -0.0 by assignment and
+    S_3 = -2 (Re(conj(v_0) i u_0) + 0.0) = -0.0;
   * S_1 = -|u|^2 + (+0.0) is -S_0 up to the signs of zeros, and rounding
     is symmetric, so from zero data A_1 is -A_0 up to the signs of zeros
     and A_0 + A_1 stays a zero; the transverse sources are zeros, so
@@ -89,14 +112,15 @@ series, observers and snapshots.  It makes each pass over the window once:
 
   * one density evaluation: `wave_sources` writes |u|^2 and |v|^2 next to
     the sources, and the series `l1_u`, `l1_v` take their square roots;
-  * one finiteness check: np.abs(A).max(axis=-1), nan or inf exactly where
-    A has a non-finite value, checks A before the transport step reads it and
-    gives every `sup_A<mu>`; a sum of S_0 = |u|^2 + |v|^2, the charge
-    trapezoid on whole-line runs and a plain sum over the window on the
-    others, checks u and v;
+  * one finiteness check: np.abs(A).max(), nan or inf exactly where A has
+    a non-finite value, checks A before the transport step reads it; on
+    whole-line runs it is taken per row, np.abs(A).max(axis=-1), and gives
+    every `sup_A<mu>`; a sum of S_0 = |u|^2 + |v|^2, the charge trapezoid
+    on whole-line runs and a plain sum over the window on the others,
+    checks u and v;
   * At only where it is read: each level gets a callable that forms the
     centered difference on its first call, which snapshots and observers
-    (through `LevelState.At`) make;
+    (through `LevelState.At`) make, and returns it again on later calls;
   * per-run arrays in place of per-level temporaries: the transport's
     shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
     just reached to the next step), the diamond's three potential levels,
@@ -108,7 +132,6 @@ expressions it replaces, so the outputs are bitwise unchanged.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -116,7 +139,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gamma_algebra import coupling, free_sources, spinor_components, spinor_rhs, wave_sources
+from .gamma_algebra import coupling, spinor_components, spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
@@ -337,10 +360,18 @@ def _wave_diamond(A_curr, A_prev, S, h, out):
 
 def _level_at(m, b, A_next, A_prev, h):
     """At^m as a callable: the datum b at level 0, which is exact, then the
-    centered difference of the levels around m, formed on the first call."""
+    centered difference of the levels around m, formed on the first call
+    and returned again on every later one."""
     if m == 0:
         return lambda: b
-    return functools.cache(lambda: (A_next - A_prev) / (2.0 * h))
+    memo = []
+
+    def at():
+        if not memo:
+            memo.append((A_next - A_prev) / (2.0 * h))
+        return memo[0]
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +382,15 @@ def _level_at(m, b, A_next, A_prev, h):
 STENCIL_MARGIN = 1  # nodes added to each side of a window, for round-off in the cone bases
 
 
-def _window(grid: GridSpec, snapshot_times, observers, data) -> tuple[int, int, int, bool]:
-    """(first node, end node, last level) that `evolve` marches, and whether
-    the observers read the whole line (see the module docstring).
+def _read_hull(grid: GridSpec, snapshot_times, observers) -> tuple[int, int, int, bool]:
+    """(first node, end node, last level) that the observers read, and
+    whether they read the whole line (see the module docstring).
 
     The read hull is the hull of the cone bases that the observers declare
     with `reads(grid)`, as (ConeRegion, last level) pairs, widened by
-    STENCIL_MARGIN nodes per side.  Snapshots, no observers or an observer
-    that declares nothing (`cli.A0Oracle`) read the whole line.  The support
-    cone is the nonzero nodes of the datum rows `data` (each (..., n+1))
-    widened by last + 2 per side.  A read hull disjoint from it reads only
-    zeros and is marched as declared.
+    STENCIL_MARGIN nodes per side and clipped to the grid.  Snapshots, no
+    observers or an observer that declares nothing (`cli.A0Oracle`) read
+    the whole line, (0, n+1, steps).
     """
     n1 = grid.n + 1
     readers = [obs for obs in observers if hasattr(obs, "reads")]
@@ -373,18 +402,26 @@ def _window(grid: GridSpec, snapshot_times, observers, data) -> tuple[int, int, 
             end = max(end, math.ceil((region.base_hi + grid.L) / grid.h) + STENCIL_MARGIN + 1)
             last = max(last, level)
     if whole_line or first >= end:
-        first, end, last, whole_line = 0, n1, grid.steps, True
-    else:
-        first, end, last = max(0, first), min(n1, end), min(last, grid.steps)
+        return 0, n1, grid.steps, True
+    return max(0, first), min(n1, end), min(last, grid.steps), False
 
-    live = np.zeros(n1, dtype=bool)
+
+def _support_cut(first: int, end: int, last: int, lo: int, data) -> tuple[int, int]:
+    """The read hull [first, end) up to level `last`, cut to the support cone
+    of the datum rows `data` (each (..., width)), sampled on the nodes from
+    `lo` on: their first and last nonzero nodes widened by last + 2 per
+    side.  A hull disjoint from that cone, or rows that are all zero, read
+    only zeros: the hull is then marched as declared."""
+    width = data[0].shape[-1]
+    live = np.zeros(width, dtype=bool)
     for w in data:
-        live |= (w != 0).reshape(-1, n1).any(axis=0)
-    nodes = np.flatnonzero(live)  # never empty: the spinor datum is eps^(-1/2) at x = 0
-    lo, hi = int(nodes[0]) - last - 2, int(nodes[-1]) + last + 3
-    if lo < end and first < hi:
-        first, end = max(first, lo), min(end, hi)
-    return first, end, last, whole_line
+        live |= (w != 0).reshape(-1, width).any(axis=0)
+    nodes = np.flatnonzero(live)
+    if nodes.size:
+        s_lo, s_hi = lo + int(nodes[0]) - last - 2, lo + int(nodes[-1]) + last + 3
+        if s_lo < end and first < s_hi:
+            return max(first, s_lo), min(end, s_hi)
+    return first, end
 
 
 def _free_transport(M, u, v, a, b) -> bool:
@@ -420,23 +457,27 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         `LevelState` of each marched level, and optionally `reads(grid)`.
 
     The marched window is the read hull of the observers cut to the support
-    cone of the datum (`_window`, and the module docstring).  Whole-line
-    runs record the series `charge`, `l1_u`, `l1_v` and `sup_A0` ..
-    `sup_A{dim}` per level, taken over full-width rows, and return snapshots
-    as full-width arrays (zero outside the window); runs with declared reads
-    record no series.  `meta` records the marched `window` (first node, end
-    node, last level) and the `node_steps` computed.  A massless zero-mode
-    run marches free transport, bitwise the same (module docstring).
+    cone of the datum, which is sampled only on the nodes that hull can
+    depend on (`_read_hull`, `_support_cut`, and the module docstring).
+    Whole-line runs record the series `charge`, `l1_u`, `l1_v` and
+    `sup_A0` .. `sup_A{dim}` per level, taken over full-width rows, and
+    return snapshots as full-width arrays (zero outside the window); runs
+    with declared reads record no series.  `meta` records the marched
+    `window` (first node, end node, last level) and the `node_steps`
+    computed.  A massless zero-mode run marches free transport, bitwise the
+    same (module docstring).
     """
     grid.ensure_support(fam.cutoff.outer)
     snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(snapshot_times, grid)))}
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
-    u, v = spinor_datum(fam, grid)
-    a, b = potential_data(fam, grid)
-    first, end, steps, whole_line = _window(grid, snapshot_times, observers, (u, v, a, b))
-    # slices of the full-grid samples, so every value is the same float
+    first, end, steps, whole_line = _read_hull(grid, snapshot_times, observers)
+    # the datum on the nodes the read cones can depend on (module docstring)
+    lo, hi = max(0, first - steps - 2), min(n1, end + steps + 2)
+    u, v, a, b = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
+    first, end = _support_cut(first, end, steps, lo, (u, v, a, b))
+    width = end - first
     x = grid.nodes()[first:end]
-    u, v, a, b = (w[..., first:end].copy() for w in (u, v, a, b))
+    u, v, a, b = (w[..., first - lo : end - lo].copy() for w in (u, v, a, b))
     free = _free_transport(M, u, v, a, b)
 
     times = h * np.arange(steps + 1)
@@ -449,25 +490,40 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     # zero-filled full-width arrays; spinor rows past the marched one stay zero
     snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
 
-    # per-run arrays written in place at every level; the sources and the
-    # densities |u|^2, |v|^2 fill the window of full-width rows, zero outside
-    # it, which the whole-line series sum
+    # per-run arrays written in place at every level: the sources and the
+    # densities |u|^2, |v|^2; on whole-line runs they fill the window of
+    # full-width rows, zero outside it, which the series sum
     work = _StepWork(u.shape)
-    spare_u = np.empty_like(u) if free else None  # the row free transport shifts u into
-    S_rows, dens_rows = np.zeros((dim + 1, n1)), np.zeros((2, n1))
-    S, dens = S_rows[:, first:end], dens_rows[:, first:end]
+    if whole_line:
+        S_rows, dens_rows = np.zeros((dim + 1, n1)), np.zeros((2, n1))
+        S, dens = S_rows[:, first:end], dens_rows[:, first:end]
+    else:
+        S, dens = np.empty((dim + 1, width)), np.empty((2, width))
     A_prev, A = None, a
 
     for m in range(steps + 1):
         t = m * h
-        sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
-        if not np.isfinite(sup_A.max()):
+        if whole_line:
+            sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
+            peak = sup_A.max()
+        else:
+            peak = np.abs(A).max()
+        if not math.isfinite(peak):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if m == 0:
             wave_sources(dim, u, v, out=S, densities=dens)
-        elif free:
-            u, spare_u = shift(u, 1, out=spare_u), u
-            free_sources(u, out=S, densities=dens)
+            if free:  # level-0 rows of u, S_0, S_1 and |u|^2, after `steps` zeros
+                u_rows = np.zeros((1, steps + width), complex)
+                u_rows[:, steps:] = u
+                free_rows = np.zeros((3, steps + width))
+                free_rows[:2, steps:] = S[:2]
+                free_rows[2, steps:] = dens[0]
+        elif free:  # level m is their slice [steps - m, steps - m + width)
+            level = slice(steps - m, steps - m + width)
+            u = u_rows[:, level]
+            S[:2] = free_rows[:2, level]
+            if whole_line:
+                dens[0] = free_rows[2, level]
         else:
             u, v = _transport_step(dim, M, h, u, v, A_prev, A, work)
             wave_sources(dim, u, v, out=S, densities=dens)
@@ -476,7 +532,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         at = _level_at(m, b, A_next, A_prev, h)
 
         q = float(trapezoid(S_rows[0], h)) if whole_line else S[0].sum()  # not finite where u or v is not
-        if not np.isfinite(q):
+        if not math.isfinite(q):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")

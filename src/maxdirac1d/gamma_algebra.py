@@ -23,19 +23,6 @@ one of those zeros or with s = i A_2, so it is a zero.  Sums of zeros stay
 two-component ones with those zeros put in: they round the first components
 bit for bit as the two-component ones do, and only the sign of S_2's zeros
 may differ, which reaches no field.
-
-The massless zero-mode run (M = 0, zero potential data, `cone_solver`) is
-cut further: there v stays +0.0, and of the sources only |u|^2, S_0 and S_1
-change from level to level.  `free_sources` updates those three rows with
-the calls `wave_sources` makes for them.  The rows it leaves hold what
-`wave_sources` wrote at level 0, and they are what it would write again:
-|v|^2 = +0.0; the transverse sources are products with v's +0.0 parts, so
-zeros, and their signs are fixed because u has no sign bit set (the datum
-chi f_eps is real and nonnegative, `evolve` takes this path only when no
-sign bit is set, and the step only moves u).  In dim 2,
--2 Im(u conj(v)) = -2 (Re u (-0.0) + Im u (+0.0)) = -2 (+0.0) = -0.0; in
-dim 3, S_2 = -0.0 by assignment and S_3 = -2 (Re(conj(v_0) i u_0) + 0.0)
-= -0.0.
 """
 
 from __future__ import annotations
@@ -53,7 +40,6 @@ __all__ = [
     "coupling",
     "spinor_rhs",
     "wave_sources",
-    "free_sources",
     "modulus_sq",
 ]
 
@@ -260,12 +246,6 @@ def _density(w, out=None) -> np.ndarray:
     return np.sum(squares, axis=-2, out=out)
 
 
-def _charge_current(mu, mv, out) -> None:
-    """S_0 = mu + mv and S_1 = -mu + mv into out[0] and out[1]."""
-    np.add(mu, mv, out=out[0])
-    np.add(np.negative(mu, out=out[1]), mv, out=out[1])
-
-
 def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarray, ...]:
     """Sources (S_0, ..., S_dim) with box A_mu = S_mu.
 
@@ -285,7 +265,8 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     mu, mv = _density(u, rows[0]), _density(v, rows[1])
     if out is None:
         out = np.empty((dim + 1, *np.broadcast(mu, mv).shape))
-    _charge_current(mu, mv, out)
+    np.add(mu, mv, out=out[0])
+    np.add(np.negative(mu, out=out[1]), mv, out=out[1])  # -mu + mv
     if dim == 1:
         return tuple(out)
     u0, v0 = u[..., 0, :], v[..., 0, :]
@@ -300,12 +281,3 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     out[2] = -0.0
     np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[3])
     return tuple(out)
-
-
-def free_sources(u, out, densities) -> None:
-    """The rows of `wave_sources(dim, u, v, out=out, densities=densities)`
-    that change in a massless zero-mode run (module docstring): |u|^2 into
-    densities[0], then S_0 and S_1 into out[0] and out[1] from it and the
-    |v|^2 = +0.0 that densities[1] holds.  The other rows are left as they
-    are; u is one marched row (..., 1, n+1), as `evolve` keeps it."""
-    _charge_current(_density(u, densities[0]), densities[1], out)

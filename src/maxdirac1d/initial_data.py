@@ -195,26 +195,31 @@ def sample_midpoints(func, grid: GridSpec) -> np.ndarray:
     return np.asarray(func(grid.midpoints()))
 
 
-def spinor_datum(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def spinor_datum(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodal samples of the spinor datum: u_1 = chi * f_eps, all else 0.
 
     Needs eps > 0; the node x = 0 carries the exact value eps^(-1/2).
     Returns (u, v) with shape (1, n+1) each: the first component, the one
     row that `cone_solver.evolve` marches in every dim (the second
     components of dim 3 are zero and stay so; see `gamma_algebra`).
+    `nodes`, when given, is a half-open node range (lo, hi): the rows then
+    hold those nodes only, sampled at the floats grid.nodes()[lo:hi], so
+    they are bitwise the slice [..., lo:hi] of the full rows.
     """
     if fam.eps <= 0:
         raise ValueError("spinor datum needs eps > 0; the eps = 0 profile is norms-only")
     grid.ensure_support(fam.cutoff.outer)
-    x = grid.nodes()
+    lo, hi = nodes or (0, grid.n + 1)
+    x = grid.nodes()[lo:hi]
     u = np.zeros((1, x.size), dtype=complex)
     v = np.zeros((1, x.size), dtype=complex)
     u[0] = chi(x, fam.cutoff) * f_eps(x, fam.eps)
     return u, v
 
 
-def potential_data(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal potential data (a, b) with shape (dim+1, n+1) each.
+def potential_data(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal potential data (a, b) with shape (dim+1, n+1) each, or on the
+    node range `nodes` as `spinor_datum` takes it.
 
     Zero mode: all zero.  Constrained mode: all zero except
     b_1(x) = chi(x) log(x + sqrt(eps^2 + x^2)), which satisfies the charge
@@ -226,10 +231,11 @@ def potential_data(fam: DataFamily, grid: GridSpec) -> tuple[np.ndarray, np.ndar
     cone over the ball.
     """
     grid.ensure_support(fam.cutoff.outer)
-    x = grid.nodes()
-    a = np.zeros((fam.dim + 1, x.size))
-    b = np.zeros((fam.dim + 1, x.size))
+    lo, hi = nodes or (0, grid.n + 1)
+    a = np.zeros((fam.dim + 1, hi - lo))
+    b = np.zeros((fam.dim + 1, hi - lo))
     if fam.potential_mode is PotentialMode.CONSTRAINED:
+        x = grid.nodes()[lo:hi]
         e = fam.eps
         c = chi(x, fam.cutoff)
         on = c > 0  # off the support, 0 * log(...) < 0 would leave -0.0

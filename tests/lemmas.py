@@ -64,7 +64,11 @@ from maxdirac1d.initial_data import CutoffSpec, GridSpec, spinor_datum
 def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
     """`cone_solver.evolve` on the whole grid up to t_max, whatever its
     observers read: a whole-line run with `meta["window"]` (0, n+1, steps)."""
-    with mock.patch.object(cone_solver, "_window", lambda grid, *_: (0, grid.n + 1, grid.steps, True)):
+    with mock.patch.multiple(
+        cone_solver,
+        _read_hull=lambda grid, *_: (0, grid.n + 1, grid.steps, True),
+        _support_cut=lambda first, end, *_: (first, end),
+    ):
         return cone_solver.evolve(fam, grid, **kw)
 
 
@@ -232,8 +236,8 @@ def march_two_components():
     two-component references, which every run steps (massless zero-mode
     runs too, which would otherwise march free transport)."""
 
-    def datum(fam, grid):
-        u, v = spinor_datum(fam, grid)
+    def datum(fam, grid, nodes=None):
+        u, v = spinor_datum(fam, grid, nodes)
         return np.concatenate([u, np.zeros_like(u)]), np.concatenate([v, np.zeros_like(v)])
 
     return mock.patch.multiple(

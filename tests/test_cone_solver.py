@@ -255,9 +255,21 @@ def test_gauge_residual_constrained_vs_zero():
 # ---------------------------------------------------------------------------
 
 
+def _on_nodes(full):
+    """A double of `spinor_datum` or `potential_data` made from `full(fam,
+    grid)`, the full-grid rows: like them, it takes an optional node range
+    (lo, hi) and returns the rows on those nodes."""
+
+    def datum(fam, grid, nodes=None):
+        lo, hi = nodes or (0, grid.n + 1)
+        return tuple(w[..., lo:hi] for w in full(fam, grid))
+
+    return datum
+
+
 def _inject_datum(monkeypatch, u0):
     """Make evolve start from (u0, 0) instead of the family datum."""
-    monkeypatch.setattr(cone_solver, "spinor_datum", lambda fam, grid: (u0, np.zeros_like(u0)))
+    monkeypatch.setattr(cone_solver, "spinor_datum", _on_nodes(lambda fam, grid: (u0, np.zeros_like(u0))))
 
 
 def test_abort_on_nonfinite_datum(monkeypatch):
@@ -304,6 +316,24 @@ def test_observer_sees_every_level():
     traj = evolve(DataFamily(dim=1, eps=0.1), grid, observers=(obs,))
     assert obs.times == [m * grid.h for m in range(grid.steps + 1)]
     assert traj.times.size == grid.steps + 1
+
+
+def test_at_read_twice_in_a_level_is_one_array():
+    # At is formed on its first read in a level; a second read, by the same
+    # observer or by the snapshot, returns that array again
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+    seen = []
+
+    class Reader:
+        def on_level(self, lev, grid):
+            first = lev.At
+            assert lev.At is first
+            seen.append(first)
+
+    evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, observers=(Reader(), Reader()), snapshot_times=(0.1,))
+    assert len(seen) == 2 * (grid.steps + 1)
+    assert all(a is b for a, b in zip(seen[::2], seen[1::2]))
+    assert len({id(a) for a in seen[::2]}) == grid.steps + 1
 
 
 def test_snapshots_and_csv_export(tmp_path):
@@ -576,7 +606,7 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
         a[:, 114:119] = 0.5  # past the spinor's support, which ends at node 113
         return a, b
 
-    monkeypatch.setattr(cone_solver, "potential_data", with_a)
+    monkeypatch.setattr(cone_solver, "potential_data", _on_nodes(with_a))
     win = evolve(fam, grid, snapshot_times=every_level(grid))
     full = evolve_full_grid(fam, grid, snapshot_times=every_level(grid))
     assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
@@ -608,6 +638,41 @@ def test_read_hull_disjoint_from_support_is_marched_as_declared():
     assert all(not u.any() and not A.any() for _, _, u, _, A in rec.levels)
 
 
+@pytest.mark.parametrize("base, reach, window", [((1.9, 2.3), (105, 129), (110, 119)), ((-2.3, -1.9), (0, 24), (10, 19))])
+def test_read_hull_straddling_the_support_edge(monkeypatch, base, reach, window):
+    # the datum lives on nodes 15..113 (|x| < 2); the read hull up to level 3
+    # crosses one edge of it, and the datum is sampled on the hull widened
+    # by 3 + 2 nodes per side, clipped to the grid: the nonzero nodes found
+    # there cut the hull where the full-grid datum does
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+    fam = DataFamily(dim=1, eps=0.1, M=1.0)
+    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
+    ranges = []
+
+    def spy(fam, grid, nodes=None):
+        ranges.append(nodes)
+        return real(fam, grid, nodes)
+
+    real = cone_solver.spinor_datum
+    monkeypatch.setattr(cone_solver, "spinor_datum", spy)
+    region = ConeRegion(*base)
+    rec = _ConeRecorder([(region, 3)])
+    traj = evolve(fam, grid, observers=(rec,))
+    assert ranges == [reach]
+    assert traj.meta["window"] == (*window, 3)
+    x = grid.nodes()
+    for m, first, u, v, A in rec.levels:
+        lo, hi = cross_section(region, m * grid.h)
+        nodes = np.nonzero((x >= lo - 1e-9) & (x <= hi + 1e-9))[0]
+        inside = (nodes >= window[0]) & (nodes < window[1])
+        assert first == window[0] and inside.any()
+        # the cone's nodes past the support cut hold zeros in the full-grid run
+        assert not hist.u[m][:, nodes[~inside]].any() and not hist.A[m][:, nodes[~inside]].any()
+        nodes = nodes[inside]
+        assert _same_bits(u[:, nodes - first], hist.u[m][:, nodes])
+        assert _same_bits(A[:, nodes - first], hist.A[m][:, nodes])
+
+
 def test_abort_on_nonfinite_inside_window(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
@@ -633,7 +698,7 @@ def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
         (a if field == "a" else b)[2, 32] = bad
         return a, b
 
-    monkeypatch.setattr(cone_solver, "potential_data", bad_datum)
+    monkeypatch.setattr(cone_solver, "potential_data", _on_nodes(bad_datum))
     message = f"non-finite field values at t = {level * grid.h:.6g}$"
     rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 3)])
     # A^m is checked before the transport step to level m reads it, so no
@@ -809,6 +874,24 @@ def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
     _same_level_states(general_states, free_states)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_free_whole_line_series_follow_the_moving_rows(dim):
+    # the series sum full-width rows whose rounding depends on where the
+    # datum sits: on this grid l1_u and the charge change from level to
+    # level, so a free level must refresh |u|^2 and S_0 there, not keep
+    # the level-0 rows
+    grid = GridSpec(L=2.56, n=1024, t_max=0.2)
+    fam = DataFamily(dim=dim, eps=0.03, M=0.0)
+    free = evolve(fam, grid, snapshot_times=(0.0,))
+    with _general_path():
+        general = evolve(fam, grid, snapshot_times=(0.0,))
+    for key in ("charge", "l1_u"):
+        assert np.unique(free.series[key]).size > 1, key
+    assert free.series.keys() == general.series.keys()
+    for key in general.series:
+        assert _same_bits(free.series[key], general.series[key]), key
+
+
 @pytest.mark.parametrize("case", ["massive", "constrained", "v_datum", "u_sign_bit"])
 def test_transport_step_runs_off_the_free_path(case):
     # the general step runs unless M == 0, v, a and b are zero and u and v
@@ -824,7 +907,7 @@ def test_transport_step_runs_off_the_free_path(case):
             u[0, 64] = -0.0  # the only change: one zero's sign
         return u, v
 
-    with mock.patch.object(cone_solver, "spinor_datum", datum), _transport_calls() as calls:
+    with mock.patch.object(cone_solver, "spinor_datum", _on_nodes(datum)), _transport_calls() as calls:
         evolve(fam, grid, snapshot_times=(0.0,))
     assert calls == [grid.steps]
 
@@ -951,8 +1034,8 @@ def test_dim3_nonzero_second_component_datum_marches_both(field, row):
     datum[field][row, 60:66] = 0.25
     with march_two_components(), mock.patch.multiple(
         cone_solver,
-        spinor_datum=lambda fam, grid: (datum["u"], datum["v"]),
-        potential_data=lambda fam, grid: (datum["a"], datum["b"]),
+        spinor_datum=_on_nodes(lambda fam, grid: (datum["u"], datum["v"])),
+        potential_data=_on_nodes(lambda fam, grid: (datum["a"], datum["b"])),
     ):
         traj = evolve(fam, grid, snapshot_times=every_level(grid))
     assert traj.snapshots.u[-1, 1].any() or traj.snapshots.v[-1, 1].any()

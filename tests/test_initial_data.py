@@ -142,6 +142,34 @@ def test_dim3_datum_leaves_the_second_components_plus_zero(mode, eps, cutoff):
     assert v.shape == want.shape and not v.view(np.uint8).any()
 
 
+def _node_ranges(n1, rng):
+    """Half-open node ranges: width 1 at both grid ends and at the centre,
+    windows that start or end at a grid end, the whole grid, and random
+    windows of every width."""
+    c = n1 // 2
+    fixed = [(0, 1), (n1 - 1, n1), (c, c + 1), (0, 7), (n1 - 7, n1), (0, n1)]
+    random = [tuple(sorted(rng.choice(n1 + 1, size=2, replace=False).tolist())) for _ in range(60)]
+    return fixed + random
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", list(PotentialMode))
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_datum_on_a_node_range_is_the_slice_of_the_full_grid_datum(dim, mode, eps):
+    # `evolve` samples the datum on the nodes its read cones reach; every
+    # value must be the one the full-grid sample holds, bit for bit
+    grid = GridSpec(L=2.56, n=2048, t_max=0.0)
+    fam = DataFamily(dim=dim, eps=eps, potential_mode=mode, cutoff=CutoffSpec(inner=0.3, outer=0.6))
+    full = (*spinor_datum(fam, grid), *potential_data(fam, grid))
+    assert full[0].any() and (mode is PotentialMode.ZERO or full[3].any())
+    for lo, hi in _node_ranges(grid.n + 1, np.random.default_rng(dim)):
+        part = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
+        for w, want in zip(part, full):
+            want = want[..., lo:hi]
+            assert w.dtype == want.dtype and w.shape == want.shape, (lo, hi)
+            assert w.tobytes() == want.tobytes(), (lo, hi)
+
+
 def test_potential_data_zero_mode():
     grid = GridSpec(L=2.56, n=256, t_max=0.0)
     a, b = potential_data(DataFamily(dim=2, eps=0.1), grid)

@@ -10,24 +10,27 @@ directory and runs the same configs from the same relative paths, in one
 process at a time.  The configs cover `simulate` in dims 1-3 with both
 potential modes, with and without `--oracle`; a massless zero-mode
 `simulate` in dim 3, which marches free transport, with and without
-`--oracle`; the benchmark's dim-3
-n = 16384 simulate run, with and without `--oracle`; a dim-2 `--oracle`
-run with t_max = 0, which computes one level only; `--oracle` runs in
-dims 2 and 3 whose cutoff is so narrow that the oracle's vertex cones reach
-past the marched support cone; default-claims sweeps in dims 1-3 in the
-zero potential mode and in dim 2 in the constrained mode; a probe-only
-claim-3 sweep in dim 3 in the constrained mode (revisions that took claim 3
-in the zero mode only exit 2 on it, so against them it is the one case
-that differs); the benchmark's blow-up ladder; `verify` with seed 0; `verify` with no `suites` key, so
-every default suite runs, the refinement study at factors 1 and 2 and the
-bootstrap thresholds at three masses included; `verify` recomputing each
-dim-2 sweep's verdicts from its files; and `norms`.  Each run's wall time
-and peak RSS (the child's own maximum resident set, from `os.wait4`) are
-printed side by side for the two revisions, then every difference (a file
-that only one revision wrote is named with it) and the count of files the
-two wrote between them.  The exit status is 0 when
-every run exits alike and writes the same files with the same bytes, and 1
-otherwise.
+`--oracle`; the benchmark's dim-3 n = 16384 simulate run, with and without
+`--oracle`; a dim-2 `--oracle` run with t_max = 0, which computes one level
+only; `--oracle` runs in dims 2 and 3 whose cutoff is so narrow that the
+oracle's vertex cones reach past the marched support cone; default-claims
+sweeps in dims 1-3 in the zero potential mode and in dim 2 in the
+constrained mode; probe-only claim-3 sweeps in dims 1-3 with that narrow
+cutoff, whose probe cone reaches past the support cone, so that the
+support cut binds; a probe-only claim-3 sweep at M = 1, which takes the
+general step on a datum sampled on the probe cones' reach only; a
+probe-only claim-3 sweep in dim 3 in the constrained mode (revisions that
+took claim 3 in the zero mode only exit 2 on it, so against them it is the
+one case that differs); the benchmark's blow-up ladder; `verify` with seed
+0; `verify` with no `suites` key, so every default suite runs, the
+refinement study at factors 1 and 2 and the bootstrap thresholds at three
+masses included; `verify` recomputing each dim-2 sweep's verdicts from its
+files; and `norms`.  Each run's wall time and peak RSS (the child's own
+maximum resident set, from `os.wait4`) are printed side by side for the two
+revisions, then every difference (a file that only one revision wrote is
+named with it) and the count of files the two wrote between them.  The
+exit status is 0 when every run exits alike and writes the same files with
+the same bytes, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +53,16 @@ _BENCH_DIM3 = {"dim": 3, "M": 0.875, "eps": 0.01, "grid": {"L": 2.56, "n": 16384
 
 # nodes 63..449 are marched; the oracle's vertex cones span nodes 16..496
 _NARROW = {"dim": 2, "M": 1.0, "eps": 0.05, "cutoff": {"inner": 0.1, "outer": 0.2}, "grid": {"L": 1.6, "n": 512, "t_max": 1.0}}
+# the probe's cone reaches past the support cone of |x| < 0.2, which cuts the read hull
+_NARROW_LADDER = {
+    "M": 0.0,
+    "eps_list": [0.05, 0.035, 0.025],
+    "T": 0.3,
+    "h_over_eps": 8.0,
+    "cutoff": _NARROW["cutoff"],
+    "probes": [[0.25, 0.24]],
+    "claims": ["claim3"],
+}
 
 # name -> (command, config, extra arguments)
 CASES = {
@@ -82,6 +95,9 @@ CASES = {
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
     # default claims 1 and 2
     "sweep_dim2_constrained": ("sweep", {"dim": 2, **_LADDER, "potential_mode": "constrained"}, []),
+    # probe-only, so the datum is sampled on the probe cones' reach only
+    **{f"sweep_claim3_narrow_dim{d}": ("sweep", {"dim": d, **_NARROW_LADDER}, []) for d in (1, 2, 3)},
+    "sweep_claim3_massive": ("sweep", {"dim": 2, **_LADDER, "M": 1.0, "claims": ["claim3"]}, []),
     # default probes, at the default h = eps/16
     "sweep_claim3_constrained": (
         "sweep",
