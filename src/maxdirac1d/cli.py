@@ -26,12 +26,12 @@ the physically meaningful fields (dim, M, eps or eps_list, T or t_max) have
 no defaults.  The --seed and --jobs flags are checked against the same table
 entries as the keys they override.  Cross-field constraints (grid
 divisibility, support margins, the MAX_NODES cap on every grid a run would
-build, the claim preconditions of `experiments.sweep_claims`, and the
-campaign files the recompute suite reads) are checked at load time so that
-a bad config never reaches the solver.  The
-claims, their verdicts and the suite defaults live in `experiments` and
-`estimates`; this module only reads configs, calls them and writes their
-results.
+build and on the rows its snapshots keep, the claim preconditions of
+`experiments.sweep_claims`, and the campaign files the recompute suite
+reads) are checked at load time so that a bad config never reaches the
+solver.  The claims, their verdicts and the suite defaults live in
+`experiments` and `estimates`; this module only reads configs, calls them
+and writes their results.
 """
 
 from __future__ import annotations
@@ -199,14 +199,17 @@ def _check(value, key: Key, loc: str) -> None:
                 raise ValueError(f"{prefix}{name}: required key missing")
 
 
-# Grid nodes a config may ask for: 268 MB per complex row.  ROADMAP item 2's
-# deepest ladder rung (eps = 10^-4.5 at h/eps = 64) needs about 4.9e6.
+# Grid nodes a config may ask for, on one grid or over the full-width rows of
+# all its snapshot levels.  A dim-3 whole-line `simulate` at n = 2^18 peaked
+# at 365 B per node with no snapshots, about 6 GB at the cap, and at 497 with
+# two (numpy 2.4.6 on Linux x86-64).  ROADMAP item 2's deepest ladder rung
+# (eps = 10^-4.5 at h/eps = 64) needs about 4.9e6.
 MAX_NODES = 2**24
 
 
-def _cap_nodes(loc: str, n: int, why: str = "") -> None:
-    if n + 1 > MAX_NODES:
-        raise ValueError(f"{loc}: {why}{n + 1} grid nodes, more than MAX_NODES = {MAX_NODES}")
+def _cap_nodes(loc: str, nodes: int, why: str = "") -> None:
+    if nodes > MAX_NODES:
+        raise ValueError(f"{loc}: {why}{nodes} grid nodes, more than MAX_NODES = {MAX_NODES}")
 
 
 def _grid(prefix: str, fields: dict, outer: float | None = None) -> GridSpec:
@@ -218,7 +221,7 @@ def _grid(prefix: str, fields: dict, outer: float | None = None) -> GridSpec:
             grid.ensure_support(outer)
     except GridError as exc:
         raise ValueError(f"{prefix}{exc.key}: {exc}") from exc
-    _cap_nodes(f"{prefix}n", grid.n)
+    _cap_nodes(f"{prefix}n", grid.n + 1)
     return grid
 
 
@@ -278,8 +281,10 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             ctx["fam"] = DataFamily(
                 raw["dim"], raw["eps"], raw["M"], cutoff=cutoff, **_given(raw, potential_mode="potential_mode")
             )
-            ctx["grid"] = _grid("grid/", raw["grid"], cutoff.outer)
-            snapshot_levels(raw.get("snapshot_times", []), ctx["grid"])
+            ctx["grid"] = grid = _grid("grid/", raw["grid"], cutoff.outer)
+            # each snapshot level keeps full-width rows of u, v and A
+            levels = len(snapshot_levels(raw.get("snapshot_times", []), grid))
+            _cap_nodes("snapshot_times", levels * (grid.n + 1), f"{levels} snapshot levels of {grid.n + 1} nodes keep ")
         elif command == "sweep":
             plan = SweepPlan(
                 dim=raw["dim"],
@@ -295,13 +300,13 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
                     n = grid_for_eps(plan, eps).n
                 except (ValueError, ArithmeticError) as exc:
                     raise ValueError(f"eps_list/{i}: no grid for eps = {eps!r}: {exc}") from exc
-                _cap_nodes(f"eps_list/{i}", n, f"eps = {eps!r} at h_over_eps = {plan.h_over_eps!r} needs ")
+                _cap_nodes(f"eps_list/{i}", n + 1, f"eps = {eps!r} at h_over_eps = {plan.h_over_eps!r} needs ")
             # bench/setup_probe.py builds each run's data family from ctx["mode"]
             ctx["plan"], ctx["mode"] = plan, plan.potential_mode
             ctx["claims"] = sweep_claims(plan, raw.get("claims"))
             if "gauss" in ctx["claims"]:
                 for i, eps in enumerate(plan.eps_list):
-                    _cap_nodes(f"eps_list/{i}", gauss_pairing_n(eps), f"the gauss pairing at eps = {eps!r} needs ")
+                    _cap_nodes(f"eps_list/{i}", gauss_pairing_n(eps) + 1, f"the gauss pairing at eps = {eps!r} needs ")
         elif command == "verify":
             suites = raw.get("suites", [s for s in _SUITES if s != "recompute"])
             if "recompute" in suites:
@@ -311,7 +316,7 @@ def load_config(path: str, command: str, flags: dict | None = None) -> dict:
             ctx["suite_grid"] = _grid("grid/", raw["grid"]) if "grid" in raw else None
             base = suite_grid("nullform")  # the refinement study's own base grid
             for i, factor in enumerate(raw.get("refinement_factors", ())):
-                _cap_nodes(f"refinement_factors/{i}", factor * base.n, f"factor {factor} on the base n = {base.n} gives ")
+                _cap_nodes(f"refinement_factors/{i}", factor * base.n + 1, f"factor {factor} on the base n = {base.n} gives ")
             for name in (s for s in _SUITE_RUNNERS if s in suites):
                 if name not in raw.get("counts", {}):
                     raise ValueError(f"suite '{name}' selected but counts.{name} missing")

@@ -18,10 +18,6 @@ diamonds.  One time step, from level m to m+1:
      near-Cayley (almost unitary) transform, which is what keeps the
      discrete charge drift at O(h^2) with a small constant.
 
-Time derivatives of the potentials are reconstructed by centered differences
-(one extra wave step is taken past the last level so it gets a centered
-value; level 0 uses the b datum, which is exact).
-
 Every stencil reaches one node to each side per step, so the value at node j
 of level m depends only on the data at nodes j - m .. j + m.  `evolve`
 therefore marches a static window of nodes, the intersection of two hulls:
@@ -31,8 +27,9 @@ therefore marches a static window of nodes, the intersection of two hulls:
     of them reads; or the whole line up to t_max when there are snapshots,
     no observers or an observer that declares no `reads`;
   * the support cone of the datum: its first and last nonzero nodes within
-    the datum's reach (below), widened by one node per side per level and
-    one node for the extra wave level, plus the window edge node.
+    the datum's reach (below), widened by one node per side per level, one
+    more node, so that a wave step past the last level (which a caller may
+    take to form dA/dt) is exact on the window too, and the window edge node.
 
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
@@ -46,14 +43,15 @@ on such a window, and keep their per-run rows at window width.
 
 The datum is sampled only where it can matter.  The read hull up to level
 `last` depends on the data at most last + 1 nodes past its edges (one more
-for the extra wave level), so `evolve` samples u, v, a and b on the hull
-widened by last + 2 nodes per side, clipped to the grid: the whole grid on
-whole-line runs.  `spinor_datum` and `potential_data` take that node range
-and sample at the floats grid.nodes()[lo:hi], so every value is the one a
-full-grid sample holds.  For a contiguous support the nonzero nodes found
-there give the same window as the full-grid samples.  A datum nonzero only
-out of that reach cannot touch the read cones within `last` levels, nor the
-window edge at a support-cone cut, so leaving it out changes no value.
+for a wave step past the last level), so `evolve` samples u, v, a and b on
+the hull widened by last + 2 nodes per side, clipped to the grid: the whole
+grid on whole-line runs.  `spinor_datum` and `potential_data` take that
+node range and sample at the floats grid.nodes(lo, hi), so every value is
+the one a full-grid sample holds.  For a contiguous support the nonzero
+nodes found there give the same window as the full-grid samples.  A datum
+nonzero only out of that reach cannot touch the read cones within `last`
+levels, nor the window edge at a support-cone cut, so leaving it out
+changes no value.
 
 Components are cut too.  The paper's datum puts chi f_eps in u[0] only and
 has a_2 = b_2 = 0, so in dim 3 the second components u[1], v[1] and A_2
@@ -106,9 +104,11 @@ ever turn nonzero.  It checks the band nodes inside the window, so a datum
 whose support cone reaches the band runs on a window that holds them, and
 aborts as a full-grid run would.
 
-One level m of `evolve` checks A^m, takes step 3 to level m and steps 1
-and 2 to A^{m+1} (the d'Alembert step at m = 0), then runs the checks,
-series, observers and snapshots.  It makes each pass over the window once:
+One level m of `evolve` checks A^m, takes step 3 to level m and evaluates
+its sources S^m (step 1), then runs the checks, series, observers and
+snapshots, and last takes step 2 to A^{m+1} (the d'Alembert step at
+m = 0), which the last level skips: no wave step is taken past t_max.  It
+makes each pass over the window once:
 
   * one density evaluation: `wave_sources` writes |u|^2 and |v|^2 next to
     the sources, and the series `l1_u`, `l1_v` take their square roots;
@@ -118,9 +118,6 @@ series, observers and snapshots.  It makes each pass over the window once:
     every `sup_A<mu>`; a sum of S_0 = |u|^2 + |v|^2, the charge trapezoid
     on whole-line runs and a plain sum over the window on the others,
     checks u and v;
-  * At only where it is read: each level gets a callable that forms the
-    centered difference on its first call, which snapshots and observers
-    (through `LevelState.At`) make, and returns it again on later calls;
   * per-run arrays in place of per-level temporaries: the transport's
     shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
     just reached to the next step), the diamond's three potential levels,
@@ -135,7 +132,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -213,7 +209,7 @@ class LevelState:
     window keeps at least one such zero node at that edge.  u and v hold the
     marched component row.  The arrays are the run's working arrays: they
     hold their values during `on_level` only, so an observer copies what it
-    keeps.  At is computed when first read."""
+    keeps."""
 
     m: int
     t: float
@@ -221,26 +217,20 @@ class LevelState:
     u: np.ndarray
     v: np.ndarray
     A: np.ndarray
-    at: Callable[[], np.ndarray]
     S: np.ndarray
     first: int
-
-    @property
-    def At(self) -> np.ndarray:
-        return self.at()
 
 
 @dataclass
 class Levels:
     """Full-width fields at a set of time levels, in level order: `times` and
-    u, v (levels, spinor_components(dim), n+1) complex, A, At
-    (levels, dim+1, n+1) real."""
+    u, v (levels, spinor_components(dim), n+1) complex, A (levels, dim+1,
+    n+1) real."""
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     A: np.ndarray
-    At: np.ndarray
 
 
 @dataclass
@@ -358,22 +348,6 @@ def _wave_diamond(A_curr, A_prev, S, h, out):
     return out
 
 
-def _level_at(m, b, A_next, A_prev, h):
-    """At^m as a callable: the datum b at level 0, which is exact, then the
-    centered difference of the levels around m, formed on the first call
-    and returned again on every later one."""
-    if m == 0:
-        return lambda: b
-    memo = []
-
-    def at():
-        if not memo:
-            memo.append((A_next - A_prev) / (2.0 * h))
-        return memo[0]
-
-    return at
-
-
 # ---------------------------------------------------------------------------
 # Main evolution.
 # ---------------------------------------------------------------------------
@@ -451,7 +425,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     """Run the coupled system from the family datum, one level per pass in
     step order, up to grid.t_max or only to the last level its observers read.
 
-    snapshot_times: times at which to keep full (u, v, A, At) snapshots;
+    snapshot_times: times at which to keep full (u, v, A) snapshots;
         h * arange(steps + 1) keeps every level (memory grows as steps x n).
     observers: objects with `on_level(lev, grid)`, which gets the
         `LevelState` of each marched level, and optionally `reads(grid)`.
@@ -476,7 +450,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     u, v, a, b = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
     first, end = _support_cut(first, end, steps, lo, (u, v, a, b))
     width = end - first
-    x = grid.nodes()[first:end]
+    x = grid.nodes(first, end)
     u, v, a, b = (w[..., first - lo : end - lo].copy() for w in (u, v, a, b))
     free = _free_transport(M, u, v, a, b)
 
@@ -485,10 +459,10 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     series: dict[str, list[float]] = {name: [] for name in names}
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
     nc = spinor_components(dim)
-    rows = (nc, nc, dim + 1, dim + 1)  # of u, v, A, At
+    rows = (nc, nc, dim + 1)  # of u, v, A
 
     # zero-filled full-width arrays; spinor rows past the marched one stay zero
-    snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a, b))))
+    snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a))))
 
     # per-run arrays written in place at every level: the sources and the
     # densities |u|^2, |v|^2; on whole-line runs they fill the window of
@@ -527,9 +501,6 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         else:
             u, v = _transport_step(dim, M, h, u, v, A_prev, A, work)
             wave_sources(dim, u, v, out=S, densities=dens)
-        # every level, the last one included, takes the wave step past it for At
-        A_next = _wave_first_step(a, b, S, h) if m == 0 else _wave_diamond(A, A_prev, S, h, out=spare)
-        at = _level_at(m, b, A_next, A_prev, h)
 
         q = float(trapezoid(S_rows[0], h)) if whole_line else S[0].sum()  # not finite where u or v is not
         if not math.isfinite(q):
@@ -543,17 +514,19 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
             for mu, sup in enumerate(sup_A.tolist()):
                 series[f"sup_A{mu}"].append(sup)
         if observers:
-            lev = LevelState(m, t, x, u, v, A, at, S, first)
+            lev = LevelState(m, t, x, u, v, A, S, first)
             for obs in observers:
                 obs.on_level(lev, grid)
         k = snap_at.get(m)
         if k is not None:
-            for level_rows, w in zip((snapshots.u, snapshots.v, snapshots.A, snapshots.At), (u, v, A, at())):
+            for level_rows, w in zip((snapshots.u, snapshots.v, snapshots.A), (u, v, A)):
                 level_rows[k, : len(w), first:end] = w
-        # the diamonds cycle through three arrays with zero boundary nodes;
-        # the datum a may have nonzero edge nodes, and it is not ours to write
-        spare = A_prev if m > 1 else np.zeros_like(a)
-        A_prev, A = A, A_next
+        if m < steps:
+            A_next = _wave_first_step(a, b, S, h) if m == 0 else _wave_diamond(A, A_prev, S, h, out=spare)
+            # the diamonds cycle through three arrays with zero boundary nodes;
+            # the datum a may have nonzero edge nodes, and it is not ours to write
+            spare = A_prev if m > 1 else np.zeros_like(a)
+            A_prev, A = A, A_next
 
     return Trajectory(
         fam=fam,

@@ -141,8 +141,10 @@ def check_suite_grid(suite: str, grid: GridSpec) -> None:
 
 # The largest array one batch of a suite may hold.  A batch holds several
 # arrays this size at once (sources, fields, their norm temporaries: about
-# eight in the wave suite), so 512 KiB keeps each suite's peak memory under
-# that of the refinement study, whose largest array is 129 x 1025 complex.
+# eight in the wave suite).  With 512 KiB, each suite run alone in a fresh
+# process raised its peak RSS by 6.2 MB (energy, 200 instances), 8.3 MB
+# (wave, 100) and 7.9 MB (null-form, 800), against 4.9 MB for the refinement
+# study (indices 0-2); numpy 2.4.6 on Linux x86-64.
 BATCH_BYTES = 2**19
 
 

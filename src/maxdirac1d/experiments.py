@@ -33,7 +33,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,6 +322,10 @@ def run_sweep(plan: SweepPlan, jobs: int = 1, claims=CLAIMS) -> list[SweepRecord
     workers = pool_size(jobs, len(plan.eps_list))
     if workers == 1:
         return [_run_one(plan, e, claims) for e in plan.eps_list]
+    # imported here: concurrent.futures and multiprocessing cost every command
+    # tens of ms of start-up, and only a pool needs them
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(_run_one, plan, e, claims) for e in plan.eps_list]
         return [f.result() for f in futs]

@@ -177,8 +177,17 @@ class GridSpec:
     def steps(self) -> int:
         return round(self.t_max / self.h)
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.n + 1)
+    def nodes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The nodes lo .. hi-1 (hi defaults to n+1), 0 <= lo <= hi <= n+1,
+        bitwise np.linspace(-L, L, n + 1)[lo:hi]: node j is j h - L, rounded
+        as linspace rounds it, and node n is L."""
+        hi = self.n + 1 if hi is None else hi
+        x = np.arange(lo, hi, dtype=float)
+        x *= self.h
+        x -= self.L
+        if hi == self.n + 1 and hi > lo:
+            x[-1] = self.L
+        return x
 
     def midpoints(self) -> np.ndarray:
         return self.nodes()[:-1] + 0.5 * self.h
@@ -203,14 +212,14 @@ def spinor_datum(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None 
     row that `cone_solver.evolve` marches in every dim (the second
     components of dim 3 are zero and stay so; see `gamma_algebra`).
     `nodes`, when given, is a half-open node range (lo, hi): the rows then
-    hold those nodes only, sampled at the floats grid.nodes()[lo:hi], so
+    hold those nodes only, sampled at the floats grid.nodes(lo, hi), so
     they are bitwise the slice [..., lo:hi] of the full rows.
     """
     if fam.eps <= 0:
         raise ValueError("spinor datum needs eps > 0; the eps = 0 profile is norms-only")
     grid.ensure_support(fam.cutoff.outer)
     lo, hi = nodes or (0, grid.n + 1)
-    x = grid.nodes()[lo:hi]
+    x = grid.nodes(lo, hi)
     u = np.zeros((1, x.size), dtype=complex)
     v = np.zeros((1, x.size), dtype=complex)
     u[0] = chi(x, fam.cutoff) * f_eps(x, fam.eps)
@@ -235,7 +244,7 @@ def potential_data(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | Non
     a = np.zeros((fam.dim + 1, hi - lo))
     b = np.zeros((fam.dim + 1, hi - lo))
     if fam.potential_mode is PotentialMode.CONSTRAINED:
-        x = grid.nodes()[lo:hi]
+        x = grid.nodes(lo, hi)
         e = fam.eps
         c = chi(x, fam.cutoff)
         on = c > 0  # off the support, 0 * log(...) < 0 would leave -0.0

@@ -95,6 +95,12 @@ class GaugeMonitor:
     """Records sup |dt A_0 - dx A_1| (centered dx, interior nodes only) over
     a dependence-cone cross-section, 0 where it holds no node.
 
+    dt A_0 is b_0 at level 0, which is +0.0 in both potential modes
+    (`potential_data` sets only b_1), and the centered difference
+    (A^{m+1}_0 - A^{m-1}_0) / 2h at every later level m, whose A^{m+1}_0 it
+    forms with the solver's own diamond step on row 0: the same floats
+    `evolve` computes next, and one step past its last level.
+
     Pass it in `evolve`'s observers and read `series()` after the run.  It
     declares no `reads`, so its run marches the whole line.
     """
@@ -102,8 +108,16 @@ class GaugeMonitor:
     def __init__(self, base: tuple[float, float] = (-1.0, 1.0)):
         self.region = ConeRegion(*base)
         self.values: list[float] = []
+        self.A0_prev = None  # row 0 of the last level's A, copied
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
+        A0 = lev.A[0]
+        if lev.m == 0:
+            At0 = np.zeros_like(A0)
+        else:
+            A0_next = cone_solver._wave_diamond(A0, self.A0_prev, lev.S[0], grid.h, out=np.zeros_like(A0))
+            At0 = (A0_next - self.A0_prev) / (2.0 * grid.h)
+        self.A0_prev = A0.copy()
         sl = node_slice(self.region, lev.t, grid)
         lo, hi = (0, 0) if sl is None else (sl.start - lev.first, sl.stop - lev.first)
         # window nodes with both neighbours in the window: the residual is
@@ -113,7 +127,7 @@ class GaugeMonitor:
             self.values.append(0.0)
             return
         A1 = lev.A[1]
-        res = lev.At[0][lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
+        res = At0[lo:hi] - (A1[lo + 1 : hi + 1] - A1[lo - 1 : hi - 1]) / (2.0 * grid.h)
         self.values.append(float(np.abs(res).max()))
 
     def series(self) -> np.ndarray:

@@ -42,6 +42,14 @@ SIM_CONFIG = {
 
 VERIFY_GRID = {"seed": 0, "counts": {"energy": 20, "wave": 20, "nullform": 20}}
 
+
+def _snapshots_of_2_20_nodes(levels):
+    """The grid and snapshot times of a dim-2 run at n = 2^20 and t_max =
+    16 h that keeps `levels` snapshot levels: loaded, never run."""
+    h = 2.0 * 2.56 / 2**20
+    return {"grid": {"L": 2.56, "n": 2**20, "t_max": 16 * h}, "snapshot_times": [k * h for k in range(levels)]}
+
+
 SWEEP_CONFIG = {
     "dim": 2,
     "M": 0.0,
@@ -264,6 +272,8 @@ BAD_NUMBERS = [
         pytest.param("norms", {"eps_list": [1e-2, 1e-3], "n": 10**12}, id="norms-n-past-max-nodes"),
         pytest.param("sweep", dict(SWEEP_CONFIG, eps_list=[1e-12]), id="sweep-eps-past-max-nodes"),
         pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 2**24, "t_max": 0.0}, snapshot_times=[]), id="simulate-n-past-max-nodes"),
+        # 16 snapshot levels of 2^20 + 1 nodes
+        pytest.param("simulate", dict(SIM_CONFIG, **_snapshots_of_2_20_nodes(16)), id="simulate-snapshots-past-max-nodes"),
         pytest.param("verify", {"seed": 0, "suites": ["refinement"], "refinement_factors": [1, 2**16]}, id="verify-refinement-past-max-nodes"),
         # the gauss pairing grid (h = eps/16) is wider than the sweep's at h_over_eps = 1
         pytest.param("sweep", {"dim": 2, "M": 0, "eps_list": [1e-2, 1e-4, 3e-7], "T": 0.05, "h_over_eps": 1, "claims": ["gauss"]}, id="sweep-gauss-grid-past-max-nodes"),
@@ -338,6 +348,17 @@ def test_node_cap_at_its_boundary(tmp_path, monkeypatch):
             else:
                 with pytest.raises(cli.ConfigError, match=f": {re.escape(loc)}: {cap + 1} grid nodes, more than MAX_NODES"):
                     cli.load_config(path, command)
+    # every snapshot level keeps full-width rows: 15 levels of 2^20 + 1 nodes
+    # fit under the cap of 2^24, 16 do not
+    assert cap == 2**24
+    for levels, ok in ((15, True), (16, False)):
+        path = write_config(tmp_path, dict(SIM_CONFIG, **_snapshots_of_2_20_nodes(levels)))
+        if ok:
+            assert cli.load_config(path, "simulate")
+        else:
+            nodes = 16 * (2**20 + 1)
+            with pytest.raises(cli.ConfigError, match=f": snapshot_times: 16 snapshot levels of 1048577 nodes keep {nodes} grid nodes, more than"):
+                cli.load_config(path, "simulate")
     # the refinement study multiplies its base n = 256
     for factors, ok in (([1, (cap - 1) // 256], True), ([1, cap // 256], False)):
         path = write_config(tmp_path, {"seed": 0, "suites": ["refinement"], "refinement_factors": factors})

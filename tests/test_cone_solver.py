@@ -52,12 +52,15 @@ def hat(x, center, width, amp=1.0):
 
 
 def test_wave_quadratic_source_exact():
-    # box A = 1 with zero data has the exact solution A = t^2/2
+    # box A = 1 with zero data has the exact solution A = t^2/2, and At = t;
+    # the last Wt is a centered difference, so the march takes one wave step
+    # past t_max, and is exact inside the domain of determinacy of that level
     grid = GridSpec(L=2.56, n=256, t_max=0.5)
     times, W, Wt = wave_solve(grid, np.zeros(257), np.zeros(257), np.ones((grid.steps + 1, 257)))
     interior = slice(grid.steps, grid.n + 1 - grid.steps)
     for m in (grid.steps // 2, grid.steps):
         assert np.abs(W[m, interior] - times[m] ** 2 / 2.0).max() < 1e-13
+    assert np.abs(Wt[-1, grid.steps + 1 : grid.n - grid.steps] - times[-1]).max() < 1e-13
 
 
 def test_wave_free_hat_exact():
@@ -318,24 +321,6 @@ def test_observer_sees_every_level():
     assert traj.times.size == grid.steps + 1
 
 
-def test_at_read_twice_in_a_level_is_one_array():
-    # At is formed on its first read in a level; a second read, by the same
-    # observer or by the snapshot, returns that array again
-    grid = GridSpec(L=2.56, n=128, t_max=0.2)
-    seen = []
-
-    class Reader:
-        def on_level(self, lev, grid):
-            first = lev.At
-            assert lev.At is first
-            seen.append(first)
-
-    evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, observers=(Reader(), Reader()), snapshot_times=(0.1,))
-    assert len(seen) == 2 * (grid.steps + 1)
-    assert all(a is b for a, b in zip(seen[::2], seen[1::2]))
-    assert len({id(a) for a in seen[::2]}) == grid.steps + 1
-
-
 def test_snapshots_and_csv_export(tmp_path):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, snapshot_times=(0.0, 0.1, 0.2))
@@ -355,7 +340,7 @@ def test_snapshots_are_the_history_rows_at_their_levels():
     traj = evolve(fam, grid, snapshot_times=(0.2, 0.0, 0.1))
     hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
     assert traj.meta["window"][0] > 0  # padded from a support-cut window
-    for name in ("times", "u", "v", "A", "At"):
+    for name in ("times", "u", "v", "A"):
         assert _same_bits(getattr(traj.snapshots, name), getattr(hist, name)[[0, 5, 10]]), name
     empty = evolve(fam, grid).snapshots
     assert empty.times.shape == (0,) and empty.u.shape == (0, 2, grid.n + 1) and empty.A.shape == (0, 4, grid.n + 1)
@@ -370,7 +355,6 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
     traj = evolve(fam, grid, snapshot_times=every_level(grid))
-    snaps = evolve(fam, grid, snapshot_times=(0.0, 0.1, 0.2)).snapshots
     hist, h = traj.snapshots, grid.h
     assert traj.meta["window"][0] > 0  # the series sum zero-padded rows
     dens_u = (np.abs(hist.u) ** 2).sum(axis=-2)
@@ -384,31 +368,6 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     assert traj.series.keys() == want.keys()
     for key, values in want.items():
         assert _same_bits(traj.series[key], np.asarray(values)), key
-    # At, formed where snapshots read it: the same whether three levels or
-    # every level are kept, b at level 0 and centered differences after
-    assert _same_bits(snaps.At, hist.At[[0, 5, 10]])
-    assert _same_bits(hist.At[0], np.stack(cone_solver.potential_data(fam, grid))[1])
-    assert _same_bits(hist.At[1:-1], (hist.A[2:] - hist.A[:-2]) / (2.0 * h))
-
-
-def test_the_level_past_t_max_is_marched():
-    # At of the last level is a centered difference, so every march takes one
-    # wave step past t_max: a run stopping at level N keeps the At that a run
-    # one level longer has there, and wave_solve's last Wt is exact
-    N, h = 8, 0.02
-    for dim in (1, 2, 3):
-        for mode in PotentialMode:
-            fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
-            short, longer = (
-                evolve(fam, GridSpec(L=2.56, n=256, t_max=k * h), snapshot_times=(N * h,)).snapshots.At
-                for k in (N, N + 1)
-            )
-            assert short.shape == (1, dim + 1, 257) and _same_bits(short, longer), (dim, mode)
-    # box W = 1 from zero data: W = t^2/2 and Wt = t, exact inside the
-    # domain of determinacy of the level past t_max
-    grid = GridSpec(L=2.56, n=256, t_max=0.5)
-    times, _, Wt = wave_solve(grid, np.zeros(257), np.zeros(257), np.ones((grid.steps + 1, 257)))
-    assert np.abs(Wt[-1, grid.steps + 1 : grid.n - grid.steps] - times[-1]).max() < 1e-13
 
 
 def test_snapshot_time_outside_slab():
@@ -549,7 +508,7 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
         for key in full.series:
             assert _same_bits(win.series[key], full.series[key]), key
         assert win.snapshots.times.size == len(times)
-        for name in ("times", "u", "v", "A", "At"):
+        for name in ("times", "u", "v", "A"):
             assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
 
 
@@ -582,7 +541,7 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
         assert traj.series.keys() == full.series.keys()
         for key in full.series:
             assert _same_bits(traj.series[key], full.series[key]), key
-    for name in ("times", "u", "v", "A", "At"):
+    for name in ("times", "u", "v", "A"):
         assert _same_bits(getattr(runs[3].snapshots, name), getattr(full.snapshots, name)), name
     assert full_gauge.series().max() > 0.0 and full_oracle.deviation() > 0.0
     assert _same_bits(gauge.series(), full_gauge.series())
@@ -596,8 +555,7 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
 
 
 def test_support_window_bitwise_with_potential_datum(monkeypatch):
-    # A nonzero a reaches one node further per level than the spinor does, up
-    # to the extra wave level past t_max that the last At reads
+    # A nonzero a reaches one node further per level than the spinor does
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=2, eps=0.1, M=1.0)
 
@@ -610,7 +568,7 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
     win = evolve(fam, grid, snapshot_times=every_level(grid))
     full = evolve_full_grid(fam, grid, snapshot_times=every_level(grid))
     assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
-    for name in ("u", "v", "A", "At"):
+    for name in ("u", "v", "A"):
         assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
 
 
@@ -777,7 +735,7 @@ def _transport_calls():
 
 
 def _hand_march(fam, grid, window):
-    """Every level's (m, first, u, v, A, At, S) of a run on `window` (first
+    """Every level's (m, first, u, v, A, S) of a run on `window` (first
     node, end node, last level), from the general kernels called in step
     order: `wave_sources`, `_wave_first_step`, then `_transport_step`,
     `wave_sources` and `_wave_diamond` per level."""
@@ -792,15 +750,14 @@ def _hand_march(fam, grid, window):
         spinors.append((u, v))
         S.append(np.stack(wave_sources(dim, u, v)))
         A.append(_wave_diamond(A[m], A[m - 1], S[m], h, out=np.zeros_like(a)))
-    At = [b] + [(A[m + 1] - A[m - 1]) / (2.0 * h) for m in range(1, steps + 1)]
-    return [(m, first, *spinors[m], A[m], At[m], S[m]) for m in range(steps + 1)]
+    return [(m, first, *spinors[m], A[m], S[m]) for m in range(steps + 1)]
 
 
 def _same_level_states(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g[:2] == w[:2]
-        for name, a, b in zip(("u", "v", "A", "At", "S"), g[2:], w[2:]):
+        for name, a, b in zip(("u", "v", "A", "S"), g[2:], w[2:]):
             assert _same_bits(a, b), (g[0], name)
 
 
@@ -868,7 +825,7 @@ def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
     assert bool(free.series) == (kind == "whole_line")
     for key in general.series:
         assert _same_bits(free.series[key], general.series[key]), key
-    for name in ("times", "u", "v", "A", "At"):
+    for name in ("times", "u", "v", "A"):
         assert _same_bits(getattr(free.snapshots, name), getattr(general.snapshots, name)), name
     _same_level_states(free_states, _hand_march(fam, grid, free.meta["window"]))
     _same_level_states(general_states, free_states)
@@ -927,7 +884,7 @@ class _StateRecorder:
             self.reads = lambda grid: cones
 
     def on_level(self, lev, grid):
-        self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.At, lev.S))))
+        self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.S))))
 
 
 def _same_states(got, want):
@@ -935,16 +892,15 @@ def _same_states(got, want):
     same first components, whose second components are +0.0."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        m, first, u, v, A, At, S = g
+        m, first, u, v, A, S = g
         assert (m, first) == w[:2]
         for name, a, b in zip(("u", "v"), (u, v), w[2:4]):
             assert a.shape[0] == 1 and b.shape[0] == 2, (m, name)
             assert _same_bits(a, b[:1]), (m, name)
             assert _same_bits(b[1], np.zeros_like(b[1])), (m, name)
-        for name, a, b in zip(("A", "At"), (A, At), w[4:6]):
-            assert _same_bits(a, b), (m, name)
-        assert _same_bits(S[[0, 1, 3]], w[6][[0, 1, 3]]), m
-        assert np.array_equal(S[2], w[6][2]) and not S[2].any(), m  # zeros of either sign
+        assert _same_bits(A, w[4]), (m, "A")
+        assert _same_bits(S[[0, 1, 3]], w[5][[0, 1, 3]]), m
+        assert np.array_equal(S[2], w[5][2]) and not S[2].any(), m  # zeros of either sign
 
 
 @pytest.mark.parametrize("mode", list(PotentialMode))
@@ -967,7 +923,7 @@ def test_dim3_first_components_bitwise_equal_to_two_components(mode, M):
     for key in two.series:
         assert _same_bits(one.series[key], two.series[key]), key
     assert _same_bits(one_gauge, two_gauge)
-    for name in ("u", "v", "A", "At"):
+    for name in ("u", "v", "A"):
         assert _same_bits(getattr(one.snapshots, name), getattr(two.snapshots, name)), name
     zero = np.zeros_like(one.snapshots.u[:, 1])
     assert _same_bits(one.snapshots.u[:, 1], zero) and _same_bits(one.snapshots.v[:, 1], zero)

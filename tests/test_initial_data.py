@@ -19,6 +19,7 @@ from maxdirac1d import (
     potential_data,
     spinor_datum,
 )
+from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.initial_data import CSV_CHUNK_ROWS, sample_midpoints, write_csv
 
 
@@ -65,6 +66,25 @@ def test_grid_spec_basics():
     assert grid.nodes().size == 513
     assert grid.midpoints().size == 512
     assert grid.nodes()[256] == 0.0
+
+
+def test_node_ranges_are_bitwise_linspace():
+    # the grids of the benchmark's blow-up ladders and random ones, on the
+    # whole grid and on random ranges, hi = n + 1 among them
+    plans = [SweepPlan(dim=2, M=0.0, eps_list=(1.0,), T=0.05, h_over_eps=r) for r in (4.0, 16.0)]
+    grids = [grid_for_eps(plan, eps) for plan in plans for eps in (10**-1.5, 10**-1.75, 1e-2, 10**-2.25, 10**-2.5)]
+    rng = np.random.default_rng(0)
+    grids += [GridSpec(L=float(rng.uniform(0.01, 50.0)), n=2 * int(rng.integers(2, 3000)), t_max=0.0) for _ in range(40)]
+    for grid in grids:
+        full = np.linspace(-grid.L, grid.L, grid.n + 1)
+        assert grid.nodes().tobytes() == full.tobytes()
+        ranges = [(0, grid.n + 1), (grid.n + 1, grid.n + 1), (grid.n, grid.n + 1), (0, 1)]
+        for _ in range(10):
+            lo = int(rng.integers(0, grid.n + 2))
+            ranges += [(lo, int(rng.integers(lo, grid.n + 2))), (lo, grid.n + 1)]
+        for lo, hi in ranges:
+            x = grid.nodes(lo, hi)
+            assert x.dtype == full.dtype and x.tobytes() == full[lo:hi].tobytes(), (grid, lo, hi)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 """The package's public names: every module's `__all__` resolves, and every
-name in it has a caller in the program itself."""
+name in it has a caller in the program itself; and what importing the
+command line loads."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,12 @@ def _program_names() -> set[str]:
 def test_every_public_name_has_a_program_caller():
     public = {n for name in MODULES for n in getattr(importlib.import_module(f"maxdirac1d.{name}"), "__all__", ())}
     assert sorted(public - _program_names()) == []
+
+
+def test_the_command_line_imports_no_process_pool():
+    # only a sweep with jobs > 1 starts a pool; every other command would pay
+    # for concurrent.futures and multiprocessing at start-up
+    code = "import sys, maxdirac1d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -7,8 +7,11 @@ REV and OTHER are git revisions; OTHER defaults to HEAD.  OTHER may also be
 a directory holding a checkout (`.` for the working tree, uncommitted edits
 included).  Each revision is exported with `git archive` into a temporary
 directory and runs the same configs from the same relative paths, in one
-process at a time.  The configs cover `simulate` in dims 1-3 with both
-potential modes, with and without `--oracle`; a massless zero-mode
+process at a time: each case on both revisions back to back, the side that
+goes first alternating from case to case, so that a drift in the machine's
+speed over the run weighs on both sides alike.  The configs cover
+`simulate` in dims 1-3 with both potential modes, with and without
+`--oracle`; a massless zero-mode
 `simulate` in dim 3, which marches free transport, with and without
 `--oracle`; the benchmark's dim-3 n = 16384 simulate run, with and without
 `--oracle`; a dim-2 `--oracle` run with t_max = 0, which computes one level
@@ -83,7 +86,7 @@ CASES = {
     },
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
     "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
-    # one level, whose At is the datum b: the first wave step is taken and never read
+    # one level only: no wave step is taken
     "simulate_t_max_zero_oracle": (
         "simulate",
         {"dim": 2, **_SIM, "grid": dict(_SIM["grid"], t_max=0.0), "snapshot_times": [0.0]},
@@ -151,26 +154,22 @@ def checkout(rev: str, into: str) -> str:
     return into
 
 
-def run_cases(tree: str, run_dir: str) -> dict[str, tuple[int, float, float]]:
-    """Run every case with `tree`'s package, from run_dir: its exit code,
-    wall time (s) and peak RSS (MB)."""
+def run_case(tree: str, run_dir: str, name: str) -> tuple[int, float, float]:
+    """Run one case with `tree`'s package, from run_dir: its exit code, wall
+    time (s) and peak RSS (MB)."""
+    command, config, extra = CASES[name]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    os.makedirs(os.path.join(run_dir, "configs"))
-    runs = {}
-    for name, (command, config, extra) in CASES.items():
-        cfg = os.path.join("configs", f"{name}.json")
-        with open(os.path.join(run_dir, cfg), "w") as fh:
-            json.dump(config, fh)
-        argv = [sys.executable, "-m", "maxdirac1d", command, "--config", cfg, "--out", os.path.join("out", name), *extra]
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        # the usage of this child alone: RUSAGE_CHILDREN keeps a maximum over all of them
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        runs[name] = (proc.returncode, wall, usage.ru_maxrss / 1024.0)  # ru_maxrss is in KiB on Linux
-        print(f"  {name}: exit {proc.returncode}, {wall:.2f} s, {runs[name][2]:.0f} MB", file=sys.stderr)
-    return runs
+    os.makedirs(os.path.join(run_dir, "configs"), exist_ok=True)
+    cfg = os.path.join("configs", f"{name}.json")
+    with open(os.path.join(run_dir, cfg), "w") as fh:
+        json.dump(config, fh)
+    argv = [sys.executable, "-m", "maxdirac1d", command, "--config", cfg, "--out", os.path.join("out", name), *extra]
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    # the usage of this child alone: RUSAGE_CHILDREN keeps a maximum over all of them
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
 def differences(outs: list[str], revs: list[str]) -> tuple[list[str], int]:
@@ -197,13 +196,14 @@ def main(argv: list[str]) -> int:
         return 2
     revs = [argv[0], argv[1] if len(argv) > 1 else "HEAD"]
     with tempfile.TemporaryDirectory() as tmp:
-        runs, outs = [], []
-        for k, rev in enumerate(revs):
-            print(f"{rev}:", file=sys.stderr)
-            tree = checkout(rev, os.path.join(tmp, f"tree{k}"))
-            run_dir = os.path.join(tmp, f"run{k}")
-            runs.append(run_cases(tree, run_dir))
-            outs.append(os.path.join(run_dir, "out"))
+        trees = [checkout(rev, os.path.join(tmp, f"tree{k}")) for k, rev in enumerate(revs)]
+        run_dirs = [os.path.join(tmp, f"run{k}") for k in range(2)]
+        runs: list[dict] = [{}, {}]
+        for i, name in enumerate(CASES):
+            for k in (0, 1) if i % 2 == 0 else (1, 0):
+                runs[k][name] = code, wall, rss = run_case(trees[k], run_dirs[k], name)
+                print(f"  {name} on {revs[k]}: exit {code}, {wall:.2f} s, {rss:.0f} MB", file=sys.stderr)
+        outs = [os.path.join(d, "out") for d in run_dirs]
         problems = [f"{name}: exit {runs[0][name][0]} vs {runs[1][name][0]}" for name in CASES if runs[0][name][0] != runs[1][name][0]]
         files, count = differences(outs, revs)
         problems += files
