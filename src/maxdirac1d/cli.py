@@ -202,8 +202,8 @@ def _check(value, key: Key, loc: str) -> None:
 # Grid nodes a config may ask for, on one grid or over the full-width rows of
 # all its snapshot levels.  A dim-3 whole-line `simulate` at n = 2^18 peaked
 # at 365 B per node with no snapshots, about 6 GB at the cap, and at 497 with
-# two (numpy 2.4.6 on Linux x86-64).  ROADMAP item 2's deepest ladder rung
-# (eps = 10^-4.5 at h/eps = 64) needs about 4.9e6.
+# two (numpy 2.4.6 on Linux x86-64).  ROADMAP item 7's deepest ladder rung
+# (eps = 10^-4.5 at h/eps = 64, T = 0.05) has 8,500,204 nodes.
 MAX_NODES = 2**24
 
 

@@ -28,8 +28,7 @@ therefore marches a static window of nodes, the intersection of two hulls:
     no observers or an observer that declares no `reads`;
   * the support cone of the datum: its first and last nonzero nodes within
     the datum's reach (below), widened by one node per side per level, one
-    more node, so that a wave step past the last level (which a caller may
-    take to form dA/dt) is exact on the window too, and the window edge node.
+    more node and the window edge node.
 
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
@@ -42,12 +41,12 @@ Runs with declared reads record no whole-line series, which have no meaning
 on such a window, and keep their per-run rows at window width.
 
 The datum is sampled only where it can matter.  The read hull up to level
-`last` depends on the data at most last + 1 nodes past its edges (one more
-for a wave step past the last level), so `evolve` samples u, v, a and b on
-the hull widened by last + 2 nodes per side, clipped to the grid: the whole
-grid on whole-line runs.  `spinor_datum` and `potential_data` take that
-node range and sample at the floats grid.nodes(lo, hi), so every value is
-the one a full-grid sample holds.  For a contiguous support the nonzero
+`last` depends on the data at most last + 1 nodes past its edges, and
+`evolve` samples u, v, a and b on the hull widened by last + 2 nodes per
+side, clipped to the grid: the whole grid on whole-line runs.
+`spinor_datum` and `potential_data` take that node range and sample at the
+floats grid.nodes(lo, hi), so every value is the one a full-grid sample
+holds.  For a contiguous support the nonzero
 nodes found there give the same window as the full-grid samples.  A datum
 nonzero only out of that reach cannot touch the read cones within `last`
 levels, nor the window edge at a support-cone cut, so leaving it out
@@ -98,6 +97,34 @@ zero and A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
     and A_0 + A_1 stays a zero; the transverse sources are zeros, so
     A_2 .. A_dim stay zeros.
 
+Probe-only massless runs need no march at all (`free_a0`).  On free
+transport S_0 at level k is the level-0 row s moved k nodes to the right,
+S^k_i = s_{i-k}, with the bits that `wave_sources` writes, and A_0 starts
+from zero data.  The diamond's discrete fundamental solution, the level
+k + n response at offset d to a unit value at one node of level k + 1
+over a zero level k, is
+
+    G^n(d) = 1 when |d| <= n - 1 and n - 1 - d is even, and 0 otherwise,
+
+so the term h^2 S^k of the step to level k + 1 adds h^2 S^k_i G^{m-k}(j - i)
+to A^m_j.  From zero data the first step is A^1 = (h^2/2) S^0, the same
+kernel with weight 1/2: it adds (h^2/2) s_i G^m(j - i).  Source node
+p = i - k therefore reaches (m, j) when j + m - 1 - p = 2q is even with
+0 <= q <= m - 1, once from each of the levels k = 1 .. q and with weight
+1/2 from level 0:
+
+    A^m_j = h^2 sum_{q=0}^{m-1} (q + 1/2) s_{j+m-1-2q}.
+
+The boundary nodes the diamond holds at zero do not enter: the support
+cone of the datum stays clear of them (`GridSpec.ensure_support`), and a
+cone base past the grid sums zeros there.  The march adds the same terms
+in another order, so the two agree to a round-off that grows with m.
+Levels 0 and 1 agree bitwise: A^0 is the zero datum and the empty sum, and
+A^1_j = ((h/2) h) s_j = (h h)(s_j/2) since multiplying by 1/2 is exact.
+`free_a0` evaluates the sum as an elementwise product and one `np.sum`,
+which gives the same bits from run to run, after `_free_transport` has
+passed on the datum sampled on the cells' cone bases only.
+
 The grid contract (`GridSpec.ensure_support`) keeps every support clear of a
 two-node band at each boundary; a guard aborts the run if the fields there
 ever turn nonzero.  It checks the band nodes inside the window, so a datum
@@ -144,6 +171,7 @@ __all__ = [
     "Levels",
     "Trajectory",
     "evolve",
+    "free_a0",
     "snapshot_levels",
     "wave_solve",
     "dirac_levels",
@@ -536,6 +564,34 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         snapshots=snapshots,
         meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
     )
+
+
+def free_a0(fam: DataFamily, grid: GridSpec, cells) -> dict[tuple[int, int], float] | None:
+    """A_0 at each (level m, node j) of `cells` in the run from the family
+    datum, by the characteristic sum of the module docstring, keyed by cell;
+    or None when that run is not massless free transport, as
+    `_free_transport` finds it on the datum sampled on the cells' cone bases
+    (nodes j - m + 1 .. j + m - 1).  Raises SolverAbort for a non-finite
+    value, as `evolve` would."""
+    h, n1 = grid.h, grid.n + 1
+    lo = min((j - m + 1 for m, j in cells if m > 0), default=0)
+    hi = max((j + m for m, j in cells if m > 0), default=lo)
+    clip = max(0, lo), min(n1, hi)
+    u, v = spinor_datum(fam, grid, clip)
+    if not _free_transport(fam.M, u, v, *potential_data(fam, grid, clip)):
+        return None
+    s = np.zeros(hi - lo)  # nodes past the grid hold zeros, as its boundary does
+    s[clip[0] - lo : clip[1] - lo] = wave_sources(fam.dim, u, v)[0]
+    out = {}
+    for m, j in cells:
+        # A^0 is the zero datum; past it, nodes j - m + 1, j - m + 3, ..
+        # j + m - 1 are those of q = m - 1 .. 0
+        p = j - m + 1 - lo
+        value = h * h * np.sum((np.arange(m, 0, -1) - 0.5) * s[p : p + 2 * m - 1 : 2]) if m else 0.0
+        if not math.isfinite(value):
+            raise SolverAbort(f"non-finite field values at t = {m * h:.6g}")
+        out[m, j] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

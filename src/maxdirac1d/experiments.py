@@ -17,7 +17,9 @@ claims read:
   Coulomb-type potential logarithmically).
 
 Each observer declares the backward cones it reads, so a run marches only
-their hull (see `cone_solver`); the whole-line series stay empty.
+their hull (see `cone_solver`); the whole-line series stay empty.  A
+probe-only run at M = 0 in the zero mode marches nothing: its probes read
+A_0 from the characteristic sum over the datum (`cone_solver.free_a0`).
 
 The checkers read the records with their plan and turn them into
 per-epsilon verdicts, a least-squares blow-up fit, and the Gauss-law
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import ConeRegion, LevelState, SolverAbort, evolve, trapezoid
+from .cone_solver import ConeRegion, LevelState, SolverAbort, _read_hull, evolve, free_a0, trapezoid
 from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv, write_json
 
 __all__ = [
@@ -246,10 +248,24 @@ class ProbeMonitor:
             out.append((ConeRegion(lo, hi), top))
         return out
 
+    def cells(self) -> list[tuple[int, int]]:
+        """The (level, node) cells whose A_0 the probes read."""
+        return sorted({(m, j0 + d) for m, needs in self._needed.items() for _, _, j0, _ in needs for d in (0, 1)})
+
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
-        for k, w, j0, wx in self._needed.get(lev.m, ()):
-            a0 = lev.A[0]
-            j = j0 - lev.first
+        self._add(lev.m, lev.A[0], lev.first)
+
+    def take(self, a0: dict) -> None:
+        """Read the probes from `a0`, A_0 at each of `cells()` keyed by cell,
+        level by level as `on_level` reads them."""
+        for m in sorted(self._needed):
+            self._add(m, {j: value for (level, j), value in a0.items() if level == m}, 0)
+
+    def _add(self, m: int, a0, first: int) -> None:
+        """Add level m's share of each probe read there; a0[j - first] is
+        A_0 at node j."""
+        for k, w, j0, wx in self._needed.get(m, ()):
+            j = j0 - first
             self._acc[k] += w * ((1.0 - wx) * a0[j] + wx * a0[j + 1])
 
     def result(self) -> np.ndarray:
@@ -286,7 +302,14 @@ def _run_one(plan: SweepPlan, eps: float, claims) -> SweepRecord:
     if "claim2" in claims:
         monitors["claim2_min_ratio"] = FloorMonitor(eps)
     try:
-        traj = evolve(fam, grid, observers=(*monitors.values(), pmon))
+        # probes alone at M = 0 in the zero mode: A_0 is a sum over the datum
+        free = not monitors and plan.M == 0 and plan.potential_mode is PotentialMode.ZERO
+        a0 = free_a0(fam, grid, pmon.cells()) if free else None
+        if a0 is None:
+            times = evolve(fam, grid, observers=(*monitors.values(), pmon)).times
+        else:
+            pmon.take(a0)
+            times = grid.h * np.arange(_read_hull(grid, (), (pmon,))[2] + 1)  # the levels a march takes
     except SolverAbort as exc:
         raise SolverAbort(f"sweep run aborted at eps = {eps:g}: {exc}") from exc
     return SweepRecord(
@@ -294,7 +317,7 @@ def _run_one(plan: SweepPlan, eps: float, claims) -> SweepRecord:
         n=grid.n,
         h=grid.h,
         t_max=grid.t_max,
-        times=traj.times,
+        times=times,
         series={name: mon.series() for name, mon in monitors.items()},
         probe_A0=pmon.result(),
     )
@@ -313,9 +336,10 @@ def run_sweep(plan: SweepPlan, jobs: int = 1, claims=CLAIMS) -> list[SweepRecord
 
     Only the observers the selected claims read are attached: the record
     series hold sup_KT_transverse with claim1 and claim2_min_ratio with
-    claim2.  jobs > 1 runs the (independent) epsilon runs in separate
-    processes, at most pool_size of them; the merge order and hence the
-    result is identical either way.  A solver abort in any run fails the
+    claim2.  With neither, a run at M = 0 in the zero mode reads its probes
+    from `cone_solver.free_a0` and marches nothing.  jobs > 1 runs the
+    (independent) epsilon runs in separate processes, at most pool_size of
+    them; the merge order and hence the result is identical either way.  A solver abort in any run fails the
     whole sweep, naming the offending epsilon.
     """
     claims = tuple(claims)

@@ -2,8 +2,10 @@
 
 These are heavier than the unit suites: the campaign fixture runs the
 default sweep in four (dim, mass) cells and the blow-up gate drives the
-epsilon ladder down to 10^-3.5 twice.  The full file takes several
-minutes, almost all of it in test_criterion_09.  Every numeric tolerance
+epsilon ladder down to 10^-3.5 twice.  The full file took 14.9 s on a
+2-core x86-64 box (numpy 2.4.6), 11.2 s of it in the campaign fixture;
+test_criterion_09 took 0.01 s and the deep massless ladder 0.17 s, since
+their probe-only massless sweeps march nothing.  Every numeric tolerance
 is stated inline next to the measurement it guards; wall-clock budgets
 are asserted where a gate has one.
 """
@@ -198,6 +200,42 @@ def test_claim3_probes_of_massless_runs_match_the_closed_form(campaign):
     for (dim, M), (plan, results) in campaign.items():
         if M == 0.0:
             assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
+
+
+def test_claims_1_and_2_are_exact_on_the_massless_campaign(campaign):
+    """At M = 0 claims 1 and 2 have exact values: A_2 (and A_3) stay zero,
+    and |psi|^2 is the datum moved one node per level, twice the floor
+    0.5 f_eps(x - t)^2 where the cutoff is 1."""
+    for (dim, M), (plan, results) in campaign.items():
+        if M != 0.0:
+            continue
+        for verdict in check_claim1(results, plan):
+            assert verdict["sup"] == 0.0
+        for verdict in check_claim2(results, plan):
+            # the floor is taken at the float x - t, the moved datum at the
+            # node x - t lands on; the two differ by six roundings of
+            # numbers below 2L < 4.5, each at most 2^-51, and f_eps^2 moves
+            # by at most dx / (2 eps) relative for a shift dx.  Eight more
+            # units of 2^-52 cover the roundings of the ratio itself.  The
+            # measured gaps, 4.1e-14, 1.2e-13 and 3.2e-13 at eps 1e-2,
+            # 10^-2.5 and 1e-3, grow like 1/eps as the bound does.
+            bound = 2.0 * (6 * 2.0**-51 / (2.0 * verdict["eps"]) + 8 * 2.0**-52)
+            assert abs(verdict["min_ratio"] - 2.0) <= bound, (dim, verdict)
+
+
+def test_claim3_deep_massless_ladder_matches_the_closed_form():
+    """Claim 3 at eps 1e-4 and 10^-4.5, h = eps/64, at the default probes:
+    grids of up to n = 8,500,204 nodes, which a probe-only massless sweep
+    reads through the characteristic sum (`cone_solver.free_a0`) without
+    marching them.  Budget: 10 s for both runs in all three dims."""
+    t0 = time.monotonic()
+    for dim in (1, 2, 3):
+        plan = SweepPlan(dim, 0.0, eps_list=(1e-4, 10**-4.5), T=0.05, h_over_eps=64.0)
+        results = run_sweep(plan, claims=("claim3",))
+        assert [rec.n for rec in results] == [2_688_000, 8_500_204]
+        assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
+        assert check_claim3(results, plan).passed, dim
+    assert time.monotonic() - t0 < 10.0
 
 
 def test_claim3_in_the_constrained_mode_matches_the_closed_form():

@@ -576,6 +576,19 @@ def test_sweep_passes_and_is_reproducible(tmp_path, capsys):
     assert (out1 / "verdicts.json").read_bytes() == (out2 / "verdicts.json").read_bytes()
 
 
+def test_massless_claim3_only_sweep_is_reproducible(tmp_path, capsys):
+    # its probes are characteristic sums: the same bytes in one process or
+    # in worker processes
+    cfg = dict(SWEEP_CONFIG, eps_list=[1e-2, 10**-2.5, 1e-3], h_over_eps=16.0, claims=["claim3"])
+    outs = []
+    for k, jobs in enumerate((1, 1, 2)):
+        outs.append(tmp_path / f"s{k}")
+        path = write_config(tmp_path, dict(cfg, jobs=jobs), name=f"c{k}.json")
+        assert cli.main(["sweep", "--config", path, "--out", str(outs[-1])]) == 0
+    for name in ("verdicts.json", "summary.json", "blowup_probe0.csv"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+
 def test_sweep_claim3_only_matches_all_claims(tmp_path, capsys):
     base = dict(SWEEP_CONFIG, eps_list=[0.1, 0.07, 0.05])
     del base["claims"]

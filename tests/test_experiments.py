@@ -1,15 +1,18 @@
 """Sweep campaigns: planning, claim checkers, persistence, Gauss pairing."""
 
+import contextlib
 import json
 import math
 import os
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from maxdirac1d.cone_solver import evolve
+from maxdirac1d import cone_solver, experiments
+from maxdirac1d.cone_solver import _read_hull, evolve, free_a0
 from maxdirac1d.experiments import (
     FloorMonitor,
     ProbeMonitor,
@@ -302,6 +305,130 @@ def test_probe_a0_mass_correction_is_quadratic_in_M():
 
 
 # ---------------------------------------------------------------------------
+# Probe-only massless runs: A_0 from the characteristic sum.
+# ---------------------------------------------------------------------------
+
+
+def sum_bound(m: int) -> float:
+    """Relative bound on |march - sum| for A_0 at a level m >= 1 of a
+    massless zero-mode run: `evolve`'s diamond against `free_a0`.
+
+    The sources are nonnegative, so every A_0 in the backward cone of (m, j)
+    is at most V = A^m_j: its own cone holds a subset of the same terms.  A
+    diamond step rounds a + b, (a + b) - c, h^2 S and their sum, with a, b,
+    c and the sum at most V, so it errs by at most 4V + 2 h^2 S units of
+    u = 2^-53.  Each of the m (m + 1) / 2 nodes of levels 1 .. m that reach
+    (m, j) adds its error there with weight 1 (the kernel G of `cone_solver`),
+    and their h^2 S add up to at most V: 2 m (m + 1) V + 2V units in all.
+    np.sum of the m nonnegative terms errs by about (log2 m + 2) V units
+    more.  Both fit in 2 (m + 1)^2 V units, (m + 1)^2 2^-52 V.
+
+    This is the worst case.  The measured error grows like m^1.5: from 0.28
+    to 2.6 times m 2^-52 over m = 61 .. 3795 (dim 2, eps 1e-2 .. 10^-3.5, the
+    default probes' cells), so no bound linear in m holds at every depth.
+    """
+    return (m + 1) ** 2 * 2.0**-52
+
+
+def probe_sum_bounds(plan: SweepPlan, eps: float) -> np.ndarray:
+    """Per probe of `plan`'s run at eps, the relative bound on |march - sum|
+    of its A_0: its cells sit at levels m0 and m0 + 1 and are read with
+    nonnegative weights, so `sum_bound(m0 + 1)` holds for the weighted sum,
+    and the six roundings of the two interpolations fit in the margin to
+    `sum_bound(m0 + 2)` (levels 0 and 1 agree bitwise)."""
+    grid = grid_for_eps(plan, eps)
+    return np.array([sum_bound(min(int(t / grid.h), grid.steps - 1) + 2) for t, _ in plan.probes])
+
+
+class _CellRecorder:
+    """A_0 at the cells that `pmon` reads, copied from the levels of a run
+    that also declares its reads."""
+
+    def __init__(self, pmon):
+        self.reads = pmon.reads
+        self.cells = pmon.cells()
+        self.a0 = {}
+
+    def on_level(self, lev, grid):
+        for m, j in self.cells:
+            if m == lev.m:
+                self.a0[m, j] = lev.A[0][j - lev.first]
+
+
+@pytest.mark.parametrize("case", ["default_probes", "before_level_1", "narrow_cutoff"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_free_a0_matches_the_march(dim, case):
+    eps, T, cutoff = 0.02, 0.05, CutoffSpec()
+    probes = ()
+    if case == "before_level_1":  # m0 = 0: every cell read is at level 0 or 1
+        h = grid_for_eps(SweepPlan(dim, 0.0, (eps,), T, h_over_eps=8.0), eps).h
+        probes = ((0.5 * h, 0.25 * h), (0.9 * h, -0.5 * h), (0.03, 0.01))
+    elif case == "narrow_cutoff":  # the probe's cone reaches past the support cone
+        eps, T, cutoff, probes = 0.05, 0.3, CutoffSpec(0.1, 0.2), ((0.25, 0.24), (0.2, -0.1))
+    plan = SweepPlan(dim, 0.0, (eps,), T, probes=probes, h_over_eps=8.0, cutoff=cutoff)
+    grid = grid_for_eps(plan, eps)
+    fam = DataFamily(dim=dim, eps=eps, cutoff=cutoff)
+    marched, summed = ProbeMonitor(plan.probes, grid), ProbeMonitor(plan.probes, grid)
+    cells = _CellRecorder(marched)
+    traj = evolve(fam, grid, observers=(marched, cells))
+    if case == "narrow_cutoff":
+        first, end, _, _ = _read_hull(grid, (), (marched,))
+        assert end - first > traj.meta["window"][1] - traj.meta["window"][0]
+
+    a0 = free_a0(fam, grid, cells.cells)
+    assert a0.keys() == cells.a0.keys()
+    levels = {m for m, _ in a0}
+    assert {0, 1} <= levels if case == "before_level_1" else min(levels) > 1
+    for (m, j), value in a0.items():
+        if m <= 1:
+            assert _bits(value) == _bits(cells.a0[m, j]), (m, j)
+        else:
+            assert value > 0.0 and abs(value - cells.a0[m, j]) <= sum_bound(m) * value, (m, j)
+    summed.take(a0)
+    got, want = summed.result(), marched.result()
+    assert (np.abs(got - want) <= probe_sum_bounds(plan, eps) * want).all()
+    if case == "before_level_1":
+        assert got[:2].tobytes() == want[:2].tobytes()
+
+
+def test_massless_probe_only_sweeps_take_the_sum():
+    with mock.patch.object(experiments, "evolve", side_effect=AssertionError("marched")):
+        records = run_sweep(COARSE, claims=("claim3",))
+    for rec in records:
+        grid = grid_for_eps(COARSE, rec.eps)
+        last = _read_hull(grid, (), (ProbeMonitor(COARSE.probes, grid),))[2]
+        assert rec.times.tobytes() == (grid.h * np.arange(last + 1)).tobytes()  # the levels a march takes
+        assert rec.series == {}
+
+
+@pytest.mark.parametrize(
+    "plan, claims, free_test",
+    [
+        (replace(COARSE, M=1.0), ("claim3",), True),
+        (replace(COARSE, potential_mode=PotentialMode.CONSTRAINED), ("claim3",), True),
+        (COARSE, ("claim1", "claim3"), True),
+        (COARSE, ("claim2", "claim3"), True),
+        (COARSE, ("claim3",), False),
+    ],
+    ids=["massive", "constrained", "claim1", "claim2", "datum_fails_the_free_test"],
+)
+def test_other_sweep_runs_still_march(plan, claims, free_test):
+    # their probes are bitwise those of a full-grid march; `free_a0` is
+    # asked only by a massless probe-only run, and a datum that fails
+    # `_free_transport` makes it answer None
+    fails = contextlib.nullcontext() if free_test else mock.patch.object(cone_solver, "_free_transport", lambda *_: False)
+    with fails, mock.patch.object(experiments, "free_a0", wraps=free_a0) as asked:
+        records = run_sweep(plan, claims=claims)
+        for rec in records:
+            grid = grid_for_eps(plan, rec.eps)
+            fam = DataFamily(dim=plan.dim, eps=rec.eps, M=plan.M, potential_mode=plan.potential_mode, cutoff=plan.cutoff)
+            pmon = ProbeMonitor(plan.probes, grid)
+            evolve_full_grid(fam, grid, observers=(pmon,))
+            assert rec.probe_A0.tobytes() == pmon.result().tobytes()
+    assert asked.call_count == (0 if free_test else len(records))
+
+
+# ---------------------------------------------------------------------------
 # A real coarse sweep: determinism, verdicts, persistence.
 # ---------------------------------------------------------------------------
 
@@ -360,11 +487,16 @@ def test_monitors_on_a_support_cut_window_match_full_width():
 def test_sweep_claims_select_monitors(coarse_sweep):
     only3 = run_sweep(COARSE, claims=("claim3",))
     for a, b in zip(coarse_sweep, only3):
-        assert np.array_equal(a.probe_A0, b.probe_A0)
+        # massless: claims 1-3 march, claim 3 alone takes the characteristic sum
+        assert (np.abs(a.probe_A0 - b.probe_A0) <= probe_sum_bounds(COARSE, a.eps) * a.probe_A0).all()
         assert b.series == {}
         assert set(a.series) == {"sup_KT_transverse", "claim2_min_ratio"}
         assert np.array_equal(b.times, a.times[: b.times.size])
     assert set(run_sweep(COARSE, claims=("claim1",))[0].series) == {"sup_KT_transverse"}
+    # a massive plan marches with any claims, to the same bits
+    massive = replace(COARSE, M=1.0)
+    for a, b in zip(run_sweep(massive), run_sweep(massive, claims=("claim3",))):
+        assert a.probe_A0.tobytes() == b.probe_A0.tobytes()
 
 
 def _bits(value):

@@ -31,15 +31,21 @@ masses included; `verify` recomputing each dim-2 sweep's verdicts from its
 files; and `norms`.  Each run's wall time and peak RSS (the child's own
 maximum resident set, from `os.wait4`) are printed side by side for the two
 revisions, then every difference (a file that only one revision wrote is
-named with it) and the count of files the two wrote between them.  The
-exit status is 0 when every run exits alike and writes the same files with
-the same bytes, and 1 otherwise.
+named with it) and the count of files the two wrote between them.  A JSON
+or CSV file whose bytes differ is also given the largest relative
+difference |a - b| / max(|a|, |b|) over its numbers (JSON values, CSV
+cells below the `#` comment lines), when both sides hold numbers at the
+same places; inf when a non-finite number differs.  The exit status is 0
+when every run exits alike and writes the same files with the same bytes,
+and 1 otherwise, however small the differences.
 """
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +178,56 @@ def run_case(tree: str, run_dir: str, name: str) -> tuple[int, float, float]:
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
+def _json_numbers(value, where=()):
+    """(place, number) for each number in a parsed JSON value, the place
+    being its path of keys and list positions."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _json_numbers(value[key], (*where, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_numbers(item, (*where, i))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield where, float(value)
+
+
+def numbers(path: str) -> dict:
+    """The numbers a JSON or CSV output file holds, keyed by their place:
+    the key path of a JSON value, the (row, column) of a CSV cell below the
+    `#` comment lines.  Other files and files that do not parse give {}."""
+    try:
+        with open(path, newline="") as fh:
+            if path.endswith(".json"):
+                return dict(_json_numbers(json.load(fh)))
+            if not path.endswith(".csv"):
+                return {}
+            out = {}
+            for r, row in enumerate(csv.reader(line for line in fh if not line.startswith("#"))):
+                for c, cell in enumerate(row):
+                    try:
+                        out[r, c] = float(cell)
+                    except ValueError:  # a header cell
+                        pass
+            return out
+    except (OSError, UnicodeDecodeError, ValueError):
+        return {}
+
+
+def largest_relative_difference(a: str, b: str) -> float | None:
+    """max |x - y| / max(|x|, |y|) over the numbers of files a and b, or
+    None when the two do not hold numbers at the same places."""
+    xs, ys = numbers(a), numbers(b)
+    if not xs or xs.keys() != ys.keys():
+        return None
+    worst = 0.0
+    for place, x in xs.items():
+        y = ys[place]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf)
+    return worst
+
+
 def differences(outs: list[str], revs: list[str]) -> tuple[list[str], int]:
     """Files that one revision's output directory holds and the other's does
     not, or that differ in bytes, as relative paths; and the number of files
@@ -186,7 +242,8 @@ def differences(outs: list[str], revs: list[str]) -> tuple[list[str], int]:
         if not (os.path.isfile(a) and os.path.isfile(b)):
             problems.append(f"{name}: only written by {revs[0] if os.path.isfile(a) else revs[1]}")
         elif not filecmp.cmp(a, b, shallow=False):
-            problems.append(f"{name}: bytes differ")
+            rel = largest_relative_difference(a, b)
+            problems.append(f"{name}: bytes differ" + ("" if rel is None else f", largest relative difference {rel:.3g}"))
     return problems, len(names)
 
 
