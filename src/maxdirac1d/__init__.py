@@ -41,7 +41,6 @@ from .cone_solver import (
 from .estimates import (
     EstimateReport,
     bootstrap_threshold,
-    check_nullform,
     nullform_refinement,
     run_energy_suite,
     run_nullform_suite,

@@ -503,9 +503,9 @@ def cmd_verify(ctx: dict, args) -> int:
         if name not in suites:
             continue
         grid = ctx["suite_grid"] or suite_grid(name)
-        t0 = time.time()
+        t0 = time.perf_counter()
         reps = _SUITE_RUNNERS[name](raw["counts"][name], raw["seed"], grid)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         bad = [r for r in reps if not r.passed]
         failures += len(bad)
         worst = max(r.ratio for r in reps)

@@ -599,34 +599,39 @@ def free_a0(fam: DataFamily, grid: GridSpec, cells) -> dict[tuple[int, int], flo
 # ---------------------------------------------------------------------------
 
 
-def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source: np.ndarray):
-    """Scalar wave solve with the diamond scheme.
+def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source):
+    """Scalar wave solve with the diamond scheme, one level at a time.
 
     f, g are nodal data of shape (..., n+1), with any leading batch axes, and
-    source is the level array (steps+1, ..., n+1) of box W.  Returns
-    (times, W, Wt), W and Wt with a leading level axis up to t_max.  Wt is
-    g at level 0 and the centered difference after that, so the march takes
-    one wave step past t_max.  Boundary nodes are held at zero, so
-    comparisons should stay inside the domain of determinacy of the interior.
+    source[m] is the row (..., n+1) of box W at level m: a level array, or
+    any object that computes its rows when indexed.  Yields (W, Wt) at the
+    levels 0..grid.steps, each a new array, so memory stays at a few rows
+    whatever the level count.  Wt is g at level 0 and the centered
+    difference after that, so the march takes one wave step past the level
+    it yields.  Raises SolverAbort at the first level whose W is not finite.
+    Boundary nodes are held at zero, so comparisons should stay inside the
+    domain of determinacy of the interior.
     """
-    h, steps = grid.h, grid.steps
-    f, g, source = (np.asarray(w, dtype=float) for w in (f, g, source))
-    W = np.zeros((steps + 2,) + f.shape)
-    W[0], W[1] = f, _wave_first_step(f, g, source[0], h)
-    for m in range(1, steps + 1):
-        _wave_diamond(W[m], W[m - 1], source[m], h, out=W[m + 1])
-    Wt = np.concatenate([g[None], (W[2:] - W[:-2]) / (2.0 * h)])
-    W = W[: steps + 1]
-    if not np.isfinite(W).all():
-        raise SolverAbort("non-finite wave field")
-    return h * np.arange(steps + 1), W, Wt
+    h = grid.h
+    f, g = (np.asarray(w, dtype=float) for w in (f, g))
+    W_prev, W = None, f
+    W_next = _wave_first_step(f, g, np.asarray(source[0], dtype=float), h)
+    for m in range(grid.steps + 1):
+        if m:
+            W_prev, W = W, W_next
+            W_next = _wave_diamond(W, W_prev, np.asarray(source[m], dtype=float), h, out=np.zeros_like(W))
+        if not np.isfinite(W).all():
+            raise SolverAbort("non-finite wave field")
+        yield W, g if m == 0 else (W_next - W_prev) / (2.0 * h)
 
 
 def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
     """Yield (u, v) at levels 0..steps of the linear Dirac equation with zero
     potentials, from u, v of shape (..., 1, n+1).  F is None or the pair
-    (F_1, F_2) of complex source level arrays (steps+1, ..., 1, n+1), in
-    the spinor basis; the induced transport sources are (i F_2, i F_1)."""
+    (F_1, F_2) of complex sources in the spinor basis, each read at level m
+    as F_c[m], of shape (..., 1, n+1): level arrays (steps+1, ..., 1, n+1),
+    or objects that compute their rows when indexed.  The induced transport
+    sources are (i F_2, i F_1)."""
     A = np.zeros(dim + 1)  # zero potentials, as scalars: no per-node work
     work = _StepWork(u.shape)
 
@@ -634,8 +639,10 @@ def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
         return None if F is None else (1j * F[1][m], 1j * F[0][m])
 
     yield u, v
+    ext_new = ext(0)
     for m in range(1, steps + 1):
-        u, v = _transport_step(dim, M, h, u, v, A, A, work, ext(m - 1), ext(m))
+        ext_old, ext_new = ext_new, ext(m)
+        u, v = _transport_step(dim, M, h, u, v, A, A, work, ext_old, ext_new)
         yield u, v
 
 
@@ -646,27 +653,32 @@ def l2_norm(fields, h: float) -> np.ndarray:
     return np.sqrt(trapezoid(dens, h))
 
 
-def characteristic_integrals(G: np.ndarray, h: float, direction: int) -> np.ndarray:
-    """Cumulative trapezoid of G along characteristics.
+def characteristic_integrals(G, h: float, direction: int):
+    """Cumulative trapezoid of G along characteristics, one level at a time.
 
-    G has shape (levels, ..., nodes), with any batch axes between the level
-    and node axes; the result T satisfies T[0] = 0 and
-    T[m, j] = integral of G along the characteristic reaching (t_m, x_j) from
-    t = 0 with slope dx/dt = direction (+1: from the left, -1: from the
+    G is an iterable of level rows (..., nodes), level 0 first, with any
+    batch axes.  For each row G[m] read, yields the new row T[m]: T[0] = 0
+    and T[m, j] = integral of G along the characteristic reaching (t_m, x_j)
+    from t = 0 with slope dx/dt = direction (+1: from the left, -1: from the
     right), by the product trapezoid rule on the exactly aligned samples.
+    Only the last row of each is kept from one level to the next.  A
+    direction other than +1 or -1 raises ValueError at the first read.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    G = np.asarray(G)
-    T = np.zeros_like(G)
-    for m in range(1, G.shape[0]):
-        prev = T[m - 1]
-        gprev = G[m - 1]
+    rows = iter(G)
+    gprev = np.asarray(next(rows))
+    T = np.zeros_like(gprev)
+    yield T
+    for g in rows:
+        g = np.asarray(g)
+        prev, T = T, np.zeros_like(g)
         if direction == +1:
-            T[m, ..., 1:] = prev[..., :-1] + 0.5 * h * (gprev[..., :-1] + G[m, ..., 1:])
+            T[..., 1:] = prev[..., :-1] + 0.5 * h * (gprev[..., :-1] + g[..., 1:])
         else:
-            T[m, ..., :-1] = prev[..., 1:] + 0.5 * h * (gprev[..., 1:] + G[m, ..., :-1])
-    return T
+            T[..., :-1] = prev[..., 1:] + 0.5 * h * (gprev[..., 1:] + g[..., :-1])
+        gprev = g
+        yield T
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +691,18 @@ def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int)
 
     Trapezoid in space over the exactly node-aligned cross-sections (nodes
     node - k .. node + k, k levels below the vertex), then trapezoid in
-    time.  level_values[l] holds the real nodal rows at level l, with any
-    leading batch axes (..., nodes); the result has those batch axes.
-    Raises ValueError when the cone sticks out of the grid.
+    time.  level_values is an iterable of the real nodal rows at levels 0,
+    1, .., with any leading batch axes (..., nodes), of which the first
+    vertex_level + 1 are read, one at a time; the result has those batch
+    axes.  Raises ValueError when the cone sticks out of the grid.
     """
     j_lo, j_hi = vertex_node - vertex_level, vertex_node + vertex_level
-    if j_lo < 0 or j_hi >= np.shape(level_values[0])[-1]:
-        raise ValueError("cone sticks out of the grid")
-    sections = [trapezoid(np.asarray(level_values[l])[..., j_lo + l : j_hi - l + 1], h) for l in range(vertex_level + 1)]
+    sections = []
+    for l, row in zip(range(vertex_level + 1), level_values):
+        row = np.asarray(row)
+        if j_lo < 0 or j_hi >= row.shape[-1]:
+            raise ValueError("cone sticks out of the grid")
+        sections.append(trapezoid(row[..., j_lo + l : j_hi - l + 1], h))
     return cumulative_trapezoid(np.stack(sections, axis=-1), h)[..., -1]
 
 

@@ -23,11 +23,17 @@ instances are piecewise linear with nodes on the grid, so every right-hand
 side norm is computed exactly and a reported violation can only come from
 the left-hand side, never from quadrature ambiguity.
 
-Sources are level arrays, one nodal row per time level, not callables.  The
-randomized suites draw instance k from the RNG seeded [seed, k] and solve
-their instances stacked on a batch axis, in batches whose largest array
-stays under BATCH_BYTES; each null-form instance is solved on its own cone
-base only.  `check_suite_grid` states the grids each generator can draw on.
+Every system is marched one time level at a time and reduced as it goes:
+the solvers yield level rows, the per-level norms are taken on each row as
+it comes, and the sources are separable, a profile times a factor per level,
+each row formed when the march reads it (`_LevelRows`).  No array with a
+level axis over nodes is built, so memory per instance is a few nodal rows,
+whatever the level count.  The randomized suites draw instance k from the
+RNG seeded [seed, k] and solve their instances stacked on a batch axis, in
+batches of at most BATCH_BYTES worth of level rows (see there); each
+null-form instance is solved on its own cone base only, as is the
+refinement study.  `check_suite_grid` states the grids each generator can
+draw on.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from .initial_data import CutoffSpec, GridSpec, chi
 __all__ = [
     "EstimateReport",
     "l1_exact",
-    "check_nullform",
     "bootstrap_threshold",
     "transport_pair",
     "random_energy_instance",
@@ -139,12 +144,14 @@ def check_suite_grid(suite: str, grid: GridSpec) -> None:
         )
 
 
-# The largest array one batch of a suite may hold.  A batch holds several
-# arrays this size at once (sources, fields, their norm temporaries: about
-# eight in the wave suite).  With 512 KiB, each suite run alone in a fresh
-# process raised its peak RSS by 6.2 MB (energy, 200 instances), 8.3 MB
-# (wave, 100) and 7.9 MB (null-form, 800), against 4.9 MB for the refinement
-# study (indices 0-2); numpy 2.4.6 on Linux x86-64.
+# The bytes of source rows that one batch of a suite may add up to over all
+# of its levels: what its sources would take as level arrays.  The march
+# holds only a few levels of rows at a time, so this bound sets the batch
+# sizes, and with them the per-call overhead, not the memory.  With 512 KiB,
+# each suite run alone in a fresh process raised its peak RSS by 4.2 MB
+# (energy, 200 instances), 4.0 MB (wave, 100) and 4.3 MB (null-form, 800),
+# of which about 2.4 MB is the first import of numpy.random, and the
+# refinement study (indices 0-2) by 0.5 MB; numpy 2.4.6 on Linux x86-64.
 BATCH_BYTES = 2**19
 
 
@@ -157,19 +164,29 @@ def _run_suite(count, seed, grid, draw, solve, nbytes, height=None) -> list[Esti
     of one height are drawn by `draw(rng, grid, steps)` and solved together
     by `solve(grid, steps, instances)`, which returns one report list per
     instance.  A batch holds at most BATCH_BYTES // nbytes(grid, steps)
-    instances, nbytes being what one instance adds to the batch's largest
-    array; only one batch is drawn at a time.
+    instances, nbytes being the bytes of one instance's level rows over all
+    of its levels; only one batch is drawn at a time.  The RNGs are seeded
+    when their batch is drawn, so the height pass seeds each one twice.
     """
-    rngs = [np.random.default_rng([seed, k]) for k in range(count)]
+
+    def rng(k):
+        return np.random.default_rng([seed, k])
+
+    def drawn(k, steps):
+        gen = rng(k)
+        if height is not None:
+            height(gen, grid)  # the height pass's draw, taken again
+        return draw(gen, grid, steps)
+
     by_height: dict[int, list[int]] = {}
-    for k, rng in enumerate(rngs):
-        by_height.setdefault(grid.steps if height is None else height(rng, grid), []).append(k)
+    for k in range(count):
+        by_height.setdefault(grid.steps if height is None else height(rng(k), grid), []).append(k)
     reports: list = [None] * count
     for steps, ks in by_height.items():
         size = max(1, BATCH_BYTES // nbytes(grid, steps))
         for i in range(0, len(ks), size):
             batch = ks[i : i + size]
-            solved = solve(grid, steps, [draw(rngs[k], grid, steps) for k in batch])
+            solved = solve(grid, steps, [drawn(k, steps) for k in batch])
             for k, reps in zip(batch, solved):
                 reports[k] = [replace(r, name=f"{r.name}[{seed},{k}]") for r in reps]
     return [r for reps in reports for r in reps]
@@ -229,6 +246,21 @@ def _tv(values):
     return np.abs(np.diff(np.asarray(values), axis=-1)).sum(axis=-1)
 
 
+class _LevelRows:
+    """The separable source whose row at level m is profile * factors[..., m]:
+    profile (..., nodes) and factors (..., levels), with the same leading
+    axes.  Each row is formed when indexed, as the exact product a level
+    array of the source would hold, so no level array is built.  The
+    operand order is part of that: numpy's complex product fuses a
+    multiply-add, and swapping complex operands can change its last bit."""
+
+    def __init__(self, profile, factors):
+        self.profile, self.factors = profile, factors
+
+    def __getitem__(self, m):
+        return self.profile * self.factors[..., m, None]
+
+
 # ---------------------------------------------------------------------------
 # Energy inequality.
 # ---------------------------------------------------------------------------
@@ -246,7 +278,9 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int)
 
     Gaussian bumps confined well inside the slab so nothing reaches the
     boundary within t_max (outflow would only shrink the left-hand side).
-    The source is fb e^{i omega t} per spinor part, at the level times.
+    The source is fb e^{i omega t} per spinor part, at the level times, given
+    as the pair (fb, e^{i omega t}) of shapes (1, n+1) and (1, steps+1) per
+    part: its level-m row is fb * e^{i omega t}[:, m].
     """
     x = grid.nodes()
     reach = min(1.0, grid.L - grid.t_max - ENERGY_MARGIN)
@@ -260,7 +294,7 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int)
     u0, v0, fb1, fb2 = (bump()[None] for _ in range(4))
     om1, om2 = rng.uniform(-3.0, 3.0, size=2)
     t = grid.h * np.arange(steps + 1)
-    F = (fb1 * np.exp(1j * om1 * t)[:, None, None], fb2 * np.exp(1j * om2 * t)[:, None, None])
+    F = ((fb1, np.exp(1j * om1 * t)[None]), (fb2, np.exp(1j * om2 * t)[None]))
     M = rng.uniform(0.0, 2.0)
     return dict(M=M, u0=u0, v0=v0, F=F)
 
@@ -272,17 +306,19 @@ def _solve_energy(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport
     u0 = np.stack([inst["u0"] for inst in insts])
     v0 = np.stack([inst["v0"] for inst in insts])
     M = np.array([inst["M"] for inst in insts])[:, None, None]
-    F = tuple(np.stack([inst["F"][c] for inst in insts], axis=1) for c in (0, 1))
-    march = dirac_levels(1, M, h, u0, v0, F, steps)
-    l2_psi = np.stack([l2_norm(uv, h) for uv in march], axis=-1)
-    return [[rep] for rep in _energy_reports(l2_psi, l2_norm(F, h).T, grid)]
+    F = tuple(_LevelRows(*(np.stack([inst["F"][c][i] for inst in insts]) for i in (0, 1))) for c in (0, 1))
+    l2_psi, l2_F = [], []
+    for m, uv in enumerate(dirac_levels(1, M, h, u0, v0, F, steps)):
+        l2_psi.append(l2_norm(uv, h))
+        l2_F.append(l2_norm((F[0][m], F[1][m]), h))
+    return [[rep] for rep in _energy_reports(np.stack(l2_psi, axis=-1), np.stack(l2_F, axis=-1), grid)]
 
 
 def run_energy_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[EstimateReport]:
     grid = grid or suite_grid("energy")
     return _run_suite(
         count, seed, grid, random_energy_instance, _solve_energy,
-        lambda grid, steps: (steps + 1) * (grid.n + 1) * 16,  # a complex row per level
+        lambda grid, steps: (steps + 1) * (grid.n + 1) * 16,  # its complex source rows
     )
 
 
@@ -295,24 +331,25 @@ def _wave_reports(grid: GridSpec, f, g, source) -> list[list[EstimateReport]]:
     """The d'Alembert bounds of each of the stacked instances: sup,
     variation, time derivative, AC combination.
 
-    f, g of shape (K, n+1) are real nodal data of box W = S, and source is
-    the level array (steps+1, K, n+1) of S.  All right-hand side norms are
-    exact for piecewise-linear input; each report compares at its worst time
-    level.  Returns four reports per instance: wave_sup, wave_tv, wave_dt
-    and the factor-3 wave_combined in sup + variation.
+    f, g of shape (K, n+1) are real nodal data of box W = S, and source[m]
+    is the row (K, n+1) of S at level m (a level array, or `_LevelRows`).
+    All right-hand side norms are exact for piecewise-linear input; each
+    report compares at its worst time level.  The series are taken level by
+    level as the solve yields them.  Returns four reports per instance:
+    wave_sup, wave_tv, wave_dt and the factor-3 wave_combined in
+    sup + variation.
     """
     h = grid.h
-    _, W, Wt = wave_solve(grid, f, g, source)
-    cum_src = cumulative_trapezoid(l1_exact(source, h).T, h)
+    series = []
+    for m, (W, Wt) in enumerate(wave_solve(grid, f, g, source)):
+        series.append((np.abs(W).max(axis=-1), _tv(W), l1_exact(Wt, h), l1_exact(source[m], h)))
+    sup_series, tv_series, dt_series, l1_src = (np.stack(s, axis=-1) for s in zip(*series))
+    cum_src = cumulative_trapezoid(l1_src, h)
 
     sup_f = np.abs(f).max(axis=-1)[:, None]
     tv_f = _tv(f)[:, None]
     l1_g = l1_exact(g, h)[:, None]
     slack = _slack(grid)
-
-    sup_series = np.abs(W).max(axis=-1).T
-    tv_series = _tv(W).T
-    dt_series = l1_exact(Wt, h).T
 
     per_name = [
         _worst_levels("wave_sup", sup_series, sup_f + l1_g + cum_src, slack),
@@ -354,33 +391,21 @@ def _pw_profile(rng: np.random.Generator, grid: GridSpec):
     return vals
 
 
-def _pw_source(prof: np.ndarray, env: np.ndarray, phase: complex, h_base: float, times):
-    """Source level array phase * env(t) * prof at the level `times`, with
-    env pw-linear on the base levels h_base * (0, 1, ...).
-
-    Works on any refinement of the base grid in time: np.interp reproduces
-    the same piecewise-linear envelope, and the trapezoid rule integrates it
-    exactly on any node-nested time grid.
-    """
-    envt = np.interp(times, h_base * np.arange(env.size), env)
-    return (phase * envt)[:, None] * prof
-
-
 def random_wave_instance(rng: np.random.Generator, grid: GridSpec, steps: int):
-    """Random pw-linear data "f", "g" and "source", the source with levels
-    0..steps."""
+    """Random pw-linear data "f", "g" and "source", the source as the pair
+    (profile, envelope on levels 0..steps): its level-m row is
+    profile * envelope[m]."""
     f = _pw_profile(rng, grid)
     g = _pw_profile(rng, grid)
     prof = _pw_profile(rng, grid)
     env = rng.uniform(0.0, 1.0, size=steps + 1)
-    times = grid.h * np.arange(steps + 1)
-    return dict(f=f, g=g, source=_pw_source(prof, env, 1.0, grid.h, times))
+    return dict(f=f, g=g, source=(prof, env))
 
 
 def _solve_wave(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport]]:
     f = np.stack([inst["f"] for inst in insts])
     g = np.stack([inst["g"] for inst in insts])
-    source = np.stack([inst["source"] for inst in insts], axis=1)
+    source = _LevelRows(*(np.stack([inst["source"][i] for inst in insts]) for i in (0, 1)))
     return _wave_reports(grid, f, g, source)
 
 
@@ -388,7 +413,7 @@ def run_wave_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[
     grid = grid or suite_grid("wave")
     return _run_suite(
         count, seed, grid, random_wave_instance, _solve_wave,
-        lambda grid, steps: (steps + 1) * (grid.n + 1) * 8,  # a real row per level
+        lambda grid, steps: (steps + 1) * (grid.n + 1) * 8,  # its real source rows
     )
 
 
@@ -398,72 +423,44 @@ def run_wave_suite(count: int, seed: int, grid: GridSpec | None = None) -> list[
 
 
 def transport_pair(grid: GridSpec, f, g, F=None, G=None, *, levels: int):
-    """Solve (d_t + d_x) u = F, (d_t - d_x) v = G by exact characteristics.
+    """Solve (d_t + d_x) u = F, (d_t - d_x) v = G by exact characteristics,
+    one level at a time.
 
     f, g are nodal rows (..., nodes), with any leading batch axes; F, G are
-    None or source level arrays (levels+1, ..., nodes), of which levels
-    0..levels are read.  Returns (U, V) level arrays of shape
-    (levels+1, ..., nodes).  The free parts are node shifts of the data
-    (exact, zero inflow at the row ends); the Duhamel parts are
-    product-trapezoid integrals along characteristics.
+    None or sources read by level, F[0], F[1], .. (level arrays
+    (levels+1, ..., nodes), or `_LevelRows`), of which levels 0..levels are
+    read.  Yields (U, V) at levels 0..levels, each a new array of the rows'
+    shape.  The free parts are node shifts of the data (exact, zero inflow
+    at the row ends); the Duhamel parts are product-trapezoid integrals
+    along characteristics, carried from one level to the next.
     """
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
-    U, V = np.empty((levels + 1,) + f.shape, complex), np.empty((levels + 1,) + g.shape, complex)
+
+    def integrals(S, direction):
+        if S is None:
+            return None
+        rows = (np.asarray(S[m], dtype=complex) for m in range(levels + 1))
+        return characteristic_integrals(rows, grid.h, direction)
+
+    TF, TG = integrals(F, +1), integrals(G, -1)
     for m in range(levels + 1):
-        shift(f, m, out=U[m])
-        shift(g, -m, out=V[m])
-    if F is not None:
-        U += characteristic_integrals(np.asarray(F[: levels + 1], dtype=complex), grid.h, +1)
-    if G is not None:
-        V += characteristic_integrals(np.asarray(G[: levels + 1], dtype=complex), grid.h, -1)
-    return U, V
+        U, V = shift(f, m), shift(g, -m)
+        if TF is not None:
+            U += next(TF)
+        if TG is not None:
+            V += next(TG)
+        yield U, V
 
 
 def _cone_lhs(grid: GridSpec, mt: int, f, g, F, G):
     """iint |u v| over the backward cone of height mt steps whose base is
-    the whole of the rows f, g (..., 2 mt + 1): one value per row.
+    the whole of the rows f, g (..., 2 mt + 1): one value per row.  F, G
+    are as `transport_pair` reads them, on the same base.
 
     The base is the cone's domain of dependence, so every value inside the
     cone equals that of a solve on any wider row, bitwise."""
-    U, V = transport_pair(grid, f, g, F, G, levels=mt)
-    return cone_quadrature(np.abs(U) * np.abs(V), grid.h, mt, mt)
-
-
-def check_nullform(
-    grid: GridSpec,
-    f,
-    g,
-    F=None,
-    G=None,
-    T: float | None = None,
-    X: float = 0.0,
-    *,
-    rhs_norms: tuple[float, float, float, float],
-) -> EstimateReport:
-    """Cone integral of |uv| against the product of the transport budgets.
-
-    T must be a whole number of steps and X a grid node with the backward
-    cone from (T, X) inside the slab.  f, g are nodal rows and F, G source
-    level arrays (at least T/h + 1 levels) or None.  rhs_norms supplies
-    (||f||_1, ||g||_1, int ||F||_1, int ||G||_1), computed exactly by the
-    caller.  The transport is solved on the cone's base only.
-    """
-    h = grid.h
-    T = grid.t_max if T is None else T
-    mt = int(round(T / h))
-    if abs(mt * h - T) > 1e-9 * max(1.0, T) or not 0 <= mt <= grid.steps:
-        raise ValueError("cone height T must be a whole number of steps in the slab")
-    jX = int(round((X + grid.L) / h))
-    if abs(-grid.L + jX * h - X) > 1e-9 or not mt <= jX <= grid.n - mt:
-        raise ValueError("cone vertex X must be a grid node with the cone inside the slab")
-
-    base = slice(jX - mt, jX + mt + 1)
-    F, G = (None if S is None else np.asarray(S)[..., base] for S in (F, G))
-    lhs = _cone_lhs(grid, mt, np.asarray(f)[..., base], np.asarray(g)[..., base], F, G)
-
-    nf, ng, nF, nG = rhs_norms
-    rhs = (nf + nF) * (ng + nG)
-    return EstimateReport("nullform", float(lhs), float(rhs), _slack(grid))
+    pairs = transport_pair(grid, f, g, F, G, levels=mt)
+    return cone_quadrature((np.abs(U) * np.abs(V) for U, V in pairs), grid.h, mt, mt)
 
 
 def _cone_height(rng: np.random.Generator, grid: GridSpec) -> int:
@@ -476,8 +473,9 @@ def random_nullform_instance(rng: np.random.Generator, grid: GridSpec, mt: int):
 
     Returns the cone vertex node "jX", the data "f" and "g" as (real
     profile, constant phase), and the sources "F" and "G" as (profile,
-    envelope on levels 0..mt, phase) for `_pw_source`; a source is absent
-    with probability 0.3, as zero profile and envelope.  The phases are
+    envelope on levels 0..mt, phase), whose level-m row is
+    profile * (phase * envelope[m]); a source is absent with probability
+    0.3, as zero profile and envelope.  The phases are
     constant so the right-hand side norms are exactly the norms of the real
     profiles.
     """
@@ -502,9 +500,8 @@ def random_nullform_instance(rng: np.random.Generator, grid: GridSpec, mt: int):
 def _solve_nullform(grid: GridSpec, mt: int, insts) -> list[list[EstimateReport]]:
     """Null-form reports of stacked instances of one cone height mt, each
     solved on its own cone base [jX - mt, jX + mt] (see `_cone_lhs`).  The
-    norms are taken over the whole rows, as `check_nullform`'s callers do."""
+    norms are taken over the whole rows."""
     h = grid.h
-    times = h * np.arange(mt + 1)
     rows = np.arange(len(insts))[:, None]
     base = np.array([inst["jX"] for inst in insts])[:, None] + np.arange(-mt, mt + 1)
     data, sources, norms = [], [], []
@@ -516,11 +513,8 @@ def _solve_nullform(grid: GridSpec, mt: int, insts) -> list[list[EstimateReport]
         prof = np.stack([inst[slot][0] for inst in insts])
         env = np.stack([inst[slot][1] for inst in insts])
         norms.append(cumulative_trapezoid(env * l1_exact(prof, h)[:, None], h)[:, -1])
-        levels = [
-            _pw_source(p, e, inst[slot][2], h, times)
-            for p, e, inst in zip(prof[rows, base], env, insts)
-        ]
-        sources.append(np.stack(levels, axis=1))
+        phase = np.array([inst[slot][2] for inst in insts])
+        sources.append(_LevelRows(prof[rows, base], phase[:, None] * env))
     lhs = _cone_lhs(grid, mt, *data, *sources)
     nf, ng, nF, nG = norms
     rhs = (nf + nF) * (ng + nG)
@@ -532,27 +526,31 @@ def run_nullform_suite(count: int, seed: int, grid: GridSpec | None = None) -> l
     grid = grid or suite_grid("nullform")
     return _run_suite(
         count, seed, grid, random_nullform_instance, _solve_nullform,
-        # a complex cone-base row per level, or a real whole-row profile
+        # its complex cone-base rows, or a real whole-row profile
         lambda grid, mt: max((mt + 1) * (2 * mt + 1) * 16, (grid.n + 1) * 8),
         _cone_height,
     )
 
 
-def _hat(grid: GridSpec, center: float, width: float, amp: float) -> np.ndarray:
-    """Nodal hat profile; exact pw-linear when center, width are base-node
+def _hat(grid: GridSpec, center: float, width: float, amp: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Nodal hat profile at the nodes lo .. hi-1 (`GridSpec.nodes`), the
+    whole row by default; exact pw-linear when center, width are base-node
     aligned, with ||.||_1 = amp * width."""
-    x = grid.nodes()
+    x = grid.nodes(lo, hi)
     return amp * np.maximum(0.0, 1.0 - np.abs(x - center) / width)
 
 
 def _fixed_nullform_instance(index: int, grid: GridSpec, base: GridSpec):
-    """Three hand-built instances whose u, v cross inside the cone at X = 0.
+    """Three hand-built instances whose u, v cross inside the cone from
+    (grid.t_max, 0), given on the cone's base only: nodes n/2 - steps ..
+    n/2 + steps.
 
     Hat centers and widths are multiples of the base spacing, so the same
     continuum instance is represented exactly at every dyadic refinement
-    and the right-hand side norms are closed-form.
+    and the right-hand side norms are closed-form.  Returns the data f, g,
+    the sources F, G (None when absent) and the norms
+    [||f||_1, ||g||_1, int ||F||_1, int ||G||_1].
     """
-    T = base.t_max
     env_fall = 1.0 - np.arange(base.steps + 1) / base.steps
     env_tent = 1.0 - np.abs(2.0 * np.arange(base.steps + 1) / base.steps - 1.0)
     designs = {
@@ -571,33 +569,36 @@ def _fixed_nullform_instance(index: int, grid: GridSpec, base: GridSpec):
         ),
     }
     d = designs[index]
-    f = _hat(grid, *d["f"])
-    g = _hat(grid, *d["g"])
+    cone = (grid.n // 2 - grid.steps, grid.n // 2 + grid.steps + 1)
     times = grid.h * np.arange(grid.steps + 1)
     norms = [d["f"][1] * d["f"][2], d["g"][1] * d["g"][2], 0.0, 0.0]
     sources = {"F": None, "G": None}
     for slot, pos in (("F", 2), ("G", 3)):
         if d[slot] is not None:
             (c, w, a), env = d[slot]
-            sources[slot] = _pw_source(_hat(grid, c, w, a), env, 1.0, base.h, times)
+            # the envelope is pw-linear on the base levels, and the trapezoid
+            # rule integrates it exactly on any node-nested time grid
+            envt = np.interp(times, base.h * np.arange(env.size), env)
+            sources[slot] = _LevelRows(_hat(grid, c, w, a, *cone), envt)
             norms[pos] = float(cumulative_trapezoid(env * (a * w), base.h)[-1])
-    return dict(
-        f=f, g=g, F=sources["F"], G=sources["G"], T=T, X=0.0, rhs_norms=tuple(norms)
-    )
+    return _hat(grid, *d["f"], *cone), _hat(grid, *d["g"], *cone), sources["F"], sources["G"], norms
 
 
 def nullform_refinement(index: int, factors=(1, 2, 4)):
     """Re-check one fixed continuum instance at refined resolutions.
 
-    index selects one of three hand-built crossing instances.  Returns a
-    list of (n, measured ratio, allowed slack); the allowed slack falls to
-    1 while the measured ratio converges and stays below it.
+    index selects one of three hand-built crossing instances, each solved
+    on its cone's base only.  Returns a list of (n, measured ratio, allowed
+    slack); the allowed slack falls to 1 while the measured ratio converges
+    and stays below it.
     """
     base = suite_grid("nullform")
     out = []
     for fac in factors:
         grid = GridSpec(L=base.L, n=fac * base.n, t_max=base.t_max)
-        rep = check_nullform(grid, **_fixed_nullform_instance(index, grid, base))
+        *system, (nf, ng, nF, nG) = _fixed_nullform_instance(index, grid, base)
+        lhs = _cone_lhs(grid, grid.steps, *system)
+        rep = EstimateReport("nullform", float(lhs), float((nf + nF) * (ng + nG)), _slack(grid))
         out.append((grid.n, rep.ratio, rep.slack_factor))
     return out
 

@@ -19,13 +19,22 @@ Dirac solve that keeps its whole level history:
       exp(int_0^t (M + sup|A_2| [+ sup|A_3|]));
 * `check_bootstrap_bound`: the off-origin modulus bound
   sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 / sqrt(eps^2 + rho^2) in the
-  smallness regime.
+  smallness regime;
+* `check_nullform`: the null-form bound of `estimates` on whole rows, for
+  the backward cone from any vertex (T, X), its sources given as level
+  arrays (`pw_source` builds them): the single-instance reference of the
+  null-form suite, which solves each instance on its cone base only.
 
-Each compares at the slack 1 + 10h of `estimates`.  Three references go
+Each compares at the slack 1 + 10h of `estimates`.  These references go
 with them:
 
 * `a0_exact`: the closed form of A_0 in the massless run, against which
   claim 3's probes are held;
+* `level_arrays`: the whole level history of a march that yields one
+  level at a time;
+* `sum_bound` and `probe_sum_bounds`: how far the marched A_0 of a massless
+  zero-mode run may round away from the characteristic sum that
+  `cone_solver.free_a0` takes;
 * `evolve_full_grid`: an `evolve` run that marches every node, against which
   the light-cone windows are held bitwise;
 * `two_component_coupling`, `two_component_rhs` and `two_component_sources`:
@@ -48,7 +57,8 @@ import numpy as np
 
 from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import ConeRegion, LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
-from maxdirac1d.estimates import EstimateReport, _energy_reports, _slack, _worst_levels
+from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
+from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.gamma_algebra import (
     GammaSet,
     _coupling_maps,
@@ -152,6 +162,37 @@ def a0_exact(t: float, x: float, eps: float, cutoff: CutoffSpec = CutoffSpec()) 
         return w * math.asinh(w / eps) - math.sqrt(w * w + eps * eps)
 
     return 0.25 * (Q(x + t) - Q(x - t)) - 0.5 * t * math.asinh((x - t) / eps)
+
+
+def sum_bound(m: int) -> float:
+    """Relative bound on |march - sum| for A_0 at a level m >= 1 of a
+    massless zero-mode run: `evolve`'s diamond against `free_a0`.
+
+    The sources are nonnegative, so every A_0 in the backward cone of (m, j)
+    is at most V = A^m_j: its own cone holds a subset of the same terms.  A
+    diamond step rounds a + b, (a + b) - c, h^2 S and their sum, with a, b,
+    c and the sum at most V, so it errs by at most 4V + 2 h^2 S units of
+    u = 2^-53.  Each of the m (m + 1) / 2 nodes of levels 1 .. m that reach
+    (m, j) adds its error there with weight 1 (the kernel G of `cone_solver`),
+    and their h^2 S add up to at most V: 2 m (m + 1) V + 2V units in all.
+    np.sum of the m nonnegative terms errs by about (log2 m + 2) V units
+    more.  Both fit in 2 (m + 1)^2 V units, (m + 1)^2 2^-52 V.
+
+    This is the worst case.  The measured error grows like m^1.5: from 0.28
+    to 2.6 times m 2^-52 over m = 61 .. 3795 (dim 2, eps 1e-2 .. 10^-3.5, the
+    default probes' cells), so no bound linear in m holds at every depth.
+    """
+    return (m + 1) ** 2 * 2.0**-52
+
+
+def probe_sum_bounds(plan: SweepPlan, eps: float) -> np.ndarray:
+    """Per probe of `plan`'s run at eps, the relative bound on |march - sum|
+    of its A_0: its cells sit at levels m0 and m0 + 1 and are read with
+    nonnegative weights, so `sum_bound(m0 + 1)` holds for the weighted sum,
+    and the six roundings of the two interpolations fit in the margin to
+    `sum_bound(m0 + 2)` (levels 0 and 1 agree bitwise)."""
+    grid = grid_for_eps(plan, eps)
+    return np.array([sum_bound(min(int(t / grid.h), grid.steps - 1) + 2) for t, _ in plan.probes])
 
 
 def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
@@ -366,3 +407,54 @@ def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
         lhs = max(lhs, float(dens[sel].max()))
     rhs = 3.0 / math.sqrt(fam.eps**2 + rho**2)
     return EstimateReport("bootstrap", lhs, rhs, _slack(grid))
+
+
+def level_arrays(march):
+    """The level arrays of a march that yields a tuple of rows per level,
+    such as `wave_solve` or `estimates.transport_pair`."""
+    return tuple(np.stack(rows) for rows in zip(*march))
+
+
+def pw_source(prof: np.ndarray, env: np.ndarray, phase: complex, h_base: float, times):
+    """Source level array phase * env(t) * prof at the level `times`, with
+    env pw-linear on the base levels h_base * (0, 1, ...): the level array
+    of a separable source of `estimates`, built whole."""
+    envt = np.interp(times, h_base * np.arange(env.size), env)
+    return (phase * envt)[:, None] * prof
+
+
+def check_nullform(
+    grid: GridSpec,
+    f,
+    g,
+    F=None,
+    G=None,
+    T: float | None = None,
+    X: float = 0.0,
+    *,
+    rhs_norms: tuple[float, float, float, float],
+) -> EstimateReport:
+    """Cone integral of |uv| against the product of the transport budgets.
+
+    T must be a whole number of steps and X a grid node with the backward
+    cone from (T, X) inside the slab.  f, g are nodal rows and F, G source
+    level arrays (at least T/h + 1 levels) or None.  rhs_norms supplies
+    (||f||_1, ||g||_1, int ||F||_1, int ||G||_1), computed exactly by the
+    caller.  The transport is solved on the cone's base only.
+    """
+    h = grid.h
+    T = grid.t_max if T is None else T
+    mt = int(round(T / h))
+    if abs(mt * h - T) > 1e-9 * max(1.0, T) or not 0 <= mt <= grid.steps:
+        raise ValueError("cone height T must be a whole number of steps in the slab")
+    jX = int(round((X + grid.L) / h))
+    if abs(-grid.L + jX * h - X) > 1e-9 or not mt <= jX <= grid.n - mt:
+        raise ValueError("cone vertex X must be a grid node with the cone inside the slab")
+
+    base = slice(jX - mt, jX + mt + 1)
+    F, G = (None if S is None else np.asarray(S)[..., base] for S in (F, G))
+    lhs = _cone_lhs(grid, mt, np.asarray(f)[..., base], np.asarray(g)[..., base], F, G)
+
+    nf, ng, nF, nG = rhs_norms
+    rhs = (nf + nF) * (ng + nG)
+    return EstimateReport("nullform", float(lhs), float(rhs), _slack(grid))

@@ -79,6 +79,11 @@ def _centered_dx(rows: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _integrals(G, h, direction):
+    """`characteristic_integrals` of the level array G, as a level array."""
+    return np.stack(list(characteristic_integrals(G, h, direction)))
+
+
 def _dalembert_levels(a, b, S, h, mt):
     """Potentials on levels 0..mt from data (a, b) and level sources S."""
     A = np.zeros((mt + 1,) + a.shape)
@@ -86,8 +91,8 @@ def _dalembert_levels(a, b, S, h, mt):
     da = _centered_dx(a, h)
     b_cum = cumulative_trapezoid(b, h)
     c_src = cumulative_trapezoid(S, h)  # cumulative x-integrals per level
-    plus = characteristic_integrals(S, h, -1)  # int S(s, x + (t-s)) ds
-    minus = characteristic_integrals(S, h, +1)  # int S(s, x - (t-s)) ds
+    plus = _integrals(S, h, -1)  # int S(s, x + (t-s)) ds
+    minus = _integrals(S, h, +1)  # int S(s, x - (t-s)) ds
     for m in range(mt + 1):
         left = shift(a, m)  # a(x - t)
         right = shift(a, -m)  # a(x + t)
@@ -118,8 +123,8 @@ def _linear_dirac(fam, grid, A, U_free, V_free, inner_tol, max_sweeps=80):
     A_rows = np.moveaxis(A, 1, 0)[:, :, None]  # (dim+1, levels, 1, n+1): A_mu on every level
     for _ in range(max_sweeps):
         Ru, Rv = spinor_rhs(fam.dim, A_rows, U, V, fam.M)
-        U_new = U_free + characteristic_integrals(Ru, h, +1)
-        V_new = V_free + characteristic_integrals(Rv, h, -1)
+        U_new = U_free + _integrals(Ru, h, +1)
+        V_new = V_free + _integrals(Rv, h, -1)
         change = max(np.abs(U_new - U).max(), np.abs(V_new - V).max())
         U, V = U_new, V_new
         if change < inner_tol:
@@ -167,7 +172,7 @@ def picard_solve(
 
     inner_tol = min(1e-12, 0.01 * tol)
     A, At = A_free, At_free
-    U_free, V_free = transport_pair(grid, u0, v0, levels=mt)
+    U_free, V_free = (np.stack(rows) for rows in zip(*transport_pair(grid, u0, v0, levels=mt)))
     U, V = U_free, V_free
 
     distances: list[float] = []

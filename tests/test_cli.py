@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -23,6 +24,8 @@ from maxdirac1d.cone_solver import SolverAbort, cone_quadrature, evolve
 from maxdirac1d.experiments import SweepPlan, gauss_pairing_n, grid_for_eps
 from maxdirac1d.gamma_algebra import modulus_sq
 from maxdirac1d.initial_data import DataFamily, GridSpec
+
+from lemmas import probe_sum_bounds
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -602,11 +605,32 @@ def test_sweep_claim3_only_matches_all_claims(tmp_path, capsys):
         return json.loads((outs[tag] / name).read_text())
 
     runs = {tag: load(tag, "summary.json")["runs"] for tag in outs}
-    keys = ("probe_A0", "n", "h", "t_max")
+    keys = ("n", "h", "t_max")
     assert [[r[k] for k in keys] for r in runs["only3"]] == [[r[k] for k in keys] for r in runs["all"]]
+    # massless: claim 3 alone takes A_0 from the characteristic sum, and with
+    # the other claims it marches, so the two agree within the rounding bounds
+    plan = SweepPlan(**{k: base[k] for k in ("dim", "M", "eps_list", "T", "probes", "h_over_eps")})
+    bound = np.stack([probe_sum_bounds(plan, eps) for eps in plan.eps_list], axis=1)  # (probes, eps)
+    a0 = np.array([r["probe_A0"] for r in runs["all"]]).T
+    assert (np.abs(np.array([r["probe_A0"] for r in runs["only3"]]).T - a0) <= bound * a0).all()
     v3 = load("only3", "verdicts.json")["verdicts"]
     assert list(v3) == ["claim3"]
-    assert v3["claim3"] == load("all", "verdicts.json")["verdicts"]["claim3"]
+    v3, va = v3["claim3"], load("all", "verdicts.json")["verdicts"]["claim3"]
+    for key in ("probes", "eps", "slope_bounds", "lower_ok", "monotone", "pass"):
+        assert v3[key] == va[key], key
+    assert np.array_equal(va["a0"], a0)
+    assert (np.abs(np.array(v3["a0"]) - a0) <= bound * a0).all()
+    # the fitted slopes and intercepts are linear in A_0, with weights W, so
+    # they move by at most |W| (bound A_0), plus an allowance for the two
+    # least-squares fits' own rounding
+    W = np.abs(np.polyfit(np.log(1.0 / np.array(plan.eps_list)), np.eye(len(plan.eps_list)), 1))
+    fit_tol = (bound * a0) @ W.T + 2.0**-48 * a0 @ W.T  # (probes, [slope, intercept])
+    for col, key in enumerate(("slopes", "intercepts")):
+        assert (np.abs(np.array(v3[key]) - va[key]) <= fit_tol[:, col]).all(), key
+    # the minimum over probes of A_0 / log(1/eps) at the last eps, with one
+    # division rounded on each side
+    c_tol = (bound[:, -1].max() + 2.0**-52) * va["implied_c"]
+    assert abs(v3["implied_c"] - va["implied_c"]) <= c_tol
     for r in runs["only3"]:
         lines = (outs["only3"] / r["diagnostics"]).read_text().splitlines()
         assert lines[2] == "t"
@@ -667,6 +691,16 @@ def test_verify_random_suites_pass(tmp_path, capsys):
     # 2 energy + 2x4 wave + 5 nullform + 2 bootstrap thresholds
     assert len(rep["reports"]) == 17
     assert "worst ratio" in capsys.readouterr().out
+
+
+def test_verify_suite_times_ignore_wall_clock_steps(tmp_path, capsys, monkeypatch):
+    # a wall clock set back an hour during each suite gives no negative time
+    steps = iter(range(0, -1000, -1))
+    monkeypatch.setattr(time, "time", lambda: 3600.0 * next(steps))
+    cfg = write_config(tmp_path, {"seed": 0, "suites": ["energy", "wave"], "counts": {"energy": 1, "wave": 1}})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    times = re.findall(r"worst ratio \S+ \((\S+)s\)", capsys.readouterr().out)
+    assert len(times) == 2 and all(float(t) >= 0.0 for t in times), times
 
 
 def test_verify_seed_flag_overrides_config(tmp_path):

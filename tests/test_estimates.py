@@ -1,6 +1,7 @@
 """Inequality checkers: report mechanics, sharp instances, randomized suites."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,10 +16,11 @@ from maxdirac1d.estimates import (
     EstimateReport,
     _cone_height,
     _hat,
-    _pw_source,
+    _solve_energy,
+    _solve_nullform,
+    _solve_wave,
     _wave_reports,
     bootstrap_threshold,
-    check_nullform,
     check_suite_grid,
     l1_exact,
     nullform_refinement,
@@ -33,7 +35,15 @@ from maxdirac1d.estimates import (
 )
 from maxdirac1d.initial_data import CutoffSpec, chi
 
-from lemmas import check_bootstrap_bound, check_energy_inequality, check_gronwall_l1, dirac_solve
+from lemmas import (
+    check_bootstrap_bound,
+    check_energy_inequality,
+    check_gronwall_l1,
+    check_nullform,
+    dirac_solve,
+    level_arrays,
+    pw_source,
+)
 
 GRID = GridSpec(L=2.56, n=256, t_max=0.24)
 GRID_TALL = GridSpec(L=2.56, n=256, t_max=0.64)
@@ -208,14 +218,14 @@ def test_wave_suite_passes():
 def test_transport_pair_translates_data():
     f = _hat(GRID, -0.2, 0.2, 1.0)
     g = _hat(GRID, 0.2, 0.2, 1.0)
-    U, V = transport_pair(GRID, f, g, levels=4)
+    U, V = level_arrays(transport_pair(GRID, f, g, levels=4))
     assert np.array_equal(U[3, 3:], f[:-3] + 0j)
     assert np.array_equal(V[3, :-3], g[3:] + 0j)
     # batch axes, and levels past the row width, which leave all-zero rows
     rng = np.random.default_rng(31)
     f = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
     g = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
-    U, V = transport_pair(GRID, f, g, levels=14)
+    U, V = level_arrays(transport_pair(GRID, f, g, levels=14))
     assert U.shape == V.shape == (15, 2, 12)
     for m in range(15):
         assert np.array_equal(U[m], shift(f, m))
@@ -386,9 +396,9 @@ def test_cone_local_solve_bitwise_equal_to_full_row_inside_cone(mt, edge):
 
     f, g = rows(grid.n + 1), rows(grid.n + 1)
     F, G = rows(mt + 1, grid.n + 1), rows(mt + 1, grid.n + 1)
-    U, V = transport_pair(grid, f, g, F, G, levels=mt)
+    U, V = level_arrays(transport_pair(grid, f, g, F, G, levels=mt))
     base = slice(jX - mt, jX + mt + 1)
-    Uc, Vc = transport_pair(grid, f[base], g[base], F[:, base], G[:, base], levels=mt)
+    Uc, Vc = level_arrays(transport_pair(grid, f[base], g[base], F[:, base], G[:, base], levels=mt))
     for lev in range(mt + 1):
         inside = slice(jX - mt + lev, jX + mt - lev + 1)
         assert np.array_equal(Uc[lev, lev : 2 * mt - lev + 1], U[lev, inside])
@@ -408,7 +418,7 @@ def _nullform_check_of(inst, grid, mt):
     for slot in ("F", "G"):
         prof, env, phase = inst[slot]
         norms.append(cumulative_trapezoid(env * l1_exact(prof, h), h)[-1])
-        sources.append(_pw_source(prof, env, phase, h, times))
+        sources.append(pw_source(prof, env, phase, h, times))
     return check_nullform(
         grid,
         inst["f"][0] * inst["f"][1],
@@ -430,9 +440,14 @@ def test_batched_suites_equal_single_instance_checks(suite):
         rng = np.random.default_rng([seed, k])
         if suite == "energy":
             inst = random_energy_instance(rng, grid, grid.steps)
+            # the level arrays of the separable sources, built whole
+            inst["F"] = tuple(fb * e[0][:, None, None] for fb, e in inst["F"])
             reps = [check_energy_inequality(dirac_solve(grid=grid, dim=1, **inst), grid)]
         elif suite == "wave":
-            reps = wave_reports(grid, **random_wave_instance(rng, grid, grid.steps))
+            inst = random_wave_instance(rng, grid, grid.steps)
+            prof, env = inst.pop("source")
+            times = grid.h * np.arange(grid.steps + 1)
+            reps = wave_reports(grid, source=pw_source(prof, env, 1.0, grid.h, times), **inst)
         else:
             mt = _cone_height(rng, grid)
             reps = [_nullform_check_of(random_nullform_instance(rng, grid, mt), grid, mt)]
@@ -457,3 +472,45 @@ def test_suite_grid_bounds_are_exact(suite, edge, beyond):
     assert all(r.passed for r in run[suite](20, 1, grid))
     with pytest.raises(ValueError, match=f"grid: the {suite} suite"):
         check_suite_grid(suite, GridSpec(**beyond))
+
+
+# ---------------------------------------------------------------------------
+# Memory: every solve marches one level at a time.
+# ---------------------------------------------------------------------------
+
+# complex rows of the grid's n + 1 nodes that one solve may hold at once,
+# whatever its level count: a level array of any of these solves holds
+# hundreds of them
+ROWS = 64
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_refinement_memory_is_a_few_rows(index):
+    # at factor 16 the grid has n = 4096 and the cone 513 levels
+    row = (16 * suite_grid("nullform").n + 1) * 16
+    assert traced_peak(lambda: nullform_refinement(index, factors=(1, 16))) <= ROWS * row
+
+
+@pytest.mark.parametrize("suite", ["energy", "wave", "nullform"])
+def test_suite_batch_memory_is_a_few_rows(suite):
+    # one batch on an n = 4096 grid, which holds one instance there: 193
+    # levels for energy and wave, a cone of 513 for nullform
+    draw, solve = {
+        "energy": (random_energy_instance, _solve_energy),
+        "wave": (random_wave_instance, _solve_wave),
+        "nullform": (random_nullform_instance, _solve_nullform),
+    }[suite]
+    grid = GridSpec(L=2.56, n=4096, t_max=0.64 if suite == "nullform" else 0.24)
+    check_suite_grid(suite, grid)
+    insts = [draw(np.random.default_rng([0, 0]), grid, grid.steps)]
+    assert traced_peak(lambda: solve(grid, grid.steps, insts)) <= ROWS * (grid.n + 1) * 16
+

@@ -35,7 +35,7 @@ from maxdirac1d.experiments import (
 )
 from maxdirac1d.initial_data import CutoffSpec, DataFamily, PotentialMode
 
-from lemmas import evolve_full_grid
+from lemmas import evolve_full_grid, probe_sum_bounds, sum_bound
 
 COARSE = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07), T=0.05, h_over_eps=4.0)
 
@@ -307,37 +307,6 @@ def test_probe_a0_mass_correction_is_quadratic_in_M():
 # ---------------------------------------------------------------------------
 # Probe-only massless runs: A_0 from the characteristic sum.
 # ---------------------------------------------------------------------------
-
-
-def sum_bound(m: int) -> float:
-    """Relative bound on |march - sum| for A_0 at a level m >= 1 of a
-    massless zero-mode run: `evolve`'s diamond against `free_a0`.
-
-    The sources are nonnegative, so every A_0 in the backward cone of (m, j)
-    is at most V = A^m_j: its own cone holds a subset of the same terms.  A
-    diamond step rounds a + b, (a + b) - c, h^2 S and their sum, with a, b,
-    c and the sum at most V, so it errs by at most 4V + 2 h^2 S units of
-    u = 2^-53.  Each of the m (m + 1) / 2 nodes of levels 1 .. m that reach
-    (m, j) adds its error there with weight 1 (the kernel G of `cone_solver`),
-    and their h^2 S add up to at most V: 2 m (m + 1) V + 2V units in all.
-    np.sum of the m nonnegative terms errs by about (log2 m + 2) V units
-    more.  Both fit in 2 (m + 1)^2 V units, (m + 1)^2 2^-52 V.
-
-    This is the worst case.  The measured error grows like m^1.5: from 0.28
-    to 2.6 times m 2^-52 over m = 61 .. 3795 (dim 2, eps 1e-2 .. 10^-3.5, the
-    default probes' cells), so no bound linear in m holds at every depth.
-    """
-    return (m + 1) ** 2 * 2.0**-52
-
-
-def probe_sum_bounds(plan: SweepPlan, eps: float) -> np.ndarray:
-    """Per probe of `plan`'s run at eps, the relative bound on |march - sum|
-    of its A_0: its cells sit at levels m0 and m0 + 1 and are read with
-    nonnegative weights, so `sum_bound(m0 + 1)` holds for the weighted sum,
-    and the six roundings of the two interpolations fit in the margin to
-    `sum_bound(m0 + 2)` (levels 0 and 1 agree bitwise)."""
-    grid = grid_for_eps(plan, eps)
-    return np.array([sum_bound(min(int(t / grid.h), grid.steps - 1) + 2) for t, _ in plan.probes])
 
 
 class _CellRecorder:

@@ -27,7 +27,10 @@ took claim 3 in the zero mode only exit 2 on it, so against them it is the
 one case that differs); the benchmark's blow-up ladder; `verify` with seed
 0; `verify` with no `suites` key, so every default suite runs, the
 refinement study at factors 1 and 2 and the bootstrap thresholds at three
-masses included; `verify` recomputing each dim-2 sweep's verdicts from its
+masses included; `verify` of the randomized suites at small counts on a
+grid of n = 1024 up to t = 0.64, with the refinement study at factors 1
+and 8, where a solve that held its levels at once would show in the peak
+RSS; `verify` recomputing each dim-2 sweep's verdicts from its
 files; and `norms`.  Each run's wall time and peak RSS (the child's own
 maximum resident set, from `os.wait4`) are printed side by side for the two
 revisions, then every difference (a file that only one revision wrote is
@@ -141,6 +144,19 @@ CASES = {
     "verify_default_suites": (
         "verify",
         {"seed": 0, "counts": {"energy": 50, "wave": 50, "nullform": 200}, "bootstrap_masses": [0, 1, 3], "refinement_factors": [1, 2]},
+        [],
+    ),
+    # many levels per instance: 128 on the suites' n = 1024 grid, 512 in the
+    # refinement study at factor 8, where level arrays would set the peak RSS
+    "verify_large_grids": (
+        "verify",
+        {
+            "seed": 0,
+            "suites": ["energy", "wave", "nullform", "refinement"],
+            "counts": {"energy": 4, "wave": 4, "nullform": 16},
+            "grid": {"L": 2.56, "n": 1024, "t_max": 0.64},
+            "refinement_factors": [1, 8],
+        },
         [],
     ),
     "norms": ("norms", {"eps_list": [1e-2, 1e-3, 0.0], "s_values": [-0.5, -0.25], "n": 1024}, []),
