@@ -13,7 +13,6 @@ from .gamma_algebra import (
     GammaSet,
     coupling,
     gamma_matrices,
-    modulus_sq,
     spinor_components,
     spinor_rhs,
     verify_clifford,

@@ -27,8 +27,8 @@ therefore marches a static window of nodes, the intersection of two hulls:
     of them reads; or the whole line up to t_max when there are snapshots,
     no observers or an observer that declares no `reads`;
   * the support cone of the datum: its first and last nonzero nodes within
-    the datum's reach (below), widened by one node per side per level, one
-    more node and the window edge node.
+    the datum's reach (below), widened by one node per side per level and
+    the window edge node.
 
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
@@ -41,9 +41,9 @@ Runs with declared reads record no whole-line series, which have no meaning
 on such a window, and keep their per-run rows at window width.
 
 The datum is sampled only where it can matter.  The read hull up to level
-`last` depends on the data at most last + 1 nodes past its edges, and
-`evolve` samples u, v, a and b on the hull widened by last + 2 nodes per
-side, clipped to the grid: the whole grid on whole-line runs.
+`last` depends on the data at most last nodes past its edges, and `evolve`
+samples u, v, a and b on the hull widened by last + 1 nodes per side (one
+to spare), clipped to the grid: the whole grid on whole-line runs.
 `spinor_datum` and `potential_data` take that node range and sample at the
 floats grid.nodes(lo, hi), so every value is the one a full-grid sample
 holds.  For a contiguous support the nonzero
@@ -411,8 +411,9 @@ def _read_hull(grid: GridSpec, snapshot_times, observers) -> tuple[int, int, int
 def _support_cut(first: int, end: int, last: int, lo: int, data) -> tuple[int, int]:
     """The read hull [first, end) up to level `last`, cut to the support cone
     of the datum rows `data` (each (..., width)), sampled on the nodes from
-    `lo` on: their first and last nonzero nodes widened by last + 2 per
-    side.  A hull disjoint from that cone, or rows that are all zero, read
+    `lo` on: their first and last nonzero nodes widened by last + 1 per
+    side, the last of which is the window edge node, zero up to level
+    `last`.  A hull disjoint from that cone, or rows that are all zero, read
     only zeros: the hull is then marched as declared."""
     width = data[0].shape[-1]
     live = np.zeros(width, dtype=bool)
@@ -420,7 +421,7 @@ def _support_cut(first: int, end: int, last: int, lo: int, data) -> tuple[int, i
         live |= (w != 0).reshape(-1, width).any(axis=0)
     nodes = np.flatnonzero(live)
     if nodes.size:
-        s_lo, s_hi = lo + int(nodes[0]) - last - 2, lo + int(nodes[-1]) + last + 3
+        s_lo, s_hi = lo + int(nodes[0]) - last - 1, lo + int(nodes[-1]) + last + 2
         if s_lo < end and first < s_hi:
             return max(first, s_lo), min(end, s_hi)
     return first, end
@@ -474,7 +475,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
     first, end, steps, whole_line = _read_hull(grid, snapshot_times, observers)
     # the datum on the nodes the read cones can depend on (module docstring)
-    lo, hi = max(0, first - steps - 2), min(n1, end + steps + 2)
+    lo, hi = max(0, first - steps - 1), min(n1, end + steps + 1)
     u, v, a, b = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
     first, end = _support_cut(first, end, steps, lo, (u, v, a, b))
     width = end - first

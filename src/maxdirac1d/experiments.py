@@ -17,9 +17,11 @@ claims read:
   Coulomb-type potential logarithmically).
 
 Each observer declares the backward cones it reads, so a run marches only
-their hull (see `cone_solver`); the whole-line series stay empty.  A
-probe-only run at M = 0 in the zero mode marches nothing: its probes read
-A_0 from the characteristic sum over the datum (`cone_solver.free_a0`).
+their hull (see `cone_solver`); the whole-line series stay empty.  The
+probes read A_0 at four (level, node) cells each: a march records it level
+by level, and a probe-only run at M = 0 in the zero mode marches nothing
+and takes it from the characteristic sum over the datum
+(`cone_solver.free_a0`).
 
 The checkers read the records with their plan and turn them into
 per-epsilon verdicts, a least-squares blow-up fit, and the Gauss-law
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import ConeRegion, LevelState, SolverAbort, _read_hull, evolve, free_a0, trapezoid
+from .cone_solver import ConeRegion, LevelState, SolverAbort, evolve, free_a0, trapezoid
 from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv, write_json
 
 __all__ = [
@@ -158,7 +160,7 @@ def grid_for_eps(plan: SweepPlan, eps: float) -> GridSpec:
     L = plan.cutoff.outer + plan.T + max(0.05, 4.0 * h_target)
     n = 2 * math.ceil(L / h_target)
     h = 2.0 * L / n
-    steps = math.ceil(plan.T / h - 1e-12)
+    steps = max(1, math.ceil(plan.T / h - 1e-12))  # T/h <= 1e-12 still takes a level
     return GridSpec(L=L, n=n, t_max=steps * h)
 
 
@@ -221,55 +223,45 @@ class FloorMonitor:
 
 class ProbeMonitor:
     """A_0 at fixed (t, x) probes by bilinear interpolation between the two
-    bracketing levels and nodes."""
+    bracketing levels and nodes.  `a0` maps each of the sorted (level, node)
+    `cells` the probes read to its A_0: `on_level` fills it during a march,
+    and a probe-only massless run assigns what `cone_solver.free_a0` returns."""
 
     def __init__(self, probes, grid: GridSpec):
         h = grid.h
-        self._acc = np.zeros(len(probes))
-        self._needed: dict[int, list[tuple[int, float, int, float]]] = {}
-        self._cells: list[tuple[int, int]] = []  # (m0, j0) per probe
-        for k, (t, x) in enumerate(probes):
+        self._probes = []
+        for t, x in probes:
             m0 = min(int(t / h), grid.steps - 1)
             wt = t / h - m0
             j0 = min(int((x + grid.L) / h), grid.n - 1)
             wx = (x + grid.L) / h - j0
-            self._needed.setdefault(m0, []).append((k, 1.0 - wt, j0, wx))
-            self._needed.setdefault(m0 + 1, []).append((k, wt, j0, wx))
-            self._cells.append((m0, j0))
+            self._probes.append((m0, wt, j0, wx))
+        self.cells = sorted({(m0 + dm, j0 + dj) for m0, _, j0, _ in self._probes for dm in (0, 1) for dj in (0, 1)})
+        self.a0: dict[tuple[int, int], float] = {}
 
     def reads(self, grid: GridSpec):
         """Per probe, the cone over nodes j0, j0 + 1 up to level m0 + 1."""
         h = grid.h
         out = []
-        for m0, j0 in self._cells:
+        for m0, _, j0, _ in self._probes:
             top = m0 + 1
             lo = -grid.L + (j0 - top) * h
             hi = -grid.L + (j0 + 1 + top) * h
             out.append((ConeRegion(lo, hi), top))
         return out
 
-    def cells(self) -> list[tuple[int, int]]:
-        """The (level, node) cells whose A_0 the probes read."""
-        return sorted({(m, j0 + d) for m, needs in self._needed.items() for _, _, j0, _ in needs for d in (0, 1)})
-
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
-        self._add(lev.m, lev.A[0], lev.first)
-
-    def take(self, a0: dict) -> None:
-        """Read the probes from `a0`, A_0 at each of `cells()` keyed by cell,
-        level by level as `on_level` reads them."""
-        for m in sorted(self._needed):
-            self._add(m, {j: value for (level, j), value in a0.items() if level == m}, 0)
-
-    def _add(self, m: int, a0, first: int) -> None:
-        """Add level m's share of each probe read there; a0[j - first] is
-        A_0 at node j."""
-        for k, w, j0, wx in self._needed.get(m, ()):
-            j = j0 - first
-            self._acc[k] += w * ((1.0 - wx) * a0[j] + wx * a0[j + 1])
+        for m, j in self.cells:
+            if m == lev.m:
+                self.a0[m, j] = lev.A[0][j - lev.first]
 
     def result(self) -> np.ndarray:
-        return self._acc.copy()
+        """A_0 at each probe from `a0`: level m0's share, then level m0 + 1's."""
+        out = np.zeros(len(self._probes))
+        for k, (m0, wt, j0, wx) in enumerate(self._probes):
+            for m, w in ((m0, 1.0 - wt), (m0 + 1, wt)):
+                out[k] += w * ((1.0 - wx) * self.a0[m, j0] + wx * self.a0[m, j0 + 1])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +296,12 @@ def _run_one(plan: SweepPlan, eps: float, claims) -> SweepRecord:
     try:
         # probes alone at M = 0 in the zero mode: A_0 is a sum over the datum
         free = not monitors and plan.M == 0 and plan.potential_mode is PotentialMode.ZERO
-        a0 = free_a0(fam, grid, pmon.cells()) if free else None
+        a0 = free_a0(fam, grid, pmon.cells) if free else None
         if a0 is None:
             times = evolve(fam, grid, observers=(*monitors.values(), pmon)).times
         else:
-            pmon.take(a0)
-            times = grid.h * np.arange(_read_hull(grid, (), (pmon,))[2] + 1)  # the levels a march takes
+            pmon.a0 = a0
+            times = grid.h * np.arange(pmon.cells[-1][0] + 1)  # the levels a march takes
     except SolverAbort as exc:
         raise SolverAbort(f"sweep run aborted at eps = {eps:g}: {exc}") from exc
     return SweepRecord(

@@ -40,7 +40,6 @@ __all__ = [
     "coupling",
     "spinor_rhs",
     "wave_sources",
-    "modulus_sq",
 ]
 
 # 2x2 building blocks; entries are exact small Gaussian integers so that all
@@ -165,13 +164,13 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # ---------------------------------------------------------------------------
 
 
-def _spinors(dim: int, u, v, counts=(1,)) -> tuple[np.ndarray, np.ndarray]:
+def _spinors(dim: int, u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v as complex arrays, after the one shape check: the dim is
-    known, each has a component axis and both have one count in `counts`."""
+    known and each has a component axis holding the one marched row."""
     _check_dim(dim)
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != v.shape[-2] or u.shape[-2] not in counts:
-        raise ValueError(f"half-spinors u and v have shape (..., ncomp, nodes) with one ncomp in {counts}, got {u.shape} and {v.shape}")
+    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != 1 or v.shape[-2] != 1:
+        raise ValueError(f"half-spinors u and v have shape (..., 1, nodes), got {u.shape} and {v.shape}")
     return u, v
 
 
@@ -230,13 +229,6 @@ def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):
     C, D, _ = _coupling_maps(dim, A, M)
     plus, minus = (A[0] + A[1], A[0] - A[1]) if sums is None else sums
     return 1j * plus * u + C(v), 1j * minus * v + D(u)
-
-
-def modulus_sq(dim: int, u, v) -> np.ndarray:
-    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components: the
-    marched row, or the spinor_components(dim) rows of a snapshot."""
-    u, v = _spinors(dim, u, v, (1, spinor_components(dim)))
-    return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
 def _density(w, out=None) -> np.ndarray:

@@ -6,6 +6,8 @@ Dirac solve that keeps its whole level history:
 
 * `dirac_solve`: the linear Dirac equation with an external source, every
   level kept;
+* `modulus_sq`: the pointwise |psi|^2 of the marched row or of a
+  snapshot's rows;
 * `modulus_rhs`: the sources of the modulus system, whose antisymmetry is
   the discrete backbone of charge conservation;
 * `interaction_term`: the whole potential coupling A_mu g^mu psi as one
@@ -59,15 +61,7 @@ from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import ConeRegion, LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
-from maxdirac1d.gamma_algebra import (
-    GammaSet,
-    _coupling_maps,
-    _density,
-    _spinors,
-    gamma_matrices,
-    modulus_sq,
-    spinor_components,
-)
+from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _density, gamma_matrices, spinor_components
 from maxdirac1d.initial_data import CutoffSpec, GridSpec, spinor_datum
 
 
@@ -216,11 +210,30 @@ def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
     return h * np.arange(grid.steps + 1), U, V, l2_norm((U, V), h), l2_F
 
 
+def _half_spinors(dim: int, u, v, counts) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as complex arrays, after the shape check of
+    `gamma_algebra._spinors`, but with a component count from `counts` in
+    place of its one marched row: the lemmas and the two-component
+    reference also take a snapshot's rows."""
+    spinor_components(dim)  # raises for an unknown dim
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != v.shape[-2] or u.shape[-2] not in counts:
+        raise ValueError(f"half-spinors u and v have shape (..., ncomp, nodes) with one ncomp in {counts}, got {u.shape} and {v.shape}")
+    return u, v
+
+
+def modulus_sq(dim: int, u, v) -> np.ndarray:
+    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components: the
+    marched row, or the spinor_components(dim) rows of a snapshot."""
+    u, v = _half_spinors(dim, u, v, (1, spinor_components(dim)))
+    return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
+
+
 def _two_rows(dim: int, u, v):
     """u and v as the two-component reference takes them: dim 3, both rows."""
     if dim != 3:
         raise ValueError(f"the two-component reference is the dim-3 march, got dim={dim}")
-    return _spinors(dim, u, v, (2,))
+    return _half_spinors(dim, u, v, (2,))
 
 
 def two_component_maps(dim: int, A, M):
@@ -313,7 +326,7 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     The longitudinal potentials act by pure phase rotation and drop out.
     u and v have the marched row or all spinor_components(dim) rows.
     """
-    u, v = _spinors(dim, u, v, (1, spinor_components(dim)))
+    u, v = _half_spinors(dim, u, v, (1, spinor_components(dim)))
     C = (_coupling_maps if u.shape[-2] == 1 else two_component_maps)(dim, A, M)[0]
     su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
     return su, -su
@@ -329,7 +342,7 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     dim = gs.dim
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    u, v = _spinors(dim, u, v, (spinor_components(dim),))
+    u, v = _half_spinors(dim, u, v, (spinor_components(dim),))
     psi = np.concatenate([u, v], axis=-2)
     out = np.zeros_like(psi)
     for mu in range(dim + 1):

@@ -22,10 +22,9 @@ import maxdirac1d
 from maxdirac1d import cli
 from maxdirac1d.cone_solver import SolverAbort, cone_quadrature, evolve
 from maxdirac1d.experiments import SweepPlan, gauss_pairing_n, grid_for_eps
-from maxdirac1d.gamma_algebra import modulus_sq
 from maxdirac1d.initial_data import DataFamily, GridSpec
 
-from lemmas import probe_sum_bounds
+from lemmas import modulus_sq, probe_sum_bounds
 
 
 def write_config(tmp_path, payload, name="config.json"):

@@ -462,9 +462,10 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
 def test_meta_records_window_and_node_steps():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=2, eps=0.1)
-    # the datum lives on nodes 29..227 (|x| < 2), widened by steps + 2 per side
+    # the datum lives on nodes 29..227 (|x| < 2), widened by steps + 1 = 11
+    # per side: nodes 18..238, end 239, 221 nodes
     line = evolve(fam, grid, observers=(_LevelCounter(),))
-    assert line.meta == {"window": (17, 240, grid.steps), "node_steps": 223 * grid.steps}
+    assert line.meta == {"window": (18, 239, grid.steps), "node_steps": 221 * grid.steps}
     assert "charge" in line.series
     full = evolve_full_grid(fam, grid, observers=(_LevelCounter(),))
     assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps}
@@ -484,14 +485,15 @@ def test_whole_line_runs_march_the_support_cone():
     cone = [(ConeRegion(-0.2, 0.2), 3)]
     # an observer that declares no reads, and snapshots, every level's or
     # one, read the whole line up to t_max, cut to the support cone: the
-    # datum lives on nodes 15..113 (|x| < 2), widened by steps + 2 per side
+    # datum lives on nodes 15..113 (|x| < 2), widened by steps + 1 = 6 per
+    # side: nodes 9..119, end 120
     for kw in (
         dict(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
         dict(observers=(_ConeRecorder(cone), _LevelCounter())),
         dict(observers=(_ConeRecorder(cone),), snapshot_times=every_level(grid)),
         dict(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
     ):
-        assert evolve(fam, grid, **kw).meta["window"] == (8, 121, grid.steps)
+        assert evolve(fam, grid, **kw).meta["window"] == (9, 120, grid.steps)
 
 
 def _same_bits(a, b):
@@ -553,9 +555,11 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
     assert _same_bits(gauge.series(), full_gauge.series())
     assert _same_bits(oracle.deviation(), full_oracle.deviation())
     if narrow:
-        # the window is nodes 127..385; the vertex cones span nodes 112..400
-        # and the gauge cross-section at t = 0 nodes 96..415
-        assert (first, end) == (127, 386)
+        # the datum lives on nodes 225..287 (|x| < 0.2), widened by
+        # steps + 1 = 97 per side: the window is nodes 128..384, end 385; the
+        # vertex cones span nodes 112..400 and the gauge cross-section at
+        # t = 0 nodes 96..415
+        assert (first, end) == (128, 385)
         assert min(j - m for m, j in oracle.sections) == 112 and max(j + m for m, j in oracle.sections) == 400
         assert node_slice(GaugeMonitor().region, 0.0, grid) == slice(96, 416)
 
@@ -593,8 +597,9 @@ def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
 
 
 def test_read_hull_disjoint_from_support_is_marched_as_declared():
-    # the support cone of |x| < 2 reaches x = 2.2 by level 3 + 2; the cone
-    # over [2.3, 2.5] reads only zeros
+    # the support cut of |x| < 2 (nodes 15..113) up to level 3 ends at node
+    # 113 + 3 + 1 = 117, the zero-held edge node; the cone over [2.3, 2.5],
+    # from node 120 on, reads only zeros
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     rec = _ConeRecorder([(ConeRegion(2.3, 2.5), 3)])
     traj = evolve(DataFamily(dim=1, eps=0.1), grid, observers=(rec,))
@@ -602,12 +607,15 @@ def test_read_hull_disjoint_from_support_is_marched_as_declared():
     assert all(not u.any() and not A.any() for _, _, u, _, A in rec.levels)
 
 
-@pytest.mark.parametrize("base, reach, window", [((1.9, 2.3), (105, 129), (110, 119)), ((-2.3, -1.9), (0, 24), (10, 19))])
+@pytest.mark.parametrize("base, reach, window", [((1.9, 2.3), (106, 128), (110, 118)), ((-2.3, -1.9), (1, 23), (11, 19))])
 def test_read_hull_straddling_the_support_edge(monkeypatch, base, reach, window):
     # the datum lives on nodes 15..113 (|x| < 2); the read hull up to level 3
     # crosses one edge of it, and the datum is sampled on the hull widened
-    # by 3 + 2 nodes per side, clipped to the grid: the nonzero nodes found
-    # there cut the hull where the full-grid datum does
+    # by 3 + 1 nodes per side, clipped to the grid: the nonzero nodes found
+    # there cut the hull where the full-grid datum does.  The hulls are
+    # nodes 110..123 and 5..18 (the bases' nodes plus one margin node per
+    # side), so the reaches are 106..127 and 1..22; the support cut keeps
+    # nodes up to 113 + 3 + 1 = 117 and from 15 - 3 - 1 = 11 on
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=1, eps=0.1, M=1.0)
     hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots

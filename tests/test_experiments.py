@@ -151,6 +151,13 @@ def test_grid_policy_tracks_eps():
         assert g.n % 2 == 0
         # support plus horizon plus margin fits inside the slab
         assert g.L >= plan.cutoff.outer + plan.T + 0.05 - 1e-12
+    # a horizon T <= 1e-12 h still gets one level, and the probes read
+    # levels 0 and 1
+    tiny = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.05), T=1e-16)
+    for eps in tiny.eps_list:
+        g = grid_for_eps(tiny, eps)
+        assert g.steps >= 1 and g.t_max >= tiny.T
+        assert min(m for m, _ in ProbeMonitor(tiny.probes, g).cells) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +316,6 @@ def test_probe_a0_mass_correction_is_quadratic_in_M():
 # ---------------------------------------------------------------------------
 
 
-class _CellRecorder:
-    """A_0 at the cells that `pmon` reads, copied from the levels of a run
-    that also declares its reads."""
-
-    def __init__(self, pmon):
-        self.reads = pmon.reads
-        self.cells = pmon.cells()
-        self.a0 = {}
-
-    def on_level(self, lev, grid):
-        for m, j in self.cells:
-            if m == lev.m:
-                self.a0[m, j] = lev.A[0][j - lev.first]
-
-
 @pytest.mark.parametrize("case", ["default_probes", "before_level_1", "narrow_cutoff"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_free_a0_matches_the_march(dim, case):
@@ -338,22 +330,21 @@ def test_free_a0_matches_the_march(dim, case):
     grid = grid_for_eps(plan, eps)
     fam = DataFamily(dim=dim, eps=eps, cutoff=cutoff)
     marched, summed = ProbeMonitor(plan.probes, grid), ProbeMonitor(plan.probes, grid)
-    cells = _CellRecorder(marched)
-    traj = evolve(fam, grid, observers=(marched, cells))
+    traj = evolve(fam, grid, observers=(marched,))
     if case == "narrow_cutoff":
         first, end, _, _ = _read_hull(grid, (), (marched,))
         assert end - first > traj.meta["window"][1] - traj.meta["window"][0]
 
-    a0 = free_a0(fam, grid, cells.cells)
-    assert a0.keys() == cells.a0.keys()
+    a0 = free_a0(fam, grid, marched.cells)
+    assert a0.keys() == marched.a0.keys()
     levels = {m for m, _ in a0}
     assert {0, 1} <= levels if case == "before_level_1" else min(levels) > 1
     for (m, j), value in a0.items():
         if m <= 1:
-            assert _bits(value) == _bits(cells.a0[m, j]), (m, j)
+            assert _bits(value) == _bits(marched.a0[m, j]), (m, j)
         else:
-            assert value > 0.0 and abs(value - cells.a0[m, j]) <= sum_bound(m) * value, (m, j)
-    summed.take(a0)
+            assert value > 0.0 and abs(value - marched.a0[m, j]) <= sum_bound(m) * value, (m, j)
+    summed.a0 = a0
     got, want = summed.result(), marched.result()
     assert (np.abs(got - want) <= probe_sum_bounds(plan, eps) * want).all()
     if case == "before_level_1":

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxdirac1d import (
     coupling,
     gamma_matrices,
-    modulus_sq,
     spinor_components,
     spinor_rhs,
     verify_clifford,
@@ -19,6 +18,7 @@ from lemmas import (
     interaction_term,
     march_two_components,
     modulus_rhs,
+    modulus_sq,
     two_component_coupling,
     two_component_rhs,
     two_component_sources,

@@ -21,7 +21,9 @@ sweeps in dims 1-3 in the zero potential mode and in dim 2 in the
 constrained mode; probe-only claim-3 sweeps in dims 1-3 with that narrow
 cutoff, whose probe cone reaches past the support cone, so that the
 support cut binds; a probe-only claim-3 sweep at M = 1, which takes the
-general step on a datum sampled on the probe cones' reach only; a
+general step on a datum sampled on the probe cones' reach only; two
+probe-only claim-3 sweeps of one probe that reads levels 0 and 1 only, at
+M = 0 (the characteristic sum) and at M = 1 (the march); a
 probe-only claim-3 sweep in dim 3 in the constrained mode (revisions that
 took claim 3 in the zero mode only exit 2 on it, so against them it is the
 one case that differs); the benchmark's blow-up ladder; `verify` with seed
@@ -110,6 +112,13 @@ CASES = {
     # probe-only, so the datum is sampled on the probe cones' reach only
     **{f"sweep_claim3_narrow_dim{d}": ("sweep", {"dim": d, **_NARROW_LADDER}, []) for d in (1, 2, 3)},
     "sweep_claim3_massive": ("sweep", {"dim": 2, **_LADDER, "M": 1.0, "claims": ["claim3"]}, []),
+    # at h = eps/4 the probe's m0 is 0 on every rung: it reads level-0 and
+    # level-1 cells only, from the characteristic sum at M = 0 and from the
+    # march at M = 1 (claim 3 fails that close to t = 0: both exit 4)
+    **{
+        f"sweep_claim3_level0{tag}": ("sweep", {"dim": 2, **_LADDER, "M": M, "probes": [[0.01, 0.002]], "claims": ["claim3"]}, [])
+        for tag, M in (("", 0.0), ("_massive", 1.0))
+    },
     # default probes, at the default h = eps/16
     "sweep_claim3_constrained": (
         "sweep",
