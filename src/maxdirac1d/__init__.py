@@ -31,7 +31,6 @@ from .initial_data import (
     spinor_datum,
 )
 from .cone_solver import (
-    ConeRegion,
     SolverAbort,
     Trajectory,
     evolve,

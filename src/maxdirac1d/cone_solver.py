@@ -22,10 +22,11 @@ Every stencil reaches one node to each side per step, so the value at node j
 of level m depends only on the data at nodes j - m .. j + m.  `evolve`
 therefore marches a static window of nodes, the intersection of two hulls:
 
-  * what the observers read: the hull of the backward cones they declare
-    (`reads`) at t = 0, widened by a stencil margin, up to the last level any
-    of them reads; or the whole line up to t_max when there are snapshots,
-    no observers or an observer that declares no `reads`;
+  * what the observers read: the hull of the node triples they declare
+    (`reads`), each the first and end node of the base at t = 0 of the
+    backward cones the observer reads and the last level it reads; or the
+    whole line up to t_max when there are snapshots, no observers or an
+    observer that declares no `reads`;
   * the support cone of the datum: its first and last nonzero nodes within
     the datum's reach (below), widened by one node per side per level and
     the window edge node.
@@ -36,21 +37,20 @@ output is bitwise a full-grid run: the series are taken over full-width rows
 padded with zeros (a shorter sum would round differently), and snapshots
 come back full-width.  At a read-hull edge the values go wrong, but
 the error travels inward one node per step, exactly like the cone shrinks:
-every node inside a declared cone is bitwise equal to the full-grid run.
+node j of level m is bitwise the full-grid run's when
+first + m <= j <= end - 1 - m, so every node inside a declared cone is.
 Runs with declared reads record no whole-line series, which have no meaning
 on such a window, and keep their per-run rows at window width.
 
 The datum is sampled only where it can matter.  The read hull up to level
 `last` depends on the data at most last nodes past its edges, and `evolve`
-samples u, v, a and b on the hull widened by last + 1 nodes per side (one
-to spare), clipped to the grid: the whole grid on whole-line runs.
-`spinor_datum` and `potential_data` take that node range and sample at the
-floats grid.nodes(lo, hi), so every value is the one a full-grid sample
-holds.  For a contiguous support the nonzero
-nodes found there give the same window as the full-grid samples.  A datum
-nonzero only out of that reach cannot touch the read cones within `last`
-levels, nor the window edge at a support-cone cut, so leaving it out
-changes no value.
+samples u, v, a and b on the hull widened by last nodes per side, clipped
+to the grid: the whole grid on whole-line runs.  `spinor_datum` and
+`potential_data` take that node range and sample at the floats
+grid.nodes(lo, hi), so every value is the one a full-grid sample holds.
+A datum nonzero only out of that reach cannot touch the read cones within
+`last` levels, so leaving it out changes no value there; the window may
+then differ from a full sample's by nodes where the full-grid run is zero.
 
 Components are cut too.  The paper's datum puts chi f_eps in u[0] only and
 has a_2 = b_2 = 0, so in dim 3 the second components u[1], v[1] and A_2
@@ -167,7 +167,6 @@ from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, wr
 
 __all__ = [
     "SolverAbort",
-    "ConeRegion",
     "Levels",
     "Trajectory",
     "evolve",
@@ -201,27 +200,6 @@ def cumulative_trapezoid(values, h: float) -> np.ndarray:
     out = np.zeros_like(values)
     out[..., 1:] = np.cumsum(0.5 * h * (values[..., :-1] + values[..., 1:]), axis=-1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Regions.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeRegion:
-    """Cone over a base interval: cross-section [lo + s, hi - s] at time s.
-
-    The backward cone with vertex (t, x) is the same object with base
-    (x - t, x + t).
-    """
-
-    base_lo: float
-    base_hi: float
-
-    def __post_init__(self):
-        if not self.base_lo < self.base_hi:
-            raise ValueError(f"empty cone base ({self.base_lo}, {self.base_hi})")
 
 
 # ---------------------------------------------------------------------------
@@ -381,31 +359,25 @@ def _wave_diamond(A_curr, A_prev, S, h, out):
 # ---------------------------------------------------------------------------
 
 
-STENCIL_MARGIN = 1  # nodes added to each side of a window, for round-off in the cone bases
-
-
 def _read_hull(grid: GridSpec, snapshot_times, observers) -> tuple[int, int, int, bool]:
     """(first node, end node, last level) that the observers read, and
     whether they read the whole line (see the module docstring).
 
-    The read hull is the hull of the cone bases that the observers declare
-    with `reads(grid)`, as (ConeRegion, last level) pairs, widened by
-    STENCIL_MARGIN nodes per side and clipped to the grid.  Snapshots, no
-    observers or an observer that declares nothing (`cli.A0Oracle`) read
-    the whole line, (0, n+1, steps).
+    The read hull is the hull of the (first node, end node, last level)
+    triples that the observers declare with `reads(grid)`, end excluded,
+    clipped to the grid.  Snapshots, no observers, an observer that declares
+    nothing (`cli.A0Oracle`) or a hull with no node on the grid read the
+    whole line, (0, n+1, steps).
     """
     n1 = grid.n + 1
     readers = [obs for obs in observers if hasattr(obs, "reads")]
-    whole_line = len(snapshot_times) > 0 or not readers or len(readers) < len(observers)
-    first, end, last = n1, 0, 0
-    for obs in () if whole_line else readers:
-        for region, level in obs.reads(grid):
-            first = min(first, math.floor((region.base_lo + grid.L) / grid.h) - STENCIL_MARGIN)
-            end = max(end, math.ceil((region.base_hi + grid.L) / grid.h) + STENCIL_MARGIN + 1)
-            last = max(last, level)
-    if whole_line or first >= end:
+    if len(snapshot_times) > 0 or not readers or len(readers) < len(observers):
         return 0, n1, grid.steps, True
-    return max(0, first), min(n1, end), min(last, grid.steps), False
+    firsts, ends, lasts = zip(*(obs.reads(grid) for obs in readers))
+    first, end = max(0, min(firsts)), min(n1, max(ends))
+    if first >= end:
+        return 0, n1, grid.steps, True
+    return first, end, min(max(lasts), grid.steps), False
 
 
 def _support_cut(first: int, end: int, last: int, lo: int, data) -> tuple[int, int]:
@@ -457,11 +429,12 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     snapshot_times: times at which to keep full (u, v, A) snapshots;
         h * arange(steps + 1) keeps every level (memory grows as steps x n).
     observers: objects with `on_level(lev, grid)`, which gets the
-        `LevelState` of each marched level, and optionally `reads(grid)`.
+        `LevelState` of each marched level, and optionally `reads(grid)`,
+        the (first node, end node, last level) the observer reads.
 
     The marched window is the read hull of the observers cut to the support
-    cone of the datum, which is sampled only on the nodes that hull can
-    depend on (`_read_hull`, `_support_cut`, and the module docstring).
+    cone of the datum, which is sampled on that hull widened by its last
+    level per side (`_read_hull`, `_support_cut`, and the module docstring).
     Whole-line runs record the series `charge`, `l1_u`, `l1_v` and
     `sup_A0` .. `sup_A{dim}` per level, taken over full-width rows, and
     return snapshots as full-width arrays (zero outside the window); runs
@@ -475,7 +448,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
     first, end, steps, whole_line = _read_hull(grid, snapshot_times, observers)
     # the datum on the nodes the read cones can depend on (module docstring)
-    lo, hi = max(0, first - steps - 1), min(n1, end + steps + 1)
+    lo, hi = max(0, first - steps), min(n1, end + steps)
     u, v, a, b = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
     first, end = _support_cut(first, end, steps, lo, (u, v, a, b))
     width = end - first

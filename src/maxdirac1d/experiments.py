@@ -16,11 +16,13 @@ claims read:
   ((x + t)/8) log(1/eps) as eps -> 0 (charge concentration feeds the
   Coulomb-type potential logarithmically).
 
-Each observer declares the backward cones it reads, so a run marches only
-their hull (see `cone_solver`); the whole-line series stay empty.  The
-probes read A_0 at four (level, node) cells each: a march records it level
-by level, and a probe-only run at M = 0 in the zero mode marches nothing
-and takes it from the characteristic sum over the datum
+Each observer declares the nodes it reads, the (first node, end node, last
+level) hull of its backward cones' bases, so a run marches only their hull
+(see `cone_solver`); the whole-line series stay empty.  The claim 1 and 2
+monitors read K_T, its base [-1, 1] rounded outward to nodes.  The probes
+read A_0 at four (level, node) cells each: a march records it level by
+level, and a probe-only run at M = 0 in the zero mode marches nothing and
+takes it from the characteristic sum over the datum
 (`cone_solver.free_a0`).
 
 The checkers read the records with their plan and turn them into
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone_solver import ConeRegion, LevelState, SolverAbort, evolve, free_a0, trapezoid
+from .cone_solver import LevelState, SolverAbort, evolve, free_a0, trapezoid
 from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps, write_csv, write_json
 
 __all__ = [
@@ -169,9 +171,9 @@ def grid_for_eps(plan: SweepPlan, eps: float) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def _reads_kt(self, grid: GridSpec):
-    """The cone K_T over [-1, 1], read up to T."""
-    return [(ConeRegion(-1.0, 1.0), grid.steps)]
+def _reads_kt(self, grid: GridSpec) -> tuple[int, int, int]:
+    """The cone K_T, its base [-1, 1] rounded outward to nodes, read up to T."""
+    return math.floor((-1.0 + grid.L) / grid.h), math.ceil((1.0 + grid.L) / grid.h) + 1, grid.steps
 
 
 class TransverseMonitor:
@@ -239,16 +241,10 @@ class ProbeMonitor:
         self.cells = sorted({(m0 + dm, j0 + dj) for m0, _, j0, _ in self._probes for dm in (0, 1) for dj in (0, 1)})
         self.a0: dict[tuple[int, int], float] = {}
 
-    def reads(self, grid: GridSpec):
-        """Per probe, the cone over nodes j0, j0 + 1 up to level m0 + 1."""
-        h = grid.h
-        out = []
-        for m0, _, j0, _ in self._probes:
-            top = m0 + 1
-            lo = -grid.L + (j0 - top) * h
-            hi = -grid.L + (j0 + 1 + top) * h
-            out.append((ConeRegion(lo, hi), top))
-        return out
+    def reads(self, grid: GridSpec) -> tuple[int, int, int]:
+        """The hull of the cells' cone bases, nodes j - m .. j + m of each
+        (m, j), up to the top cell level."""
+        return min(j - m for m, j in self.cells), max(j + m for m, j in self.cells) + 1, self.cells[-1][0]
 
     def on_level(self, lev: LevelState, grid: GridSpec) -> None:
         for m, j in self.cells:

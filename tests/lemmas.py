@@ -45,7 +45,9 @@ with them:
   `march_two_components` makes `evolve` march them.
 
 One observer goes with them: `GaugeMonitor`, the Lorenz-gauge residual over
-a cone's cross-sections (`node_slice`), which criterion 05 reads.
+a cone's cross-sections (`node_slice`), which criterion 05 reads.  A cone is
+a `ConeRegion` over a float base; `cone_reads` turns a list of them into
+the node triple that an observer's `reads(grid)` returns to `evolve`.
 
 Not a test module: pytest does not collect it, and the tests import it.
 """
@@ -53,12 +55,13 @@ Not a test module: pytest does not collect it, and the tests import it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
 from maxdirac1d import cone_solver
-from maxdirac1d.cone_solver import ConeRegion, LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
+from maxdirac1d.cone_solver import LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _density, gamma_matrices, spinor_components
@@ -74,6 +77,31 @@ def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
         _support_cut=lambda first, end, *_: (first, end),
     ):
         return cone_solver.evolve(fam, grid, **kw)
+
+
+@dataclass(frozen=True)
+class ConeRegion:
+    """Cone over a base interval: cross-section [lo + s, hi - s] at time s.
+
+    The backward cone with vertex (t, x) is the same object with base
+    (x - t, x + t).
+    """
+
+    base_lo: float
+    base_hi: float
+
+    def __post_init__(self):
+        if not self.base_lo < self.base_hi:
+            raise ValueError(f"empty cone base ({self.base_lo}, {self.base_hi})")
+
+
+def cone_reads(cones, grid: GridSpec) -> tuple[int, int, int]:
+    """The (first node, end node, last level) that an observer reading the
+    (ConeRegion, last level) `cones` declares: the hull of their bases
+    rounded outward to nodes, end excluded, up to their last level."""
+    first = min(math.floor((region.base_lo + grid.L) / grid.h) for region, _ in cones)
+    end = max(math.ceil((region.base_hi + grid.L) / grid.h) for region, _ in cones) + 1
+    return first, end, max(level for _, level in cones)
 
 
 def cross_section(region: ConeRegion, s: float) -> tuple[float, float]:

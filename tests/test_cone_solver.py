@@ -8,7 +8,6 @@ import pytest
 
 from maxdirac1d import cli, cone_solver, experiments
 from maxdirac1d import (
-    ConeRegion,
     CutoffSpec,
     DataFamily,
     GridSpec,
@@ -22,6 +21,7 @@ from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs, wave_sources
 from maxdirac1d.initial_data import chi, f_eps, potential_data, spinor_datum, write_csv
 from maxdirac1d.cone_solver import (
     _StepWork,
+    _read_hull,
     _transport_step,
     _wave_diamond,
     _wave_first_step,
@@ -34,7 +34,7 @@ from maxdirac1d.cone_solver import (
     trapezoid,
 )
 
-from lemmas import GaugeMonitor, cross_section, evolve_full_grid, level_arrays, march_two_components, node_slice
+from lemmas import ConeRegion, GaugeMonitor, cone_reads, cross_section, evolve_full_grid, level_arrays, march_two_components, node_slice
 
 
 def every_level(grid):
@@ -410,18 +410,23 @@ class _ConeRecorder:
         self.levels = []
 
     def reads(self, grid):
-        return self.cones
+        return cone_reads(self.cones, grid)
 
     def on_level(self, lev, grid):
         self.levels.append((lev.m, lev.first, lev.u.copy(), lev.v.copy(), lev.A.copy()))
 
 
 def _cone_sets(grid):
-    h = grid.h
+    """Cone lists to declare, each with whether it is node-exact: a base a
+    hair inside two nodes, which rounding outward lands on, so that the
+    window edges are the base edges and level m compares the nodes
+    first + m .. end - 1 - m, the tightest case."""
+    h, x = grid.h, grid.nodes()
     return [
-        [(ConeRegion(-1.0, 1.0), grid.steps)],  # K_T up to T, as claims 1 and 2 read
-        [(ConeRegion(0.013 - 9 * h, 0.021 + 9 * h), 9)],  # off-lattice, probe-sized
-        [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)],
+        ([(ConeRegion(-1.0, 1.0), grid.steps)], False),  # K_T up to T, as claims 1 and 2 read
+        ([(ConeRegion(0.013 - 9 * h, 0.021 + 9 * h), 9)], False),  # off-lattice, probe-sized
+        ([(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)], False),
+        ([(ConeRegion(x[226] + 1e-12, x[296] - 1e-12), grid.steps)], True),  # nodes 226..296
     ]
 
 
@@ -433,10 +438,11 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
     hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
     x = grid.nodes()
-    for cones in _cone_sets(grid):
+    for cones, node_exact in _cone_sets(grid):
         rec = _ConeRecorder(cones)
         traj = evolve(fam, grid, observers=(rec,))
         first, end, last = traj.meta["window"]
+        assert (first, end, last) == cone_reads(cones, grid)  # inside the support cone
         assert end - first < grid.n + 1
         assert last == max(level for _, level in cones)
         assert [m for m, *_ in rec.levels] == list(range(last + 1))
@@ -448,6 +454,8 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
                     continue
                 lo, hi = cross_section(region, m * grid.h)
                 nodes = np.nonzero((x >= lo - 1e-9) & (x <= hi + 1e-9))[0]
+                if node_exact:
+                    assert np.array_equal(nodes, np.arange(first + m, end - m))
                 local = nodes - first
                 # the marched components; snapshots hold the others as zero rows
                 nc = u.shape[0]
@@ -470,11 +478,11 @@ def test_meta_records_window_and_node_steps():
     full = evolve_full_grid(fam, grid, observers=(_LevelCounter(),))
     assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps}
 
-    # base [-0.205, 0.205] spans nodes 117.75..138.25: nodes 117..139 plus
-    # one margin node per side
+    # base [-0.205, 0.205] spans nodes 117.75..138.25, rounded outward to
+    # nodes 117..139: end 140, 23 nodes
     rec = _ConeRecorder([(ConeRegion(-0.205, 0.205), 6)])
     win = evolve(fam, grid, observers=(rec,))
-    assert win.meta == {"window": (116, 141, 6), "node_steps": 25 * 6}
+    assert win.meta == {"window": (117, 140, 6), "node_steps": 23 * 6}
     assert win.series == {}
     assert win.times.size == 7
 
@@ -598,24 +606,26 @@ def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
 
 def test_read_hull_disjoint_from_support_is_marched_as_declared():
     # the support cut of |x| < 2 (nodes 15..113) up to level 3 ends at node
-    # 113 + 3 + 1 = 117, the zero-held edge node; the cone over [2.3, 2.5],
-    # from node 120 on, reads only zeros
+    # 113 + 3 + 1 = 117, the zero-held edge node; the cone over [2.3, 2.5]
+    # (nodes 121.5..126.5), rounded outward to nodes 121..127, reads only
+    # zeros
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     rec = _ConeRecorder([(ConeRegion(2.3, 2.5), 3)])
     traj = evolve(DataFamily(dim=1, eps=0.1), grid, observers=(rec,))
-    assert traj.meta["window"] == (120, 129, 3)
+    assert traj.meta["window"] == (121, 128, 3)
     assert all(not u.any() and not A.any() for _, _, u, _, A in rec.levels)
 
 
-@pytest.mark.parametrize("base, reach, window", [((1.9, 2.3), (106, 128), (110, 118)), ((-2.3, -1.9), (1, 23), (11, 19))])
+@pytest.mark.parametrize("base, reach, window", [((1.9, 2.3), (108, 126), (111, 118)), ((-2.3, -1.9), (3, 21), (11, 18))])
 def test_read_hull_straddling_the_support_edge(monkeypatch, base, reach, window):
     # the datum lives on nodes 15..113 (|x| < 2); the read hull up to level 3
     # crosses one edge of it, and the datum is sampled on the hull widened
-    # by 3 + 1 nodes per side, clipped to the grid: the nonzero nodes found
+    # by 3 nodes per side, clipped to the grid: the nonzero nodes found
     # there cut the hull where the full-grid datum does.  The hulls are
-    # nodes 110..123 and 5..18 (the bases' nodes plus one margin node per
-    # side), so the reaches are 106..127 and 1..22; the support cut keeps
-    # nodes up to 113 + 3 + 1 = 117 and from 15 - 3 - 1 = 11 on
+    # nodes 111..122 and 6..17 (the bases, nodes 111.5..121.5 and
+    # 6.5..16.5, rounded outward), so the reaches are 108..125 and 3..20;
+    # the support cut keeps nodes up to 113 + 3 + 1 = 117 and from
+    # 15 - 3 - 1 = 11 on
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=1, eps=0.1, M=1.0)
     hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
@@ -777,12 +787,13 @@ def _same_level_states(got, want):
 
 def _sweep_with_states(plan):
     """A claim 1-3 `run_sweep` of `plan`, with (fam, grid, window, states) of
-    each run: a recorder that declares the reads of the sweep's observers
-    joins them, so the window stays the sweep's own."""
+    each run: a recorder that declares the read hull of the sweep's
+    observers joins them, so the window stays the sweep's own."""
     runs = []
 
     def evolve_recorded(fam, grid, *, observers):
-        rec = _StateRecorder([cone for obs in observers for cone in obs.reads(grid)])
+        rec = _StateRecorder()
+        rec.reads = lambda grid: _read_hull(grid, (), observers)[:3]
         traj = evolve(fam, grid, observers=(*observers, rec))
         runs.append((fam, grid, traj.meta["window"], rec.states))
         return traj
@@ -895,7 +906,7 @@ class _StateRecorder:
     def __init__(self, cones=None):
         self.states = []
         if cones is not None:
-            self.reads = lambda grid: cones
+            self.reads = lambda grid: cone_reads(cones, grid)
 
     def on_level(self, lev, grid):
         self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.S))))

@@ -415,7 +415,35 @@ def test_probe_monitor_window_matches_full_grid():
     first, end, last = traj.meta["window"]
     assert end - first < (grid.n + 1) // 10
     assert last < grid.steps
+    # the hull of the cells' cone bases: a probe in cell (m0, j0) reads the
+    # nodes j0, j0 + 1 at levels m0, m0 + 1, whose cone bases span nodes
+    # j0 - m0 - 1 .. j0 + m0 + 2
+    cells = [(int(t / grid.h), int((x + grid.L) / grid.h)) for t, x in plan.probes]
+    hull = min(j0 - m0 - 1 for m0, j0 in cells), max(j0 + m0 + 2 for m0, j0 in cells) + 1, max(m0 for m0, _ in cells) + 1
+    assert windowed.reads(grid) == hull == (first, end, last)
     assert np.array_equal(windowed.result(), full.result())
+
+
+@pytest.mark.parametrize("h_over_eps", [4.0, 16.0, 64.0])
+def test_kt_reads_hold_every_node_the_monitors_select(h_over_eps):
+    # at level m, t = m h, TransverseMonitor selects |x| <= 1 - t + 1e-12 and
+    # FloorMonitor t < x < 1 - t: intervals of x, which grows with the node.
+    # The window of K_T's triple is exact at level m on nodes
+    # first + m .. end - 1 - m, so node first + m - 1 must lie left of both
+    # intervals and node end - m right of them.  The triple is at most one
+    # node wider per side than the nodes selected at level 0.
+    for eps in 10.0 ** -np.arange(2.0, 4.75, 0.5):
+        grid = grid_for_eps(SweepPlan(2, 0.0, (eps,), 0.05, h_over_eps=h_over_eps), eps)
+        first, end, last = TransverseMonitor().reads(grid)
+        assert FloorMonitor(eps).reads(grid) == (first, end, last) and last == grid.steps
+        t = np.arange(last + 1) * grid.h
+        half = (1.0 - t) + 1e-12
+        left = grid.nodes(first - 1, first + last)  # node first + m - 1 at level m
+        right = grid.nodes(end - last, end + 1)[::-1]  # node end - m
+        assert (left < -half).all() and (right > half).all(), eps
+        assert (left <= t).all() and (right >= 1.0 - t).all(), eps
+        edges = grid.nodes(first + 1, first + 2)[0], grid.nodes(end - 2, end - 1)[0]
+        assert all(abs(x) <= 1.0 + 1e-12 for x in edges), eps
 
 
 def test_monitors_on_a_support_cut_window_match_full_width():
