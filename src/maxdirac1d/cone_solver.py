@@ -285,20 +285,6 @@ class _StepWork:
         self.sums = None
 
 
-class _Scaled:
-    """The potential rows c * A[k], each computed when it is read: `coupling`
-    reads only its transverse rows."""
-
-    def __init__(self, A, c):
-        self.A, self.c = A, c
-
-    def __len__(self):
-        return len(self.A)
-
-    def __getitem__(self, k):
-        return self.c * self.A[k]
-
-
 def _transport_step(dim, M, h, u, v, A_old, A_new, work, ext_old=None, ext_new=None):
     """One implicit-trapezoid step along the two characteristic families.
 
@@ -322,7 +308,7 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, work, ext_old=None, ext_new=N
     sums = work.sums = A_new[0] + A_new[1], A_new[0] - A_new[1]
     den_u = 1.0 - 0.5j * h * sums[0]
     den_v = 1.0 - 0.5j * h * sums[1]
-    C, D, k2 = coupling(dim, _Scaled(A_new, half), half * M)  # h/2 times the coupling
+    C, D, k2 = coupling(dim, (0.0, 0.0, *(half * A_new[2:])), half * M)  # h/2 times the coupling
     # v_new = (Q + D(P / den_u)) / (den_v + k2 / den_u) and
     # u_new = (P + C(v_new)) / den_u, the sums and quotients written in place
     v_new = D(P / den_u)

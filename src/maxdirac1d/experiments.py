@@ -19,10 +19,10 @@ claims read:
 Each observer declares the nodes it reads, the (first node, end node, last
 level) hull of its backward cones' bases, so a run marches only their hull
 (see `cone_solver`); the whole-line series stay empty.  The claim 1 and 2
-monitors read K_T, its base [-1, 1] rounded outward to nodes.  The probes
-read A_0 at four (level, node) cells each: a march records it level by
-level, and a probe-only run at M = 0 in the zero mode marches nothing and
-takes it from the characteristic sum over the datum
+monitors read K_T, its base the nodes of [-1 - KT_SLACK, 1 + KT_SLACK].
+The probes read A_0 at four (level, node) cells each: a march records it
+level by level, and a probe-only run that is massless free transport
+marches nothing and takes it from the characteristic sum over the datum
 (`cone_solver.free_a0`).
 
 The checkers read the records with their plan and turn them into
@@ -171,9 +171,12 @@ def grid_for_eps(plan: SweepPlan, eps: float) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
+KT_SLACK = 1e-12  # K_T at level t holds the nodes of |x| <= 1 - t + KT_SLACK
+
+
 def _reads_kt(self, grid: GridSpec) -> tuple[int, int, int]:
-    """The cone K_T, its base [-1, 1] rounded outward to nodes, read up to T."""
-    return math.floor((-1.0 + grid.L) / grid.h), math.ceil((1.0 + grid.L) / grid.h) + 1, grid.steps
+    """The cone K_T, its base the nodes of [-1 - KT_SLACK, 1 + KT_SLACK], read up to T."""
+    return math.ceil((grid.L - 1.0 - KT_SLACK) / grid.h), math.floor((grid.L + 1.0 + KT_SLACK) / grid.h) + 1, grid.steps
 
 
 class TransverseMonitor:
@@ -189,7 +192,7 @@ class TransverseMonitor:
         if half < 0.0:
             self.values.append(0.0)
             return
-        sel = np.abs(lev.x) <= half + 1e-12
+        sel = np.abs(lev.x) <= half + KT_SLACK
         tot = sum(np.abs(Aj[sel]) for Aj in lev.A[2:])  # 0 in dim 1
         self.values.append(float(np.max(tot, initial=0.0)))
 
@@ -290,9 +293,8 @@ def _run_one(plan: SweepPlan, eps: float, claims) -> SweepRecord:
     if "claim2" in claims:
         monitors["claim2_min_ratio"] = FloorMonitor(eps)
     try:
-        # probes alone at M = 0 in the zero mode: A_0 is a sum over the datum
-        free = not monitors and plan.M == 0 and plan.potential_mode is PotentialMode.ZERO
-        a0 = free_a0(fam, grid, pmon.cells) if free else None
+        # probes alone on free transport: A_0 is a sum over the datum
+        a0 = None if monitors else free_a0(fam, grid, pmon.cells)
         if a0 is None:
             times = evolve(fam, grid, observers=(*monitors.values(), pmon)).times
         else:
@@ -324,11 +326,12 @@ def run_sweep(plan: SweepPlan, jobs: int = 1, claims=CLAIMS) -> list[SweepRecord
 
     Only the observers the selected claims read are attached: the record
     series hold sup_KT_transverse with claim1 and claim2_min_ratio with
-    claim2.  With neither, a run at M = 0 in the zero mode reads its probes
-    from `cone_solver.free_a0` and marches nothing.  jobs > 1 runs the
-    (independent) epsilon runs in separate processes, at most pool_size of
-    them; the merge order and hence the result is identical either way.  A solver abort in any run fails the
-    whole sweep, naming the offending epsilon.
+    claim2.  With neither, a run reads its probes from `cone_solver.free_a0`
+    and marches nothing when that finds it massless free transport.
+    jobs > 1 runs the (independent) epsilon runs in separate processes, at
+    most pool_size of them; the merge order and hence the result is
+    identical either way.  A solver abort in any run fails the whole sweep,
+    naming the offending epsilon.
     """
     claims = tuple(claims)
     workers = pool_size(jobs, len(plan.eps_list))

@@ -9,8 +9,8 @@ with metric signature (+, -, ..., -).  After diagonalising g0 g1 the spinor
 splits into a right-mover u and a left-mover v, each with one complex
 component for d = 1, 2 and two for d = 3.  This module holds the concrete
 matrices, the Clifford-relation verifier, the wave sources, and `coupling`:
-the u-v coupling, written out per dim in this one place, which the
-transport sources and the solver apply.
+the u-v coupling, built in this one place from one transverse row in every
+dim, which the transport sources and the solver apply.
 
 The kernels march one component row in every dim.  In dim 3 that row is the
 first component: the paper's datum puts chi f_eps in u[0] only and has
@@ -181,12 +181,11 @@ def coupling(dim: int, A, M: float):
 
     C and D map (..., 1, n) half-spinors to half-spinors; they come from the
     mass and the transverse potentials only.  They satisfy D = -C^dagger and
-    DC = CD = -k2, so the coupling is anti-hermitian.  In dims 1 and 2,
-    C = c w and D = d w with c = A_2 - iM, d = -A_2 - iM (A_2 = 0 in dim 1)
-    and k2 = A_2^2 + M^2.  In dim 3, on the first components (module
-    docstring), C = p w and D = q w with p = A_3 - iM, q = -A_3 - iM and
-    k2 = A_3^2 + M^2; A_2 is not read.  The operators are linear in (A, M):
-    scaled inputs give scaled operators and k2 scales quadratically.
+    DC = CD = -k2, so the coupling is anti-hermitian.  On the marched row
+    (module docstring), C = c w and D = d w with c = row - iM,
+    d = -row - iM and k2 = row^2 + M^2, where the row is A_dim (0 in dim 1):
+    dim 3 does not read A_2.  The operators are linear in (A, M): scaled
+    inputs give scaled operators and k2 scales quadratically.
     """
     _check_dim(dim)
     C, D, row = _coupling_maps(dim, A, M)
@@ -195,26 +194,23 @@ def coupling(dim: int, A, M: float):
 
 def _coupling_maps(dim: int, A, M):
     """C and D of `coupling`, and the transverse row whose square k2 holds.
-    A is indexed once per row it reads: A_2 in dim 2, A_3 in dim 3, nothing
-    in dim 1."""
+    A is indexed at most once: at A_dim, the row it reads in dims 2 and 3."""
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    if dim < 3:  # dim 1 is dim 2 with A_2 = 0
-        A2 = A[2] if dim == 2 else 0.0
-        c, d = A2 - 1j * M, -A2 - 1j * M
-        return (lambda w: c * w), (lambda w: d * w), A2
-    A3 = A[3]
-    p, q = A3 - 1j * M, -A3 - 1j * M
+    row = A[dim] if dim > 1 else 0.0
+    c, d = row - 1j * M, -row - 1j * M
+    if dim < 3:
+        return (lambda w: c * w), (lambda w: d * w), row
 
     def C(w):
         # s = i A_2 and s w_1 are +0: the "+ 0.0" stands for "+ s w_1",
         # which turns a -0.0 part into +0.0; "- s w_1" and 0 + A_3^2
         # change no bits
-        out = p * w
+        out = c * w
         out += 0.0
         return out
 
-    return C, (lambda w: q * w), A3
+    return C, (lambda w: d * w), row
 
 
 def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):

@@ -2,9 +2,9 @@
 
 These are heavier than the unit suites: the campaign fixture runs the
 default sweep in four (dim, mass) cells and the blow-up gate drives the
-epsilon ladder down to 10^-3.5 twice.  The full file took 11.5 s on a
-2-core x86-64 box (numpy 2.4.6), 8.4 s of it in the campaign fixture;
-test_criterion_09 took under 0.01 s and the deep massless ladder 0.12 s,
+epsilon ladder down to 10^-3.5 twice.  The full file took 8.4 s on a
+2-core x86-64 box (numpy 2.4.6), 6.3 s of it in the campaign fixture;
+test_criterion_09 took under 0.01 s and the deep massless ladder 0.11 s,
 since their probe-only massless sweeps march nothing.  Every numeric
 tolerance is stated inline next to the measurement it guards; wall-clock
 budgets are asserted where a gate has one.

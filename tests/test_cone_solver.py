@@ -423,7 +423,7 @@ def _cone_sets(grid):
     first + m .. end - 1 - m, the tightest case."""
     h, x = grid.h, grid.nodes()
     return [
-        ([(ConeRegion(-1.0, 1.0), grid.steps)], False),  # K_T up to T, as claims 1 and 2 read
+        ([(ConeRegion(-1.0, 1.0), grid.steps)], False),  # K_T up to T, rounded outward
         ([(ConeRegion(0.013 - 9 * h, 0.021 + 9 * h), 9)], False),  # off-lattice, probe-sized
         ([(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)], False),
         ([(ConeRegion(x[226] + 1e-12, x[296] - 1e-12), grid.steps)], True),  # nodes 226..296
@@ -822,6 +822,11 @@ def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
             assert r1.series.keys() == r2.series.keys() == {"sup_KT_transverse", "claim2_min_ratio"}
             for key in r2.series:
                 assert _same_bits(r1.series[key], r2.series[key]), (r1.eps, key)
+        # K_T's nodes, inside the support cone: at eps 0.1, L = 2.15 and
+        # h = 0.025 put x = -1 and 1 on nodes 46 and 126; at eps 0.07,
+        # L = 2.12 and h = 2L/244 put them at nodes 64.45 and 179.55, so
+        # the nodes are 65..179
+        assert [run[2] for run in free_runs] == [(46, 127, 2), (65, 180, 3)]
         for (fam, grid, window, states), (_, _, window2, states2) in zip(free_runs, general_runs):
             assert window == window2 and window[1] - window[0] < grid.n + 1
             _same_level_states(states, _hand_march(fam, grid, window))

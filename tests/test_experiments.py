@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from maxdirac1d import cone_solver, experiments
 from maxdirac1d.cone_solver import _read_hull, evolve, free_a0
 from maxdirac1d.experiments import (
+    KT_SLACK,
     FloorMonitor,
     ProbeMonitor,
     TransverseMonitor,
@@ -374,8 +375,9 @@ def test_massless_probe_only_sweeps_take_the_sum():
 )
 def test_other_sweep_runs_still_march(plan, claims, free_test):
     # their probes are bitwise those of a full-grid march; `free_a0` is
-    # asked only by a massless probe-only run, and a datum that fails
-    # `_free_transport` makes it answer None
+    # asked by every probe-only run, and answers None off free transport:
+    # at M = 1, in the constrained mode, or for a datum that fails
+    # `_free_transport`
     fails = contextlib.nullcontext() if free_test else mock.patch.object(cone_solver, "_free_transport", lambda *_: False)
     with fails, mock.patch.object(experiments, "free_a0", wraps=free_a0) as asked:
         records = run_sweep(plan, claims=claims)
@@ -385,7 +387,7 @@ def test_other_sweep_runs_still_march(plan, claims, free_test):
             pmon = ProbeMonitor(plan.probes, grid)
             evolve_full_grid(fam, grid, observers=(pmon,))
             assert rec.probe_A0.tobytes() == pmon.result().tobytes()
-    assert asked.call_count == (0 if free_test else len(records))
+    assert asked.call_count == (0 if {"claim1", "claim2"} & set(claims) else len(records))
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +428,24 @@ def test_probe_monitor_window_matches_full_grid():
 
 @pytest.mark.parametrize("h_over_eps", [4.0, 16.0, 64.0])
 def test_kt_reads_hold_every_node_the_monitors_select(h_over_eps):
-    # at level m, t = m h, TransverseMonitor selects |x| <= 1 - t + 1e-12 and
-    # FloorMonitor t < x < 1 - t: intervals of x, which grows with the node.
-    # The window of K_T's triple is exact at level m on nodes
+    # at level m, t = m h, TransverseMonitor selects |x| <= 1 - t + KT_SLACK
+    # and FloorMonitor t < x < 1 - t: intervals of x, which grows with the
+    # node.  The window of K_T's triple is exact at level m on nodes
     # first + m .. end - 1 - m, so node first + m - 1 must lie left of both
-    # intervals and node end - m right of them.  The triple is at most one
-    # node wider per side than the nodes selected at level 0.
+    # intervals and node end - m right of them.  The triple's nodes are the
+    # hull of those TransverseMonitor selects at level 0.
     for eps in 10.0 ** -np.arange(2.0, 4.75, 0.5):
         grid = grid_for_eps(SweepPlan(2, 0.0, (eps,), 0.05, h_over_eps=h_over_eps), eps)
         first, end, last = TransverseMonitor().reads(grid)
         assert FloorMonitor(eps).reads(grid) == (first, end, last) and last == grid.steps
         t = np.arange(last + 1) * grid.h
-        half = (1.0 - t) + 1e-12
+        half = (1.0 - t) + KT_SLACK
         left = grid.nodes(first - 1, first + last)  # node first + m - 1 at level m
         right = grid.nodes(end - last, end + 1)[::-1]  # node end - m
         assert (left < -half).all() and (right > half).all(), eps
         assert (left <= t).all() and (right >= 1.0 - t).all(), eps
-        edges = grid.nodes(first + 1, first + 2)[0], grid.nodes(end - 2, end - 1)[0]
-        assert all(abs(x) <= 1.0 + 1e-12 for x in edges), eps
+        selected = np.flatnonzero(np.abs(grid.nodes()) <= 1.0 + KT_SLACK)  # level 0's selection
+        assert (first, end) == (selected[0], selected[-1] + 1), eps
 
 
 def test_monitors_on_a_support_cut_window_match_full_width():

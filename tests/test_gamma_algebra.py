@@ -388,6 +388,25 @@ def test_one_component_sources_and_coupling_bitwise(M):
     assert not du[1].any() and not dv[1].any()
 
 
+@pytest.mark.parametrize("M", [0.0, -0.0, 1.0, 0.37])
+def test_dims_2_and_3_share_one_coupling_of_the_transverse_row(M):
+    # one row T, read as A_2 in dim 2 and as A_3 in dim 3 with A_2 = +0.0:
+    # D and k2 are the same bits, and dim 3's C adds its "+ 0.0"
+    rng = np.random.default_rng(53)
+    _, v, A = _first_component_state(rng)
+    T = A[3]
+    T[::4], T[1::4] = 0.0, -0.0
+    w = v[:1]
+    w[0, 2::6] = complex(-0.0, 0.0)
+    w[0, 5::6] = complex(0.0, -0.0)
+    C2, D2, k2_2 = coupling(2, (A[0], A[1], T), M)
+    C3, D3, k2_3 = coupling(3, A, M)
+    assert _same_bits(D3(w), D2(w)) and _same_bits(k2_3, k2_2)
+    assert _same_bits(C3(w), C2(w) + 0.0)
+    parts = C2(w).view(float)
+    assert (np.signbit(parts) & (parts == 0.0)).any()  # -0.0 parts for the + 0.0 to turn
+
+
 @pytest.mark.parametrize("M", [0.0, 1.0])
 def test_one_component_transport_step_bitwise(M):
     from maxdirac1d.cone_solver import _StepWork, _transport_step

@@ -37,9 +37,10 @@ and 8, where a solve that held its levels at once would show in the peak
 RSS; `verify` recomputing each dim-2 sweep's verdicts from its
 files; and `norms`.  Each run's wall time and peak RSS (the child's own
 maximum resident set, from `os.wait4`) are printed side by side for the two
-revisions, then every difference (a file that only one revision wrote is
-named with it) and the count of files the two wrote between them.  A JSON
-or CSV file whose bytes differ is also given the largest relative
+revisions, then the line count of each `src/maxdirac1d/*.py` module and
+their total on both, then every difference (a file that only one revision
+wrote is named with it) and the count of files the two wrote between them.
+A JSON or CSV file whose bytes differ is also given the largest relative
 difference |a - b| / max(|a|, |b|) over its numbers (JSON values, CSV
 cells below the `#` comment lines), when both sides hold numbers at the
 same places; inf when a non-finite number differs.  The exit status is 0
@@ -275,6 +276,17 @@ def differences(outs: list[str], revs: list[str]) -> tuple[list[str], int]:
     return problems, len(names)
 
 
+def source_lines(tree: str) -> dict[str, int]:
+    """The line count of each `src/maxdirac1d/*.py` module of a checkout."""
+    pkg = os.path.join(tree, "src", "maxdirac1d")
+    counts = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                counts[name] = sum(1 for _ in fh)
+    return counts
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -282,6 +294,7 @@ def main(argv: list[str]) -> int:
     revs = [argv[0], argv[1] if len(argv) > 1 else "HEAD"]
     with tempfile.TemporaryDirectory() as tmp:
         trees = [checkout(rev, os.path.join(tmp, f"tree{k}")) for k, rev in enumerate(revs)]
+        lines = [source_lines(tree) for tree in trees]
         run_dirs = [os.path.join(tmp, f"run{k}") for k in range(2)]
         runs: list[dict] = [{}, {}]
         for i, name in enumerate(CASES):
@@ -296,6 +309,10 @@ def main(argv: list[str]) -> int:
     for name in CASES:
         (_, wall0, rss0), (_, wall1, rss1) = runs[0][name], runs[1][name]
         print(f"{name:<32}{wall0:>8.2f}{wall1:>8.2f}{rss0:>9.0f}{rss1:>9.0f}")
+    print(f"{'module':<32}{'lines':>16}")
+    for name in sorted(lines[0].keys() | lines[1].keys()):
+        print(f"{name:<32}" + "".join(f"{side.get(name, '-'):>8}" for side in lines))
+    print(f"{'total':<32}" + "".join(f"{sum(side.values()):>8}" for side in lines))
     for line in problems:
         print(line)
     print(f"{len(CASES)} runs, {count} files: {'identical' if not problems else f'{len(problems)} differences'}")
