@@ -5,7 +5,7 @@ values exactly one node per step and the wave operator factorises over grid
 diamonds.  One time step, from level m to m+1:
 
   1. evaluate the wave sources S^m from the level-m spinor,
-  2. advance every potential with the diamond identity
+  2. advance every marched potential row with the diamond identity
          A^{m+1}_j = A^m_{j-1} + A^m_{j+1} - A^{m-1}_j + h^2 S^m_j
      (exact for quadratic space-time polynomials; the first step uses the
      d'Alembert expansion (a_{j-1}+a_{j+1})/2 + h b_j + (h^2/2) S^0_j),
@@ -13,10 +13,10 @@ diamonds.  One time step, from level m to m+1:
      characteristics.  The implicit stage couples at most four complex
      unknowns per node through the u-v coupling (C, D) of
      `gamma_algebra.coupling`; because it is anti-hermitian with
-     DC = -(A_2^2 + A_3^2 + M^2) I, the solve reduces to a closed-form Schur
-     complement, the same in every dim, and the one-step map is a
-     near-Cayley (almost unitary) transform, which is what keeps the
-     discrete charge drift at O(h^2) with a small constant.
+     DC = -(A_T^2 + M^2) I, A_T the transverse potential row, the solve
+     reduces to a closed-form Schur complement, the same in every dim, and
+     the one-step map is a near-Cayley (almost unitary) transform, which is
+     what keeps the discrete charge drift at O(h^2) with a small constant.
 
 Every stencil reaches one node to each side per step, so the value at node j
 of level m depends only on the data at nodes j - m .. j + m.  `evolve`
@@ -55,12 +55,16 @@ then differ from a full sample's by nodes where the full-grid run is zero.
 Components are cut too.  The paper's datum puts chi f_eps in u[0] only and
 has a_2 = b_2 = 0, so in dim 3 the second components u[1], v[1] and A_2
 stay +0.0 for the whole run, bitwise (`gamma_algebra` says why).  `evolve`
-marches the one row of `spinor_datum` in every dim, and observers see it as
-it is; snapshots come back with spinor_components(dim) rows, the second
-ones zero in dim 3.
+marches the one row of `spinor_datum` and the potential rows of
+`potential_data` in every dim, (A_0, A_1, A_3) in dim 3, and observers see
+them as they are.  The physical rows appear only where a run is written
+out: snapshots come back with spinor_components(dim) rows and dim + 1
+potential rows, and the whole-line series hold sup_A0 .. sup_A{dim}; in
+dim 3 the second spinor components and A_2 are +0.0 rows and sup_A2 is 0.0
+at every level.
 
 Massless zero-mode runs are free transport.  At M = 0 with zero potential
-data the system decouples: v, A_2 .. A_dim and A_0 + A_1 stay zero, and u
+data the system decouples: v, A_T and A_0 + A_1 stay zero, and u
 is the datum moved one node per level.  `evolve` takes this path when its
 input has M == 0, v, a and b zero, and no sign bit set in u or v (the datum
 chi f_eps is real and nonnegative, with +0.0 zeros).  At level 0 it copies
@@ -69,10 +73,10 @@ the window; level m is then the slice [steps - m, steps - m + width) of
 those rows, which is the level-0 row moved m nodes to the right with +0.0
 fill.  u is that slice, S_0 and S_1 are copied from it, and so is |u|^2 on
 whole-line runs, whose series read it.  v stays the +0.0 datum, and |v|^2
-and S_2 .. S_dim keep their level-0 bits.  Everything else in a level is
+and S_T keep their level-0 bits.  Everything else in a level is
 the same.  Each of these is bitwise what the general step computes, by
 induction over the levels: while v is +0.0, u has no sign bit set, M is a
-zero and A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
+zero and A_0 + A_1 and A_T are zeros of either sign,
 
   * every coupling term of `_transport_step` (i (A_0 +- A_1) u, C v, D u)
     is a product with a zero, so du and dv are zeros; u + (h/2) du = u and
@@ -87,15 +91,15 @@ zero and A_0 + A_1 and A_2 .. A_dim are zeros of either sign,
     rows; at a filled node u is +0.0, and |u|^2 = +0.0,
     S_0 = +0.0 + (+0.0) = +0.0 and S_1 = -(+0.0) + (+0.0) = +0.0 are the
     zero fill;
-  * |v|^2 = +0.0, and the transverse sources are products with v's +0.0
+  * |v|^2 = +0.0, and the transverse source is a product with v's +0.0
     parts whose signs are fixed because u has no sign bit set, -0.0 at
     every node: in dim 2, -2 Im(u conj(v)) = -2 (Re u (-0.0) + Im u (+0.0))
-    = -2 (+0.0) = -0.0; in dim 3, S_2 = -0.0 by assignment and
-    S_3 = -2 (Re(conj(v_0) i u_0) + 0.0) = -0.0;
+    = -2 (+0.0) = -0.0; in dim 3, S_3 = -2 (Re(conj(v_0) i u_0) + 0.0)
+    = -0.0;
   * S_1 = -|u|^2 + (+0.0) is -S_0 up to the signs of zeros, and rounding
     is symmetric, so from zero data A_1 is -A_0 up to the signs of zeros
-    and A_0 + A_1 stays a zero; the transverse sources are zeros, so
-    A_2 .. A_dim stay zeros.
+    and A_0 + A_1 stays a zero; the transverse source is a zero, so A_T
+    stays a zero.
 
 Probe-only massless runs need no march at all (`free_a0`).  On free
 transport S_0 at level k is the level-0 row s moved k nodes to the right,
@@ -148,7 +152,10 @@ makes each pass over the window once:
   * per-run arrays in place of per-level temporaries: the transport's
     shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
     just reached to the next step), the diamond's three potential levels,
-    which it cycles through, and the sources and densities.
+    which it cycles through, and the sources and densities;
+  * no row held past its last read: the datum's b goes after the first wave
+    step and a after the level-1 diamond, and the transport sources after
+    P and Q are formed.
 
 Each of these computes the same floats in the same order as the plain
 expressions it replaces, so the outputs are bitwise unchanged.
@@ -162,7 +169,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gamma_algebra import coupling, spinor_components, spinor_rhs, wave_sources
+from .gamma_algebra import _POTENTIAL_ROWS, coupling, spinor_components, spinor_rhs, wave_sources
 from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, write_csv
 
 __all__ = [
@@ -213,7 +220,8 @@ class LevelState:
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
     window keeps at least one such zero node at that edge.  u and v hold the
-    marched component row.  The arrays are the run's working arrays: they
+    marched component row, and A and S the marched potential rows
+    (`gamma_algebra`).  The arrays are the run's working arrays: they
     hold their values during `on_level` only, so an observer copies what it
     keeps."""
 
@@ -301,6 +309,7 @@ def _transport_step(dim, M, h, u, v, A_old, A_new, work, ext_old=None, ext_new=N
         dv = dv + ext_old[1]
     P = shift(u + half * du, 1, out=work.P)
     Q = shift(v + half * dv, -1, out=work.Q)
+    del du, dv
     if ext_new is not None:
         P = P + half * ext_new[0]
         Q = Q + half * ext_new[1]
@@ -441,6 +450,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     x = grid.nodes(first, end)
     u, v, a, b = (w[..., first - lo : end - lo].copy() for w in (u, v, a, b))
     free = _free_transport(M, u, v, a, b)
+    A_rows = list(_POTENTIAL_ROWS[dim])  # the physical index mu of each marched row
 
     times = h * np.arange(steps + 1)
     names = ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1))) if whole_line else ()
@@ -449,7 +459,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     nc = spinor_components(dim)
     rows = (nc, nc, dim + 1)  # of u, v, A
 
-    # zero-filled full-width arrays; spinor rows past the marched one stay zero
+    # zero-filled full-width arrays; rows not marched stay zero
     snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a))))
 
     # per-run arrays written in place at every level: the sources and the
@@ -457,16 +467,18 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     # full-width rows, zero outside it, which the series sum
     work = _StepWork(u.shape)
     if whole_line:
-        S_rows, dens_rows = np.zeros((dim + 1, n1)), np.zeros((2, n1))
+        S_rows, dens_rows = np.zeros((len(A_rows), n1)), np.zeros((2, n1))
         S, dens = S_rows[:, first:end], dens_rows[:, first:end]
+        sup_A = np.zeros(dim + 1)  # sup_A2 of dim 3 stays 0.0
     else:
-        S, dens = np.empty((dim + 1, width)), np.empty((2, width))
+        S, dens = np.empty((len(A_rows), width)), np.empty((2, width))
     A_prev, A = None, a
+    del a  # A holds the datum up to the level-1 diamond
 
     for m in range(steps + 1):
         t = m * h
         if whole_line:
-            sup_A = np.abs(A).max(axis=-1)  # not finite where A is not
+            sup_A[A_rows] = np.abs(A).max(axis=-1)  # not finite where A is not
             peak = sup_A.max()
         else:
             peak = np.abs(A).max()
@@ -507,13 +519,19 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
                 obs.on_level(lev, grid)
         k = snap_at.get(m)
         if k is not None:
-            for level_rows, w in zip((snapshots.u, snapshots.v, snapshots.A), (u, v, A)):
-                level_rows[k, : len(w), first:end] = w
+            snapshots.u[k, : len(u), first:end] = u
+            snapshots.v[k, : len(v), first:end] = v
+            snapshots.A[k, A_rows, first:end] = A
         if m < steps:
-            A_next = _wave_first_step(a, b, S, h) if m == 0 else _wave_diamond(A, A_prev, S, h, out=spare)
-            # the diamonds cycle through three arrays with zero boundary nodes;
-            # the datum a may have nonzero edge nodes, and it is not ours to write
-            spare = A_prev if m > 1 else np.zeros_like(a)
+            if m == 0:
+                A_next = _wave_first_step(A, b, S, h)
+                del b
+            else:
+                A_next = _wave_diamond(A, A_prev, S, h, out=spare)
+            # the diamonds cycle through three arrays with zero boundary
+            # nodes; the datum may have nonzero edge nodes, and goes once the
+            # level-1 diamond has read it
+            spare = A_prev if m > 1 else np.zeros_like(A)
             A_prev, A = A, A_next
 
     return Trajectory(
@@ -592,7 +610,7 @@ def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
     as F_c[m], of shape (..., 1, n+1): level arrays (steps+1, ..., 1, n+1),
     or objects that compute their rows when indexed.  The induced transport
     sources are (i F_2, i F_1)."""
-    A = np.zeros(dim + 1)  # zero potentials, as scalars: no per-node work
+    A = np.zeros(len(_POTENTIAL_ROWS[dim]))  # zero potentials, as scalars: no per-node work
     work = _StepWork(u.shape)
 
     def ext(m):

@@ -180,7 +180,8 @@ def _reads_kt(self, grid: GridSpec) -> tuple[int, int, int]:
 
 
 class TransverseMonitor:
-    """Per-level sup of sum_j |A_j| (j >= 2) over the slab |x| <= 1 - t."""
+    """Per-level sup of |A_T| over the slab |x| <= 1 - t: the sum of |A_j|
+    over the marched rows past A_1, the transverse row A_T in dims 2 and 3."""
 
     reads = _reads_kt
 
@@ -394,8 +395,8 @@ def _largest_passing_t(times, running_series, bound) -> float:
 
 
 def check_claim1(results: list[SweepRecord], plan: SweepPlan) -> list[dict]:
-    """Transverse-potential boundedness: sup over K_T of |A_2| (plus |A_3|
-    for dim 3) compared to 1, per epsilon.  dim 1 has no transverse
+    """Transverse-potential boundedness: sup over K_T of |A_T| (A_2 in dim
+    2, A_3 in dim 3) compared to 1, per epsilon.  dim 1 has no transverse
     potentials and gets a not-applicable verdict."""
     if plan.dim < 2:
         return [{"eps": rec.eps, "applicable": False, "pass": True} for rec in results]

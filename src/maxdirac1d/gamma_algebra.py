@@ -12,17 +12,18 @@ matrices, the Clifford-relation verifier, the wave sources, and `coupling`:
 the u-v coupling, built in this one place from one transverse row in every
 dim, which the transport sources and the solver apply.
 
-The kernels march one component row in every dim.  In dim 3 that row is the
-first component: the paper's datum puts chi f_eps in u[0] only and has
-a_2 = b_2 = 0, and then u[1], v[1] and A_2 stay +0.0 for the whole run, in
-floating point as in exact arithmetic.  Every term that feeds a second
-component, or the source S_2 of A_2, is a product of a finite number with
-one of those zeros or with s = i A_2, so it is a zero.  Sums of zeros stay
-+0.0, since a sum is -0.0 only when both terms are, and A_2 is built from
-+0.0 data by such sums.  The dim-3 `coupling` and `wave_sources` are the
-two-component ones with those zeros put in: they round the first components
-bit for bit as the two-component ones do, and only the sign of S_2's zeros
-may differ, which reaches no field.
+The kernels march one component row in every dim, and the potential rows
+(A_0, A_1) in dim 1 and (A_0, A_1, A_T) in dims 2 and 3, where the
+transverse row A_T is A_2 in dim 2 and A_3 in dim 3.  In dim 3 the marched
+spinor row is the first component: the paper's datum puts chi f_eps in u[0]
+only and has a_2 = b_2 = 0, and then u[1], v[1] and A_2 stay +0.0 for the
+whole run, in floating point as in exact arithmetic.  Every term that feeds
+a second component is a product of a finite number with one of those zeros
+or with s = i A_2, so it is a zero, and so is the source of A_2.  Sums of
+zeros stay +0.0, since a sum is -0.0 only when both terms are, and A_2 is
+built from +0.0 data by such sums.  The dim-3 `coupling` and `wave_sources`
+are the two-component ones with those zeros put in: they round the first
+components, S_0, S_1 and S_3 bit for bit as the two-component ones do.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def spinor_components(dim: int) -> int:
     """Number of complex components in each half-spinor (u or v)."""
     _check_dim(dim)
     return 2 if dim == 3 else 1
+
+
+# the physical index mu of each marched potential row, per dim: (A_0, A_1)
+# in dim 1 and (A_0, A_1, A_T) in dims 2 and 3, A_T = A_dim (module docstring)
+_POTENTIAL_ROWS = {1: (0, 1), 2: (0, 1, 2), 3: (0, 1, 3)}
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,9 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # u and v are arrays of shape (..., 1, n+1) in every dim: optional batch axes,
 # a component axis holding the marched row, then the nodes.  The bilinears
 # reduce the component axis and return (..., n+1) rows.
-# Potentials and the mass broadcast against (..., 1, n+1): scalars, node rows,
-# or per-instance arrays such as a mass of shape (K, 1, 1).
+# Potentials are the marched rows (module docstring).  They and the mass
+# broadcast against (..., 1, n+1): scalars, node rows, or per-instance
+# arrays such as a mass of shape (K, 1, 1).
 # ---------------------------------------------------------------------------
 
 
@@ -183,9 +190,10 @@ def coupling(dim: int, A, M: float):
     mass and the transverse potentials only.  They satisfy D = -C^dagger and
     DC = CD = -k2, so the coupling is anti-hermitian.  On the marched row
     (module docstring), C = c w and D = d w with c = row - iM,
-    d = -row - iM and k2 = row^2 + M^2, where the row is A_dim (0 in dim 1):
-    dim 3 does not read A_2.  The operators are linear in (A, M): scaled
-    inputs give scaled operators and k2 scales quadratically.
+    d = -row - iM and k2 = row^2 + M^2, where the row is the transverse
+    row A_T = A[2] of the marched potential rows A (0 in dim 1).  The
+    operators are linear in (A, M): scaled inputs give scaled operators and
+    k2 scales quadratically.
     """
     _check_dim(dim)
     C, D, row = _coupling_maps(dim, A, M)
@@ -194,10 +202,11 @@ def coupling(dim: int, A, M: float):
 
 def _coupling_maps(dim: int, A, M):
     """C and D of `coupling`, and the transverse row whose square k2 holds.
-    A is indexed at most once: at A_dim, the row it reads in dims 2 and 3."""
-    if len(A) != dim + 1:
-        raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    row = A[dim] if dim > 1 else 0.0
+    A is indexed at most once: at A[2], the row A_T of dims 2 and 3."""
+    rows = len(_POTENTIAL_ROWS[dim])
+    if len(A) != rows:
+        raise ValueError(f"expected {rows} potential rows for dim={dim}, got {len(A)}")
+    row = A[2] if dim > 1 else 0.0
     c, d = row - 1j * M, -row - 1j * M
     if dim < 3:
         return (lambda w: c * w), (lambda w: d * w), row
@@ -216,9 +225,10 @@ def _coupling_maps(dim: int, A, M):
 def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):
     """Transport sources (du, dv) with (dt + dx) u = du, (dt - dx) v = dv.
 
-    A is the sequence (A_0, ..., A_dim) of real potentials (scalars or node
-    arrays).  The longitudinal potentials rotate phases; the mass and the
-    transverse potentials couple u and v through `coupling`.  `sums`, when
+    A is the sequence of the marched real potential rows, (A_0, A_1) or
+    (A_0, A_1, A_T) (scalars or node arrays).  The longitudinal potentials
+    rotate phases; the mass and the transverse potential couple u and v
+    through `coupling`.  `sums`, when
     given, is the pair (A_0 + A_1, A_0 - A_1) already formed from these A.
     """
     u, v = _spinors(dim, u, v)
@@ -235,15 +245,16 @@ def _density(w, out=None) -> np.ndarray:
 
 
 def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarray, ...]:
-    """Sources (S_0, ..., S_dim) with box A_mu = S_mu.
+    """Sources of the marched potential rows, box A_mu = S_mu: (S_0, S_1)
+    in dim 1 and (S_0, S_1, S_T) in dims 2 and 3.
 
     S_0 = |u|^2 + |v|^2 is the charge density; S_1 = -|u|^2 + |v|^2 is minus
-    the current.  The transverse sources are the null bilinears that make the
-    A_j fields bounded: -2 Im(u conj(v)) for dim = 2 and -2 Re(v* rho u),
-    -2 Re(v* kappa u) for dim = 3, which on the first components (module
-    docstring) are S_2 = 0 and S_3 = -2 Re(conj(v_0) i u_0).
+    the current.  The transverse source S_T is the null bilinear that makes
+    A_T bounded: S_2 = -2 Im(u conj(v)) in dim 2, and in dim 3
+    S_3 = -2 Re(v* kappa u), which on the first components (module
+    docstring) is -2 Re(conj(v_0) i u_0).
 
-    The sources are the rows of one (dim+1, ..., n+1) array: `out` when
+    The sources are the rows of one (rows, ..., n+1) array: `out` when
     given, which a caller stepping many levels keeps from one to the next.
     `densities`, when given, is a (2, ..., n+1) array that receives the
     rows |u|^2 and |v|^2 that S_0 and S_1 are made of.
@@ -252,7 +263,7 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     rows = (None, None) if densities is None else densities
     mu, mv = _density(u, rows[0]), _density(v, rows[1])
     if out is None:
-        out = np.empty((dim + 1, *np.broadcast(mu, mv).shape))
+        out = np.empty((len(_POTENTIAL_ROWS[dim]), *np.broadcast(mu, mv).shape))
     np.add(mu, mv, out=out[0])
     np.add(np.negative(mu, out=out[1]), mv, out=out[1])  # -mu + mv
     if dim == 1:
@@ -260,12 +271,8 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     u0, v0 = u[..., 0, :], v[..., 0, :]
     if dim == 2:
         np.multiply(-2.0, np.imag(u0 * np.conj(v0)), out=out[2])
-        return tuple(out)
-    # u_1 = v_1 = +0.0, so the dropped products are zeros.  The one in S_3
-    # has real part +0.0; "+ 0.0" does what adding it does to a -0.0.
-    # S_2's sum is +0.0 unless both its products have real part -0.0
-    # (u_0 signs -,-; v_0 signs +,+), so S_2 = -2 (+0.0) = -0.0 nearly
-    # everywhere; A_2 stays +0.0 under either sign.
-    out[2] = -0.0
-    np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[3])
+    else:
+        # u_1 = v_1 = +0.0, so the dropped product of S_3 is a zero with
+        # real part +0.0; "+ 0.0" does what adding it does to a -0.0
+        np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[2])
     return tuple(out)

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gamma_algebra import spinor_components
+from .gamma_algebra import _POTENTIAL_ROWS, spinor_components
 
 __all__ = [
     "CutoffSpec",
@@ -227,8 +227,10 @@ def spinor_datum(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None 
 
 
 def potential_data(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal potential data (a, b) with shape (dim+1, n+1) each, or on the
-    node range `nodes` as `spinor_datum` takes it.
+    """Nodal potential data (a, b) of the marched potential rows, (A_0, A_1)
+    in dim 1 and (A_0, A_1, A_T) in dims 2 and 3 (`gamma_algebra`), with
+    shape (rows, n+1) each, or on the node range `nodes` as `spinor_datum`
+    takes it.  Dim 3 leaves out a_2 = b_2 = 0: A_2 is not marched.
 
     Zero mode: all zero.  Constrained mode: all zero except
     b_1(x) = chi(x) log(x + sqrt(eps^2 + x^2)), which satisfies the charge
@@ -241,8 +243,8 @@ def potential_data(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | Non
     """
     grid.ensure_support(fam.cutoff.outer)
     lo, hi = nodes or (0, grid.n + 1)
-    a = np.zeros((fam.dim + 1, hi - lo))
-    b = np.zeros((fam.dim + 1, hi - lo))
+    a = np.zeros((len(_POTENTIAL_ROWS[fam.dim]), hi - lo))
+    b = np.zeros_like(a)
     if fam.potential_mode is PotentialMode.CONSTRAINED:
         x = grid.nodes(lo, hi)
         e = fam.eps

@@ -40,9 +40,10 @@ with them:
 * `evolve_full_grid`: an `evolve` run that marches every node, against which
   the light-cone windows are held bitwise;
 * `two_component_coupling`, `two_component_rhs` and `two_component_sources`:
-  the dim-3 kernels on both half-spinor components, which read A_2, against
-  which the one-row march of `gamma_algebra` is held bitwise;
-  `march_two_components` makes `evolve` march them.
+  the dim-3 kernels on both half-spinor components and all four potential
+  rows, which read A_2, against which the one-row march of `gamma_algebra`
+  on its rows A[MARCHED[3]] is held bitwise; `march_two_components` makes
+  `evolve` march them.
 
 One observer goes with them: `GaugeMonitor`, the Lorenz-gauge residual over
 a cone's cross-sections (`node_slice`), which criterion 05 reads.  A cone is
@@ -65,7 +66,11 @@ from maxdirac1d.cone_solver import LevelState, Trajectory, cumulative_trapezoid,
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _density, gamma_matrices, spinor_components
-from maxdirac1d.initial_data import CutoffSpec, GridSpec, spinor_datum
+from maxdirac1d.initial_data import CutoffSpec, GridSpec, potential_data, spinor_datum
+
+# the physical index mu of each potential row the kernels march, per dim:
+# A_0, A_1 and the transverse row A_T
+MARCHED = {1: [0, 1], 2: [0, 1, 2], 3: [0, 1, 3]}
 
 
 def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
@@ -327,18 +332,25 @@ def two_component_sources(dim: int, u, v, *, out=None, densities=None):
 
 
 def march_two_components():
-    """A context in which `cone_solver` marches both dim-3 components: the
-    datum gets its zero second rows back, and the kernels are the
-    two-component references, which every run steps (massless zero-mode
-    runs too, which would otherwise march free transport)."""
+    """A context in which `cone_solver` marches both dim-3 components and
+    all four potential rows: the datum gets its zero second rows and its
+    zero a_2, b_2 rows back, the marched rows are A_0 .. A_3, and the
+    kernels are the two-component references, which every run steps
+    (massless zero-mode runs too, which would otherwise march free
+    transport)."""
 
     def datum(fam, grid, nodes=None):
         u, v = spinor_datum(fam, grid, nodes)
         return np.concatenate([u, np.zeros_like(u)]), np.concatenate([v, np.zeros_like(v)])
 
+    def potentials(fam, grid, nodes=None):
+        return tuple(np.insert(w, 2, 0.0, axis=0) for w in potential_data(fam, grid, nodes))
+
     return mock.patch.multiple(
         cone_solver,
         spinor_datum=datum,
+        potential_data=potentials,
+        _POTENTIAL_ROWS={3: (0, 1, 2, 3)},
         coupling=two_component_coupling,
         spinor_rhs=two_component_rhs,
         wave_sources=two_component_sources,
@@ -352,7 +364,8 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     su = 2 Re sum conj(u) C v, and sv = -su exactly because the coupling is
     anti-hermitian: that is the discrete backbone of charge conservation.
     The longitudinal potentials act by pure phase rotation and drop out.
-    u and v have the marched row or all spinor_components(dim) rows.
+    u and v have the marched row, with the marched potential rows A, or all
+    spinor_components(dim) rows, with all dim + 1 rows.
     """
     u, v = _half_spinors(dim, u, v, (1, spinor_components(dim)))
     C = (_coupling_maps if u.shape[-2] == 1 else two_component_maps)(dim, A, M)[0]

@@ -45,7 +45,7 @@ class PicardResult:
     times: np.ndarray
     U: np.ndarray  # (levels, ncomp, n+1)
     V: np.ndarray
-    A: np.ndarray  # (levels, dim+1, n+1)
+    A: np.ndarray  # (levels, rows, n+1): the rows of `potential_data`
     At: np.ndarray
     distances: list[float] = field(default_factory=list)
 
@@ -120,7 +120,7 @@ def _linear_dirac(fam, grid, A, U_free, V_free, inner_tol, max_sweeps=80):
     """
     h = grid.h
     U, V = U_free, V_free
-    A_rows = np.moveaxis(A, 1, 0)[:, :, None]  # (dim+1, levels, 1, n+1): A_mu on every level
+    A_rows = np.moveaxis(A, 1, 0)[:, :, None]  # (rows, levels, 1, n+1): each row on every level
     for _ in range(max_sweeps):
         Ru, Rv = spinor_rhs(fam.dim, A_rows, U, V, fam.M)
         U_new = U_free + _integrals(Ru, h, +1)

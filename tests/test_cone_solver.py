@@ -1,6 +1,7 @@
 """Characteristic solver: exactness properties, conservation, aborts, export."""
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ from maxdirac1d.cone_solver import (
     trapezoid,
 )
 
-from lemmas import ConeRegion, GaugeMonitor, cone_reads, cross_section, evolve_full_grid, level_arrays, march_two_components, node_slice
+from lemmas import MARCHED, ConeRegion, GaugeMonitor, cone_reads, cross_section, evolve_full_grid, level_arrays, march_two_components, node_slice
 
 
 def every_level(grid):
@@ -156,7 +157,7 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
         return rng.normal(size=(nc, n1)) + 1j * rng.normal(size=(nc, n1))
 
     u, v = spinor(), spinor()
-    A_old, A_new = rng.normal(size=(2, dim + 1, n1))
+    A_old, A_new = rng.normal(size=(2, len(MARCHED[dim]), n1))
     ext_old = (spinor(), spinor()) if with_ext else None
     ext_new = (spinor(), spinor()) if with_ext else None
     u1, v1 = _transport_step(dim, M, h, u, v, A_old, A_new, _StepWork(u.shape), ext_old, ext_new)
@@ -457,12 +458,13 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
                 if node_exact:
                     assert np.array_equal(nodes, np.arange(first + m, end - m))
                 local = nodes - first
-                # the marched components; snapshots hold the others as zero rows
-                nc = u.shape[0]
+                # the marched rows; snapshots hold the others as zero rows
+                nc, rows = u.shape[0], MARCHED[dim]
                 assert np.array_equal(u[:, local], hist.u[m][:nc, nodes])
                 assert np.array_equal(v[:, local], hist.v[m][:nc, nodes])
                 assert not hist.u[m][nc:].any() and not hist.v[m][nc:].any()
-                assert np.array_equal(A[:, local], hist.A[m][:, nodes])
+                assert np.array_equal(A[:, local], hist.A[m][rows][:, nodes])
+                assert not np.delete(hist.A[m], rows, axis=0).any()
                 compared += nodes.size
         assert compared > 0
 
@@ -695,8 +697,8 @@ def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_transport_step_batches_bitwise(dim):
-    # stacked instances with their own potentials (dim+1, K, 1, n), masses
-    # (K, 1, 1) and sources step exactly like one at a time
+    # stacked instances with their own potential rows (rows, K, 1, n),
+    # masses (K, 1, 1) and sources step exactly like one at a time
     rng = np.random.default_rng(37)
     K, nc, n1, h = 3, 1, 24, 0.05  # the marched row
 
@@ -704,7 +706,7 @@ def test_transport_step_batches_bitwise(dim):
         return rng.normal(size=(K, nc, n1)) + 1j * rng.normal(size=(K, nc, n1))
 
     u, v = spinors(), spinors()
-    A_old, A_new = rng.normal(size=(2, dim + 1, K, 1, n1))
+    A_old, A_new = rng.normal(size=(2, len(MARCHED[dim]), K, 1, n1))
     ext_old, ext_new = (spinors(), spinors()), (spinors(), spinors())
     masses = rng.uniform(0.0, 2.0, size=K)
     ub, vb = _transport_step(dim, masses[:, None, None], h, u, v, A_old, A_new, _StepWork(u.shape), ext_old, ext_new)
@@ -919,7 +921,9 @@ class _StateRecorder:
 
 def _same_states(got, want):
     """`got` from a one-component run, `want` from a two-component run: the
-    same first components, whose second components are +0.0."""
+    same first components, whose second components are +0.0, and the same
+    marched potential rows A_0, A_1, A_3 and their sources, whose A_2 is
+    +0.0 and S_2 a zero."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         m, first, u, v, A, S = g
@@ -928,9 +932,10 @@ def _same_states(got, want):
             assert a.shape[0] == 1 and b.shape[0] == 2, (m, name)
             assert _same_bits(a, b[:1]), (m, name)
             assert _same_bits(b[1], np.zeros_like(b[1])), (m, name)
-        assert _same_bits(A, w[4]), (m, "A")
-        assert _same_bits(S[[0, 1, 3]], w[5][[0, 1, 3]]), m
-        assert np.array_equal(S[2], w[5][2]) and not S[2].any(), m  # zeros of either sign
+        assert _same_bits(A, w[4][MARCHED[3]]), (m, "A")
+        assert _same_bits(w[4][2], np.zeros_like(w[4][2])), (m, "A_2")
+        assert _same_bits(S, w[5][MARCHED[3]]), (m, "S")
+        assert not w[5][2].any(), m  # zeros of either sign
 
 
 @pytest.mark.parametrize("mode", list(PotentialMode))
@@ -1044,3 +1049,24 @@ def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
         header = got.decode().splitlines()[2].split(",")
         write_csv(want, header, np.column_stack(cols), ("config_hash=cafe", f"t={t!r}"))
         assert got == want.read_bytes()
+
+
+# 8-byte rows per node that a dim-3 whole-line `evolve` may hold at its peak
+# (M = 1, no snapshots, n = 2^14, 16 steps).  Measured with tracemalloc on
+# numpy 2.4.6 (x86-64): 32.4 rows when it marches (A_0, A_1, A_3) and lets
+# the datum rows and the transport sources go once read, 45.2 when it
+# marched A_2 too and held them for the whole run
+EVOLVE_ROWS = 36
+
+
+def test_dim3_whole_line_memory_is_a_few_rows():
+    grid = GridSpec(L=2.56, n=2**14, t_max=16 * 2.0 * 2.56 / 2**14)
+    fam = DataFamily(dim=3, eps=0.01, M=1.0)
+    tracemalloc.start()
+    try:
+        traj = evolve(fam, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["window"][2] == 16 and "sup_A3" in traj.series  # whole line, 16 steps
+    assert peak <= EVOLVE_ROWS * (grid.n + 1) * 8

@@ -15,6 +15,7 @@ from maxdirac1d import (
 )
 
 from lemmas import (
+    MARCHED,
     interaction_term,
     march_two_components,
     modulus_rhs,
@@ -99,20 +100,20 @@ def _full(dim):
 
 def _on_subspace(u, v, A):
     """A dim-3 state moved to the datum's subspace, u[1], v[1] and A_2 set to
-    +0.0: (u, v, A) and the marched rows u[:1], v[:1]."""
+    +0.0: (u, v, A) and the marched rows u[:1], v[:1], A[MARCHED[3]]."""
     u, v, A = u.copy(), v.copy(), A.copy()
     u[1] = v[1] = 0.0
     A[2] = 0.0
-    return u, v, A, u[:1], v[:1]
+    return u, v, A, u[:1], v[:1], A[MARCHED[3]]
 
 
 def _cases(dim, u, v, A, kernel):
-    """(u, v, A, the rows the kernel takes, the kernel) to check: all rows
-    with `kernel` or, in dim 3, its reference; and in dim 3 also `kernel`
-    on the marched rows of the state moved to the subspace."""
+    """(u, v, A, the rows the kernel takes of each, the kernel) to check:
+    all rows with `kernel` or, in dim 3, its reference; and in dim 3 also
+    `kernel` on the marched rows of the state moved to the subspace."""
     if dim < 3:
-        return [(u, v, A, u, v, kernel)]
-    return [(u, v, A, u, v, _REFERENCE[kernel]), (*_on_subspace(u, v, A), kernel)]
+        return [(u, v, A, u, v, A, kernel)]
+    return [(u, v, A, u, v, A, _REFERENCE[kernel]), (*_on_subspace(u, v, A), kernel)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -121,7 +122,7 @@ def test_modulus_rhs_matches_spinor_rhs(dim):
     potentials act by phase rotation and cancel exactly."""
     rng = np.random.default_rng(7)
     M = 0.7
-    for _, _, A, u, v, rhs in _cases(dim, *_random_fields(rng, dim), spinor_rhs):
+    for *_, u, v, A, rhs in _cases(dim, *_random_fields(rng, dim), spinor_rhs):
         du, dv = rhs(dim, A, u, v, M)
         su, sv = modulus_rhs(dim, A, u, v, M)
         from_u = 2.0 * np.real(du * np.conj(u)).sum(axis=0)
@@ -141,9 +142,9 @@ def test_spinor_rhs_is_the_dirac_operator(dim):
     M = 0.9
     gs = gamma_matrices(dim)
     nc = spinor_components(dim)
-    for u_all, v_all, A, u, v, rhs in _cases(dim, *_random_fields(rng, dim), spinor_rhs):
+    for u_all, v_all, A_all, u, v, A, rhs in _cases(dim, *_random_fields(rng, dim), spinor_rhs):
         psi = np.concatenate([u_all, v_all])
-        F = np.concatenate(interaction_term(gs, A, u_all, v_all))
+        F = np.concatenate(interaction_term(gs, A_all, u_all, v_all))
         want = 1j * np.tensordot(gs.gammas[0], F - M * psi, axes=(1, 0))
         du, dv = rhs(dim, A, u, v, M)
         k = u.shape[0]
@@ -157,7 +158,7 @@ def test_spinor_rhs_is_the_dirac_operator(dim):
 def test_coupling_is_antihermitian_with_scalar_schur_complement(dim):
     rng = np.random.default_rng(19)
     M = 0.6
-    for _, _, A, w1, w2, maps in _cases(dim, *_random_fields(rng, dim), coupling):
+    for *_, w1, w2, A, maps in _cases(dim, *_random_fields(rng, dim), coupling):
         C, D, k2 = maps(dim, A, M)
         assert np.allclose(k2, (A[2:] ** 2).sum(axis=0) + M * M, rtol=0.0, atol=1e-12)
         assert np.allclose(D(C(w1)), -k2 * w1, rtol=0.0, atol=1e-12)
@@ -212,8 +213,9 @@ def test_wave_sources_d3_real():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
     v = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
-    for sources in (two_component_sources(3, u, v), wave_sources(3, u[:1], v[:1])):
-        assert len(sources) == 4
+    # S_0 .. S_3 on both components; S_0, S_1, S_3 on the marched row
+    for sources, rows in ((two_component_sources(3, u, v), 4), (wave_sources(3, u[:1], v[:1]), 3)):
+        assert len(sources) == rows
         for s in sources:
             assert np.isrealobj(s)
             assert s.shape == (9,)
@@ -239,6 +241,7 @@ def test_bilinears_take_component_axis_and_return_node_rows(dim):
     lemmas, the marched row for `gamma_algebra`'s (both for modulus_sq)."""
     rng = np.random.default_rng(13)
     u, v, A = _random_fields(rng, dim)
+    A1 = A[MARCHED[dim]]  # the potential rows the marched row takes
     gs = gamma_matrices(dim)
     _, full_rhs, full_sources = _full(dim)
     calls = (
@@ -249,7 +252,7 @@ def test_bilinears_take_component_axis_and_return_node_rows(dim):
         (u, lambda uu, vv: full_rhs(dim, A, uu, vv, 0.5)),
         (u[:1], lambda uu, vv: modulus_sq(dim, uu, vv)),
         (u[:1], lambda uu, vv: wave_sources(dim, uu, vv)),
-        (u[:1], lambda uu, vv: spinor_rhs(dim, A, uu, vv, 0.5)),
+        (u[:1], lambda uu, vv: spinor_rhs(dim, A1, uu, vv, 0.5)),
     )
     wrong = np.ones((spinor_components(dim) + 1, u.shape[1]), dtype=complex)
     for w, call in calls:
@@ -265,7 +268,7 @@ def test_bilinears_take_component_axis_and_return_node_rows(dim):
         assert s.shape == (u.shape[1],)
     for w in (*interaction_term(gs, A, u, v), *full_rhs(dim, A, u, v, 0.5)):
         assert w.shape == u.shape
-    for w in spinor_rhs(dim, A, u[:1], v[:1], 0.5):
+    for w in spinor_rhs(dim, A1, u[:1], v[:1], 0.5):
         assert w.shape == u[:1].shape
 
 
@@ -284,9 +287,9 @@ def test_interaction_term_is_linear_in_A():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
     """Stacked (K, ncomp, n) spinors with per-instance potentials
-    (dim+1, K, 1, n) and masses (K, 1, 1) give each instance's own result,
+    (rows, K, 1, n) and masses (K, 1, 1) give each instance's own result,
     bitwise: on all rows with the kernels of `_full`, and in dim 3 also on
-    the marched row with those of `gamma_algebra`."""
+    the marched rows with those of `gamma_algebra`."""
     rng = np.random.default_rng(23)
     K, n = 4, 11
     insts = [_random_fields(rng, dim, n) for _ in range(K)]
@@ -296,11 +299,12 @@ def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
     if dim == 3:
         kernel_sets.append((1, (coupling, spinor_rhs, wave_sources)))
     for rows, (cpl, rhs, sources) in kernel_sets:
+        full = rows == spinor_components(dim)  # interaction_term takes all rows
+        pot = slice(None) if full else MARCHED[dim]
         u = np.stack([inst[0][:rows] for inst in insts])
         v = np.stack([inst[1][:rows] for inst in insts])
-        A = np.stack([inst[2] for inst in insts], axis=1)[:, :, None, :]
+        A = np.stack([inst[2][pot] for inst in insts], axis=1)[:, :, None, :]
         M = masses[:, None, None]
-        full = rows == spinor_components(dim)  # interaction_term takes all rows
         C, D, k2 = cpl(dim, A, M)
         batched = {
             "spinor_rhs": rhs(dim, A, u, v, M),
@@ -311,7 +315,7 @@ def test_batched_bilinears_and_coupling_equal_per_instance_calls(dim):
             "coupling": (C(v), D(u), np.broadcast_to(k2, (K, 1, n))),
         }
         for k, (uk, vk, Ak) in enumerate(insts):
-            uk, vk = uk[:rows], vk[:rows]
+            uk, vk, Ak = uk[:rows], vk[:rows], Ak[pot]
             Ck, Dk, k2k = cpl(dim, Ak, masses[k])
             single = {
                 "spinor_rhs": rhs(dim, Ak, uk, vk, masses[k]),
@@ -350,48 +354,34 @@ def _first_component_state(rng, n=64):
     return u, v, A
 
 
-class _WithoutA2:
-    """The potential rows A[k], save A_2, which raises when it is read."""
-
-    def __init__(self, A):
-        self.A = A
-
-    def __len__(self):
-        return len(self.A)
-
-    def __getitem__(self, k):
-        if k == 2:
-            raise AssertionError("A_2 was read")
-        return self.A[k]
-
-
 @pytest.mark.parametrize("M", [0.0, 1.0, 0.37])
 def test_one_component_sources_and_coupling_bitwise(M):
     rng = np.random.default_rng(41)
     u, v, A = _first_component_state(rng)
     u1, v1 = u[:1], v[:1]
+    A1 = A[MARCHED[3]]  # the marched rows A_0, A_1, A_3
     full = two_component_sources(3, u, v)
     reduced = wave_sources(3, u1, v1)
-    for mu in (0, 1, 3):
-        assert _same_bits(reduced[mu], full[mu]), mu
-    # S_2 is zero either way; only the sign of its zeros may differ
-    assert np.array_equal(reduced[2], full[2]) and not reduced[2].any()
+    assert len(reduced) == 3
+    for row, mu in enumerate(MARCHED[3]):
+        assert _same_bits(reduced[row], full[mu]), mu
+    assert not full[2].any()  # S_2 is a zero, of either sign, and A_2 stays +0.0
     assert _same_bits(modulus_sq(3, u1, v1), modulus_sq(3, u, v))
     C, D, k2 = two_component_coupling(3, A, M)
-    C1, D1, k21 = coupling(3, _WithoutA2(A), M)
+    C1, D1, k21 = coupling(3, A1, M)
     assert _same_bits(k21, k2)
     assert _same_bits(C1(v1), C(v)[:1])
     assert _same_bits(D1(u1), D(u)[:1])
     du, dv = two_component_rhs(3, A, u, v, M)
-    du1, dv1 = spinor_rhs(3, _WithoutA2(A), u1, v1, M)
+    du1, dv1 = spinor_rhs(3, A1, u1, v1, M)
     assert _same_bits(du1, du[:1]) and _same_bits(dv1, dv[:1])
     assert not du[1].any() and not dv[1].any()
 
 
 @pytest.mark.parametrize("M", [0.0, -0.0, 1.0, 0.37])
 def test_dims_2_and_3_share_one_coupling_of_the_transverse_row(M):
-    # one row T, read as A_2 in dim 2 and as A_3 in dim 3 with A_2 = +0.0:
-    # D and k2 are the same bits, and dim 3's C adds its "+ 0.0"
+    # one transverse row T, A_2 in dim 2 and A_3 in dim 3, in the same three
+    # marched rows: D and k2 are the same bits, and dim 3's C adds its "+ 0.0"
     rng = np.random.default_rng(53)
     _, v, A = _first_component_state(rng)
     T = A[3]
@@ -399,8 +389,9 @@ def test_dims_2_and_3_share_one_coupling_of_the_transverse_row(M):
     w = v[:1]
     w[0, 2::6] = complex(-0.0, 0.0)
     w[0, 5::6] = complex(0.0, -0.0)
-    C2, D2, k2_2 = coupling(2, (A[0], A[1], T), M)
-    C3, D3, k2_3 = coupling(3, A, M)
+    rows = (A[0], A[1], T)
+    C2, D2, k2_2 = coupling(2, rows, M)
+    C3, D3, k2_3 = coupling(3, rows, M)
     assert _same_bits(D3(w), D2(w)) and _same_bits(k2_3, k2_2)
     assert _same_bits(C3(w), C2(w) + 0.0)
     parts = C2(w).view(float)
@@ -416,7 +407,8 @@ def test_one_component_transport_step_bitwise(M):
     A_new = rng.normal(size=A_old.shape)
     A_new[2] = 0.0
     h = 0.05
-    ur, vr = _transport_step(3, M, h, u[:1], v[:1], _WithoutA2(A_old), _WithoutA2(A_new), _StepWork(u[:1].shape))
+    rows = MARCHED[3]  # A_0, A_1, A_3
+    ur, vr = _transport_step(3, M, h, u[:1], v[:1], A_old[rows], A_new[rows], _StepWork(u[:1].shape))
     with march_two_components():
         uf, vf = _transport_step(3, M, h, u, v, A_old, A_new, _StepWork(u.shape))
     assert _same_bits(ur, uf[:1]) and _same_bits(vr, vf[:1])
@@ -452,6 +444,12 @@ def test_one_shape_check_for_half_spinors():
     for dim in (0, 4):
         with pytest.raises(ValueError, match="spatial dimension"):
             coupling(dim, A[: dim + 1], 1.0)
+    # the kernels take the marched potential rows: dim 3's four physical
+    # rows, or dim 1 with a transverse row, are refused
+    for dim, rows in ((3, A), (1, A[:3])):
+        for call in (lambda: coupling(dim, rows, 1.0), lambda: spinor_rhs(dim, rows, u[:1], v[:1], 1.0)):
+            with pytest.raises(ValueError, match="potential rows"):
+                call()
     # modulus_sq also sums a snapshot's rows: both dim-3 counts pass the check
     for w in (u, u[:1]):
         assert modulus_sq(3, w, w).shape == (8,)

@@ -147,12 +147,15 @@ def test_spinor_datum_shape_and_value():
 @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])
 @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(inner=0.3, outer=0.6)], ids=["default", "narrow"])
 def test_dim3_datum_leaves_the_second_components_plus_zero(mode, eps, cutoff):
-    # the one-row march of dim 3 rests on this: a_2 and b_2 are +0.0 in
-    # every byte (a -0.0 has its sign bit set), and the spinor datum is the
-    # first component alone, with the bits of chi * f_eps
+    # the one-row march of dim 3 rests on this: the potential datum holds
+    # the marched rows A_0, A_1, A_3 alone (a_2 = b_2 = 0 are left out), its
+    # transverse row is +0.0 in every byte (a -0.0 has its sign bit set),
+    # and the spinor datum is the first component alone, with the bits of
+    # chi * f_eps
     grid = GridSpec(L=2.56, n=256, t_max=0.0)
     fam = DataFamily(dim=3, eps=eps, potential_mode=mode, cutoff=cutoff)
     a, b = potential_data(fam, grid)
+    assert a.shape == b.shape == (3, grid.n + 1)
     for w in (a[2], b[2]):
         assert w.dtype == np.float64 and not w.view(np.uint8).any()
     u, v = spinor_datum(fam, grid)
@@ -191,10 +194,12 @@ def test_datum_on_a_node_range_is_the_slice_of_the_full_grid_datum(dim, mode, ep
 
 
 def test_potential_data_zero_mode():
+    # the marched rows: A_0, A_1 and, in dims 2 and 3, the transverse row
     grid = GridSpec(L=2.56, n=256, t_max=0.0)
-    a, b = potential_data(DataFamily(dim=2, eps=0.1), grid)
-    assert a.shape == (3, 257) and b.shape == (3, 257)
-    assert not a.any() and not b.any()
+    for dim, rows in ((1, 2), (2, 3), (3, 3)):
+        a, b = potential_data(DataFamily(dim=dim, eps=0.1), grid)
+        assert a.shape == (rows, 257) and b.shape == (rows, 257)
+        assert not a.any() and not b.any()
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])

@@ -17,7 +17,7 @@ speed over the run weighs on both sides alike.  The configs cover
 `--oracle`; a dim-2 `--oracle` run with t_max = 0, which computes one level
 only; `--oracle` runs in dims 2 and 3 whose cutoff is so narrow that the
 oracle's vertex cones reach past the marched support cone; default-claims
-sweeps in dims 1-3 in the zero potential mode, in dim 2 in the
+sweeps in dims 1-3 in the zero potential mode, in dims 2 and 3 in the
 constrained mode and in dim 3 at M = 1, which marches the general massive
 step on the K_T window that the claim 1 and 2 monitors read; probe-only
 claim-3 sweeps in dims 1-3 with that narrow cutoff, whose probe cone
@@ -112,6 +112,8 @@ CASES = {
     **{f"sweep_dim{d}": ("sweep", {"dim": d, **_LADDER}, []) for d in (1, 2, 3)},
     # default claims 1 and 2
     "sweep_dim2_constrained": ("sweep", {"dim": 2, **_LADDER, "potential_mode": "constrained"}, []),
+    # the K_T monitors read dim 3's transverse row A_3 from the general step
+    "sweep_dim3_constrained": ("sweep", {"dim": 3, **_LADDER, "potential_mode": "constrained"}, []),
     "sweep_dim3_massive": ("sweep", {"dim": 3, **_LADDER, "M": 1.0}, []),
     # probe-only, so the datum is sampled on the probe cones' reach only
     **{f"sweep_claim3_narrow_dim{d}": ("sweep", {"dim": d, **_NARROW_LADDER}, []) for d in (1, 2, 3)},
