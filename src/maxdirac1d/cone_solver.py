@@ -58,8 +58,9 @@ stay +0.0 for the whole run, bitwise (`gamma_algebra` says why).  `evolve`
 marches the one row of `spinor_datum` and the potential rows of
 `potential_data` in every dim, (A_0, A_1, A_3) in dim 3, and observers see
 them as they are.  The physical rows appear only where a run is written
-out: snapshots come back with spinor_components(dim) rows and dim + 1
-potential rows, and the whole-line series hold sup_A0 .. sup_A{dim}; in
+out: snapshots come back with spinor_components(dim) rows, the marched
+one in component 0, and dim + 1 potential rows, and the whole-line series
+hold sup_A0 .. sup_A{dim}; in
 dim 3 the second spinor components and A_2 are +0.0 rows and sup_A2 is 0.0
 at every level.
 
@@ -219,11 +220,11 @@ class LevelState:
     """What observers see at each accepted time level.  The arrays cover the
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
-    window keeps at least one such zero node at that edge.  u and v hold the
-    marched component row, and A and S the marched potential rows
-    (`gamma_algebra`).  The arrays are the run's working arrays: they
-    hold their values during `on_level` only, so an observer copies what it
-    keeps."""
+    window keeps at least one such zero node at that edge.  u and v are the
+    node rows of the marched spinor component, and A and S the marched
+    potential rows (`gamma_algebra`).  The arrays are the run's working
+    arrays: they hold their values during `on_level` only, so an observer
+    copies what it keeps."""
 
     m: int
     t: float
@@ -487,14 +488,14 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         if m == 0:
             wave_sources(dim, u, v, out=S, densities=dens)
             if free:  # level-0 rows of u, S_0, S_1 and |u|^2, after `steps` zeros
-                u_rows = np.zeros((1, steps + width), complex)
-                u_rows[:, steps:] = u
+                u_rows = np.zeros(steps + width, complex)
+                u_rows[steps:] = u
                 free_rows = np.zeros((3, steps + width))
                 free_rows[:2, steps:] = S[:2]
                 free_rows[2, steps:] = dens[0]
         elif free:  # level m is their slice [steps - m, steps - m + width)
             level = slice(steps - m, steps - m + width)
-            u = u_rows[:, level]
+            u = u_rows[level]
             S[:2] = free_rows[:2, level]
             if whole_line:
                 dens[0] = free_rows[2, level]
@@ -505,7 +506,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         q = float(trapezoid(S_rows[0], h)) if whole_line else S[0].sum()  # not finite where u or v is not
         if not math.isfinite(q):
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
-        if band.size and any(np.any(w[:, band] != 0.0) for w in (A, u, v)):
+        if band.size and any(np.any(w[..., band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
         if whole_line:
             series["charge"].append(q)
@@ -519,8 +520,8 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
                 obs.on_level(lev, grid)
         k = snap_at.get(m)
         if k is not None:
-            snapshots.u[k, : len(u), first:end] = u
-            snapshots.v[k, : len(v), first:end] = v
+            snapshots.u[k, 0, first:end] = u
+            snapshots.v[k, 0, first:end] = v
             snapshots.A[k, A_rows, first:end] = A
         if m < steps:
             if m == 0:
@@ -605,9 +606,9 @@ def wave_solve(grid: GridSpec, f: np.ndarray, g: np.ndarray, source):
 
 def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
     """Yield (u, v) at levels 0..steps of the linear Dirac equation with zero
-    potentials, from u, v of shape (..., 1, n+1).  F is None or the pair
-    (F_1, F_2) of complex sources in the spinor basis, each read at level m
-    as F_c[m], of shape (..., 1, n+1): level arrays (steps+1, ..., 1, n+1),
+    potentials, from the node rows u, v of shape (..., n+1).  F is None or
+    the pair (F_1, F_2) of complex sources in the spinor basis, each read at
+    level m as F_c[m], of shape (..., n+1): level arrays (steps+1, ..., n+1),
     or objects that compute their rows when indexed.  The induced transport
     sources are (i F_2, i F_1)."""
     A = np.zeros(len(_POTENTIAL_ROWS[dim]))  # zero potentials, as scalars: no per-node work
@@ -625,9 +626,9 @@ def dirac_levels(dim: int, M, h: float, u, v, F, steps: int):
 
 
 def l2_norm(fields, h: float) -> np.ndarray:
-    """L^2 norm of the spinor parts `fields` (each (..., ncomp, n+1)), summed
-    over components and parts: one value per leading index."""
-    dens = sum((np.abs(w) ** 2).sum(axis=-2) for w in fields)
+    """L^2 norm of the spinor parts `fields`, each of node rows (..., n+1),
+    summed over parts: one value per leading index."""
+    dens = sum(np.abs(w) ** 2 for w in fields)
     return np.sqrt(trapezoid(dens, h))
 
 

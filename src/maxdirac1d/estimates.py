@@ -279,8 +279,8 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int)
     Gaussian bumps confined well inside the slab so nothing reaches the
     boundary within t_max (outflow would only shrink the left-hand side).
     The source is fb e^{i omega t} per spinor part, at the level times, given
-    as the pair (fb, e^{i omega t}) of shapes (1, n+1) and (1, steps+1) per
-    part: its level-m row is fb * e^{i omega t}[:, m].
+    as the pair (fb, e^{i omega t}) of rows (n+1,) and (steps+1,) per part:
+    its level-m row is fb * e^{i omega t}[m].
     """
     x = grid.nodes()
     reach = min(1.0, grid.L - grid.t_max - ENERGY_MARGIN)
@@ -291,10 +291,10 @@ def random_energy_instance(rng: np.random.Generator, grid: GridSpec, steps: int)
         amp = rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.uniform())
         return amp * np.exp(-(((x - c) / w) ** 2))
 
-    u0, v0, fb1, fb2 = (bump()[None] for _ in range(4))
+    u0, v0, fb1, fb2 = (bump() for _ in range(4))
     om1, om2 = rng.uniform(-3.0, 3.0, size=2)
     t = grid.h * np.arange(steps + 1)
-    F = ((fb1, np.exp(1j * om1 * t)[None]), (fb2, np.exp(1j * om2 * t)[None]))
+    F = ((fb1, np.exp(1j * om1 * t)), (fb2, np.exp(1j * om2 * t)))
     M = rng.uniform(0.0, 2.0)
     return dict(M=M, u0=u0, v0=v0, F=F)
 
@@ -305,7 +305,7 @@ def _solve_energy(grid: GridSpec, steps: int, insts) -> list[list[EstimateReport
     h = grid.h
     u0 = np.stack([inst["u0"] for inst in insts])
     v0 = np.stack([inst["v0"] for inst in insts])
-    M = np.array([inst["M"] for inst in insts])[:, None, None]
+    M = np.array([inst["M"] for inst in insts])[:, None]
     F = tuple(_LevelRows(*(np.stack([inst["F"][c][i] for inst in insts]) for i in (0, 1))) for c in (0, 1))
     l2_psi, l2_F = [], []
     for m, uv in enumerate(dirac_levels(1, M, h, u0, v0, F, steps)):

@@ -12,15 +12,15 @@ matrices, the Clifford-relation verifier, the wave sources, and `coupling`:
 the u-v coupling, built in this one place from one transverse row in every
 dim, which the transport sources and the solver apply.
 
-The kernels march one component row in every dim, and the potential rows
-(A_0, A_1) in dim 1 and (A_0, A_1, A_T) in dims 2 and 3, where the
-transverse row A_T is A_2 in dim 2 and A_3 in dim 3.  In dim 3 the marched
-spinor row is the first component: the paper's datum puts chi f_eps in u[0]
-only and has a_2 = b_2 = 0, and then u[1], v[1] and A_2 stay +0.0 for the
-whole run, in floating point as in exact arithmetic.  Every term that feeds
-a second component is a product of a finite number with one of those zeros
-or with s = i A_2, so it is a zero, and so is the source of A_2.  Sums of
-zeros stay +0.0, since a sum is -0.0 only when both terms are, and A_2 is
+The kernels march one spinor component in every dim, a node row like each
+potential row, (A_0, A_1) in dim 1 and (A_0, A_1, A_T) in dims 2 and 3, where
+the transverse row A_T is A_2 in dim 2 and A_3 in dim 3.  In dim 3 the
+marched spinor row is the first component: the paper's datum puts chi f_eps
+in u[0] only and has a_2 = b_2 = 0, and then u[1], v[1] and A_2 stay +0.0 for
+the whole run, in floating point as in exact arithmetic.  Every term that
+feeds a second component is a product of a finite number with one of those
+zeros or with s = i A_2, so it is a zero, and so is the source of A_2.  Sums
+of zeros stay +0.0, since a sum is -0.0 only when both terms are, and A_2 is
 built from +0.0 data by such sums.  The dim-3 `coupling` and `wave_sources`
 are the two-component ones with those zeros put in: they round the first
 components, S_0, S_1 and S_3 bit for bit as the two-component ones do.
@@ -162,23 +162,18 @@ def verify_clifford(gs: GammaSet) -> CliffordReport:
 # ---------------------------------------------------------------------------
 # Componentwise right-hand sides.
 #
-# u and v are arrays of shape (..., 1, n+1) in every dim: optional batch axes,
-# a component axis holding the marched row, then the nodes.  The bilinears
-# reduce the component axis and return (..., n+1) rows.
-# Potentials are the marched rows (module docstring).  They and the mass
-# broadcast against (..., 1, n+1): scalars, node rows, or per-instance
-# arrays such as a mass of shape (K, 1, 1).
+# u and v are the marched half-spinor rows, arrays of shape (..., n+1) in
+# every dim: optional batch axes, then the nodes, like the potential,
+# source and density rows.  Potentials are the marched rows (module
+# docstring).  They and the mass broadcast against (..., n+1): scalars,
+# node rows, or per-instance arrays such as a mass of shape (K, 1).
 # ---------------------------------------------------------------------------
 
 
 def _spinors(dim: int, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as complex arrays, after the one shape check: the dim is
-    known and each has a component axis holding the one marched row."""
+    """u and v as complex arrays, for a known dim."""
     _check_dim(dim)
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != 1 or v.shape[-2] != 1:
-        raise ValueError(f"half-spinors u and v have shape (..., 1, nodes), got {u.shape} and {v.shape}")
-    return u, v
+    return np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
 
 
 def coupling(dim: int, A, M: float):
@@ -186,7 +181,7 @@ def coupling(dim: int, A, M: float):
 
         (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u.
 
-    C and D map (..., 1, n) half-spinors to half-spinors; they come from the
+    C and D map (..., n) half-spinor rows to rows; they come from the
     mass and the transverse potentials only.  They satisfy D = -C^dagger and
     DC = CD = -k2, so the coupling is anti-hermitian.  On the marched row
     (module docstring), C = c w and D = d w with c = row - iM,
@@ -238,10 +233,10 @@ def spinor_rhs(dim: int, A, u, v, M: float, *, sums=None):
 
 
 def _density(w, out=None) -> np.ndarray:
-    """|w|^2 summed over the component axis, into `out` when given."""
-    squares = np.abs(w)
-    squares **= 2  # in place, the bits of np.abs(w) ** 2
-    return np.sum(squares, axis=-2, out=out)
+    """|w|^2, written into `out` when given."""
+    out = np.abs(w, out=out)
+    out **= 2  # in place, the bits of np.abs(w) ** 2
+    return out
 
 
 def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarray, ...]:
@@ -268,11 +263,10 @@ def wave_sources(dim: int, u, v, *, out=None, densities=None) -> tuple[np.ndarra
     np.add(np.negative(mu, out=out[1]), mv, out=out[1])  # -mu + mv
     if dim == 1:
         return tuple(out)
-    u0, v0 = u[..., 0, :], v[..., 0, :]
     if dim == 2:
-        np.multiply(-2.0, np.imag(u0 * np.conj(v0)), out=out[2])
+        np.multiply(-2.0, np.imag(u * np.conj(v)), out=out[2])
     else:
         # u_1 = v_1 = +0.0, so the dropped product of S_3 is a zero with
         # real part +0.0; "+ 0.0" does what adding it does to a -0.0
-        np.multiply(-2.0, np.real(np.conj(v0) * (1j * u0)) + 0.0, out=out[2])
+        np.multiply(-2.0, np.real(np.conj(v) * (1j * u)) + 0.0, out=out[2])
     return tuple(out)

@@ -208,8 +208,8 @@ def spinor_datum(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None 
     """Nodal samples of the spinor datum: u_1 = chi * f_eps, all else 0.
 
     Needs eps > 0; the node x = 0 carries the exact value eps^(-1/2).
-    Returns (u, v) with shape (1, n+1) each: the first component, the one
-    row that `cone_solver.evolve` marches in every dim (the second
+    Returns (u, v) as node rows of shape (n+1,): the first component, the
+    one that `cone_solver.evolve` marches in every dim (the second
     components of dim 3 are zero and stay so; see `gamma_algebra`).
     `nodes`, when given, is a half-open node range (lo, hi): the rows then
     hold those nodes only, sampled at the floats grid.nodes(lo, hi), so
@@ -220,10 +220,8 @@ def spinor_datum(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None 
     grid.ensure_support(fam.cutoff.outer)
     lo, hi = nodes or (0, grid.n + 1)
     x = grid.nodes(lo, hi)
-    u = np.zeros((1, x.size), dtype=complex)
-    v = np.zeros((1, x.size), dtype=complex)
-    u[0] = chi(x, fam.cutoff) * f_eps(x, fam.eps)
-    return u, v
+    u = (chi(x, fam.cutoff) * f_eps(x, fam.eps)).astype(complex)
+    return u, np.zeros_like(u)
 
 
 def potential_data(fam: DataFamily, grid: GridSpec, nodes: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,7 @@ Dirac solve that keeps its whole level history:
 
 * `dirac_solve`: the linear Dirac equation with an external source, every
   level kept;
-* `modulus_sq`: the pointwise |psi|^2 of the marched row or of a
-  snapshot's rows;
+* `modulus_sq`: the pointwise |psi|^2 of a snapshot's rows;
 * `modulus_rhs`: the sources of the modulus system, whose antisymmetry is
   the discrete backbone of charge conservation;
 * `interaction_term`: the whole potential coupling A_mu g^mu psi as one
@@ -42,8 +41,9 @@ with them:
 * `two_component_coupling`, `two_component_rhs` and `two_component_sources`:
   the dim-3 kernels on both half-spinor components and all four potential
   rows, which read A_2, against which the one-row march of `gamma_algebra`
-  on its rows A[MARCHED[3]] is held bitwise; `march_two_components` makes
-  `evolve` march them.
+  on its rows A[MARCHED[3]] is held bitwise.  They keep a component axis,
+  (..., 2, n), where the kernels take node rows (..., n), and sum their
+  densities over it; `march_two_components` makes `evolve` march them.
 
 One observer goes with them: `GaugeMonitor`, the Lorenz-gauge residual over
 a cone's cross-sections (`node_slice`), which criterion 05 reads.  A cone is
@@ -65,7 +65,7 @@ from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
-from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, _density, gamma_matrices, spinor_components
+from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, gamma_matrices, spinor_components
 from maxdirac1d.initial_data import CutoffSpec, GridSpec, potential_data, spinor_datum
 
 # the physical index mu of each potential row the kernels march, per dim:
@@ -225,10 +225,10 @@ def probe_sum_bounds(plan: SweepPlan, eps: float) -> np.ndarray:
 def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
     """Linear Dirac solve (zero potentials) with an external source F.
 
-    u0, v0 have shape (..., 1, n+1), with any leading batch axes, and M is
-    a scalar or broadcasts per instance, such as (K, 1, 1).  F is None or
-    the pair (F_1, F_2) of source level arrays (steps+1, ..., 1, n+1)
-    (see `dirac_levels`).  Returns (times, U, V, l2_psi, l2_F) with the full
+    u0, v0 are node rows (..., n+1), with any leading batch axes, and M is
+    a scalar or broadcasts per instance, such as (K, 1).  F is None or the
+    pair (F_1, F_2) of source level arrays (steps+1, ..., n+1) (see
+    `dirac_levels`).  Returns (times, U, V, l2_psi, l2_F) with the full
     level history on a leading level axis (meant for moderate grids).
     """
     h = grid.h
@@ -239,26 +239,26 @@ def dirac_solve(dim: int, M, grid: GridSpec, u0, v0, F=None):
     levels = list(dirac_levels(dim, M, h, u, v, F, grid.steps))
     U = np.stack([u for u, _ in levels])
     V = np.stack([v for _, v in levels])
-    l2_F = np.zeros(U.shape[:-2]) if F is None else l2_norm(F, h)
+    l2_F = np.zeros(U.shape[:-1]) if F is None else l2_norm(F, h)
     return h * np.arange(grid.steps + 1), U, V, l2_norm((U, V), h), l2_F
 
 
-def _half_spinors(dim: int, u, v, counts) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as complex arrays, after the shape check of
-    `gamma_algebra._spinors`, but with a component count from `counts` in
-    place of its one marched row: the lemmas and the two-component
-    reference also take a snapshot's rows."""
+def _component_rows(dim: int, u, v, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as complex arrays with a component axis of `count` rows,
+    (..., count, nodes): the layout of a snapshot's spinor_components(dim)
+    rows and of the two-component reference."""
     spinor_components(dim)  # raises for an unknown dim
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != v.shape[-2] or u.shape[-2] not in counts:
-        raise ValueError(f"half-spinors u and v have shape (..., ncomp, nodes) with one ncomp in {counts}, got {u.shape} and {v.shape}")
+    if u.ndim < 2 or v.ndim < 2 or u.shape[-2] != count or v.shape[-2] != count:
+        raise ValueError(f"half-spinors u and v have shape (..., {count}, nodes), got {u.shape} and {v.shape}")
     return u, v
 
 
 def modulus_sq(dim: int, u, v) -> np.ndarray:
-    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components: the
-    marched row, or the spinor_components(dim) rows of a snapshot."""
-    u, v = _half_spinors(dim, u, v, (1, spinor_components(dim)))
+    """Pointwise |psi|^2 = |u|^2 + |v|^2, summed over the components of a
+    snapshot's spinor_components(dim) rows.  On the marched node rows it is
+    the S_0 of `gamma_algebra.wave_sources`."""
+    u, v = _component_rows(dim, u, v, spinor_components(dim))
     return (np.abs(u) ** 2 + np.abs(v) ** 2).sum(axis=-2)
 
 
@@ -266,7 +266,16 @@ def _two_rows(dim: int, u, v):
     """u and v as the two-component reference takes them: dim 3, both rows."""
     if dim != 3:
         raise ValueError(f"the two-component reference is the dim-3 march, got dim={dim}")
-    return _half_spinors(dim, u, v, (2,))
+    return _component_rows(dim, u, v, 2)
+
+
+def _density(w, out=None) -> np.ndarray:
+    """|w|^2 summed over the component axis, into `out` when given: on a
+    first component whose second is +0.0, the bits of the marched
+    `gamma_algebra._density`, since adding +0.0 changes only a -0.0."""
+    squares = np.abs(w)
+    squares **= 2
+    return np.sum(squares, axis=-2, out=out)
 
 
 def two_component_maps(dim: int, A, M):
@@ -337,11 +346,13 @@ def march_two_components():
     zero a_2, b_2 rows back, the marched rows are A_0 .. A_3, and the
     kernels are the two-component references, which every run steps
     (massless zero-mode runs too, which would otherwise march free
-    transport)."""
+    transport).  The spinor rows are (2, nodes), a leading axis of 2 to
+    `evolve`, which fits no snapshot: such runs take no snapshot_times, and
+    observers read their levels."""
 
     def datum(fam, grid, nodes=None):
         u, v = spinor_datum(fam, grid, nodes)
-        return np.concatenate([u, np.zeros_like(u)]), np.concatenate([v, np.zeros_like(v)])
+        return np.stack([u, np.zeros_like(u)]), np.stack([v, np.zeros_like(v)])
 
     def potentials(fam, grid, nodes=None):
         return tuple(np.insert(w, 2, 0.0, axis=0) for w in potential_data(fam, grid, nodes))
@@ -364,12 +375,15 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     su = 2 Re sum conj(u) C v, and sv = -su exactly because the coupling is
     anti-hermitian: that is the discrete backbone of charge conservation.
     The longitudinal potentials act by pure phase rotation and drop out.
-    u and v have the marched row, with the marched potential rows A, or all
-    spinor_components(dim) rows, with all dim + 1 rows.
+    u and v are the marched node rows (..., n), with the marched potential
+    rows A, or in dim 3 both components (..., 2, n), with all four rows, as
+    the two-component reference takes them.
     """
-    u, v = _half_spinors(dim, u, v, (1, spinor_components(dim)))
-    C = (_coupling_maps if u.shape[-2] == 1 else two_component_maps)(dim, A, M)[0]
-    su = 2.0 * np.real(np.conj(u) * C(v)).sum(axis=-2)
+    if dim == 3 and len(A) == 4:
+        u, v = _two_rows(dim, u, v)
+        su = 2.0 * np.real(np.conj(u) * two_component_maps(dim, A, M)[0](v)).sum(axis=-2)
+    else:
+        su = 2.0 * np.real(np.conj(u) * _coupling_maps(dim, A, M)[0](v))
     return su, -su
 
 
@@ -383,7 +397,7 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     dim = gs.dim
     if len(A) != dim + 1:
         raise ValueError(f"expected {dim + 1} potentials for dim={dim}, got {len(A)}")
-    u, v = _half_spinors(dim, u, v, (spinor_components(dim),))
+    u, v = _component_rows(dim, u, v, spinor_components(dim))
     psi = np.concatenate([u, v], axis=-2)
     out = np.zeros_like(psi)
     for mu in range(dim + 1):

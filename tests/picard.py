@@ -43,7 +43,7 @@ class PicardResult:
     fam: DataFamily
     grid: GridSpec
     times: np.ndarray
-    U: np.ndarray  # (levels, ncomp, n+1)
+    U: np.ndarray  # (levels, n+1): the marched row of `spinor_datum`
     V: np.ndarray
     A: np.ndarray  # (levels, rows, n+1): the rows of `potential_data`
     At: np.ndarray
@@ -120,7 +120,7 @@ def _linear_dirac(fam, grid, A, U_free, V_free, inner_tol, max_sweeps=80):
     """
     h = grid.h
     U, V = U_free, V_free
-    A_rows = np.moveaxis(A, 1, 0)[:, :, None]  # (rows, levels, 1, n+1): each row on every level
+    A_rows = np.moveaxis(A, 1, 0)  # (rows, levels, n+1): each row on every level
     for _ in range(max_sweeps):
         Ru, Rv = spinor_rhs(fam.dim, A_rows, U, V, fam.M)
         U_new = U_free + _integrals(Ru, h, +1)

@@ -151,10 +151,10 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
     # u_new[j] - u[j-1] = h/2 (du_old[j-1] + du_new[j]), and the mirror
     # image for v, wherever the stencil has both nodes
     rng = np.random.default_rng(29)
-    nc, n1, h, M = 1, 40, 0.05, 0.7  # the marched row
+    n1, h, M = 40, 0.05, 0.7
 
-    def spinor():
-        return rng.normal(size=(nc, n1)) + 1j * rng.normal(size=(nc, n1))
+    def spinor():  # a node row, as the marched component is
+        return rng.normal(size=n1) + 1j * rng.normal(size=n1)
 
     u, v = spinor(), spinor()
     A_old, A_new = rng.normal(size=(2, len(MARCHED[dim]), n1))
@@ -166,8 +166,8 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
     if with_ext:
         du0, dv0 = du0 + ext_old[0], dv0 + ext_old[1]
         du1, dv1 = du1 + ext_new[0], dv1 + ext_new[1]
-    res_u = u1[:, 1:] - u[:, :-1] - 0.5 * h * (du0[:, :-1] + du1[:, 1:])
-    res_v = v1[:, :-1] - v[:, 1:] - 0.5 * h * (dv0[:, 1:] + dv1[:, :-1])
+    res_u = u1[1:] - u[:-1] - 0.5 * h * (du0[:-1] + du1[1:])
+    res_v = v1[:-1] - v[1:] - 0.5 * h * (dv0[1:] + dv1[:-1])
     scale = max(np.abs(u1).max(), np.abs(v1).max())
     assert np.abs(res_u).max() <= 1e-13 * scale
     assert np.abs(res_v).max() <= 1e-13 * scale
@@ -176,8 +176,8 @@ def test_transport_step_solves_its_implicit_trapezoid_equations(dim, with_ext):
 def test_dirac_solve_free_conserves_l2():
     grid = GridSpec(L=2.56, n=256, t_max=0.24)
     x = grid.nodes()
-    u0 = hat(x, -0.2, 0.15)[None, :].astype(complex)
-    v0 = hat(x, 0.3, 0.1)[None, :].astype(complex)
+    u0 = hat(x, -0.2, 0.15).astype(complex)
+    v0 = hat(x, 0.3, 0.1).astype(complex)
     F = (np.zeros((grid.steps + 1, *u0.shape), complex),) * 2
     levels = list(dirac_levels(1, 0.0, grid.h, u0, v0, F, grid.steps))
     l2_psi = np.array([l2_norm(uv, grid.h) for uv in levels])
@@ -285,8 +285,8 @@ def _inject_datum(monkeypatch, u0):
 def test_abort_on_nonfinite_datum(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
-    u0 = np.zeros((1, 65), dtype=complex)
-    u0[0, 32] = np.nan
+    u0 = np.zeros(65, dtype=complex)
+    u0[32] = np.nan
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite field values at t = 0$"):
         evolve(fam, grid)
@@ -295,8 +295,8 @@ def test_abort_on_nonfinite_datum(monkeypatch):
 def test_abort_on_boundary_support(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
-    u0 = np.zeros((1, 65), dtype=complex)
-    u0[0, 1] = 1.0  # inside the guarded band
+    u0 = np.zeros(65, dtype=complex)
+    u0[1] = 1.0  # inside the guarded band
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="boundary band"):
         evolve(fam, grid)
@@ -459,10 +459,10 @@ def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
                     assert np.array_equal(nodes, np.arange(first + m, end - m))
                 local = nodes - first
                 # the marched rows; snapshots hold the others as zero rows
-                nc, rows = u.shape[0], MARCHED[dim]
-                assert np.array_equal(u[:, local], hist.u[m][:nc, nodes])
-                assert np.array_equal(v[:, local], hist.v[m][:nc, nodes])
-                assert not hist.u[m][nc:].any() and not hist.v[m][nc:].any()
+                rows = MARCHED[dim]
+                assert np.array_equal(u[local], hist.u[m][0, nodes])
+                assert np.array_equal(v[local], hist.v[m][0, nodes])
+                assert not hist.u[m][1:].any() and not hist.v[m][1:].any()
                 assert np.array_equal(A[:, local], hist.A[m][rows][:, nodes])
                 assert not np.delete(hist.A[m], rows, axis=0).any()
                 compared += nodes.size
@@ -595,8 +595,8 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
 def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
-    u0 = np.zeros((1, 65), dtype=complex)
-    u0[0, [2, 62]] = 1.0  # clear of the band at t = 0; u moves into it at t = h
+    u0 = np.zeros(65, dtype=complex)
+    u0[[2, 62]] = 1.0  # clear of the band at t = 0; u moves into it at t = h
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="boundary band"):
         evolve(fam, grid, snapshot_times=(0.0,))
@@ -653,15 +653,15 @@ def test_read_hull_straddling_the_support_edge(monkeypatch, base, reach, window)
         # the cone's nodes past the support cut hold zeros in the full-grid run
         assert not hist.u[m][:, nodes[~inside]].any() and not hist.A[m][:, nodes[~inside]].any()
         nodes = nodes[inside]
-        assert _same_bits(u[:, nodes - first], hist.u[m][:, nodes])
+        assert _same_bits(u[nodes - first], hist.u[m][0, nodes])
         assert _same_bits(A[:, nodes - first], hist.A[m][:, nodes])
 
 
 def test_abort_on_nonfinite_inside_window(monkeypatch):
     grid = GridSpec(L=2.56, n=64, t_max=0.16)
     fam = DataFamily(dim=1, eps=0.1)
-    u0 = np.zeros((1, 65), dtype=complex)
-    u0[0, 30] = np.nan
+    u0 = np.zeros(65, dtype=complex)
+    u0[30] = np.nan
     rec = _ConeRecorder([(ConeRegion(-0.5, 0.5), 2)])
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="non-finite field values at t = 0$"):
@@ -697,19 +697,19 @@ def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_transport_step_batches_bitwise(dim):
-    # stacked instances with their own potential rows (rows, K, 1, n),
-    # masses (K, 1, 1) and sources step exactly like one at a time
+    # stacked node rows (K, n) with their own potential rows (rows, K, n),
+    # masses (K, 1) and sources step exactly like one at a time
     rng = np.random.default_rng(37)
-    K, nc, n1, h = 3, 1, 24, 0.05  # the marched row
+    K, n1, h = 3, 24, 0.05
 
     def spinors():
-        return rng.normal(size=(K, nc, n1)) + 1j * rng.normal(size=(K, nc, n1))
+        return rng.normal(size=(K, n1)) + 1j * rng.normal(size=(K, n1))
 
     u, v = spinors(), spinors()
-    A_old, A_new = rng.normal(size=(2, len(MARCHED[dim]), K, 1, n1))
+    A_old, A_new = rng.normal(size=(2, len(MARCHED[dim]), K, n1))
     ext_old, ext_new = (spinors(), spinors()), (spinors(), spinors())
     masses = rng.uniform(0.0, 2.0, size=K)
-    ub, vb = _transport_step(dim, masses[:, None, None], h, u, v, A_old, A_new, _StepWork(u.shape), ext_old, ext_new)
+    ub, vb = _transport_step(dim, masses[:, None], h, u, v, A_old, A_new, _StepWork(u.shape), ext_old, ext_new)
     for k in range(K):
         uk, vk = _transport_step(
             dim, masses[k], h, u[k], v[k], A_old[:, k], A_new[:, k], _StepWork(u[k].shape),
@@ -726,8 +726,8 @@ def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
     grid = GridSpec(L=2.56, n=2048, t_max=0.1)
     fam = DataFamily(dim=dim, eps=0.01, M=0.0, potential_mode="zero")
     hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
-    u0, _ = spinor_datum(fam, grid)
-    u0 = np.concatenate([u0, np.zeros((spinor_components(dim) - 1, grid.n + 1), complex)])  # the snapshot rows
+    u0 = np.zeros((spinor_components(dim), grid.n + 1), complex)  # the snapshot rows
+    u0[0] = spinor_datum(fam, grid)[0]
     assert not hist.v.any()
     assert not hist.A[:, 2:].any()
     assert not (hist.A[:, 0] + hist.A[:, 1]).any() and hist.A[:, 0].any()
@@ -891,9 +891,9 @@ def test_transport_step_runs_off_the_free_path(case):
     def datum(fam, grid):
         u, v = spinor_datum(fam, grid)
         if case == "v_datum":
-            v[0, 60:66] = 0.25
+            v[60:66] = 0.25
         elif case == "u_sign_bit":
-            u[0, 64] = -0.0  # the only change: one zero's sign
+            u[64] = -0.0  # the only change: one zero's sign
         return u, v
 
     with mock.patch.object(cone_solver, "spinor_datum", _on_nodes(datum)), _transport_calls() as calls:
@@ -921,21 +921,34 @@ class _StateRecorder:
 
 def _same_states(got, want):
     """`got` from a one-component run, `want` from a two-component run: the
-    same first components, whose second components are +0.0, and the same
-    marched potential rows A_0, A_1, A_3 and their sources, whose A_2 is
-    +0.0 and S_2 a zero."""
+    node rows u, v the same as the first components, whose second
+    components are +0.0, and the same marched potential rows A_0, A_1, A_3
+    and their sources, whose A_2 is +0.0 and S_2 a zero."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         m, first, u, v, A, S = g
         assert (m, first) == w[:2]
         for name, a, b in zip(("u", "v"), (u, v), w[2:4]):
-            assert a.shape[0] == 1 and b.shape[0] == 2, (m, name)
-            assert _same_bits(a, b[:1]), (m, name)
+            assert a.ndim == 1 and b.shape == (2, a.size), (m, name)
+            assert _same_bits(a, b[0]), (m, name)
             assert _same_bits(b[1], np.zeros_like(b[1])), (m, name)
         assert _same_bits(A, w[4][MARCHED[3]]), (m, "A")
         assert _same_bits(w[4][2], np.zeros_like(w[4][2])), (m, "A_2")
         assert _same_bits(S, w[5][MARCHED[3]]), (m, "S")
         assert not w[5][2].any(), m  # zeros of either sign
+
+
+def _snapshots_hold_states(snaps, states):
+    """Each level's dim-3 snapshot holds its state's node rows u, v in
+    component 0 and its rows A in A_0, A_1, A_3, on the state's window, and
+    +0.0 everywhere else."""
+    assert len(snaps.times) == len(states)
+    for m, first, u, v, A, _ in states:
+        end = first + u.size
+        for snap, rows, marched in ((snaps.u[m], [0], u), (snaps.v[m], [0], v), (snaps.A[m], MARCHED[3], A)):
+            want = np.zeros_like(snap)
+            want[rows, first:end] = marched
+            assert _same_bits(snap, want), m
 
 
 @pytest.mark.parametrize("mode", list(PotentialMode))
@@ -944,26 +957,24 @@ def test_dim3_first_components_bitwise_equal_to_two_components(mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=3, eps=0.05, M=M, potential_mode=mode)
 
-    def run():
+    def run(snapshot_times=()):
         gauge, rec = GaugeMonitor(), _StateRecorder()
-        return evolve(fam, grid, snapshot_times=every_level(grid), observers=(gauge, rec)), gauge.series(), rec.states
+        return evolve(fam, grid, snapshot_times=snapshot_times, observers=(gauge, rec)), gauge.series(), rec.states
 
-    one, one_gauge, one_states = run()
+    one, one_gauge, one_states = run(every_level(grid))
     with march_two_components():
+        # no snapshots: a snapshot's component 0 takes a node row, not the
+        # reference's two rows; its states stand for them
         two, two_gauge, two_states = run()
-    assert one_states[0][2].shape[0] == 1 and two_states[0][2].shape[0] == 2
+    assert one_states[0][2].ndim == 1 and two_states[0][2].shape[0] == 2
     assert one.meta["window"] == two.meta["window"]
     assert one.meta["window"][0] > 0  # the support cone, with GaugeMonitor too
     assert one.series.keys() == two.series.keys()
     for key in two.series:
         assert _same_bits(one.series[key], two.series[key]), key
     assert _same_bits(one_gauge, two_gauge)
-    for name in ("u", "v", "A"):
-        assert _same_bits(getattr(one.snapshots, name), getattr(two.snapshots, name)), name
-    zero = np.zeros_like(one.snapshots.u[:, 1])
-    assert _same_bits(one.snapshots.u[:, 1], zero) and _same_bits(one.snapshots.v[:, 1], zero)
-    assert _same_bits(one.snapshots.A[:, 2], zero.real)
     _same_states(one_states, two_states)
+    _snapshots_hold_states(one.snapshots, one_states)
 
 
 def test_dim3_first_components_in_windowed_runs(monkeypatch):
@@ -975,7 +986,7 @@ def test_dim3_first_components_in_windowed_runs(monkeypatch):
 
     def spy(*args):
         u, v = real(*args)
-        marched.append(u.shape[-2])
+        marched.append(u.ndim)
         return u, v
 
     real = cone_solver.spinor_datum
@@ -983,7 +994,7 @@ def test_dim3_first_components_in_windowed_runs(monkeypatch):
     rec = _StateRecorder(cones)
     one = evolve(fam, grid, observers=(rec,))
     one_sweep = run_sweep(plan, claims=("claim1", "claim2", "claim3"))
-    assert marched == [1, 1, 1]
+    assert marched == [1, 1, 1]  # node rows
     monkeypatch.undo()
     with march_two_components():
         rec2 = _StateRecorder(cones)
@@ -1009,7 +1020,7 @@ def test_observers_see_the_marched_components(two):
             assert bool(traj.series) == whole_line  # only whole-line runs record series
             assert len(rec.states) == traj.meta["window"][2] + 1
             for m, first, u, v, *_ in rec.states:
-                assert u.shape[-2] == v.shape[-2] == (2 if two else 1), m
+                assert u.shape[:-1] == v.shape[:-1] == ((2,) if two else ()), m
 
 
 @pytest.mark.parametrize("field, row", [("u", 1), ("v", 1), ("a", 2), ("b", 2)])
@@ -1021,15 +1032,17 @@ def test_dim3_nonzero_second_component_datum_marches_both(field, row):
     u0, v0 = spinor_datum(fam, grid)
     pad = np.zeros_like(u0)
     a0, b0 = np.zeros((2, 4, grid.n + 1))
-    datum = {"u": np.concatenate([u0, pad]), "v": np.concatenate([v0, pad]), "a": a0, "b": b0}
+    datum = {"u": np.stack([u0, pad]), "v": np.stack([v0, pad]), "a": a0, "b": b0}
     datum[field][row, 60:66] = 0.25
+    rec = _StateRecorder()
     with march_two_components(), mock.patch.multiple(
         cone_solver,
         spinor_datum=_on_nodes(lambda fam, grid: (datum["u"], datum["v"])),
         potential_data=_on_nodes(lambda fam, grid: (datum["a"], datum["b"])),
     ):
-        traj = evolve(fam, grid, snapshot_times=every_level(grid))
-    assert traj.snapshots.u[-1, 1].any() or traj.snapshots.v[-1, 1].any()
+        evolve(fam, grid, observers=(rec,))
+    _, _, u, v, *_ = rec.states[-1]
+    assert len(rec.states) == grid.steps + 1 and (u[1].any() or v[1].any())
 
 
 def test_snapshot_csv_bytes_equal_write_csv(tmp_path):

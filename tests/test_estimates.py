@@ -136,8 +136,8 @@ def test_l1_exact_matches_dense_resampling(seed):
 
 def test_energy_equality_for_free_flow():
     x = GRID.nodes()
-    u0 = np.exp(-(x**2))[None, :] * (1 + 0j)
-    v0 = 0.3 * np.exp(-((x - 0.2) ** 2))[None, :] * (1 + 0j)
+    u0 = np.exp(-(x**2)) * (1 + 0j)
+    v0 = 0.3 * np.exp(-((x - 0.2) ** 2)) * (1 + 0j)
     rep = check_energy_inequality(dirac_solve(1, 0.7, GRID, u0, v0, None), GRID)
     # free flow conserves charge, so the bound is saturated
     assert rep.passed
@@ -155,7 +155,7 @@ def test_energy_on_trajectory_requires_history(massless_run):
 
 def test_energy_tuple_requires_grid():
     x = GRID.nodes()
-    u0 = np.exp(-(x**2))[None, :] * (1 + 0j)
+    u0 = np.exp(-(x**2)) * (1 + 0j)
     res = dirac_solve(1, 0.0, GRID, u0, 0 * u0, None)
     with pytest.raises(ValueError, match="grid"):
         check_energy_inequality(res)
@@ -441,7 +441,7 @@ def test_batched_suites_equal_single_instance_checks(suite):
         if suite == "energy":
             inst = random_energy_instance(rng, grid, grid.steps)
             # the level arrays of the separable sources, built whole
-            inst["F"] = tuple(fb * e[0][:, None, None] for fb, e in inst["F"])
+            inst["F"] = tuple(fb * e[:, None] for fb, e in inst["F"])
             reps = [check_energy_inequality(dirac_solve(grid=grid, dim=1, **inst), grid)]
         elif suite == "wave":
             inst = random_wave_instance(rng, grid, grid.steps)

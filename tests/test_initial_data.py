@@ -134,11 +134,11 @@ def test_spinor_datum_shape_and_value():
     fam = DataFamily(dim=2, eps=0.1)
     u, v = spinor_datum(fam, grid)
     x = grid.nodes()
-    assert u.shape == (1, 257) and v.shape == (1, 257)
+    assert u.shape == (257,) and v.shape == (257,)
     assert np.array_equal(v, np.zeros_like(v))
-    assert np.allclose(u[0], chi(x, fam.cutoff) * f_eps(x, 0.1))
+    assert np.allclose(u, chi(x, fam.cutoff) * f_eps(x, 0.1))
     u3, v3 = spinor_datum(DataFamily(dim=3, eps=0.1), grid)
-    assert u3.shape == (1, 257)  # the marched row: dim 3's second components are zero
+    assert u3.shape == (257,)  # the marched row: dim 3's second components are zero
     assert np.array_equal(u3, u)
     assert np.array_equal(v3, np.zeros_like(v3))
 
@@ -159,8 +159,8 @@ def test_dim3_datum_leaves_the_second_components_plus_zero(mode, eps, cutoff):
     for w in (a[2], b[2]):
         assert w.dtype == np.float64 and not w.view(np.uint8).any()
     u, v = spinor_datum(fam, grid)
-    want = np.zeros((1, grid.n + 1), dtype=complex)
-    want[0] = chi(grid.nodes(), cutoff) * f_eps(grid.nodes(), eps)
+    want = np.zeros(grid.n + 1, dtype=complex)
+    want[:] = chi(grid.nodes(), cutoff) * f_eps(grid.nodes(), eps)
     assert u.dtype == want.dtype and u.shape == want.shape and u.tobytes() == want.tobytes()
     assert v.shape == want.shape and not v.view(np.uint8).any()
 

@@ -54,7 +54,7 @@ def test_result_structure():
     assert res.times.shape == (mt + 1,)
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(0.1, abs=1e-14)
-    assert res.U.shape == (mt + 1, 1, GRID.n + 1)
+    assert res.U.shape == (mt + 1, GRID.n + 1)
     assert res.V.shape == res.U.shape
     assert res.A.shape == (mt + 1, fam.dim + 1, GRID.n + 1)
     assert res.iterations == len(res.distances)

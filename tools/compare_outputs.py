@@ -11,10 +11,10 @@ process at a time: each case on both revisions back to back, the side that
 goes first alternating from case to case, so that a drift in the machine's
 speed over the run weighs on both sides alike.  The configs cover
 `simulate` in dims 1-3 with both potential modes, with and without
-`--oracle`; a massless zero-mode
-`simulate` in dim 3, which marches free transport, with and without
-`--oracle`; the benchmark's dim-3 n = 16384 simulate run, with and without
-`--oracle`; a dim-2 `--oracle` run with t_max = 0, which computes one level
+`--oracle`; massless zero-mode `simulate` runs, which march free transport
+on the whole line, in dims 1-3 and in dim 3 with `--oracle` too; the
+benchmark's dim-3 n = 16384 simulate run, with and without `--oracle`; a
+dim-2 `--oracle` run with t_max = 0, which computes one level
 only; `--oracle` runs in dims 2 and 3 whose cutoff is so narrow that the
 oracle's vertex cones reach past the marched support cone; default-claims
 sweeps in dims 1-3 in the zero potential mode, in dims 2 and 3 in the
@@ -95,8 +95,8 @@ CASES = {
     },
     # M = 0 in the zero mode: free transport, snapshots at 0, t_max/2 and t_max
     **{
-        f"simulate_dim3_massless{'_oracle' if oracle else ''}": ("simulate", {"dim": 3, **_SIM, "M": 0.0}, ["--oracle"] if oracle else [])
-        for oracle in (False, True)
+        f"simulate_dim{d}_massless{'_oracle' if oracle else ''}": ("simulate", {"dim": d, **_SIM, "M": 0.0}, ["--oracle"] if oracle else [])
+        for d, oracle in ((1, False), (2, False), (3, False), (3, True))
     },
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
     "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
