@@ -10,6 +10,7 @@ tracks the profile.
 import numpy as np
 
 from maxdirac1d import DataFamily, GridSpec, evolve
+from maxdirac1d.cone_solver import Snapshots
 from maxdirac1d.initial_data import chi, f_eps
 
 grid = GridSpec(L=2.56, n=1024, t_max=0.16)
@@ -18,7 +19,8 @@ eps = 0.1
 
 for mode in ("zero", "constrained"):
     fam = DataFamily(dim=1, eps=eps, M=0.0, potential_mode=mode)
-    snaps = evolve(fam, grid, snapshot_times=(0.0, 0.08, 0.16)).snapshots
+    snaps = Snapshots(grid, fam.dim, (0.0, 0.08, 0.16))
+    evolve(fam, grid, observers=(snaps,))
     print(f"potential mode {mode!r}:")
     for k, t in enumerate(snaps.times):
         ref = chi(x - t) * f_eps(x - t, eps)

@@ -25,8 +25,8 @@ therefore marches a static window of nodes, the intersection of two hulls:
   * what the observers read: the hull of the node triples they declare
     (`reads`), each the first and end node of the base at t = 0 of the
     backward cones the observer reads and the last level it reads; or the
-    whole line up to t_max when there are snapshots, no observers or an
-    observer that declares no `reads`;
+    whole line up to t_max when there are no observers or an observer that
+    declares no `reads`, as `Snapshots` does;
   * the support cone of the datum: its first and last nonzero nodes within
     the datum's reach (below), widened by one node per side per level and
     the window edge node.
@@ -34,8 +34,8 @@ therefore marches a static window of nodes, the intersection of two hulls:
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
 output is bitwise a full-grid run: the series are taken over full-width rows
-padded with zeros (a shorter sum would round differently), and snapshots
-come back full-width.  At a read-hull edge the values go wrong, but
+padded with zeros (a shorter sum would round differently), and `Snapshots`
+pads its rows the same way.  At a read-hull edge the values go wrong, but
 the error travels inward one node per step, exactly like the cone shrinks:
 node j of level m is bitwise the full-grid run's when
 first + m <= j <= end - 1 - m, so every node inside a declared cone is.
@@ -58,26 +58,24 @@ stay +0.0 for the whole run, bitwise (`gamma_algebra` says why).  `evolve`
 marches the one row of `spinor_datum` and the potential rows of
 `potential_data` in every dim, (A_0, A_1, A_3) in dim 3, and observers see
 them as they are.  The physical rows appear only where a run is written
-out: snapshots come back with spinor_components(dim) rows, the marched
-one in component 0, and dim + 1 potential rows, and the whole-line series
-hold sup_A0 .. sup_A{dim}; in
-dim 3 the second spinor components and A_2 are +0.0 rows and sup_A2 is 0.0
-at every level.
+out: `Snapshots` keeps spinor_components(dim) rows, the marched one in
+component 0, and dim + 1 potential rows, and the whole-line series hold
+sup_A0 .. sup_A{dim}; in dim 3 the second spinor components and A_2 are
++0.0 rows and sup_A2 is 0.0 at every level.
 
 Massless zero-mode runs are free transport.  At M = 0 with zero potential
 data the system decouples: v, A_T and A_0 + A_1 stay zero, and u
 is the datum moved one node per level.  `evolve` takes this path when its
 input has M == 0, v, a and b zero, and no sign bit set in u or v (the datum
-chi f_eps is real and nonnegative, with +0.0 zeros).  At level 0 it copies
-u, S_0, S_1 and |u|^2 into rows that hold `steps` zeros (+0.0) followed by
-the window; level m is then the slice [steps - m, steps - m + width) of
-those rows, which is the level-0 row moved m nodes to the right with +0.0
-fill.  u is that slice, S_0 and S_1 are copied from it, and so is |u|^2 on
-whole-line runs, whose series read it.  v stays the +0.0 datum, and |v|^2
-and S_T keep their level-0 bits.  Everything else in a level is
-the same.  Each of these is bitwise what the general step computes, by
-induction over the levels: while v is +0.0, u has no sign bit set, M is a
-zero and A_0 + A_1 and A_T are zeros of either sign,
+chi f_eps is real and nonnegative, with +0.0 zeros).  Each level after the
+first moves the last level's u, S_0, S_1 and, on whole-line runs, whose
+series read it, |u|^2 one node to the right with `shift`, which fills the
+vacated edge node with +0.0 and drops the value that leaves the window:
+u into the array that the general step forms P in, the rest in place.
+v stays the +0.0 datum, and |v|^2 and S_T keep their level-0 bits.
+Everything else in a level is the same.  Each of these is bitwise what the
+general step computes, by induction over the levels: while v is +0.0, u has
+no sign bit set, M is a zero and A_0 + A_1 and A_T are zeros of either sign,
 
   * every coupling term of `_transport_step` (i (A_0 +- A_1) u, C v, D u)
     is a product with a zero, so du and dv are zeros; u + (h/2) du = u and
@@ -86,10 +84,10 @@ zero and A_0 + A_1 and A_T are zeros of either sign,
   * den_u and den_v are 1 +- 0i and k2 is a zero, and complex division by
     1 +- 0i (ratio +-0, scale 1) returns a dividend with no sign bit set
     unchanged, so v_new = (+0.0 + zeros) / (1 +- 0i) = +0.0 and
-    u_new = (P + zeros) / den_u = P, the level-m slice moved one node;
+    u_new = (P + zeros) / den_u = P, the last level's u moved one node;
   * each node's |u|^2, S_0 = |u|^2 + (+0.0) and S_1 = -|u|^2 + (+0.0) come
     from that node's u alone, so those of a shifted row are the shifted
-    rows; at a filled node u is +0.0, and |u|^2 = +0.0,
+    rows; at the filled node u is +0.0, and |u|^2 = +0.0,
     S_0 = +0.0 + (+0.0) = +0.0 and S_1 = -(+0.0) + (+0.0) = +0.0 are the
     zero fill;
   * |v|^2 = +0.0, and the transverse source is a product with v's +0.0
@@ -137,8 +135,8 @@ whose support cone reaches the band runs on a window that holds them, and
 aborts as a full-grid run would.
 
 One level m of `evolve` checks A^m, takes step 3 to level m and evaluates
-its sources S^m (step 1), then runs the checks, series, observers and
-snapshots, and last takes step 2 to A^{m+1} (the d'Alembert step at
+its sources S^m (step 1), then runs the checks, series and observers, and
+last takes step 2 to A^{m+1} (the d'Alembert step at
 m = 0), which the last level skips: no wave step is taken past t_max.  It
 makes each pass over the window once:
 
@@ -175,7 +173,7 @@ from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, wr
 
 __all__ = [
     "SolverAbort",
-    "Levels",
+    "Snapshots",
     "Trajectory",
     "evolve",
     "free_a0",
@@ -237,24 +235,11 @@ class LevelState:
 
 
 @dataclass
-class Levels:
-    """Full-width fields at a set of time levels, in level order: `times` and
-    u, v (levels, spinor_components(dim), n+1) complex, A (levels, dim+1,
-    n+1) real."""
-
-    times: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    A: np.ndarray
-
-
-@dataclass
 class Trajectory:
     fam: DataFamily
     grid: GridSpec
     times: np.ndarray
     series: dict[str, np.ndarray]
-    snapshots: Levels
     meta: dict = field(default_factory=dict)
 
 
@@ -266,19 +251,17 @@ class Trajectory:
 def shift(rows: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Translate nodal rows by k nodes along the last axis (positive: to the
     right), filling the vacated nodes with zeros.  `out`, when given, is the
-    array of rows' shape that receives the result."""
+    array of rows' shape that receives the result, and may be rows itself."""
     if out is None:
         out = np.zeros_like(rows)
-    elif k > 0:
-        out[..., :k] = 0.0
-    elif k < 0:
-        out[..., k:] = 0.0
     if k == 0:
         out[...] = rows
     elif k > 0:
         out[..., k:] = rows[..., :-k]
+        out[..., :k] = 0.0
     else:
         out[..., :k] = rows[..., -k:]
+        out[..., k:] = 0.0
     return out
 
 
@@ -355,19 +338,19 @@ def _wave_diamond(A_curr, A_prev, S, h, out):
 # ---------------------------------------------------------------------------
 
 
-def _read_hull(grid: GridSpec, snapshot_times, observers) -> tuple[int, int, int, bool]:
+def _read_hull(grid: GridSpec, observers) -> tuple[int, int, int, bool]:
     """(first node, end node, last level) that the observers read, and
     whether they read the whole line (see the module docstring).
 
     The read hull is the hull of the (first node, end node, last level)
     triples that the observers declare with `reads(grid)`, end excluded,
-    clipped to the grid.  Snapshots, no observers, an observer that declares
-    nothing (`cli.A0Oracle`) or a hull with no node on the grid read the
-    whole line, (0, n+1, steps).
+    clipped to the grid.  No observers, an observer that declares nothing
+    (`Snapshots`, `cli.A0Oracle`) or a hull with no node on the grid read
+    the whole line, (0, n+1, steps).
     """
     n1 = grid.n + 1
     readers = [obs for obs in observers if hasattr(obs, "reads")]
-    if len(snapshot_times) > 0 or not readers or len(readers) < len(observers):
+    if not readers or len(readers) < len(observers):
         return 0, n1, grid.steps, True
     firsts, ends, lasts = zip(*(obs.reads(grid) for obs in readers))
     first, end = max(0, min(firsts)), min(n1, max(ends))
@@ -418,31 +401,58 @@ def snapshot_levels(times, grid: GridSpec) -> dict[int, float]:
     return levels
 
 
-def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) -> Trajectory:
+class Snapshots:
+    """Observer that keeps full-width fields at a set of time levels, in
+    level order: `times`, and u, v (levels, spinor_components(dim), n+1)
+    complex and A (levels, dim+1, n+1) real, zero outside the marched window
+    and in the rows not marched, with the marched spinor row in component 0.
+    It declares no reads, so its run marches the whole line up to t_max.
+    The arrays are allocated at the run's level 0, after the datum.  Raises
+    ValueError for a time off the slab or two that share a level
+    (`snapshot_levels`)."""
+
+    def __init__(self, grid: GridSpec, dim: int, times):
+        levels = sorted(snapshot_levels(times, grid))
+        self.at = {m: k for k, m in enumerate(levels)}
+        self.times = grid.h * np.array(levels, dtype=int)
+        self.dim = dim
+        self.rows = list(_POTENTIAL_ROWS[dim])  # the physical index mu of each marched row
+
+    def on_level(self, lev: LevelState, grid: GridSpec) -> None:
+        if lev.m == 0:
+            spinor = (len(self.at), spinor_components(self.dim), grid.n + 1)
+            self.u, self.v = np.zeros(spinor, lev.u.dtype), np.zeros(spinor, lev.v.dtype)
+            self.A = np.zeros((len(self.at), self.dim + 1, grid.n + 1), lev.A.dtype)
+        k = self.at.get(lev.m)
+        if k is not None:
+            nodes = slice(lev.first, lev.first + lev.x.size)
+            self.u[k, 0, nodes] = lev.u
+            self.v[k, 0, nodes] = lev.v
+            self.A[k, self.rows, nodes] = lev.A
+
+
+def evolve(fam: DataFamily, grid: GridSpec, *, observers=()) -> Trajectory:
     """Run the coupled system from the family datum, one level per pass in
     step order, up to grid.t_max or only to the last level its observers read.
 
-    snapshot_times: times at which to keep full (u, v, A) snapshots;
-        h * arange(steps + 1) keeps every level (memory grows as steps x n).
     observers: objects with `on_level(lev, grid)`, which gets the
         `LevelState` of each marched level, and optionally `reads(grid)`,
-        the (first node, end node, last level) the observer reads.
+        the (first node, end node, last level) the observer reads; a
+        `Snapshots` keeps full-width fields at chosen levels.
 
     The marched window is the read hull of the observers cut to the support
     cone of the datum, which is sampled on that hull widened by its last
     level per side (`_read_hull`, `_support_cut`, and the module docstring).
     Whole-line runs record the series `charge`, `l1_u`, `l1_v` and
-    `sup_A0` .. `sup_A{dim}` per level, taken over full-width rows, and
-    return snapshots as full-width arrays (zero outside the window); runs
+    `sup_A0` .. `sup_A{dim}` per level, taken over full-width rows; runs
     with declared reads record no series.  `meta` records the marched
     `window` (first node, end node, last level) and the `node_steps`
     computed.  A massless zero-mode run marches free transport, bitwise the
     same (module docstring).
     """
     grid.ensure_support(fam.cutoff.outer)
-    snap_at = {m: k for k, m in enumerate(sorted(snapshot_levels(snapshot_times, grid)))}
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
-    first, end, steps, whole_line = _read_hull(grid, snapshot_times, observers)
+    first, end, steps, whole_line = _read_hull(grid, observers)
     # the datum on the nodes the read cones can depend on (module docstring)
     lo, hi = max(0, first - steps), min(n1, end + steps)
     u, v, a, b = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
@@ -457,11 +467,6 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
     names = ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1))) if whole_line else ()
     series: dict[str, list[float]] = {name: [] for name in names}
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
-    nc = spinor_components(dim)
-    rows = (nc, nc, dim + 1)  # of u, v, A
-
-    # zero-filled full-width arrays; rows not marched stay zero
-    snapshots = Levels(times[list(snap_at)], *(np.zeros((len(snap_at), r, n1), w.dtype) for r, w in zip(rows, (u, v, a))))
 
     # per-run arrays written in place at every level: the sources and the
     # densities |u|^2, |v|^2; on whole-line runs they fill the window of
@@ -487,18 +492,10 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if m == 0:
             wave_sources(dim, u, v, out=S, densities=dens)
-            if free:  # level-0 rows of u, S_0, S_1 and |u|^2, after `steps` zeros
-                u_rows = np.zeros(steps + width, complex)
-                u_rows[steps:] = u
-                free_rows = np.zeros((3, steps + width))
-                free_rows[:2, steps:] = S[:2]
-                free_rows[2, steps:] = dens[0]
-        elif free:  # level m is their slice [steps - m, steps - m + width)
-            level = slice(steps - m, steps - m + width)
-            u = u_rows[level]
-            S[:2] = free_rows[:2, level]
-            if whole_line:
-                dens[0] = free_rows[2, level]
+        elif free:  # the last level's u (the general step's P), S_0, S_1 and |u|^2 moved one node
+            u, work.P = shift(u, 1, out=work.P), u
+            for row in (S[0], S[1], dens[0]) if whole_line else (S[0], S[1]):
+                shift(row, 1, out=row)
         else:
             u, v = _transport_step(dim, M, h, u, v, A_prev, A, work)
             wave_sources(dim, u, v, out=S, densities=dens)
@@ -518,11 +515,6 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
             lev = LevelState(m, t, x, u, v, A, S, first)
             for obs in observers:
                 obs.on_level(lev, grid)
-        k = snap_at.get(m)
-        if k is not None:
-            snapshots.u[k, 0, first:end] = u
-            snapshots.v[k, 0, first:end] = v
-            snapshots.A[k, A_rows, first:end] = A
         if m < steps:
             if m == 0:
                 A_next = _wave_first_step(A, b, S, h)
@@ -540,7 +532,6 @@ def evolve(fam: DataFamily, grid: GridSpec, *, snapshot_times=(), observers=()) 
         grid=grid,
         times=times,
         series={k: np.asarray(vs) for k, vs in series.items()},
-        snapshots=snapshots,
         meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
     )
 
@@ -690,13 +681,13 @@ def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int)
 # ---------------------------------------------------------------------------
 
 
-def trajectory_to_csv(traj: Trajectory, directory, config_hash: str):
-    """One CSV per snapshot (x, Re/Im spinor components, potentials) plus a
-    diagnostics series CSV, headed by config_hash.  Returns the written paths."""
+def trajectory_to_csv(traj: Trajectory, snaps: Snapshots, directory, config_hash: str):
+    """One CSV per level of `snaps`, the `Snapshots` of the run `traj` (x,
+    Re/Im spinor components, potentials), plus a diagnostics series CSV,
+    headed by config_hash.  Returns the written paths."""
     os.makedirs(directory, exist_ok=True)
     comments = (f"config_hash={config_hash}",)
     paths = []
-    snaps = traj.snapshots
     # every snapshot has the same x column: format it once, as write_csv would
     x = list(map(repr, traj.grid.nodes().tolist())) if snaps.times.size else None
     for k, t in enumerate(snaps.times.tolist()):

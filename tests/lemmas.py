@@ -38,6 +38,8 @@ with them:
   `cone_solver.free_a0` takes;
 * `evolve_full_grid`: an `evolve` run that marches every node, against which
   the light-cone windows are held bitwise;
+* `snapshot_run`: a run with a `cone_solver.Snapshots` of chosen levels, or
+  of every level, after its observers;
 * `two_component_coupling`, `two_component_rhs` and `two_component_sources`:
   the dim-3 kernels on both half-spinor components and all four potential
   rows, which read A_2, against which the one-row march of `gamma_algebra`
@@ -62,7 +64,7 @@ from unittest import mock
 import numpy as np
 
 from maxdirac1d import cone_solver
-from maxdirac1d.cone_solver import LevelState, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
+from maxdirac1d.cone_solver import LevelState, Snapshots, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, gamma_matrices, spinor_components
@@ -82,6 +84,14 @@ def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
         _support_cut=lambda first, end, *_: (first, end),
     ):
         return cone_solver.evolve(fam, grid, **kw)
+
+
+def snapshot_run(fam, grid: GridSpec, times=None, *, observers=(), run=None) -> tuple[Trajectory, Snapshots]:
+    """(trajectory, snapshots) of a run of `run` (`cone_solver.evolve` by
+    default) with `observers` and, after them, a `Snapshots` of `times`, or
+    of every level when times is None."""
+    snaps = Snapshots(grid, fam.dim, grid.h * np.arange(grid.steps + 1) if times is None else times)
+    return (run or cone_solver.evolve)(fam, grid, observers=(*observers, snaps)), snaps
 
 
 @dataclass(frozen=True)
@@ -347,7 +357,7 @@ def march_two_components():
     kernels are the two-component references, which every run steps
     (massless zero-mode runs too, which would otherwise march free
     transport).  The spinor rows are (2, nodes), a leading axis of 2 to
-    `evolve`, which fits no snapshot: such runs take no snapshot_times, and
+    `evolve`, which fits no snapshot: such runs take no `Snapshots`, and
     observers read their levels."""
 
     def datum(fam, grid, nodes=None):
@@ -407,24 +417,23 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     return out[..., :ncomp, :], out[..., ncomp:, :]
 
 
-def check_energy_inequality(run, grid: GridSpec | None = None) -> EstimateReport:
+def check_energy_inequality(run, grid: GridSpec | None = None, snaps: Snapshots | None = None) -> EstimateReport:
     """Energy inequality for a Dirac run.
 
-    Accepts either a Trajectory with a snapshot at every level, in which
-    case the source is the full potential coupling A_mu gamma^mu psi
-    recomputed level by level, or the (times, U, V, l2_psi, l2_F) tuple of
-    an unbatched dirac_solve, in which case the grid must be passed
-    explicitly.
+    Accepts either a Trajectory with the `Snapshots` `snaps` of its every
+    level, in which case the source is the full potential coupling
+    A_mu gamma^mu psi recomputed level by level, or the (times, U, V,
+    l2_psi, l2_F) tuple of an unbatched dirac_solve, in which case the grid
+    must be passed explicitly.
     """
     if isinstance(run, Trajectory):
-        hist = run.snapshots
-        if hist.times.size != run.times.size:
+        if snaps is None or snaps.times.size != run.times.size:
             raise ValueError("energy check on a trajectory needs a snapshot at every level")
         grid = run.grid
         gs = gamma_matrices(run.fam.dim)
         l2_F = np.zeros(run.times.size)
         for m in range(run.times.size):
-            Fu, Fv = interaction_term(gs, hist.A[m], hist.u[m], hist.v[m])
+            Fu, Fv = interaction_term(gs, snaps.A[m], snaps.u[m], snaps.v[m])
             dens = (np.abs(Fu) ** 2).sum(axis=0) + (np.abs(Fv) ** 2).sum(axis=0)
             l2_F[m] = math.sqrt(float(trapezoid(dens, grid.h)))
         l2_psi = np.sqrt(np.asarray(run.series["charge"], dtype=float))
@@ -452,8 +461,9 @@ def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
     return _worst_levels("gronwall_l1", l1u + l1v, rhs, _slack(grid))[0]
 
 
-def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
-    """Off-origin modulus bound sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 f_eps(rho)^2.
+def check_bootstrap_bound(traj: Trajectory, rho: float, snaps: Snapshots | None = None) -> EstimateReport:
+    """Off-origin modulus bound sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 f_eps(rho)^2,
+    on the `Snapshots` `snaps` of every level of the run `traj`.
 
     Valid in the smallness regime 2(M+1) t_max < 1 with rho in (0, 1 - 2 t_max).
     """
@@ -464,14 +474,13 @@ def check_bootstrap_bound(traj: Trajectory, rho: float) -> EstimateReport:
         raise ValueError("bootstrap regime requires 2(M+1) t_max < 1")
     if not 0.0 < rho < 1.0 - 2.0 * T:
         raise ValueError("rho must lie in (0, 1 - 2 t_max)")
-    hist = traj.snapshots
-    if hist.times.size != traj.times.size:
+    if snaps is None or snaps.times.size != traj.times.size:
         raise ValueError("bootstrap check needs a snapshot at every level")
     x = grid.nodes()
     lhs = 0.0
     for m, t in enumerate(traj.times):
         sel = (x >= rho + t) & (x <= 1.0 - t)
-        dens = modulus_sq(fam.dim, hist.u[m], hist.v[m])
+        dens = modulus_sq(fam.dim, snaps.u[m], snaps.v[m])
         lhs = max(lhs, float(dens[sel].max()))
     rhs = 3.0 / math.sqrt(fam.eps**2 + rho**2)
     return EstimateReport("bootstrap", lhs, rhs, _slack(grid))

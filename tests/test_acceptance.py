@@ -2,8 +2,8 @@
 
 These are heavier than the unit suites: the campaign fixture runs the
 default sweep in four (dim, mass) cells and the blow-up gate drives the
-epsilon ladder down to 10^-3.5 twice.  The full file took 8.4 s on a
-2-core x86-64 box (numpy 2.4.6), 6.3 s of it in the campaign fixture;
+epsilon ladder down to 10^-3.5 twice.  The full file took 8.1 s on a
+2-core x86-64 box (numpy 2.4.6), 6.2 s of it in the campaign fixture;
 test_criterion_09 took under 0.01 s and the deep massless ladder 0.11 s,
 since their probe-only massless sweeps march nothing.  Every numeric
 tolerance is stated inline next to the measurement it guards; wall-clock
@@ -32,7 +32,7 @@ from maxdirac1d.experiments import (
 from maxdirac1d.gamma_algebra import gamma_matrices, verify_clifford
 from maxdirac1d.initial_data import chi, f_eps
 
-from lemmas import GaugeMonitor, a0_exact
+from lemmas import GaugeMonitor, a0_exact, snapshot_run
 from picard import picard_solve
 
 CAMPAIGN_CELLS = ((2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0))
@@ -98,7 +98,7 @@ def test_criterion_02_wave_solver_manufactured_and_second_order():
     for n in (512, 1024, 2048):
         gr = GridSpec(L=2.56, n=n, t_max=0.1)
         fam = DataFamily(dim=2, eps=0.1, M=1.0)
-        hist = evolve(fam, gr, snapshot_times=gr.h * np.arange(gr.steps + 1)).snapshots
+        hist = snapshot_run(fam, gr)[1]
         sols[n] = (np.asarray(hist.u[-1]), np.asarray(hist.v[-1]), np.asarray(hist.A[-1]))
 
     def supdiff(coarse, fine):
@@ -128,8 +128,7 @@ def test_criterion_04_free_transport_modulus_tracks_profile():
     for n in (512, 1024):
         grid = GridSpec(L=2.56, n=n, t_max=0.16)
         fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-        traj = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1))
-        hist = traj.snapshots
+        traj, hist = snapshot_run(fam, grid)
         x = grid.nodes()
         dev_u = dev_v = 0.0
         for m, t in enumerate(traj.times):
@@ -328,7 +327,7 @@ def test_criterion_11_picard_matches_marching_solver():
     fam = DataFamily(dim=2, eps=0.1, M=0.0)
     tol = 1e-10
     res = picard_solve(fam, grid, 0.1, tol=tol)
-    hist = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1)).snapshots
+    hist = snapshot_run(fam, grid)[1]
 
     bound = max(5.0 * grid.h**2, 10.0 * tol)
     levels = range(grid.steps + 1)

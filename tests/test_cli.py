@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxdirac1d
-from maxdirac1d import cli
+from maxdirac1d import cli, experiments
 from maxdirac1d.cone_solver import SolverAbort, cone_quadrature, evolve
+from maxdirac1d.estimates import run_energy_suite
 from maxdirac1d.experiments import SweepPlan, gauss_pairing_n, grid_for_eps
 from maxdirac1d.initial_data import DataFamily, GridSpec
 
-from lemmas import modulus_sq, probe_sum_bounds
+from lemmas import modulus_sq, probe_sum_bounds, snapshot_run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -86,11 +88,11 @@ def test_simulate_writes_manifest_and_oracle(tmp_path, capsys):
     assert "charge drift" in capsys.readouterr().out
 
 
-def _a0_oracle_from_every_level(traj):
-    """The oracle deviation from a run that kept every level: half the cone
-    quadrature of the charge density against A_0, at the vertices of
-    `cli.A0Oracle`."""
-    snaps, grid = traj.snapshots, traj.grid
+def _a0_oracle_from_every_level(traj, snaps):
+    """The oracle deviation from a run whose `Snapshots` `snaps` kept every
+    level: half the cone quadrature of the charge density against A_0, at
+    the vertices of `cli.A0Oracle`."""
+    grid = traj.grid
     dens = [modulus_sq(traj.fam.dim, snaps.u[m], snaps.v[m]) for m in range(len(snaps.times))]
     center = grid.n // 2
     worst = 0.0
@@ -109,10 +111,10 @@ def test_streamed_oracle_equals_every_level_quadrature(dim, mode):
     fam = DataFamily(dim=dim, eps=0.1, M=1.0, potential_mode=mode)
     oracle = cli.A0Oracle(grid)
     streamed = evolve(fam, grid, observers=(oracle,))
-    every_level = evolve(fam, grid, snapshot_times=grid.h * np.arange(grid.steps + 1))
+    every_level, snaps = snapshot_run(fam, grid)
     assert streamed.meta["window"] == every_level.meta["window"]
     assert streamed.meta["window"][0] > 0  # the support cone
-    want = _a0_oracle_from_every_level(every_level)
+    want = _a0_oracle_from_every_level(every_level, snaps)
     assert want > 0.0
     assert np.float64(oracle.deviation()).tobytes() == np.float64(want).tobytes()
 
@@ -273,6 +275,8 @@ BAD_NUMBERS = [
         # grids past MAX_NODES, given or implied
         pytest.param("norms", {"eps_list": [1e-2, 1e-3], "n": 10**12}, id="norms-n-past-max-nodes"),
         pytest.param("sweep", dict(SWEEP_CONFIG, eps_list=[1e-12]), id="sweep-eps-past-max-nodes"),
+        # h = eps / h_over_eps so small that L / h overflows: no grid at all
+        pytest.param("sweep", dict(SWEEP_CONFIG, h_over_eps=1e308), id="sweep-eps-no-grid"),
         pytest.param("simulate", dict(SIM_CONFIG, grid={"L": 2.56, "n": 2**24, "t_max": 0.0}, snapshot_times=[]), id="simulate-n-past-max-nodes"),
         # 16 snapshot levels of 2^20 + 1 nodes
         pytest.param("simulate", dict(SIM_CONFIG, **_snapshots_of_2_20_nodes(16)), id="simulate-snapshots-past-max-nodes"),
@@ -289,6 +293,11 @@ BAD_NUMBERS = [
         # two s_values that share the column label H-0.1, or are equal
         pytest.param("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.1, -0.100000001], "n": 256}, id="norms-s-values-share-a-label"),
         pytest.param("norms", {"eps_list": [0.1, 0.01], "s_values": [-0.5, -0.25, -0.5], "n": 256}, id="norms-s-values-repeat"),
+        # values outside a key's enum, and repeated items of a unique list
+        pytest.param("simulate", dict(SIM_CONFIG, dim=4), id="simulate-dim-not-in-enum"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, potential_mode="bogus"), id="sweep-potential-mode-not-in-enum"),
+        pytest.param("sweep", dict(SWEEP_CONFIG, claims=["claim1", "claim1"]), id="sweep-claims-repeat"),
+        pytest.param("verify", dict(VERIFY_GRID, suites=["energy", "energy"]), id="verify-suites-repeat"),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, capsys, command, payload):
@@ -667,9 +676,50 @@ def test_sweep_solver_abort_exit_3(tmp_path, capsys, monkeypatch):
     assert "solver abort" in capsys.readouterr().err
 
 
+def test_sweep_run_abort_names_its_eps_and_exits_3(tmp_path, capsys, monkeypatch):
+    # the second rung's march aborts: the message names that eps
+    def evolve_or_abort(fam, grid, **kw):
+        if fam.eps == 0.07:
+            raise SolverAbort("non-finite field values at t = 0.01")
+        return evolve(fam, grid, **kw)
+
+    monkeypatch.setattr(experiments, "evolve", evolve_or_abort)
+    cfg = write_config(tmp_path, SWEEP_CONFIG)
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "solver abort: sweep run aborted at eps = 0.07: non-finite field values at t = 0.01" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+def test_verify_failing_report_gets_its_replay_and_exits_4(tmp_path, capsys, monkeypatch):
+    # the energy suite's second report fails: verify_report.json carries its
+    # replay entry, the grid and the seed and index its name holds
+    def one_failing(count, seed, grid):
+        reps = run_energy_suite(count, seed, grid)
+        reps[1] = replace(reps[1], lhs=2.0 * reps[1].slack_factor * reps[1].rhs)
+        return reps
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "energy", one_failing)
+    cfg = write_config(tmp_path, {"seed": 5, "suites": ["energy"], "counts": {"energy": 3}})
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 4
+    rep = json.loads((out / "verify_report.json").read_text())
+    assert rep["pass"] is False and rep["failures"] == 1
+    assert [r["pass"] for r in rep["reports"]] == [True, False, True]
+    assert ["replay" in r for r in rep["reports"]] == [False, True, False]
+    grid = cli.suite_grid("energy")
+    assert rep["reports"][1]["replay"] == {
+        "suite": "energy",
+        "grid": {"L": grid.L, "n": grid.n, "t_max": grid.t_max},
+        "seed": 5,
+        "index": 1,
+    }
+    assert "verify: FAIL" in capsys.readouterr().err
 
 
 def test_verify_random_suites_pass(tmp_path, capsys):

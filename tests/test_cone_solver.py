@@ -21,6 +21,7 @@ from maxdirac1d.experiments import SweepPlan, run_sweep
 from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs, wave_sources
 from maxdirac1d.initial_data import chi, f_eps, potential_data, spinor_datum, write_csv
 from maxdirac1d.cone_solver import (
+    Snapshots,
     _StepWork,
     _read_hull,
     _transport_step,
@@ -35,11 +36,22 @@ from maxdirac1d.cone_solver import (
     trapezoid,
 )
 
-from lemmas import MARCHED, ConeRegion, GaugeMonitor, cone_reads, cross_section, evolve_full_grid, level_arrays, march_two_components, node_slice
+from lemmas import (
+    MARCHED,
+    ConeRegion,
+    GaugeMonitor,
+    cone_reads,
+    cross_section,
+    evolve_full_grid,
+    level_arrays,
+    march_two_components,
+    node_slice,
+    snapshot_run,
+)
 
 
 def every_level(grid):
-    """snapshot_times that keep every level of a run on `grid`."""
+    """Snapshot times that keep every level of a run on `grid`."""
     return grid.h * np.arange(grid.steps + 1)
 
 
@@ -111,13 +123,13 @@ def test_wave_nonfinite_aborts():
 def test_transport_exact_d1_massless():
     grid = GridSpec(L=2.56, n=512, t_max=0.25)
     fam = DataFamily(dim=1, eps=0.1, M=0.0)
-    traj = evolve(fam, grid, snapshot_times=every_level(grid))
+    _, snaps = snapshot_run(fam, grid)
     x = grid.nodes()
     t = grid.t_max
     exact = chi(x - t, fam.cutoff) * f_eps(x - t, 0.1)
-    got = np.abs(traj.snapshots.u[grid.steps][0])
+    got = np.abs(snaps.u[grid.steps][0])
     assert np.abs(got - exact).max() < 1e-12
-    assert np.abs(traj.snapshots.v).max() == 0.0
+    assert np.abs(snaps.v).max() == 0.0
 
 
 def test_massless_runs_stay_longitudinal():
@@ -237,6 +249,12 @@ def test_characteristic_integrals_constant():
         assert T[20, j] == pytest.approx(20 * h, abs=1e-14)
 
 
+@pytest.mark.parametrize("direction", [0, 2, -1.5])
+def test_characteristic_integrals_reject_other_directions(direction):
+    with pytest.raises(ValueError, match="direction must be"):
+        next(characteristic_integrals(np.ones((3, 8)), 0.01, direction))
+
+
 # ---------------------------------------------------------------------------
 # Gauge residual.
 # ---------------------------------------------------------------------------
@@ -330,9 +348,9 @@ def test_observer_sees_every_level():
 
 def test_snapshots_and_csv_export(tmp_path):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
-    traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid, snapshot_times=(0.0, 0.1, 0.2))
-    assert traj.snapshots.times.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
-    paths = trajectory_to_csv(traj, tmp_path, config_hash="cafe")
+    traj, snaps = snapshot_run(DataFamily(dim=2, eps=0.1, M=1.0), grid, (0.0, 0.1, 0.2))
+    assert snaps.times.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
+    paths = trajectory_to_csv(traj, snaps, tmp_path, config_hash="cafe")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["diagnostics.csv", "snapshot_000.csv", "snapshot_001.csv", "snapshot_002.csv"]
     first = (tmp_path / "diagnostics.csv").read_text().splitlines()
@@ -344,12 +362,12 @@ def test_snapshots_and_csv_export(tmp_path):
 def test_snapshots_are_the_history_rows_at_their_levels():
     grid = GridSpec(L=2.56, n=256, t_max=0.2)  # h = 0.02
     fam = DataFamily(dim=3, eps=0.05, M=1.0)
-    traj = evolve(fam, grid, snapshot_times=(0.2, 0.0, 0.1))
-    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
+    traj, snaps = snapshot_run(fam, grid, (0.2, 0.0, 0.1))
+    hist = snapshot_run(fam, grid)[1]
     assert traj.meta["window"][0] > 0  # padded from a support-cut window
     for name in ("times", "u", "v", "A"):
-        assert _same_bits(getattr(traj.snapshots, name), getattr(hist, name)[[0, 5, 10]]), name
-    empty = evolve(fam, grid).snapshots
+        assert _same_bits(getattr(snaps, name), getattr(hist, name)[[0, 5, 10]]), name
+    empty = snapshot_run(fam, grid, ())[1]
     assert empty.times.shape == (0,) and empty.u.shape == (0, 2, grid.n + 1) and empty.A.shape == (0, 4, grid.n + 1)
 
 
@@ -361,8 +379,8 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     # the same
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
-    traj = evolve(fam, grid, snapshot_times=every_level(grid))
-    hist, h = traj.snapshots, grid.h
+    traj, hist = snapshot_run(fam, grid)
+    h = grid.h
     assert traj.meta["window"][0] > 0  # the series sum zero-padded rows
     dens_u = (np.abs(hist.u) ** 2).sum(axis=-2)
     dens_v = (np.abs(hist.v) ** 2).sum(axis=-2)
@@ -380,14 +398,25 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
 def test_snapshot_time_outside_slab():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     with pytest.raises(ValueError, match="snapshot"):
-        evolve(DataFamily(dim=1, eps=0.1), grid, snapshot_times=(0.5,))
+        Snapshots(grid, 1, (0.5,))
 
 
 def test_snapshot_times_sharing_a_level_rejected():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)  # h = 0.04
     for times in ((0.08, 0.08), (0.08, 0.0801)):
         with pytest.raises(ValueError, match="round to the same level 2"):
-            evolve(DataFamily(dim=1, eps=0.1), grid, snapshot_times=times)
+            Snapshots(grid, 1, times)
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+def test_shift_into_its_own_rows(k):
+    # free transport shifts its source rows in place
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(2, 9))
+    want = shift(rows, k)
+    for r in rows:
+        assert shift(r, k, out=r) is r
+    assert _same_bits(rows, want)
 
 
 def test_trapezoid_matches_numpy():
@@ -437,7 +466,7 @@ def _cone_sets(grid):
 def test_window_bitwise_equal_to_full_grid_inside_declared_cones(dim, mode, M):
     grid = GridSpec(L=2.56, n=512, t_max=0.3)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
-    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
+    hist = snapshot_run(fam, grid)[1]
     x = grid.nodes()
     for cones, node_exact in _cone_sets(grid):
         rec = _ConeRecorder(cones)
@@ -493,17 +522,17 @@ def test_whole_line_runs_march_the_support_cone():
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=1, eps=0.1)
     cone = [(ConeRegion(-0.2, 0.2), 3)]
-    # an observer that declares no reads, and snapshots, every level's or
-    # one, read the whole line up to t_max, cut to the support cone: the
-    # datum lives on nodes 15..113 (|x| < 2), widened by steps + 1 = 6 per
-    # side: nodes 9..119, end 120
-    for kw in (
-        dict(observers=(_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0)))),
-        dict(observers=(_ConeRecorder(cone), _LevelCounter())),
-        dict(observers=(_ConeRecorder(cone),), snapshot_times=every_level(grid)),
-        dict(observers=(_ConeRecorder(cone),), snapshot_times=(0.1,)),
+    # an observer that declares no reads, such as snapshots of every level
+    # or of one, reads the whole line up to t_max, cut to the support cone:
+    # the datum lives on nodes 15..113 (|x| < 2), widened by steps + 1 = 6
+    # per side: nodes 9..119, end 120
+    for observers in (
+        (_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0))),
+        (_ConeRecorder(cone), _LevelCounter()),
+        (_ConeRecorder(cone), Snapshots(grid, fam.dim, every_level(grid))),
+        (_ConeRecorder(cone), Snapshots(grid, fam.dim, (0.1,))),
     ):
-        assert evolve(fam, grid, **kw).meta["window"] == (9, 120, grid.steps)
+        assert evolve(fam, grid, observers=observers).meta["window"] == (9, 120, grid.steps)
 
 
 def _same_bits(a, b):
@@ -518,16 +547,16 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
     for times in ((0.0, 0.1, 0.2), every_level(grid)):
-        win = evolve(fam, grid, snapshot_times=times)
-        full = evolve_full_grid(fam, grid, snapshot_times=times)
+        win, win_snaps = snapshot_run(fam, grid, times)
+        full, full_snaps = snapshot_run(fam, grid, times, run=evolve_full_grid)
         first, end, last = win.meta["window"]
         assert 0 < first and end < grid.n + 1 and last == grid.steps
         assert win.series.keys() == full.series.keys()
         for key in full.series:
             assert _same_bits(win.series[key], full.series[key]), key
-        assert win.snapshots.times.size == len(times)
+        assert win_snaps.times.size == len(times)
         for name in ("times", "u", "v", "A"):
-            assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
+            assert _same_bits(getattr(win_snaps, name), getattr(full_snaps, name)), name
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -547,11 +576,9 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
     times = (0.0, 0.5 * grid.t_max, grid.t_max)
     gauge, full_gauge = GaugeMonitor(), GaugeMonitor()
     oracle, full_oracle = cli.A0Oracle(grid), cli.A0Oracle(grid)
-    runs = [
-        evolve(fam, grid, **kw)
-        for kw in ({}, dict(observers=(gauge,)), dict(observers=(oracle,)), dict(snapshot_times=times))
-    ]
-    full = evolve_full_grid(fam, grid, snapshot_times=times, observers=(full_gauge, full_oracle))
+    snaps = Snapshots(grid, dim, times)
+    runs = [evolve(fam, grid, observers=observers) for observers in ((), (gauge,), (oracle,), (snaps,))]
+    full, full_snaps = snapshot_run(fam, grid, times, observers=(full_gauge, full_oracle), run=evolve_full_grid)
     first, end, last = runs[0].meta["window"]
     assert 0 < first and end < grid.n + 1 and last == grid.steps
     for traj in runs:
@@ -560,7 +587,7 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
         for key in full.series:
             assert _same_bits(traj.series[key], full.series[key]), key
     for name in ("times", "u", "v", "A"):
-        assert _same_bits(getattr(runs[3].snapshots, name), getattr(full.snapshots, name)), name
+        assert _same_bits(getattr(snaps, name), getattr(full_snaps, name)), name
     assert full_gauge.series().max() > 0.0 and full_oracle.deviation() > 0.0
     assert _same_bits(gauge.series(), full_gauge.series())
     assert _same_bits(oracle.deviation(), full_oracle.deviation())
@@ -585,11 +612,11 @@ def test_support_window_bitwise_with_potential_datum(monkeypatch):
         return a, b
 
     monkeypatch.setattr(cone_solver, "potential_data", _on_nodes(with_a))
-    win = evolve(fam, grid, snapshot_times=every_level(grid))
-    full = evolve_full_grid(fam, grid, snapshot_times=every_level(grid))
+    win, win_snaps = snapshot_run(fam, grid)
+    full_snaps = snapshot_run(fam, grid, run=evolve_full_grid)[1]
     assert win.meta["window"][1] - win.meta["window"][0] < grid.n + 1
     for name in ("u", "v", "A"):
-        assert _same_bits(getattr(win.snapshots, name), getattr(full.snapshots, name)), name
+        assert _same_bits(getattr(win_snaps, name), getattr(full_snaps, name)), name
 
 
 def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
@@ -599,11 +626,20 @@ def test_support_cone_reaching_the_band_runs_full_width(monkeypatch):
     u0[[2, 62]] = 1.0  # clear of the band at t = 0; u moves into it at t = h
     _inject_datum(monkeypatch, u0)
     with pytest.raises(SolverAbort, match="boundary band"):
-        evolve(fam, grid, snapshot_times=(0.0,))
+        snapshot_run(fam, grid, (0.0,))
     rec = _ConeRecorder([(ConeRegion(-grid.L, grid.L), grid.steps)])
     with pytest.raises(SolverAbort, match="boundary band at t = 0.08"):
         evolve(fam, grid, observers=(rec,))
     assert [(m, first, u.shape[-1]) for m, first, u, *_ in rec.levels] == [(0, 0, 65)]
+
+
+@pytest.mark.parametrize("triple", [(300, 310, 3), (-20, -5, 3), (50, 50, 3)])
+def test_read_hull_off_the_grid_reads_the_whole_line(triple):
+    # a hull with no node on the grid: past either end, or empty
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+    obs = _ConeRecorder([])
+    obs.reads = lambda grid: triple
+    assert _read_hull(grid, (obs,)) == (0, grid.n + 1, grid.steps, True)
 
 
 def test_read_hull_disjoint_from_support_is_marched_as_declared():
@@ -630,7 +666,7 @@ def test_read_hull_straddling_the_support_edge(monkeypatch, base, reach, window)
     # 15 - 3 - 1 = 11 on
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     fam = DataFamily(dim=1, eps=0.1, M=1.0)
-    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
+    hist = snapshot_run(fam, grid)[1]
     ranges = []
 
     def spy(fam, grid, nodes=None):
@@ -688,7 +724,7 @@ def test_abort_on_nonfinite_potential_datum(monkeypatch, field, level, bad):
     # A^m is checked before the transport step to level m reads it, so no
     # arithmetic on the bad value warns (warnings are errors under pytest)
     with pytest.raises(SolverAbort, match=message):
-        evolve(fam, grid, snapshot_times=(0.0,))
+        snapshot_run(fam, grid, (0.0,))
     with pytest.raises(SolverAbort, match=message):
         evolve(fam, grid, observers=(rec,))
     assert [m for m, *_ in rec.levels] == list(range(level))
@@ -725,7 +761,7 @@ def test_massless_zero_mode_run_is_free_transport_bitwise(dim):
     # A_0 + A_1 stay zero, so u is the datum translated one node per level
     grid = GridSpec(L=2.56, n=2048, t_max=0.1)
     fam = DataFamily(dim=dim, eps=0.01, M=0.0, potential_mode="zero")
-    hist = evolve(fam, grid, snapshot_times=every_level(grid)).snapshots
+    hist = snapshot_run(fam, grid)[1]
     u0 = np.zeros((spinor_components(dim), grid.n + 1), complex)  # the snapshot rows
     u0[0] = spinor_datum(fam, grid)[0]
     assert not hist.v.any()
@@ -795,7 +831,7 @@ def _sweep_with_states(plan):
 
     def evolve_recorded(fam, grid, *, observers):
         rec = _StateRecorder()
-        rec.reads = lambda grid: _read_hull(grid, (), observers)[:3]
+        rec.reads = lambda grid: _read_hull(grid, observers)[:3]
         traj = evolve(fam, grid, observers=(*observers, rec))
         runs.append((fam, grid, traj.meta["window"], rec.states))
         return traj
@@ -837,28 +873,27 @@ def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
 
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=M)
-    if kind == "whole_line":
-        cones, snapshot_times = None, every_level(grid)
-    else:
-        cones, snapshot_times = [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)], ()
+    cones = None if kind == "whole_line" else [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)]
 
     def run():
-        rec = _StateRecorder(cones)
-        return evolve(fam, grid, snapshot_times=snapshot_times, observers=(rec,)), rec.states
+        # snapshots of every level on the whole line; a windowed run keeps none
+        rec, snaps = _StateRecorder(cones), Snapshots(grid, dim, every_level(grid))
+        return evolve(fam, grid, observers=(rec, snaps) if cones is None else (rec,)), snaps, rec.states
 
     with _transport_calls() as calls:
-        free, free_states = run()
+        free, free_snaps, free_states = run()
     assert calls == [0]
     with _general_path(), _transport_calls() as calls:
-        general, general_states = run()
+        general, general_snaps, general_states = run()
     assert calls[0] == grid.steps if kind == "whole_line" else calls[0] > 0
     assert free.meta == general.meta
     assert free.series.keys() == general.series.keys()
     assert bool(free.series) == (kind == "whole_line")
     for key in general.series:
         assert _same_bits(free.series[key], general.series[key]), key
-    for name in ("times", "u", "v", "A"):
-        assert _same_bits(getattr(free.snapshots, name), getattr(general.snapshots, name)), name
+    if cones is None:
+        for name in ("times", "u", "v", "A"):
+            assert _same_bits(getattr(free_snaps, name), getattr(general_snaps, name)), name
     _same_level_states(free_states, _hand_march(fam, grid, free.meta["window"]))
     _same_level_states(general_states, free_states)
 
@@ -871,9 +906,9 @@ def test_free_whole_line_series_follow_the_moving_rows(dim):
     # the level-0 rows
     grid = GridSpec(L=2.56, n=1024, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.03, M=0.0)
-    free = evolve(fam, grid, snapshot_times=(0.0,))
+    free = snapshot_run(fam, grid, (0.0,))[0]
     with _general_path():
-        general = evolve(fam, grid, snapshot_times=(0.0,))
+        general = snapshot_run(fam, grid, (0.0,))[0]
     for key in ("charge", "l1_u"):
         assert np.unique(free.series[key]).size > 1, key
     assert free.series.keys() == general.series.keys()
@@ -897,7 +932,7 @@ def test_transport_step_runs_off_the_free_path(case):
         return u, v
 
     with mock.patch.object(cone_solver, "spinor_datum", _on_nodes(datum)), _transport_calls() as calls:
-        evolve(fam, grid, snapshot_times=(0.0,))
+        snapshot_run(fam, grid, (0.0,))
     assert calls == [grid.steps]
 
 
@@ -957,11 +992,12 @@ def test_dim3_first_components_bitwise_equal_to_two_components(mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=3, eps=0.05, M=M, potential_mode=mode)
 
-    def run(snapshot_times=()):
+    def run(*snapshots):
         gauge, rec = GaugeMonitor(), _StateRecorder()
-        return evolve(fam, grid, snapshot_times=snapshot_times, observers=(gauge, rec)), gauge.series(), rec.states
+        return evolve(fam, grid, observers=(gauge, rec, *snapshots)), gauge.series(), rec.states
 
-    one, one_gauge, one_states = run(every_level(grid))
+    snaps = Snapshots(grid, 3, every_level(grid))
+    one, one_gauge, one_states = run(snaps)
     with march_two_components():
         # no snapshots: a snapshot's component 0 takes a node row, not the
         # reference's two rows; its states stand for them
@@ -974,7 +1010,7 @@ def test_dim3_first_components_bitwise_equal_to_two_components(mode, M):
         assert _same_bits(one.series[key], two.series[key]), key
     assert _same_bits(one_gauge, two_gauge)
     _same_states(one_states, two_states)
-    _snapshots_hold_states(one.snapshots, one_states)
+    _snapshots_hold_states(snaps, one_states)
 
 
 def test_dim3_first_components_in_windowed_runs(monkeypatch):
@@ -1047,9 +1083,8 @@ def test_dim3_nonzero_second_component_datum_marches_both(field, row):
 
 def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
     grid = GridSpec(L=2.56, n=128, t_max=0.12)
-    traj = evolve(DataFamily(dim=3, eps=0.1, M=1.0), grid, snapshot_times=(0.0, 0.12))
-    paths = trajectory_to_csv(traj, tmp_path / "run", config_hash="cafe")
-    snaps = traj.snapshots
+    traj, snaps = snapshot_run(DataFamily(dim=3, eps=0.1, M=1.0), grid, (0.0, 0.12))
+    paths = trajectory_to_csv(traj, snaps, tmp_path / "run", config_hash="cafe")
     for k, t in enumerate(snaps.times.tolist()):
         cols = [grid.nodes()]
         for w in (snaps.u[k], snaps.v[k]):

@@ -43,17 +43,18 @@ from lemmas import (
     dirac_solve,
     level_arrays,
     pw_source,
+    snapshot_run,
 )
 
 GRID = GridSpec(L=2.56, n=256, t_max=0.24)
 GRID_TALL = GridSpec(L=2.56, n=256, t_max=0.64)
-EVERY_LEVEL = GRID.h * np.arange(GRID.steps + 1)  # snapshot_times of every level on GRID
 
 
 @pytest.fixture(scope="module")
 def massless_run():
+    """(trajectory, snapshots of every level) of a massless run on GRID."""
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
-    return evolve(fam, GRID, snapshot_times=EVERY_LEVEL)
+    return snapshot_run(fam, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,8 @@ def test_energy_equality_for_free_flow():
 
 
 def test_energy_on_trajectory_requires_history(massless_run):
-    rep = check_energy_inequality(massless_run)
+    traj, snaps = massless_run
+    rep = check_energy_inequality(traj, snaps=snaps)
     assert rep.passed
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     bare = evolve(fam, GRID)
@@ -311,20 +313,21 @@ def test_nullform_refinement_converges():
 
 def test_gronwall_saturates_for_longitudinal_flow(massless_run):
     # massless data stays longitudinal: zero transverse rate, conserved L^1
-    rep = check_gronwall_l1(massless_run)
+    rep = check_gronwall_l1(massless_run[0])
     assert rep.passed
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gronwall_needs_transverse_potentials():
     fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-    traj = evolve(fam, GRID, snapshot_times=EVERY_LEVEL)
+    traj, _ = snapshot_run(fam, GRID)
     with pytest.raises(ValueError, match="dim 2 or 3"):
         check_gronwall_l1(traj)
 
 
 def test_bootstrap_bound_ratio_one_third(massless_run):
-    rep = check_bootstrap_bound(massless_run, 0.5)
+    traj, snaps = massless_run
+    rep = check_bootstrap_bound(traj, 0.5, snaps)
     # massless transport pins the windowed sup at f_eps(rho)^2 = rhs/3
     assert rep.lhs == pytest.approx(1.0 / math.sqrt(0.1**2 + 0.25), abs=1e-12)
     assert rep.ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -332,13 +335,14 @@ def test_bootstrap_bound_ratio_one_third(massless_run):
 
 
 def test_bootstrap_bound_guards(massless_run):
+    traj, snaps = massless_run
     tall = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     wide = GridSpec(L=2.72, n=272, t_max=0.64)
-    traj_tall = evolve(tall, wide, snapshot_times=wide.h * np.arange(wide.steps + 1))
+    traj_tall, snaps_tall = snapshot_run(tall, wide)
     with pytest.raises(ValueError, match="2\\(M\\+1\\) t_max < 1"):
-        check_bootstrap_bound(traj_tall, 0.1)
+        check_bootstrap_bound(traj_tall, 0.1, snaps_tall)
     with pytest.raises(ValueError, match="rho"):
-        check_bootstrap_bound(massless_run, 0.6)
+        check_bootstrap_bound(traj, 0.6, snaps)
     bare = evolve(tall, GRID)
     with pytest.raises(ValueError, match="snapshot at every level"):
         check_bootstrap_bound(bare, 0.5)

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from maxdirac1d import cone_solver, experiments
-from maxdirac1d.cone_solver import _read_hull, evolve, free_a0
+from maxdirac1d.cone_solver import LevelState, SolverAbort, _read_hull, evolve, free_a0
 from maxdirac1d.experiments import (
     KT_SLACK,
     FloorMonitor,
@@ -34,9 +34,9 @@ from maxdirac1d.experiments import (
     sweep_claims,
     write_sweep,
 )
-from maxdirac1d.initial_data import CutoffSpec, DataFamily, PotentialMode
+from maxdirac1d.initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode
 
-from lemmas import evolve_full_grid, probe_sum_bounds, sum_bound
+from lemmas import evolve_full_grid, probe_sum_bounds, snapshot_run, sum_bound
 
 COARSE = SweepPlan(dim=2, M=0.0, eps_list=(0.1, 0.07), T=0.05, h_over_eps=4.0)
 
@@ -225,6 +225,21 @@ def test_claim1_verdicts():
     assert check_claim1([flat], _plan(dim=1, T=0.02)) == [{"eps": 0.1, "applicable": False, "pass": True}]
 
 
+def test_claim1_broken_at_level_0_has_no_passing_prefix():
+    out = check_claim1([_record(series={"sup_KT_transverse": np.array([1.5, 0.5, 0.9])})], _plan(T=0.02))
+    assert not out[0]["pass"] and out[0]["largest_T_ok"] == 0.0
+
+
+def test_transverse_monitor_records_zero_past_t_1():
+    # the slab |x| <= 1 - t is empty once t > 1
+    x = np.linspace(-2.0, 2.0, 9)
+    A = np.ones((3, x.size))
+    mon = TransverseMonitor()
+    for m, t in enumerate((0.5, 1.0, 1.25)):
+        mon.on_level(LevelState(m, t, x, None, None, A, None, 0), None)
+    assert mon.series().tolist() == [1.0, 1.0, 0.0]
+
+
 def test_claim2_verdicts_and_guard():
     # tol = 1 - 50 h^2 / eps^2 = 0.5 at h = 0.01, eps = 0.1
     ok = _record(series={"claim2_min_ratio": np.array([np.inf, 0.9, 0.7])})
@@ -333,7 +348,7 @@ def test_free_a0_matches_the_march(dim, case):
     marched, summed = ProbeMonitor(plan.probes, grid), ProbeMonitor(plan.probes, grid)
     traj = evolve(fam, grid, observers=(marched,))
     if case == "narrow_cutoff":
-        first, end, _, _ = _read_hull(grid, (), (marched,))
+        first, end, _, _ = _read_hull(grid, (marched,))
         assert end - first > traj.meta["window"][1] - traj.meta["window"][0]
 
     a0 = free_a0(fam, grid, marched.cells)
@@ -352,12 +367,28 @@ def test_free_a0_matches_the_march(dim, case):
         assert got[:2].tobytes() == want[:2].tobytes()
 
 
+def test_free_a0_aborts_on_a_non_finite_datum(monkeypatch):
+    # +inf has no sign bit, so the datum passes the free test; the cell
+    # (3, 64) sums its cone base nodes 62, 64 and 66
+    grid = GridSpec(L=2.56, n=128, t_max=0.2)
+
+    def datum(fam, grid, nodes):
+        u, v = real(fam, grid, nodes)
+        u[64 - nodes[0]] = np.inf
+        return u, v
+
+    real = cone_solver.spinor_datum
+    monkeypatch.setattr(cone_solver, "spinor_datum", datum)
+    with pytest.raises(SolverAbort, match=f"non-finite field values at t = {3 * grid.h:.6g}$"):
+        free_a0(DataFamily(dim=1, eps=0.1), grid, [(3, 64)])
+
+
 def test_massless_probe_only_sweeps_take_the_sum():
     with mock.patch.object(experiments, "evolve", side_effect=AssertionError("marched")):
         records = run_sweep(COARSE, claims=("claim3",))
     for rec in records:
         grid = grid_for_eps(COARSE, rec.eps)
-        last = _read_hull(grid, (), (ProbeMonitor(COARSE.probes, grid),))[2]
+        last = _read_hull(grid, (ProbeMonitor(COARSE.probes, grid),))[2]
         assert rec.times.tobytes() == (grid.h * np.arange(last + 1)).tobytes()  # the levels a march takes
         assert rec.series == {}
 
@@ -413,7 +444,7 @@ def test_probe_monitor_window_matches_full_grid():
     windowed = ProbeMonitor(plan.probes, grid)
     full = ProbeMonitor(plan.probes, grid)
     traj = evolve(fam, grid, observers=(windowed,))
-    evolve(fam, grid, observers=(full,), snapshot_times=grid.h * np.arange(grid.steps + 1))
+    snapshot_run(fam, grid, observers=(full,))
     first, end, last = traj.meta["window"]
     assert end - first < (grid.n + 1) // 10
     assert last < grid.steps

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdirac1d import (
+    GammaSet,
     coupling,
     gamma_matrices,
     spinor_components,
@@ -36,6 +37,20 @@ def test_clifford_relations_exact(dim):
     rep = verify_clifford(gs)
     assert rep.ok
     assert rep.max_deviation == 0.0
+
+
+def test_clifford_report_names_the_failed_relations():
+    # i g^1 is hermitian and squares to +I
+    g0, g1, g2 = gamma_matrices(2).gammas
+    rep = verify_clifford(GammaSet(2, (g0, 1j * g1, g2)))
+    assert not rep.ok
+    assert rep.failures() == [("anticommutator(1,1)", 4.0), ("antihermitian(1)", 2.0)]
+    assert verify_clifford(gamma_matrices(2)).failures() == []
+
+
+def test_dim3_gamma_set_needs_rho_and_kappa():
+    with pytest.raises(ValueError, match="rho and kappa"):
+        verify_clifford(GammaSet(3, gamma_matrices(3).gammas))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -143,6 +143,12 @@ def test_spinor_datum_shape_and_value():
     assert np.array_equal(v3, np.zeros_like(v3))
 
 
+def test_spinor_datum_needs_positive_eps():
+    # the eps = 0 profile is for the norms only
+    with pytest.raises(ValueError, match="needs eps > 0"):
+        spinor_datum(DataFamily(dim=2, eps=0.0), GridSpec(L=2.56, n=256, t_max=0.0))
+
+
 @pytest.mark.parametrize("mode", list(PotentialMode))
 @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])
 @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(inner=0.3, outer=0.6)], ids=["default", "narrow"])

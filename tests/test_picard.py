@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from maxdirac1d import DataFamily, GridSpec, evolve
+from maxdirac1d import DataFamily, GridSpec
 
+from lemmas import snapshot_run
 from picard import PicardNonContraction, picard_solve, slab_distance
 
 GRID = GridSpec(L=2.56, n=512, t_max=0.1)
@@ -15,8 +16,7 @@ def test_agrees_with_marching_solver():
     # one pass and the spinors coincide with the marching solution bitwise
     fam = DataFamily(dim=2, eps=0.1, M=0.0)
     res = picard_solve(fam, GRID, 0.1, tol=1e-10)
-    traj = evolve(fam, GRID, snapshot_times=GRID.h * np.arange(GRID.steps + 1))
-    hist = traj.snapshots
+    traj, hist = snapshot_run(fam, GRID)
     mt = GRID.steps
 
     du = max(

@@ -12,9 +12,11 @@ goes first alternating from case to case, so that a drift in the machine's
 speed over the run weighs on both sides alike.  The configs cover
 `simulate` in dims 1-3 with both potential modes, with and without
 `--oracle`; massless zero-mode `simulate` runs, which march free transport
-on the whole line, in dims 1-3 and in dim 3 with `--oracle` too; the
-benchmark's dim-3 n = 16384 simulate run, with and without `--oracle`; a
-dim-2 `--oracle` run with t_max = 0, which computes one level
+on the whole line, in dims 1-3 and in dim 3 with `--oracle` too;
+`simulate_no_snapshots`, a dim-2 `simulate` with neither `snapshot_times`
+nor `--oracle`, whose one observer keeps no level and which writes no
+snapshot; the benchmark's dim-3 n = 16384 simulate run, with and without
+`--oracle`; a dim-2 `--oracle` run with t_max = 0, which computes one level
 only; `--oracle` runs in dims 2 and 3 whose cutoff is so narrow that the
 oracle's vertex cones reach past the marched support cone; default-claims
 sweeps in dims 1-3 in the zero potential mode, in dims 2 and 3 in the
@@ -98,6 +100,9 @@ CASES = {
         f"simulate_dim{d}_massless{'_oracle' if oracle else ''}": ("simulate", {"dim": d, **_SIM, "M": 0.0}, ["--oracle"] if oracle else [])
         for d, oracle in ((1, False), (2, False), (3, False), (3, True))
     },
+    # no snapshot_times and no --oracle: the one run whose only observer is
+    # a Snapshots of no level
+    "simulate_no_snapshots": ("simulate", {"dim": 2, **{k: v for k, v in _SIM.items() if k != "snapshot_times"}}, []),
     "simulate_bench_dim3": ("simulate", _BENCH_DIM3, []),
     "simulate_bench_dim3_oracle": ("simulate", _BENCH_DIM3, ["--oracle"]),
     # one level only: no wave step is taken
