@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone_solver import Snapshots, SolverAbort, cumulative_trapezoid, evolve, snapshot_levels, trajectory_to_csv, trapezoid
+from .cone_solver import Series, Snapshots, SolverAbort, cumulative_trapezoid, evolve, snapshot_levels, trajectory_to_csv, trapezoid
 from .estimates import (
     bootstrap_threshold,
     check_suite_grid,
@@ -409,10 +409,10 @@ def cmd_simulate(ctx: dict, args) -> int:
         raise ConfigError(f"{args.config}: grid/t_max: {exc}") from exc
     out = _out_dir(raw, args, "simulate")
     chash = config_hash({"command": "simulate", **raw})
-    snaps = Snapshots(grid, fam.dim, raw.get("snapshot_times", ()))
-    traj = evolve(fam, grid, observers=(snaps, oracle) if oracle else (snaps,))
-    paths = trajectory_to_csv(traj, snaps, out, config_hash=chash)
-    q = traj.series["charge"]
+    snaps, series = Snapshots(grid, fam.dim, raw.get("snapshot_times", ())), Series(grid, fam.dim)
+    traj = evolve(fam, grid, observers=(snaps, series, oracle) if oracle else (snaps, series))
+    paths = trajectory_to_csv(traj, snaps, series, out, config_hash=chash)
+    q = series.series()["charge"]
     drift = float(np.max(np.abs(q - q[0])) / q[0]) if q[0] > 0 else 0.0
     manifest = {
         "config": raw,

@@ -26,21 +26,19 @@ therefore marches a static window of nodes, the intersection of two hulls:
     (`reads`), each the first and end node of the base at t = 0 of the
     backward cones the observer reads and the last level it reads; or the
     whole line up to t_max when there are no observers or an observer that
-    declares no `reads`, as `Snapshots` does;
+    declares no `reads`, as `Snapshots` and `Series` do;
   * the support cone of the datum: its first and last nonzero nodes within
     the datum's reach (below), widened by one node per side per level and
     the window edge node.
 
 The window edges are zero-filled like the boundary band.  At a support-cone
 edge that is exact, since the full-grid run is zero there too, so whole-line
-output is bitwise a full-grid run: the series are taken over full-width rows
-padded with zeros (a shorter sum would round differently), and `Snapshots`
-pads its rows the same way.  At a read-hull edge the values go wrong, but
-the error travels inward one node per step, exactly like the cone shrinks:
-node j of level m is bitwise the full-grid run's when
+output is bitwise a full-grid run: `Series` takes its sums over full-width
+rows padded with zeros (a shorter sum would round differently), and
+`Snapshots` pads its rows the same way.  At a read-hull edge the values go
+wrong, but the error travels inward one node per step, exactly like the
+cone shrinks: node j of level m is bitwise the full-grid run's when
 first + m <= j <= end - 1 - m, so every node inside a declared cone is.
-Runs with declared reads record no whole-line series, which have no meaning
-on such a window, and keep their per-run rows at window width.
 
 The datum is sampled only where it can matter.  The read hull up to level
 `last` depends on the data at most last nodes past its edges, and `evolve`
@@ -59,23 +57,24 @@ marches the one row of `spinor_datum` and the potential rows of
 `potential_data` in every dim, (A_0, A_1, A_3) in dim 3, and observers see
 them as they are.  The physical rows appear only where a run is written
 out: `Snapshots` keeps spinor_components(dim) rows, the marched one in
-component 0, and dim + 1 potential rows, and the whole-line series hold
-sup_A0 .. sup_A{dim}; in dim 3 the second spinor components and A_2 are
-+0.0 rows and sup_A2 is 0.0 at every level.
+component 0, and dim + 1 potential rows, and `Series` holds sup_A0 ..
+sup_A{dim}; in dim 3 the second spinor components and A_2 are +0.0 rows
+and sup_A2 is 0.0 at every level.
 
 Massless zero-mode runs are free transport.  At M = 0 with zero potential
 data the system decouples: v, A_T and A_0 + A_1 stay zero, and u
 is the datum moved one node per level.  `evolve` takes this path when its
 input has M == 0, v, a and b zero, and no sign bit set in u or v (the datum
-chi f_eps is real and nonnegative, with +0.0 zeros).  Each level after the
-first moves the last level's u, S_0, S_1 and, on whole-line runs, whose
-series read it, |u|^2 one node to the right with `shift`, which fills the
-vacated edge node with +0.0 and drops the value that leaves the window:
-u into the array that the general step forms P in, the rest in place.
-v stays the +0.0 datum, and |v|^2 and S_T keep their level-0 bits.
-Everything else in a level is the same.  Each of these is bitwise what the
-general step computes, by induction over the levels: while v is +0.0, u has
-no sign bit set, M is a zero and A_0 + A_1 and A_T are zeros of either sign,
+chi f_eps is real and nonnegative, with +0.0 zeros).  Level m takes the
+level-0 u, S_0, S_1 and |u|^2 moved m nodes to the right, with +0.0 in the
+vacated nodes and the values that leave the window dropped, as m `shift`s
+would give them: views of those rows padded with `steps` +0.0 nodes on the
+left, so no level copies a row.  v stays the +0.0 datum, and |v|^2 and S_T,
+constant rows (below), are padded with their own value and keep their
+level-0 bits.  Everything else in a level is the same.  Each of these is
+bitwise what the general step computes, by induction over the levels: while
+v is +0.0, u has no sign bit set, M is a zero and A_0 + A_1 and A_T are
+zeros of either sign,
 
   * every coupling term of `_transport_step` (i (A_0 +- A_1) u, C v, D u)
     is a product with a zero, so du and dv are zeros; u + (h/2) du = u and
@@ -135,19 +134,16 @@ whose support cone reaches the band runs on a window that holds them, and
 aborts as a full-grid run would.
 
 One level m of `evolve` checks A^m, takes step 3 to level m and evaluates
-its sources S^m (step 1), then runs the checks, series and observers, and
-last takes step 2 to A^{m+1} (the d'Alembert step at
-m = 0), which the last level skips: no wave step is taken past t_max.  It
-makes each pass over the window once:
+its sources S^m (step 1), then runs the checks and observers, and last
+takes step 2 to A^{m+1} (the d'Alembert step at m = 0), which the last
+level skips: no wave step is taken past t_max.  It makes each pass over
+the window once:
 
   * one density evaluation: `wave_sources` writes |u|^2 and |v|^2 next to
-    the sources, and the series `l1_u`, `l1_v` take their square roots;
+    the sources, which observers see as `LevelState.dens`;
   * one finiteness check: np.abs(A).max(), nan or inf exactly where A has
-    a non-finite value, checks A before the transport step reads it; on
-    whole-line runs it is taken per row, np.abs(A).max(axis=-1), and gives
-    every `sup_A<mu>`; a sum of S_0 = |u|^2 + |v|^2, the charge trapezoid
-    on whole-line runs and a plain sum over the window on the others,
-    checks u and v;
+    a non-finite value, checks A before the transport step reads it, and
+    the sum of S_0 = |u|^2 + |v|^2 over the window checks u and v;
   * per-run arrays in place of per-level temporaries: the transport's
     shifted P and Q (`_StepWork`, which also carries A_0 ± A_1 of the level
     just reached to the next step), the diamond's three potential levels,
@@ -157,7 +153,7 @@ makes each pass over the window once:
     P and Q are formed.
 
 Each of these computes the same floats in the same order as the plain
-expressions it replaces, so the outputs are bitwise unchanged.
+expression, so the outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -173,6 +169,7 @@ from .initial_data import DataFamily, GridSpec, potential_data, spinor_datum, wr
 
 __all__ = [
     "SolverAbort",
+    "Series",
     "Snapshots",
     "Trajectory",
     "evolve",
@@ -219,10 +216,11 @@ class LevelState:
     marched window, which starts at full-grid node `first` (`evolve`); past a
     support-cone edge of the window every field is exactly zero, and the
     window keeps at least one such zero node at that edge.  u and v are the
-    node rows of the marched spinor component, and A and S the marched
-    potential rows (`gamma_algebra`).  The arrays are the run's working
-    arrays: they hold their values during `on_level` only, so an observer
-    copies what it keeps."""
+    node rows of the marched spinor component, A and S the marched
+    potential rows (`gamma_algebra`), and dens the rows |u|^2 and |v|^2
+    that S_0 and S_1 are made of.  The arrays are the run's working arrays:
+    they hold their values during `on_level` only, so an observer copies
+    what it keeps."""
 
     m: int
     t: float
@@ -231,6 +229,7 @@ class LevelState:
     v: np.ndarray
     A: np.ndarray
     S: np.ndarray
+    dens: np.ndarray
     first: int
 
 
@@ -239,7 +238,6 @@ class Trajectory:
     fam: DataFamily
     grid: GridSpec
     times: np.ndarray
-    series: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
 
 
@@ -338,25 +336,24 @@ def _wave_diamond(A_curr, A_prev, S, h, out):
 # ---------------------------------------------------------------------------
 
 
-def _read_hull(grid: GridSpec, observers) -> tuple[int, int, int, bool]:
-    """(first node, end node, last level) that the observers read, and
-    whether they read the whole line (see the module docstring).
+def _read_hull(grid: GridSpec, observers) -> tuple[int, int, int]:
+    """(first node, end node, last level) that the observers read.
 
     The read hull is the hull of the (first node, end node, last level)
     triples that the observers declare with `reads(grid)`, end excluded,
     clipped to the grid.  No observers, an observer that declares nothing
-    (`Snapshots`, `cli.A0Oracle`) or a hull with no node on the grid read
-    the whole line, (0, n+1, steps).
+    (`Snapshots`, `Series`, `cli.A0Oracle`) or a hull with no node on the
+    grid read the whole line, (0, n+1, steps).
     """
     n1 = grid.n + 1
     readers = [obs for obs in observers if hasattr(obs, "reads")]
     if not readers or len(readers) < len(observers):
-        return 0, n1, grid.steps, True
+        return 0, n1, grid.steps
     firsts, ends, lasts = zip(*(obs.reads(grid) for obs in readers))
     first, end = max(0, min(firsts)), min(n1, max(ends))
     if first >= end:
-        return 0, n1, grid.steps, True
-    return first, end, min(max(lasts), grid.steps), False
+        return 0, n1, grid.steps
+    return first, end, min(max(lasts), grid.steps)
 
 
 def _support_cut(first: int, end: int, last: int, lo: int, data) -> tuple[int, int]:
@@ -431,6 +428,35 @@ class Snapshots:
             self.A[k, self.rows, nodes] = lev.A
 
 
+class Series:
+    """Observer that records the whole-line series of every level: `charge`,
+    the trapezoid of S_0 (the squared L^2 norm of the spinor), `l1_u` and
+    `l1_v`, those of |u| and |v|, and `sup_A0` .. `sup_A{dim}`, sup |A_mu|
+    (0.0 for a row not marched), as `series()` returns them.  The trapezoids
+    sum a full-width row, zero outside the window, allocated at level 0.  It
+    declares no reads, so its run marches the whole line."""
+
+    def __init__(self, grid: GridSpec, dim: int):
+        self.h, self.dim, self.rows = grid.h, dim, list(_POTENTIAL_ROWS[dim])
+        self.values = {name: [] for name in ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1)))}
+
+    def on_level(self, lev: LevelState, grid: GridSpec) -> None:
+        if lev.m == 0:
+            self.row = np.zeros(grid.n + 1)
+        nodes = self.row[lev.first : lev.first + lev.x.size]
+        nodes[...] = lev.S[0]
+        self.values["charge"].append(float(trapezoid(self.row, self.h)))
+        for name, dens in zip(("l1_u", "l1_v"), lev.dens):
+            np.sqrt(dens, out=nodes)
+            self.values[name].append(float(trapezoid(self.row, self.h)))
+        A = dict(zip(self.rows, lev.A))
+        for mu in range(self.dim + 1):
+            self.values[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()) if mu in A else 0.0)
+
+    def series(self) -> dict[str, np.ndarray]:
+        return {name: np.asarray(values) for name, values in self.values.items()}
+
+
 def evolve(fam: DataFamily, grid: GridSpec, *, observers=()) -> Trajectory:
     """Run the coupled system from the family datum, one level per pass in
     step order, up to grid.t_max or only to the last level its observers read.
@@ -438,81 +464,55 @@ def evolve(fam: DataFamily, grid: GridSpec, *, observers=()) -> Trajectory:
     observers: objects with `on_level(lev, grid)`, which gets the
         `LevelState` of each marched level, and optionally `reads(grid)`,
         the (first node, end node, last level) the observer reads; a
-        `Snapshots` keeps full-width fields at chosen levels.
+        `Snapshots` keeps full-width fields at chosen levels, and a `Series`
+        the whole-line series.
 
     The marched window is the read hull of the observers cut to the support
     cone of the datum, which is sampled on that hull widened by its last
     level per side (`_read_hull`, `_support_cut`, and the module docstring).
-    Whole-line runs record the series `charge`, `l1_u`, `l1_v` and
-    `sup_A0` .. `sup_A{dim}` per level, taken over full-width rows; runs
-    with declared reads record no series.  `meta` records the marched
-    `window` (first node, end node, last level) and the `node_steps`
-    computed.  A massless zero-mode run marches free transport, bitwise the
-    same (module docstring).
+    `meta` records the marched `window` (first node, end node, last level)
+    and the `node_steps` computed.  A massless zero-mode run marches free
+    transport, bitwise the same (module docstring).
     """
     grid.ensure_support(fam.cutoff.outer)
     dim, M, h, n1 = fam.dim, fam.M, grid.h, grid.n + 1
-    first, end, steps, whole_line = _read_hull(grid, observers)
+    first, end, steps = _read_hull(grid, observers)
     # the datum on the nodes the read cones can depend on (module docstring)
     lo, hi = max(0, first - steps), min(n1, end + steps)
     u, v, a, b = (*spinor_datum(fam, grid, (lo, hi)), *potential_data(fam, grid, (lo, hi)))
     first, end = _support_cut(first, end, steps, lo, (u, v, a, b))
-    width = end - first
     x = grid.nodes(first, end)
     u, v, a, b = (w[..., first - lo : end - lo].copy() for w in (u, v, a, b))
     free = _free_transport(M, u, v, a, b)
-    A_rows = list(_POTENTIAL_ROWS[dim])  # the physical index mu of each marched row
-
-    times = h * np.arange(steps + 1)
-    names = ("charge", "l1_u", "l1_v", *(f"sup_A{mu}" for mu in range(dim + 1))) if whole_line else ()
-    series: dict[str, list[float]] = {name: [] for name in names}
     band = np.array([j - first for j in (0, 1, grid.n - 1, grid.n) if first <= j < end], dtype=int)
 
-    # per-run arrays written in place at every level: the sources and the
-    # densities |u|^2, |v|^2; on whole-line runs they fill the window of
-    # full-width rows, zero outside it, which the series sum
-    work = _StepWork(u.shape)
-    if whole_line:
-        S_rows, dens_rows = np.zeros((len(A_rows), n1)), np.zeros((2, n1))
-        S, dens = S_rows[:, first:end], dens_rows[:, first:end]
-        sup_A = np.zeros(dim + 1)  # sup_A2 of dim 3 stays 0.0
-    else:
-        S, dens = np.empty((len(A_rows), width)), np.empty((2, width))
+    # per-run arrays: the transport's work, the sources and the densities |u|^2, |v|^2
+    work = None if free else _StepWork(u.shape)
+    S, dens = np.empty((len(_POTENTIAL_ROWS[dim]), x.size)), np.empty((2, x.size))
     A_prev, A = None, a
     del a  # A holds the datum up to the level-1 diamond
 
     for m in range(steps + 1):
         t = m * h
-        if whole_line:
-            sup_A[A_rows] = np.abs(A).max(axis=-1)  # not finite where A is not
-            peak = sup_A.max()
-        else:
-            peak = np.abs(A).max()
-        if not math.isfinite(peak):
+        if not math.isfinite(np.abs(A).max()):  # not finite where A is not
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if m == 0:
             wave_sources(dim, u, v, out=S, densities=dens)
-        elif free:  # the last level's u (the general step's P), S_0, S_1 and |u|^2 moved one node
-            u, work.P = shift(u, 1, out=work.P), u
-            for row in (S[0], S[1], dens[0]) if whole_line else (S[0], S[1]):
-                shift(row, 1, out=row)
+            if free:  # the rows u, S and dens, padded with `steps` nodes on the left
+                rows = [np.concatenate((np.zeros((*w.shape[:-1], steps), w.dtype), w), axis=-1) for w in (u, S, dens)]
+                rows[1][2:, :steps], rows[2][1, :steps] = S[2:, :1], dens[1, :1]  # the constant rows S_T, |v|^2
+        elif free:  # the level-0 rows moved m nodes
+            u, S, dens = (w[..., steps - m : steps - m + x.size] for w in rows)
         else:
             u, v = _transport_step(dim, M, h, u, v, A_prev, A, work)
             wave_sources(dim, u, v, out=S, densities=dens)
 
-        q = float(trapezoid(S_rows[0], h)) if whole_line else S[0].sum()  # not finite where u or v is not
-        if not math.isfinite(q):
+        if not math.isfinite(S[0].sum()):  # not finite where u or v is not
             raise SolverAbort(f"non-finite field values at t = {t:.6g}")
         if band.size and any(np.any(w[..., band] != 0.0) for w in (A, u, v)):
             raise SolverAbort(f"field support reached the boundary band at t = {t:.6g}")
-        if whole_line:
-            series["charge"].append(q)
-            series["l1_u"].append(float(trapezoid(np.sqrt(dens_rows[0]), h)))
-            series["l1_v"].append(float(trapezoid(np.sqrt(dens_rows[1]), h)))
-            for mu, sup in enumerate(sup_A.tolist()):
-                series[f"sup_A{mu}"].append(sup)
         if observers:
-            lev = LevelState(m, t, x, u, v, A, S, first)
+            lev = LevelState(m, t, x, u, v, A, S, dens, first)
             for obs in observers:
                 obs.on_level(lev, grid)
         if m < steps:
@@ -527,13 +527,8 @@ def evolve(fam: DataFamily, grid: GridSpec, *, observers=()) -> Trajectory:
             spare = A_prev if m > 1 else np.zeros_like(A)
             A_prev, A = A, A_next
 
-    return Trajectory(
-        fam=fam,
-        grid=grid,
-        times=times,
-        series={k: np.asarray(vs) for k, vs in series.items()},
-        meta={"window": (first, end, steps), "node_steps": (end - first) * steps},
-    )
+    meta = {"window": (first, end, steps), "node_steps": (end - first) * steps}
+    return Trajectory(fam=fam, grid=grid, times=h * np.arange(steps + 1), meta=meta)
 
 
 def free_a0(fam: DataFamily, grid: GridSpec, cells) -> dict[tuple[int, int], float] | None:
@@ -681,10 +676,11 @@ def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int)
 # ---------------------------------------------------------------------------
 
 
-def trajectory_to_csv(traj: Trajectory, snaps: Snapshots, directory, config_hash: str):
+def trajectory_to_csv(traj: Trajectory, snaps: Snapshots, series: Series, directory, config_hash: str):
     """One CSV per level of `snaps`, the `Snapshots` of the run `traj` (x,
-    Re/Im spinor components, potentials), plus a diagnostics series CSV,
-    headed by config_hash.  Returns the written paths."""
+    Re/Im spinor components, potentials), plus a diagnostics CSV of the
+    series of its `Series` `series`, headed by config_hash.  Returns the
+    written paths."""
     os.makedirs(directory, exist_ok=True)
     comments = (f"config_hash={config_hash}",)
     paths = []
@@ -703,8 +699,8 @@ def trajectory_to_csv(traj: Trajectory, snaps: Snapshots, directory, config_hash
         write_csv(path, names, np.column_stack(cols), (*comments, f"t={t!r}"), lead=x)
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
-    keys = sorted(traj.series.keys())
-    block = np.column_stack([traj.times, *(traj.series[k] for k in keys)])
-    write_csv(dpath, ["t", *keys], block, comments)
+    columns = series.series()
+    block = np.column_stack([traj.times, *(columns[k] for k in sorted(columns))])
+    write_csv(dpath, ["t", *sorted(columns)], block, comments)
     paths.append(dpath)
     return paths

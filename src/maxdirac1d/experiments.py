@@ -18,8 +18,8 @@ claims read:
 
 Each observer declares the nodes it reads, the (first node, end node, last
 level) hull of its backward cones' bases, so a run marches only their hull
-(see `cone_solver`); the whole-line series stay empty.  The claim 1 and 2
-monitors read K_T, its base the nodes of [-1 - KT_SLACK, 1 + KT_SLACK].
+(see `cone_solver`).  The claim 1 and 2 monitors read K_T, its base the
+nodes of [-1 - KT_SLACK, 1 + KT_SLACK].
 The probes read A_0 at four (level, node) cells each: a march records it
 level by level, and a probe-only run that is massless free transport
 marches nothing and takes it from the characteristic sum over the datum

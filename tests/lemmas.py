@@ -40,6 +40,8 @@ with them:
   the light-cone windows are held bitwise;
 * `snapshot_run`: a run with a `cone_solver.Snapshots` of chosen levels, or
   of every level, after its observers;
+* `series_run`: a run with a `cone_solver.Series` after its observers, and
+  the series it records;
 * `two_component_coupling`, `two_component_rhs` and `two_component_sources`:
   the dim-3 kernels on both half-spinor components and all four potential
   rows, which read A_2, against which the one-row march of `gamma_algebra`
@@ -64,7 +66,7 @@ from unittest import mock
 import numpy as np
 
 from maxdirac1d import cone_solver
-from maxdirac1d.cone_solver import LevelState, Snapshots, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
+from maxdirac1d.cone_solver import LevelState, Series, Snapshots, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, gamma_matrices, spinor_components
@@ -80,7 +82,7 @@ def evolve_full_grid(fam, grid: GridSpec, **kw) -> Trajectory:
     observers read: a whole-line run with `meta["window"]` (0, n+1, steps)."""
     with mock.patch.multiple(
         cone_solver,
-        _read_hull=lambda grid, *_: (0, grid.n + 1, grid.steps, True),
+        _read_hull=lambda grid, *_: (0, grid.n + 1, grid.steps),
         _support_cut=lambda first, end, *_: (first, end),
     ):
         return cone_solver.evolve(fam, grid, **kw)
@@ -92,6 +94,14 @@ def snapshot_run(fam, grid: GridSpec, times=None, *, observers=(), run=None) -> 
     of every level when times is None."""
     snaps = Snapshots(grid, fam.dim, grid.h * np.arange(grid.steps + 1) if times is None else times)
     return (run or cone_solver.evolve)(fam, grid, observers=(*observers, snaps)), snaps
+
+
+def series_run(fam, grid: GridSpec, *, observers=(), run=None) -> tuple[Trajectory, dict[str, np.ndarray]]:
+    """(trajectory, series) of a run of `run` (`cone_solver.evolve` by
+    default) with `observers` and, after them, a `Series`: the dict that its
+    `series()` returns."""
+    series = Series(grid, fam.dim)
+    return (run or cone_solver.evolve)(fam, grid, observers=(*observers, series)), series.series()
 
 
 @dataclass(frozen=True)
@@ -417,18 +427,22 @@ def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:
     return out[..., :ncomp, :], out[..., ncomp:, :]
 
 
-def check_energy_inequality(run, grid: GridSpec | None = None, snaps: Snapshots | None = None) -> EstimateReport:
+def check_energy_inequality(
+    run, grid: GridSpec | None = None, snaps: Snapshots | None = None, series: Series | None = None
+) -> EstimateReport:
     """Energy inequality for a Dirac run.
 
     Accepts either a Trajectory with the `Snapshots` `snaps` of its every
-    level, in which case the source is the full potential coupling
-    A_mu gamma^mu psi recomputed level by level, or the (times, U, V,
-    l2_psi, l2_F) tuple of an unbatched dirac_solve, in which case the grid
-    must be passed explicitly.
+    level and its `Series` `series`, in which case the source is the full
+    potential coupling A_mu gamma^mu psi recomputed level by level, or the
+    (times, U, V, l2_psi, l2_F) tuple of an unbatched dirac_solve, in which
+    case the grid must be passed explicitly.
     """
     if isinstance(run, Trajectory):
         if snaps is None or snaps.times.size != run.times.size:
             raise ValueError("energy check on a trajectory needs a snapshot at every level")
+        if series is None:
+            raise ValueError("energy check on a trajectory needs its series")
         grid = run.grid
         gs = gamma_matrices(run.fam.dim)
         l2_F = np.zeros(run.times.size)
@@ -436,7 +450,7 @@ def check_energy_inequality(run, grid: GridSpec | None = None, snaps: Snapshots 
             Fu, Fv = interaction_term(gs, snaps.A[m], snaps.u[m], snaps.v[m])
             dens = (np.abs(Fu) ** 2).sum(axis=0) + (np.abs(Fv) ** 2).sum(axis=0)
             l2_F[m] = math.sqrt(float(trapezoid(dens, grid.h)))
-        l2_psi = np.sqrt(np.asarray(run.series["charge"], dtype=float))
+        l2_psi = np.sqrt(np.asarray(series.series()["charge"], dtype=float))
         return _energy_reports(l2_psi, l2_F, grid)[0]
     if grid is None:
         raise ValueError("synthetic runs need the grid passed alongside")
@@ -444,19 +458,21 @@ def check_energy_inequality(run, grid: GridSpec | None = None, snaps: Snapshots 
     return _energy_reports(np.asarray(l2_psi, dtype=float), np.asarray(l2_F, dtype=float), grid)[0]
 
 
-def check_gronwall_l1(traj: Trajectory) -> EstimateReport:
-    """||u(t)||_1 + ||v(t)||_1 against the transverse-potential Gronwall rate."""
+def check_gronwall_l1(traj: Trajectory, series: Series | None = None) -> EstimateReport:
+    """||u(t)||_1 + ||v(t)||_1 against the transverse-potential Gronwall
+    rate, on the `Series` `series` of the run `traj`."""
     fam = traj.fam
     if fam.dim < 2:
         raise ValueError("gronwall check needs dim 2 or 3 (transverse potentials)")
-    if "l1_u" not in traj.series:
+    if series is None:
         raise ValueError("gronwall check needs the series of a whole-line run")
     grid = traj.grid
-    l1u = np.asarray(traj.series["l1_u"], dtype=float)
-    l1v = np.asarray(traj.series["l1_v"], dtype=float)
+    values = series.series()
+    l1u = np.asarray(values["l1_u"], dtype=float)
+    l1v = np.asarray(values["l1_v"], dtype=float)
     rate = fam.M
     for j in range(2, fam.dim + 1):
-        rate = rate + np.asarray(traj.series[f"sup_A{j}"], dtype=float)
+        rate = rate + np.asarray(values[f"sup_A{j}"], dtype=float)
     rhs = (l1u[0] + l1v[0]) * np.exp(cumulative_trapezoid(rate, grid.h))
     return _worst_levels("gronwall_l1", l1u + l1v, rhs, _slack(grid))[0]
 

@@ -32,7 +32,7 @@ from maxdirac1d.experiments import (
 from maxdirac1d.gamma_algebra import gamma_matrices, verify_clifford
 from maxdirac1d.initial_data import chi, f_eps
 
-from lemmas import GaugeMonitor, a0_exact, snapshot_run
+from lemmas import GaugeMonitor, a0_exact, series_run, snapshot_run
 from picard import picard_solve
 
 CAMPAIGN_CELLS = ((2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0))
@@ -115,8 +115,7 @@ def test_criterion_03_charge_drift_below_tolerance_and_second_order():
     drifts = {}
     for n in (4096, 8192):
         grid = GridSpec(L=2.56, n=n, t_max=0.25)
-        traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), grid)
-        q = traj.series["charge"]
+        q = series_run(DataFamily(dim=2, eps=0.1, M=1.0), grid)[1]["charge"]
         drifts[n] = float(np.max(np.abs(q - q[0])) / q[0])
     assert drifts[8192] <= 1e-6
     # quadratic scheme: one doubling should cut the drift roughly 4x

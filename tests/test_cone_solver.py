@@ -18,9 +18,10 @@ from maxdirac1d import (
     wave_solve,
 )
 from maxdirac1d.experiments import SweepPlan, run_sweep
-from maxdirac1d.gamma_algebra import spinor_components, spinor_rhs, wave_sources
+from maxdirac1d.gamma_algebra import _density, spinor_components, spinor_rhs, wave_sources
 from maxdirac1d.initial_data import chi, f_eps, potential_data, spinor_datum, write_csv
 from maxdirac1d.cone_solver import (
+    Series,
     Snapshots,
     _StepWork,
     _read_hull,
@@ -46,6 +47,7 @@ from lemmas import (
     level_arrays,
     march_two_components,
     node_slice,
+    series_run,
     snapshot_run,
 )
 
@@ -134,16 +136,15 @@ def test_transport_exact_d1_massless():
 
 def test_massless_runs_stay_longitudinal():
     # v == 0 propagates, so the transverse source and field vanish exactly
-    traj = evolve(DataFamily(dim=2, eps=0.1, M=0.0), GridSpec(L=2.56, n=512, t_max=0.2))
-    assert traj.series["sup_A2"].max() == 0.0
-    assert traj.series["l1_v"].max() == 0.0
+    series = series_run(DataFamily(dim=2, eps=0.1, M=0.0), GridSpec(L=2.56, n=512, t_max=0.2))[1]
+    assert series["sup_A2"].max() == 0.0
+    assert series["l1_v"].max() == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_charge_conservation(dim):
     grid = GridSpec(L=2.56, n=1024, t_max=0.25)
-    traj = evolve(DataFamily(dim=dim, eps=0.1, M=1.0), grid)
-    q = traj.series["charge"]
+    q = series_run(DataFamily(dim=dim, eps=0.1, M=1.0), grid)[1]["charge"]
     drift = np.abs(q - q[0]).max() / q[0]
     assert drift < 5e-7
 
@@ -151,8 +152,7 @@ def test_charge_conservation(dim):
 def test_charge_drift_reduces_under_refinement():
     drifts = []
     for n in (1024, 2048):
-        traj = evolve(DataFamily(dim=2, eps=0.1, M=1.0), GridSpec(L=2.56, n=n, t_max=0.25))
-        q = traj.series["charge"]
+        q = series_run(DataFamily(dim=2, eps=0.1, M=1.0), GridSpec(L=2.56, n=n, t_max=0.25))[1]["charge"]
         drifts.append(np.abs(q - q[0]).max() / q[0])
     assert 2.5 < drifts[0] / drifts[1] < 6.0
 
@@ -348,9 +348,10 @@ def test_observer_sees_every_level():
 
 def test_snapshots_and_csv_export(tmp_path):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
-    traj, snaps = snapshot_run(DataFamily(dim=2, eps=0.1, M=1.0), grid, (0.0, 0.1, 0.2))
+    series = Series(grid, 2)
+    traj, snaps = snapshot_run(DataFamily(dim=2, eps=0.1, M=1.0), grid, (0.0, 0.1, 0.2), observers=(series,))
     assert snaps.times.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
-    paths = trajectory_to_csv(traj, snaps, tmp_path, config_hash="cafe")
+    paths = trajectory_to_csv(traj, snaps, series, tmp_path, config_hash="cafe")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["diagnostics.csv", "snapshot_000.csv", "snapshot_001.csv", "snapshot_002.csv"]
     first = (tmp_path / "diagnostics.csv").read_text().splitlines()
@@ -379,7 +380,9 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
     # the same
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=1.0, potential_mode=mode)
-    traj, hist = snapshot_run(fam, grid)
+    series = Series(grid, dim)
+    traj, hist = snapshot_run(fam, grid, observers=(series,))
+    got = series.series()
     h = grid.h
     assert traj.meta["window"][0] > 0  # the series sum zero-padded rows
     dens_u = (np.abs(hist.u) ** 2).sum(axis=-2)
@@ -390,9 +393,9 @@ def test_series_are_their_definitions_on_the_history_rows(dim, mode):
         "l1_v": [float(trapezoid(np.sqrt(row), h)) for row in dens_v],
         **{f"sup_A{mu}": [float(np.abs(A[mu]).max()) for A in hist.A] for mu in range(dim + 1)},
     }
-    assert traj.series.keys() == want.keys()
+    assert got.keys() == want.keys()
     for key, values in want.items():
-        assert _same_bits(traj.series[key], np.asarray(values)), key
+        assert _same_bits(got[key], np.asarray(values)), key
 
 
 def test_snapshot_time_outside_slab():
@@ -410,7 +413,7 @@ def test_snapshot_times_sharing_a_level_rejected():
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
 def test_shift_into_its_own_rows(k):
-    # free transport shifts its source rows in place
+    # `shift` may write into the rows it reads
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(2, 9))
     want = shift(rows, k)
@@ -503,9 +506,9 @@ def test_meta_records_window_and_node_steps():
     fam = DataFamily(dim=2, eps=0.1)
     # the datum lives on nodes 29..227 (|x| < 2), widened by steps + 1 = 11
     # per side: nodes 18..238, end 239, 221 nodes
-    line = evolve(fam, grid, observers=(_LevelCounter(),))
+    line, series = series_run(fam, grid, observers=(_LevelCounter(),))
     assert line.meta == {"window": (18, 239, grid.steps), "node_steps": 221 * grid.steps}
-    assert "charge" in line.series
+    assert "charge" in series
     full = evolve_full_grid(fam, grid, observers=(_LevelCounter(),))
     assert full.meta == {"window": (0, 257, grid.steps), "node_steps": 257 * grid.steps}
 
@@ -514,7 +517,6 @@ def test_meta_records_window_and_node_steps():
     rec = _ConeRecorder([(ConeRegion(-0.205, 0.205), 6)])
     win = evolve(fam, grid, observers=(rec,))
     assert win.meta == {"window": (117, 140, 6), "node_steps": 23 * 6}
-    assert win.series == {}
     assert win.times.size == 7
 
 
@@ -523,16 +525,26 @@ def test_whole_line_runs_march_the_support_cone():
     fam = DataFamily(dim=1, eps=0.1)
     cone = [(ConeRegion(-0.2, 0.2), 3)]
     # an observer that declares no reads, such as snapshots of every level
-    # or of one, reads the whole line up to t_max, cut to the support cone:
-    # the datum lives on nodes 15..113 (|x| < 2), widened by steps + 1 = 6
-    # per side: nodes 9..119, end 120
+    # or of one, or the series, reads the whole line up to t_max, cut to the
+    # support cone: the datum lives on nodes 15..113 (|x| < 2), widened by
+    # steps + 1 = 6 per side: nodes 9..119, end 120
+    series = Series(grid, fam.dim)
     for observers in (
         (_ConeRecorder(cone), GaugeMonitor((-1.0, 1.0))),
         (_ConeRecorder(cone), _LevelCounter()),
         (_ConeRecorder(cone), Snapshots(grid, fam.dim, every_level(grid))),
         (_ConeRecorder(cone), Snapshots(grid, fam.dim, (0.1,))),
+        (_ConeRecorder(cone), series),
     ):
+        assert _read_hull(grid, observers) == (0, grid.n + 1, grid.steps)
         assert evolve(fam, grid, observers=observers).meta["window"] == (9, 120, grid.steps)
+    # the series next to a cone reader are those of a run of the series
+    # alone and of a full-grid run
+    for run in (evolve, evolve_full_grid):
+        alone = series_run(fam, grid, run=run)[1]
+        assert alone.keys() == series.series().keys()
+        for key, values in alone.items():
+            assert values.size == grid.steps + 1 and _same_bits(series.series()[key], values), key
 
 
 def _same_bits(a, b):
@@ -547,13 +559,15 @@ def test_support_window_bitwise_equal_to_full_width(dim, mode, M):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.05, M=M, potential_mode=mode)
     for times in ((0.0, 0.1, 0.2), every_level(grid)):
-        win, win_snaps = snapshot_run(fam, grid, times)
-        full, full_snaps = snapshot_run(fam, grid, times, run=evolve_full_grid)
+        win_series, full_series = Series(grid, dim), Series(grid, dim)
+        win, win_snaps = snapshot_run(fam, grid, times, observers=(win_series,))
+        full_snaps = snapshot_run(fam, grid, times, observers=(full_series,), run=evolve_full_grid)[1]
         first, end, last = win.meta["window"]
         assert 0 < first and end < grid.n + 1 and last == grid.steps
-        assert win.series.keys() == full.series.keys()
-        for key in full.series:
-            assert _same_bits(win.series[key], full.series[key]), key
+        win_series, full_series = win_series.series(), full_series.series()
+        assert win_series.keys() == full_series.keys()
+        for key in full_series:
+            assert _same_bits(win_series[key], full_series[key]), key
         assert win_snaps.times.size == len(times)
         for name in ("times", "u", "v", "A"):
             assert _same_bits(getattr(win_snaps, name), getattr(full_snaps, name)), name
@@ -577,15 +591,17 @@ def test_gauge_and_oracle_on_the_support_window_match_the_full_grid(dim, mode, M
     gauge, full_gauge = GaugeMonitor(), GaugeMonitor()
     oracle, full_oracle = cli.A0Oracle(grid), cli.A0Oracle(grid)
     snaps = Snapshots(grid, dim, times)
-    runs = [evolve(fam, grid, observers=observers) for observers in ((), (gauge,), (oracle,), (snaps,))]
-    full, full_snaps = snapshot_run(fam, grid, times, observers=(full_gauge, full_oracle), run=evolve_full_grid)
-    first, end, last = runs[0].meta["window"]
+    runs = [series_run(fam, grid, observers=observers) for observers in ((), (gauge,), (oracle,), (snaps,))]
+    full_series = Series(grid, dim)
+    full_snaps = snapshot_run(fam, grid, times, observers=(full_gauge, full_oracle, full_series), run=evolve_full_grid)[1]
+    full_series = full_series.series()
+    first, end, last = evolve(fam, grid).meta["window"]
     assert 0 < first and end < grid.n + 1 and last == grid.steps
-    for traj in runs:
-        assert traj.meta["window"] == runs[0].meta["window"]
-        assert traj.series.keys() == full.series.keys()
-        for key in full.series:
-            assert _same_bits(traj.series[key], full.series[key]), key
+    for traj, series in runs:
+        assert traj.meta["window"] == (first, end, last)
+        assert series.keys() == full_series.keys()
+        for key in full_series:
+            assert _same_bits(series[key], full_series[key]), key
     for name in ("times", "u", "v", "A"):
         assert _same_bits(getattr(snaps, name), getattr(full_snaps, name)), name
     assert full_gauge.series().max() > 0.0 and full_oracle.deviation() > 0.0
@@ -639,7 +655,7 @@ def test_read_hull_off_the_grid_reads_the_whole_line(triple):
     grid = GridSpec(L=2.56, n=128, t_max=0.2)
     obs = _ConeRecorder([])
     obs.reads = lambda grid: triple
-    assert _read_hull(grid, (obs,)) == (0, grid.n + 1, grid.steps, True)
+    assert _read_hull(grid, (obs,)) == (0, grid.n + 1, grid.steps)
 
 
 def test_read_hull_disjoint_from_support_is_marched_as_declared():
@@ -823,6 +839,12 @@ def _same_level_states(got, want):
             assert _same_bits(a, b), (g[0], name)
 
 
+def _densities_hold(states):
+    """Each recorded level's dens holds the bits of |u|^2 and |v|^2."""
+    for m, _, u, v, _, _, dens in states:
+        assert _same_bits(dens, np.stack((_density(u), _density(v)))), m
+
+
 def _sweep_with_states(plan):
     """A claim 1-3 `run_sweep` of `plan`, with (fam, grid, window, states) of
     each run: a recorder that declares the read hull of the sweep's
@@ -831,7 +853,7 @@ def _sweep_with_states(plan):
 
     def evolve_recorded(fam, grid, *, observers):
         rec = _StateRecorder()
-        rec.reads = lambda grid: _read_hull(grid, observers)[:3]
+        rec.reads = lambda grid: _read_hull(grid, observers)
         traj = evolve(fam, grid, observers=(*observers, rec))
         runs.append((fam, grid, traj.meta["window"], rec.states))
         return traj
@@ -869,6 +891,8 @@ def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
             assert window == window2 and window[1] - window[0] < grid.n + 1
             _same_level_states(states, _hand_march(fam, grid, window))
             _same_level_states(states2, states)
+            _densities_hold(states)
+            _densities_hold(states2)
         return
 
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
@@ -876,26 +900,30 @@ def test_free_transport_path_bitwise_equal_to_the_general_kernels(dim, M, kind):
     cones = None if kind == "whole_line" else [(ConeRegion(-0.6, -0.35), 5), (ConeRegion(0.2, 0.7), grid.steps - 3)]
 
     def run():
-        # snapshots of every level on the whole line; a windowed run keeps none
-        rec, snaps = _StateRecorder(cones), Snapshots(grid, dim, every_level(grid))
-        return evolve(fam, grid, observers=(rec, snaps) if cones is None else (rec,)), snaps, rec.states
+        # snapshots and series of every level on the whole line; a windowed
+        # run keeps neither
+        rec, snaps, series = _StateRecorder(cones), Snapshots(grid, dim, every_level(grid)), Series(grid, dim)
+        traj = evolve(fam, grid, observers=(rec, snaps, series) if cones is None else (rec,))
+        return traj, snaps, series.series(), rec.states
 
     with _transport_calls() as calls:
-        free, free_snaps, free_states = run()
+        free, free_snaps, free_series, free_states = run()
     assert calls == [0]
     with _general_path(), _transport_calls() as calls:
-        general, general_snaps, general_states = run()
+        general, general_snaps, general_series, general_states = run()
     assert calls[0] == grid.steps if kind == "whole_line" else calls[0] > 0
     assert free.meta == general.meta
-    assert free.series.keys() == general.series.keys()
-    assert bool(free.series) == (kind == "whole_line")
-    for key in general.series:
-        assert _same_bits(free.series[key], general.series[key]), key
+    assert free_series.keys() == general_series.keys()
+    assert (free_series["charge"].size > 0) == (kind == "whole_line")
+    for key in general_series:
+        assert _same_bits(free_series[key], general_series[key]), key
     if cones is None:
         for name in ("times", "u", "v", "A"):
             assert _same_bits(getattr(free_snaps, name), getattr(general_snaps, name)), name
     _same_level_states(free_states, _hand_march(fam, grid, free.meta["window"]))
     _same_level_states(general_states, free_states)
+    _densities_hold(free_states)
+    _densities_hold(general_states)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -906,14 +934,14 @@ def test_free_whole_line_series_follow_the_moving_rows(dim):
     # the level-0 rows
     grid = GridSpec(L=2.56, n=1024, t_max=0.2)
     fam = DataFamily(dim=dim, eps=0.03, M=0.0)
-    free = snapshot_run(fam, grid, (0.0,))[0]
+    free = series_run(fam, grid)[1]
     with _general_path():
-        general = snapshot_run(fam, grid, (0.0,))[0]
+        general = series_run(fam, grid)[1]
     for key in ("charge", "l1_u"):
-        assert np.unique(free.series[key]).size > 1, key
-    assert free.series.keys() == general.series.keys()
-    for key in general.series:
-        assert _same_bits(free.series[key], general.series[key]), key
+        assert np.unique(free[key]).size > 1, key
+    assert free.keys() == general.keys()
+    for key in general:
+        assert _same_bits(free[key], general[key]), key
 
 
 @pytest.mark.parametrize("case", ["massive", "constrained", "v_datum", "u_sign_bit"])
@@ -951,17 +979,18 @@ class _StateRecorder:
             self.reads = lambda grid: cone_reads(cones, grid)
 
     def on_level(self, lev, grid):
-        self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.S))))
+        self.states.append((lev.m, lev.first, *(w.copy() for w in (lev.u, lev.v, lev.A, lev.S, lev.dens))))
 
 
 def _same_states(got, want):
     """`got` from a one-component run, `want` from a two-component run: the
     node rows u, v the same as the first components, whose second
     components are +0.0, and the same marched potential rows A_0, A_1, A_3
-    and their sources, whose A_2 is +0.0 and S_2 a zero."""
+    and their sources, whose A_2 is +0.0 and S_2 a zero, and the same
+    densities."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        m, first, u, v, A, S = g
+        m, first, u, v, A, S, dens = g
         assert (m, first) == w[:2]
         for name, a, b in zip(("u", "v"), (u, v), w[2:4]):
             assert a.ndim == 1 and b.shape == (2, a.size), (m, name)
@@ -971,6 +1000,7 @@ def _same_states(got, want):
         assert _same_bits(w[4][2], np.zeros_like(w[4][2])), (m, "A_2")
         assert _same_bits(S, w[5][MARCHED[3]]), (m, "S")
         assert not w[5][2].any(), m  # zeros of either sign
+        assert _same_bits(dens, w[6]), (m, "dens")
 
 
 def _snapshots_hold_states(snaps, states):
@@ -978,7 +1008,7 @@ def _snapshots_hold_states(snaps, states):
     component 0 and its rows A in A_0, A_1, A_3, on the state's window, and
     +0.0 everywhere else."""
     assert len(snaps.times) == len(states)
-    for m, first, u, v, A, _ in states:
+    for m, first, u, v, A, *_ in states:
         end = first + u.size
         for snap, rows, marched in ((snaps.u[m], [0], u), (snaps.v[m], [0], v), (snaps.A[m], MARCHED[3], A)):
             want = np.zeros_like(snap)
@@ -993,21 +1023,22 @@ def test_dim3_first_components_bitwise_equal_to_two_components(mode, M):
     fam = DataFamily(dim=3, eps=0.05, M=M, potential_mode=mode)
 
     def run(*snapshots):
-        gauge, rec = GaugeMonitor(), _StateRecorder()
-        return evolve(fam, grid, observers=(gauge, rec, *snapshots)), gauge.series(), rec.states
+        gauge, rec, series = GaugeMonitor(), _StateRecorder(), Series(grid, 3)
+        traj = evolve(fam, grid, observers=(gauge, rec, series, *snapshots))
+        return traj, series.series(), gauge.series(), rec.states
 
     snaps = Snapshots(grid, 3, every_level(grid))
-    one, one_gauge, one_states = run(snaps)
+    one, one_series, one_gauge, one_states = run(snaps)
     with march_two_components():
         # no snapshots: a snapshot's component 0 takes a node row, not the
         # reference's two rows; its states stand for them
-        two, two_gauge, two_states = run()
+        two, two_series, two_gauge, two_states = run()
     assert one_states[0][2].ndim == 1 and two_states[0][2].shape[0] == 2
     assert one.meta["window"] == two.meta["window"]
     assert one.meta["window"][0] > 0  # the support cone, with GaugeMonitor too
-    assert one.series.keys() == two.series.keys()
-    for key in two.series:
-        assert _same_bits(one.series[key], two.series[key]), key
+    assert one_series.keys() == two_series.keys()
+    for key in two_series:
+        assert _same_bits(one_series[key], two_series[key]), key
     assert _same_bits(one_gauge, two_gauge)
     _same_states(one_states, two_states)
     _snapshots_hold_states(snaps, one_states)
@@ -1053,7 +1084,7 @@ def test_observers_see_the_marched_components(two):
     with march_two_components() if two else contextlib.nullcontext():
         for rec, whole_line in ((_StateRecorder(), True), (_StateRecorder([(ConeRegion(-0.3, 0.2), 8)]), False)):
             traj = evolve(fam, grid, observers=(rec,))
-            assert bool(traj.series) == whole_line  # only whole-line runs record series
+            assert (_read_hull(grid, (rec,)) == (0, grid.n + 1, grid.steps)) == whole_line
             assert len(rec.states) == traj.meta["window"][2] + 1
             for m, first, u, v, *_ in rec.states:
                 assert u.shape[:-1] == v.shape[:-1] == ((2,) if two else ()), m
@@ -1083,8 +1114,9 @@ def test_dim3_nonzero_second_component_datum_marches_both(field, row):
 
 def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
     grid = GridSpec(L=2.56, n=128, t_max=0.12)
-    traj, snaps = snapshot_run(DataFamily(dim=3, eps=0.1, M=1.0), grid, (0.0, 0.12))
-    paths = trajectory_to_csv(traj, snaps, tmp_path / "run", config_hash="cafe")
+    series = Series(grid, 3)
+    traj, snaps = snapshot_run(DataFamily(dim=3, eps=0.1, M=1.0), grid, (0.0, 0.12), observers=(series,))
+    paths = trajectory_to_csv(traj, snaps, series, tmp_path / "run", config_hash="cafe")
     for k, t in enumerate(snaps.times.tolist()):
         cols = [grid.nodes()]
         for w in (snaps.u[k], snaps.v[k]):
@@ -1100,21 +1132,22 @@ def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
 
 
 # 8-byte rows per node that a dim-3 whole-line `evolve` may hold at its peak
-# (M = 1, no snapshots, n = 2^14, 16 steps).  Measured with tracemalloc on
-# numpy 2.4.6 (x86-64): 32.4 rows when it marches (A_0, A_1, A_3) and lets
-# the datum rows and the transport sources go once read, 45.2 when it
-# marched A_2 too and held them for the whole run
+# (M = 1, a `Series` and no snapshots, n = 2^14, 16 steps).  Measured with
+# tracemalloc on numpy 2.4.6 (x86-64): 32.4 rows when it marches (A_0, A_1,
+# A_3) and lets the datum rows and the transport sources go once read, 45.2
+# when it marched A_2 too and held them for the whole run
 EVOLVE_ROWS = 36
 
 
 def test_dim3_whole_line_memory_is_a_few_rows():
     grid = GridSpec(L=2.56, n=2**14, t_max=16 * 2.0 * 2.56 / 2**14)
     fam = DataFamily(dim=3, eps=0.01, M=1.0)
+    series = Series(grid, 3)
     tracemalloc.start()
     try:
-        traj = evolve(fam, grid)
+        traj = evolve(fam, grid, observers=(series,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.meta["window"][2] == 16 and "sup_A3" in traj.series  # whole line, 16 steps
+    assert traj.meta["window"][2] == 16 and "sup_A3" in series.series()  # whole line, 16 steps
     assert peak <= EVOLVE_ROWS * (grid.n + 1) * 8

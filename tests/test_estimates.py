@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from maxdirac1d import DataFamily, GridSpec, evolve
-from maxdirac1d.cone_solver import cone_quadrature, cumulative_trapezoid, shift
+from maxdirac1d.cone_solver import Series, cone_quadrature, cumulative_trapezoid, shift
 from maxdirac1d.estimates import (
     EstimateReport,
     _cone_height,
@@ -52,9 +52,10 @@ GRID_TALL = GridSpec(L=2.56, n=256, t_max=0.64)
 
 @pytest.fixture(scope="module")
 def massless_run():
-    """(trajectory, snapshots of every level) of a massless run on GRID."""
+    """(trajectory, snapshots of every level, series) of a massless run on GRID."""
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
-    return snapshot_run(fam, GRID)
+    series = Series(GRID, fam.dim)
+    return (*snapshot_run(fam, GRID, observers=(series,)), series)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +147,15 @@ def test_energy_equality_for_free_flow():
 
 
 def test_energy_on_trajectory_requires_history(massless_run):
-    traj, snaps = massless_run
-    rep = check_energy_inequality(traj, snaps=snaps)
+    traj, snaps, series = massless_run
+    rep = check_energy_inequality(traj, snaps=snaps, series=series)
     assert rep.passed
     fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     bare = evolve(fam, GRID)
     with pytest.raises(ValueError, match="snapshot at every level"):
         check_energy_inequality(bare)
+    with pytest.raises(ValueError, match="needs its series"):
+        check_energy_inequality(traj, snaps=snaps)
 
 
 def test_energy_tuple_requires_grid():
@@ -313,20 +316,23 @@ def test_nullform_refinement_converges():
 
 def test_gronwall_saturates_for_longitudinal_flow(massless_run):
     # massless data stays longitudinal: zero transverse rate, conserved L^1
-    rep = check_gronwall_l1(massless_run[0])
+    traj, _, series = massless_run
+    rep = check_gronwall_l1(traj, series)
     assert rep.passed
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gronwall_needs_transverse_potentials():
+def test_gronwall_needs_transverse_potentials(massless_run):
     fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
     traj, _ = snapshot_run(fam, GRID)
     with pytest.raises(ValueError, match="dim 2 or 3"):
         check_gronwall_l1(traj)
+    with pytest.raises(ValueError, match="series of a whole-line run"):
+        check_gronwall_l1(massless_run[0])
 
 
 def test_bootstrap_bound_ratio_one_third(massless_run):
-    traj, snaps = massless_run
+    traj, snaps, _ = massless_run
     rep = check_bootstrap_bound(traj, 0.5, snaps)
     # massless transport pins the windowed sup at f_eps(rho)^2 = rhs/3
     assert rep.lhs == pytest.approx(1.0 / math.sqrt(0.1**2 + 0.25), abs=1e-12)
@@ -335,7 +341,7 @@ def test_bootstrap_bound_ratio_one_third(massless_run):
 
 
 def test_bootstrap_bound_guards(massless_run):
-    traj, snaps = massless_run
+    traj, snaps, _ = massless_run
     tall = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
     wide = GridSpec(L=2.72, n=272, t_max=0.64)
     traj_tall, snaps_tall = snapshot_run(tall, wide)

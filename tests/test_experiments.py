@@ -236,7 +236,7 @@ def test_transverse_monitor_records_zero_past_t_1():
     A = np.ones((3, x.size))
     mon = TransverseMonitor()
     for m, t in enumerate((0.5, 1.0, 1.25)):
-        mon.on_level(LevelState(m, t, x, None, None, A, None, 0), None)
+        mon.on_level(LevelState(m=m, t=t, x=x, u=None, v=None, A=A, S=None, dens=None, first=0), None)
     assert mon.series().tolist() == [1.0, 1.0, 0.0]
 
 
@@ -348,7 +348,7 @@ def test_free_a0_matches_the_march(dim, case):
     marched, summed = ProbeMonitor(plan.probes, grid), ProbeMonitor(plan.probes, grid)
     traj = evolve(fam, grid, observers=(marched,))
     if case == "narrow_cutoff":
-        first, end, _, _ = _read_hull(grid, (marched,))
+        first, end, _ = _read_hull(grid, (marched,))
         assert end - first > traj.meta["window"][1] - traj.meta["window"][0]
 
     a0 = free_a0(fam, grid, marched.cells)

@@ -14,8 +14,8 @@ speed over the run weighs on both sides alike.  The configs cover
 `--oracle`; massless zero-mode `simulate` runs, which march free transport
 on the whole line, in dims 1-3 and in dim 3 with `--oracle` too;
 `simulate_no_snapshots`, a dim-2 `simulate` with neither `snapshot_times`
-nor `--oracle`, whose one observer keeps no level and which writes no
-snapshot; the benchmark's dim-3 n = 16384 simulate run, with and without
+nor `--oracle`, whose two observers are a `Snapshots` that keeps no level
+and the `Series`, and which writes no snapshot; the benchmark's dim-3 n = 16384 simulate run, with and without
 `--oracle`; a dim-2 `--oracle` run with t_max = 0, which computes one level
 only; `--oracle` runs in dims 2 and 3 whose cutoff is so narrow that the
 oracle's vertex cones reach past the marched support cone; default-claims
