@@ -1,36 +1,30 @@
-"""Print the gamma representations and check the Clifford relations.
+"""Print the u-v coupling that the transport kernels apply, per dimension.
 
-Shows the matrices used in each dimension, the anticommutator table for
-d = 2, and the (exactly zero) deviation reported by the verifier.
+The reduced transport equations
+
+    (dt + dx) u = i(A_0 + A_1) u + C v,   (dt - dx) v = i(A_0 - A_1) v + D u
+
+couple u and v through `coupling(dim, A, M)`: the maps C and D on node rows,
+and k2.  On a sample row of the marched potentials, (A_0, A_1) in dim 1 and
+(A_0, A_1, A_T) in dims 2 and 3, the script prints what C and D multiply a
+row by, and checks numerically that D = -C^dagger (the coupling is
+anti-hermitian, which conserves the charge) and that DC = -k2.
 """
 
 import numpy as np
 
-from maxdirac1d.gamma_algebra import gamma_matrices, verify_clifford
+from maxdirac1d import coupling
 
-np.set_printoptions(linewidth=100)
+M = 1.0
+x = np.linspace(-0.8, 0.8, 5)
+rng = np.random.default_rng(0)
+w = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)  # a sample half-spinor row
+rows = [np.cos(x), 0.5 * x, np.sin(np.pi * x)]  # A_0, A_1, A_T
 
-for d in (1, 2, 3):
-    gs = gamma_matrices(d)
-    rep = verify_clifford(gs)
-    print(f"d = {d}: {len(gs.gammas)} matrices of size {gs.size}, "
-          f"relations ok = {rep.ok}, max deviation = {rep.max_deviation}")
-
-print()
-print("d = 2 anticommutator table ({g^a, g^b} / 2)[0, 0] (should be the metric):")
-gs = gamma_matrices(2)
-n = len(gs.gammas)
-table = np.zeros((n, n))
-for a in range(n):
-    for b in range(n):
-        half = (gs.gammas[a] @ gs.gammas[b] + gs.gammas[b] @ gs.gammas[a]) / 2.0
-        table[a, b] = half[0, 0].real
-print(table)
-
-print()
-print("g^0 for d = 3 (block structure swaps the u and v pairs):")
-print(gamma_matrices(3).gammas[0])
-
-rep = verify_clifford(gamma_matrices(3))
-print()
-print(f"d = 3 verifier checked {len(rep.entries)} identities, failures: {rep.failures()}")
+for dim in (1, 2, 3):
+    C, D, k2 = coupling(dim, rows[: 2 if dim == 1 else 3], M)
+    c, d = C(np.ones(x.size)), D(np.ones(x.size))
+    print(f"d = {dim}: C multiplies by {np.round(c, 3)}")
+    print(f"       D multiplies by {np.round(d, 3)}")
+    print(f"       sup |D + C^dagger| = {np.abs(d + np.conj(c)).max():.1e}, "
+          f"sup |DCw + k2 w| = {np.abs(D(C(w)) + k2 * w).max():.1e}")

@@ -9,13 +9,9 @@ potentials and a persistent spinor modulus.
 """
 
 from .gamma_algebra import (
-    CliffordReport,
-    GammaSet,
     coupling,
-    gamma_matrices,
     spinor_components,
     spinor_rhs,
-    verify_clifford,
     wave_sources,
 )
 from .initial_data import (

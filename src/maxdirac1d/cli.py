@@ -203,8 +203,8 @@ def _check(value, key: Key, loc: str) -> None:
 # all its snapshot levels.  A dim-3 whole-line `simulate` (M = 1, 16 steps)
 # at n = 2^18 grew the peak RSS of a fresh process past its RSS after
 # import by 251-255 B per node with no snapshots, about 4.2 GB at the cap,
-# and by 377-400 with two (numpy 2.4.6 on Linux x86-64).  ROADMAP item 7's deepest ladder rung
-# (eps = 10^-4.5 at h/eps = 64, T = 0.05) has 8,500,204 nodes.
+# and by 377-400 with two (numpy 2.4.6 on Linux x86-64).  The deepest claim-3
+# ladder rung, eps = 10^-4.5 at h/eps = 64 and T = 0.05, has 8,500,204 nodes.
 MAX_NODES = 2**24
 
 

@@ -7,10 +7,12 @@ The system couples a spinor psi = (u, v) to potentials A_0..A_d through
 
 with metric signature (+, -, ..., -).  After diagonalising g0 g1 the spinor
 splits into a right-mover u and a left-mover v, each with one complex
-component for d = 1, 2 and two for d = 3.  This module holds the concrete
-matrices, the Clifford-relation verifier, the wave sources, and `coupling`:
-the u-v coupling, built in this one place from one transverse row in every
-dim, which the transport sources and the solver apply.
+component for d = 1, 2 and two for d = 3.  This module holds the wave
+sources and `coupling`: the u-v coupling in closed form, built in this one
+place from one transverse row in every dim, which the transport sources and
+the solver apply.  No kernel multiplies by a gamma matrix; the concrete
+matrices and their Clifford verifier are the tests' oracle for these closed
+forms (`tests/lemmas.py`).
 
 The kernels march one spinor component in every dim, a node row like each
 potential row, (A_0, A_1) in dim 1 and (A_0, A_1, A_T) in dims 2 and 3, where
@@ -28,30 +30,14 @@ components, S_0, S_1 and S_3 bit for bit as the two-component ones do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "GammaSet",
-    "CliffordReport",
-    "gamma_matrices",
-    "verify_clifford",
     "spinor_components",
     "coupling",
     "spinor_rhs",
     "wave_sources",
 ]
-
-# 2x2 building blocks; entries are exact small Gaussian integers so that all
-# Clifford checks come out to exactly zero in floating point.
-_G0_2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_G1_2 = np.array([[0, -1], [1, 0]], dtype=complex)
-_G2_2 = np.array([[1j, 0], [0, -1j]], dtype=complex)
-_RHO = np.array([[0, -1], [1, 0]], dtype=complex)
-_KAPPA = np.array([[1j, 0], [0, -1j]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-_Z2 = np.zeros((2, 2), dtype=complex)
 
 
 def _check_dim(dim: int) -> None:
@@ -68,95 +54,6 @@ def spinor_components(dim: int) -> int:
 # the physical index mu of each marched potential row, per dim: (A_0, A_1)
 # in dim 1 and (A_0, A_1, A_T) in dims 2 and 3, A_T = A_dim (module docstring)
 _POTENTIAL_ROWS = {1: (0, 1), 2: (0, 1, 2), 3: (0, 1, 3)}
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """Gamma matrices g^0..g^dim for one spatial dimension count.
-
-    For dim = 3 the auxiliary 2x2 blocks rho and kappa (with rho^2 = kappa^2 =
-    -I, rho kappa = -kappa rho, both anti-hermitian) are exposed as well; they
-    act on the components of u and v in the reduced transport equations.
-    """
-
-    dim: int
-    gammas: tuple[np.ndarray, ...]
-    rho: np.ndarray | None = None
-    kappa: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.gammas[0].shape[0]
-
-
-def gamma_matrices(dim: int) -> GammaSet:
-    """Return the concrete gamma matrices used throughout the package."""
-    _check_dim(dim)
-    if dim == 1:
-        return GammaSet(1, (_G0_2.copy(), _G1_2.copy()))
-    if dim == 2:
-        return GammaSet(2, (_G0_2.copy(), _G1_2.copy(), _G2_2.copy()))
-    g0 = np.block([[_Z2, _I2], [_I2, _Z2]])
-    g1 = np.block([[_Z2, -_I2], [_I2, _Z2]])
-    g2 = np.block([[_RHO, _Z2], [_Z2, -_RHO]])
-    g3 = np.block([[_KAPPA, _Z2], [_Z2, -_KAPPA]])
-    return GammaSet(3, (g0, g1, g2, g3), rho=_RHO.copy(), kappa=_KAPPA.copy())
-
-
-@dataclass
-class CliffordReport:
-    """Outcome of the algebraic verification of a GammaSet."""
-
-    dim: int
-    entries: list[tuple[str, float]] = field(default_factory=list)
-
-    @property
-    def max_deviation(self) -> float:
-        return max((d for _, d in self.entries), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_deviation == 0.0
-
-    def failures(self) -> list[tuple[str, float]]:
-        return [(name, dev) for name, dev in self.entries if dev != 0.0]
-
-
-def _dev(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
-
-
-def verify_clifford(gs: GammaSet) -> CliffordReport:
-    """Check anticommutators, hermiticity and the rho/kappa block algebra.
-
-    All matrix entries are exact in binary floating point, so every deviation
-    reported here is exactly 0.0 for a correct GammaSet.
-    """
-    report = CliffordReport(gs.dim)
-    n = gs.size
-    eye = np.eye(n, dtype=complex)
-    metric = [1.0] + [-1.0] * gs.dim
-    for mu in range(gs.dim + 1):
-        for nu in range(mu, gs.dim + 1):
-            anti = gs.gammas[mu] @ gs.gammas[nu] + gs.gammas[nu] @ gs.gammas[mu]
-            target = (2.0 * metric[mu] if mu == nu else 0.0) * eye
-            report.entries.append((f"anticommutator({mu},{nu})", _dev(anti, target)))
-    report.entries.append(("hermitian(0)", _dev(gs.gammas[0].conj().T, gs.gammas[0])))
-    for j in range(1, gs.dim + 1):
-        report.entries.append(
-            (f"antihermitian({j})", _dev(gs.gammas[j].conj().T, -gs.gammas[j]))
-        )
-    if gs.dim == 3:
-        if gs.rho is None or gs.kappa is None:
-            raise ValueError("dim-3 GammaSet must carry rho and kappa blocks")
-        report.entries.append(("rho_antihermitian", _dev(gs.rho.conj().T, -gs.rho)))
-        report.entries.append(("kappa_antihermitian", _dev(gs.kappa.conj().T, -gs.kappa)))
-        report.entries.append(("rho_square", _dev(gs.rho @ gs.rho, -_I2)))
-        report.entries.append(("kappa_square", _dev(gs.kappa @ gs.kappa, -_I2)))
-        report.entries.append(
-            ("rho_kappa_anticommute", _dev(gs.rho @ gs.kappa + gs.kappa @ gs.rho, _Z2))
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,12 @@ with them:
   rows, which read A_2, against which the one-row march of `gamma_algebra`
   on its rows A[MARCHED[3]] is held bitwise.  They keep a component axis,
   (..., 2, n), where the kernels take node rows (..., n), and sum their
-  densities over it; `march_two_components` makes `evolve` march them.
+  densities over it; `march_two_components` makes `evolve` march them;
+* `gamma_matrices` and `verify_clifford`: the concrete gamma matrices of
+  the paper's equations (a `GammaSet`) and the exact check of their
+  Clifford relations (a `CliffordReport`), the oracle of `interaction_term`
+  and of the transport-source tests, which hold `gamma_algebra.spinor_rhs`,
+  and with it the closed-form `coupling`, to the Dirac operator they build.
 
 One observer goes with them: `GaugeMonitor`, the Lorenz-gauge residual over
 a cone's cross-sections (`node_slice`), which criterion 05 reads.  A cone is
@@ -60,7 +65,7 @@ Not a test module: pytest does not collect it, and the tests import it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -69,7 +74,7 @@ from maxdirac1d import cone_solver
 from maxdirac1d.cone_solver import LevelState, Series, Snapshots, Trajectory, cumulative_trapezoid, dirac_levels, l2_norm, trapezoid
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
-from maxdirac1d.gamma_algebra import GammaSet, _coupling_maps, gamma_matrices, spinor_components
+from maxdirac1d.gamma_algebra import _check_dim, _coupling_maps, spinor_components
 from maxdirac1d.initial_data import CutoffSpec, GridSpec, potential_data, spinor_datum
 
 # the physical index mu of each potential row the kernels march, per dim:
@@ -405,6 +410,106 @@ def modulus_rhs(dim: int, A, u, v, M: float) -> tuple[np.ndarray, np.ndarray]:
     else:
         su = 2.0 * np.real(np.conj(u) * _coupling_maps(dim, A, M)[0](v))
     return su, -su
+
+
+# 2x2 building blocks; entries are exact small Gaussian integers so that all
+# Clifford checks come out to exactly zero in floating point.
+_G0_2 = np.array([[0, 1], [1, 0]], dtype=complex)
+_G1_2 = np.array([[0, -1], [1, 0]], dtype=complex)
+_G2_2 = np.array([[1j, 0], [0, -1j]], dtype=complex)
+_RHO = np.array([[0, -1], [1, 0]], dtype=complex)
+_KAPPA = np.array([[1j, 0], [0, -1j]], dtype=complex)
+_I2 = np.eye(2, dtype=complex)
+_Z2 = np.zeros((2, 2), dtype=complex)
+
+
+@dataclass(frozen=True)
+class GammaSet:
+    """Gamma matrices g^0..g^dim for one spatial dimension count.
+
+    For dim = 3 the auxiliary 2x2 blocks rho and kappa (with rho^2 = kappa^2 =
+    -I, rho kappa = -kappa rho, both anti-hermitian) are exposed as well; they
+    act on the components of u and v in the reduced transport equations.
+    """
+
+    dim: int
+    gammas: tuple[np.ndarray, ...]
+    rho: np.ndarray | None = None
+    kappa: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return self.gammas[0].shape[0]
+
+
+def gamma_matrices(dim: int) -> GammaSet:
+    """Return the concrete gamma matrices of the paper's equations."""
+    _check_dim(dim)
+    if dim == 1:
+        return GammaSet(1, (_G0_2.copy(), _G1_2.copy()))
+    if dim == 2:
+        return GammaSet(2, (_G0_2.copy(), _G1_2.copy(), _G2_2.copy()))
+    g0 = np.block([[_Z2, _I2], [_I2, _Z2]])
+    g1 = np.block([[_Z2, -_I2], [_I2, _Z2]])
+    g2 = np.block([[_RHO, _Z2], [_Z2, -_RHO]])
+    g3 = np.block([[_KAPPA, _Z2], [_Z2, -_KAPPA]])
+    return GammaSet(3, (g0, g1, g2, g3), rho=_RHO.copy(), kappa=_KAPPA.copy())
+
+
+@dataclass
+class CliffordReport:
+    """Outcome of the algebraic verification of a GammaSet."""
+
+    dim: int
+    entries: list[tuple[str, float]] = field(default_factory=list)
+
+    @property
+    def max_deviation(self) -> float:
+        return max((d for _, d in self.entries), default=0.0)
+
+    @property
+    def ok(self) -> bool:
+        return self.max_deviation == 0.0
+
+    def failures(self) -> list[tuple[str, float]]:
+        return [(name, dev) for name, dev in self.entries if dev != 0.0]
+
+
+def _dev(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max())
+
+
+def verify_clifford(gs: GammaSet) -> CliffordReport:
+    """Check anticommutators, hermiticity and the rho/kappa block algebra.
+
+    All matrix entries are exact in binary floating point, so every deviation
+    reported here is exactly 0.0 for a correct GammaSet.
+    """
+    report = CliffordReport(gs.dim)
+    n = gs.size
+    eye = np.eye(n, dtype=complex)
+    metric = [1.0] + [-1.0] * gs.dim
+    for mu in range(gs.dim + 1):
+        for nu in range(mu, gs.dim + 1):
+            anti = gs.gammas[mu] @ gs.gammas[nu] + gs.gammas[nu] @ gs.gammas[mu]
+            target = (2.0 * metric[mu] if mu == nu else 0.0) * eye
+            report.entries.append((f"anticommutator({mu},{nu})", _dev(anti, target)))
+    report.entries.append(("hermitian(0)", _dev(gs.gammas[0].conj().T, gs.gammas[0])))
+    for j in range(1, gs.dim + 1):
+        report.entries.append(
+            (f"antihermitian({j})", _dev(gs.gammas[j].conj().T, -gs.gammas[j]))
+        )
+    if gs.dim == 3:
+        if gs.rho is None or gs.kappa is None:
+            raise ValueError("dim-3 GammaSet must carry rho and kappa blocks")
+        report.entries.append(("rho_antihermitian", _dev(gs.rho.conj().T, -gs.rho)))
+        report.entries.append(("kappa_antihermitian", _dev(gs.kappa.conj().T, -gs.kappa)))
+        report.entries.append(("rho_square", _dev(gs.rho @ gs.rho, -_I2)))
+        report.entries.append(("kappa_square", _dev(gs.kappa @ gs.kappa, -_I2)))
+        report.entries.append(
+            ("rho_kappa_anticommute", _dev(gs.rho @ gs.kappa + gs.kappa @ gs.rho, _Z2))
+        )
+    return report
 
 
 def interaction_term(gs: GammaSet, A, u, v) -> tuple[np.ndarray, np.ndarray]:

@@ -29,10 +29,9 @@ from maxdirac1d.experiments import (
     gauss_divergence,
     run_sweep,
 )
-from maxdirac1d.gamma_algebra import gamma_matrices, verify_clifford
 from maxdirac1d.initial_data import chi, f_eps
 
-from lemmas import GaugeMonitor, a0_exact, series_run, snapshot_run
+from lemmas import GaugeMonitor, a0_exact, gamma_matrices, series_run, snapshot_run, verify_clifford
 from picard import picard_solve
 
 CAMPAIGN_CELLS = ((2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0))

@@ -344,7 +344,7 @@ def test_s_values_sharing_a_column_label_name_the_later_one(tmp_path):
 def test_node_cap_at_its_boundary(tmp_path, monkeypatch):
     # loading builds GridSpecs only: nothing the size of a grid is allocated
     cap = cli.MAX_NODES
-    assert cap >= 4_900_000  # ROADMAP item 2's deepest rung, eps = 10^-4.5 at h/eps = 64
+    assert cap >= 4_900_000  # the deepest claim-3 ladder rung, eps = 10^-4.5 at h/eps = 64
     fits, over = cap - 2, cap  # even n with n + 1 nodes on either side of the cap
     for n, ok in ((fits, True), (over, False)):
         cases = [

@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdirac1d import (
-    GammaSet,
-    coupling,
-    gamma_matrices,
-    spinor_components,
-    spinor_rhs,
-    verify_clifford,
-    wave_sources,
-)
+from maxdirac1d import coupling, spinor_components, spinor_rhs, wave_sources
 
 from lemmas import (
     MARCHED,
+    GammaSet,
+    gamma_matrices,
     interaction_term,
     march_two_components,
     modulus_rhs,
@@ -26,6 +20,7 @@ from lemmas import (
     two_component_coupling,
     two_component_rhs,
     two_component_sources,
+    verify_clifford,
 )
 
 ETA = {0: 1.0, 1: -1.0, 2: -1.0, 3: -1.0}

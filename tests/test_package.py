@@ -1,12 +1,11 @@
 """The package's public names: every module's `__all__` resolves, and every
-name in it has a caller in the program itself; and what importing the
-command line loads."""
+name in it has a caller in the package's own modules; and what importing
+the command line loads."""
 
 import ast
 import importlib
 import os
 import pkgutil
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # __main__ runs the command line on import
 MODULES = sorted(m.name for m in pkgutil.iter_modules(maxdirac1d.__path__) if m.name != "__main__")
-
-TRACER_TARGET = re.compile(r"[a-z_]+:([A-Za-z_][\w.]*)")  # "module:qualname", as bench/tracing.py names them
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,11 +32,10 @@ def test_star_import_gives_every_name_in_all(name):
 
 def _program_names() -> set[str]:
     """Every name the program's code reads: each Name, Attribute and import
-    alias in the package modules (not `__init__`), the demos, the tools and
-    the benchmark, and each part of a tracer target's qualname."""
+    alias in the package modules `src/maxdirac1d/*.py` (not `__init__`).
+    Demos, tools, the benchmark and the tests are readers of the package,
+    not its callers: a name only they read does not belong in `src/`."""
     paths = [p for p in (ROOT / "src" / "maxdirac1d").glob("*.py") if p.name != "__init__.py"]
-    for folder in ("demos", "tools", "bench"):
-        paths += (ROOT / folder).rglob("*.py")
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -49,10 +45,6 @@ def _program_names() -> set[str]:
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.update(node.name.split("."))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                target = TRACER_TARGET.fullmatch(node.value)
-                if target:
-                    names.update(target.group(1).split("."))
     return names
 
 

@@ -40,7 +40,9 @@ RSS; `verify` recomputing each dim-2 sweep's verdicts from its
 files; and `norms`.  Each run's wall time and peak RSS (the child's own
 maximum resident set, from `os.wait4`) are printed side by side for the two
 revisions, then the line count of each `src/maxdirac1d/*.py` module and
-their total on both, then every difference (a file that only one revision
+their total on both, and the total line count of the `*.py` files under
+each of `tests/`, `demos/` and `tools/`, so that code moved out of `src/`
+shows where it went; then every difference (a file that only one revision
 wrote is named with it) and the count of files the two wrote between them.
 A JSON or CSV file whose bytes differ is also given the largest relative
 difference |a - b| / max(|a|, |b|) over its numbers (JSON values, CSV
@@ -283,15 +285,24 @@ def differences(outs: list[str], revs: list[str]) -> tuple[list[str], int]:
     return problems, len(names)
 
 
+def _lines(path: str) -> int:
+    with open(path, "rb") as fh:
+        return sum(1 for _ in fh)
+
+
 def source_lines(tree: str) -> dict[str, int]:
     """The line count of each `src/maxdirac1d/*.py` module of a checkout."""
     pkg = os.path.join(tree, "src", "maxdirac1d")
-    counts = {}
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), "rb") as fh:
-                counts[name] = sum(1 for _ in fh)
-    return counts
+    return {name: _lines(os.path.join(pkg, name)) for name in sorted(os.listdir(pkg)) if name.endswith(".py")}
+
+
+def folder_lines(tree: str) -> dict[str, int]:
+    """The total line count of the `*.py` files under each of a checkout's
+    `tests/`, `demos/` and `tools/` (0 for a folder it lacks)."""
+    return {
+        folder: sum(_lines(os.path.join(root, f)) for root, _, files in os.walk(os.path.join(tree, folder)) for f in files if f.endswith(".py"))
+        for folder in ("tests", "demos", "tools")
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -302,6 +313,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = [checkout(rev, os.path.join(tmp, f"tree{k}")) for k, rev in enumerate(revs)]
         lines = [source_lines(tree) for tree in trees]
+        folders = [folder_lines(tree) for tree in trees]
         run_dirs = [os.path.join(tmp, f"run{k}") for k in range(2)]
         runs: list[dict] = [{}, {}]
         for i, name in enumerate(CASES):
@@ -320,6 +332,8 @@ def main(argv: list[str]) -> int:
     for name in sorted(lines[0].keys() | lines[1].keys()):
         print(f"{name:<32}" + "".join(f"{side.get(name, '-'):>8}" for side in lines))
     print(f"{'total':<32}" + "".join(f"{sum(side.values()):>8}" for side in lines))
+    for folder in folders[0]:
+        print(f"{folder + '/ total':<32}" + "".join(f"{side[folder]:>8}" for side in folders))
     for line in problems:
         print(line)
     print(f"{len(CASES)} runs, {count} files: {'identical' if not problems else f'{len(problems)} differences'}")
