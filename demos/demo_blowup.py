@@ -36,12 +36,12 @@ fit = check_claim3(results, plan)
 print()
 print(f"A_0 at probe (t, x) = {probe}:")
 print(f"{'eps':>10} {'measured':>10} {'closed form':>12}")
-for j, eps in enumerate(fit.eps):
+for j, eps in enumerate(fit["eps"]):
     bound = a0_lower_bound(probe[0], probe[1], eps)
-    print(f"{eps:>10.3e} {fit.a0[0, j]:>10.5f} {bound:>12.5f}")
-print(f"fitted slope vs log(1/eps): {fit.slopes[0]:.5f} "
-      f"(required at least (x + t)/8 = {fit.slope_bounds[0]:.5f})")
-print(f"implied constant A_0 / |log eps| at the finest eps: {fit.implied_c:.5f}")
+    print(f"{eps:>10.3e} {fit['a0'][0][j]:>10.5f} {bound:>12.5f}")
+print(f"fitted slope vs log(1/eps): {fit['slopes'][0]:.5f} "
+      f"(required at least (x + t)/8 = {fit['slope_bounds'][0]:.5f})")
+print(f"implied constant A_0 / |log eps| at the finest eps: {fit['implied_c']:.5f}")
 
 print()
 print("meanwhile, per eps:")

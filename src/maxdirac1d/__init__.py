@@ -41,7 +41,6 @@ from .estimates import (
     run_wave_suite,
 )
 from .experiments import (
-    BlowupFit,
     SweepPlan,
     a0_lower_bound,
     check_claim1,

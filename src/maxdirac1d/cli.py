@@ -204,7 +204,7 @@ def _check(value, key: Key, loc: str) -> None:
 # at n = 2^18 grew the peak RSS of a fresh process past its RSS after
 # import by 251-255 B per node with no snapshots, about 4.2 GB at the cap,
 # and by 377-400 with two (numpy 2.4.6 on Linux x86-64).  The deepest claim-3
-# ladder rung, eps = 10^-4.5 at h/eps = 64 and T = 0.05, has 8,500,204 nodes.
+# ladder rung, eps = 10^-4.5 at h/eps = 64 and T = 0.05, has 8,500,205 nodes.
 MAX_NODES = 2**24
 
 
@@ -410,8 +410,8 @@ def cmd_simulate(ctx: dict, args) -> int:
     out = _out_dir(raw, args, "simulate")
     chash = config_hash({"command": "simulate", **raw})
     snaps, series = Snapshots(grid, fam.dim, raw.get("snapshot_times", ())), Series(grid, fam.dim)
-    traj = evolve(fam, grid, observers=(snaps, series, oracle) if oracle else (snaps, series))
-    paths = trajectory_to_csv(traj, snaps, series, out, config_hash=chash)
+    evolve(fam, grid, observers=(snaps, series, oracle) if oracle else (snaps, series))
+    paths = trajectory_to_csv(grid, snaps, series, out, config_hash=chash)
     q = series.series()["charge"]
     drift = float(np.max(np.abs(q - q[0])) / q[0]) if q[0] > 0 else 0.0
     manifest = {

@@ -235,8 +235,6 @@ class LevelState:
 
 @dataclass
 class Trajectory:
-    fam: DataFamily
-    grid: GridSpec
     times: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -449,9 +447,9 @@ class Series:
         for name, dens in zip(("l1_u", "l1_v"), lev.dens):
             np.sqrt(dens, out=nodes)
             self.values[name].append(float(trapezoid(self.row, self.h)))
-        A = dict(zip(self.rows, lev.A))
+        sups = dict(zip(self.rows, np.abs(lev.A).max(axis=-1).tolist()))
         for mu in range(self.dim + 1):
-            self.values[f"sup_A{mu}"].append(float(np.abs(A[mu]).max()) if mu in A else 0.0)
+            self.values[f"sup_A{mu}"].append(sups.get(mu, 0.0))
 
     def series(self) -> dict[str, np.ndarray]:
         return {name: np.asarray(values) for name, values in self.values.items()}
@@ -528,7 +526,7 @@ def evolve(fam: DataFamily, grid: GridSpec, *, observers=()) -> Trajectory:
             A_prev, A = A, A_next
 
     meta = {"window": (first, end, steps), "node_steps": (end - first) * steps}
-    return Trajectory(fam=fam, grid=grid, times=h * np.arange(steps + 1), meta=meta)
+    return Trajectory(times=h * np.arange(steps + 1), meta=meta)
 
 
 def free_a0(fam: DataFamily, grid: GridSpec, cells) -> dict[tuple[int, int], float] | None:
@@ -676,16 +674,16 @@ def cone_quadrature(level_values, h: float, vertex_level: int, vertex_node: int)
 # ---------------------------------------------------------------------------
 
 
-def trajectory_to_csv(traj: Trajectory, snaps: Snapshots, series: Series, directory, config_hash: str):
-    """One CSV per level of `snaps`, the `Snapshots` of the run `traj` (x,
+def trajectory_to_csv(grid: GridSpec, snaps: Snapshots, series: Series, directory, config_hash: str):
+    """One CSV per level of `snaps`, the `Snapshots` of a run on `grid` (x,
     Re/Im spinor components, potentials), plus a diagnostics CSV of the
-    series of its `Series` `series`, headed by config_hash.  Returns the
-    written paths."""
+    series of its `Series` `series`, one row per level from t = 0, headed
+    by config_hash.  Returns the written paths."""
     os.makedirs(directory, exist_ok=True)
     comments = (f"config_hash={config_hash}",)
     paths = []
     # every snapshot has the same x column: format it once, as write_csv would
-    x = list(map(repr, traj.grid.nodes().tolist())) if snaps.times.size else None
+    x = list(map(repr, grid.nodes().tolist())) if snaps.times.size else None
     for k, t in enumerate(snaps.times.tolist()):
         path = os.path.join(directory, f"snapshot_{k:03d}.csv")
         names, cols = ["x"], []
@@ -700,7 +698,8 @@ def trajectory_to_csv(traj: Trajectory, snaps: Snapshots, series: Series, direct
         paths.append(path)
     dpath = os.path.join(directory, "diagnostics.csv")
     columns = series.series()
-    block = np.column_stack([traj.times, *(columns[k] for k in sorted(columns))])
+    t = grid.h * np.arange(columns["charge"].size)  # the levels the series recorded
+    block = np.column_stack([t, *(columns[k] for k in sorted(columns))])
     write_csv(dpath, ["t", *sorted(columns)], block, comments)
     paths.append(dpath)
     return paths

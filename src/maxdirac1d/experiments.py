@@ -49,7 +49,6 @@ from .initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode, f_eps
 __all__ = [
     "SweepPlan",
     "SweepRecord",
-    "BlowupFit",
     "default_probes",
     "grid_for_eps",
     "pool_size",
@@ -471,47 +470,18 @@ def a0_lower_bound(t, x, eps):
     )
 
 
-@dataclass
-class BlowupFit:
-    """Per-probe blow-up series and least-squares fit of A_0 vs log(1/eps)."""
-
-    probes: tuple[tuple[float, float], ...]
-    eps: np.ndarray
-    a0: np.ndarray  # (probes, eps)
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    slope_bounds: np.ndarray  # (x + t)/8 per probe
-    lower_ok: np.ndarray  # (probes, eps) measured >= closed form
-    monotone: np.ndarray  # per probe, increasing as eps decreases
-    implied_c: float  # min over probes of A_0 / |log eps| at the finest eps
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.lower_ok.all() and (self.slopes >= self.slope_bounds).all())
-
-    def to_dict(self) -> dict:
-        return {
-            "probes": [list(p) for p in self.probes],
-            "eps": self.eps.tolist(),
-            "a0": self.a0.tolist(),
-            "slopes": self.slopes.tolist(),
-            "intercepts": self.intercepts.tolist(),
-            "slope_bounds": self.slope_bounds.tolist(),
-            "lower_ok": self.lower_ok.tolist(),
-            "monotone": self.monotone.tolist(),
-            "implied_c": self.implied_c,
-            "pass": self.passed,
-        }
-
-
-def check_claim3(results: list[SweepRecord], plan: SweepPlan) -> BlowupFit:
+def check_claim3(results: list[SweepRecord], plan: SweepPlan) -> dict:
     """Logarithmic blow-up of A_0 at the plan's probes, interior points of
-    {|x| < t}.
+    {|x| < t}, as plain JSON.
 
     Verifies the measured A_0 against the closed-form lower bound per
     epsilon, fits the slope against log(1/eps), and requires
     slope >= (x+t)/8 per probe.  Either potential mode will do: the closed
     form assumes vanishing A_0 data, a_0 = b_0 = 0, which both modes have.
+    `a0` and `lower_ok` (measured >= closed form) are (probes, eps) nested
+    lists; `slopes`, `intercepts`, `slope_bounds` ((x + t)/8) and
+    `monotone` (increasing as eps decreases) hold one entry per probe; and
+    `implied_c` is the min over probes of A_0 / |log eps| at the finest eps.
     """
     _require_claim3_ladder(len(results))
     probes = plan.probes
@@ -526,19 +496,19 @@ def check_claim3(results: list[SweepRecord], plan: SweepPlan) -> BlowupFit:
         slopes[k], intercepts[k] = np.polyfit(logs, a0[k], 1)
         bounds[k] = (x + t) / 8.0
         lower_ok[k] = a0[k] >= a0_lower_bound(t, x, eps)
-    monotone = np.array([bool((np.diff(a0[k]) > 0).all()) for k in range(len(probes))])
-    implied_c = float((a0[:, -1] / abs(math.log(eps[-1]))).min())
-    return BlowupFit(
-        probes=probes,
-        eps=eps,
-        a0=a0,
-        slopes=slopes,
-        intercepts=intercepts,
-        slope_bounds=bounds,
-        lower_ok=lower_ok,
-        monotone=monotone,
-        implied_c=implied_c,
-    )
+    monotone = [bool((np.diff(a0[k]) > 0).all()) for k in range(len(probes))]
+    return {
+        "probes": [list(p) for p in probes],
+        "eps": eps.tolist(),
+        "a0": a0.tolist(),
+        "slopes": slopes.tolist(),
+        "intercepts": intercepts.tolist(),
+        "slope_bounds": bounds.tolist(),
+        "lower_ok": lower_ok.tolist(),
+        "monotone": monotone,
+        "implied_c": float((a0[:, -1] / abs(math.log(eps[-1]))).min()),
+        "pass": bool(lower_ok.all() and (slopes >= bounds).all()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +603,7 @@ def verdicts(records: list[SweepRecord], plan: SweepPlan, claims) -> dict:
     checks = {
         "claim1": lambda: check_claim1(records, plan),
         "claim2": lambda: check_claim2(records, plan),
-        "claim3": lambda: check_claim3(records, plan).to_dict(),
+        "claim3": lambda: check_claim3(records, plan),
         "gauss": lambda: check_gauss(plan.eps_list),
     }
     return {name: checks[name]() for name in claims}

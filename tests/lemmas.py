@@ -75,7 +75,7 @@ from maxdirac1d.cone_solver import LevelState, Series, Snapshots, Trajectory, cu
 from maxdirac1d.estimates import EstimateReport, _cone_lhs, _energy_reports, _slack, _worst_levels
 from maxdirac1d.experiments import SweepPlan, grid_for_eps
 from maxdirac1d.gamma_algebra import _check_dim, _coupling_maps, spinor_components
-from maxdirac1d.initial_data import CutoffSpec, GridSpec, potential_data, spinor_datum
+from maxdirac1d.initial_data import CutoffSpec, DataFamily, GridSpec, potential_data, spinor_datum
 
 # the physical index mu of each potential row the kernels march, per dim:
 # A_0, A_1 and the transverse row A_T
@@ -537,19 +537,20 @@ def check_energy_inequality(
 ) -> EstimateReport:
     """Energy inequality for a Dirac run.
 
-    Accepts either a Trajectory with the `Snapshots` `snaps` of its every
-    level and its `Series` `series`, in which case the source is the full
-    potential coupling A_mu gamma^mu psi recomputed level by level, or the
-    (times, U, V, l2_psi, l2_F) tuple of an unbatched dirac_solve, in which
-    case the grid must be passed explicitly.
+    Accepts either a Trajectory on `grid` with the `Snapshots` `snaps` of
+    its every level and its `Series` `series`, in which case the source is
+    the full potential coupling A_mu gamma^mu psi recomputed level by level,
+    or the (times, U, V, l2_psi, l2_F) tuple of an unbatched dirac_solve.
+    Either way the grid must be passed explicitly.
     """
+    if grid is None:
+        raise ValueError("energy check needs the grid passed alongside")
     if isinstance(run, Trajectory):
         if snaps is None or snaps.times.size != run.times.size:
             raise ValueError("energy check on a trajectory needs a snapshot at every level")
         if series is None:
             raise ValueError("energy check on a trajectory needs its series")
-        grid = run.grid
-        gs = gamma_matrices(run.fam.dim)
+        gs = gamma_matrices(snaps.dim)
         l2_F = np.zeros(run.times.size)
         for m in range(run.times.size):
             Fu, Fv = interaction_term(gs, snaps.A[m], snaps.u[m], snaps.v[m])
@@ -557,21 +558,17 @@ def check_energy_inequality(
             l2_F[m] = math.sqrt(float(trapezoid(dens, grid.h)))
         l2_psi = np.sqrt(np.asarray(series.series()["charge"], dtype=float))
         return _energy_reports(l2_psi, l2_F, grid)[0]
-    if grid is None:
-        raise ValueError("synthetic runs need the grid passed alongside")
     _, _, _, l2_psi, l2_F = run
     return _energy_reports(np.asarray(l2_psi, dtype=float), np.asarray(l2_F, dtype=float), grid)[0]
 
 
-def check_gronwall_l1(traj: Trajectory, series: Series | None = None) -> EstimateReport:
+def check_gronwall_l1(fam: DataFamily, grid: GridSpec, series: Series | None = None) -> EstimateReport:
     """||u(t)||_1 + ||v(t)||_1 against the transverse-potential Gronwall
-    rate, on the `Series` `series` of the run `traj`."""
-    fam = traj.fam
+    rate, on the `Series` `series` of a run of `fam` on `grid`."""
     if fam.dim < 2:
         raise ValueError("gronwall check needs dim 2 or 3 (transverse potentials)")
     if series is None:
         raise ValueError("gronwall check needs the series of a whole-line run")
-    grid = traj.grid
     values = series.series()
     l1u = np.asarray(values["l1_u"], dtype=float)
     l1v = np.asarray(values["l1_v"], dtype=float)
@@ -582,24 +579,22 @@ def check_gronwall_l1(traj: Trajectory, series: Series | None = None) -> Estimat
     return _worst_levels("gronwall_l1", l1u + l1v, rhs, _slack(grid))[0]
 
 
-def check_bootstrap_bound(traj: Trajectory, rho: float, snaps: Snapshots | None = None) -> EstimateReport:
+def check_bootstrap_bound(fam: DataFamily, grid: GridSpec, rho: float, snaps: Snapshots | None = None) -> EstimateReport:
     """Off-origin modulus bound sup_{rho+t <= y <= 1-t} |psi|^2 <= 3 f_eps(rho)^2,
-    on the `Snapshots` `snaps` of every level of the run `traj`.
+    on the `Snapshots` `snaps` of every level of a run of `fam` on `grid`.
 
     Valid in the smallness regime 2(M+1) t_max < 1 with rho in (0, 1 - 2 t_max).
     """
-    fam = traj.fam
-    grid = traj.grid
     T = grid.t_max
     if 2.0 * (fam.M + 1.0) * T >= 1.0:
         raise ValueError("bootstrap regime requires 2(M+1) t_max < 1")
     if not 0.0 < rho < 1.0 - 2.0 * T:
         raise ValueError("rho must lie in (0, 1 - 2 t_max)")
-    if snaps is None or snaps.times.size != traj.times.size:
+    if snaps is None or snaps.times.size != grid.steps + 1:
         raise ValueError("bootstrap check needs a snapshot at every level")
     x = grid.nodes()
     lhs = 0.0
-    for m, t in enumerate(traj.times):
+    for m, t in enumerate(snaps.times):
         sel = (x >= rho + t) & (x <= 1.0 - t)
         dens = modulus_sq(fam.dim, snaps.u[m], snaps.v[m])
         lhs = max(lhs, float(dens[sel].max()))

@@ -231,7 +231,7 @@ def test_claim3_deep_massless_ladder_matches_the_closed_form():
         results = run_sweep(plan, claims=("claim3",))
         assert [rec.n for rec in results] == [2_688_000, 8_500_204]
         assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
-        assert check_claim3(results, plan).passed, dim
+        assert check_claim3(results, plan)["pass"], dim
     assert time.monotonic() - t0 < 10.0
 
 
@@ -242,7 +242,7 @@ def test_claim3_in_the_constrained_mode_matches_the_closed_form():
         plan = SweepPlan(dim, 0.0, eps_list=(1e-2, 10**-2.5), T=0.05, potential_mode="constrained")
         results = run_sweep(plan, claims=("claim3",))
         assert_a0_exact(plan.probes, plan.eps_list, np.stack([rec.probe_A0 for rec in results], axis=1))
-        assert check_claim3(results, plan).passed, dim
+        assert check_claim3(results, plan)["pass"], dim
 
 
 def _log_bound_coarse_tail(t, x, eps):
@@ -276,16 +276,16 @@ def test_criterion_09_a0_blowup_logarithmic_in_eps():
         fits[h_over_eps] = check_claim3(run_sweep(plan, claims=("claim3",)), plan)
 
     for found in fits.values():
-        assert_a0_exact((probe,), found.eps, found.a0)
+        assert_a0_exact((probe,), found["eps"], np.asarray(found["a0"]))
     fit = fits[16.0]
-    assert fit.lower_ok.all()
-    for j, eps in enumerate(fit.eps):
-        assert fit.a0[0, j] >= _log_bound_coarse_tail(probe[0], probe[1], eps)
-    assert fit.monotone.all()
-    assert fit.slopes[0] >= 0.005  # (x + t)/8 for this probe
-    assert fit.passed
+    assert np.all(fit["lower_ok"])
+    for j, eps in enumerate(fit["eps"]):
+        assert fit["a0"][0][j] >= _log_bound_coarse_tail(probe[0], probe[1], eps)
+    assert np.all(fit["monotone"])
+    assert fit["slopes"][0] >= 0.005  # (x + t)/8 for this probe
+    assert fit["pass"]
 
-    rel_change = abs(fits[32.0].slopes[0] - fit.slopes[0]) / fit.slopes[0]
+    rel_change = abs(fits[32.0]["slopes"][0] - fit["slopes"][0]) / fit["slopes"][0]
     assert rel_change < 0.02
     assert time.monotonic() - t0 < 600.0
 

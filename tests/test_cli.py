@@ -88,12 +88,11 @@ def test_simulate_writes_manifest_and_oracle(tmp_path, capsys):
     assert "charge drift" in capsys.readouterr().out
 
 
-def _a0_oracle_from_every_level(traj, snaps):
-    """The oracle deviation from a run whose `Snapshots` `snaps` kept every
-    level: half the cone quadrature of the charge density against A_0, at
-    the vertices of `cli.A0Oracle`."""
-    grid = traj.grid
-    dens = [modulus_sq(traj.fam.dim, snaps.u[m], snaps.v[m]) for m in range(len(snaps.times))]
+def _a0_oracle_from_every_level(grid, snaps):
+    """The oracle deviation from a run on `grid` whose `Snapshots` `snaps`
+    kept every level: half the cone quadrature of the charge density against
+    A_0, at the vertices of `cli.A0Oracle`."""
+    dens = [modulus_sq(snaps.dim, snaps.u[m], snaps.v[m]) for m in range(len(snaps.times))]
     center = grid.n // 2
     worst = 0.0
     for m in sorted({max(1, grid.steps // 2), grid.steps}):
@@ -114,7 +113,7 @@ def test_streamed_oracle_equals_every_level_quadrature(dim, mode):
     every_level, snaps = snapshot_run(fam, grid)
     assert streamed.meta["window"] == every_level.meta["window"]
     assert streamed.meta["window"][0] > 0  # the support cone
-    want = _a0_oracle_from_every_level(every_level, snaps)
+    want = _a0_oracle_from_every_level(grid, snaps)
     assert want > 0.0
     assert np.float64(oracle.deviation()).tobytes() == np.float64(want).tobytes()
 
@@ -344,7 +343,9 @@ def test_s_values_sharing_a_column_label_name_the_later_one(tmp_path):
 def test_node_cap_at_its_boundary(tmp_path, monkeypatch):
     # loading builds GridSpecs only: nothing the size of a grid is allocated
     cap = cli.MAX_NODES
-    assert cap >= 4_900_000  # the deepest claim-3 ladder rung, eps = 10^-4.5 at h/eps = 64
+    # the deepest claim-3 ladder rung, eps = 10^-4.5 at h/eps = 64 and T = 0.05
+    deepest = SweepPlan(2, 0.0, eps_list=(10**-4.5,), T=0.05, h_over_eps=64.0)
+    assert cap >= grid_for_eps(deepest, deepest.eps_list[0]).n + 1
     fits, over = cap - 2, cap  # even n with n + 1 nodes on either side of the cap
     for n, ok in ((fits, True), (over, False)):
         cases = [

@@ -349,9 +349,9 @@ def test_observer_sees_every_level():
 def test_snapshots_and_csv_export(tmp_path):
     grid = GridSpec(L=2.56, n=256, t_max=0.2)
     series = Series(grid, 2)
-    traj, snaps = snapshot_run(DataFamily(dim=2, eps=0.1, M=1.0), grid, (0.0, 0.1, 0.2), observers=(series,))
+    snaps = snapshot_run(DataFamily(dim=2, eps=0.1, M=1.0), grid, (0.0, 0.1, 0.2), observers=(series,))[1]
     assert snaps.times.tolist() == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
-    paths = trajectory_to_csv(traj, snaps, series, tmp_path, config_hash="cafe")
+    paths = trajectory_to_csv(grid, snaps, series, tmp_path, config_hash="cafe")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["diagnostics.csv", "snapshot_000.csv", "snapshot_001.csv", "snapshot_002.csv"]
     first = (tmp_path / "diagnostics.csv").read_text().splitlines()
@@ -1115,8 +1115,8 @@ def test_dim3_nonzero_second_component_datum_marches_both(field, row):
 def test_snapshot_csv_bytes_equal_write_csv(tmp_path):
     grid = GridSpec(L=2.56, n=128, t_max=0.12)
     series = Series(grid, 3)
-    traj, snaps = snapshot_run(DataFamily(dim=3, eps=0.1, M=1.0), grid, (0.0, 0.12), observers=(series,))
-    paths = trajectory_to_csv(traj, snaps, series, tmp_path / "run", config_hash="cafe")
+    snaps = snapshot_run(DataFamily(dim=3, eps=0.1, M=1.0), grid, (0.0, 0.12), observers=(series,))[1]
+    paths = trajectory_to_csv(grid, snaps, series, tmp_path / "run", config_hash="cafe")
     for k, t in enumerate(snaps.times.tolist()):
         cols = [grid.nodes()]
         for w in (snaps.u[k], snaps.v[k]):

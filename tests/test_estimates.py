@@ -48,14 +48,14 @@ from lemmas import (
 
 GRID = GridSpec(L=2.56, n=256, t_max=0.24)
 GRID_TALL = GridSpec(L=2.56, n=256, t_max=0.64)
+MASSLESS = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")  # the family of `massless_run`
 
 
 @pytest.fixture(scope="module")
 def massless_run():
     """(trajectory, snapshots of every level, series) of a massless run on GRID."""
-    fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
-    series = Series(GRID, fam.dim)
-    return (*snapshot_run(fam, GRID, observers=(series,)), series)
+    series = Series(GRID, MASSLESS.dim)
+    return (*snapshot_run(MASSLESS, GRID, observers=(series,)), series)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +148,13 @@ def test_energy_equality_for_free_flow():
 
 def test_energy_on_trajectory_requires_history(massless_run):
     traj, snaps, series = massless_run
-    rep = check_energy_inequality(traj, snaps=snaps, series=series)
+    rep = check_energy_inequality(traj, GRID, snaps=snaps, series=series)
     assert rep.passed
-    fam = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
-    bare = evolve(fam, GRID)
+    bare = evolve(MASSLESS, GRID)
     with pytest.raises(ValueError, match="snapshot at every level"):
-        check_energy_inequality(bare)
+        check_energy_inequality(bare, GRID)
     with pytest.raises(ValueError, match="needs its series"):
-        check_energy_inequality(traj, snaps=snaps)
+        check_energy_inequality(traj, GRID, snaps=snaps)
 
 
 def test_energy_tuple_requires_grid():
@@ -316,24 +315,23 @@ def test_nullform_refinement_converges():
 
 def test_gronwall_saturates_for_longitudinal_flow(massless_run):
     # massless data stays longitudinal: zero transverse rate, conserved L^1
-    traj, _, series = massless_run
-    rep = check_gronwall_l1(traj, series)
+    series = massless_run[2]
+    rep = check_gronwall_l1(MASSLESS, GRID, series)
     assert rep.passed
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gronwall_needs_transverse_potentials(massless_run):
+def test_gronwall_needs_transverse_potentials():
     fam = DataFamily(dim=1, eps=0.1, M=0.0, potential_mode="zero")
-    traj, _ = snapshot_run(fam, GRID)
     with pytest.raises(ValueError, match="dim 2 or 3"):
-        check_gronwall_l1(traj)
+        check_gronwall_l1(fam, GRID)
     with pytest.raises(ValueError, match="series of a whole-line run"):
-        check_gronwall_l1(massless_run[0])
+        check_gronwall_l1(MASSLESS, GRID)
 
 
 def test_bootstrap_bound_ratio_one_third(massless_run):
-    traj, snaps, _ = massless_run
-    rep = check_bootstrap_bound(traj, 0.5, snaps)
+    snaps = massless_run[1]
+    rep = check_bootstrap_bound(MASSLESS, GRID, 0.5, snaps)
     # massless transport pins the windowed sup at f_eps(rho)^2 = rhs/3
     assert rep.lhs == pytest.approx(1.0 / math.sqrt(0.1**2 + 0.25), abs=1e-12)
     assert rep.ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -341,17 +339,15 @@ def test_bootstrap_bound_ratio_one_third(massless_run):
 
 
 def test_bootstrap_bound_guards(massless_run):
-    traj, snaps, _ = massless_run
-    tall = DataFamily(dim=2, eps=0.1, M=0.0, potential_mode="zero")
+    snaps = massless_run[1]
     wide = GridSpec(L=2.72, n=272, t_max=0.64)
-    traj_tall, snaps_tall = snapshot_run(tall, wide)
+    snaps_tall = snapshot_run(MASSLESS, wide)[1]
     with pytest.raises(ValueError, match="2\\(M\\+1\\) t_max < 1"):
-        check_bootstrap_bound(traj_tall, 0.1, snaps_tall)
+        check_bootstrap_bound(MASSLESS, wide, 0.1, snaps_tall)
     with pytest.raises(ValueError, match="rho"):
-        check_bootstrap_bound(traj, 0.6, snaps)
-    bare = evolve(tall, GRID)
+        check_bootstrap_bound(MASSLESS, GRID, 0.6, snaps)
     with pytest.raises(ValueError, match="snapshot at every level"):
-        check_bootstrap_bound(bare, 0.5)
+        check_bootstrap_bound(MASSLESS, GRID, 0.5)
 
 
 # ---------------------------------------------------------------------------

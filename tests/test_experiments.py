@@ -24,6 +24,7 @@ from maxdirac1d.experiments import (
     check_claim1,
     check_claim2,
     check_claim3,
+    check_gauss,
     config_hash,
     default_probes,
     gauss_divergence,
@@ -32,6 +33,7 @@ from maxdirac1d.experiments import (
     pool_size,
     run_sweep,
     sweep_claims,
+    verdicts,
     write_sweep,
 )
 from maxdirac1d.initial_data import CutoffSpec, DataFamily, GridSpec, PotentialMode
@@ -265,29 +267,27 @@ def _synthetic_ladder(a0_fn):
 def test_claim3_recovers_linear_slope():
     recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e) + 0.001)
     fit = check_claim3(recs, LADDER)
-    assert fit.slopes[0] == pytest.approx(0.01, abs=1e-12)
-    assert fit.slope_bounds[0] == pytest.approx(0.04 / 8.0)
-    assert fit.lower_ok.all()
-    assert fit.monotone.all()
-    assert fit.implied_c == pytest.approx(
+    assert fit["slopes"][0] == pytest.approx(0.01, abs=1e-12)
+    assert fit["slope_bounds"][0] == pytest.approx(0.04 / 8.0)
+    assert np.all(fit["lower_ok"])
+    assert np.all(fit["monotone"])
+    assert fit["implied_c"] == pytest.approx(
         (0.01 * math.log(1e4) + 0.001) / math.log(1e4)
     )
-    assert fit.passed
-    d = fit.to_dict()
-    assert d["pass"] is True and d["slopes"][0] == pytest.approx(0.01)
+    assert fit["pass"] is True and fit["slopes"][0] == pytest.approx(0.01)
 
 
 def test_claim3_fails_without_growth():
     fit = check_claim3(_synthetic_ladder(lambda t, x, e: 0.05), LADDER)
-    assert fit.slopes[0] == pytest.approx(0.0, abs=1e-12)
-    assert not fit.monotone.all()
-    assert not fit.passed
+    assert fit["slopes"][0] == pytest.approx(0.0, abs=1e-12)
+    assert not np.all(fit["monotone"])
+    assert not fit["pass"]
 
 
 def test_claim3_fails_below_closed_form():
     fit = check_claim3(_synthetic_ladder(lambda t, x, e: 0.5 * a0_lower_bound(t, x, e)), LADDER)
-    assert not fit.lower_ok.all()
-    assert not fit.passed
+    assert not np.all(fit["lower_ok"])
+    assert not fit["pass"]
 
 
 def test_claim3_input_guards():
@@ -296,14 +296,30 @@ def test_claim3_input_guards():
     # both potential modes start from a_0 = b_0 = 0: the mode does not enter
     recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e))
     constrained = check_claim3(recs, replace(LADDER, potential_mode="constrained"))
-    assert constrained.to_dict() == check_claim3(recs, LADDER).to_dict()
+    assert constrained == check_claim3(recs, LADDER)
 
 
 def test_claim3_needs_two_eps():
     recs = _synthetic_ladder(lambda t, x, e: 0.01 * math.log(1.0 / e))
     with pytest.raises(ValueError, match="at least 2 epsilons"):
         check_claim3(recs[:1], LADDER)
-    assert check_claim3(recs[:2], LADDER).slopes[0] == pytest.approx(0.01, abs=1e-12)
+    assert check_claim3(recs[:2], LADDER)["slopes"][0] == pytest.approx(0.01, abs=1e-12)
+
+
+def test_every_claim_checker_returns_its_verdict_as_plain_json():
+    plan = replace(COARSE, eps_list=(0.1, 0.07, 0.05))  # gauss reads 3 epsilons
+    records = run_sweep(plan)
+    checkers = {
+        "claim1": lambda: check_claim1(records, plan),
+        "claim2": lambda: check_claim2(records, plan),
+        "claim3": lambda: check_claim3(records, plan),
+        "gauss": lambda: check_gauss(plan.eps_list),
+    }
+    entries = verdicts(records, plan, sorted(checkers))
+    for name, check in checkers.items():
+        v = check()
+        assert json.loads(json.dumps(v)) == v, name
+        assert v == entries[name], name
 
 
 def test_probe_a0_mass_correction_is_quadratic_in_M():
